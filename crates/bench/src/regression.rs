@@ -190,6 +190,9 @@ pub struct RegexBaseline {
     pub t1_mbps: f64,
     /// Absolute single-thread throughput floor from `targets`.
     pub t1_mbps_min: f64,
+    /// Absolute floor on the 2-thread/1-thread throughput ratio from
+    /// `targets`; enforced only on a run that had at least 2 cores.
+    pub t2_vs_t1_min: f64,
     /// Absolute floor on the 8-thread/1-thread throughput ratio from
     /// `targets` (stitching must not collapse sharded throughput).
     pub t8_vs_t1_min: f64,
@@ -205,6 +208,9 @@ pub struct RegexMeasurement {
     pub matches: u64,
     /// Did every sharded scan reproduce the sequential spans exactly?
     pub spans_agree: bool,
+    /// `available_parallelism()` of the run: with one core the thread
+    /// ratios say nothing about scaling.
+    pub cores: usize,
 }
 
 impl RegexMeasurement {
@@ -224,6 +230,7 @@ pub fn parse_regex_baseline(json: &str) -> Option<RegexBaseline> {
         dfa_vs_naive_speedup: extract_number(json, "dfa_vs_naive_speedup")?,
         t1_mbps: extract_number(json, "t1_mbps")?,
         t1_mbps_min: extract_number(targets, "t1_mbps_min")?,
+        t2_vs_t1_min: extract_number(targets, "t2_vs_t1_min")?,
         t8_vs_t1_min: extract_number(targets, "t8_vs_t1_min")?,
     })
 }
@@ -235,9 +242,10 @@ pub fn parse_regex_baseline(json: &str) -> Option<RegexBaseline> {
 ///   below the committed value (the headline claim: compiled matching
 ///   beats AST-walking by orders of magnitude, so even 50% slack only
 ///   catches collapses);
-/// * **absolute floors** — 1-thread throughput above `t1_mbps_min`, and
-///   the t8/t1 ratio above `t8_vs_t1_min` (sharding overhead bounded
-///   even on a single-core runner).
+/// * **absolute floors** — 1-thread throughput above `t1_mbps_min`; the
+///   t8/t1 ratio above `t8_vs_t1_min` (sharding overhead bounded even on
+///   a single-core runner); and, when the run had at least 2 cores, the
+///   t2/t1 ratio above `t2_vs_t1_min` (the second thread must pay).
 pub fn check_regex(
     baseline: &RegexBaseline,
     measured: &RegexMeasurement,
@@ -261,6 +269,14 @@ pub fn check_regex(
         failures.push(format!(
             "1-thread throughput {:.0} MB/s below the {:.0} MB/s floor (committed {:.0})",
             measured.t1_mbps, baseline.t1_mbps_min, baseline.t1_mbps
+        ));
+    }
+    let ratio = measured.t2_mbps / measured.t1_mbps;
+    if measured.cores >= 2 && ratio < baseline.t2_vs_t1_min {
+        failures.push(format!(
+            "t2/t1 throughput ratio {ratio:.2} below the {:.2} floor on {} cores \
+             (the second scan thread stopped paying)",
+            baseline.t2_vs_t1_min, measured.cores
         ));
     }
     let ratio = measured.t8_mbps / measured.t1_mbps;
@@ -791,10 +807,11 @@ mod tests {
         RegexMeasurement {
             naive_mbps: b.t1_mbps / b.dfa_vs_naive_speedup,
             t1_mbps: b.t1_mbps,
-            t2_mbps: b.t1_mbps,
+            t2_mbps: b.t1_mbps * b.t2_vs_t1_min * 1.1,
             t8_mbps: b.t1_mbps,
             matches: 1,
             spans_agree: true,
+            cores: 2,
         }
     }
 
@@ -803,6 +820,8 @@ mod tests {
         let b = committed_regex();
         assert!(b.dfa_vs_naive_speedup > 10.0, "{b:?}");
         assert!(b.t1_mbps > b.t1_mbps_min, "{b:?}");
+        assert!(b.t1_mbps_min >= 0.5 * b.t1_mbps, "floor ratcheted: {b:?}");
+        assert!(b.t2_vs_t1_min > 1.0 && b.t2_vs_t1_min <= 1.5, "{b:?}");
         assert_eq!(b.t8_vs_t1_min, 0.5);
     }
 
@@ -822,6 +841,15 @@ mod tests {
         let failures = check_regex(&b, &honest, 0.50);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("speedup"), "{failures:?}");
+        // Likewise a doctored thread-scaling floor — on a run with the
+        // cores to show scaling; a 1-core run cannot fail it.
+        let mut b = committed_regex();
+        b.t2_vs_t1_min *= 1.5;
+        let failures = check_regex(&b, &honest, 0.50);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("t2/t1"), "{failures:?}");
+        let one_core = RegexMeasurement { cores: 1, ..honest };
+        assert!(check_regex(&b, &one_core, 0.50).is_empty());
     }
 
     #[test]

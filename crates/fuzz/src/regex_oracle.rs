@@ -117,34 +117,49 @@ fn shard<'a>(input: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
     }
 }
 
+/// One pattern compiled twice: under the default cap (windowed scan over
+/// the search table) and under a cap its anchored automaton fills exactly,
+/// which leaves the search table no room (attempt-every-position scan).
+type Configurations = [(&'static str, Regex); 2];
+
+fn compile(pattern: &str) -> Result<Configurations, RegexError> {
+    let full = Regex::new(pattern)?;
+    let bare = Regex::with_limit(pattern, full.meta_states())?;
+    Ok([("search table", full), ("no search table", bare)])
+}
+
 /// Run every engine over one case; `None` means full agreement. The
-/// naive reference is the golden semantics; the sequential DFA and the
-/// sharded DFA at 1 and 2 threads must all reproduce it exactly.
-fn diverges(pattern: &Regex, input: &[u8], cuts: &[usize]) -> Option<String> {
-    let naive = pattern.naive_find_all(input);
-    let seq: Vec<(usize, usize)> = pattern
-        .find_all(input)
-        .into_iter()
-        .map(|m| (m.start, m.end))
-        .collect();
-    if naive != seq {
-        return Some(format!(
-            "meta-automaton disagrees with naive reference: naive {naive:?}, dfa {seq:?}"
-        ));
-    }
+/// naive reference is the golden semantics; in both configurations the
+/// sequential DFA and the sharded DFA at 1, 2, 3 and 8 threads must all
+/// reproduce it exactly.
+fn diverges(configurations: &Configurations, input: &[u8], cuts: &[usize]) -> Option<String> {
+    let naive = configurations[0].1.naive_find_all(input);
     let shards = shard(input, cuts);
-    for threads in [1usize, 2] {
-        let sharded: Vec<(usize, usize)> = pattern
-            .find_sharded(&shards, threads)
+    for (table, pattern) in configurations {
+        let seq: Vec<(usize, usize)> = pattern
+            .find_all(input)
             .into_iter()
             .map(|m| (m.start, m.end))
             .collect();
-        if sharded != seq {
+        if naive != seq {
             return Some(format!(
-                "sharded scan ({} shards, {threads} threads) disagrees with sequential: \
-                 sequential {seq:?}, sharded {sharded:?}",
-                shards.len()
+                "meta-automaton ({table}) disagrees with naive reference: \
+                 naive {naive:?}, dfa {seq:?}"
             ));
+        }
+        for threads in [1usize, 2, 3, 8] {
+            let sharded: Vec<(usize, usize)> = pattern
+                .find_sharded(&shards, threads)
+                .into_iter()
+                .map(|m| (m.start, m.end))
+                .collect();
+            if sharded != seq {
+                return Some(format!(
+                    "sharded scan ({table}, {} shards, {threads} threads) disagrees with \
+                     sequential: sequential {seq:?}, sharded {sharded:?}",
+                    shards.len()
+                ));
+            }
         }
     }
     None
@@ -153,7 +168,7 @@ fn diverges(pattern: &Regex, input: &[u8], cuts: &[usize]) -> Option<String> {
 /// Byte-wise haystack shrinker: greedily drop chunks (halving the chunk
 /// size down to single bytes) while the divergence persists. The pattern
 /// and cut structure stay fixed; cuts re-clamp to the shrunk length.
-fn minimize_input(re: &Regex, input: &[u8], cuts: &[usize]) -> Vec<u8> {
+fn minimize_input(re: &Configurations, input: &[u8], cuts: &[usize]) -> Vec<u8> {
     let mut best = input.to_vec();
     let mut chunk = (best.len() / 2).max(1);
     loop {
@@ -187,7 +202,7 @@ pub fn run_derived(source: &str) -> RegexOutcome {
 
 /// Check one explicit case.
 pub fn check(case: &RegexCase) -> RegexOutcome {
-    let re = match Regex::new(&case.pattern) {
+    let re = match compile(&case.pattern) {
         Ok(re) => re,
         Err(RegexError::TooComplex { limit }) => {
             return RegexOutcome::Skip(format!(
@@ -264,7 +279,7 @@ mod tests {
         // one by checking a pattern against a *wrong* expectation is not
         // possible without a bug, so instead verify the shrinker keeps a
         // property-preserving subset — here "still contains a match".
-        let re = Regex::new("ab+c").unwrap();
+        let re = compile("ab+c").unwrap();
         let input = b"xxxxabbbcyyyyy".to_vec();
         // minimize_input preserves *divergence*; with no divergence it
         // must return the input unchanged (no chunk removal sticks).

@@ -3,8 +3,10 @@
 //! Shards exist so the matcher can scan them in parallel, but matching
 //! semantics are defined over the *concatenation*: a match may start in
 //! one shard and end in another. [`ShardedInput`] provides absolute
-//! addressing over the concatenation plus a [`Cursor`] that walks bytes
-//! across shard boundaries without materializing the joined buffer.
+//! addressing over the concatenation and hands the matcher the input from
+//! any position on as plain `&[u8]` slices — one per shard, so a shard
+//! boundary costs one outer-loop turn, not a check per byte — without
+//! materializing the joined buffer.
 
 /// Borrowed shards viewed as one contiguous byte string.
 #[derive(Debug)]
@@ -43,52 +45,25 @@ impl<'a> ShardedInput<'a> {
         (self.starts[i], self.starts[i + 1])
     }
 
-    /// Byte iterator starting at absolute position `pos`.
-    pub fn cursor(&self, pos: usize) -> Cursor<'a, '_> {
-        debug_assert!(pos <= self.total_len());
-        // partition_point gives the first shard starting *after* pos; the
-        // shard containing pos is the one before it. Empty shards make
-        // several starts equal — skipping happens lazily in next().
-        let shard = self.starts.partition_point(|&s| s <= pos).saturating_sub(1);
-        Cursor {
-            input: self,
-            shard,
-            off: pos - self.starts[shard.min(self.shards.len().saturating_sub(1))],
-            at: pos,
+    /// The input from absolute position `pos` on: the rest of the shard
+    /// holding `pos`, then every later shard whole. `shard` is a hint at
+    /// or before that shard and is advanced to it, so a caller whose
+    /// positions only grow resolves each shard once.
+    pub(crate) fn slices_from(
+        &self,
+        shard: &mut usize,
+        pos: usize,
+    ) -> impl Iterator<Item = &'a [u8]> {
+        debug_assert!(pos <= self.total_len() && self.starts[*shard] <= pos);
+        while *shard + 1 < self.shards.len() && self.starts[*shard + 1] <= pos {
+            *shard += 1;
         }
-    }
-}
-
-/// Forward byte iterator over a [`ShardedInput`].
-pub struct Cursor<'a, 'b> {
-    input: &'b ShardedInput<'a>,
-    shard: usize,
-    off: usize,
-    at: usize,
-}
-
-impl Cursor<'_, '_> {
-    /// Absolute position of the next byte this cursor would yield.
-    pub fn pos(&self) -> usize {
-        self.at
-    }
-}
-
-impl Iterator for Cursor<'_, '_> {
-    type Item = u8;
-
-    #[inline]
-    fn next(&mut self) -> Option<u8> {
-        loop {
-            let s = self.input.shards.get(self.shard)?;
-            if let Some(&b) = s.get(self.off) {
-                self.off += 1;
-                self.at += 1;
-                return Some(b);
-            }
-            self.shard += 1;
-            self.off = 0;
-        }
+        let shards: &'a [&'a [u8]] = self.shards;
+        let (first, rest): (&'a [u8], _) = match shards.get(*shard) {
+            Some(s) => (&s[pos - self.starts[*shard]..], &shards[*shard + 1..]),
+            None => (&[], shards),
+        };
+        std::iter::once(first).chain(rest.iter().copied())
     }
 }
 
@@ -105,11 +80,15 @@ mod tests {
         assert_eq!(inp.shard_bounds(1), (2, 2));
         assert_eq!(inp.shard_bounds(2), (2, 5));
         assert_eq!(inp.shard_bounds(3), (5, 6));
-        let all: Vec<u8> = inp.cursor(0).collect();
-        assert_eq!(all, b"abcdef");
-        for p in 0..=6 {
-            let got: Vec<u8> = inp.cursor(p).collect();
-            assert_eq!(got, &b"abcdef"[p..], "cursor from {p}");
+        // The shard holding each position; the empty shard holds none.
+        let holder = [0, 0, 2, 2, 2, 3, 3];
+        for (p, holder) in holder.into_iter().enumerate() {
+            // From a cold hint and from the exact shard alike.
+            for mut hint in [0, holder] {
+                let got: Vec<u8> = inp.slices_from(&mut hint, p).flatten().copied().collect();
+                assert_eq!(got, &b"abcdef"[p..], "slices from {p}");
+                assert_eq!(hint, holder, "hint advanced to the shard of {p}");
+            }
         }
     }
 
@@ -118,10 +97,10 @@ mod tests {
         let shards: &[&[u8]] = &[];
         let inp = ShardedInput::new(shards);
         assert_eq!(inp.total_len(), 0);
-        assert_eq!(inp.cursor(0).next(), None);
+        assert_eq!(inp.slices_from(&mut 0, 0).flatten().count(), 0);
         let shards2: &[&[u8]] = &[b"", b""];
         let inp2 = ShardedInput::new(shards2);
         assert_eq!(inp2.total_len(), 0);
-        assert_eq!(inp2.cursor(0).next(), None);
+        assert_eq!(inp2.slices_from(&mut 0, 0).flatten().count(), 0);
     }
 }

@@ -10,12 +10,15 @@
 //! Pipeline: [`parser`] (literals, classes, `.` `*` `+` `?` `|`,
 //! grouping, `^` `$`) → [`nfa`] (Thompson construction) → [`meta`]
 //! (subset construction into a byte-class DFA with positional anchor
-//! handling) → [`matcher`] (sequential scan, plus a sharded scan that
-//! speculates per shard in parallel and stitches exactly — output is
-//! bit-identical at every thread count). [`naive`] is an independent
-//! AST-walking reference engine used as the differential-fuzzing oracle,
-//! and [`engine`] wraps compilation in the same content-addressed
-//! cache + singleflight discipline as `msc_engine`.
+//! handling: an anchored table for one attempt, and a search table whose
+//! states carry the threads of every earlier start position) →
+//! [`matcher`] (one windowed forward pass over `&[u8]` slices, plus a
+//! sharded scan that speculates per shard in parallel and stitches
+//! exactly — output is bit-identical at every thread count). [`naive`]
+//! is an independent AST-walking reference engine used as the
+//! differential-fuzzing oracle, and [`engine`] wraps compilation in the
+//! same content-addressed cache + singleflight discipline as
+//! `msc_engine`.
 //!
 //! Match semantics everywhere: non-overlapping leftmost-longest spans,
 //! and empty matches are never reported.
@@ -98,7 +101,10 @@ impl Regex {
     }
 
     /// Parse and compile a pattern, rejecting it as too complex once the
-    /// subset construction exceeds `limit` meta states (0 acts as 1).
+    /// subset construction exceeds `limit` meta states (0 acts as 1). The
+    /// search table is built from what the automaton left of `limit` and
+    /// dropped when that is too little; matching is then slower, never
+    /// different.
     pub fn with_limit(pattern: &str, limit: usize) -> Result<Regex, RegexError> {
         let ast = parser::parse(pattern).map_err(RegexError::Parse)?;
         let nfa = nfa::build(&ast).map_err(|e| RegexError::TooComplex { limit: e.limit })?;

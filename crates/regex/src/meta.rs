@@ -9,65 +9,102 @@
 //!   in the closure that seeds an attempt at position 0, so the machine
 //!   carries two start states (`start_bof` / `start_mid`). `$` is only
 //!   traversable at total end of input, so each state carries two accept
-//!   flags: `accept_mid` (Match is in the set — true anywhere) and
-//!   `accept_end` (Match becomes reachable once `$` fires — true only at
-//!   the end of the whole input).
+//!   flags: `ACCEPT_MID` (Match is in the set — true anywhere) and
+//!   `ACCEPT_END` (Match is in the set or becomes reachable once `$`
+//!   fires — true only at the end of the whole input).
 //! * **No subsumption.** Folding a subset state into a superset preserves
 //!   MIMD emulation but not the recognized language — a superset can
 //!   accept strings the subset rejects — so the DFA keeps every distinct
 //!   set. A cap on distinct meta states bounds the blowup instead.
+//!
+//! One worklist loop (`build`) produces two tables over the same byte
+//! classes. They differ only in the set re-seeded before each step:
+//!
+//! * the **anchored** table re-seeds nothing: `step(A, b) =
+//!   closure(move(A, b))`, one attempt's threads running until they die.
+//!   This is the automaton [`MetaDfa::len`] counts.
+//! * the **search** table re-seeds `S = closure(start_mid)`: `step(A, b) =
+//!   closure(move(A ∪ S, b))`, so a state is the set of threads still
+//!   alive from *every* earlier start position — the paper's one
+//!   transition per step for all live threads at once. `∅` is a real
+//!   state there (*idle*: no earlier start is still alive). Accept flags
+//!   are taken on `A`, never on `S`, so empty matches stay unreported.
+//!
+//! Both tables are laid out for the scan loop: state ids are premultiplied
+//! row offsets, the class stride is padded to a power of two, and row 0 is
+//! the empty set (dead / idle), so one step is `trans[state + class[b]]`
+//! and "no thread left" is `state == 0`.
 
 use crate::nfa::{Nfa, State};
-use msc_core::{SetArena, StateSet};
+use msc_core::{SetArena, SetId, StateSet};
 use msc_ir::StateId;
 use std::collections::HashMap;
-
-/// Transition-table sentinel: no live NFA state remains.
-pub const DEAD: u32 = u32::MAX;
 
 /// Default cap on distinct meta states; beyond it the pattern is rejected
 /// as too complex rather than letting subset construction run away.
 /// [`compile_with_limit`] accepts any other cap.
 pub const MAX_META_STATES: usize = 4096;
 
+/// [`Table::accept`] bit: Match is in the state's set (accept anywhere).
+const ACCEPT_MID: u8 = 1;
+/// [`Table::accept`] bit: Match is in the set or reachable from it through
+/// `$` assertions (accept only at total end of input).
+const ACCEPT_END: u8 = 2;
+
+/// One transition table over premultiplied state ids.
+#[derive(Debug, Clone)]
+pub(crate) struct Table {
+    /// `trans[state + class]` is the successor's row offset. Rows are
+    /// `1 << shift` entries wide (the class count rounded up to a power
+    /// of two; no byte maps to the excess); row 0 is the empty set.
+    pub(crate) trans: Vec<u32>,
+    /// Accept bits per state, indexed by `state >> shift`.
+    pub(crate) accept: Vec<u8>,
+}
+
+impl Table {
+    /// Does `state` accept here — anywhere, or, when `at_end`, at the
+    /// total end of input? `shift` is the owning automaton's.
+    #[inline]
+    pub(crate) fn accepts(&self, state: u32, shift: u32, at_end: bool) -> bool {
+        let accept = self.accept[(state >> shift) as usize];
+        accept & ACCEPT_MID != 0 || (at_end && accept & ACCEPT_END != 0)
+    }
+}
+
 /// The compiled meta-automaton.
 #[derive(Debug, Clone)]
 pub struct MetaDfa {
     /// Byte → equivalence class (bytes no NFA edge distinguishes share a
-    /// class, shrinking each transition row from 256 to `nclasses`).
-    pub classes: [u16; 256],
-    /// Number of byte classes.
-    pub nclasses: usize,
-    /// Row-major transition table: `trans[state * nclasses + class]`,
-    /// [`DEAD`] when the successor set is empty.
-    pub trans: Vec<u32>,
-    /// Match is in the state's set (accept at any position).
-    pub accept_mid: Vec<bool>,
-    /// Match is in the set or reachable from it through `$` assertions
-    /// (accept only at total end of input). Implies nothing about
-    /// `accept_mid`.
-    pub accept_end: Vec<bool>,
-    /// Start state for an attempt at position 0, or [`DEAD`].
-    pub start_bof: u32,
-    /// Start state for an attempt anywhere else, or [`DEAD`].
-    pub start_mid: u32,
+    /// class, shrinking each transition row from 256 to the class count).
+    pub(crate) classes: [u8; 256],
+    /// log₂ of the padded row width shared by both tables.
+    pub(crate) shift: u32,
+    /// One attempt from one start position; row 0 is *dead*.
+    pub(crate) anchored: Table,
+    /// All start positions at once; row 0 is *idle*. Absent when it did
+    /// not fit in what the anchored table left of the state cap — the
+    /// scan then attempts every position instead of windowing.
+    pub(crate) search: Option<Table>,
+    /// Anchored start state for an attempt at position 0 (0 when dead).
+    pub(crate) start_bof: u32,
+    /// Anchored start state for an attempt anywhere else (0 when dead).
+    pub(crate) start_mid: u32,
+    /// Bytes on which `start_mid` survives: the only bytes that take the
+    /// search table out of idle.
+    pub(crate) can_start: [bool; 256],
 }
 
 impl MetaDfa {
-    /// Number of meta states.
+    /// Number of meta states of the anchored automaton (the empty set is
+    /// not counted).
     pub fn len(&self) -> usize {
-        self.accept_mid.len()
+        self.anchored.accept.len() - 1
     }
 
     /// True when the automaton has no states (both starts dead).
     pub fn is_empty(&self) -> bool {
-        self.accept_mid.is_empty()
-    }
-
-    /// Successor of `state` on byte `b`, or [`DEAD`].
-    #[inline]
-    pub fn step(&self, state: u32, b: u8) -> u32 {
-        self.trans[state as usize * self.nclasses + self.classes[b as usize] as usize]
+        self.len() == 0
     }
 }
 
@@ -143,8 +180,9 @@ fn end_accepts(nfa: &Nfa, set: &StateSet) -> bool {
 
 /// Partition bytes into equivalence classes: two bytes share a class iff
 /// every `Byte` state of the NFA treats them identically. Returns the
-/// class table, the class count, and one representative byte per class.
-fn byte_classes(nfa: &Nfa) -> ([u16; 256], usize, Vec<u8>) {
+/// class table and one representative byte per class (at most 256, so a
+/// class id fits a `u8`).
+fn byte_classes(nfa: &Nfa) -> ([u8; 256], Vec<u8>) {
     let byte_states: Vec<&crate::parser::ByteSet> = nfa
         .states
         .iter()
@@ -154,9 +192,9 @@ fn byte_classes(nfa: &Nfa) -> ([u16; 256], usize, Vec<u8>) {
         })
         .collect();
     let words = byte_states.len().div_ceil(64).max(1);
-    let mut classes = [0u16; 256];
+    let mut classes = [0u8; 256];
     let mut reps: Vec<u8> = Vec::new();
-    let mut sig_to_class: HashMap<Vec<u64>, u16> = HashMap::new();
+    let mut sig_to_class: HashMap<Vec<u64>, u8> = HashMap::new();
     for b in 0..=255u8 {
         let mut sig = vec![0u64; words];
         for (i, set) in byte_states.iter().enumerate() {
@@ -164,14 +202,82 @@ fn byte_classes(nfa: &Nfa) -> ([u16; 256], usize, Vec<u8>) {
                 sig[i / 64] |= 1u64 << (i % 64);
             }
         }
-        let next = sig_to_class.len() as u16;
+        let next = sig_to_class.len() as u8;
         let class = *sig_to_class.entry(sig).or_insert_with(|| {
             reps.push(b);
             next
         });
         classes[b as usize] = class;
     }
-    (classes, reps.len(), reps)
+    (classes, reps)
+}
+
+/// The subset-construction worklist: intern `∅` as row 0 and `roots`
+/// after it, then sweep the arena, interning each set's successor on
+/// every class representative. `reseed` is united into a set before it
+/// steps — `∅` builds the anchored table, `closure(start_mid)` the search
+/// table. Returns the table and the row offsets of `roots`, or `None`
+/// once more than `limit` non-empty sets exist (or a row offset would
+/// not fit the table's `u32` entries).
+fn build(
+    nfa: &Nfa,
+    reps: &[u8],
+    shift: u32,
+    roots: Vec<StateSet>,
+    reseed: &StateSet,
+    limit: usize,
+) -> Option<(Table, Vec<u32>)> {
+    let mut arena = SetArena::new();
+    arena.intern(StateSet::empty());
+    let fits =
+        |arena: &SetArena| arena.len() - 1 <= limit && arena.len() <= (u32::MAX >> shift) as usize;
+    let row = |id: SetId| id.0 << shift;
+    let roots: Vec<u32> = roots
+        .into_iter()
+        .map(|set| row(arena.intern(set)))
+        .collect();
+    if !fits(&arena) {
+        return None;
+    }
+
+    let mut table = Table {
+        trans: Vec::new(),
+        accept: Vec::new(),
+    };
+    // The arena grows as BFS discovers successors; meta state i is the
+    // i-th interned set, so a plain index sweep visits every state once.
+    let mut i = 0usize;
+    while i < arena.len() {
+        let set = arena.get(SetId(i as u32));
+        let mut accept = 0;
+        if set
+            .iter()
+            .any(|s| matches!(nfa.states[s.0 as usize], State::Match))
+        {
+            accept |= ACCEPT_MID;
+        }
+        if end_accepts(nfa, &set) {
+            accept |= ACCEPT_END;
+        }
+        table.accept.push(accept);
+        for &rep in reps {
+            let seeds =
+                set.iter()
+                    .chain(reseed.iter())
+                    .filter_map(|s| match nfa.states[s.0 as usize] {
+                        State::Byte { ref set, next } if set.contains(rep) => Some(next),
+                        _ => None,
+                    });
+            let succ = arena.intern(closure(nfa, seeds, false));
+            if !fits(&arena) {
+                return None;
+            }
+            table.trans.push(row(succ));
+        }
+        i += 1;
+        table.trans.resize(i << shift, 0);
+    }
+    Some((table, roots))
 }
 
 /// Run the subset construction with the default [`MAX_META_STATES`] cap.
@@ -179,131 +285,116 @@ pub fn compile(nfa: &Nfa) -> Result<MetaDfa, TooComplex> {
     compile_with_limit(nfa, MAX_META_STATES)
 }
 
-/// Run the subset construction, rejecting the pattern once more than
-/// `limit` distinct meta states exist (a `limit` of 0 is treated as 1).
+/// Run the subset construction, rejecting the pattern once the anchored
+/// automaton has more than `limit` distinct meta states (a `limit` of 0 is
+/// treated as 1). The search table gets what the anchored one left of
+/// `limit` and is dropped, not an error, when that is too little — so
+/// `limit` bounds the states of both tables together.
 pub fn compile_with_limit(nfa: &Nfa, limit: usize) -> Result<MetaDfa, TooComplex> {
     let limit = limit.max(1);
-    let (classes, nclasses, reps) = byte_classes(nfa);
-    let mut arena = SetArena::new();
+    let (classes, reps) = byte_classes(nfa);
+    let shift = reps.len().next_power_of_two().trailing_zeros();
 
-    let intern_nonempty = |arena: &mut SetArena, set: StateSet| -> u32 {
-        if set.is_empty() {
-            DEAD
-        } else {
-            arena.intern(set).0
-        }
-    };
+    let bof = closure(nfa, [nfa.start], true);
+    let mid = closure(nfa, [nfa.start], false);
+    let roots = vec![bof, mid.clone()];
+    let (anchored, starts) =
+        build(nfa, &reps, shift, roots, &StateSet::empty(), limit).ok_or(TooComplex { limit })?;
+    let (start_bof, start_mid) = (starts[0], starts[1]);
 
-    let start_bof = intern_nonempty(&mut arena, closure(nfa, [nfa.start], true));
-    let start_mid = intern_nonempty(&mut arena, closure(nfa, [nfa.start], false));
+    let left = limit - (anchored.accept.len() - 1);
+    let search = build(nfa, &reps, shift, Vec::new(), &mid, left).map(|(table, _)| table);
 
-    let mut trans: Vec<u32> = Vec::new();
-    let mut accept_mid: Vec<bool> = Vec::new();
-    let mut accept_end: Vec<bool> = Vec::new();
-
-    // The arena grows as BFS discovers successors; meta state i is the
-    // i-th interned set, so a plain index sweep visits every state once.
-    let mut i = 0usize;
-    while i < arena.len() {
-        let set = arena.get(msc_core::SetId(i as u32));
-        accept_mid.push(
-            set.iter()
-                .any(|s| matches!(nfa.states[s.0 as usize], State::Match)),
-        );
-        accept_end.push(end_accepts(nfa, &set));
-        for &rep in &reps {
-            let seeds: Vec<u32> = set
-                .iter()
-                .filter_map(|s| match nfa.states[s.0 as usize] {
-                    State::Byte { ref set, next } if set.contains(rep) => Some(next),
-                    _ => None,
-                })
-                .collect();
-            let succ = intern_nonempty(&mut arena, closure(nfa, seeds, false));
-            if arena.len() > limit {
-                return Err(TooComplex { limit });
-            }
-            trans.push(succ);
-        }
-        i += 1;
+    let mut can_start = [false; 256];
+    for (b, can) in can_start.iter_mut().enumerate() {
+        *can = anchored.trans[start_mid as usize + classes[b] as usize] != 0;
     }
-
     Ok(MetaDfa {
         classes,
-        nclasses,
-        trans,
-        accept_mid,
-        accept_end,
+        shift,
+        anchored,
+        search,
         start_bof,
         start_mid,
+        can_start,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfa::build;
+    use crate::nfa::build as build_nfa;
     use crate::parser::parse;
 
-    fn dfa(pat: &str) -> MetaDfa {
-        compile(&build(&parse(pat).unwrap()).unwrap()).unwrap()
+    fn nfa(pat: &str) -> Nfa {
+        build_nfa(&parse(pat).unwrap()).unwrap()
     }
 
-    /// Longest accepting run from the given start over `input`; None when
-    /// no non-empty prefix accepts. Mirrors what the matcher does.
-    fn longest(d: &MetaDfa, start: u32, input: &[u8], total_end: bool) -> Option<usize> {
+    fn dfa(pat: &str) -> MetaDfa {
+        compile(&nfa(pat)).unwrap()
+    }
+
+    /// Longest accepting run of `table` from `start` over `input`; None
+    /// when no non-empty prefix accepts. Mirrors what the matcher does.
+    fn longest(
+        d: &MetaDfa,
+        table: &Table,
+        start: u32,
+        input: &[u8],
+        total_end: bool,
+    ) -> Option<usize> {
         let mut state = start;
         let mut best = None;
-        if state == DEAD {
-            return None;
-        }
         for (i, &b) in input.iter().enumerate() {
-            state = d.step(state, b);
-            if state == DEAD {
-                return best;
-            }
-            let at_end = total_end && i + 1 == input.len();
-            if d.accept_mid[state as usize] || (at_end && d.accept_end[state as usize]) {
+            state = table.trans[state as usize + d.classes[b as usize] as usize];
+            if table.accepts(state, d.shift, total_end && i + 1 == input.len()) {
                 best = Some(i + 1);
             }
         }
         best
     }
 
+    fn anchored(d: &MetaDfa, start: u32, input: &[u8], total_end: bool) -> Option<usize> {
+        longest(d, &d.anchored, start, input, total_end)
+    }
+
     #[test]
     fn literal_run() {
         let d = dfa("abc");
-        assert_eq!(longest(&d, d.start_bof, b"abc", true), Some(3));
-        assert_eq!(longest(&d, d.start_mid, b"abcd", true), Some(3));
-        assert_eq!(longest(&d, d.start_mid, b"abd", true), None);
+        assert_eq!(anchored(&d, d.start_bof, b"abc", true), Some(3));
+        assert_eq!(anchored(&d, d.start_mid, b"abcd", true), Some(3));
+        assert_eq!(anchored(&d, d.start_mid, b"abd", true), None);
     }
 
     #[test]
     fn alternation_takes_longest() {
         let d = dfa("a|ab");
-        assert_eq!(longest(&d, d.start_mid, b"ab", true), Some(2));
-        assert_eq!(longest(&d, d.start_mid, b"ax", true), Some(1));
+        assert_eq!(anchored(&d, d.start_mid, b"ab", true), Some(2));
+        assert_eq!(anchored(&d, d.start_mid, b"ax", true), Some(1));
     }
 
     #[test]
     fn star_is_greedy_in_length() {
         let d = dfa("a+");
-        assert_eq!(longest(&d, d.start_mid, b"aaab", true), Some(3));
+        assert_eq!(anchored(&d, d.start_mid, b"aaab", true), Some(3));
     }
 
     #[test]
     fn start_anchor_only_fires_at_bof() {
         let d = dfa("^ab");
-        assert_eq!(longest(&d, d.start_bof, b"ab", true), Some(2));
-        assert_eq!(d.start_mid, DEAD, "^ab cannot start mid-input");
+        assert_eq!(anchored(&d, d.start_bof, b"ab", true), Some(2));
+        assert_eq!(d.start_mid, 0, "^ab cannot start mid-input");
+        // Nothing re-seeds, so the search table is the idle state alone.
+        assert_eq!(d.search.as_ref().unwrap().accept, [0]);
+        assert!(d.can_start.iter().all(|&c| !c));
     }
 
     #[test]
     fn end_anchor_needs_total_end() {
         let d = dfa("ab$");
-        assert_eq!(longest(&d, d.start_mid, b"ab", true), Some(2));
-        assert_eq!(longest(&d, d.start_mid, b"ab", false), None);
-        assert_eq!(longest(&d, d.start_mid, b"abc", true), None);
+        assert_eq!(anchored(&d, d.start_mid, b"ab", true), Some(2));
+        assert_eq!(anchored(&d, d.start_mid, b"ab", false), None);
+        assert_eq!(anchored(&d, d.start_mid, b"abc", true), None);
     }
 
     #[test]
@@ -313,7 +404,7 @@ mod tests {
         // dead class.
         assert_eq!(d.classes[b'a' as usize], d.classes[b'b' as usize]);
         assert_ne!(d.classes[b'a' as usize], d.classes[b'x' as usize]);
-        assert!(d.nclasses <= 4, "{}", d.nclasses);
+        assert!(d.shift <= 2, "at most 4 classes, got shift {}", d.shift);
     }
 
     #[test]
@@ -322,9 +413,8 @@ mod tests {
         // pattern with genuinely exponential subset blowup:
         // .*a.{k} has ~2^k distinct sets tracking the last k positions.
         let pat = format!(".*a{}", ".".repeat(16));
-        let nfa = build(&parse(&pat).unwrap()).unwrap();
         assert!(matches!(
-            compile(&nfa),
+            compile(&nfa(&pat)),
             Err(TooComplex {
                 limit: MAX_META_STATES
             })
@@ -333,7 +423,7 @@ mod tests {
 
     #[test]
     fn limit_parameter_replaces_default_cap() {
-        let nfa = build(&parse("abcde").unwrap()).unwrap();
+        let nfa = nfa("abcde");
         assert!(matches!(
             compile_with_limit(&nfa, 2),
             Err(TooComplex { limit: 2 })
@@ -350,11 +440,55 @@ mod tests {
     fn dot_star_is_one_live_state() {
         let d = dfa("a*");
         assert!(d.len() <= 3, "{}", d.len());
-        assert_eq!(longest(&d, d.start_mid, b"aa", true), Some(2));
+        assert_eq!(anchored(&d, d.start_mid, b"aa", true), Some(2));
         assert_eq!(
-            longest(&d, d.start_mid, b"b", true),
+            anchored(&d, d.start_mid, b"b", true),
             None,
             "empty match dropped"
         );
+    }
+
+    #[test]
+    fn dead_row_absorbs_and_rows_are_padded() {
+        let d = dfa("ab|c");
+        let stride = 1usize << d.shift;
+        assert!(d.anchored.trans[..stride].iter().all(|&t| t == 0));
+        assert_eq!(d.anchored.trans.len(), (d.len() + 1) * stride);
+        assert_eq!(d.anchored.accept[0], 0);
+        for &t in &d.anchored.trans {
+            assert_eq!(t as usize % stride, 0, "premultiplied row offsets");
+        }
+    }
+
+    #[test]
+    fn search_table_tracks_every_earlier_start() {
+        // From idle, "xab" leaves a thread started at 1 accepting at 3;
+        // the anchored table from the same start dies on the x.
+        let d = dfa("ab");
+        let search = d.search.as_ref().expect("fits the default cap");
+        assert_eq!(longest(&d, search, 0, b"xab", false), Some(3));
+        assert_eq!(anchored(&d, d.start_mid, b"xab", false), None);
+        // Idle is re-entered once every thread died, and only a start
+        // byte leaves it.
+        let step = |s: u32, b: u8| search.trans[s as usize + d.classes[b as usize] as usize];
+        assert_eq!(step(step(0, b'a'), b'x'), 0);
+        assert_ne!(step(0, b'a'), 0);
+        assert!(d.can_start[b'a' as usize] && !d.can_start[b'b' as usize]);
+        // Accept is taken on the carried set, never on the re-seed:
+        // `a*` accepts the empty string, idle does not.
+        assert_eq!(dfa("a*").search.unwrap().accept[0], 0);
+    }
+
+    #[test]
+    fn search_table_takes_what_the_cap_leaves() {
+        // The anchored automaton alone decides TooComplex and the state
+        // count; a cap it fills exactly leaves the search table nothing.
+        let nfa = nfa("ab+c|b");
+        let full = compile(&nfa).unwrap();
+        assert!(full.search.is_some());
+        let bare = compile_with_limit(&nfa, full.len()).unwrap();
+        assert!(bare.search.is_none());
+        assert_eq!(bare.len(), full.len());
+        assert_eq!(bare.anchored.trans, full.anchored.trans);
     }
 }

@@ -5,7 +5,10 @@
 //! equal matching the concatenated input sequentially — including
 //! matches that span shard boundaries — at every thread count. The same
 //! inputs are also checked against the independent naive engine, closing
-//! the loop between all three implementations.
+//! the loop between all three implementations. Every pattern is compiled
+//! twice: under the default cap, and under a cap its anchored automaton
+//! fills exactly, which leaves the search table no room — so the windowed
+//! scan and the attempt-every-position scan are held to the same answer.
 
 use msc_regex::{parser, Regex};
 use proptest::prelude::*;
@@ -41,6 +44,14 @@ fn arb_pattern() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// `pat` under the default cap and under the tightest cap it compiles
+/// with (no search table), or `None` when it blows the default cap.
+fn both_configurations(pat: &str) -> Option<[Regex; 2]> {
+    let full = Regex::new(pat).ok()?;
+    let bare = Regex::with_limit(pat, full.meta_states()).expect("the anchored table fits");
+    Some([full, bare])
+}
+
 /// Cut `input` into shards at sorted positions derived from `cuts`.
 fn shard<'a>(input: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
     let mut points: Vec<usize> = cuts.iter().map(|&c| c % (input.len() + 1)).collect();
@@ -70,28 +81,32 @@ proptest! {
             .into_iter()
             .map(|b| b"abcxy\n"[b as usize])
             .collect();
-        let re = match Regex::new(&pat) {
-            Ok(re) => re,
-            // A generated pattern can still blow the meta-state cap.
-            Err(_) => return Ok(()),
+        // A generated pattern can still blow the meta-state cap.
+        let Some(configurations) = both_configurations(&pat) else {
+            return Ok(());
         };
-        let sequential = re.find_all(&input);
-        prop_assert_eq!(
-            re.naive_find_all(&input),
-            sequential.iter().map(|m| (m.start, m.end)).collect::<Vec<_>>(),
-            "naive vs DFA on pattern {:?}",
-            &pat
-        );
+        let naive = configurations[0].naive_find_all(&input);
         let shards = shard(&input, &cuts);
-        for threads in [1, 2, 3, 8] {
+        for (re, table) in configurations.iter().zip(["search table", "no search table"]) {
+            let sequential = re.find_all(&input);
             prop_assert_eq!(
-                re.find_sharded(&shards, threads),
-                sequential.clone(),
-                "threads={} pattern={:?} cuts at {:?}",
-                threads,
-                &pat,
-                shards.iter().map(|s| s.len()).collect::<Vec<_>>()
+                &naive,
+                &sequential.iter().map(|m| (m.start, m.end)).collect::<Vec<_>>(),
+                "naive vs DFA with {} on pattern {:?}",
+                table,
+                &pat
             );
+            for threads in [1, 2, 3, 8] {
+                prop_assert_eq!(
+                    re.find_sharded(&shards, threads),
+                    sequential.clone(),
+                    "{} threads={} pattern={:?} cuts at {:?}",
+                    table,
+                    threads,
+                    &pat,
+                    shards.iter().map(|s| s.len()).collect::<Vec<_>>()
+                );
+            }
         }
     }
 }
@@ -108,14 +123,15 @@ fn boundary_spanning_regressions() {
         ("ab$", "ab", vec![1]),          // end anchor on final shard
         ("^ab", "ab", vec![1]),          // start anchor on first shard
     ] {
-        let re = Regex::new(pat).unwrap();
         let shards = shard(text.as_bytes(), &cuts);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                re.find_sharded(&shards, threads),
-                re.find_all(text.as_bytes()),
-                "pattern {pat:?} text {text:?} cuts {cuts:?} threads {threads}"
-            );
+        for re in both_configurations(pat).unwrap() {
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    re.find_sharded(&shards, threads),
+                    re.find_all(text.as_bytes()),
+                    "pattern {pat:?} text {text:?} cuts {cuts:?} threads {threads}"
+                );
+            }
         }
     }
 }
