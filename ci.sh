@@ -41,10 +41,22 @@
 #                         the sweep against the committed profile files
 #                         and fails on any exact-cycle drift or broken
 #                         profile-ordering invariant
+#   ./ci.sh loc           print the non-test, non-shim Rust line count
+#                         and exit: every line of src/ and crates/*/src/
+#                         (shims excluded) above the file's first
+#                         module-level `#[cfg(test)]` — the measure the
+#                         deletion PRs report before and after
 set -euo pipefail
 cd "$(dirname "$0")"
 
 MODE="${1:-default}"
+
+if [ "$MODE" = "loc" ]; then
+    find src crates -name '*.rs' \( -path 'src/*' -o -path 'crates/*/src/*' \) \
+        -not -path 'crates/shims/*' -print0 |
+        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
+    exit 0
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check

@@ -29,6 +29,8 @@ use msc_ir::graph::GraphError;
 use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Which successor-choice rule the subset construction uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,172 +225,269 @@ pub fn convert_with_stats(
     graph: &MimdGraph,
     opts: &ConvertOptions,
 ) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
+    let (mut automaton, mut stats) = convert_rounds::<ConvertError>(graph, opts, 1, || Ok(()))?;
+    if opts.subsumption {
+        stats.subsumed += crate::subsume::subsume(&mut automaton);
+    }
+    Ok((automaton, stats))
+}
+
+/// Worklist entries popped per expansion thread in one round of
+/// [`convert_rounds`]. Large enough that a round's one spawn-and-join is
+/// amortised over many expansions, small enough that the look-ahead
+/// results held between expanding and interning stay a sliver of the
+/// resident set.
+const ROUND_ENTRIES_PER_THREAD: usize = 64;
+
+/// The subset-construction state every round reads and the interning step
+/// alone writes: the set arena, the BFS worklist (both spill under a
+/// memory budget), and the per-meta-state tables indexed by [`MetaId`].
+struct Frontier {
+    arena: SetArena,
+    sets_in_order: Vec<SetId>,
+    succs: Vec<Vec<MetaId>>,
+    /// Latent barrier states per meta state: barrier waits that may hold
+    /// lingering processes while this meta state's visible members run.
+    /// barrier_sync (§2.6) removes waits from the visible set; tracking
+    /// them here lets the converter emit the barrier-release transition
+    /// even when every visible member halts first (spawned workers
+    /// finishing after the rest of the array reached a `wait`).
+    latents: Vec<StateSet>,
+    meta_of_set: Vec<Option<MetaId>>,
+    worklist: SpillQueue,
+    /// Membership flag per meta state: re-enqueue on latent widening in
+    /// O(1) instead of scanning the whole worklist. Stays set from the
+    /// push until the entry's turn in pop order, so a popped entry that
+    /// still waits for its turn is not queued twice.
+    in_worklist: Vec<bool>,
+}
+
+impl Frontier {
+    fn new(memory_budget: Option<usize>) -> Self {
+        Frontier {
+            arena: SetArena::with_budget(memory_budget),
+            sets_in_order: Vec::new(),
+            succs: Vec::new(),
+            latents: Vec::new(),
+            meta_of_set: Vec::new(),
+            worklist: SpillQueue::new(memory_budget.is_some()),
+            in_worklist: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, set: StateSet, latent: StateSet) -> MetaId {
+        let sid = self.arena.intern(set);
+        if sid.idx() >= self.meta_of_set.len() {
+            self.meta_of_set.resize(sid.idx() + 1, None);
+        }
+        if let Some(m) = self.meta_of_set[sid.idx()] {
+            // Known meta state: widen its latent set if this path can
+            // leave more waiters behind; its successors must then be
+            // recomputed.
+            if !latent.is_subset(&self.latents[m.idx()]) {
+                self.latents[m.idx()] = self.latents[m.idx()].union(&latent);
+                if !self.in_worklist[m.idx()] {
+                    self.in_worklist[m.idx()] = true;
+                    self.worklist.push_back(m.0);
+                }
+            }
+            return m;
+        }
+        let m = MetaId(self.sets_in_order.len() as u32);
+        self.meta_of_set[sid.idx()] = Some(m);
+        self.sets_in_order.push(sid);
+        self.succs.push(Vec::new());
+        self.latents.push(latent);
+        self.in_worklist.push(true);
+        self.worklist.push_back(m.0);
+        m
+    }
+}
+
+/// One popped worklist entry, with the latent set it had when popped.
+struct Entry {
+    meta: MetaId,
+    members: StateSet,
+    latent: StateSet,
+}
+
+/// `(visible members, latent waits)` successor pairs of one meta state and
+/// the candidate-set count behind them (its
+/// [`ConvertStats::successor_sets_enumerated`] share).
+type Expansion = Result<(Vec<(StateSet, StateSet)>, u64), ConvertError>;
+
+/// The one MIMD subset-construction loop: [`convert_with_stats`] is this at
+/// one thread plus the subsumption fold, and `msc-engine` calls it with
+/// more. Returns the automaton as discovered — not pruned, not folded.
+///
+/// It works in rounds. A round pops a run of entries off the FIFO worklist,
+/// expands them on up to `threads` threads (the caller is one of them) —
+/// an expansion reads only `(graph, members, latent, opts)` — and then
+/// interns every result **in pop order on the calling thread**. An entry
+/// whose latent set an earlier entry of the same round widened is expanded
+/// again at its turn, so discovery order, numbering, successor lists and
+/// statistics are those of one thread popping one entry at a time, at any
+/// thread count and under any memory budget. One thread pops one entry per
+/// round and spawns nothing; so does time splitting, whose restarts would
+/// discard whatever was expanded ahead.
+///
+/// `before_round` runs once per round and ends the conversion with its
+/// error: the engine's deadline check. A panic on an expansion thread
+/// resurfaces on the caller with its payload, after every thread of the
+/// round has been joined.
+pub fn convert_rounds<E: From<ConvertError>>(
+    graph: &MimdGraph,
+    opts: &ConvertOptions,
+    threads: usize,
+    mut before_round: impl FnMut() -> Result<(), E>,
+) -> Result<(MetaAutomaton, ConvertStats), E> {
     let _span = msc_obs::span("convert.run");
-    graph.validate()?;
+    graph.validate().map_err(ConvertError::from)?;
     let mut g = graph.clone();
     let mut stats = ConvertStats::default();
-    let max_restarts = opts
-        .time_split
-        .as_ref()
-        .map(|t| t.max_restarts)
-        .unwrap_or(0);
+    let threads = threads.max(1);
+    let round = if threads == 1 || opts.time_split.is_some() {
+        1
+    } else {
+        threads * ROUND_ENTRIES_PER_THREAD
+    };
+    let mut batch: Vec<Entry> = Vec::with_capacity(round);
+    let mut ahead: Vec<OnceLock<Expansion>> = Vec::with_capacity(round);
 
     'restart: loop {
-        let mut arena = SetArena::with_budget(opts.memory_budget);
-        let mut sets_in_order: Vec<SetId> = Vec::new();
-        let mut succs: Vec<Vec<MetaId>> = Vec::new();
-        // Latent barrier states per meta state: barrier waits that may hold
-        // lingering processes while this meta state's visible members run.
-        // barrier_sync (§2.6) removes waits from the visible set; tracking
-        // them here lets the converter emit the barrier-release transition
-        // even when every visible member halts first (spawned workers
-        // finishing after the rest of the array reached a `wait`).
-        let mut latents: Vec<StateSet> = Vec::new();
-        let mut meta_of_set: Vec<Option<MetaId>> = Vec::new();
-        // BFS worklist; under a memory budget its cold middle spills to a
-        // temp-file segment store along with the arena's cold sets.
-        let mut worklist = SpillQueue::new(opts.memory_budget.is_some());
-        // Membership flag per meta state: re-enqueue on latent widening in
-        // O(1) instead of scanning the whole worklist.
-        let mut in_worklist: Vec<bool> = Vec::new();
-
-        let intern = |set: StateSet,
-                      latent: StateSet,
-                      arena: &mut SetArena,
-                      sets_in_order: &mut Vec<SetId>,
-                      succs: &mut Vec<Vec<MetaId>>,
-                      latents: &mut Vec<StateSet>,
-                      meta_of_set: &mut Vec<Option<MetaId>>,
-                      worklist: &mut SpillQueue,
-                      in_worklist: &mut Vec<bool>|
-         -> MetaId {
-            let sid = arena.intern(set);
-            if sid.idx() >= meta_of_set.len() {
-                meta_of_set.resize(sid.idx() + 1, None);
-            }
-            if let Some(m) = meta_of_set[sid.idx()] {
-                // Known meta state: widen its latent set if this path can
-                // leave more waiters behind; its successors must then be
-                // recomputed.
-                if !latent.is_subset(&latents[m.idx()]) {
-                    latents[m.idx()] = latents[m.idx()].union(&latent);
-                    if !in_worklist[m.idx()] {
-                        in_worklist[m.idx()] = true;
-                        worklist.push_back(m.0);
-                    }
-                }
-                return m;
-            }
-            let m = MetaId(sets_in_order.len() as u32);
-            meta_of_set[sid.idx()] = Some(m);
-            sets_in_order.push(sid);
-            succs.push(Vec::new());
-            latents.push(latent);
-            in_worklist.push(true);
-            worklist.push_back(m.0);
-            m
-        };
-
+        let mut f = Frontier::new(opts.memory_budget);
         let start_set = apply_barrier(&g, StateSet::singleton(g.start), opts);
-        let start = intern(
-            start_set,
-            StateSet::empty(),
-            &mut arena,
-            &mut sets_in_order,
-            &mut succs,
-            &mut latents,
-            &mut meta_of_set,
-            &mut worklist,
-            &mut in_worklist,
-        );
+        let start = f.intern(start_set, StateSet::empty());
+        // One per thread, kept across rounds; the memo inside is valid for
+        // one graph, i.e. until the next time-split restart.
+        let mut scratch: Vec<SuccScratch> = (0..threads).map(|_| SuccScratch::default()).collect();
 
-        let mut scratch = SuccScratch::default();
-        while let Some(m) = worklist.pop_front().map(MetaId) {
-            in_worklist[m.idx()] = false;
-            msc_obs::value("convert.worklist_depth", worklist.len() as u64);
-
-            // §2.4: "It would be invoked on each meta state as it is
-            // created"; any split restarts the construction.
-            if let Some(ts) = &opts.time_split {
-                let members = arena.get(sets_in_order[m.idx()]);
-                let did = time_split_meta(&mut g, &members, ts, &opts.costs, &mut stats.splits);
-                if did {
-                    stats.restarts += 1;
-                    if stats.restarts > max_restarts {
-                        return Err(ConvertError::TimeSplitDiverged {
-                            restarts: stats.restarts,
-                        });
-                    }
-                    continue 'restart;
-                }
+        loop {
+            before_round()?;
+            batch.clear();
+            while batch.len() < round {
+                let Some(m) = f.worklist.pop_front().map(MetaId) else {
+                    break;
+                };
+                batch.push(Entry {
+                    meta: m,
+                    members: f.arena.get(f.sets_in_order[m.idx()]),
+                    latent: f.latents[m.idx()].clone(),
+                });
             }
+            if batch.is_empty() {
+                break;
+            }
+            expand_ahead(&g, opts, &batch, &mut scratch, &mut ahead);
 
-            let targets = successor_sets(
-                &g,
-                &arena.get(sets_in_order[m.idx()]),
-                &latents[m.idx()],
-                opts,
-                &mut stats,
-                &mut scratch,
-            )?;
-            let mut out: Vec<MetaId> = Vec::with_capacity(targets.len());
-            let mut out_seen: FxHashSet<MetaId> = FxHashSet::default();
-            for (t, l) in targets {
-                let id = intern(
-                    t,
-                    l,
-                    &mut arena,
-                    &mut sets_in_order,
-                    &mut succs,
-                    &mut latents,
-                    &mut meta_of_set,
-                    &mut worklist,
-                    &mut in_worklist,
+            for (i, e) in batch.iter().enumerate() {
+                let m = e.meta;
+                f.in_worklist[m.idx()] = false;
+                msc_obs::value(
+                    "convert.worklist_depth",
+                    (f.worklist.len() + batch.len() - 1 - i) as u64,
                 );
-                if out_seen.insert(id) {
-                    out.push(id);
+
+                // §2.4: "It would be invoked on each meta state as it is
+                // created"; any split restarts the construction.
+                if let Some(ts) = &opts.time_split {
+                    if time_split_meta(&mut g, &e.members, ts, &opts.costs, &mut stats.splits) {
+                        stats.restarts += 1;
+                        if stats.restarts > ts.max_restarts {
+                            return Err(ConvertError::TimeSplitDiverged {
+                                restarts: stats.restarts,
+                            }
+                            .into());
+                        }
+                        continue 'restart;
+                    }
                 }
-                if sets_in_order.len() > opts.max_meta_states {
-                    return Err(ConvertError::TooManyMetaStates {
-                        limit: opts.max_meta_states,
-                    });
+
+                let expansion = match ahead[i].take() {
+                    Some(x) if f.latents[m.idx()] == e.latent => x,
+                    stale => {
+                        if stale.is_some() {
+                            msc_obs::count("convert.stale_expansion", 1);
+                        }
+                        successor_sets(&g, &e.members, &f.latents[m.idx()], opts, &mut scratch[0])
+                    }
+                };
+                let (targets, enumerated) = expansion?;
+                stats.successor_sets_enumerated += enumerated;
+                let mut out: Vec<MetaId> = Vec::with_capacity(targets.len());
+                let mut out_seen: FxHashSet<MetaId> = FxHashSet::default();
+                for (t, l) in targets {
+                    let id = f.intern(t, l);
+                    if out_seen.insert(id) {
+                        out.push(id);
+                    }
+                    if f.sets_in_order.len() > opts.max_meta_states {
+                        return Err(ConvertError::TooManyMetaStates {
+                            limit: opts.max_meta_states,
+                        }
+                        .into());
+                    }
                 }
+                f.succs[m.idx()] = out;
             }
-            succs[m.idx()] = out;
         }
 
-        let mut automaton = MetaAutomaton {
-            graph: g.clone(),
-            sets: sets_in_order.iter().map(|&sid| arena.get(sid)).collect(),
+        let sets = f.sets_in_order.iter().map(|&s| f.arena.get(s)).collect();
+        let automaton = MetaAutomaton {
+            graph: g,
+            sets,
             start,
-            succs,
+            succs: f.succs,
         };
-        if opts.subsumption {
-            stats.subsumed += crate::subsume::subsume(&mut automaton);
-        }
         return Ok((automaton, stats));
     }
 }
 
-/// Frontier-expansion hook for external drivers (e.g. the parallel engine
-/// in `msc-engine`): enumerate the `(visible members, latent waits)`
-/// successor pairs of one meta state exactly as the sequential worklist
-/// loop does, returning the candidate-set count alongside (the
-/// [`ConvertStats::successor_sets_enumerated`] contribution).
-///
-/// The expansion of a meta state depends only on `(graph, members, latent,
-/// opts)` — not on any converter-global state — which is what makes the
-/// frontier safely parallelizable.
-pub fn expand_frontier(
+/// The parallel half of a round: fill `ahead[i]` with the expansion of
+/// `batch[i]`, threads claiming entries from one cursor. Leaves every slot
+/// empty — the caller expands at the entry's turn — when the round or the
+/// thread count is one.
+fn expand_ahead(
     graph: &MimdGraph,
-    members: &StateSet,
-    latent: &StateSet,
     opts: &ConvertOptions,
-) -> Result<(Vec<(StateSet, StateSet)>, u64), ConvertError> {
-    let mut stats = ConvertStats::default();
-    let mut scratch = SuccScratch::default();
-    let targets = successor_sets(graph, members, latent, opts, &mut stats, &mut scratch)?;
-    Ok((targets, stats.successor_sets_enumerated))
+    batch: &[Entry],
+    scratch: &mut [SuccScratch],
+    ahead: &mut Vec<OnceLock<Expansion>>,
+) {
+    ahead.clear();
+    ahead.resize_with(batch.len(), OnceLock::new);
+    let spawned = scratch.len().min(batch.len()) - 1;
+    if spawned == 0 {
+        return;
+    }
+    let _span = msc_obs::span("convert.round");
+    msc_obs::value("convert.round_entries", batch.len() as u64);
+    // Relaxed: the cursor only hands out indices; the results are
+    // published by their `OnceLock`s.
+    let cursor = AtomicUsize::new(0);
+    let ahead = &*ahead;
+    let work = |scratch: &mut SuccScratch| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(e) = batch.get(i) else { break };
+        let x = successor_sets(graph, &e.members, &e.latent, opts, scratch);
+        ahead[i].set(x).expect("the cursor hands out an index once");
+    };
+    let (mine, theirs) = scratch.split_first_mut().expect("at least one thread");
+    // `scope` alone would replace a child's panic payload with a generic
+    // message: join every handle and re-raise the first payload as it was.
+    let panicked = std::thread::scope(|s| {
+        let handles: Vec<_> = theirs[..spawned]
+            .iter_mut()
+            .map(|sc| s.spawn(move || work(sc)))
+            .collect();
+        work(mine);
+        handles
+            .into_iter()
+            .fold(None, |first, h| first.or(h.join().err()))
+    });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// §2.6 `barrier_sync`: if some but not all members of `set` are barrier
@@ -413,9 +512,9 @@ pub fn barrier_sync(graph: &MimdGraph, set: StateSet) -> StateSet {
 
 /// Reusable buffers for [`successor_sets`]: the partial-union DP vectors,
 /// a hash → index dedup table, and a memo of each member's successor
-/// choices (valid for one graph, i.e. one time-split restart). Reusing
-/// them across the whole worklist keeps the hot loop free of per-meta
-/// allocations once the buffers are warm.
+/// choices (valid for one graph, i.e. one time-split restart). Each
+/// expansion thread reuses its own across the whole worklist, which keeps
+/// the hot loop free of per-meta allocations once the buffers are warm.
 #[derive(Default)]
 struct SuccScratch {
     acc: Vec<StateSet>,
@@ -441,9 +540,8 @@ fn successor_sets(
     members: &StateSet,
     latent: &StateSet,
     opts: &ConvertOptions,
-    stats: &mut ConvertStats,
     scratch: &mut SuccScratch,
-) -> Result<Vec<(StateSet, StateSet)>, ConvertError> {
+) -> Expansion {
     let SuccScratch {
         acc,
         next,
@@ -494,11 +592,11 @@ fn successor_sets(
         }
         std::mem::swap(acc, next);
     }
-    stats.successor_sets_enumerated += acc.len() as u64;
+    let enumerated = acc.len() as u64;
     if msc_obs::enabled() {
         msc_obs::count("convert.memo_hit", memo_hits);
         msc_obs::count("convert.memo_miss", memo_misses);
-        msc_obs::value("convert.fanout", acc.len() as u64);
+        msc_obs::value("convert.fanout", enumerated);
     }
 
     // Re-inject inherited latent waits, apply barrier filtering, dedupe by
@@ -558,7 +656,7 @@ fn successor_sets(
             push(waits, StateSet::empty(), &mut out);
         }
     }
-    Ok(out)
+    Ok((out, enumerated))
 }
 
 /// The successor-choice sets of one member MIMD state.

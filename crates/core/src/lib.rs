@@ -22,7 +22,7 @@ pub mod subsume;
 
 pub use automaton::{MetaAutomaton, MetaId};
 pub use convert::{
-    apply_barrier, barrier_sync, convert, convert_with_stats, expand_frontier, ConvertError,
+    apply_barrier, barrier_sync, convert, convert_rounds, convert_with_stats, ConvertError,
     ConvertMode, ConvertOptions, ConvertStats, TimeSplitOptions,
 };
 pub use spill::{default_memory_budget, parse_bytes, SegmentStore, SpillQueue};

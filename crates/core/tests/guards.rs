@@ -1,25 +1,15 @@
-//! Guard-boundary and frontier-equivalence tests.
+//! Guard-boundary tests.
 //!
-//! 1. The explosion guards (`max_successor_sets`, `max_multi_arity`) must
-//!    fire at *exactly* the configured limit: a limit equal to the true
-//!    workload passes, a limit one below it errors. A `Multi` terminator
-//!    of arity k expanded from the singleton start meta state yields
-//!    exactly 2^k − 1 candidate successor sets in base mode, which makes
-//!    the boundary computable in closed form.
-//!
-//! 2. An external driver built on [`expand_frontier`] (the hook the
-//!    parallel engine uses) must reproduce the sequential
-//!    [`convert_with_stats`] exactly — same meta-state sets in the same
-//!    discovery order, same successor lists, same start id, and the same
-//!    `successor_sets_enumerated` count.
+//! The explosion guards (`max_successor_sets`, `max_multi_arity`) must
+//! fire at *exactly* the configured limit: a limit equal to the true
+//! workload passes, a limit one below it errors. A `Multi` terminator
+//! of arity k expanded from the singleton start meta state yields
+//! exactly 2^k − 1 candidate successor sets in base mode, which makes
+//! the boundary computable in closed form.
 
-use msc_core::{
-    apply_barrier, convert, convert_with_stats, expand_frontier, ConvertError, ConvertMode,
-    ConvertOptions, StateSet,
-};
+use msc_core::{convert, ConvertError, ConvertMode, ConvertOptions, StateSet};
 use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
 
 /// Start state with a k-ary `Multi` over k distinct halt states.
 fn fan_graph(k: u32) -> MimdGraph {
@@ -71,176 +61,10 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frontier-driver equivalence.
-// ---------------------------------------------------------------------------
-
-/// Re-run the sequential worklist algorithm, but obtain every meta state's
-/// expansion through the public [`expand_frontier`] hook instead of the
-/// internal enumeration — exactly what `msc-engine`'s workers do.
-#[allow(clippy::type_complexity)]
-fn frontier_convert(
-    g: &MimdGraph,
-    opts: &ConvertOptions,
-) -> Result<(Vec<StateSet>, Vec<Vec<u32>>, u32, u64), ConvertError> {
-    let mut sets: Vec<StateSet> = Vec::new();
-    let mut latents: Vec<StateSet> = Vec::new();
-    let mut succs: Vec<Vec<u32>> = Vec::new();
-    let mut by_set: HashMap<StateSet, u32> = HashMap::new();
-    let mut worklist: VecDeque<u32> = VecDeque::new();
-    let mut in_worklist: Vec<bool> = Vec::new();
-    let mut enumerated = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn intern(
-        set: StateSet,
-        latent: StateSet,
-        sets: &mut Vec<StateSet>,
-        latents: &mut Vec<StateSet>,
-        succs: &mut Vec<Vec<u32>>,
-        by_set: &mut HashMap<StateSet, u32>,
-        worklist: &mut VecDeque<u32>,
-        in_worklist: &mut Vec<bool>,
-    ) -> u32 {
-        if let Some(&m) = by_set.get(&set) {
-            if !latent.is_subset(&latents[m as usize]) {
-                latents[m as usize] = latents[m as usize].union(&latent);
-                if !in_worklist[m as usize] {
-                    in_worklist[m as usize] = true;
-                    worklist.push_back(m);
-                }
-            }
-            return m;
-        }
-        let m = sets.len() as u32;
-        by_set.insert(set.clone(), m);
-        sets.push(set);
-        latents.push(latent);
-        succs.push(Vec::new());
-        in_worklist.push(true);
-        worklist.push_back(m);
-        m
-    }
-
-    let start_set = apply_barrier(g, StateSet::singleton(g.start), opts);
-    let start = intern(
-        start_set,
-        StateSet::empty(),
-        &mut sets,
-        &mut latents,
-        &mut succs,
-        &mut by_set,
-        &mut worklist,
-        &mut in_worklist,
-    );
-
-    while let Some(m) = worklist.pop_front() {
-        in_worklist[m as usize] = false;
-        let members = sets[m as usize].clone();
-        let latent = latents[m as usize].clone();
-        let (targets, n) = expand_frontier(g, &members, &latent, opts)?;
-        enumerated += n;
-        let mut out: Vec<u32> = Vec::new();
-        for (t, l) in targets {
-            let id = intern(
-                t,
-                l,
-                &mut sets,
-                &mut latents,
-                &mut succs,
-                &mut by_set,
-                &mut worklist,
-                &mut in_worklist,
-            );
-            if !out.contains(&id) {
-                out.push(id);
-            }
-        }
-        succs[m as usize] = out;
-    }
-    Ok((sets, succs, start, enumerated))
-}
-
-/// Small randomized MIMD graph (barriers included) with every terminator
-/// kind the converter handles.
-fn arb_graph() -> impl Strategy<Value = MimdGraph> {
-    (
-        2u32..8,
-        proptest::collection::vec((0u8..5, 0u32..8, 0u32..8), 8),
-        any::<bool>(),
-    )
-        .prop_map(|(n, kinds, barriers)| {
-            let mut g = MimdGraph::new();
-            for i in 0..n {
-                let id = g.add(MimdState::new(vec![], Terminator::Halt));
-                if barriers && i != 0 && i % 3 == 0 {
-                    g.state_mut(id).barrier = true;
-                }
-            }
-            for i in 0..n {
-                let (kind, a, b) = kinds[i as usize];
-                let (a, b) = (StateId(a % n), StateId(b % n));
-                g.state_mut(StateId(i)).term = match kind {
-                    0 => Terminator::Halt,
-                    1 => Terminator::Jump(a),
-                    2 => Terminator::Branch { t: a, f: b },
-                    3 => Terminator::Multi(vec![a, b, StateId((a.0 + b.0) % n)]),
-                    _ => Terminator::Spawn { child: a, next: b },
-                };
-            }
-            g.start = StateId(0);
-            g
-        })
-}
-
-fn assert_frontier_matches(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), TestCaseError> {
-    let seq = convert_with_stats(g, opts);
-    let drv = frontier_convert(g, opts);
-    match (seq, drv) {
-        (Ok((auto, stats)), Ok((sets, succs, start, enumerated))) => {
-            prop_assert_eq!(&auto.sets, &sets);
-            let seq_succs: Vec<Vec<u32>> = auto
-                .succs
-                .iter()
-                .map(|row| row.iter().map(|m| m.0).collect())
-                .collect();
-            prop_assert_eq!(seq_succs, succs);
-            prop_assert_eq!(auto.start.0, start);
-            prop_assert_eq!(stats.successor_sets_enumerated, enumerated);
-        }
-        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-        (a, b) => {
-            return Err(TestCaseError::fail(format!(
-                "sequential {a:?} vs frontier driver {b:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #[test]
-    fn frontier_driver_matches_sequential_base(g in arb_graph()) {
-        let mut opts = ConvertOptions::base();
-        opts.max_meta_states = 4096;
-        assert_frontier_matches(&g, &opts)?;
-    }
-
-    #[test]
-    fn frontier_driver_matches_sequential_compressed(g in arb_graph()) {
-        let mut opts = ConvertOptions::compressed();
-        opts.subsumption = false; // runs after discovery; driver stops there
-        opts.max_meta_states = 4096;
-        assert_frontier_matches(&g, &opts)?;
-    }
-
-    #[test]
-    fn mode_matches(_ in proptest::strategy::Just(())) {
-        // Sanity pin: base() and compressed() guard defaults are the
-        // documented powers of two.
-        let b = ConvertOptions::base();
-        prop_assert_eq!(b.max_meta_states, 1 << 20);
-        prop_assert_eq!(b.max_successor_sets, 1 << 16);
-        prop_assert!(matches!(ConvertOptions::compressed().mode, ConvertMode::Compressed));
-    }
+#[test]
+fn guard_defaults_are_the_documented_powers_of_two() {
+    let b = ConvertOptions::base();
+    assert_eq!(b.max_meta_states, 1 << 20);
+    assert_eq!(b.max_successor_sets, 1 << 16);
+    assert_eq!(ConvertOptions::compressed().mode, ConvertMode::Compressed);
 }

@@ -4,9 +4,9 @@
 //! answers "how do I run many conversions fast, repeatedly, without
 //! recomputing what I already know". Three pieces:
 //!
-//! * [`parallel`] — frontier-parallel meta-state conversion over a sharded
-//!   state-set interner, bit-identical to the sequential converter after
-//!   canonical BFS renumbering (see the module docs for the scheme);
+//! * [`parallel`] — frontier-parallel meta-state conversion: `msc-core`'s
+//!   one worklist loop on several expansion threads, with a cooperative
+//!   deadline and a canonical BFS renumbering (see the module docs);
 //! * [`cache`] — a content-addressed compile cache keyed by the hash of
 //!   (source, conversion options, codegen options, IR passes), with a
 //!   bounded in-memory LRU and an optional on-disk layer;
@@ -244,7 +244,7 @@ pub struct EngineOptions {
     /// On-disk cache directory (None disables the disk layer).
     pub cache_dir: Option<PathBuf>,
     /// Per-job cooperative timeout, checked at phase boundaries and
-    /// between frontier expansions (None = unbounded).
+    /// once per round of the conversion worklist (None = unbounded).
     pub job_timeout: Option<Duration>,
     /// Sibling daemons (`host:port` each) to consult for artifacts
     /// before compiling locally (empty disables the peer tier).

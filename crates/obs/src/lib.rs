@@ -49,7 +49,7 @@
 //! ## Naming convention
 //!
 //! Dotted lowercase paths, `layer.thing`: `convert.fanout`, `cache.hit`,
-//! `engine.shard_contention`, `simd.dispatch_live`. Adding a counter to an
+//! `convert.stale_expansion`, `simd.dispatch_live`. Adding a counter to an
 //! instrumented crate is one line at the emission site plus (optionally) a
 //! row in DESIGN.md §10's schema table — the registry and sinks pick up
 //! new names automatically.

@@ -1,14 +1,16 @@
 //! Engine-level properties:
 //!
-//! * **Parallel ≡ sequential**: over randomly generated MIMD graphs, the
-//!   frontier-parallel converter produces the *bit-identical* automaton at
-//!   every thread count, and that automaton is the sequential core
-//!   converter's output after canonical BFS renumbering.
+//! * **Parallel ≡ sequential ≡ spilled**: over randomly generated MIMD
+//!   graphs, the one conversion driver produces the *bit-identical* raw
+//!   automaton and statistics at every thread count and memory budget.
 //! * **Cache hits skip conversion**: a repeated job is served from the
 //!   cache without recompiling, and the artifact is shared.
 
 use metastate::{convert_parallel, Engine, EngineOptions, Job, Pipeline, Provenance};
-use msc_core::{convert_with_stats, ConvertMode, ConvertOptions};
+use msc_core::{
+    convert_rounds, ConvertError, ConvertMode, ConvertOptions, ConvertStats, MetaAutomaton, MetaId,
+    StateSet,
+};
 use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use proptest::prelude::*;
 
@@ -64,69 +66,58 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
     })
 }
 
-fn check_graph(
-    g: &MimdGraph,
-    opts: &ConvertOptions,
-    check_stats: bool,
-) -> Result<(), TestCaseError> {
-    // Guard-limited graphs are fine as long as every path agrees on the
-    // error; skip those cases (they are exercised by unit tests).
-    let (seq, seq_stats) = match convert_parallel(g, opts, 1) {
-        Ok(r) => r,
-        Err(_) => return Ok(()),
+/// One conversion's outcome, reduced to what must not depend on the thread
+/// count or the memory budget.
+type Outcome = Result<(Vec<StateSet>, Vec<Vec<MetaId>>, MetaId, ConvertStats), ConvertError>;
+
+fn outcome(r: Result<(MetaAutomaton, ConvertStats), ConvertError>) -> Outcome {
+    r.map(|(a, stats)| (a.sets, a.succs, a.start, stats))
+}
+
+fn check_graph(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), TestCaseError> {
+    let with_budget = |memory_budget| ConvertOptions {
+        memory_budget,
+        ..opts.clone()
     };
-    prop_assert!(
-        seq.validate().is_ok(),
-        "sequential output invalid: {:?}",
-        seq.validate()
+    // The driver's raw output — discovery order, no pruning, no
+    // renumbering — and its full statistics, guard errors included: one
+    // thread in RAM is the sequential converter, and every other thread
+    // count and budget must reproduce it exactly.
+    let raw = |threads, budget| {
+        outcome(convert_rounds::<ConvertError>(
+            g,
+            &with_budget(budget),
+            threads,
+            || Ok(()),
+        ))
+    };
+    let sequential = raw(1, None);
+    if let Ok((sets, succs, start, _)) = &sequential {
+        let automaton = MetaAutomaton {
+            graph: g.clone(),
+            sets: sets.clone(),
+            succs: succs.clone(),
+            start: *start,
+        };
+        prop_assert_eq!(automaton.validate(), Ok(()));
+    }
+    for threads in [1usize, 2, 4, 8] {
+        for budget in [None, Some(256)] {
+            prop_assert_eq!(
+                &raw(threads, budget),
+                &sequential,
+                "driver output differs at {} threads, budget {:?}",
+                threads,
+                budget
+            );
+        }
+    }
+    // The engine's normal form on top of it, subsumption included.
+    prop_assert_eq!(
+        outcome(convert_parallel(g, &with_budget(Some(256)), 8)),
+        outcome(convert_parallel(g, &with_budget(None), 1)),
+        "engine output differs between 1 thread in RAM and 8 threads spilled"
     );
-    for threads in [2usize, 4, 8] {
-        let (par, par_stats) = convert_parallel(g, opts, threads).map_err(|e| {
-            TestCaseError::fail(format!("parallel failed where sequential ok: {e}"))
-        })?;
-        prop_assert_eq!(&par.sets, &seq.sets, "sets differ at {} threads", threads);
-        prop_assert_eq!(
-            &par.succs,
-            &seq.succs,
-            "succs differ at {} threads",
-            threads
-        );
-        prop_assert_eq!(par.start, seq.start);
-        if check_stats {
-            // With barriers ignored there is no latent widening, so each
-            // meta state is expanded exactly once on every path and the
-            // enumeration counter is thread-count invariant.
-            prop_assert_eq!(
-                par_stats.successor_sets_enumerated,
-                seq_stats.successor_sets_enumerated,
-                "enumeration count differs at {} threads",
-                threads
-            );
-        }
-    }
-    // Without subsumption the engine's normal form is exactly the core
-    // converter's automaton pruned of unreachable states (latent widening
-    // can orphan earlier-interned sets in the core converter too) and
-    // canonicalized.
-    if !opts.subsumption {
-        let (mut core, core_stats) = convert_with_stats(g, opts)
-            .map_err(|e| TestCaseError::fail(format!("core failed where engine ok: {e}")))?;
-        core.prune_unreachable();
-        core.canonicalize();
-        prop_assert_eq!(
-            &seq.sets,
-            &core.sets,
-            "engine normal form is not canonicalized core"
-        );
-        prop_assert_eq!(&seq.succs, &core.succs);
-        if check_stats {
-            prop_assert_eq!(
-                core_stats.successor_sets_enumerated,
-                seq_stats.successor_sets_enumerated,
-                "engine enumeration count differs from sequential core"
-            );
-        }
-    }
     Ok(())
 }
 
@@ -136,13 +127,13 @@ proptest! {
     #[test]
     fn parallel_equals_sequential_base(g in arb_graph()) {
         let opts = ConvertOptions { max_meta_states: 4096, max_successor_sets: 1 << 12, ..ConvertOptions::base() };
-        check_graph(&g, &opts, false)?;
+        check_graph(&g, &opts)?;
     }
 
     #[test]
     fn parallel_equals_sequential_compressed(g in arb_graph()) {
         let opts = ConvertOptions { max_meta_states: 4096, ..ConvertOptions::compressed() };
-        check_graph(&g, &opts, false)?;
+        check_graph(&g, &opts)?;
     }
 
     #[test]
@@ -153,7 +144,7 @@ proptest! {
             max_successor_sets: 1 << 12,
             ..ConvertOptions::base()
         };
-        check_graph(&g, &opts, true)?;
+        check_graph(&g, &opts)?;
     }
 }
 

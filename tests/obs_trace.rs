@@ -8,9 +8,12 @@
 //! what makes installing the global subscriber here safe: no other
 //! test can observe or perturb it.
 
-use metastate::{Engine, EngineOptions, Job};
+use metastate::{convert_parallel, ConvertOptions, Engine, EngineError, EngineOptions, Job};
+use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use msc_obs::jsonl::{parse_line, TraceLine};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 
 const PROG_A: &str = "main() { poly int x; x = pe_id() * 2 + 1; return(x); }";
 const PROG_B: &str = r#"
@@ -148,4 +151,131 @@ fn cli_batch_trace_and_metrics_agree() {
     assert_eq!(misses, 1, "first compile of the shared source must miss");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `n` self-loops under one multiway branch: base mode reaches every
+/// non-empty subset of them, with and without the exit state.
+fn fan_out_loops(n: usize) -> MimdGraph {
+    let mut g = MimdGraph::new();
+    let end = g.add(MimdState::new(vec![], Terminator::Halt));
+    let loops: Vec<StateId> = (0..n)
+        .map(|_| g.add(MimdState::new(vec![], Terminator::Halt)))
+        .collect();
+    for &l in &loops {
+        g.state_mut(l).term = Terminator::Branch { t: l, f: end };
+    }
+    g.start = g.add(MimdState::new(vec![], Terminator::Multi(loops)));
+    g
+}
+
+#[test]
+fn memory_budget_spills_at_two_threads() {
+    // The arena and the worklist belong to the interning thread, so the
+    // budget holds at any thread count. The spill byte count is an obs
+    // counter, so this lives with the other tests that install a
+    // subscriber and is serialized against them.
+    let g = fan_out_loops(8);
+    let in_ram = ConvertOptions {
+        memory_budget: None,
+        ..ConvertOptions::base()
+    };
+    let budgeted = ConvertOptions {
+        // 512 meta states are about 6 KiB of set words.
+        memory_budget: Some(1 << 10),
+        ..ConvertOptions::base()
+    };
+    let (plain, plain_stats) = convert_parallel(&g, &in_ram, 2).unwrap();
+
+    let registry = Arc::new(msc_obs::Registry::new());
+    let guard = msc_obs::install(registry.clone());
+    let (spilled, spilled_stats) = convert_parallel(&g, &budgeted, 2).unwrap();
+    drop(guard);
+
+    let snap = registry.snapshot();
+    assert!(snap.counter("convert.spill_bytes") > 0, "never spilled");
+    assert!(
+        snap.span("convert.round").is_some(),
+        "never ran a round on two threads"
+    );
+    assert_eq!(plain.sets, spilled.sets);
+    assert_eq!(plain.succs, spilled.succs);
+    assert_eq!(plain.start, spilled.start);
+    assert_eq!(plain_stats, spilled_stats);
+}
+
+/// Threads that ran [`PanicOnSpawnedExpansion`]'s panic path and have not
+/// exited yet: the thread-local's destructor runs as its thread exits.
+static LIVE_PANICKERS: AtomicUsize = AtomicUsize::new(0);
+
+struct Panicker;
+
+impl Drop for Panicker {
+    fn drop(&mut self) {
+        LIVE_PANICKERS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static PANICKER: Panicker = {
+        LIVE_PANICKERS.fetch_add(1, Ordering::SeqCst);
+        Panicker
+    };
+}
+
+/// Panics inside the first expansion that a round's *spawned* thread
+/// finishes. The round's calling thread announces itself with
+/// `convert.round_entries` and is then held in its own first expansion
+/// until the spawned one has arrived, so the spawned thread always gets an
+/// entry.
+#[derive(Default)]
+struct PanicOnSpawnedExpansion {
+    caller: Mutex<Option<ThreadId>>,
+    arrived: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl msc_obs::Subscriber for PanicOnSpawnedExpansion {
+    fn event(&self, event: &msc_obs::Event) {
+        let me = std::thread::current().id();
+        match event.name() {
+            "convert.round_entries" => *self.caller.lock().unwrap() = Some(me),
+            "convert.fanout" => {
+                let caller = *self.caller.lock().unwrap();
+                if caller == Some(me) {
+                    let arrived = self.arrived.lock().unwrap();
+                    let _arrived = self.wake.wait_while(arrived, |a| !*a).unwrap();
+                } else if caller.is_some() {
+                    *self.arrived.lock().unwrap() = true;
+                    self.wake.notify_all();
+                    PANICKER.with(|_| ());
+                    panic!("injected expansion panic");
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn expansion_thread_panic_reaches_the_batch_with_its_message() {
+    let guard = msc_obs::install(Arc::new(PanicOnSpawnedExpansion::default()));
+    let engine = Engine::new(EngineOptions {
+        threads: 2,
+        ..EngineOptions::default()
+    });
+    // One job, so both threads go to its conversion; the loop's branch
+    // gives base mode a round of three entries.
+    let results = engine.compile_many(&[Job::new("b.mimdc", PROG_B)]);
+    drop(guard);
+    match &results[..] {
+        [Err(EngineError::Panicked { message, .. })] => {
+            assert!(message.contains("injected expansion panic"), "{message}")
+        }
+        other => panic!("expected the injected panic, got {other:?}"),
+    }
+    assert_eq!(
+        LIVE_PANICKERS.load(Ordering::SeqCst),
+        0,
+        "the panicking expansion thread was not joined"
+    );
 }
