@@ -5,7 +5,9 @@
 #
 #   ./ci.sh               the full gate (tier-1 plus the spill-path and
 #                         scalar-fallback test legs, the aarch64
-#                         cross-check, and compiling the benches)
+#                         cross-check, compiling the benches, and
+#                         building + self-testing the perf/ benchmark
+#                         package against this tree)
 #   ./ci.sh bench-smoke   additionally *run* the set benches in their
 #                         --test smoke configuration (small sizes, 2
 #                         samples) and the bench-regression gates, which
@@ -105,6 +107,16 @@ echo "== benches compile =="
 # --no-run` calls; the bench profile matches release (no overrides in
 # Cargo.toml), so this reuses the tier-1 build artifacts.
 cargo build --benches --release --workspace
+
+echo "== perf: the benchmark of record builds against this tree =="
+# perf/ is its own package outside the workspace, so nothing above
+# compiles it: a PR that breaks an API it is pinned to would learn so
+# only when the benchmark runs. Its tests pin the generators and metric
+# tables; selftest proves each oracle still catches a doctored result.
+# The diff check fails a change that would dirty perf/Cargo.lock.
+cargo test --release --offline --manifest-path perf/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- selftest
+git diff --exit-code -- perf BENCHMARK.json
 
 if [ "$MODE" = "bench-smoke" ]; then
     echo "== bench smoke: set_algebra --test =="

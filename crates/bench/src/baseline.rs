@@ -8,6 +8,17 @@
 pub fn vec_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
+    // `claims -- setops --check` gates the union kernel on its ratio to this
+    // loop, and this loop's speed depends on where the linker puts it: 630 ns
+    // at 256 members when the function starts on a 64-byte boundary, 500 ns
+    // 48 bytes past one (PR 14 moved it there without touching either side
+    // of the ratio, and the gate read 45x against its 48.5x floor). Pin the
+    // loop head to a cache line so the denominator stops moving with the
+    // size of unrelated code.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    unsafe {
+        std::arch::asm!(".p2align 6", options(nomem, nostack, preserves_flags));
+    }
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => {

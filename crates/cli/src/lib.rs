@@ -16,13 +16,14 @@
 //! Shared flags: `--mode base|compressed`, `--time-split`, `--optimize`,
 //! `--minimize`, `--no-csi`, `--pes N`, `--pool N` (live PEs, rest idle).
 //!
-//! Engine flags (build and batch): `--jobs N` runs meta-state conversion
-//! frontier-parallel on N threads (0 = all cores; batch also uses the pool
-//! to compile files concurrently); `--cache DIR` persists compiled
-//! artifacts content-addressed under DIR, so an unchanged source + options
+//! Engine flags (build, run, batch, sweep): `--jobs N` runs meta-state
+//! conversion frontier-parallel on N threads (default 1, 0 = all cores;
+//! batch and sweep also use the pool to compile concurrently) — the output
+//! is the same at any N; `--cache DIR` persists compiled artifacts
+//! content-addressed under DIR, so an unchanged source + options
 //! combination is reloaded instead of recompiled; `--stats` appends a
 //! stats block (meta-state counts, conversion counters, per-phase
-//! timings, cache hits/misses). Any engine flag routes the build through
+//! timings, cache hits/misses). Every command compiles through
 //! [`metastate::Engine`].
 //!
 //! The argument parser and command execution live in this library so they
@@ -166,13 +167,12 @@ pub struct CommonOpts {
     pub minimize: bool,
     /// Disable CSI in codegen.
     pub no_csi: bool,
-    /// Conversion / batch worker threads (1 = classic sequential path,
-    /// 0 = all cores). Any value other than 1 routes through the engine.
+    /// Conversion / batch worker threads (0 = all cores). The compiled
+    /// output does not depend on it.
     pub jobs: usize,
-    /// Artifact cache directory (routes through the engine).
+    /// Artifact cache directory.
     pub cache: Option<String>,
-    /// Append the stats block to build/batch output (routes through the
-    /// engine).
+    /// Append the stats block to build/run/batch output.
     pub stats: bool,
     /// Stream structured observability events (spans, counters, samples)
     /// to this JSONL file for the duration of the command.
@@ -187,13 +187,6 @@ pub struct CommonOpts {
     /// past it the interned-set arena and worklist spill to temp files.
     /// None = the `MSC_MEMORY_BUDGET` env default (or never spill).
     pub memory_budget: Option<usize>,
-}
-
-impl CommonOpts {
-    /// True when any engine feature was requested.
-    pub fn wants_engine(&self) -> bool {
-        self.jobs != 1 || self.cache.is_some() || self.stats
-    }
 }
 
 impl Default for CommonOpts {
@@ -234,7 +227,7 @@ mscc — Meta-State Conversion compiler driver
 USAGE:
   mscc build <FILE>    [--emit automaton|mpl|dot|graph|asm] [common flags] [engine flags]
   mscc batch <FILE>... [common flags] [engine flags]
-  mscc run   <FILE>    [--pes N] [--pool N] [--compare] [--trace] [common flags]
+  mscc run   <FILE>    [--pes N] [--pool N] [--compare] [--trace] [common flags] [engine flags]
   mscc sweep <FILE>    [--profiles FILES/DIRS,...] [common flags] [engine flags]
   mscc serve           [--addr HOST:PORT] [--workers N] [--queue-depth N] [--cache DIR]
                        [--max-meta-states N] [--blocking] [--peers HOST:PORT,...]
@@ -256,9 +249,10 @@ COMMON FLAGS:
                            suffixes; default: MSC_MEMORY_BUDGET env, else
                            never spill)
 
-ENGINE FLAGS (build and batch):
-  --jobs N                 convert frontier-parallel on N threads (0 = all cores);
-                           batch also compiles files concurrently
+ENGINE FLAGS (build, run, batch, sweep):
+  --jobs N                 convert frontier-parallel on N threads (default 1,
+                           0 = all cores; same output at any N); batch and
+                           sweep also compile concurrently
   --cache DIR              content-addressed artifact cache: unchanged
                            source + options reload instead of recompiling
   --stats                  append meta-state counts, conversion counters,
@@ -452,7 +446,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 "sweep" => {
                     if !jobs_set {
                         // Profile compiles are independent; default to the
-                        // whole pool (and thereby the engine path).
+                        // whole pool.
                         opts.jobs = 0;
                     }
                     Command::Sweep {
@@ -719,6 +713,24 @@ fn engine_for(opts: &CommonOpts) -> Engine {
     })
 }
 
+/// Average and maximum meta-state width, read off the automaton rendering
+/// (`ms_3 {0,5} -> …`, one meta state per line): an artifact of any
+/// provenance carries the text, only a fresh one the automaton.
+fn widths(automaton_text: &str) -> (f64, usize) {
+    let (mut states, mut total, mut max) = (0usize, 0usize, 0usize);
+    for line in automaton_text.lines() {
+        let members = line
+            .split_once('{')
+            .and_then(|(_, rest)| rest.split_once('}'))
+            .map_or("", |(members, _)| members);
+        let width = members.split(',').filter(|m| !m.is_empty()).count();
+        states += 1;
+        total += width;
+        max = max.max(width);
+    }
+    (total as f64 / states.max(1) as f64, max)
+}
+
 /// The `--stats` block for one compiled artifact.
 fn stats_block(artifact: &metastate::Artifact, provenance: Provenance, engine: &Engine) -> String {
     let s = &artifact.stats;
@@ -726,15 +738,11 @@ fn stats_block(artifact: &metastate::Artifact, provenance: Provenance, engine: &
     let c = engine.cache_stats();
     let mut out = String::from("\n-- stats --\n");
     out.push_str(&format!("provenance: {provenance}\n"));
-    match &artifact.automaton {
-        Some(a) => out.push_str(&format!(
-            "meta states: {} (avg width {:.2}, max width {})\n",
-            a.len(),
-            a.avg_width(),
-            a.max_width()
-        )),
-        None => out.push_str(&format!("meta states: {}\n", artifact.meta_states)),
-    }
+    let (avg, max) = widths(&artifact.automaton_text);
+    out.push_str(&format!(
+        "meta states: {} (avg width {avg:.2}, max width {max})\n",
+        artifact.meta_states
+    ));
     out.push_str(&format!(
         "conversion: {} restarts, {} splits, {} subsumed, {} successor sets enumerated\n",
         s.restarts, s.splits, s.subsumed, s.successor_sets_enumerated
@@ -757,33 +765,39 @@ fn stats_block(artifact: &metastate::Artifact, provenance: Provenance, engine: &
     out
 }
 
-/// `mscc build` through the engine: parallel conversion + cache. Artifacts
-/// reloaded from the disk cache carry the program and automaton text but
-/// not the in-memory IR, so `--emit dot|graph` falls back to a fresh
-/// classic build for them.
-fn execute_build_engine(
+/// Compile `src` under the common options on a fresh [`Engine`] — the one
+/// route `build` and `run` share. The engine comes back too, for the
+/// `--stats` block.
+fn compile_source(
+    file: &str,
+    src: &str,
+    opts: &CommonOpts,
+) -> Result<(Engine, metastate::Compiled), CliError> {
+    let engine = engine_for(opts);
+    let out = engine
+        .compile(&build_pipeline(src, opts).into_job(file))
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok((engine, out))
+}
+
+/// `mscc build`. Artifacts reloaded from the disk cache carry the program
+/// and automaton text but not the in-memory IR, so `--emit dot|graph`
+/// rebuilds it for them.
+fn execute_build(
     file: &str,
     emit: &Emit,
     opts: &CommonOpts,
     src: &str,
 ) -> Result<String, CliError> {
-    let engine = engine_for(opts);
-    let job = build_pipeline(src, opts).into_job(file);
-    let out = engine.compile(&job).map_err(|e| CliError(e.to_string()))?;
+    let (engine, out) = compile_source(file, src, opts)?;
     let artifact = &out.artifact;
     let mut text = match emit {
         Emit::Automaton => {
-            let mut t = artifact.automaton_text.clone();
-            match &artifact.automaton {
-                Some(a) => t.push_str(&format!(
-                    "\n{} meta states, avg width {:.2}, max width {}\n",
-                    a.len(),
-                    a.avg_width(),
-                    a.max_width()
-                )),
-                None => t.push_str(&format!("\n{} meta states\n", artifact.meta_states)),
-            }
-            t
+            let (avg, max) = widths(&artifact.automaton_text);
+            format!(
+                "{}\n{} meta states, avg width {avg:.2}, max width {max}\n",
+                artifact.automaton_text, artifact.meta_states
+            )
         }
         Emit::Mpl => metastate::render_mpl(&artifact.simd),
         Emit::Asm => msc_simd::serialize_asm(&artifact.simd),
@@ -806,6 +820,8 @@ fn execute_build_engine(
     Ok(text)
 }
 
+/// The in-memory IR a disk- or peer-cached artifact lacks, from a plain
+/// [`Pipeline::build`] of the same source and options.
 fn classic_built(src: &str, opts: &CommonOpts) -> Result<metastate::Built, CliError> {
     build_pipeline(src, opts)
         .build()
@@ -1356,69 +1372,51 @@ pub fn execute_on_source(cmd: &Command, src: &str) -> Result<String, CliError> {
 /// can bracket them with an [`ObsSession`] and append the metrics table.
 fn execute_build_or_run(cmd: &Command, src: &str) -> Result<String, CliError> {
     match cmd {
-        Command::Build { file, emit, opts } => {
-            if opts.wants_engine() {
-                return execute_build_engine(file, emit, opts, src);
-            }
-            let built = classic_built(src, opts)?;
-            Ok(match emit {
-                Emit::Automaton => {
-                    let mut out = built.automaton_text();
-                    out.push_str(&format!(
-                        "\n{} meta states, avg width {:.2}, max width {}\n",
-                        built.automaton.len(),
-                        built.automaton.avg_width(),
-                        built.automaton.max_width()
-                    ));
-                    out
-                }
-                Emit::Mpl => built.mpl(),
-                Emit::Dot => built.automaton.dot(),
-                Emit::Graph => msc_ir::render::text(&built.compiled.graph, &CostModel::default()),
-                Emit::Asm => msc_simd::serialize_asm(&built.simd),
-            })
-        }
+        Command::Build { file, emit, opts } => execute_build(file, emit, opts, src),
         Command::Run {
+            file,
             pes,
             pool,
             compare,
             trace,
             opts,
-            ..
         } => {
-            let built = build_pipeline(src, opts)
-                .build()
-                .map_err(|e| CliError(e.to_string()))?;
+            let (engine, compiled) = compile_source(file, src, opts)?;
+            let artifact = &compiled.artifact;
+            let simd = &artifact.simd;
             let mut cfg = match pool {
                 Some(live) => MachineConfig::with_pool(*pes, *live),
                 None => MachineConfig::spmd(*pes),
             };
             cfg.trace = *trace;
-            let out = built.run_with(cfg).map_err(|e| CliError(e.to_string()))?;
+            let mut machine = metastate::SimdMachine::new(simd, &cfg);
+            let metrics = machine
+                .run(simd, &cfg)
+                .map_err(|e| CliError(e.to_string()))?;
             let mut text = String::new();
-            if let Some(ret) = built.ret_addr() {
+            if let Some(ret) = artifact.ret_addr {
                 text.push_str("PE | result\n");
                 for pe in 0..*pes {
-                    text.push_str(&format!("{pe:2} | {}\n", out.machine.poly_at(pe, ret)));
+                    text.push_str(&format!("{pe:2} | {}\n", machine.poly_at(pe, ret)));
                 }
             }
             text.push_str(&format!(
                 "\ncycles={} (body {}, guards {}, dispatch {}), issues={}, dispatches={}, utilization={:.1}%\n",
-                out.metrics.cycles,
-                out.metrics.body_cycles,
-                out.metrics.guard_cycles,
-                out.metrics.dispatch_cycles,
-                out.metrics.issues,
-                out.metrics.dispatches,
-                out.metrics.utilization() * 100.0
+                metrics.cycles,
+                metrics.body_cycles,
+                metrics.guard_cycles,
+                metrics.dispatch_cycles,
+                metrics.issues,
+                metrics.dispatches,
+                metrics.utilization() * 100.0
             ));
             text.push_str(&format!(
                 "automaton: {} meta states; per-PE program memory: 0 words\n",
-                built.automaton.len()
+                artifact.meta_states
             ));
             if *trace {
                 text.push_str("\ntrace (meta-state path):\n");
-                for ev in &out.machine.trace {
+                for ev in &machine.trace {
                     match ev {
                         msc_simd::TraceEvent::EnterBlock {
                             block,
@@ -1427,11 +1425,11 @@ fn execute_build_or_run(cmd: &Command, src: &str) -> Result<String, CliError> {
                         } => {
                             text.push_str(&format!(
                                 "  @{at_cycle:<6} enter {} (live PEs: {live})\n",
-                                built.simd.block(*block).name
+                                simd.block(*block).name
                             ));
                         }
                         msc_simd::TraceEvent::Dispatch { to: Some(t), .. } => {
-                            text.push_str(&format!("          -> {}\n", built.simd.block(*t).name));
+                            text.push_str(&format!("          -> {}\n", simd.block(*t).name));
                         }
                         msc_simd::TraceEvent::Dispatch { to: None, .. } => {
                             text.push_str("          -> exit\n");
@@ -1459,16 +1457,19 @@ fn execute_build_or_run(cmd: &Command, src: &str) -> Result<String, CliError> {
                     "\ncompare: MIMD reference {} cycles; interpreter {} cycles ({:.2}x vs MSC)\n",
                     mm.cycles,
                     im.cycles,
-                    im.cycles as f64 / out.metrics.cycles as f64
+                    im.cycles as f64 / metrics.cycles as f64
                 ));
-                if let (Some(ret), Some(mret)) = (built.ret_addr(), p.layout.main_ret) {
+                if let (Some(ret), Some(mret)) = (artifact.ret_addr, p.layout.main_ret) {
                     let agree =
-                        (0..*pes).all(|pe| out.machine.poly_at(pe, ret) == mimd.poly_at(pe, mret));
+                        (0..*pes).all(|pe| machine.poly_at(pe, ret) == mimd.poly_at(pe, mret));
                     text.push_str(&format!(
                         "results {} the MIMD reference\n",
                         if agree { "MATCH" } else { "DIVERGE FROM" }
                     ));
                 }
+            }
+            if opts.stats {
+                text.push_str(&stats_block(artifact, compiled.provenance, &engine));
             }
             Ok(text)
         }
@@ -1672,8 +1673,8 @@ mod tests {
         };
         assert_eq!(file, "foo.mimdc");
         assert_eq!(profiles, vec!["a.json", "b.json"]);
-        // Sweep defaults to the engine pool (all cores) unless --jobs
-        // was given explicitly.
+        // Sweep defaults to all cores unless --jobs was given
+        // explicitly.
         assert_eq!(opts.jobs, 0);
         let cmd = parse_args(&args("sweep foo.mimdc --jobs 2")).unwrap();
         let Command::Sweep { profiles, opts, .. } = cmd else {
@@ -1720,20 +1721,25 @@ mod tests {
 
     #[test]
     fn build_emits_each_kind() {
-        for (emit, needle) in [
-            (Emit::Automaton, "meta states"),
-            (Emit::Mpl, "ms_"),
-            (Emit::Dot, "digraph"),
-            (Emit::Graph, "-> "),
-            (Emit::Asm, ".program start=mb"),
-        ] {
-            let cmd = Command::Build {
-                file: "x".into(),
-                emit,
-                opts: CommonOpts::default(),
-            };
-            let out = execute_on_source(&cmd, PROG).unwrap();
-            assert!(out.contains(needle), "{emit:?}: {out}");
+        for jobs in [1, 2] {
+            for (emit, needle) in [
+                (Emit::Automaton, "meta states"),
+                (Emit::Mpl, "ms_"),
+                (Emit::Dot, "digraph"),
+                (Emit::Graph, "-> "),
+                (Emit::Asm, ".program start=mb"),
+            ] {
+                let cmd = Command::Build {
+                    file: "x".into(),
+                    emit,
+                    opts: CommonOpts {
+                        jobs,
+                        ..CommonOpts::default()
+                    },
+                };
+                let out = execute_on_source(&cmd, PROG).unwrap();
+                assert!(out.contains(needle), "{emit:?} at --jobs {jobs}: {out}");
+            }
         }
     }
 
@@ -1795,8 +1801,6 @@ mod tests {
         assert_eq!(opts.jobs, 8);
         assert_eq!(opts.cache.as_deref(), Some("/tmp/c"));
         assert!(opts.stats);
-        assert!(opts.wants_engine());
-        assert!(!CommonOpts::default().wants_engine());
     }
 
     #[test]
@@ -1892,51 +1896,64 @@ mod tests {
         assert!(out.contains("meta states"), "{out}");
     }
 
-    #[test]
-    fn build_engine_emits_each_kind() {
-        // All emit kinds work through the engine route too.
-        for (emit, needle) in [
-            (Emit::Automaton, "meta states"),
-            (Emit::Mpl, "ms_"),
-            (Emit::Dot, "digraph"),
-            (Emit::Graph, "-> "),
-            (Emit::Asm, ".program start=mb"),
-        ] {
-            let cmd = Command::Build {
-                file: "x".into(),
-                emit,
-                opts: CommonOpts {
-                    jobs: 2,
-                    ..CommonOpts::default()
-                },
-            };
-            let out = execute_on_source(&cmd, PROG).unwrap();
-            assert!(out.contains(needle), "{emit:?}: {out}");
+    /// `msc_fuzz::generate_case(&FuzzConfig::default(), 541).render()`: in
+    /// compressed mode its subsumption fold leaves a numbering that a BFS
+    /// from the start state would change.
+    const CASE_541: &str = "main() {
+    poly int v0 = 1, v1 = 2, v2 = 3, v3 = 4, t0 = 0, result = 0;
+    if ((12)) {
+        for (t0 = 0; t0 < 3; t0 += 1) {
+            v0 = pe_id();
         }
+        v0 = v1;
+        if (v3) {
+            v1 = (-4);
+            v1 = v0;
+        } else {
+            v0 = (-6);
+        }
+    } else {
+        v2 = (11);
+        v3 += (v0 == v2);
+        v1 = pe_id();
     }
+    wait;
+    result = v0 + v1 * 10 + v2 * 100 + v3 * 1000;
+    return(result);
+}
+";
 
     #[test]
-    fn build_engine_output_matches_classic() {
-        // The engine canonicalizes the automaton; for this straight-line
-        // program the classic numbering is already canonical, so the
-        // automaton text must agree exactly.
-        let classic = Command::Build {
-            file: "x".into(),
-            emit: Emit::Automaton,
-            opts: CommonOpts::default(),
-        };
-        let engine = Command::Build {
-            file: "x".into(),
-            emit: Emit::Automaton,
-            opts: CommonOpts {
-                jobs: 4,
-                ..CommonOpts::default()
-            },
-        };
-        assert_eq!(
-            execute_on_source(&classic, PROG).unwrap(),
-            execute_on_source(&engine, PROG).unwrap()
-        );
+    fn build_output_is_the_same_at_any_jobs_and_provenance() {
+        let dir = std::env::temp_dir().join(format!("mscc-identity-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (src, mode) in [
+            (PROG, ConvertMode::Base),
+            (CASE_541, ConvertMode::Compressed),
+        ] {
+            for emit in [Emit::Automaton, Emit::Asm] {
+                let build = |jobs, cache: bool| {
+                    let cmd = Command::Build {
+                        file: "x".into(),
+                        emit,
+                        opts: CommonOpts {
+                            mode,
+                            jobs,
+                            cache: cache.then(|| dir.to_string_lossy().into_owned()),
+                            ..CommonOpts::default()
+                        },
+                    };
+                    execute_on_source(&cmd, src).unwrap()
+                };
+                let one = build(1, false);
+                assert_eq!(build(2, false), one, "{emit:?} at --jobs 2");
+                // Every call builds a fresh engine, so the second cached
+                // build can only be a disk hit.
+                assert_eq!(build(2, true), one, "{emit:?} cold --cache");
+                assert_eq!(build(1, true), one, "{emit:?} warm --cache");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1964,6 +1981,31 @@ mod tests {
     }
 
     #[test]
+    fn repeated_cached_run_reports_disk_hit_and_same_results() {
+        let dir = std::env::temp_dir().join(format!("mscc-run-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cmd = parse_args(&args(&format!(
+            "run x --pes 4 --jobs 2 --stats --cache {}",
+            dir.display()
+        )))
+        .unwrap();
+        let table = |s: &str| -> Vec<String> {
+            s.lines()
+                .filter(|l| l.contains(" | ") || l.starts_with("cycles="))
+                .map(String::from)
+                .collect()
+        };
+        let first = execute_on_source(&cmd, PROG).unwrap();
+        assert!(first.contains("provenance: fresh compile"), "{first}");
+        assert!(first.contains("threads: 2"), "{first}");
+        assert!(first.contains(" 3 | 7"), "{first}");
+        let second = execute_on_source(&cmd, PROG).unwrap();
+        assert!(second.contains("provenance: cache hit (disk)"), "{second}");
+        assert_eq!(table(&second), table(&first));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn batch_reports_per_file_outcomes() {
         let good = "main() { poly int x; x = pe_id(); return(x); }";
         let bad = "main() { y = 1; }";
@@ -1973,7 +2015,7 @@ mod tests {
             ("c.mimdc".to_string(), good.to_string()),
         ];
         // jobs: 1 keeps the pool sequential so the cache hit on the
-        // repeated source is deterministic (still the engine route).
+        // repeated source is deterministic.
         let opts = CommonOpts {
             jobs: 1,
             stats: true,
@@ -2018,8 +2060,8 @@ mod tests {
     fn metrics_flag_appends_table() {
         let cmd = parse_args(&args("build foo.mimdc --metrics")).unwrap();
         let out = execute_on_source(&cmd, PROG).unwrap();
-        // The classic build path runs instrumented conversion, so the
-        // summary table must show at least the conversion span.
+        // Conversion is instrumented, so the summary table must show at
+        // least its span.
         assert!(out.contains("-- metrics --"), "{out}");
         assert!(out.contains("convert.run"), "{out}");
         // Without the flag no table appears.

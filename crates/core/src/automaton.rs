@@ -115,60 +115,11 @@ impl MetaAutomaton {
             .unwrap_or(0)
     }
 
-    /// Renumber meta states into deterministic breadth-first order from
-    /// the start state (successor lists visited in stored order). Two
-    /// automatons with the same reachable structure — regardless of the
-    /// discovery order that built them — become bit-identical, which is
-    /// how the parallel converter's output is normalized against the
-    /// sequential one. Unreachable meta states (possible after external
-    /// surgery) are appended in their original relative order.
-    pub fn canonicalize(&mut self) {
-        let n = self.sets.len();
-        if n == 0 {
-            return;
-        }
-        let mut new_of_old: Vec<Option<u32>> = vec![None; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
-        new_of_old[self.start.idx()] = Some(0);
-        order.push(self.start.idx());
-        queue.push_back(self.start.idx());
-        while let Some(o) = queue.pop_front() {
-            for s in &self.succs[o] {
-                if new_of_old[s.idx()].is_none() {
-                    new_of_old[s.idx()] = Some(order.len() as u32);
-                    order.push(s.idx());
-                    queue.push_back(s.idx());
-                }
-            }
-        }
-        for (o, slot) in new_of_old.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(order.len() as u32);
-                order.push(o);
-            }
-        }
-        self.sets = order
-            .iter()
-            .map(|&o| std::mem::take(&mut self.sets[o]))
-            .collect();
-        self.succs = order
-            .iter()
-            .map(|&o| {
-                self.succs[o]
-                    .iter()
-                    .map(|s| MetaId(new_of_old[s.idx()].expect("every meta state numbered")))
-                    .collect()
-            })
-            .collect();
-        self.start = MetaId(0);
-    }
-
     /// Remove meta states not reachable from the start state, keeping the
     /// survivors in their original relative order with dense ids. Returns
-    /// the number of states removed. Parallel construction can intern
-    /// states from expansions that were later invalidated by latent
-    /// widening, and subsumption folds can strand states behind folded
+    /// the number of states removed. A meta state re-expanded after its
+    /// latent set widened can drop a successor the first expansion
+    /// interned, and subsumption folds can strand states behind folded
     /// arcs; both are cleaned up here.
     pub fn prune_unreachable(&mut self) -> usize {
         let n = self.sets.len();
@@ -352,53 +303,6 @@ mod tests {
         let a = tiny();
         assert_eq!(a.find(&StateSet::singleton(StateId(1))), Some(MetaId(1)));
         assert_eq!(a.find(&StateSet::from_iter([StateId(0), StateId(1)])), None);
-    }
-
-    #[test]
-    fn canonicalize_renumbers_bfs_from_start() {
-        // Same structure as `tiny` but with ids permuted: start is ms_1.
-        let mut graph = MimdGraph::new();
-        let a = graph.add(MimdState::new(vec![], Terminator::Halt));
-        let b = graph.add(MimdState::new(vec![], Terminator::Halt));
-        graph.state_mut(a).term = Terminator::Jump(b);
-        graph.start = a;
-        let mut auto = MetaAutomaton {
-            graph,
-            sets: vec![StateSet::singleton(b), StateSet::singleton(a)],
-            start: MetaId(1),
-            succs: vec![vec![], vec![MetaId(0)]],
-        };
-        auto.canonicalize();
-        assert_eq!(auto.start, MetaId(0));
-        assert_eq!(auto.sets[0], StateSet::singleton(a));
-        assert_eq!(auto.sets[1], StateSet::singleton(b));
-        assert_eq!(auto.succs, vec![vec![MetaId(1)], vec![]]);
-        assert_eq!(auto.validate(), Ok(()));
-    }
-
-    #[test]
-    fn canonicalize_is_idempotent_and_keeps_unreachable() {
-        let mut graph = MimdGraph::new();
-        let a = graph.add(MimdState::new(vec![], Terminator::Halt));
-        let b = graph.add(MimdState::new(vec![], Terminator::Halt));
-        let c = graph.add(MimdState::new(vec![], Terminator::Halt));
-        graph.start = a;
-        let mut auto = MetaAutomaton {
-            graph,
-            sets: vec![
-                StateSet::singleton(c), // unreachable
-                StateSet::singleton(a), // start
-                StateSet::singleton(b),
-            ],
-            start: MetaId(1),
-            succs: vec![vec![], vec![MetaId(2)], vec![]],
-        };
-        auto.canonicalize();
-        let once = (auto.sets.clone(), auto.succs.clone(), auto.start);
-        auto.canonicalize();
-        assert_eq!((auto.sets.clone(), auto.succs.clone(), auto.start), once);
-        assert_eq!(auto.len(), 3, "unreachable states are kept");
-        assert_eq!(auto.sets[2], StateSet::singleton(c));
     }
 
     #[test]

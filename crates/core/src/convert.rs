@@ -220,12 +220,29 @@ pub fn convert(graph: &MimdGraph, opts: &ConvertOptions) -> Result<MetaAutomaton
     convert_with_stats(graph, opts).map(|(a, _)| a)
 }
 
-/// [`convert`], also returning construction statistics.
+/// [`convert`], also returning construction statistics:
+/// [`convert_threads`] at one thread.
 pub fn convert_with_stats(
     graph: &MimdGraph,
     opts: &ConvertOptions,
 ) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
-    let (mut automaton, mut stats) = convert_rounds::<ConvertError>(graph, opts, 1, || Ok(()))?;
+    convert_threads(graph, opts, 1, || Ok(()))
+}
+
+/// The automaton every conversion returns, at any thread count:
+/// [`convert_rounds`]' output in discovery order, without the meta states a
+/// re-expansion after latent widening left unreachable, folded by
+/// subsumption when `opts.subsumption` is set. `threads` and `before_round`
+/// are [`convert_rounds`]' and change neither the automaton nor the
+/// statistics.
+pub fn convert_threads<E: From<ConvertError>>(
+    graph: &MimdGraph,
+    opts: &ConvertOptions,
+    threads: usize,
+    before_round: impl FnMut() -> Result<(), E>,
+) -> Result<(MetaAutomaton, ConvertStats), E> {
+    let (mut automaton, mut stats) = convert_rounds(graph, opts, threads, before_round)?;
+    automaton.prune_unreachable();
     if opts.subsumption {
         stats.subsumed += crate::subsume::subsume(&mut automaton);
     }
@@ -316,9 +333,8 @@ struct Entry {
 /// [`ConvertStats::successor_sets_enumerated`] share).
 type Expansion = Result<(Vec<(StateSet, StateSet)>, u64), ConvertError>;
 
-/// The one MIMD subset-construction loop: [`convert_with_stats`] is this at
-/// one thread plus the subsumption fold, and `msc-engine` calls it with
-/// more. Returns the automaton as discovered — not pruned, not folded.
+/// The one MIMD subset-construction loop, under [`convert_threads`].
+/// Returns the automaton as discovered — not pruned, not folded.
 ///
 /// It works in rounds. A round pops a run of entries off the FIFO worklist,
 /// expands them on up to `threads` threads (the caller is one of them) —

@@ -2,11 +2,14 @@
 //!
 //! `msc-core` answers "how do I convert one MIMD graph"; this crate
 //! answers "how do I run many conversions fast, repeatedly, without
-//! recomputing what I already know". Three pieces:
+//! recomputing what I already know". Four pieces:
 //!
 //! * [`parallel`] — frontier-parallel meta-state conversion: `msc-core`'s
-//!   one worklist loop on several expansion threads, with a cooperative
-//!   deadline and a canonical BFS renumbering (see the module docs);
+//!   one conversion on several expansion threads, with a cooperative
+//!   deadline; the automaton is the sequential converter's at any count;
+//! * [`compile_stages`] — the one stage sequence (front end → optional IR
+//!   passes → conversion → code generation) that both [`Engine`] and
+//!   `metastate::Pipeline::build` run;
 //! * [`cache`] — a content-addressed compile cache keyed by the hash of
 //!   (source, conversion options, codegen options, IR passes), with a
 //!   bounded in-memory LRU and an optional on-disk layer;
@@ -55,6 +58,85 @@ pub struct PhaseTimings {
     pub convert: Duration,
     /// SIMD code generation.
     pub codegen: Duration,
+}
+
+/// The output of every pipeline stage of one [`compile_stages`] run.
+#[derive(Debug, Clone)]
+pub struct Stages {
+    /// Front-end output: normalized MIMD state graph + memory layout.
+    pub compiled: Program,
+    /// The meta-state automaton.
+    pub automaton: MetaAutomaton,
+    /// Conversion statistics.
+    pub stats: ConvertStats,
+    /// The executable SIMD program.
+    pub simd: SimdProgram,
+    /// Wall-clock cost of each phase.
+    pub timings: PhaseTimings,
+}
+
+/// Run every pipeline stage of `job` — front end, the optional IR passes,
+/// meta-state conversion on `threads` threads (0 = all cores), code
+/// generation — with no cache and no coalescing. `timeout` is the
+/// cooperative deadline, checked at phase boundaries and once per round of
+/// the conversion worklist. The result does not depend on `threads`.
+pub fn compile_stages(
+    job: &Job,
+    threads: usize,
+    timeout: Option<Duration>,
+) -> Result<Stages, EngineError> {
+    let deadline = timeout.map(|t| Instant::now() + t);
+    let timed_out = || EngineError::TimedOut {
+        job: job.name.clone(),
+        timeout: timeout.unwrap_or_default(),
+    };
+
+    let t0 = Instant::now();
+    let mut compiled = compile(&job.source)?;
+    if job.optimize {
+        compiled.graph.peephole();
+        compiled.graph.normalize();
+    }
+    if job.minimize {
+        compiled.graph.minimize();
+        compiled.graph.normalize();
+    }
+    let t1 = Instant::now();
+    if deadline.is_some_and(|d| t1 > d) {
+        return Err(timed_out());
+    }
+
+    let (automaton, stats) =
+        convert_parallel_deadline(&compiled.graph, &job.convert, threads, deadline).map_err(
+            |e| match e {
+                ParallelError::Convert(e) => EngineError::Convert(e),
+                ParallelError::TimedOut => timed_out(),
+            },
+        )?;
+    let t2 = Instant::now();
+
+    let simd = generate(
+        &automaton,
+        compiled.layout.poly_words,
+        compiled.layout.mono_words,
+        &job.gen,
+    )?;
+    let t3 = Instant::now();
+    if deadline.is_some_and(|d| t3 > d) {
+        return Err(timed_out());
+    }
+
+    Ok(Stages {
+        compiled,
+        automaton,
+        stats,
+        simd,
+        timings: PhaseTimings {
+            compile: t1 - t0,
+            convert: t2 - t1,
+            codegen: t3 - t2,
+        },
+    })
 }
 
 /// Everything one compilation produced. Artifacts restored from the disk
@@ -298,13 +380,7 @@ impl Engine {
 
     /// Resolved worker-thread count.
     pub fn threads(&self) -> usize {
-        if self.opts.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.opts.threads
-        }
+        parallel::effective_threads(self.opts.threads)
     }
 
     /// Cache counters.
@@ -470,8 +546,8 @@ impl Engine {
         result
     }
 
-    /// The actual pipeline run for a cache-missed job. Inserts the
-    /// artifact into the cache on success.
+    /// [`compile_stages`] for a cache-missed job, wrapped into an
+    /// [`Artifact`] and inserted into the cache on success.
     fn compile_fresh(
         &self,
         job: &Job,
@@ -490,60 +566,16 @@ impl Engine {
             std::thread::sleep(Duration::from_millis(150));
             panic!("injected in-flight test panic");
         }
-        let deadline = self.opts.job_timeout.map(|t| Instant::now() + t);
-        let timed_out = || EngineError::TimedOut {
-            job: job.name.clone(),
-            timeout: self.opts.job_timeout.unwrap_or_default(),
-        };
-
-        let t0 = Instant::now();
-        let mut compiled = compile(&job.source)?;
-        if job.optimize {
-            compiled.graph.peephole();
-            compiled.graph.normalize();
-        }
-        if job.minimize {
-            compiled.graph.minimize();
-            compiled.graph.normalize();
-        }
-        let t1 = Instant::now();
-        if deadline.is_some_and(|d| t1 > d) {
-            return Err(timed_out());
-        }
-
-        let (automaton, stats) =
-            convert_parallel_deadline(&compiled.graph, &job.convert, threads, deadline).map_err(
-                |e| match e {
-                    ParallelError::Convert(e) => EngineError::Convert(e),
-                    ParallelError::TimedOut => timed_out(),
-                },
-            )?;
-        let t2 = Instant::now();
-
-        let simd = generate(
-            &automaton,
-            compiled.layout.poly_words,
-            compiled.layout.mono_words,
-            &job.gen,
-        )?;
-        let t3 = Instant::now();
-        if deadline.is_some_and(|d| t3 > d) {
-            return Err(timed_out());
-        }
-
+        let s = compile_stages(job, threads, self.opts.job_timeout)?;
         let artifact = Arc::new(Artifact {
-            simd,
-            stats,
-            meta_states: automaton.len(),
-            timings: PhaseTimings {
-                compile: t1 - t0,
-                convert: t2 - t1,
-                codegen: t3 - t2,
-            },
-            ret_addr: compiled.layout.main_ret,
-            automaton_text: automaton.text(),
-            automaton: Some(automaton),
-            compiled: Some(compiled),
+            simd: s.simd,
+            stats: s.stats,
+            meta_states: s.automaton.len(),
+            timings: s.timings,
+            ret_addr: s.compiled.layout.main_ret,
+            automaton_text: s.automaton.text(),
+            automaton: Some(s.automaton),
+            compiled: Some(s.compiled),
         });
         self.jobs_compiled.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(key, Arc::clone(&artifact));
@@ -642,6 +674,14 @@ mod tests {
 
     const PROG: &str = "main() { poly int x; x = pe_id() * 2 + 1; return(x); }";
 
+    /// Held by every test whose requests can coalesce: the subscriber is
+    /// process-wide, so without the exclusive install lock their
+    /// `engine.coalesced` counts would land in whichever registry
+    /// `concurrent_identical_jobs_compile_exactly_once` has installed.
+    fn exclusive_obs() -> msc_obs::InstallGuard {
+        msc_obs::install(Arc::new(msc_obs::Registry::new()))
+    }
+
     #[test]
     fn compile_then_hit() {
         let engine = Engine::new(EngineOptions::default());
@@ -705,6 +745,7 @@ mod tests {
 
     #[test]
     fn batch_shares_the_cache() {
+        let _obs = exclusive_obs();
         let engine = Engine::new(EngineOptions {
             threads: 4,
             ..EngineOptions::default()
@@ -830,6 +871,7 @@ mod tests {
 
     #[test]
     fn coalesced_requests_share_the_leaders_failure() {
+        let _obs = exclusive_obs();
         let engine = Engine::new(EngineOptions::default());
         // Slow so the follower reliably coalesces; bad source so the
         // leader's compile fails after the flight is joined.
@@ -855,6 +897,7 @@ mod tests {
 
     #[test]
     fn panicking_leader_releases_its_followers() {
+        let _obs = exclusive_obs();
         let engine = Engine::new(EngineOptions::default());
         let job = Job::new("__panic_in_flight_for_test__", PROG);
         let (leader, followers) = race_identical(&engine, &job, 1);
@@ -957,6 +1000,7 @@ mod tests {
 
     #[test]
     fn cold_burst_on_one_node_costs_one_peer_round_trip() {
+        let _obs = exclusive_obs();
         let donor = Arc::new(Engine::new(EngineOptions::default()));
         let job = Job::new("burst", PROG);
         donor.compile(&job).unwrap();

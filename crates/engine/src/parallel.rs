@@ -1,15 +1,12 @@
 //! Frontier-parallel meta-state conversion.
 //!
-//! The worklist lives in `msc-core`: [`msc_core::convert_rounds`] is the
-//! one subset-construction loop, and its raw output does not depend on the
-//! thread count or the memory budget. This module adds the thread-count
-//! default, the cooperative deadline, and the engine's normal form: the
-//! automaton pruned of unreachable states, renumbered by a deterministic
-//! BFS from the start state, and folded by subsumption when requested.
+//! The worklist, the pruning and the subsumption fold live in `msc-core`:
+//! [`msc_core::convert_threads`] returns the same automaton and statistics
+//! at any thread count and memory budget, and [`msc_core::convert()`] is it
+//! at one thread. This module adds the thread-count default (`0` = all
+//! cores) and the cooperative deadline.
 
-use msc_core::{
-    convert_rounds, subsume::subsume, ConvertError, ConvertOptions, ConvertStats, MetaAutomaton,
-};
+use msc_core::{convert_threads, ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
 use msc_ir::MimdGraph;
 use std::time::Instant;
 
@@ -40,18 +37,15 @@ impl From<ConvertError> for ParallelError {
     }
 }
 
-/// Convert `graph` with up to `threads` expansion threads, in the engine's
-/// normal form (see module docs). `threads == 0` selects the machine's
-/// available parallelism.
+/// Convert `graph` with up to `threads` expansion threads; the result is
+/// [`msc_core::convert_with_stats`]' bit for bit. `threads == 0` selects
+/// the machine's available parallelism.
 pub fn convert_parallel(
     graph: &MimdGraph,
     opts: &ConvertOptions,
     threads: usize,
 ) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
-    let (mut automaton, mut stats) =
-        convert_rounds::<ConvertError>(graph, opts, effective_threads(threads), || Ok(()))?;
-    finish(&mut automaton, &mut stats, opts);
-    Ok((automaton, stats))
+    convert_threads(graph, opts, effective_threads(threads), || Ok(()))
 }
 
 /// [`convert_parallel`] with a cooperative deadline, checked once per
@@ -62,31 +56,13 @@ pub fn convert_parallel_deadline(
     threads: usize,
     deadline: Option<Instant>,
 ) -> Result<(MetaAutomaton, ConvertStats), ParallelError> {
-    let (mut automaton, mut stats) =
-        convert_rounds(graph, opts, effective_threads(threads), || match deadline {
-            Some(d) if Instant::now() > d => Err(ParallelError::TimedOut),
-            _ => Ok(()),
-        })?;
-    finish(&mut automaton, &mut stats, opts);
-    Ok((automaton, stats))
+    convert_threads(graph, opts, effective_threads(threads), || match deadline {
+        Some(d) if Instant::now() > d => Err(ParallelError::TimedOut),
+        _ => Ok(()),
+    })
 }
 
-/// Normalize into the engine's canonical form: drop unreachable states
-/// (stale expansions can intern successor sets the fresh re-expansion
-/// never produces — those spurious records must not survive into the
-/// automaton), BFS-renumber the reachable remainder, then run the
-/// (deterministic) subsumption fold if requested and renumber again since
-/// the fold compacts ids.
-fn finish(automaton: &mut MetaAutomaton, stats: &mut ConvertStats, opts: &ConvertOptions) {
-    automaton.prune_unreachable();
-    automaton.canonicalize();
-    if opts.subsumption {
-        stats.subsumed += subsume(automaton);
-        automaton.canonicalize();
-    }
-}
-
-fn effective_threads(threads: usize) -> usize {
+pub(crate) fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -99,7 +75,7 @@ fn effective_threads(threads: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msc_core::{ConvertMode, MetaId, StateSet};
+    use msc_core::ConvertMode;
     use msc_ir::{MimdState, Terminator};
 
     /// A chain of n conditional branches: 2^n reachable subsets in base
@@ -196,34 +172,5 @@ mod tests {
                 "{threads} threads, time_split {time_split}"
             );
         }
-    }
-
-    #[test]
-    fn finish_drops_spurious_slab_records() {
-        // Simulate the slab a stale expansion leaves behind: record 2 was
-        // interned by an expansion that latent widening later invalidated,
-        // so no fresh expansion references it. It must not survive into
-        // the normalized automaton.
-        let mut graph = MimdGraph::new();
-        let a = graph.add(MimdState::new(vec![], Terminator::Halt));
-        let b = graph.add(MimdState::new(vec![], Terminator::Halt));
-        let c = graph.add(MimdState::new(vec![], Terminator::Halt));
-        graph.state_mut(a).term = Terminator::Jump(b);
-        graph.start = a;
-        let mut automaton = MetaAutomaton {
-            graph,
-            sets: vec![
-                StateSet::singleton(a),
-                StateSet::singleton(b),
-                StateSet::singleton(c), // spurious
-            ],
-            start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![], vec![MetaId(1)]],
-        };
-        let mut stats = ConvertStats::default();
-        finish(&mut automaton, &mut stats, &ConvertOptions::base());
-        assert_eq!(automaton.len(), 2, "spurious record pruned");
-        assert!(automaton.sets.iter().all(|s| !s.contains(c)));
-        assert_eq!(automaton.validate(), Ok(()));
     }
 }

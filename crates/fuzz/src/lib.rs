@@ -10,7 +10,8 @@
 //!   MIMDC programs (branch/loop density, `wait` placement, spawn trees);
 //! * [`oracle`] — the oracle matrix: every execution configuration the
 //!   repo offers, diffed against the true-MIMD reference, plus the
-//!   bit-identity group (engine threads × cache round-trip);
+//!   bit-identity group (base pipeline × engine threads × cache
+//!   round-trip);
 //! * [`regex_oracle`] — the regex front-end's differential check (meta-
 //!   automaton matcher, sequential and sharded, vs the naive backtracking
 //!   reference) on a case derived from each generated program;

@@ -6,11 +6,12 @@
 //! * **semantic** — per-PE results must equal the reference for every
 //!   oracle (the paper's §1.2 claim that the meta-state automaton
 //!   duplicates MIMD execution);
-//! * **bit-identity** — the engine at any thread count and the disk-cache
-//!   round-trip promise *identical artifacts* (canonical BFS renumbering,
-//!   content-addressed cache), so their cycle counts, automaton text and
-//!   serialized programs are additionally required to match each other
-//!   exactly.
+//! * **bit-identity** — `Pipeline::build` in base mode, the engine at any
+//!   thread count and the disk-cache round-trip promise *identical
+//!   artifacts* (one conversion whose output does not depend on the thread
+//!   count, content-addressed cache), so their cycle counts, automaton
+//!   text and serialized programs are additionally required to match each
+//!   other exactly.
 //!
 //! A skipped oracle (e.g. the subset construction hit the meta-state
 //! bound) is reported but is not a failure; an oracle *error* that the
@@ -37,7 +38,7 @@ pub enum Oracle {
     TimeSplit,
     /// Base mode with common subexpression induction disabled.
     NoCsi,
-    /// The parallel engine at this thread count (canonical artifacts).
+    /// The engine at this thread count (same artifact as [`Oracle::Base`]).
     Engine(usize),
     /// Cold compile, then reload through the on-disk cache: the two
     /// artifacts must be byte-identical and run identically.
@@ -124,9 +125,10 @@ impl Oracle {
         ]
     }
 
-    /// Members of the bit-identity group (engine + cache round-trip).
+    /// Members of the bit-identity group (base pipeline + engine + cache
+    /// round-trip: all compile the same job).
     pub fn bit_identical(&self) -> bool {
-        matches!(self, Oracle::Engine(_) | Oracle::Cache)
+        matches!(self, Oracle::Base | Oracle::Engine(_) | Oracle::Cache)
     }
 }
 
@@ -178,9 +180,9 @@ pub struct Execution {
     pub worker_values: Vec<i64>,
     /// Execution cycles, where the mode reports them.
     pub cycles: Option<u64>,
-    /// Canonical automaton text (engine-produced artifacts only).
+    /// Automaton text (members of the bit-identity group only).
     pub automaton: Option<String>,
-    /// Serialized SIMD program (engine-produced artifacts only).
+    /// Serialized SIMD program (members of the bit-identity group only).
     pub asm: Option<String>,
     /// Whether `worker_values` reflects this execution. The daemon's
     /// `/run` endpoint only returns per-PE return values, so the serve
@@ -355,6 +357,10 @@ fn run_pipeline_oracle(
         live,
         out.metrics.cycles,
     )?;
+    if oracle.bit_identical() {
+        exec.automaton = Some(built.automaton_text());
+        exec.asm = Some(msc_simd::serialize_asm(&built.simd));
+    }
     if matches!(oracle, Oracle::SelfTest) {
         // The injected conversion bug: programs whose automaton branched
         // (more than one meta state) and that contain an `if` have the

@@ -1,13 +1,12 @@
 //! One-stop pipeline: MIMDC source → MIMD state graph → meta-state
 //! automaton → SIMD program → execution.
 
-use msc_codegen::{generate, GenError, GenOptions};
+use msc_codegen::{GenError, GenOptions};
 use msc_core::{
-    convert_with_stats, ConvertError, ConvertMode, ConvertOptions, ConvertStats, MetaAutomaton,
-    TimeSplitOptions,
+    ConvertError, ConvertMode, ConvertOptions, ConvertStats, MetaAutomaton, TimeSplitOptions,
 };
-use msc_engine::{Compiled, Engine, EngineError, Job};
-use msc_lang::{compile, CompileError, Program};
+use msc_engine::{compile_stages, Compiled, Engine, EngineError, Job};
+use msc_lang::{CompileError, Program};
 use msc_simd::{MachineConfig, Metrics, RunError, SimdMachine, SimdProgram};
 use std::fmt;
 
@@ -37,24 +36,6 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<CompileError> for PipelineError {
-    fn from(e: CompileError) -> Self {
-        PipelineError::Compile(e)
-    }
-}
-
-impl From<ConvertError> for PipelineError {
-    fn from(e: ConvertError) -> Self {
-        PipelineError::Convert(e)
-    }
-}
-
-impl From<GenError> for PipelineError {
-    fn from(e: GenError) -> Self {
-        PipelineError::Gen(e)
-    }
-}
 
 impl From<EngineError> for PipelineError {
     fn from(e: EngineError) -> Self {
@@ -171,29 +152,15 @@ impl Pipeline {
         self
     }
 
-    /// Run every stage.
+    /// Run every stage: [`msc_engine::compile_stages`] at one thread with
+    /// no deadline, cache or coalescing.
     pub fn build(self) -> Result<Built, PipelineError> {
-        let mut compiled = compile(&self.src)?;
-        if self.optimize {
-            compiled.graph.peephole();
-            compiled.graph.normalize();
-        }
-        if self.minimize {
-            compiled.graph.minimize();
-            compiled.graph.normalize();
-        }
-        let (automaton, stats) = convert_with_stats(&compiled.graph, &self.convert_opts)?;
-        let simd = generate(
-            &automaton,
-            compiled.layout.poly_words,
-            compiled.layout.mono_words,
-            &self.gen_opts,
-        )?;
+        let stages = compile_stages(&self.into_job(""), 1, None)?;
         Ok(Built {
-            compiled,
-            automaton,
-            stats,
-            simd,
+            compiled: stages.compiled,
+            automaton: stages.automaton,
+            stats: stages.stats,
+            simd: stages.simd,
         })
     }
 
@@ -211,13 +178,11 @@ impl Pipeline {
         }
     }
 
-    /// Run the pipeline through an [`Engine`]: conversion is frontier-
-    /// parallel and the result may be served from the engine's cache. The
-    /// returned [`Compiled`] carries the artifact plus its provenance
-    /// (fresh / memory hit / disk hit). Note the engine canonicalizes the
-    /// automaton (deterministic BFS renumbering), so meta-state *numbering*
-    /// can differ from [`build`](Self::build) even though the structure is
-    /// identical.
+    /// Run the pipeline through an [`Engine`]: the stages of
+    /// [`build`](Self::build) on the engine's threads, behind its cache.
+    /// The returned [`Compiled`] carries the artifact plus its provenance
+    /// (fresh / memory hit / disk hit); a fresh artifact's automaton and
+    /// program are [`build`](Self::build)'s, bit for bit.
     pub fn build_with(
         self,
         engine: &Engine,

@@ -2,14 +2,15 @@
 //!
 //! * **Parallel ≡ sequential ≡ spilled**: over randomly generated MIMD
 //!   graphs, the one conversion driver produces the *bit-identical* raw
-//!   automaton and statistics at every thread count and memory budget.
+//!   automaton and statistics at every thread count and memory budget,
+//!   and `convert_parallel` returns what `convert_with_stats` returns.
 //! * **Cache hits skip conversion**: a repeated job is served from the
 //!   cache without recompiling, and the artifact is shared.
 
 use metastate::{convert_parallel, Engine, EngineOptions, Job, Pipeline, Provenance};
 use msc_core::{
-    convert_rounds, ConvertError, ConvertMode, ConvertOptions, ConvertStats, MetaAutomaton, MetaId,
-    StateSet,
+    convert_rounds, convert_with_stats, ConvertError, ConvertMode, ConvertOptions, ConvertStats,
+    MetaAutomaton, MetaId, StateSet,
 };
 use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use proptest::prelude::*;
@@ -79,8 +80,8 @@ fn check_graph(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), TestCaseError
         memory_budget,
         ..opts.clone()
     };
-    // The driver's raw output — discovery order, no pruning, no
-    // renumbering — and its full statistics, guard errors included: one
+    // The driver's raw output — discovery order, no pruning, no fold —
+    // and its full statistics, guard errors included: one
     // thread in RAM is the sequential converter, and every other thread
     // count and budget must reproduce it exactly.
     let raw = |threads, budget| {
@@ -112,11 +113,12 @@ fn check_graph(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), TestCaseError
             );
         }
     }
-    // The engine's normal form on top of it, subsumption included.
+    // What callers get — pruned, and folded when subsumption is on — is
+    // the sequential converter's too.
     prop_assert_eq!(
         outcome(convert_parallel(g, &with_budget(Some(256)), 8)),
-        outcome(convert_parallel(g, &with_budget(None), 1)),
-        "engine output differs between 1 thread in RAM and 8 threads spilled"
+        outcome(convert_with_stats(g, opts)),
+        "8 threads spilled differ from convert_with_stats"
     );
     Ok(())
 }
@@ -223,8 +225,5 @@ fn pipeline_build_with_routes_through_engine() {
         .build_with(&engine, "prog")
         .unwrap();
     assert_eq!(compiled.provenance, Provenance::Fresh);
-    // Same structure as the classic pipeline (numbering may differ only by
-    // canonicalization; this program is straight-line so even the text
-    // agrees).
     assert_eq!(compiled.artifact.automaton_text, built.automaton_text());
 }

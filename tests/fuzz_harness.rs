@@ -115,7 +115,7 @@ fn minimized_program_still_reproduces_the_mismatch() {
 }
 
 /// A clean sweep over the full in-process oracle matrix: no mismatches,
-/// and the engine/cache bit-identity group holds.
+/// and the base/engine/cache bit-identity group holds.
 #[test]
 fn full_matrix_sweep_is_clean() {
     let cfg = FuzzConfig {
