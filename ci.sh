@@ -10,12 +10,15 @@
 #                         package against this tree)
 #   ./ci.sh bench-smoke   additionally *run* the set benches in their
 #                         --test smoke configuration (small sizes, 2
-#                         samples) and the bench-regression gates, which
-#                         re-measure the setops speedups, the regex
+#                         samples) and the bench-regression gates (one
+#                         claims -- setops regex explosion --check run),
+#                         which re-measure the setops speedups, the regex
 #                         throughput, and the out-of-core explosion
 #                         conversion and fail if they regress past the
-#                         tolerances in BENCH_setops.json /
-#                         BENCH_regex.json / BENCH_explosion.json
+#                         gate table's tolerances against
+#                         BENCH_setops.json / BENCH_regex.json /
+#                         BENCH_explosion.json, or if a gated key is
+#                         missing from either side
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
@@ -118,6 +121,14 @@ cargo test --release --offline --manifest-path perf/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- selftest
 git diff --exit-code -- perf BENCHMARK.json
 
+# One bench-regression gate run: re-measure the named benches and hold
+# them against their committed BENCH_<name>.json (every gated metric and
+# its rule is one row of crates/bench/src/gate.rs).
+gate() {
+    echo "== bench regression gate: claims -- $* --check =="
+    cargo run --release -p msc-bench --bin claims -- "$@" --check
+}
+
 if [ "$MODE" = "bench-smoke" ]; then
     echo "== bench smoke: set_algebra --test =="
     cargo bench -p msc-bench --bench set_algebra -- --test
@@ -125,12 +136,7 @@ if [ "$MODE" = "bench-smoke" ]; then
     cargo bench -p msc-bench --bench subsume_scaling -- --test
     echo "== bench smoke: obs_overhead --test =="
     cargo bench -p msc-bench --bench obs_overhead -- --test
-    echo "== bench regression gate: setops --check =="
-    cargo run --release -p msc-bench --bin claims -- setops --check
-    echo "== bench regression gate: regex --check =="
-    cargo run --release -p msc-bench --bin claims -- regex --check
-    echo "== bench regression gate: explosion --check =="
-    cargo run --release -p msc-bench --bin claims -- explosion --check
+    gate setops regex explosion
 fi
 
 if [ "$MODE" = "serve-smoke" ]; then
@@ -154,8 +160,7 @@ if [ "$MODE" = "serve-smoke" ]; then
     fi
     echo "   daemon bound to ${ADDR}"
     ./target/release/loadgen --smoke --addr "$ADDR"
-    echo "== serve bench-regression gate: claims -- serve --check =="
-    cargo run --release -p msc-bench --bin claims -- serve --check
+    gate serve
     echo "== serve smoke: SIGINT drains the daemon =="
     kill -INT "$SERVE_PID"
     wait "$SERVE_PID"
@@ -168,9 +173,8 @@ if [ "$MODE" = "cluster-smoke" ]; then
     # as siblings of the claims binary — tier-1 already built both. Logs
     # land in cluster-logs/<node>.log; dump them on failure so a red run
     # is diagnosable from the CI console alone.
-    echo "== cluster smoke: claims -- cluster --check =="
     rm -rf cluster-logs
-    if ! cargo run --release -p msc-bench --bin claims -- cluster --check; then
+    if ! gate cluster; then
         echo "cluster smoke failed; daemon logs follow" >&2
         for f in cluster-logs/*.log; do
             [ -f "$f" ] || continue
@@ -189,8 +193,7 @@ if [ "$MODE" = "sweep-smoke" ]; then
     # though it also fails tier-1's bit-equality test.
     echo "== sweep smoke: mscc sweep over every bundled profile =="
     ./target/release/mscc sweep examples/dispatch_heavy.mimdc --profiles profiles --metrics
-    echo "== sweep regression gate: claims -- sweep --check =="
-    cargo run --release -p msc-bench --bin claims -- sweep --check
+    gate sweep
 fi
 
 if [ "$MODE" = "fuzz-smoke" ]; then

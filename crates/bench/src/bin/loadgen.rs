@@ -17,16 +17,13 @@
 //! `--smoke` is the CI mode: wait for `/healthz`, touch every endpoint
 //! once, exit 0/1. No load, no output file.
 //!
-//! The workload mix, smoke checks, and measurement phases live in
-//! [`msc_bench::loadbench`], shared with the `claims` regression gate.
+//! The workload mix, smoke checks, and the measurement itself live in
+//! [`msc_bench::loadbench`], shared with the `claims` regression gate;
+//! the file goes through the one baseline writer in [`msc_bench::gate`].
 
-use msc_bench::loadbench::{
-    coalesce_burst, compile_body, counter, load_phase, percentile, smoke, wait_healthy,
-    BASELINE_CLIENTS, HIT_POOL,
-};
+use msc_bench::gate::{lookup, write_baseline, SERVE};
+use msc_bench::loadbench::{attach, measure_serve, smoke, BASELINE_CLIENTS};
 use msc_obs::json::Json;
-use msc_serve::client::Client;
-use msc_serve::{ServeOptions, Server, ServerHandle};
 use std::time::Duration;
 
 fn main() {
@@ -59,37 +56,13 @@ fn main() {
             other => panic!("unknown argument {other:?}"),
         }
     }
-
-    // No --addr: spin up an in-process daemon on an ephemeral port. The
-    // reactor multiplexes all connections on one thread, so the worker
-    // pool only needs compute parallelism (0 = one per core); the
-    // blocking fallback parks a worker per keep-alive connection and
-    // needs `workers >= clients` plus burst headroom.
-    let workers = if msc_serve::reactor_available() {
-        0
-    } else {
-        clients + 17
+    let fail = |e: String| -> ! {
+        eprintln!("loadgen: {e}");
+        std::process::exit(1)
     };
-    let mut handle: Option<ServerHandle> = None;
-    let addr = addr.unwrap_or_else(|| {
-        let h = Server::start(ServeOptions {
-            addr: "127.0.0.1:0".to_string(),
-            queue_depth: 256,
-            workers,
-            ..ServeOptions::default()
-        })
-        .expect("start in-process daemon");
-        let a = h.local_addr().to_string();
-        handle = Some(h);
-        a
-    });
-
-    if !wait_healthy(&addr, Duration::from_secs(10)) {
-        eprintln!("loadgen: daemon at {addr} never became healthy");
-        std::process::exit(1);
-    }
 
     if smoke_mode {
+        let (addr, handle) = attach(addr.as_deref(), clients).unwrap_or_else(|e| fail(e));
         println!("== loadgen --smoke against {addr} ==");
         let ok = smoke(&addr);
         if let Some(h) = handle {
@@ -99,116 +72,15 @@ fn main() {
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    println!("== loadgen: {clients} clients x {duration_ms}ms against {addr} ==");
-    // Warm the cache so the measured phase is the advertised ~90% hit mix.
-    {
-        let mut c = Client::connect(&addr).expect("warmup connect");
-        for src in HIT_POOL {
-            let r = c
-                .request("POST", "/compile", Some(&compile_body(src)))
-                .expect("warmup compile");
-            assert_eq!(r.status, 200, "warmup failed: {}", r.body);
-        }
+    println!("== loadgen ==");
+    let body = measure_serve(addr.as_deref(), clients, Duration::from_millis(duration_ms))
+        .unwrap_or_else(|e| fail(e));
+    // Against its own numbers `SERVE` holds the invariants and the
+    // absolute targets; what the committed burst cost is the one thing
+    // it takes on trust, so pin that here.
+    if lookup(&body, "coalesce_burst.compilations") != Some(&Json::from(1u64)) {
+        fail("a burst of identical requests cost more than one compilation".into());
     }
-
-    let report = load_phase(&addr, clients, Duration::from_millis(duration_ms));
-    let throughput = report.throughput_rps();
-    let (p50, p90, p99) = (
-        percentile(&report.latencies, 50.0),
-        percentile(&report.latencies, 90.0),
-        percentile(&report.latencies, 99.0),
-    );
-    println!(
-        "requests: {} ({} errors) in {:.2}s -> {:.0} req/s",
-        report.requests,
-        report.errors,
-        report.elapsed.as_secs_f64(),
-        throughput
-    );
-    println!(
-        "latency: p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        p50 as f64 / 1e6,
-        p90 as f64 / 1e6,
-        p99 as f64 / 1e6,
-        report.latencies.last().copied().unwrap_or(0) as f64 / 1e6
-    );
-
-    const BURST: usize = 16;
-    let (compilations, coalesced) = coalesce_burst(&addr, BURST);
-    println!(
-        "coalesce burst: {BURST} identical cold requests -> {compilations} compilation(s), \
-         engine.coalesced total {coalesced}"
-    );
-    let shed = counter(&addr, "serve.shed");
-    if let Some(h) = handle {
-        h.shutdown();
-    }
-
-    let json = Json::obj(vec![
-        (
-            "generated_by",
-            Json::from("cargo run --release -p msc-bench --bin loadgen"),
-        ),
-        (
-            "workload",
-            Json::from("POST /compile, ~90% warm-cache pool of 4 sources, ~10% unique sources"),
-        ),
-        ("clients", Json::from(clients)),
-        ("duration_ms", Json::from(duration_ms)),
-        ("requests", Json::from(report.requests)),
-        ("errors", Json::from(report.errors)),
-        ("shed", Json::from(shed)),
-        ("throughput_rps", Json::from(throughput)),
-        (
-            "latency_ms",
-            Json::obj(vec![
-                ("p50", Json::from(p50 as f64 / 1e6)),
-                ("p90", Json::from(p90 as f64 / 1e6)),
-                ("p99", Json::from(p99 as f64 / 1e6)),
-                (
-                    "max",
-                    Json::from(report.latencies.last().copied().unwrap_or(0) as f64 / 1e6),
-                ),
-            ]),
-        ),
-        (
-            "coalesce_burst",
-            Json::obj(vec![
-                ("requests", Json::from(BURST)),
-                ("compilations", Json::from(compilations)),
-            ]),
-        ),
-        (
-            "targets",
-            Json::obj(vec![
-                ("throughput_rps_min", Json::from(5_000u64)),
-                ("p99_ms_max", Json::from(50u64)),
-                ("burst_compilations", Json::from(1u64)),
-            ]),
-        ),
-    ]);
-    std::fs::write(&out, json.render() + "\n").expect("write BENCH_serve.json");
-    println!("wrote {out}");
-
-    let mut failed = false;
-    if compilations != 1 {
-        eprintln!(
-            "FAIL: burst of {BURST} identical requests cost {compilations} compilations (want 1)"
-        );
-        failed = true;
-    }
-    if report.errors > 0 {
-        eprintln!("FAIL: {} request errors under load", report.errors);
-        failed = true;
-    }
-    if throughput < 5_000.0 {
-        eprintln!("WARN: throughput {throughput:.0} req/s below the 5k target on this machine");
-    }
-    if p99 as f64 / 1e6 > 50.0 {
-        eprintln!(
-            "WARN: p99 {:.3}ms above the 50ms target on this machine",
-            p99 as f64 / 1e6
-        );
-    }
-    std::process::exit(if failed { 1 } else { 0 });
+    let by = "cargo run --release -p msc-bench --bin loadgen";
+    write_baseline(&out, by, &body, SERVE).unwrap_or_else(|e| fail(e));
 }

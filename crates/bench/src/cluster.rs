@@ -192,44 +192,23 @@ fn mean_ms(runs: &[(String, f64)]) -> f64 {
     runs.iter().map(|(_, ms)| ms).sum::<f64>() / runs.len() as f64
 }
 
-/// What one cluster pass produces, shaped for
-/// [`crate::regression::check_cluster`].
-pub struct ClusterSummary {
-    /// Workload size (distinct cold sources).
-    pub jobs: u64,
-    /// Node B's `cache.peer_hit` after the pass — must equal `jobs`.
-    pub peer_hits: u64,
-    /// Node B's `cache.miss` after the pass — must be zero.
-    pub node_b_compilations: u64,
-    /// Mean / max wall time of node B's peer-served compiles.
-    pub peer_hit_mean_ms: f64,
-    pub peer_hit_max_ms: f64,
-    /// Mean wall time of node A's cold compiles (the no-fleet baseline).
-    pub single_node_cold_ms: f64,
-    /// Cold compile wall time with only a dead peer configured.
-    pub dead_peer_cold_ms: f64,
-    /// Node E's `cache.peer_verify_fail` — must be at least 1.
-    pub verify_fails: u64,
-    /// Responses with the wrong status or provenance across all legs.
-    pub errors: u64,
-}
-
-/// Run the full four-leg cluster measurement. Every daemon is a
-/// subprocess; logs land in [`LOG_DIR`].
-pub fn measure_cluster() -> Result<ClusterSummary, String> {
+/// Run the full four-leg cluster measurement and return the
+/// `BENCH_cluster.json` body. Every daemon is a subprocess; logs land in
+/// [`LOG_DIR`].
+pub fn measure_cluster() -> Result<Json, String> {
     let sources = cluster_sources();
     let mut errors = 0u64;
 
     // Leg 1: node A compiles everything cold (and stays up as the donor).
     let node_a = spawn_daemon("node-a", None)?;
-    println!("   node A up on {} (donor)", node_a.addr);
+    println!("node A up on {} (donor)", node_a.addr);
     let cold = compile_all(&node_a.addr, &sources)?;
     errors += cold.iter().filter(|(p, _)| p != "fresh").count() as u64;
     let single_node_cold_ms = mean_ms(&cold);
 
     // Leg 2: node B must serve the same workload entirely from A.
     let node_b = spawn_daemon("node-b", Some(&node_a.addr))?;
-    println!("   node B up on {} (peers: node A)", node_b.addr);
+    println!("node B up on {} (peers: node A)", node_b.addr);
     let warm = compile_all(&node_b.addr, &sources)?;
     errors += warm.iter().filter(|(p, _)| p != "peer").count() as u64;
     let peer_hits = counter(&node_b.addr, "cache.peer_hit");
@@ -241,7 +220,7 @@ pub fn measure_cluster() -> Result<ClusterSummary, String> {
 
     // Leg 3: a dead fleet must degrade to a bounded local compile.
     let node_c = spawn_daemon("node-c", Some("127.0.0.1:1"))?;
-    println!("   node C up on {} (peer: dead address)", node_c.addr);
+    println!("node C up on {} (peer: dead address)", node_c.addr);
     let dead = compile_all(&node_c.addr, &sources[..1])?;
     errors += dead.iter().filter(|(p, _)| p != "fresh").count() as u64;
     let dead_peer_cold_ms = mean_ms(&dead);
@@ -250,21 +229,52 @@ pub fn measure_cluster() -> Result<ClusterSummary, String> {
     // Leg 4: a corrupt peer must fail verification, not poison the node.
     let rogue = spawn_rogue_peer().map_err(|e| format!("rogue peer: {e}"))?;
     let node_e = spawn_daemon("node-e", Some(&rogue))?;
-    println!("   node E up on {} (peer: rogue listener)", node_e.addr);
+    println!("node E up on {} (peer: rogue listener)", node_e.addr);
     let poisoned = compile_all(&node_e.addr, &sources[..1])?;
     errors += poisoned.iter().filter(|(p, _)| p != "fresh").count() as u64;
     let verify_fails = counter(&node_e.addr, "cache.peer_verify_fail");
     drop(node_e);
 
-    Ok(ClusterSummary {
-        jobs: sources.len() as u64,
-        peer_hits,
-        node_b_compilations,
-        peer_hit_mean_ms,
-        peer_hit_max_ms,
-        single_node_cold_ms,
-        dead_peer_cold_ms,
-        verify_fails,
-        errors,
-    })
+    let jobs = sources.len();
+    println!("\nnode B: {peer_hits}/{jobs} jobs served by its peer, {node_b_compilations} local compilation(s)");
+    println!(
+        "peer hit {peer_hit_mean_ms:.2}ms mean / {peer_hit_max_ms:.2}ms max vs \
+         {single_node_cold_ms:.2}ms single-node cold compile"
+    );
+    println!(
+        "dead fleet: cold compile {dead_peer_cold_ms:.2}ms; corrupt peer: {verify_fails} verify \
+         failure(s); {errors} error(s)"
+    );
+    println!("\nshape check: every node-B job is a peer hit, zero local compiles, and the");
+    println!("dead-fleet compile stays within one peer deadline of single-node");
+    Ok(Json::obj([
+        // Workload size (distinct cold sources).
+        ("jobs", Json::from(jobs)),
+        // Node B's `cache.peer_hit` / `cache.miss` after its pass.
+        ("peer_hits", Json::from(peer_hits)),
+        ("node_b_compilations", Json::from(node_b_compilations)),
+        // Wall time of node B's peer-served compiles.
+        ("peer_hit_mean_ms", Json::from(peer_hit_mean_ms)),
+        ("peer_hit_max_ms", Json::from(peer_hit_max_ms)),
+        // Mean wall time of node A's cold compiles (the no-fleet baseline),
+        // the cold compile with only a dead peer configured, and what
+        // losing every peer cost over having none.
+        ("single_node_cold_ms", Json::from(single_node_cold_ms)),
+        ("dead_peer_cold_ms", Json::from(dead_peer_cold_ms)),
+        (
+            "dead_peer_overhead_ms",
+            Json::from(dead_peer_cold_ms - single_node_cold_ms),
+        ),
+        // Node E's `cache.peer_verify_fail`.
+        ("verify_fails", Json::from(verify_fails)),
+        // Responses with the wrong status or provenance across all legs.
+        ("errors", Json::from(errors)),
+        (
+            "targets",
+            Json::obj([
+                ("peer_hit_ms_max", Json::from(250.0)),
+                ("dead_peer_overhead_ms_max", Json::from(4000.0)),
+            ]),
+        ),
+    ]))
 }

@@ -1,0 +1,802 @@
+//! The regression gates over the six committed `BENCH_*.json` baselines.
+//!
+//! One row of [`BENCHES`] per bench: how to measure it and which of the
+//! measured numbers are gated, by which [`Rule`]. A measurement is a
+//! [`Json`] object shaped exactly like the committed file (the file is
+//! the measurement plus `generated_by` and `env`), so one [`check`]
+//! compares any bench against its baseline, [`msc_obs::json::parse`] is
+//! the only reader, and [`write_stamped`] the only writer.
+//!
+//! A gated metric that is absent — from the committed file (a key renamed
+//! or deleted, at top level or in one `workloads` / `profiles` row) or
+//! from the measurement — is a gate *failure* naming the path, never a
+//! skipped row.
+
+use crate::{cluster, loadbench, sweep, timed};
+use msc_obs::json::{parse, Json};
+use std::path::Path;
+
+/// How a measured value is held against the baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Equal to the committed value (deterministic counts).
+    Exact,
+    /// At most this fraction below the committed value (`0.30` = 30%);
+    /// running faster than the baseline is always fine.
+    Within(f64),
+    /// Within this absolute distance of the committed value.
+    Approx(f64),
+    /// At least the baseline's `targets.*` floor.
+    AtLeast,
+    /// At most the baseline's `targets.*` ceiling.
+    AtMost,
+    /// Invariant of the measurement alone: `true`.
+    True,
+    /// Invariant of the measurement alone: `0`.
+    Zero,
+    /// Invariant of the measurement alone: not `0`.
+    Nonzero,
+}
+
+/// One gated metric.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// Path of the metric in the measurement (see [`lookup`]).
+    pub path: &'static str,
+    pub rule: Rule,
+    /// Baseline path the rule compares against when it is not `path`
+    /// itself: a `targets.*` key, or another committed field.
+    pub against: Option<&'static str>,
+    /// Enforced only when the measurement's `cores` is at least this.
+    pub min_cores: u64,
+    /// What a failure means, appended to the failure line.
+    pub note: &'static str,
+}
+
+const fn gate(path: &'static str, rule: Rule, note: &'static str) -> Gate {
+    Gate {
+        path,
+        rule,
+        against: None,
+        min_cores: 1,
+        note,
+    }
+}
+
+const fn gate_vs(
+    path: &'static str,
+    rule: Rule,
+    against: &'static str,
+    note: &'static str,
+) -> Gate {
+    Gate {
+        against: Some(against),
+        ..gate(path, rule, note)
+    }
+}
+
+/// Resolve a dotted path: `latency_ms.p99` walks objects, and
+/// `profiles[name=wide-simd].cycles` / `workloads[size=256].union_speedup`
+/// pick the array row whose `name` / `size` member is that value.
+pub fn lookup<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(root, |node, seg| {
+        let Some((field, sel)) = seg.split_once('[') else {
+            return node.get(seg);
+        };
+        let (key, want) = sel.strip_suffix(']')?.split_once('=')?;
+        let rows = node.get(field)?.as_arr()?;
+        rows.iter().find(|row| row_is(row, key, want))
+    })
+}
+
+fn row_is(row: &Json, key: &str, want: &str) -> bool {
+    match row.get(key) {
+        Some(Json::Str(s)) => s == want,
+        Some(Json::Num(n)) => want.parse() == Ok(*n),
+        _ => false,
+    }
+}
+
+impl Gate {
+    /// The baseline path this gate reads; `None` for the invariants,
+    /// which look at the measurement alone.
+    pub fn baseline_path(&self) -> Option<&'static str> {
+        match self.rule {
+            Rule::True | Rule::Zero | Rule::Nonzero => None,
+            _ => Some(self.against.unwrap_or(self.path)),
+        }
+    }
+
+    /// Hold one measurement against one baseline: `Ok` is the report line
+    /// of a passing (or skipped) gate, `Err` the failure line. Both start
+    /// with the metric path.
+    pub fn eval(&self, baseline: &Json, measured: &Json) -> Result<String, String> {
+        let fail = |why: String| format!("{}: {why}", self.path);
+        if self.min_cores > 1 {
+            let cores = lookup(measured, "cores")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| fail("the measurement carries no `cores`".into()))?;
+            if cores < self.min_cores {
+                return Ok(format!(
+                    "{}: SKIP, enforced on >= {} cores and this run had {cores}",
+                    self.path, self.min_cores
+                ));
+            }
+        }
+        let m = lookup(measured, self.path)
+            .ok_or_else(|| fail("missing from the measurement".into()))?;
+        let (b, source) = match self.baseline_path() {
+            Some(p) => (
+                lookup(baseline, p)
+                    .ok_or_else(|| fail(format!("`{p}` missing from the committed baseline")))?,
+                self.against.unwrap_or("committed"),
+            ),
+            None => (&Json::Null, ""),
+        };
+        let num = |v: &Json| {
+            v.as_f64()
+                .ok_or_else(|| fail(format!("{} is not a number", v.render())))
+        };
+        let (ok, want) = match self.rule {
+            Rule::Exact => (m == b, format!("== {} ({source})", show(b))),
+            Rule::Within(tol) => {
+                let floor = num(b)? * (1.0 - tol);
+                let pct = tol * 100.0;
+                (
+                    num(m)? >= floor,
+                    format!(">= {floor:.2} ({source} {} less {pct:.0}%)", show(b)),
+                )
+            }
+            Rule::Approx(eps) => (
+                (num(m)? - num(b)?).abs() <= eps,
+                format!("within {eps} of {} ({source})", show(b)),
+            ),
+            Rule::AtLeast => (num(m)? >= num(b)?, format!(">= {} ({source})", show(b))),
+            Rule::AtMost => (num(m)? <= num(b)?, format!("<= {} ({source})", show(b))),
+            Rule::True => (m == &Json::Bool(true), "true".into()),
+            Rule::Zero => (num(m)? == 0.0, "0".into()),
+            Rule::Nonzero => (num(m)? != 0.0, "nonzero".into()),
+        };
+        if ok {
+            Ok(format!("{}: {}, want {want}", self.path, show(m)))
+        } else {
+            Err(fail(format!(
+                "measured {}, want {want} — {}",
+                show(m),
+                self.note
+            )))
+        }
+    }
+}
+
+/// A value for a report line: timings to three places, the rest as is.
+fn show(v: &Json) -> String {
+    match v {
+        Json::Num(n) if n.fract() != 0.0 => format!("{n:.3}"),
+        _ => v.render(),
+    }
+}
+
+/// Every gate `measured` fails against `baseline`, one line each — empty
+/// means the bench passes.
+pub fn check(baseline: &Json, measured: &Json, gates: &[Gate]) -> Vec<String> {
+    gates
+        .iter()
+        .filter_map(|g| g.eval(baseline, measured).err())
+        .collect()
+}
+
+/// One gated bench.
+pub struct Bench {
+    /// The `claims` argument; the baseline is `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// One measurement pass, printing its table as it goes. The result
+    /// is the body of the baseline file.
+    pub measure: fn() -> Result<Json, String>,
+    pub gates: &'static [Gate],
+    /// Part of a bare `claims -- --check`.
+    pub in_default_check: bool,
+}
+
+impl Bench {
+    /// The committed baseline, relative to the repository root.
+    pub fn file(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+}
+
+// Sets below ~4 bit-words finish in a handful of cycles, so their speedup
+// ratio swings 2x run to run; only the 256+ sizes time stably enough to
+// ratchet. The 64 row stays informational in the file.
+const SETOPS_NOTE: &str = "speedup over the sorted-vec baseline regressed";
+const SETOPS: &[Gate] = &[
+    gate(
+        "workloads[size=256].union_speedup",
+        Rule::Within(0.30),
+        SETOPS_NOTE,
+    ),
+    gate(
+        "workloads[size=256].is_subset_speedup",
+        Rule::Within(0.30),
+        SETOPS_NOTE,
+    ),
+    gate(
+        "workloads[size=1024].union_speedup",
+        Rule::Within(0.30),
+        SETOPS_NOTE,
+    ),
+    gate(
+        "workloads[size=1024].is_subset_speedup",
+        Rule::Within(0.30),
+        SETOPS_NOTE,
+    ),
+];
+
+// CI runners are slower and noisier than the baseline machine, so the
+// throughput tolerance is wide: the gate catches order-of-magnitude
+// collapses (lost coalescing, a dead cache), not 10% drift.
+pub const SERVE: &[Gate] = &[
+    gate("errors", Rule::Zero, "request errors under load"),
+    gate(
+        "coalesce_burst.compilations",
+        Rule::Exact,
+        "a burst of identical cold requests must cost one compilation",
+    ),
+    gate_vs(
+        "latency_ms.p99",
+        Rule::AtMost,
+        "targets.p99_ms_max",
+        "p99 latency above the absolute ceiling",
+    ),
+    gate("throughput_rps", Rule::Within(0.50), "throughput collapsed"),
+];
+
+const REGEX: &[Gate] = &[
+    gate(
+        "spans_agree",
+        Rule::True,
+        "sharded scan produced different spans than the sequential scan",
+    ),
+    gate(
+        "dfa_vs_naive_speedup",
+        Rule::Within(0.50),
+        "compiled matching stopped beating the AST-walking reference",
+    ),
+    gate_vs(
+        "t1_mbps",
+        Rule::AtLeast,
+        "targets.t1_mbps_min",
+        "1-thread throughput below its floor",
+    ),
+    // With one core the thread ratio says nothing about scaling; on two
+    // the floor needs both idle.
+    Gate {
+        min_cores: 2,
+        ..gate_vs(
+            "t2_vs_t1",
+            Rule::AtLeast,
+            "targets.t2_vs_t1_min",
+            "the second scan thread stopped paying",
+        )
+    },
+    gate_vs(
+        "t8_vs_t1",
+        Rule::AtLeast,
+        "targets.t8_vs_t1_min",
+        "sharded stitching overhead blew up",
+    ),
+];
+
+const EXPLOSION: &[Gate] = &[
+    gate(
+        "spill_identical",
+        Rule::True,
+        "spilled conversion diverged from the in-RAM automaton",
+    ),
+    gate(
+        "spill_bytes",
+        Rule::Nonzero,
+        "the budget spilled nothing: out-of-core path not exercised",
+    ),
+    gate(
+        "meta_states",
+        Rule::Exact,
+        "conversion is deterministic: the converter or the workload changed",
+    ),
+    gate(
+        "in_ram_states_per_sec",
+        Rule::Within(0.50),
+        "in-RAM conversion throughput regressed",
+    ),
+    gate(
+        "spilled_states_per_sec",
+        Rule::Within(0.50),
+        "spilled conversion throughput regressed",
+    ),
+];
+
+const CLUSTER: &[Gate] = &[
+    gate(
+        "errors",
+        Rule::Zero,
+        "wrong status or provenance on a cluster leg",
+    ),
+    gate("jobs", Rule::Exact, "the cluster workload changed size"),
+    gate_vs(
+        "peer_hits",
+        Rule::Exact,
+        "jobs",
+        "node B must take every job from its peer",
+    ),
+    gate(
+        "node_b_compilations",
+        Rule::Exact,
+        "node B compiled locally despite a warm donor",
+    ),
+    gate(
+        "verify_fails",
+        Rule::Nonzero,
+        "the corrupt-peer leg never tripped checksum verification",
+    ),
+    gate_vs(
+        "peer_hit_mean_ms",
+        Rule::AtMost,
+        "targets.peer_hit_ms_max",
+        "a peer hit must stay far cheaper than a compile",
+    ),
+    gate_vs(
+        "dead_peer_overhead_ms",
+        Rule::AtMost,
+        "targets.dead_peer_overhead_ms_max",
+        "a dead fleet may cost one peer-path deadline over single-node, no more",
+    ),
+];
+
+// The simulator counts cycles, it times nothing: no tolerance on them,
+// and the speedups are ratios of those exact integers.
+const CYCLES_NOTE: &str = "deterministic: any drift is a conversion or cost-model change";
+const SPEEDUP_NOTE: &str = "speedup vs the interpreter baseline moved";
+const SWEEP: &[Gate] = &[
+    gate(
+        "profiles[name=paper-default].cycles",
+        Rule::Exact,
+        CYCLES_NOTE,
+    ),
+    gate("profiles[name=wide-simd].cycles", Rule::Exact, CYCLES_NOTE),
+    gate(
+        "profiles[name=slow-globalor].cycles",
+        Rule::Exact,
+        CYCLES_NOTE,
+    ),
+    gate(
+        "profiles[name=cheap-dispatch].cycles",
+        Rule::Exact,
+        CYCLES_NOTE,
+    ),
+    gate(
+        "profiles[name=paper-default].speedup",
+        Rule::Approx(0.01),
+        SPEEDUP_NOTE,
+    ),
+    gate(
+        "profiles[name=wide-simd].speedup",
+        Rule::Approx(0.01),
+        SPEEDUP_NOTE,
+    ),
+    gate(
+        "profiles[name=slow-globalor].speedup",
+        Rule::Approx(0.01),
+        SPEEDUP_NOTE,
+    ),
+    gate(
+        "profiles[name=cheap-dispatch].speedup",
+        Rule::Approx(0.01),
+        SPEEDUP_NOTE,
+    ),
+    gate(
+        "hard_coded_cycles",
+        Rule::Exact,
+        "the default cost model itself moved",
+    ),
+    gate(
+        "paper_default_is_hard_coded",
+        Rule::True,
+        "profile ≡ default bit-identity broken",
+    ),
+    gate(
+        "cheap_dispatch_not_slower",
+        Rule::True,
+        "cheap-dispatch slower than paper-default on the dispatch-heavy workload",
+    ),
+    gate(
+        "slow_globalor_not_faster",
+        Rule::True,
+        "slow-globalor faster than paper-default: router latency not charged",
+    ),
+];
+
+/// Every bench with a committed baseline, in `claims` order.
+pub static BENCHES: [Bench; 6] = [
+    Bench {
+        name: "setops",
+        measure: timed::measure_setops,
+        gates: SETOPS,
+        in_default_check: true,
+    },
+    Bench {
+        name: "serve",
+        measure: || {
+            loadbench::measure_serve(
+                None,
+                loadbench::BASELINE_CLIENTS,
+                std::time::Duration::from_secs(1),
+            )
+        },
+        gates: SERVE,
+        in_default_check: true,
+    },
+    Bench {
+        name: "regex",
+        measure: timed::measure_regex,
+        gates: REGEX,
+        in_default_check: true,
+    },
+    Bench {
+        name: "explosion",
+        measure: timed::measure_explosion,
+        gates: EXPLOSION,
+        in_default_check: true,
+    },
+    Bench {
+        name: "sweep",
+        measure: || Ok(sweep::measure(&sweep::committed_profiles())),
+        gates: SWEEP,
+        in_default_check: true,
+    },
+    // Not in the default list: needs the mscc binary built first
+    // (subprocess daemons) — `ci.sh cluster-smoke` runs it as its own
+    // stage.
+    Bench {
+        name: "cluster",
+        measure: cluster::measure_cluster,
+        gates: CLUSTER,
+        in_default_check: false,
+    },
+];
+
+/// The machine a file was measured on.
+fn env() -> Json {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    Json::obj([
+        (
+            "nproc",
+            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ),
+        ("cpu", Json::from(cpu)),
+        ("simd_lanes", Json::from(msc_simd::setops::lanes().name())),
+        ("reactor", Json::from(msc_serve::reactor_available())),
+    ])
+}
+
+/// The one writer: the measurement `body` between `generated_by` and the
+/// [`env`] it was taken on. The reader ignores both.
+pub fn write_stamped(path: &Path, generated_by: &str, body: &Json) -> std::io::Result<()> {
+    let fields = body.as_obj().unwrap_or_default().iter().cloned();
+    let file = Json::Obj(
+        [("generated_by".to_string(), Json::from(generated_by))]
+            .into_iter()
+            .chain(fields)
+            .chain([("env".to_string(), env())])
+            .collect(),
+    );
+    std::fs::write(path, file.render() + "\n")
+}
+
+/// Write `body` as the committed baseline at `path` — unless it breaks
+/// its own invariants or `targets`, which is a failed run, not a
+/// baseline (against itself every committed-relative rule holds).
+pub fn write_baseline(
+    path: &str,
+    generated_by: &str,
+    body: &Json,
+    gates: &[Gate],
+) -> Result<(), String> {
+    let failures = check(body, body, gates);
+    if !failures.is_empty() {
+        return Err(format!("not writing {path}: {}", failures.join("; ")));
+    }
+    write_stamped(Path::new(path), generated_by, body).map_err(|e| format!("write {path}: {e}"))?;
+    println!("\nwrote {path}\n");
+    Ok(())
+}
+
+/// `claims -- <name>`: measure and write the committed baseline.
+pub fn regenerate(bench: &Bench) -> Result<(), String> {
+    let (name, file) = (bench.name, bench.file());
+    println!("== {name}: measuring the committed baseline {file} ==\n");
+    let body = (bench.measure)().map_err(|e| format!("measurement failed: {e}"))?;
+    let by = format!("cargo run --release -p msc-bench --bin claims -- {name}");
+    write_baseline(&file, &by, &body, bench.gates)
+}
+
+/// `claims -- <name> --check`: re-measure and gate against the committed
+/// baseline, leaving the numbers this machine saw next to (not over) it
+/// in `bench-remeasured/` for CI to upload.
+pub fn recheck(bench: &Bench) -> Result<(), String> {
+    let (name, file) = (bench.name, bench.file());
+    println!("== {name} --check: regression gate vs committed {file} ==\n");
+    let text = std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let baseline = parse(&text).map_err(|e| format!("{file}: {e}"))?;
+    let measured = (bench.measure)().map_err(|e| format!("measurement failed: {e}"))?;
+
+    // Best-effort: never fails the gate over an unwritable disk.
+    let dir = Path::new("bench-remeasured");
+    let snapshot = dir.join(&file);
+    let by = format!("claims -- {name} --check");
+    match std::fs::create_dir_all(dir).and_then(|()| write_stamped(&snapshot, &by, &measured)) {
+        Ok(()) => println!("\nre-measured snapshot: {}", snapshot.display()),
+        Err(e) => eprintln!("note: could not write {}: {e}", snapshot.display()),
+    }
+
+    let mut failed = 0;
+    for g in bench.gates {
+        match g.eval(&baseline, &measured) {
+            Ok(line) => println!("  {line}"),
+            Err(line) => {
+                eprintln!("REGRESSION: {line}");
+                failed += 1;
+            }
+        }
+    }
+    if failed > 0 {
+        return Err(format!("regression gate FAILED: {failed} regression(s)"));
+    }
+    println!(
+        "\n{name} regression gate OK ({} gates)\n",
+        bench.gates.len()
+    );
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(bench: &Bench) -> Json {
+        let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), bench.file());
+        parse(&std::fs::read_to_string(&path).expect(&path)).expect(&path)
+    }
+
+    fn bench(name: &str) -> &'static Bench {
+        BENCHES.iter().find(|b| b.name == name).expect(name)
+    }
+
+    /// [`lookup`] for editing.
+    fn lookup_mut<'a>(root: &'a mut Json, path: &str) -> Option<&'a mut Json> {
+        path.split('.').try_fold(root, |node, seg| {
+            let Json::Obj(fields) = node else {
+                return None;
+            };
+            let (field, sel) = match seg.split_once('[') {
+                Some((field, sel)) => (field, Some(sel)),
+                None => (seg, None),
+            };
+            let child = &mut fields.iter_mut().find(|(k, _)| k == field)?.1;
+            let Some(sel) = sel else {
+                return Some(child);
+            };
+            let (key, want) = sel.strip_suffix(']')?.split_once('=')?;
+            let Json::Arr(rows) = child else {
+                return None;
+            };
+            rows.iter_mut().find(|row| row_is(row, key, want))
+        })
+    }
+
+    /// Set (`Some`) or delete (`None`) the member at `path`.
+    fn edit(root: &mut Json, path: &str, value: Option<Json>) {
+        let (parent, key) = match path.rsplit_once('.') {
+            Some((parent, key)) => (lookup_mut(root, parent).expect(path), key),
+            None => (root, path),
+        };
+        let Json::Obj(fields) = parent else {
+            panic!("{path}: parent is not an object");
+        };
+        fields.retain(|(k, _)| k != key);
+        if let Some(v) = value {
+            fields.push((key.to_string(), v));
+        }
+    }
+
+    fn num(root: &Json, path: &str) -> f64 {
+        lookup(root, path).and_then(Json::as_f64).expect(path)
+    }
+
+    /// The measurement an honest re-run of the committed machine would
+    /// produce: the committed file itself, plus a passing value for every
+    /// gated field the committed files predate.
+    fn honest_run(bench: &Bench, baseline: &Json) -> Json {
+        let mut m = baseline.clone();
+        for g in bench.gates {
+            if lookup(&m, g.path).is_some() {
+                continue;
+            }
+            let v = match g.rule {
+                Rule::True => Json::Bool(true),
+                Rule::Zero => Json::from(0u64),
+                Rule::Nonzero => Json::from(1u64),
+                _ => lookup(baseline, g.baseline_path().unwrap())
+                    .expect(g.path)
+                    .clone(),
+            };
+            edit(&mut m, g.path, Some(v));
+        }
+        m
+    }
+
+    fn names(failures: &[String], g: &Gate) -> bool {
+        failures
+            .iter()
+            .any(|f| f.starts_with(&format!("{}: ", g.path)))
+    }
+
+    #[test]
+    fn every_gated_path_resolves_in_the_committed_files() {
+        for bench in &BENCHES {
+            let baseline = committed(bench);
+            for g in bench.gates {
+                if let Some(p) = g.baseline_path() {
+                    assert!(lookup(&baseline, p).is_some(), "{}: {p}", bench.file());
+                }
+            }
+        }
+        // The shapes the gates lean on.
+        let cluster = committed(bench("cluster"));
+        assert_eq!(num(&cluster, "peer_hits"), num(&cluster, "jobs"));
+        let sweep = committed(bench("sweep"));
+        assert_eq!(
+            num(&sweep, "profiles[name=paper-default].cycles"),
+            num(&sweep, "hard_coded_cycles"),
+            "bit-identity anchor"
+        );
+        let serve = committed(bench("serve"));
+        assert_eq!(num(&serve, "coalesce_burst.requests"), 16.0);
+        assert_eq!(num(&serve, "coalesce_burst.compilations"), 1.0);
+        assert!(
+            num(&serve, "requests") > 16.0,
+            "nested key, not first match"
+        );
+    }
+
+    #[test]
+    fn every_gate_passes_honestly_and_bites_when_doctored() {
+        for bench in &BENCHES {
+            let baseline = committed(bench);
+            let honest = honest_run(bench, &baseline);
+            assert_eq!(
+                check(&baseline, &honest, bench.gates),
+                Vec::<String>::new(),
+                "{}",
+                bench.name
+            );
+            for g in bench.gates {
+                let m = lookup(&honest, g.path).unwrap();
+                if let Some(p) = g.baseline_path() {
+                    // (a) the committed value doctored past the rule
+                    let b = num(&baseline, p);
+                    let doctored = match g.rule {
+                        Rule::Within(_) => b * 4.0,
+                        Rule::AtLeast => m.as_f64().unwrap() * 2.0 + 1.0,
+                        Rule::AtMost => m.as_f64().unwrap() / 2.0 - 1.0,
+                        _ => b + 1.0,
+                    };
+                    let mut bad = baseline.clone();
+                    edit(&mut bad, p, Some(Json::from(doctored)));
+                    let failures = check(&bad, &honest, bench.gates);
+                    assert!(names(&failures, g), "{p} doctored: {failures:?}");
+                    // (b) the committed key deleted
+                    let mut bad = baseline.clone();
+                    edit(&mut bad, p, None);
+                    let failures = check(&bad, &honest, bench.gates);
+                    assert!(names(&failures, g), "{p} deleted: {failures:?}");
+                    assert!(
+                        failures
+                            .iter()
+                            .all(|f| f.contains("missing from the committed")),
+                        "{failures:?}"
+                    );
+                }
+                // (c) the measured value broken, then gone
+                let broken = match g.rule {
+                    Rule::True => Json::Bool(false),
+                    Rule::Zero => Json::from(3u64),
+                    Rule::Nonzero => Json::from(0u64),
+                    Rule::Within(_) => Json::from(m.as_f64().unwrap() * 0.1),
+                    Rule::AtLeast => {
+                        Json::from(num(&baseline, g.baseline_path().unwrap()) / 2.0 - 1.0)
+                    }
+                    Rule::AtMost => {
+                        Json::from(num(&baseline, g.baseline_path().unwrap()) * 2.0 + 1.0)
+                    }
+                    Rule::Exact | Rule::Approx(_) => Json::from(m.as_f64().unwrap() + 1.0),
+                };
+                for value in [Some(broken), None] {
+                    let mut bad = honest.clone();
+                    edit(&mut bad, g.path, value.clone());
+                    let failures = check(&baseline, &bad, bench.gates);
+                    assert_eq!(failures.len(), 1, "{} {value:?}: {failures:?}", g.path);
+                    assert!(names(&failures, g), "{failures:?}");
+                    if g.min_cores > 1 {
+                        // The one conditional: a run without the cores
+                        // to show scaling cannot fail it.
+                        edit(&mut bad, "cores", Some(Json::from(1u64)));
+                        assert!(check(&baseline, &bad, bench.gates).is_empty());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_that_loses_a_gated_key_fails_instead_of_vanishing() {
+        // The parent's scraper dropped such rows from the baseline: with
+        // `union_speedup` gone from the 256 and 1024 rows, `setops
+        // --check` gated nothing and printed OK.
+        let setops = bench("setops");
+        let mut bad = committed(setops);
+        let honest = bad.clone();
+        edit(&mut bad, "workloads[size=256].union_speedup", None);
+        edit(&mut bad, "workloads[size=1024].union_speedup", None);
+        let failures = check(&bad, &honest, setops.gates);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("workloads[size=256].union_speedup: "));
+        assert!(failures[1].starts_with("workloads[size=1024].union_speedup: "));
+
+        let sweep = bench("sweep");
+        let baseline = committed(sweep);
+        let honest = honest_run(sweep, &baseline);
+        let mut bad = baseline.clone();
+        edit(&mut bad, "profiles[name=slow-globalor].cycles", None);
+        let failures = check(&bad, &honest, sweep.gates);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("profiles[name=slow-globalor].cycles: "));
+    }
+
+    #[test]
+    fn default_check_list_is_the_flagged_rows() {
+        let all: Vec<_> = BENCHES.iter().map(|b| b.name).collect();
+        assert_eq!(
+            all,
+            ["setops", "serve", "regex", "explosion", "sweep", "cluster"]
+        );
+        let default: Vec<_> = BENCHES
+            .iter()
+            .filter(|b| b.in_default_check)
+            .map(|b| b.name)
+            .collect();
+        assert_eq!(default, ["setops", "serve", "regex", "explosion", "sweep"]);
+    }
+
+    #[test]
+    fn written_files_carry_env_and_read_back_as_the_measurement() {
+        let body = Json::obj([("meta_states", Json::from(7u64))]);
+        let path = std::env::temp_dir().join(format!("msc-gate-{}.json", std::process::id()));
+        write_stamped(&path, "test", &body).unwrap();
+        let back = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(lookup(&back, "generated_by"), Some(&Json::from("test")));
+        assert_eq!(lookup(&back, "meta_states"), Some(&Json::from(7u64)));
+        for key in ["nproc", "cpu", "simd_lanes", "reactor"] {
+            assert!(lookup(&back, &format!("env.{key}")).is_some(), "{key}");
+        }
+        // A body that breaks its own invariant is not a baseline.
+        let bad = Json::obj([("spill_identical", Json::Bool(false))]);
+        assert!(write_baseline("/nonexistent/x.json", "test", &bad, EXPLOSION).is_err());
+    }
+}

@@ -1,9 +1,9 @@
 //! Shared load-harness pieces for the msc-serve daemon.
 //!
 //! One source of truth for the workload mix, the endpoint smoke checks,
-//! and the measurement phases, used by both the `loadgen` binary (which
-//! writes the committed `BENCH_serve.json` baseline) and
-//! `claims -- serve --check` (which re-measures and gates against it).
+//! and the `BENCH_serve.json` measurement, used by both the `loadgen`
+//! binary (any daemon, any client count) and the `serve` row of
+//! [`crate::gate::BENCHES`] (`claims -- serve [--check]`).
 
 use msc_obs::json::Json;
 use msc_serve::client::Client;
@@ -251,15 +251,6 @@ pub struct LoadReport {
     pub latencies: Vec<u64>,
 }
 
-impl LoadReport {
-    pub fn throughput_rps(&self) -> f64 {
-        self.requests as f64 / self.elapsed.as_secs_f64()
-    }
-    pub fn p99_ms(&self) -> f64 {
-        percentile(&self.latencies, 99.0) as f64 / 1e6
-    }
-}
-
 /// Drive `clients` keep-alive connections at the daemon for `duration`,
 /// ~90% warm-pool compiles and ~10% unique sources.
 pub fn load_phase(addr: &str, clients: usize, duration: Duration) -> LoadReport {
@@ -317,65 +308,131 @@ pub fn load_phase(addr: &str, clients: usize, duration: Duration) -> LoadReport 
     }
 }
 
-/// What one measurement pass produces, shaped for
-/// [`crate::regression::check_serve`].
-pub struct ServeRunSummary {
-    pub requests: u64,
-    pub errors: u64,
-    pub throughput_rps: f64,
-    pub p99_ms: f64,
-    pub burst_requests: u64,
-    pub burst_compilations: u64,
-}
-
 /// Client count the committed serve baseline is measured at.
 pub const BASELINE_CLIENTS: usize = 80;
 
-/// Boot an in-process daemon on an ephemeral port, warm the hit pool,
-/// run one load phase and one 16-wide coalesce burst, then drain.
+/// The daemon to drive: the one at `addr`, or an in-process one on an
+/// ephemeral port (the handle comes back so the caller can drain it).
 ///
 /// Under the epoll reactor the worker pool only runs compute, so the
 /// default sizing applies; the blocking fallback parks one thread per
-/// connection and needs `workers >= clients` to avoid queueing stalls.
-pub fn measure_serve(clients: usize, duration: Duration) -> Result<ServeRunSummary, String> {
-    let workers = if msc_serve::reactor_available() {
-        0 // ServeOptions default: one worker per available core
-    } else {
-        clients + 17
+/// keep-alive connection and needs `workers >= clients` plus burst
+/// headroom to avoid queueing stalls.
+pub fn attach(
+    addr: Option<&str>,
+    clients: usize,
+) -> Result<(String, Option<ServerHandle>), String> {
+    let (addr, handle) = match addr {
+        Some(addr) => (addr.to_string(), None),
+        None => {
+            let workers = if msc_serve::reactor_available() {
+                0 // ServeOptions default: one worker per available core
+            } else {
+                clients + 17
+            };
+            let handle = Server::start(ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                queue_depth: 256,
+                workers,
+                ..ServeOptions::default()
+            })
+            .map_err(|e| format!("start in-process daemon: {e}"))?;
+            (handle.local_addr().to_string(), Some(handle))
+        }
     };
-    let handle: ServerHandle = Server::start(ServeOptions {
-        addr: "127.0.0.1:0".to_string(),
-        queue_depth: 256,
-        workers,
-        ..ServeOptions::default()
-    })
-    .map_err(|e| format!("start in-process daemon: {e}"))?;
-    let addr = handle.local_addr().to_string();
-    if !wait_healthy(&addr, Duration::from_secs(10)) {
-        handle.shutdown();
-        return Err(format!("daemon at {addr} never became healthy"));
+    if wait_healthy(&addr, Duration::from_secs(10)) {
+        return Ok((addr, handle));
     }
-    let mut c = Client::connect(&addr).map_err(|e| format!("warmup connect: {e}"))?;
+    if let Some(h) = handle {
+        h.shutdown();
+    }
+    Err(format!("daemon at {addr} never became healthy"))
+}
+
+/// One `BENCH_serve.json` measurement against the daemon at `addr`
+/// (`None`: an in-process one, drained afterwards): warm the hit pool,
+/// run one load phase and one 16-wide coalesce burst. Returns the file
+/// body.
+pub fn measure_serve(
+    addr: Option<&str>,
+    clients: usize,
+    duration: Duration,
+) -> Result<Json, String> {
+    let (addr, handle) = attach(addr, clients)?;
+    let body = drive(&addr, clients, duration);
+    if let Some(h) = handle {
+        h.shutdown();
+    }
+    body
+}
+
+fn drive(addr: &str, clients: usize, duration: Duration) -> Result<Json, String> {
+    println!(
+        "{clients} clients x {}ms against {addr}",
+        duration.as_millis()
+    );
+    // Warm the cache so the measured phase is the advertised ~90% hit mix.
+    let mut c = Client::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
     for src in HIT_POOL {
         let r = c
             .request("POST", "/compile", Some(&compile_body(src)))
             .map_err(|e| format!("warmup compile: {e}"))?;
         if r.status != 200 {
-            handle.shutdown();
             return Err(format!("warmup failed: {}", r.body));
         }
     }
     drop(c);
-    let report = load_phase(&addr, clients, duration);
+    let report = load_phase(addr, clients, duration);
+    let throughput = report.requests as f64 / report.elapsed.as_secs_f64();
+    let ms = |p: f64| percentile(&report.latencies, p) as f64 / 1e6;
+    let (p50, p90, p99, max) = (ms(50.0), ms(90.0), ms(99.0), ms(100.0));
+    println!(
+        "requests: {} ({} errors) in {:.2}s -> {throughput:.0} req/s",
+        report.requests,
+        report.errors,
+        report.elapsed.as_secs_f64(),
+    );
+    println!("latency: p50 {p50:.3}ms  p90 {p90:.3}ms  p99 {p99:.3}ms  max {max:.3}ms");
     const BURST: usize = 16;
-    let (burst_compilations, _coalesced) = coalesce_burst(&addr, BURST);
-    handle.shutdown();
-    Ok(ServeRunSummary {
-        requests: report.requests,
-        errors: report.errors,
-        throughput_rps: report.throughput_rps(),
-        p99_ms: report.p99_ms(),
-        burst_requests: BURST as u64,
-        burst_compilations,
-    })
+    let (compilations, coalesced) = coalesce_burst(addr, BURST);
+    println!(
+        "coalesce burst: {BURST} identical cold requests -> {compilations} compilation(s), \
+         engine.coalesced total {coalesced}"
+    );
+    Ok(Json::obj([
+        (
+            "workload",
+            Json::from("POST /compile, ~90% warm-cache pool of 4 sources, ~10% unique sources"),
+        ),
+        ("clients", Json::from(clients)),
+        ("duration_ms", Json::from(duration.as_millis() as u64)),
+        ("requests", Json::from(report.requests)),
+        ("errors", Json::from(report.errors)),
+        ("shed", Json::from(counter(addr, "serve.shed"))),
+        ("throughput_rps", Json::from(throughput)),
+        (
+            "latency_ms",
+            Json::obj([
+                ("p50", Json::from(p50)),
+                ("p90", Json::from(p90)),
+                ("p99", Json::from(p99)),
+                ("max", Json::from(max)),
+            ]),
+        ),
+        (
+            "coalesce_burst",
+            Json::obj([
+                ("requests", Json::from(BURST)),
+                ("compilations", Json::from(compilations)),
+            ]),
+        ),
+        (
+            "targets",
+            Json::obj([
+                ("throughput_rps_min", Json::from(5_000u64)),
+                ("p99_ms_max", Json::from(50u64)),
+                ("burst_compilations", Json::from(1u64)),
+            ]),
+        ),
+    ]))
 }

@@ -1,0 +1,295 @@
+//! The three in-process timing measurements with a committed baseline:
+//! `BENCH_setops.json`, `BENCH_explosion.json`, `BENCH_regex.json`. Each
+//! prints its table and returns the file body the [`gate`](crate::gate)
+//! tables address by path.
+
+use crate::baseline::{vec_difference, vec_is_subset, vec_union};
+use crate::workloads::{fan_out_loops_graph, overlapping_members, subset_chain_automaton};
+use msc_core::{convert, ConvertOptions, StateSet};
+use msc_ir::StateId;
+use msc_obs::json::Json;
+use std::time::Instant;
+
+/// Best-of-3 per-iteration time of `f`, auto-scaled to ~20 ms per sample.
+/// The returned `usize` is folded into a sink so the work cannot be
+/// optimized away.
+fn time_ns(mut f: impl FnMut() -> usize) -> f64 {
+    let mut sink = 0usize;
+    let t0 = Instant::now();
+    sink ^= f();
+    let one = t0.elapsed().as_nanos().max(1);
+    let iters = (20_000_000u128 / one).clamp(8, 1_000_000) as u64;
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t = Instant::now();
+        for _ in 0..iters {
+            sink ^= f();
+        }
+        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    std::hint::black_box(sink);
+    best
+}
+
+/// A set's bitset words, for driving the word-parallel kernels directly.
+fn bit_words(s: &StateSet) -> Vec<u64> {
+    let mut w = Vec::new();
+    s.append_bit_words(&mut w);
+    w
+}
+
+/// Hybrid `StateSet` vs the seed's sorted-vec representation, ns per
+/// operation, plus how subsumption scales with the chain length.
+pub fn measure_setops() -> Result<Json, String> {
+    println!("hybrid StateSet vs the seed's sorted-vec representation; union is the SIMD");
+    println!("kernel the converter's candidate enumeration runs on: bit-words unioned into");
+    println!("a reusable scratch buffer, no allocation.\n");
+    let to_set = |v: &[u32]| -> StateSet { StateSet::from_iter(v.iter().map(|&x| StateId(x))) };
+
+    println!("size | op         | sorted-vec ns | hybrid ns | speedup");
+    let mut workloads = Vec::new();
+    for n in [64usize, 256, 1024] {
+        let (va, vb) = overlapping_members(n);
+        let (sa, sb) = (to_set(&va), to_set(&vb));
+        let vsub: Vec<u32> = va.iter().copied().step_by(2).collect();
+        let ssub = to_set(&vsub);
+        let probes: Vec<u32> = (0..16).map(|i| (i * 7) % (4 * n as u32)).collect();
+        let (wa, wb) = (bit_words(&sa), bit_words(&sb));
+        let (long, short) = if wa.len() >= wb.len() {
+            (&wa, &wb)
+        } else {
+            (&wb, &wa)
+        };
+        let mut out = Vec::with_capacity(long.len());
+
+        let ops: [(&str, f64, f64); 4] = [
+            (
+                "union",
+                time_ns(|| vec_union(&va, &vb).len()),
+                time_ns(|| msc_simd::setops::union_count(long, short, &mut out) as usize),
+            ),
+            (
+                "difference",
+                time_ns(|| vec_difference(&va, &vb).len()),
+                time_ns(|| sa.difference(&sb).len()),
+            ),
+            (
+                "is_subset",
+                time_ns(|| usize::from(vec_is_subset(&vsub, &va))),
+                time_ns(|| usize::from(ssub.is_subset(&sa))),
+            ),
+            (
+                "contains",
+                time_ns(|| {
+                    probes
+                        .iter()
+                        .filter(|&&p| va.binary_search(&p).is_ok())
+                        .count()
+                }),
+                time_ns(|| probes.iter().filter(|&&p| sa.contains(StateId(p))).count()),
+            ),
+        ];
+        let mut row = vec![("size".to_string(), Json::from(n))];
+        for (name, naive, hybrid) in ops {
+            let speedup = naive / hybrid;
+            println!("{n:4} | {name:10} | {naive:13.1} | {hybrid:9.1} | {speedup:6.2}x");
+            row.push((format!("{name}_baseline_ns"), Json::from(naive)));
+            row.push((format!("{name}_hybrid_ns"), Json::from(hybrid)));
+            row.push((format!("{name}_speedup"), Json::from(speedup)));
+        }
+        workloads.push(Json::Obj(row));
+    }
+
+    println!("\nsubsumption scaling (n subset/superset pairs, each folds once):");
+    println!("pairs | ns/pass | growth vs previous (quadratic would be ~4x)");
+    let sizes = [64usize, 128, 256, 512];
+    let mut times: Vec<f64> = Vec::new();
+    for n in sizes {
+        let auto = subset_chain_automaton(n);
+        let ns = time_ns(|| {
+            let mut a = auto.clone();
+            msc_core::subsume::subsume(&mut a);
+            a.len()
+        });
+        let growth = times
+            .last()
+            .map_or("-".into(), |p| format!("{:.2}x", ns / p));
+        println!("{n:5} | {ns:11.0} | {growth}");
+        times.push(ns);
+    }
+    println!("\nshape check: union/is_subset speedups reach >=2x from the 256-state");
+    println!("workload up, and subsume growth ratios stay near 2x per doubling");
+    let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::from).collect());
+    let growth_ratios = times.windows(2).map(|w| w[1] / w[0]).collect();
+    Ok(Json::obj([
+        ("units", Json::from("ns per operation, best of 3 samples")),
+        ("workloads", Json::Arr(workloads)),
+        (
+            "subsume",
+            Json::obj([
+                ("pairs", Json::Arr(sizes.map(Json::from).to_vec())),
+                ("ns", nums(times)),
+                ("growth_ratios", nums(growth_ratios)),
+                ("quadratic_growth_would_be", Json::from(4.0)),
+            ]),
+        ),
+    ]))
+}
+
+/// The explosion workload: enough co-reachable loop states that base-mode
+/// conversion builds thousands of meta states (§2.3's 3ⁿ frontier), fixed
+/// so committed and re-measured runs compare like for like.
+const EXPLOSION_LOOPS: usize = 12;
+/// Spill budget for the out-of-core pass — far below the workload's
+/// resident footprint, so the arena and worklist must page through the
+/// temp-file segment stores to finish.
+const EXPLOSION_BUDGET: usize = 1 << 14;
+
+/// Base-mode subset construction over the fan-out-loops workload, in RAM
+/// and again under the spill budget, with the bit-identity invariant
+/// checked and the spill counter captured.
+pub fn measure_explosion() -> Result<Json, String> {
+    let g = fan_out_loops_graph(EXPLOSION_LOOPS);
+    let mut opts = ConvertOptions::base();
+    opts.max_meta_states = 1 << 21;
+    opts.memory_budget = None;
+    let t0 = Instant::now();
+    let plain = convert(&g, &opts).map_err(|e| format!("in-RAM conversion: {e}"))?;
+    let in_ram_secs = t0.elapsed().as_secs_f64();
+
+    let registry = std::sync::Arc::new(msc_obs::Registry::new());
+    let guard = msc_obs::install(registry.clone());
+    opts.memory_budget = Some(EXPLOSION_BUDGET);
+    let t0 = Instant::now();
+    let spilled = convert(&g, &opts);
+    let spilled_secs = t0.elapsed().as_secs_f64();
+    drop(guard);
+    let spilled = spilled.map_err(|e| format!("spilled conversion: {e}"))?;
+    let spill_bytes = registry
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "convert.spill_bytes")
+        .map_or(0, |(_, v)| *v);
+    let identical =
+        plain.sets == spilled.sets && plain.succs == spilled.succs && plain.start == spilled.start;
+    let in_ram = plain.len() as f64 / in_ram_secs;
+    let out_of_core = spilled.len() as f64 / spilled_secs;
+
+    let workload = format!("fan_out_loops({EXPLOSION_LOOPS}), base mode");
+    println!("{workload}: {} meta states", plain.len());
+    println!("pass                  | states/sec");
+    println!("in RAM                | {in_ram:10.0}");
+    println!("{EXPLOSION_BUDGET:5}-byte budget     | {out_of_core:10.0}");
+    println!("spilled {spill_bytes} bytes through segment stores; bit-identical: {identical}");
+    println!("\nshape check: the spill budget is ~10x below the resident footprint, yet");
+    println!("conversion completes with the exact same automaton — the guard is a memory");
+    println!("budget now, not a cliff.");
+    Ok(Json::obj([
+        ("workload", Json::from(workload)),
+        ("meta_states", Json::from(plain.len())),
+        ("in_ram_states_per_sec", Json::from(in_ram)),
+        ("spill_budget_bytes", Json::from(EXPLOSION_BUDGET)),
+        ("spilled_states_per_sec", Json::from(out_of_core)),
+        ("spill_bytes", Json::from(spill_bytes)),
+        ("spill_identical", Json::from(identical)),
+    ]))
+}
+
+/// The regex workload: pattern and haystack are fixed so committed and
+/// re-measured runs compare like for like.
+const REGEX_PATTERN: &str = "a[bc]+x";
+
+/// 16 MiB: one sharded scan must outlast the scheduler's thread placement
+/// for the thread ratios to mean anything. At 2 MiB a 2-thread scan takes
+/// under 4 ms, and whole runs read t2/t1 0.97 with one core idle.
+const REGEX_HAYSTACK_BYTES: usize = 1 << 24;
+
+/// Deterministic pseudo-text haystack (LCG over a small alphabet).
+fn regex_haystack(len: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"abcxy abcz\n";
+    let mut s = 0x243F_6A88_85A3_08D3u64;
+    (0..len)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ALPHABET[((s >> 33) as usize) % ALPHABET.len()]
+        })
+        .collect()
+}
+
+/// Meta-automaton throughput at 1/2/8 threads over the 16 MiB haystack,
+/// the naive reference over a small slice (it is algorithmically far
+/// slower), and the span-agreement invariant. The `targets` ratchet with
+/// the measurement: 70% of the 1-thread throughput, and 80% of the
+/// 2-thread scaling, capped at 1.5.
+pub fn measure_regex() -> Result<Json, String> {
+    let re = msc_regex::Regex::new(REGEX_PATTERN).map_err(|e| format!("bench pattern: {e}"))?;
+    let hay = regex_haystack(REGEX_HAYSTACK_BYTES);
+    let shards: Vec<&[u8]> = hay.chunks(1 << 16).collect();
+    let seq = re.find_all(&hay);
+    let mut agree = true;
+    let mbps = |bytes: usize, ns: f64| bytes as f64 * 1e3 / ns;
+    let mut sharded_mbps = |threads: usize| {
+        let ns = time_ns(|| {
+            let found = re.find_sharded(&shards, threads);
+            if found != seq {
+                agree = false;
+            }
+            found.len()
+        });
+        mbps(hay.len(), ns)
+    };
+    let t1 = sharded_mbps(1);
+    let t2 = sharded_mbps(2);
+    let t8 = sharded_mbps(8);
+    // The naive engine memoizes per (node, position); a small slice is
+    // plenty to measure its per-byte cost.
+    let naive_slice = &hay[..1 << 12];
+    let naive = mbps(
+        naive_slice.len(),
+        time_ns(|| re.naive_find_all(naive_slice).len()),
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (speedup, t2_vs_t1, t8_vs_t1) = (t1 / naive, t2 / t1, t8 / t1);
+
+    println!(
+        "pattern {REGEX_PATTERN:?} over {} MiB, {} matches, {cores} core(s)",
+        REGEX_HAYSTACK_BYTES >> 20,
+        seq.len()
+    );
+    println!("engine        | MB/s");
+    println!("naive (ref)   | {naive:8.2}");
+    println!("dfa 1 thread  | {t1:8.2}");
+    println!("dfa 2 threads | {t2:8.2}");
+    println!("dfa 8 threads | {t8:8.2}");
+    println!(
+        "dfa-vs-naive speedup {speedup:.1}x; t2/t1 {t2_vs_t1:.2}, t8/t1 {t8_vs_t1:.2}; \
+         spans agree: {agree}"
+    );
+    println!("\nshape check: the compiled meta-automaton beats the naive reference by an");
+    println!("order of magnitude, and sharded throughput does not collapse.");
+    Ok(Json::obj([
+        ("pattern", Json::from(REGEX_PATTERN)),
+        ("haystack_bytes", Json::from(REGEX_HAYSTACK_BYTES)),
+        ("cores", Json::from(cores)),
+        ("matches", Json::from(seq.len())),
+        ("naive_mbps", Json::from(naive)),
+        ("t1_mbps", Json::from(t1)),
+        ("t2_mbps", Json::from(t2)),
+        ("t8_mbps", Json::from(t8)),
+        ("dfa_vs_naive_speedup", Json::from(speedup)),
+        ("t2_vs_t1", Json::from(t2_vs_t1)),
+        ("t8_vs_t1", Json::from(t8_vs_t1)),
+        ("spans_agree", Json::from(agree)),
+        (
+            "targets",
+            Json::obj([
+                ("t1_mbps_min", Json::from(0.7 * t1)),
+                ("t2_vs_t1_min", Json::from((0.8 * t2_vs_t1).min(1.5))),
+                ("t8_vs_t1_min", Json::from(0.5)),
+            ]),
+        ),
+    ]))
+}

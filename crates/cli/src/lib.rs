@@ -314,9 +314,61 @@ OBSERVABILITY FLAGS (all commands):
   --metrics                append an end-of-run metrics summary table
 ";
 
+/// The argument after a flag, or `missing` as the error.
+fn value<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    missing: &str,
+) -> Result<&'a String, CliError> {
+    it.next().ok_or_else(|| CliError(missing.into()))
+}
+
+/// The argument after a flag, parsed; a value that does not parse is
+/// ``bad <what> `<value>` ``.
+fn parsed<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    missing: &str,
+    what: &str,
+) -> Result<T, CliError> {
+    let v = value(it, missing)?;
+    v.parse().map_err(|_| CliError(format!("bad {what} `{v}`")))
+}
+
+/// `--max-meta-states N`: the per-job guard (`what` = "meta-state limit")
+/// or the daemon's ceiling on it ("meta-state cap").
+fn max_meta_states<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    what: &str,
+) -> Result<usize, CliError> {
+    match parsed(it, "--max-meta-states needs a value", what)? {
+        0 => Err(CliError("--max-meta-states must be at least 1".into())),
+        n => Ok(n),
+    }
+}
+
+/// `--cache DIR`.
+fn cache_dir<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<String, CliError> {
+    value(it, "--cache needs a directory").cloned()
+}
+
+/// `--trace-out FILE` / `--metrics`, the observability flags every
+/// command takes.
+fn obs_flag<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+    trace_out: &mut Option<String>,
+    metrics: &mut bool,
+) -> Result<(), CliError> {
+    if flag == "--metrics" {
+        *metrics = true;
+    } else {
+        *trace_out = Some(value(it, "--trace-out needs a file path")?.clone());
+    }
+    Ok(())
+}
+
 /// Parse an argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let cmd = it.next().ok_or_else(|| CliError(USAGE.into()))?;
     match cmd.as_str() {
         "help" | "-h" | "--help" => Ok(Command::Help),
@@ -333,16 +385,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--profiles" if cmd == "sweep" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--profiles needs files/dirs".into()))?;
+                        let v = value(&mut it, "--profiles needs files/dirs")?;
                         profiles.extend(v.split(',').filter(|s| !s.is_empty()).map(String::from));
                     }
                     "--emit" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--emit needs a value".into()))?;
-                        emit = match v.as_str() {
+                        emit = match value(&mut it, "--emit needs a value")?.as_str() {
                             "automaton" => Emit::Automaton,
                             "mpl" => Emit::Mpl,
                             "dot" => Emit::Dot,
@@ -352,31 +399,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         };
                     }
                     "--mode" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--mode needs a value".into()))?;
-                        opts.mode = match v.as_str() {
+                        opts.mode = match value(&mut it, "--mode needs a value")?.as_str() {
                             "base" => ConvertMode::Base,
                             "compressed" => ConvertMode::Compressed,
                             other => return Err(CliError(format!("unknown mode `{other}`"))),
                         };
                     }
-                    "--pes" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--pes needs a value".into()))?;
-                        pes = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad PE count `{v}`")))?;
-                    }
+                    "--pes" => pes = parsed(&mut it, "--pes needs a value", "PE count")?,
                     "--pool" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--pool needs a value".into()))?;
-                        pool = Some(
-                            v.parse()
-                                .map_err(|_| CliError(format!("bad pool count `{v}`")))?,
-                        );
+                        pool = Some(parsed(&mut it, "--pool needs a value", "pool count")?);
                     }
                     "--time-split" => opts.time_split = true,
                     "--optimize" => opts.optimize = true,
@@ -385,44 +416,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--compare" => compare = true,
                     "--trace" => trace = true,
                     "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--jobs needs a value".into()))?;
-                        opts.jobs = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad job count `{v}`")))?;
+                        opts.jobs = parsed(&mut it, "--jobs needs a value", "job count")?;
                         jobs_set = true;
                     }
-                    "--cache" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--cache needs a directory".into()))?;
-                        opts.cache = Some(v.clone());
-                    }
+                    "--cache" => opts.cache = Some(cache_dir(&mut it)?),
                     "--stats" => opts.stats = true,
-                    "--trace-out" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--trace-out needs a file path".into()))?;
-                        opts.trace_out = Some(v.clone());
+                    "--trace-out" | "--metrics" => {
+                        obs_flag(a, &mut it, &mut opts.trace_out, &mut opts.metrics)?;
                     }
-                    "--metrics" => opts.metrics = true,
                     "--max-meta-states" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--max-meta-states needs a value".into()))?;
-                        let n: usize = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad meta-state limit `{v}`")))?;
-                        if n == 0 {
-                            return Err(CliError("--max-meta-states must be at least 1".into()));
-                        }
-                        opts.max_meta_states = Some(n);
+                        opts.max_meta_states = Some(max_meta_states(&mut it, "meta-state limit")?);
                     }
                     "--memory-budget" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--memory-budget needs a byte size".into()))?;
+                        let v = value(&mut it, "--memory-budget needs a byte size")?;
                         opts.memory_budget = Some(msc_core::parse_bytes(v).ok_or_else(|| {
                             CliError(format!("bad memory budget `{v}` (try 64m, 2g, 65536)"))
                         })?);
@@ -470,56 +476,26 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut workers = 0usize;
             let mut queue_depth = 64usize;
             let mut cache: Option<String> = None;
-            let mut max_meta_states: Option<usize> = None;
+            let mut max_states: Option<usize> = None;
             let mut blocking = false;
             let mut peers: Vec<String> = Vec::new();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| CliError("--addr needs HOST:PORT".into()))?
-                            .clone();
-                    }
+                    "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?.clone(),
                     "--workers" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--workers needs a value".into()))?;
-                        workers = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad worker count `{v}`")))?;
+                        workers = parsed(&mut it, "--workers needs a value", "worker count")?;
                     }
                     "--queue-depth" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--queue-depth needs a value".into()))?;
-                        queue_depth = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad queue depth `{v}`")))?;
+                        queue_depth =
+                            parsed(&mut it, "--queue-depth needs a value", "queue depth")?;
                     }
-                    "--cache" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--cache needs a directory".into()))?;
-                        cache = Some(v.clone());
-                    }
+                    "--cache" => cache = Some(cache_dir(&mut it)?),
                     "--max-meta-states" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--max-meta-states needs a value".into()))?;
-                        let n: usize = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad meta-state cap `{v}`")))?;
-                        if n == 0 {
-                            return Err(CliError("--max-meta-states must be at least 1".into()));
-                        }
-                        max_meta_states = Some(n);
+                        max_states = Some(max_meta_states(&mut it, "meta-state cap")?);
                     }
                     "--blocking" => blocking = true,
                     "--peers" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError("--peers needs a comma-separated HOST:PORT list".into())
-                        })?;
+                        let v = value(&mut it, "--peers needs a comma-separated HOST:PORT list")?;
                         for p in v.split(',') {
                             let p = p.trim();
                             if p.is_empty() {
@@ -536,7 +512,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 workers,
                 queue_depth,
                 cache,
-                max_meta_states,
+                max_meta_states: max_states,
                 blocking,
                 peers,
             })
@@ -557,9 +533,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 it: &mut impl Iterator<Item = &'a String>,
                 flag: &str,
             ) -> Result<u64, CliError> {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{flag} needs a value")))?;
+                let v = value(it, &format!("{flag} needs a value"))?;
                 v.parse()
                     .map_err(|_| CliError(format!("bad value `{v}` for {flag}")))
             }
@@ -568,48 +542,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--seed" => seed = num(&mut it, "--seed")?,
                     "--cases" => cases = num(&mut it, "--cases")?,
                     "--pes" => pes = num(&mut it, "--pes")? as usize,
-                    "--max-states" => max_states = num(&mut it, "--max-states")? as usize,
-                    // Same knob under the name the other commands use.
-                    "--max-meta-states" => {
-                        max_states = num(&mut it, "--max-meta-states")? as usize;
-                    }
+                    // --max-meta-states: the same knob under the name the
+                    // other commands use.
+                    "--max-states" | "--max-meta-states" => max_states = num(&mut it, a)? as usize,
                     "--corpus" => {
-                        corpus = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--corpus needs a directory".into()))?
-                                .clone(),
-                        );
+                        corpus = Some(value(&mut it, "--corpus needs a directory")?.clone());
                     }
                     "--oracles" => {
-                        oracles = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--oracles needs a list".into()))?
-                                .clone(),
-                        );
+                        oracles = Some(value(&mut it, "--oracles needs a list")?.clone())
                     }
                     "--serve" => serve = true,
                     "--serve-addr" => {
-                        serve_addr = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--serve-addr needs HOST:PORT".into()))?
-                                .clone(),
-                        );
+                        serve_addr = Some(value(&mut it, "--serve-addr needs HOST:PORT")?.clone());
                     }
-                    "--replay" => {
-                        replay = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--replay needs a file".into()))?
-                                .clone(),
-                        );
+                    "--replay" => replay = Some(value(&mut it, "--replay needs a file")?.clone()),
+                    "--trace-out" | "--metrics" => {
+                        obs_flag(a, &mut it, &mut trace_out, &mut metrics)?;
                     }
-                    "--trace-out" => {
-                        trace_out = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--trace-out needs a file path".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--metrics" => metrics = true,
                     other => return Err(CliError(format!("unexpected argument `{other}`"))),
                 }
             }
@@ -648,12 +597,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                        threads = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad thread count `{v}`")))?;
+                        threads = parsed(&mut it, "--threads needs a value", "thread count")?;
                     }
                     // The first positional is the pattern — even when it
                     // starts with `-` inside a class or alternation the
