@@ -4,8 +4,8 @@
 # just runs it.
 #
 #   ./ci.sh               the full gate (tier-1 plus the spill-path and
-#                         scalar-fallback test legs, the aarch64
-#                         cross-check, compiling the benches, and
+#                         scalar-fallback test legs, the aarch64 and
+#                         non-Linux cross-checks, compiling the benches, and
 #                         building + self-testing the perf/ benchmark
 #                         package against this tree)
 #   ./ci.sh bench-smoke   additionally *run* the set benches in their
@@ -93,17 +93,22 @@ echo "== tier-1: test again with SIMD kernels disabled (scalar path) =="
 # dead code behind a feature probe.
 MSC_NO_SIMD=1 cargo test -q --workspace
 
-echo "== cross-check: aarch64-unknown-linux-gnu =="
-# The reactor's epoll shim carries an arch-conditional epoll_event
-# layout (packed on x86_64, natural elsewhere); type-check the whole
-# workspace for a 64-bit non-x86 target so that cfg split cannot rot.
-# `rustup target add aarch64-unknown-linux-gnu` is the only setup; skip
-# with a notice when that target's std is not installed (e.g. offline).
-if rustup target list --installed 2>/dev/null | grep -qx 'aarch64-unknown-linux-gnu'; then
-    cargo check --workspace --target aarch64-unknown-linux-gnu
-else
-    echo "   aarch64-unknown-linux-gnu std not installed; skipping cross-check"
-fi
+# Two cfg splits only another target can type-check. The reactor's
+# epoll shim carries an arch-conditional epoll_event layout (packed on
+# x86_64, natural elsewhere): aarch64 Linux keeps the non-x86 half
+# honest. msc-serve runs the epoll reactor on Linux and the portable
+# blocking driver everywhere else: a non-Linux target keeps "everywhere
+# else" compiling. `rustup target add <target>` is the only setup; a
+# target whose std is not installed (e.g. offline) is skipped with a
+# notice.
+for target in aarch64-unknown-linux-gnu x86_64-apple-darwin; do
+    echo "== cross-check: $target =="
+    if rustup target list --installed 2>/dev/null | grep -qx "$target"; then
+        cargo check --workspace --target "$target"
+    else
+        echo "   $target std not installed; skipping cross-check"
+    fi
+done
 
 echo "== benches compile =="
 # One workspace-wide invocation instead of per-crate `cargo bench

@@ -315,9 +315,9 @@ pub const BASELINE_CLIENTS: usize = 80;
 /// ephemeral port (the handle comes back so the caller can drain it).
 ///
 /// Under the epoll reactor the worker pool only runs compute, so the
-/// default sizing applies; the blocking fallback parks one thread per
-/// keep-alive connection and needs `workers >= clients` plus burst
-/// headroom to avoid queueing stalls.
+/// default sizing applies; the portable driver (non-Linux targets)
+/// parks one worker per keep-alive connection and needs `workers >=
+/// clients` plus burst headroom to avoid queueing stalls.
 pub fn attach(
     addr: Option<&str>,
     clients: usize,

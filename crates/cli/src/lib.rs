@@ -109,9 +109,6 @@ pub enum Command {
         /// Server-side ceiling on every job's explosion guard (None =
         /// the daemon default).
         max_meta_states: Option<usize>,
-        /// Force the blocking thread-per-connection core instead of the
-        /// epoll reactor.
-        blocking: bool,
         /// Sibling daemons (`host:port`) consulted on local cache
         /// misses before compiling.
         peers: Vec<String>,
@@ -230,7 +227,7 @@ USAGE:
   mscc run   <FILE>    [--pes N] [--pool N] [--compare] [--trace] [common flags] [engine flags]
   mscc sweep <FILE>    [--profiles FILES/DIRS,...] [common flags] [engine flags]
   mscc serve           [--addr HOST:PORT] [--workers N] [--queue-depth N] [--cache DIR]
-                       [--max-meta-states N] [--blocking] [--peers HOST:PORT,...]
+                       [--max-meta-states N] [--peers HOST:PORT,...]
   mscc fuzz            [--seed N] [--cases N] [--pes N] [--max-states N] [--corpus DIR]
                        [--oracles LIST] [--serve | --serve-addr HOST:PORT] [--replay FILE]
   mscc match <PATTERN> [FILE]... [--threads N]
@@ -277,10 +274,6 @@ SERVE FLAGS:
   --cache DIR              on-disk compile cache shared across restarts
   --max-meta-states N      ceiling on every job's explosion guard; requests
                            asking for more are clamped (default 1048576)
-  --blocking               serve with the blocking thread-per-connection core
-                           instead of the epoll reactor (reactor is the
-                           default on Linux; MSC_SERVE_BLOCKING=1 forces
-                           blocking too)
   --peers HOST:PORT,...    sibling daemons consulted on local cache misses
                            before compiling (GET /artifact/{key}); a sick
                            peer is skipped via a per-peer circuit breaker
@@ -477,7 +470,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut queue_depth = 64usize;
             let mut cache: Option<String> = None;
             let mut max_states: Option<usize> = None;
-            let mut blocking = false;
             let mut peers: Vec<String> = Vec::new();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -493,7 +485,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--max-meta-states" => {
                         max_states = Some(max_meta_states(&mut it, "meta-state cap")?);
                     }
-                    "--blocking" => blocking = true,
                     "--peers" => {
                         let v = value(&mut it, "--peers needs a comma-separated HOST:PORT list")?;
                         for p in v.split(',') {
@@ -513,7 +504,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 queue_depth,
                 cache,
                 max_meta_states: max_states,
-                blocking,
                 peers,
             })
         }
@@ -1442,18 +1432,15 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             queue_depth,
             cache,
             max_meta_states,
-            blocking,
             peers,
         } => {
             let defaults = msc_serve::ServeOptions::default();
-            let force_blocking = *blocking;
             let handle = msc_serve::Server::start(msc_serve::ServeOptions {
                 addr: addr.clone(),
                 workers: *workers,
                 queue_depth: *queue_depth,
                 cache_dir: cache.as_ref().map(std::path::PathBuf::from),
                 max_meta_states: max_meta_states.unwrap_or(defaults.max_meta_states),
-                force_blocking,
                 peers: peers.clone(),
                 ..defaults
             })
@@ -1463,12 +1450,6 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             if !peers.is_empty() {
                 println!("msc-serve peers: {}", peers.join(", "));
             }
-            let core = if force_blocking || !msc_serve::reactor_available() {
-                "blocking pool"
-            } else {
-                "epoll reactor"
-            };
-            println!("msc-serve core: {core}");
             msc_serve::run_until_signal(handle);
             Ok("msc-serve: drained and stopped\n".to_string())
         }
@@ -1531,7 +1512,7 @@ mod tests {
     #[test]
     fn parse_serve_flags() {
         let cmd = parse_args(&args(
-            "serve --addr 127.0.0.1:0 --workers 2 --queue-depth 4 --cache /tmp/c --max-meta-states 512 --blocking",
+            "serve --addr 127.0.0.1:0 --workers 2 --queue-depth 4 --cache /tmp/c --max-meta-states 512",
         ))
         .unwrap();
         assert_eq!(
@@ -1542,13 +1523,18 @@ mod tests {
                 queue_depth: 4,
                 cache: Some("/tmp/c".into()),
                 max_meta_states: Some(512),
-                blocking: true,
                 peers: Vec::new(),
             }
         );
         assert!(parse_args(&args("serve --max-meta-states 0")).is_err());
         assert!(parse_args(&args("serve --workers")).is_err());
         assert!(parse_args(&args("serve extra.mimdc")).is_err());
+        // One build, one driver: there is no selector to pass.
+        let err = parse_args(&args("serve --blocking")).unwrap_err();
+        assert!(
+            err.0.contains("unexpected argument `--blocking`"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-connection state machine for the reactor.
+//! The per-connection state machine: the wire protocol, written once.
 //!
 //! Each connection is an explicit typestate-style automaton — the same
 //! idiom the synchronous-program compilation literature uses for
@@ -6,7 +6,11 @@
 //! waiting on, and every transition goes through `Conn::transition`,
 //! which enforces the legality table ([`State::legal`]) and counts
 //! `serve.conn_state.*` so the live distribution is visible on
-//! `/metrics`.
+//! `/metrics`. Framing and limits (through [`PushParser`]), the
+//! keep-alive/close policy and the read/write deadlines live here, so
+//! the two I/O drivers — the epoll reactor and the portable blocking
+//! loop in `lib.rs` — differ only in how they wait for bytes and for
+//! [`Conn::deadline`].
 //!
 //! ```text
 //! ReadingHead ──► ReadingBody ──► Executing ──► Writing ──► KeepAlive
@@ -16,11 +20,12 @@
 //!                    (any state) ──► Closed
 //! ```
 //!
-//! The struct is deliberately I/O-free: the reactor owns the socket and
-//! the epoll registration, feeds bytes in, and takes response bytes
-//! out. That keeps every transition unit-testable without a socket.
+//! The struct is deliberately I/O-free: the driver owns the socket,
+//! feeds bytes in, and takes response bytes out. That keeps every
+//! transition unit-testable without a socket.
 
 use crate::http::{HttpError, Limits, Poll, PushParser, Request};
+use crate::ServeOptions;
 use std::time::{Duration, Instant};
 
 /// What a connection is currently waiting on.
@@ -30,13 +35,13 @@ pub enum State {
     ReadingHead,
     /// Head accepted; accumulating the declared body.
     ReadingBody,
-    /// A decoded request is on the worker queue; socket is quiescent.
+    /// A decoded request is being answered; socket is quiescent.
     Executing,
     /// Draining response bytes as the socket accepts them.
     Writing,
     /// Response flushed; waiting for the next request (or close).
     KeepAlive,
-    /// Terminal. The reactor drops the socket on entry.
+    /// Terminal. The driver drops the socket on entry.
     Closed,
 }
 
@@ -52,7 +57,7 @@ impl State {
     ];
 
     /// The legality table: which transitions the automaton may take.
-    /// Anything not listed here is a reactor bug, not a peer behavior.
+    /// Anything not listed here is a driver bug, not a peer behavior.
     pub fn legal(self, to: State) -> bool {
         use State::*;
         match (self, to) {
@@ -63,8 +68,7 @@ impl State {
             // A complete request dispatches to the worker pool...
             (ReadingHead | ReadingBody, Executing) => true,
             // ...or a parse error / read timeout short-circuits straight
-            // to the response (an idle keep-alive peer gets 408, exactly
-            // as the blocking path's socket timeout did).
+            // to the response (an idle keep-alive peer gets 408 too).
             (ReadingHead | ReadingBody | KeepAlive, Writing) => true,
             (Executing, Writing) => true,
             (Writing, KeepAlive) => true,
@@ -73,7 +77,7 @@ impl State {
         }
     }
 
-    /// True for the states where the reactor polls the socket for input.
+    /// True for the states where the driver waits on the socket for input.
     pub fn wants_read(self) -> bool {
         matches!(
             self,
@@ -99,8 +103,8 @@ impl State {
 pub enum Input {
     /// Nothing actionable yet; keep waiting for readiness.
     Pending,
-    /// A complete request — hand it to the worker pool. The connection
-    /// is now `Executing`.
+    /// A complete request — answer it (the reactor hands it to the
+    /// worker pool). The connection is now `Executing`.
     Request(Request),
     /// The peer closed cleanly between requests.
     Closed,
@@ -113,6 +117,10 @@ pub struct Conn {
     pub id: u64,
     state: State,
     parser: PushParser,
+    /// The daemon's [`ServeOptions::limits`] and read/write timeouts.
+    limits: Limits,
+    read_timeout: Duration,
+    write_timeout: Duration,
     /// Response bytes being drained, and how many are already written.
     out: Vec<u8>,
     written: usize,
@@ -124,16 +132,19 @@ pub struct Conn {
 
 impl Conn {
     /// A freshly-accepted connection, waiting for a request head.
-    pub fn new(id: u64, now: Instant, read_timeout: Duration) -> Conn {
+    pub fn new(id: u64, now: Instant, opts: &ServeOptions) -> Conn {
         msc_obs::count(State::ReadingHead.counter(), 1);
         Conn {
             id,
             state: State::ReadingHead,
             parser: PushParser::new(),
+            limits: opts.limits.clone(),
+            read_timeout: opts.read_timeout,
+            write_timeout: opts.write_timeout,
             out: Vec::new(),
             written: 0,
             close_after_write: false,
-            deadline: Some(now + read_timeout),
+            deadline: Some(now + opts.read_timeout),
         }
     }
 
@@ -170,14 +181,7 @@ impl Conn {
     /// Feed bytes received from the socket (`eof` = read returned 0)
     /// and advance the automaton. An `Err` is a protocol violation:
     /// render it with [`Conn::start_response`] and close after writing.
-    pub fn on_input(
-        &mut self,
-        bytes: &[u8],
-        eof: bool,
-        limits: &Limits,
-        now: Instant,
-        read_timeout: Duration,
-    ) -> Result<Input, HttpError> {
+    pub fn on_input(&mut self, bytes: &[u8], eof: bool, now: Instant) -> Result<Input, HttpError> {
         debug_assert!(matches!(
             self.state,
             State::ReadingHead | State::ReadingBody | State::KeepAlive
@@ -190,26 +194,28 @@ impl Conn {
         }
         if !bytes.is_empty() {
             self.parser.feed(bytes);
-            // Progress resets the read deadline, mirroring the blocking
-            // path's per-read socket timeout.
-            self.deadline = Some(now + read_timeout);
+            // Progress resets the read deadline: the bound is on
+            // silence, not on how long a request takes to arrive.
+            self.deadline = Some(now + self.read_timeout);
         }
         if eof {
             self.parser.eof();
         }
-        match self.parser.poll(limits)? {
+        match self.parser.poll(&self.limits)? {
             Poll::Ready(request) => {
                 self.transition(State::Executing);
                 self.deadline = None;
                 Ok(Input::Request(request))
             }
-            Poll::Pending => {
+            Poll::Pending if !eof => {
                 if self.parser.in_body() && self.state == State::ReadingHead {
                     self.transition(State::ReadingBody);
                 }
                 Ok(Input::Pending)
             }
-            Poll::Closed => {
+            // (After EOF the parser never asks for more; if it did,
+            // closing keeps a driver from spinning on a dead socket.)
+            Poll::Pending | Poll::Closed => {
                 self.transition(State::Closed);
                 Ok(Input::Closed)
             }
@@ -218,29 +224,18 @@ impl Conn {
 
     /// After a response flushed on a keep-alive connection: consume any
     /// pipelined bytes already buffered.
-    pub fn poll_next(
-        &mut self,
-        limits: &Limits,
-        now: Instant,
-        read_timeout: Duration,
-    ) -> Result<Input, HttpError> {
+    pub fn poll_next(&mut self, now: Instant) -> Result<Input, HttpError> {
         debug_assert_eq!(self.state, State::KeepAlive);
-        self.on_input(&[], false, limits, now, read_timeout)
+        self.on_input(&[], false, now)
     }
 
     /// Attach a fully-rendered response and enter `Writing`.
-    pub fn start_response(
-        &mut self,
-        bytes: Vec<u8>,
-        keep_alive: bool,
-        now: Instant,
-        write_timeout: Duration,
-    ) {
+    pub fn start_response(&mut self, bytes: Vec<u8>, keep_alive: bool, now: Instant) {
         self.transition(State::Writing);
         self.out = bytes;
         self.written = 0;
         self.close_after_write = !keep_alive;
-        self.deadline = Some(now + write_timeout);
+        self.deadline = Some(now + self.write_timeout);
     }
 
     /// Bytes still owed to the socket.
@@ -251,7 +246,7 @@ impl Conn {
     /// Record `n` bytes written. Returns `true` when the response has
     /// fully flushed — the connection is then `KeepAlive` (read
     /// deadline re-armed) or `Closed`.
-    pub fn advance_write(&mut self, n: usize, now: Instant, read_timeout: Duration) -> bool {
+    pub fn advance_write(&mut self, n: usize, now: Instant) -> bool {
         self.written += n;
         debug_assert!(self.written <= self.out.len());
         if self.written < self.out.len() {
@@ -263,7 +258,7 @@ impl Conn {
             self.transition(State::Closed);
         } else {
             self.transition(State::KeepAlive);
-            self.deadline = Some(now + read_timeout);
+            self.deadline = Some(now + self.read_timeout);
         }
         true
     }
@@ -274,10 +269,8 @@ mod tests {
     use super::*;
     use std::time::{Duration, Instant};
 
-    const RT: Duration = Duration::from_secs(5);
-
     fn conn() -> Conn {
-        Conn::new(1, Instant::now(), RT)
+        Conn::new(1, Instant::now(), &ServeOptions::default())
     }
 
     #[test]
@@ -305,7 +298,6 @@ mod tests {
 
     #[test]
     fn full_request_lifecycle_walks_the_states() {
-        let limits = Limits::default();
         let now = Instant::now();
         let mut c = conn();
         assert_eq!(c.state(), State::ReadingHead);
@@ -313,19 +305,17 @@ mod tests {
 
         // Head arrives in two pieces, then the body.
         let got = c
-            .on_input(b"POST /run HTTP/1.1\r\nContent-", false, &limits, now, RT)
+            .on_input(b"POST /run HTTP/1.1\r\nContent-", false, now)
             .unwrap();
         assert_eq!(got, Input::Pending);
         assert_eq!(c.state(), State::ReadingHead);
         assert!(!c.is_idle());
 
-        let got = c
-            .on_input(b"Length: 4\r\n\r\nab", false, &limits, now, RT)
-            .unwrap();
+        let got = c.on_input(b"Length: 4\r\n\r\nab", false, now).unwrap();
         assert_eq!(got, Input::Pending);
         assert_eq!(c.state(), State::ReadingBody);
 
-        let got = c.on_input(b"cd", false, &limits, now, RT).unwrap();
+        let got = c.on_input(b"cd", false, now).unwrap();
         let req = match got {
             Input::Request(r) => r,
             other => panic!("{other:?}"),
@@ -335,58 +325,52 @@ mod tests {
         assert_eq!(c.deadline, None);
 
         // Worker completes; response drains in two writes.
-        c.start_response(b"HTTP/1.1 200 OK\r\n\r\n".to_vec(), true, now, RT);
+        c.start_response(b"HTTP/1.1 200 OK\r\n\r\n".to_vec(), true, now);
         assert_eq!(c.state(), State::Writing);
-        assert!(!c.advance_write(5, now, RT));
+        assert!(!c.advance_write(5, now));
         let rest = c.pending_write().len();
-        assert!(c.advance_write(rest, now, RT));
+        assert!(c.advance_write(rest, now));
         assert_eq!(c.state(), State::KeepAlive);
         assert!(c.is_idle());
 
         // Nothing pipelined: polling parks it back in ReadingHead only
         // when input arrives.
-        assert_eq!(c.poll_next(&limits, now, RT).unwrap(), Input::Pending);
+        assert_eq!(c.poll_next(now).unwrap(), Input::Pending);
         assert_eq!(c.state(), State::KeepAlive);
 
         // Peer hangs up cleanly.
-        let got = c.on_input(&[], true, &limits, now, RT).unwrap();
+        let got = c.on_input(&[], true, now).unwrap();
         assert_eq!(got, Input::Closed);
         assert_eq!(c.state(), State::Closed);
     }
 
     #[test]
     fn parse_error_goes_to_writing_then_closed() {
-        let limits = Limits::default();
         let now = Instant::now();
         let mut c = conn();
-        let err = c
-            .on_input(b"GARBAGE\r\n\r\n", false, &limits, now, RT)
-            .unwrap_err();
+        let err = c.on_input(b"GARBAGE\r\n\r\n", false, now).unwrap_err();
         assert!(matches!(err, HttpError::BadRequest(_)));
-        c.start_response(b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec(), false, now, RT);
+        c.start_response(b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec(), false, now);
         assert_eq!(c.state(), State::Writing);
-        assert!(c.advance_write(28, now, RT));
+        assert!(c.advance_write(28, now));
         assert_eq!(c.state(), State::Closed);
     }
 
     #[test]
     fn pipelined_request_is_picked_up_after_the_response() {
-        let limits = Limits::default();
         let now = Instant::now();
         let mut c = conn();
         let got = c
             .on_input(
                 b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
                 false,
-                &limits,
                 now,
-                RT,
             )
             .unwrap();
         assert!(matches!(got, Input::Request(r) if r.path == "/healthz"));
-        c.start_response(b"x".to_vec(), true, now, RT);
-        assert!(c.advance_write(1, now, RT));
-        let got = c.poll_next(&limits, now, RT).unwrap();
+        c.start_response(b"x".to_vec(), true, now);
+        assert!(c.advance_write(1, now));
+        let got = c.poll_next(now).unwrap();
         assert!(matches!(got, Input::Request(r) if r.path == "/metrics"));
         assert_eq!(c.state(), State::Executing);
     }
@@ -402,11 +386,10 @@ mod tests {
 
     #[test]
     fn progress_resets_the_read_deadline() {
-        let limits = Limits::default();
         let mut c = conn();
         let t0 = c.deadline.unwrap();
         let later = Instant::now() + Duration::from_secs(60);
-        c.on_input(b"GET", false, &limits, later, RT).unwrap();
+        c.on_input(b"GET", false, later).unwrap();
         assert!(c.deadline.unwrap() > t0);
     }
 }

@@ -1,14 +1,16 @@
 //! A deliberately small HTTP/1.1 server-side parser with hard limits.
 //!
-//! The daemon only speaks enough HTTP for its five endpoints, so the
-//! parser is hand-rolled rather than pulled in as a dependency — but it
-//! is written defensively: every dimension of a request (request-line
-//! length, header count and size, body size, read pacing) has an explicit
-//! bound, and exceeding a bound is a typed [`HttpError`] that renders as
-//! a 4xx response. Malformed or hostile input must never panic a worker;
-//! it produces an error response and the connection is dropped.
+//! The daemon only speaks enough HTTP for its handful of endpoints, so
+//! the parser is hand-rolled rather than pulled in as a dependency — but
+//! it is written defensively: every dimension of a request (request-line
+//! length, header count and size, body size) has an explicit bound, and
+//! exceeding a bound is a typed [`HttpError`] that renders as a 4xx
+//! response. Malformed or hostile input must never panic a worker; it
+//! produces an error response and the connection is dropped. There is
+//! one parser, [`PushParser`], whichever I/O driver reads the socket
+//! (read pacing is [`crate::conn::Conn`]'s deadline).
 
-use std::io::{BufRead, ErrorKind, Write};
+use std::io::Write;
 
 /// Hard bounds on what a single request may look like.
 #[derive(Debug, Clone)]
@@ -50,10 +52,9 @@ pub struct Request {
 impl Request {
     /// Case-insensitive header lookup (first match).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -74,7 +75,7 @@ pub enum HttpError {
     NotFound,
     /// 405 — endpoint exists, method does not.
     MethodNotAllowed,
-    /// 408 — the client paced bytes slower than the socket timeout.
+    /// 408 — the client paced bytes slower than the read timeout.
     Timeout,
     /// 411 — a body-bearing method without `Content-Length`.
     LengthRequired,
@@ -95,8 +96,6 @@ pub enum HttpError {
         /// `Retry-After` hint, seconds.
         retry_after: u64,
     },
-    /// 500 — a bug on our side.
-    Internal(String),
 }
 
 impl HttpError {
@@ -113,16 +112,13 @@ impl HttpError {
             HttpError::Unprocessable(_) => (422, "Unprocessable Entity"),
             HttpError::HeadersTooLarge => (431, "Request Header Fields Too Large"),
             HttpError::Overloaded { .. } => (503, "Service Unavailable"),
-            HttpError::Internal(_) => (500, "Internal Server Error"),
         }
     }
 
     /// Human-readable detail for the JSON error body.
     pub fn detail(&self) -> String {
         match self {
-            HttpError::BadRequest(m) | HttpError::Unprocessable(m) | HttpError::Internal(m) => {
-                m.clone()
-            }
+            HttpError::BadRequest(m) | HttpError::Unprocessable(m) => m.clone(),
             HttpError::NotFound => "no such endpoint".to_string(),
             HttpError::MethodNotAllowed => "method not allowed on this endpoint".to_string(),
             HttpError::Timeout => "client read timed out".to_string(),
@@ -137,82 +133,26 @@ impl HttpError {
     }
 }
 
-fn io_error(e: std::io::Error) -> HttpError {
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => HttpError::Timeout,
-        ErrorKind::UnexpectedEof => HttpError::BadRequest("truncated request".to_string()),
-        _ => HttpError::BadRequest(format!("read failed: {e}")),
-    }
-}
-
-/// Read one CRLF/LF-terminated line of at most `max` bytes (terminator
-/// excluded). `Ok(None)` = EOF before any byte arrived.
-fn read_line_limited<R: BufRead>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let buf = r.fill_buf().map_err(io_error)?;
-        if buf.is_empty() {
-            return if line.is_empty() {
-                Ok(None)
-            } else {
-                Err(HttpError::BadRequest("truncated request".to_string()))
-            };
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                if line.len() + nl > max {
-                    return Err(HttpError::HeadersTooLarge);
-                }
-                line.extend_from_slice(&buf[..nl]);
-                r.consume(nl + 1);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Some(line));
-            }
-            None => {
-                let n = buf.len();
-                if line.len() + n > max {
-                    return Err(HttpError::HeadersTooLarge);
-                }
-                line.extend_from_slice(buf);
-                r.consume(n);
-            }
-        }
-    }
-}
-
-/// Parse one request off `reader`. `Ok(None)` means the peer closed the
-/// connection cleanly between requests (normal keep-alive teardown).
-pub fn parse_request<R: BufRead>(
-    reader: &mut R,
-    limits: &Limits,
-) -> Result<Option<Request>, HttpError> {
-    let Some((mut request, length)) = parse_head(reader, limits)? else {
-        return Ok(None);
+/// Parse a request head — request line, headers, blank line — and
+/// validate the body framing. Returns the request (empty body) and the
+/// validated `Content-Length` (`None` = no body). [`PushParser`], the
+/// only caller, has already bounded every line and the header count, so
+/// the one limit left to check is [`Limits::max_body`]. A `head` that
+/// stops before its blank line is a peer that hung up there.
+fn parse_head(head: &[u8], limits: &Limits) -> Result<(Request, Option<usize>), HttpError> {
+    let mut lines =
+        head.split_inclusive(|&b| b == b'\n')
+            .map(|raw| match raw.strip_suffix(b"\n") {
+                Some(line) => Ok(line.strip_suffix(b"\r").unwrap_or(line)),
+                None => Err(HttpError::BadRequest("truncated request".to_string())),
+            });
+    let mut next_line = || {
+        lines
+            .next()
+            .unwrap_or_else(|| Err(HttpError::BadRequest("truncated headers".to_string())))
     };
-    if let Some(n) = length {
-        let mut body = vec![0u8; n];
-        reader.read_exact(&mut body).map_err(io_error)?;
-        request.body = body;
-    }
-    Ok(Some(request))
-}
 
-/// Parse the request line + headers and validate the body framing,
-/// without reading the body. Returns the request (empty body) and the
-/// validated `Content-Length` (`None` = no body). Shared between the
-/// blocking [`parse_request`] path and the reactor's [`PushParser`], so
-/// both produce byte-identical verdicts on the same input.
-fn parse_head<R: BufRead>(
-    reader: &mut R,
-    limits: &Limits,
-) -> Result<Option<(Request, Option<usize>)>, HttpError> {
-    let line = match read_line_limited(reader, limits.max_request_line)? {
-        None => return Ok(None),
-        Some(l) => l,
-    };
-    let line = String::from_utf8(line)
+    let line = std::str::from_utf8(next_line()?)
         .map_err(|_| HttpError::BadRequest("request line is not UTF-8".to_string()))?;
     let mut parts = line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -237,15 +177,11 @@ fn parse_head<R: BufRead>(
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line_limited(reader, limits.max_header_line)?
-            .ok_or_else(|| HttpError::BadRequest("truncated headers".to_string()))?;
+        let line = next_line()?;
         if line.is_empty() {
             break;
         }
-        if headers.len() >= limits.max_header_count {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let line = String::from_utf8(line)
+        let line = std::str::from_utf8(line)
             .map_err(|_| HttpError::BadRequest("header is not UTF-8".to_string()))?;
         let (name, value) = line
             .split_once(':')
@@ -287,7 +223,7 @@ fn parse_head<R: BufRead>(
             });
         }
     }
-    Ok(Some((request, length)))
+    Ok((request, length))
 }
 
 /// What [`PushParser::poll`] produced.
@@ -309,15 +245,15 @@ enum PushState {
     Body { request: Request, need: usize },
 }
 
-/// Incremental request parser for the readiness-driven reactor.
+/// The request parser: incremental, and the only one.
 ///
 /// Bytes arrive in whatever chunks the socket delivers ([`feed`]);
 /// [`poll`] reports whether a full request has formed. Limits are
 /// enforced *as bytes arrive* — an over-long line or header bomb is
-/// rejected without buffering it — and once the head terminator is seen
-/// the buffered head is handed to the same `parse_head` the blocking
-/// path uses, so chunked and whole-buffer parsing produce identical
-/// verdicts by construction (pinned by the `chunked_parsing` proptest).
+/// rejected without buffering it — and the head is parsed once, when
+/// its blank line (or the peer's EOF) has been seen, so the verdict on
+/// a byte stream does not depend on how it was cut into reads (pinned
+/// by the `chunked_parsing` proptest).
 ///
 /// [`feed`]: PushParser::feed
 /// [`poll`]: PushParser::poll
@@ -384,24 +320,26 @@ impl PushParser {
         self.lines = 0;
     }
 
+    /// The bound on the head line now being scanned.
+    fn line_limit(&self, limits: &Limits) -> usize {
+        match self.lines {
+            0 => limits.max_request_line,
+            _ => limits.max_header_line,
+        }
+    }
+
     /// Try to complete one request from the buffered bytes.
     pub fn poll(&mut self, limits: &Limits) -> Result<Poll, HttpError> {
         loop {
             match &mut self.state {
                 PushState::Head => {
                     // Scan newly-arrived bytes for line terminators,
-                    // enforcing per-line and header-count limits exactly
-                    // as `read_line_limited` does on the blocking path.
+                    // enforcing the per-line and header-count limits.
                     while let Some(off) = self.buf[self.scanned..].iter().position(|&b| b == b'\n')
                     {
                         let nl = self.scanned + off;
                         let raw_len = nl - self.line_start;
-                        let max = if self.lines == 0 {
-                            limits.max_request_line
-                        } else {
-                            limits.max_header_line
-                        };
-                        if raw_len > max {
+                        if raw_len > self.line_limit(limits) {
                             return Err(HttpError::HeadersTooLarge);
                         }
                         let stripped = raw_len
@@ -409,13 +347,9 @@ impl PushParser {
                         if stripped == 0 {
                             // Blank line: the head is complete (or, if
                             // this is the first line, syntactically
-                            // broken). Re-parse it with the shared head
-                            // parser for exact error parity with the
-                            // blocking path.
+                            // broken — `parse_head` says so).
                             let head_end = nl + 1;
-                            let mut cursor = std::io::Cursor::new(&self.buf[..head_end]);
-                            let (request, length) = parse_head(&mut cursor, limits)?
-                                .expect("complete head cannot read as clean EOF");
+                            let (request, length) = parse_head(&self.buf[..head_end], limits)?;
                             self.consume(head_end);
                             match length {
                                 Some(need) if need > 0 => {
@@ -438,12 +372,7 @@ impl PushParser {
                     // No terminator yet: bound the partial line too, so
                     // a line-bomb is rejected before it is buffered.
                     let partial = self.buf.len() - self.line_start;
-                    let max = if self.lines == 0 {
-                        limits.max_request_line
-                    } else {
-                        limits.max_header_line
-                    };
-                    if partial > max {
+                    if partial > self.line_limit(limits) {
                         return Err(HttpError::HeadersTooLarge);
                     }
                     self.scanned = self.buf.len();
@@ -451,14 +380,13 @@ impl PushParser {
                         if self.buf.is_empty() && self.lines == 0 {
                             return Ok(Poll::Closed);
                         }
-                        // Mid-head EOF: run the shared parser over what
-                        // we have so the error (truncated request /
-                        // truncated headers) matches the blocking path.
-                        let mut cursor = std::io::Cursor::new(&self.buf[..]);
-                        return match parse_head(&mut cursor, limits) {
-                            Err(e) => Err(e),
-                            Ok(_) => Err(HttpError::BadRequest("truncated request".to_string())),
-                        };
+                        // Mid-head EOF: the head parser reports the
+                        // first thing wrong with what did arrive, or
+                        // where it stops (truncated request / headers).
+                        return Err(match parse_head(&self.buf, limits) {
+                            Err(e) => e,
+                            Ok(_) => HttpError::BadRequest("truncated request".to_string()),
+                        });
                     }
                     return Ok(Poll::Pending);
                 }
@@ -512,13 +440,22 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    /// The verdict on a connection that sends `raw` and hangs up: the
+    /// first request (`None` = clean close) or the first error.
+    fn parse_with(raw: &[u8], limits: &Limits) -> Result<Option<Request>, HttpError> {
+        let mut p = PushParser::new();
+        p.feed(raw);
+        p.eof();
+        match p.poll(limits)? {
+            Poll::Ready(request) => Ok(Some(request)),
+            Poll::Closed => Ok(None),
+            Poll::Pending => panic!("parser pending after EOF"),
+        }
+    }
 
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        parse_request(
-            &mut Cursor::new(raw.as_bytes().to_vec()),
-            &Limits::default(),
-        )
+        parse_with(raw.as_bytes(), &Limits::default())
     }
 
     #[test]
@@ -602,17 +539,56 @@ mod tests {
     }
 
     #[test]
-    fn socket_timeout_reads_as_408() {
-        struct Stall;
-        impl std::io::Read for Stall {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(ErrorKind::WouldBlock, "slow"))
+    fn limits_bite_exactly_at_their_boundaries() {
+        let limits = Limits {
+            max_request_line: 40,
+            max_header_line: 24,
+            max_header_count: 3,
+            max_body: 8,
+        };
+        // A line's length is what precedes its `\n`, a `\r` included.
+        let padded = |prefix: &str, suffix: &str, len: usize, eol: &str| {
+            let pad = len - prefix.len() - suffix.len() - (eol.len() - 1);
+            format!("{prefix}{}{suffix}{eol}", "a".repeat(pad))
+        };
+        let check = |raw: String, fits: bool| match parse_with(raw.as_bytes(), &limits) {
+            Ok(Some(_)) if fits => {}
+            Err(HttpError::HeadersTooLarge) if !fits => {}
+            got => panic!("{raw:?} (fits: {fits}) gave {got:?}"),
+        };
+        for eol in ["\n", "\r\n"] {
+            for (extra, fits) in [(0, true), (1, false)] {
+                check(padded("GET /", " HTTP/1.1", 40 + extra, eol) + eol, fits);
+                let header = padded("X-Pad: ", "", 24 + extra, eol);
+                check(format!("GET / HTTP/1.1{eol}{header}{eol}"), fits);
             }
         }
-        let mut r = std::io::BufReader::new(Stall);
+
+        let with_headers = |n: usize| {
+            let headers: String = (0..n).map(|i| format!("X-{i}: x\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{headers}\r\n")
+        };
+        let got = parse_with(with_headers(3).as_bytes(), &limits)
+            .unwrap()
+            .unwrap();
+        assert_eq!(got.headers.len(), 3);
         assert_eq!(
-            parse_request(&mut r, &Limits::default()),
-            Err(HttpError::Timeout)
+            parse_with(with_headers(4).as_bytes(), &limits),
+            Err(HttpError::HeadersTooLarge)
+        );
+
+        let got = parse_with(
+            b"POST /c HTTP/1.1\r\nContent-Length: 8\r\n\r\n12345678",
+            &limits,
+        );
+        assert_eq!(got.unwrap().unwrap().body, b"12345678");
+        // One more is refused on the declared length alone: the head is
+        // all that was sent, and the connection is still open.
+        let mut p = PushParser::new();
+        p.feed(b"POST /c HTTP/1.1\r\nContent-Length: 9\r\n\r\n");
+        assert_eq!(
+            p.poll(&limits),
+            Err(HttpError::PayloadTooLarge { limit: 8 })
         );
     }
 
@@ -708,6 +684,17 @@ mod tests {
         assert!(matches!(
             p.poll(&limits),
             Err(HttpError::BadRequest(m)) if m == "truncated headers"
+        ));
+
+        // Mid-header-line is mid-request, and a broken line that did
+        // arrive whole is reported before the truncation.
+        assert!(matches!(
+            parse("GET /healthz HTTP/1.1\r\nHo"),
+            Err(HttpError::BadRequest(m)) if m == "truncated request"
+        ));
+        assert!(matches!(
+            parse("GARBAGE\r\nHo"),
+            Err(HttpError::BadRequest(m)) if m.starts_with("malformed request line")
         ));
     }
 

@@ -15,29 +15,29 @@
 //!
 //! The daemon is shaped for sustained load rather than peak benchmarks:
 //!
-//! - **Event-loop core.** On Linux the daemon runs an epoll readiness
-//!   reactor: one thread multiplexes every socket, each
-//!   connection an explicit [`conn::State`] machine, so an idle
-//!   keep-alive peer costs a table entry instead of a blocked thread.
-//!   Compute stays on the worker pool; decoded requests and finished
+//! - **One protocol, two I/O drivers.** Every connection is a
+//!   [`conn::Conn`] state machine over the incremental
+//!   [`http::PushParser`]; framing, limits, keep-alive policy, deadlines
+//!   and the `serve.conn_state.*` counters are written down there only.
+//!   On Linux an epoll readiness reactor steps all of them from one
+//!   thread, so an idle keep-alive peer costs a table entry instead of a
+//!   parked thread; compute stays on the worker pool, and requests and
 //!   responses cross over a queue plus a wakeup socketpair. Elsewhere
-//!   (or under `MSC_SERVE_BLOCKING=1` /
-//!   [`ServeOptions::force_blocking`]) the original blocking
-//!   thread-per-connection pool serves instead — same endpoints, same
-//!   limits, same tests.
+//!   the portable driver steps the same machine with blocking reads: an
+//!   acceptor queues connections and each worker serves one at a time.
+//!   The target picks the driver ([`reactor_available`]); no option does.
 //! - **Bounded admission.** At most `workers + queue_depth` connections
-//!   are admitted (the blocking pool's "serving + queued" bound);
-//!   beyond that the daemon answers `503` + `Retry-After` immediately
-//!   (load shedding) instead of letting latency grow without bound.
+//!   are admitted; beyond that the daemon answers `503` + `Retry-After`
+//!   immediately (load shedding) instead of letting latency grow
+//!   without bound.
 //! - **Request coalescing.** Identical concurrent compiles collapse onto
 //!   one in-flight compilation via the engine's singleflight layer; the
 //!   response reports `"provenance": "coalesced"` and the
 //!   `serve.coalesced` / `engine.coalesced` counters record it.
 //! - **Hard input limits.** Request-line/header/body bounds and read
-//!   deadlines (reactor timers on the event loop, socket timeouts on
-//!   the blocking pool) turn hostile or broken clients into clean
-//!   4xx/408 responses ([`http::Limits`]); a worker never panics on
-//!   input, and a slow-loris peer never pins a worker thread.
+//!   deadlines turn hostile or broken clients into clean 4xx/408
+//!   responses ([`http::Limits`]); a worker never panics on input, and
+//!   under the reactor a slow-loris peer never pins a worker thread.
 //! - **Graceful drain.** [`ServerHandle::shutdown`] stops admitting,
 //!   lets in-flight requests finish, then joins every thread.
 //!   [`run_until_signal`] wires that to SIGINT/SIGTERM for the CLI.
@@ -50,12 +50,13 @@ pub mod queue;
 #[cfg(target_os = "linux")]
 mod reactor;
 
+use conn::{Conn, Input, State};
 use http::{HttpError, Limits, Request};
 use msc_engine::{Engine, EngineOptions};
 use msc_obs::json::Json;
 use msc_obs::Registry;
 use queue::BoundedQueue;
-use std::io::{BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -79,10 +80,11 @@ pub struct ServeOptions {
     pub job_timeout: Option<Duration>,
     /// HTTP input bounds.
     pub limits: Limits,
-    /// Socket read timeout — also the slow-loris bound and the upper
-    /// bound on how long shutdown waits for an idle keep-alive peer.
+    /// How long a connection may go without sending a byte before it is
+    /// answered 408 — the slow-loris bound, and the upper bound on how
+    /// long shutdown waits for a peer that is mid-request.
     pub read_timeout: Duration,
-    /// Socket write timeout.
+    /// How long one response may take to drain into the socket.
     pub write_timeout: Duration,
     /// `Retry-After` seconds hinted on shed requests.
     pub retry_after: u64,
@@ -92,10 +94,6 @@ pub struct ServeOptions {
     /// the effective cap is the smaller of this and
     /// [`msc_regex::MAX_META_STATES`]).
     pub max_meta_states: usize,
-    /// Run the blocking thread-per-connection core even where the epoll
-    /// reactor is available (`mscc serve --blocking`). The
-    /// `MSC_SERVE_BLOCKING` environment variable forces the same.
-    pub force_blocking: bool,
     /// Sibling daemons (`host:port`) consulted on local cache misses
     /// before compiling (`mscc serve --peers`). Empty = single node.
     pub peers: Vec<String>,
@@ -118,29 +116,28 @@ impl Default for ServeOptions {
             write_timeout: Duration::from_secs(5),
             retry_after: 1,
             max_meta_states: 1 << 20,
-            force_blocking: false,
             peers: Vec::new(),
             peer: msc_engine::PeerConfig::default(),
         }
     }
 }
 
-/// True when this build and environment will use the epoll reactor for
-/// new servers (Linux, and `MSC_SERVE_BLOCKING` unset). Benches use
-/// this to size worker pools appropriately per mode.
+/// True when this build's daemons run under the epoll reactor (Linux);
+/// false where the portable blocking driver serves. Benches use this to
+/// size worker pools: the portable driver parks a worker per connection.
 pub fn reactor_available() -> bool {
-    cfg!(target_os = "linux") && std::env::var_os("MSC_SERVE_BLOCKING").is_none()
+    cfg!(target_os = "linux")
 }
 
-/// The daemon factory. [`Server::start`] binds, spawns the acceptor and
-/// worker pool, and returns the controlling [`ServerHandle`].
+/// The daemon factory. [`Server::start`] binds, spawns the I/O driver
+/// and the worker pool, and returns the controlling [`ServerHandle`].
 pub struct Server;
 
 /// One unit of worker-pool work.
 enum Task {
-    /// Blocking mode: a whole admitted connection, served to completion.
+    /// Portable driver: a whole admitted connection, served to its end.
     Connection(TcpStream),
-    /// Reactor mode: one decoded request; the reactor keeps the socket.
+    /// Reactor: one decoded request; the reactor keeps the socket.
     #[cfg(target_os = "linux")]
     Request {
         /// Connection identity (guards against fd reuse).
@@ -148,6 +145,8 @@ enum Task {
         /// The reactor-side socket the response belongs to.
         fd: i32,
         request: Request,
+        /// Where the finished response goes.
+        reply: Arc<reactor::ReactorShared>,
     },
 }
 
@@ -159,10 +158,8 @@ struct Shared {
     stop: AtomicBool,
     /// Connections currently admitted (gauge on `/metrics`).
     open_conns: AtomicUsize,
-    /// Admission bound: `workers + queue_depth` in both modes.
+    /// Admission bound: `workers + queue_depth` under both drivers.
     admit_capacity: usize,
-    #[cfg(target_os = "linux")]
-    reactor: Option<reactor::ReactorShared>,
     opts: ServeOptions,
 }
 
@@ -175,10 +172,11 @@ struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// The acceptor thread (blocking mode) or the reactor thread.
-    driver: Option<std::thread::JoinHandle<()>>,
+    /// The I/O driver: the reactor thread, or the portable acceptor.
+    driver: std::thread::JoinHandle<()>,
+    /// Gets the driver to look at the stop flag.
+    wake_driver: Box<dyn Fn()>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    blocking: bool,
     _obs: msc_obs::InstallGuard,
 }
 
@@ -188,15 +186,22 @@ impl Server {
     /// (the install lock is exclusive: starting a second server in the
     /// same process blocks until the first shuts down).
     ///
-    /// Picks the epoll reactor core where available (see
-    /// [`reactor_available`]); otherwise — or when forced — the blocking
-    /// thread-per-connection core.
+    /// Runs the epoll reactor on Linux and the portable blocking driver
+    /// elsewhere (see [`reactor_available`]). Anything that keeps the
+    /// daemon from answering — the bind, the reactor's epoll set-up, a
+    /// thread that will not spawn — is this call's error.
     pub fn start(opts: ServeOptions) -> std::io::Result<ServerHandle> {
+        Self::start_under(opts, reactor_available())
+    }
+
+    /// [`start`](Self::start) with the driver named: `reactor = false`
+    /// is what every non-Linux target runs, and the seam through which
+    /// the unit tests run it on Linux.
+    fn start_under(opts: ServeOptions, reactor: bool) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
         let registry = Arc::new(Registry::new());
         let obs_guard = msc_obs::install(registry.clone());
-        let blocking = opts.force_blocking || !reactor_available();
         let workers = if opts.workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -204,21 +209,15 @@ impl Server {
         } else {
             opts.workers
         };
-        // Blocking mode queues whole connections behind the worker pool
-        // (capacity = queue_depth, the historical bound); the reactor
-        // queues at most one decoded request per admitted connection,
-        // so its queue never rejects below the admission cap.
+        // The portable driver queues whole connections behind the
+        // workers serving `workers` others; the reactor queues at most
+        // one decoded request per admitted connection, so its queue
+        // never rejects below the admission cap.
         let admit_capacity = workers + opts.queue_depth;
-        let queue_capacity = if blocking {
-            opts.queue_depth
-        } else {
+        let queue_capacity = if reactor {
             admit_capacity
-        };
-        #[cfg(target_os = "linux")]
-        let reactor_shared = if blocking {
-            None
         } else {
-            Some(reactor::ReactorShared::new()?)
+            opts.queue_depth
         };
         let shared = Arc::new(Shared {
             engine: Engine::new(EngineOptions {
@@ -238,56 +237,47 @@ impl Server {
             stop: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             admit_capacity,
-            #[cfg(target_os = "linux")]
-            reactor: reactor_shared,
             opts,
         });
 
-        let driver = if blocking {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("msc-serve-accept".to_string())
-                .spawn(move || accept_loop(&shared, listener))?
-        } else {
-            spawn_reactor(&shared, listener)?
+        let named = |name: &str| std::thread::Builder::new().name(name.to_string());
+        let (driver, wake_driver): (_, Box<dyn Fn()>) = match reactor {
+            #[cfg(target_os = "linux")]
+            true => {
+                // Built here, not on its thread: a failed epoll set-up
+                // is this call's error.
+                let reactor = reactor::Reactor::new(Arc::clone(&shared), listener)?;
+                let rendezvous = reactor.rendezvous();
+                let thread = named("msc-serve-reactor").spawn(|| reactor.run())?;
+                (thread, Box::new(move || rendezvous.wake()))
+            }
+            #[cfg(not(target_os = "linux"))]
+            true => unreachable!("reactor_available() is false off Linux"),
+            false => {
+                let shared = Arc::clone(&shared);
+                let thread =
+                    named("msc-serve-accept").spawn(move || accept_loop(&shared, listener))?;
+                // The acceptor sits in accept(): a throwaway connection
+                // gets it out.
+                (thread, Box::new(move || drop(TcpStream::connect(addr))))
+            }
         };
         let worker_handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("msc-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                named(&format!("msc-serve-worker-{i}")).spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
         Ok(ServerHandle {
             addr,
             shared,
-            driver: Some(driver),
+            driver,
+            wake_driver,
             workers: worker_handles,
-            blocking,
             _obs: obs_guard,
         })
     }
-}
-
-#[cfg(target_os = "linux")]
-fn spawn_reactor(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name("msc-serve-reactor".to_string())
-        .spawn(move || reactor::run(shared, listener))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn spawn_reactor(
-    _shared: &Arc<Shared>,
-    _listener: TcpListener,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    unreachable!("reactor_available() gates the reactor to Linux")
 }
 
 impl ServerHandle {
@@ -312,43 +302,29 @@ impl ServerHandle {
     }
 
     /// Graceful drain: stop admitting, finish everything already
-    /// admitted, join all threads. The reactor drops idle peers
-    /// immediately; a peer mid-request is granted up to
+    /// admitted, join all threads. A peer mid-request is granted up to
     /// [`ServeOptions::read_timeout`] to finish sending, so shutdown is
-    /// bounded by that (the blocking core has the same bound, via its
-    /// socket timeout).
-    pub fn shutdown(mut self) {
+    /// bounded by that. The reactor drops idle peers immediately; the
+    /// portable driver learns a peer is idle only when its read times
+    /// out, so there idle peers cost the same bound.
+    pub fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if self.blocking {
-            // Wake the acceptor out of accept() with a throwaway
-            // connection.
-            let _ = TcpStream::connect(self.addr);
-        } else {
-            #[cfg(target_os = "linux")]
-            if let Some(r) = &self.shared.reactor {
-                r.wake();
-            }
-        }
-        if let Some(d) = self.driver.take() {
-            let _ = d.join();
-        }
+        (self.wake_driver)();
+        let _ = self.driver.join();
         self.shared.queue.close();
-        for w in self.workers.drain(..) {
+        for w in self.workers {
             let _ = w.join();
         }
     }
 }
 
+/// The portable driver's acceptor: admit into the queue, or shed.
 fn accept_loop(shared: &Shared, listener: TcpListener) {
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
+        let Ok(stream) = stream else { continue };
         let _ = stream.set_write_timeout(Some(shared.opts.write_timeout));
         let _ = stream.set_nodelay(true);
         msc_obs::count("serve.accepted", 1);
@@ -359,11 +335,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             let Task::Connection(mut stream) = task else {
                 continue;
             };
-            msc_obs::count("serve.shed", 1);
-            let err = HttpError::Overloaded {
-                retry_after: shared.opts.retry_after,
-            };
-            let _ = write_error(&mut stream, &err, false);
+            let _ = stream.write_all(&shed(shared));
         }
     }
 }
@@ -371,117 +343,145 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
 fn worker_loop(shared: &Shared) {
     while let Some(task) = shared.queue.pop() {
         match task {
-            Task::Connection(stream) => handle_connection(shared, stream),
+            Task::Connection(stream) => serve_connection(shared, stream),
             #[cfg(target_os = "linux")]
             Task::Request {
                 conn_id,
                 fd,
                 request,
-            } => reactor::execute(shared, conn_id, fd, request),
+                reply,
+            } => reply.complete(conn_id, fd, respond(shared, &request)),
         }
     }
 }
 
-/// Render an error response to bytes (the reactor writes them as the
-/// socket accepts; the blocking path writes them directly).
-#[cfg(target_os = "linux")]
-fn render_error(err: &HttpError, keep_alive: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    let _ = write_error(&mut out, err, keep_alive); // Vec writes are infallible
-    out
-}
-
-/// Render a 200 response to bytes.
-#[cfg(target_os = "linux")]
-fn render_ok(body: &Json, keep_alive: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    let _ = write_ok(&mut out, body, keep_alive);
-    out
-}
-
-fn write_error<W: Write>(stream: &mut W, err: &HttpError, keep_alive: bool) -> std::io::Result<()> {
-    let (status, reason) = err.status();
-    let body = Json::obj(vec![
-        ("error", Json::from(reason)),
-        ("detail", Json::from(err.detail().as_str())),
-    ])
-    .render();
-    let retry: Vec<(&str, String)> = match err {
-        HttpError::Overloaded { retry_after } => {
-            vec![("Retry-After", retry_after.to_string())]
-        }
-        _ => Vec::new(),
+/// Answer one decoded request: the only caller of [`route`], under
+/// either driver. Returns the response bytes and whether the connection
+/// stays open after them.
+fn respond(shared: &Shared, request: &Request) -> (Vec<u8>, bool) {
+    let t0 = Instant::now();
+    let outcome = route(shared, request);
+    msc_obs::value("serve.request_nanos", t0.elapsed().as_nanos() as u64);
+    // Don't hold a drained daemon open on keep-alive.
+    let keep_alive = !request.wants_close() && !shared.stop.load(Ordering::SeqCst);
+    let counter = match outcome {
+        Ok(_) => "serve.requests",
+        Err(_) => "serve.http_error",
     };
+    msc_obs::count(counter, 1);
+    (render(outcome.as_ref(), keep_alive), keep_alive)
+}
+
+/// Render a response — a 200 with its JSON body, or an error with its
+/// status, `{error, detail}` body and (when shedding) `Retry-After`.
+fn render(outcome: Result<&Json, &HttpError>, keep_alive: bool) -> Vec<u8> {
+    let mut extra = Vec::new();
+    let (status, reason, body) = match outcome {
+        Ok(body) => (200, "OK", body.render()),
+        Err(err) => {
+            let (status, reason) = err.status();
+            if let HttpError::Overloaded { retry_after } = err {
+                extra.push(("Retry-After", retry_after.to_string()));
+            }
+            let body = Json::obj(vec![
+                ("error", Json::from(reason)),
+                ("detail", Json::from(err.detail().as_str())),
+            ]);
+            (status, reason, body.render())
+        }
+    };
+    let mut out = Vec::new();
     http::write_response(
-        stream,
+        &mut out,
         status,
         reason,
         keep_alive,
-        &retry,
+        &extra,
         "application/json",
         body.as_bytes(),
     )
+    .expect("writing to a Vec cannot fail");
+    out
 }
 
-fn write_ok<W: Write>(stream: &mut W, body: &Json, keep_alive: bool) -> std::io::Result<()> {
-    http::write_response(
-        stream,
-        200,
-        "OK",
-        keep_alive,
-        &[],
-        "application/json",
-        body.render().as_bytes(),
-    )
+/// Answer a protocol error (malformed input, a limit, a timeout). The
+/// byte stream is undefined after one, so the response says `close`.
+fn refuse(err: &HttpError) -> Vec<u8> {
+    msc_obs::count("serve.http_error", 1);
+    render(Err(err), false)
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    shared.open_conns.fetch_add(1, Ordering::SeqCst);
-    // Balance the gauge on every exit path.
-    struct Gauge<'a>(&'a AtomicUsize);
-    impl Drop for Gauge<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    let _gauge = Gauge(&shared.open_conns);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
+/// Answer a connection the daemon will not admit: 503 + `Retry-After`.
+fn shed(shared: &Shared) -> Vec<u8> {
+    msc_obs::count("serve.shed", 1);
+    let err = HttpError::Overloaded {
+        retry_after: shared.opts.retry_after,
     };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
-    loop {
-        match http::parse_request(&mut reader, &shared.opts.limits) {
-            Ok(None) => break, // peer closed between requests
-            Ok(Some(req)) => {
-                let t0 = Instant::now();
-                let outcome = route(shared, &req);
-                msc_obs::value("serve.request_nanos", t0.elapsed().as_nanos() as u64);
-                // Don't hold a drained daemon open on keep-alive.
-                let keep_alive = !req.wants_close() && !shared.stop.load(Ordering::SeqCst);
-                let io = match outcome {
-                    Ok(body) => {
-                        msc_obs::count("serve.requests", 1);
-                        write_ok(&mut stream, &body, keep_alive)
-                    }
-                    Err(err) => {
-                        msc_obs::count("serve.http_error", 1);
-                        write_error(&mut stream, &err, keep_alive)
-                    }
-                };
-                if io.is_err() || !keep_alive {
-                    break;
-                }
+    render(Err(&err), false)
+}
+
+/// The portable driver's read: block until the peer sends something or
+/// `conn.deadline` passes, and feed the machine. A timed-out read is
+/// the 408 the reactor's timer sends; `None` means the socket is dead.
+fn read_step(
+    conn: &mut Conn,
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+) -> Option<Result<Input, HttpError>> {
+    let deadline = conn.deadline.expect("a reading connection has a deadline");
+    // A zero timeout cannot be set: a deadline already past still gets
+    // one short look at what has arrived.
+    let left = deadline
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1));
+    stream.set_read_timeout(Some(left)).ok()?;
+    let n = loop {
+        match stream.read(buf) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Some(Err(HttpError::Timeout));
             }
-            Err(err) => {
-                // The byte stream is in an undefined state after a parse
-                // error: answer and drop the connection.
-                msc_obs::count("serve.http_error", 1);
-                let _ = write_error(&mut stream, &err, false);
-                break;
-            }
+            Err(_) => return None,
         }
+    };
+    Some(conn.on_input(&buf[..n], n == 0, Instant::now()))
+}
+
+/// The portable driver's per-connection loop: step the [`Conn`] machine
+/// with blocking reads and writes until it closes.
+fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+    shared.open_conns.fetch_add(1, Ordering::SeqCst);
+    // The id addresses worker completions; there are none here.
+    let mut conn = Conn::new(0, Instant::now(), &shared.opts);
+    let mut buf = [0u8; 16 * 1024];
+    let mut step = Ok(Input::Pending);
+    loop {
+        let (bytes, keep_alive) = match step {
+            Ok(Input::Pending) => match read_step(&mut conn, &mut stream, &mut buf) {
+                Some(next) => {
+                    step = next;
+                    continue;
+                }
+                None => break,
+            },
+            Ok(Input::Closed) => break,
+            Ok(Input::Request(request)) => respond(shared, &request),
+            Err(err) => (refuse(&err), false),
+        };
+        conn.start_response(bytes, keep_alive, Instant::now());
+        let len = conn.pending_write().len();
+        if stream.write_all(conn.pending_write()).is_err() {
+            break;
+        }
+        conn.advance_write(len, Instant::now());
+        if conn.state() != State::KeepAlive {
+            break;
+        }
+        step = conn.poll_next(Instant::now());
     }
+    conn.force_close();
+    shared.open_conns.fetch_sub(1, Ordering::SeqCst);
 }
 
 fn json_body(req: &Request) -> Result<Json, HttpError> {
@@ -633,5 +633,172 @@ pub fn run_until_signal(handle: ServerHandle) {
 pub fn run_until_signal(_handle: ServerHandle) {
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The portable driver, run on Linux through [`Server::start_under`].
+    //! `tests/robustness.rs` pins the protocol against the platform's
+    //! driver; these pin that the blocking loop steps the same machine
+    //! to the same answers.
+
+    use super::*;
+    use crate::client::Client;
+
+    const PROG: &str = "main() { poly int x; x = pe_id() * 2 + 1; return(x); }";
+
+    fn start_portable(workers: usize, queue_depth: usize, read_timeout: Duration) -> ServerHandle {
+        let opts = ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers,
+            queue_depth,
+            read_timeout,
+            ..ServeOptions::default()
+        };
+        Server::start_under(opts, false).expect("bind ephemeral port")
+    }
+
+    fn connect(addr: &str) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    /// Everything the daemon sends until it closes the connection.
+    fn read_to_close(mut stream: TcpStream) -> String {
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        out
+    }
+
+    #[test]
+    fn portable_driver_serves_pipelines_and_closes_on_parse_errors() {
+        let handle = start_portable(2, 8, Duration::from_millis(800));
+        let addr = handle.local_addr().to_string();
+
+        // Routing and keep-alive.
+        let mut c = Client::connect(&addr).unwrap();
+        let body = Json::obj(vec![
+            ("source", Json::from(PROG)),
+            ("pes", Json::from(4u64)),
+        ]);
+        let resp = c.post_json("/run", &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(c.get("/nope").unwrap().status, 404);
+        assert_eq!(c.get("/healthz").unwrap().status, 200);
+        drop(c);
+
+        // Two requests in one write are answered in order; the second
+        // asks for the close.
+        let mut s = connect(&addr);
+        s.write_all(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let out = read_to_close(s);
+        let first = out.find("HTTP/1.1 200 OK").expect(&out);
+        let second = out.find("HTTP/1.1 404 Not Found").expect(&out);
+        assert!(first < second, "{out}");
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 2, "{out}");
+
+        // A parse error is answered and the connection dropped, however
+        // much the peer pipelined behind it.
+        let mut s = connect(&addr);
+        s.write_all(b"GARBAGE\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let out = read_to_close(s);
+        assert!(out.starts_with("HTTP/1.1 400 "), "{out}");
+        assert!(out.contains("Connection: close\r\n"), "{out}");
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+
+        // Both drivers count the machine's transitions.
+        let counters = handle.registry().snapshot();
+        for name in [
+            "serve.conn_state.reading_head",
+            "serve.conn_state.executing",
+            "serve.conn_state.writing",
+            "serve.conn_state.keep_alive",
+            "serve.conn_state.closed",
+        ] {
+            assert!(counters.counter(name) >= 1, "{name}");
+        }
+        assert_eq!(counters.counter("serve.epoll_wakeups"), 0);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn portable_driver_answers_a_slow_loris_408_after_the_last_progress() {
+        let read_timeout = Duration::from_millis(600);
+        let handle = start_portable(1, 4, read_timeout);
+        let addr = handle.local_addr().to_string();
+        let mut s = connect(&addr);
+        // Two pieces 400 ms apart: more than the timeout in total, less
+        // than it each, so only a deadline that progress resets lets the
+        // second piece in.
+        s.write_all(b"POST /comp").unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        s.write_all(b"ile HTTP/1.1\r\nContent-").unwrap();
+        let last_progress = Instant::now();
+        let out = read_to_close(s);
+        assert!(out.starts_with("HTTP/1.1 408 "), "{out}");
+        // An un-reset deadline would have fired 200 ms after the second
+        // piece; the re-armed one fires a full timeout after it.
+        assert!(
+            last_progress.elapsed() >= read_timeout * 3 / 4,
+            "408 came {:?} after the last progress",
+            last_progress.elapsed()
+        );
+        // The single worker is free again.
+        assert_eq!(
+            Client::connect(&addr)
+                .unwrap()
+                .get("/healthz")
+                .unwrap()
+                .status,
+            200
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn portable_driver_sheds_past_workers_plus_queue_and_drains() {
+        let handle = start_portable(1, 1, Duration::from_millis(800));
+        let addr = handle.local_addr().to_string();
+        // c1 occupies the only worker, c2 the only queue slot; wait for
+        // each to get there so c3 finds the queue full.
+        let mut c1 = connect(&addr);
+        while handle.shared.open_conns.load(Ordering::SeqCst) < 1 {
+            std::thread::yield_now();
+        }
+        let _c2 = connect(&addr);
+        while handle.shared.queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let out = read_to_close(connect(&addr));
+        assert!(out.starts_with("HTTP/1.1 503 "), "{out}");
+        assert!(out.contains("Retry-After: 1\r\n"), "{out}");
+        assert!(handle.registry().snapshot().counter("serve.shed") >= 1);
+
+        // Drain: a request still arriving when the daemon is told to
+        // stop is answered — once, with the close — before shutdown
+        // returns.
+        c1.write_all(b"GET /healthz HTTP/1.1\r\n\r").unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let sender = std::thread::spawn(move || {
+            while !shared.stop.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            c1.write_all(b"\n").unwrap();
+            read_to_close(c1)
+        });
+        handle.shutdown();
+        let out = sender.join().unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 "), "{out}");
+        assert!(out.contains("Connection: close\r\n"), "{out}");
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+        assert!(TcpStream::connect(&addr).is_err(), "port still open");
     }
 }

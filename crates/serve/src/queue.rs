@@ -1,8 +1,8 @@
 //! A bounded MPMC queue with explicit rejection.
 //!
 //! This is the admission-control half of the daemon: the producer — the
-//! acceptor thread queueing whole connections in blocking mode, the
-//! reactor queueing decoded requests in event-loop mode — calls
+//! portable driver's acceptor queueing whole connections, or the
+//! reactor queueing decoded requests — calls
 //! [`BoundedQueue::try_push`], and a `Full` answer becomes an HTTP 503
 //! (load shedding) instead of an unbounded backlog. Workers block in
 //! [`BoundedQueue::pop`]; [`BoundedQueue::close`] wakes them all for

@@ -9,22 +9,23 @@
 //! completion queue plus a wakeup byte on a `UnixStream` pair (any
 //! worker can write to its end without locking the reactor).
 //!
-//! Timeouts are reactor timers, not socket options: every connection
-//! carries a deadline (armed while reading or writing, re-armed on
-//! progress), and `epoll_wait` sleeps only until the nearest one. A
-//! slow-loris peer therefore costs one idle entry in the connection
-//! table instead of a blocked worker thread.
+//! This is an I/O driver and nothing else: framing, limits, the
+//! keep-alive/close policy and the deadlines themselves belong to
+//! [`Conn`], which the portable driver in `lib.rs` steps with blocking
+//! reads instead. What the reactor adds is how the deadlines are
+//! waited on — `epoll_wait` sleeps only until the nearest one, so a
+//! slow-loris peer costs one idle entry in the connection table
+//! instead of a parked worker thread.
 //!
-//! Admission keeps the blocking pool's semantics: at most
-//! `workers + queue_depth` connections may be open — the same bound the
-//! blocking core enforced as "serving + queued" — and everything beyond
-//! it is shed at accept with `503` + `Retry-After`. Graceful drain
-//! closes the listener (the port refuses immediately), drops idle
-//! connections, and lets in-flight requests finish writing.
+//! Admission: at most `workers + queue_depth` connections may be open,
+//! and everything beyond that is shed at accept with `503` +
+//! `Retry-After`. Graceful drain closes the listener (the port refuses
+//! immediately), drops idle connections, and lets in-flight requests
+//! finish writing.
 
 use crate::conn::{Conn, Input, State};
 use crate::http::{HttpError, Request};
-use crate::{render_error, render_ok, route, Shared, Task};
+use crate::{refuse, shed, Shared, Task};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -149,70 +150,42 @@ impl Drop for Epoll {
 
 /// A worker's finished response, addressed by connection identity (the
 /// id guards against the fd being recycled for a newer connection).
-pub(crate) struct Completion {
-    pub conn_id: u64,
-    pub fd: i32,
-    pub bytes: Vec<u8>,
-    pub keep_alive: bool,
+struct Completion {
+    conn_id: u64,
+    fd: i32,
+    bytes: Vec<u8>,
+    keep_alive: bool,
 }
 
-/// The reactor-mode rendezvous state living in [`Shared`]: the
-/// completion queue workers fill and the socketpair they ring.
+/// The half of the reactor other threads reach: the completion queue
+/// workers fill and the socketpair end that rings the reactor. Every
+/// [`Task::Request`] carries a handle to it.
 pub(crate) struct ReactorShared {
     completions: Mutex<VecDeque<Completion>>,
     wake_tx: UnixStream,
-    /// Taken (once) by the reactor thread at startup.
-    wake_rx: Mutex<Option<UnixStream>>,
 }
 
 impl ReactorShared {
-    pub fn new() -> std::io::Result<ReactorShared> {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok(ReactorShared {
-            completions: Mutex::new(VecDeque::new()),
-            wake_tx: tx,
-            wake_rx: Mutex::new(Some(rx)),
-        })
-    }
-
     /// Ring the reactor. A full pipe means a wakeup is already pending,
     /// so the error is ignorable by design.
     pub fn wake(&self) {
         let _ = (&self.wake_tx).write(&[1]);
     }
-}
 
-/// Worker-side execution of one decoded request (the reactor-mode
-/// counterpart of `handle_connection`'s routing block).
-pub(crate) fn execute(shared: &Shared, conn_id: u64, fd: i32, request: Request) {
-    let t0 = Instant::now();
-    let outcome = route(shared, &request);
-    msc_obs::value("serve.request_nanos", t0.elapsed().as_nanos() as u64);
-    // Don't hold a drained daemon open on keep-alive.
-    let keep_alive = !request.wants_close() && !shared.stop.load(Ordering::SeqCst);
-    let bytes = match outcome {
-        Ok(body) => {
-            msc_obs::count("serve.requests", 1);
-            render_ok(&body, keep_alive)
-        }
-        Err(err) => {
-            msc_obs::count("serve.http_error", 1);
-            render_error(&err, keep_alive)
-        }
-    };
-    let reactor = shared
-        .reactor
-        .as_ref()
-        .expect("reactor tasks only exist in reactor mode");
-    reactor.completions.lock().unwrap().push_back(Completion {
-        conn_id,
-        fd,
-        bytes,
-        keep_alive,
-    });
-    reactor.wake();
+    /// Hand a finished response (`crate::respond`'s) back to the
+    /// reactor thread.
+    pub fn complete(&self, conn_id: u64, fd: i32, (bytes, keep_alive): (Vec<u8>, bool)) {
+        self.completions
+            .lock()
+            .expect("completion queue poisoned: a thread panicked mid-push")
+            .push_back(Completion {
+                conn_id,
+                fd,
+                bytes,
+                keep_alive,
+            });
+        self.wake();
+    }
 }
 
 /// One connection as the reactor tracks it: the socket plus its
@@ -222,16 +195,9 @@ struct Connection {
     conn: Conn,
 }
 
-pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener) {
-    if let Err(e) = Reactor::new(&shared, listener).and_then(|mut r| r.run()) {
-        // A reactor that cannot run leaves the daemon unreachable;
-        // surface it loudly rather than spinning.
-        eprintln!("msc-serve: reactor failed: {e}");
-    }
-}
-
-struct Reactor<'a> {
-    shared: &'a Shared,
+pub(crate) struct Reactor {
+    shared: Arc<Shared>,
+    rendezvous: Arc<ReactorShared>,
     epoll: Epoll,
     /// `None` once drain has closed the port.
     listener: Option<TcpListener>,
@@ -243,25 +209,26 @@ struct Reactor<'a> {
     draining: bool,
 }
 
-impl<'a> Reactor<'a> {
-    fn new(shared: &'a Shared, listener: TcpListener) -> std::io::Result<Reactor<'a>> {
+impl Reactor {
+    /// Everything that can fail before the first `epoll_wait`: runs on
+    /// the thread that called `Server::start`, so the error is that
+    /// call's, not a line on a daemon's stderr.
+    pub(crate) fn new(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<Reactor> {
         listener.set_nonblocking(true)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        let wake_rx = shared
-            .reactor
-            .as_ref()
-            .expect("reactor mode requires ReactorShared")
-            .wake_rx
-            .lock()
-            .unwrap()
-            .take()
-            .expect("reactor started twice");
         let listener_fd = listener.as_raw_fd();
         let wake_fd = wake_rx.as_raw_fd();
         epoll.add(listener_fd, sys::EPOLLIN)?;
         epoll.add(wake_fd, sys::EPOLLIN)?;
         Ok(Reactor {
             shared,
+            rendezvous: Arc::new(ReactorShared {
+                completions: Mutex::new(VecDeque::new()),
+                wake_tx,
+            }),
             epoll,
             listener: Some(listener),
             listener_fd,
@@ -273,7 +240,21 @@ impl<'a> Reactor<'a> {
         })
     }
 
-    fn run(&mut self) -> std::io::Result<()> {
+    /// What `ServerHandle::shutdown` rings after setting the stop flag.
+    pub(crate) fn rendezvous(&self) -> Arc<ReactorShared> {
+        Arc::clone(&self.rendezvous)
+    }
+
+    /// The reactor thread's body.
+    pub(crate) fn run(mut self) {
+        if let Err(e) = self.event_loop() {
+            // A reactor whose epoll_wait fails leaves the daemon
+            // unreachable; surface it loudly rather than spinning.
+            eprintln!("msc-serve: reactor failed: {e}");
+        }
+    }
+
+    fn event_loop(&mut self) -> std::io::Result<()> {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
         loop {
             if self.shared.stop.load(Ordering::SeqCst) && !self.draining {
@@ -332,16 +313,10 @@ impl<'a> Reactor<'a> {
                     if stream.set_nonblocking(true).is_err() {
                         continue; // drop it
                     }
-                    // Same admission bound as the blocking pool:
-                    // `workers` serving + `queue_depth` waiting.
                     if self.draining || self.conns.len() >= self.shared.admit_capacity {
-                        msc_obs::count("serve.shed", 1);
-                        let err = HttpError::Overloaded {
-                            retry_after: self.shared.opts.retry_after,
-                        };
                         // Best-effort: a fresh socket's send buffer is
                         // empty, so this short write does not block.
-                        let _ = (&stream).write(&render_error(&err, false));
+                        let _ = (&stream).write(&shed(&self.shared));
                         continue;
                     }
                     let fd = stream.as_raw_fd();
@@ -349,8 +324,7 @@ impl<'a> Reactor<'a> {
                         continue;
                     }
                     self.next_id += 1;
-                    let conn =
-                        Conn::new(self.next_id, Instant::now(), self.shared.opts.read_timeout);
+                    let conn = Conn::new(self.next_id, Instant::now(), &self.shared.opts);
                     self.conns.insert(fd, Connection { stream, conn });
                     self.shared.open_conns.fetch_add(1, Ordering::SeqCst);
                 }
@@ -387,8 +361,6 @@ impl<'a> Reactor<'a> {
 
     /// Pull whatever the socket has and advance the state machine.
     fn conn_readable(&mut self, fd: i32) {
-        let limits = self.shared.opts.limits.clone();
-        let read_timeout = self.shared.opts.read_timeout;
         let mut buf = [0u8; 16 * 1024];
         loop {
             let Some(c) = self.conns.get_mut(&fd) else {
@@ -404,33 +376,23 @@ impl<'a> Reactor<'a> {
                     return;
                 }
             };
-            match c
-                .conn
-                .on_input(chunk, eof, &limits, Instant::now(), read_timeout)
-            {
-                Ok(Input::Pending) => {
-                    if eof {
-                        // Half-closed mid-head with bytes we can never
-                        // complete — unreachable (the parser errors
-                        // first), but never spin on a dead socket.
-                        self.close_conn(fd);
-                        return;
-                    }
-                }
-                Ok(Input::Request(request)) => {
-                    self.dispatch(fd, request);
-                    return;
-                }
-                Ok(Input::Closed) => {
-                    self.close_conn(fd);
-                    return;
-                }
-                Err(err) => {
-                    self.error_response(fd, &err);
-                    return;
-                }
+            let step = c.conn.on_input(chunk, eof, Instant::now());
+            if !self.on_step(fd, step) {
+                return;
             }
         }
+    }
+
+    /// Act on what the machine made of its input: `true` = nothing
+    /// yet, keep reading.
+    fn on_step(&mut self, fd: i32, step: Result<Input, HttpError>) -> bool {
+        match step {
+            Ok(Input::Pending) => return true,
+            Ok(Input::Request(request)) => self.dispatch(fd, request),
+            Ok(Input::Closed) => self.close_conn(fd),
+            Err(err) => self.error_response(fd, &err),
+        }
+        false
     }
 
     /// Hand a decoded request to the worker pool; the socket goes
@@ -448,39 +410,33 @@ impl<'a> Reactor<'a> {
                 conn_id,
                 fd,
                 request,
+                reply: Arc::clone(&self.rendezvous),
             })
             .is_err()
         {
             // Unreachable by construction — open connections are capped
             // at the queue's capacity — but shed rather than hang.
-            msc_obs::count("serve.shed", 1);
-            let err = HttpError::Overloaded {
-                retry_after: self.shared.opts.retry_after,
-            };
-            self.error_response(fd, &err);
+            let bytes = shed(&self.shared);
+            self.start_response(fd, bytes, false);
         }
     }
 
     /// Render an [`HttpError`] and start writing it; the connection
     /// closes once it drains.
     fn error_response(&mut self, fd: i32, err: &HttpError) {
-        msc_obs::count("serve.http_error", 1);
-        self.start_response(fd, render_error(err, false), false);
+        self.start_response(fd, refuse(err), false);
     }
 
     fn start_response(&mut self, fd: i32, bytes: Vec<u8>, keep_alive: bool) {
-        let write_timeout = self.shared.opts.write_timeout;
         let Some(c) = self.conns.get_mut(&fd) else {
             return;
         };
-        c.conn
-            .start_response(bytes, keep_alive, Instant::now(), write_timeout);
+        c.conn.start_response(bytes, keep_alive, Instant::now());
         self.conn_writable(fd);
     }
 
     /// Push response bytes as the socket accepts them.
     fn conn_writable(&mut self, fd: i32) {
-        let read_timeout = self.shared.opts.read_timeout;
         loop {
             let Some(c) = self.conns.get_mut(&fd) else {
                 return;
@@ -501,7 +457,7 @@ impl<'a> Reactor<'a> {
                     return;
                 }
                 Ok(n) => {
-                    if c.conn.advance_write(n, Instant::now(), read_timeout) {
+                    if c.conn.advance_write(n, Instant::now()) {
                         match c.conn.state() {
                             State::KeepAlive => {
                                 if self.draining && c.conn.is_idle() {
@@ -532,24 +488,22 @@ impl<'a> Reactor<'a> {
     /// After a response flushed on a keep-alive connection: consume a
     /// pipelined request that may already be buffered.
     fn poll_buffered(&mut self, fd: i32) {
-        let limits = self.shared.opts.limits.clone();
-        let read_timeout = self.shared.opts.read_timeout;
         let Some(c) = self.conns.get_mut(&fd) else {
             return;
         };
-        match c.conn.poll_next(&limits, Instant::now(), read_timeout) {
-            Ok(Input::Pending) => {}
-            Ok(Input::Request(request)) => self.dispatch(fd, request),
-            Ok(Input::Closed) => self.close_conn(fd),
-            Err(err) => self.error_response(fd, &err),
-        }
+        let step = c.conn.poll_next(Instant::now());
+        self.on_step(fd, step);
     }
 
     /// Apply worker completions: attach the response and start writing.
     fn handle_completions(&mut self) {
-        let reactor = self.shared.reactor.as_ref().expect("reactor mode");
         loop {
-            let completion = reactor.completions.lock().unwrap().pop_front();
+            let completion = self
+                .rendezvous
+                .completions
+                .lock()
+                .expect("completion queue poisoned: a thread panicked mid-push")
+                .pop_front();
             let Some(done) = completion else { return };
             let stale = match self.conns.get(&done.fd) {
                 Some(c) => c.conn.id != done.conn_id || c.conn.state() != State::Executing,

@@ -1,16 +1,17 @@
-//! Chunked parsing ≡ whole-buffer parsing.
+//! Any chunking ≡ one chunk.
 //!
-//! The reactor feeds the HTTP parser whatever byte chunks readiness
-//! delivers, so the incremental [`PushParser`] must reach exactly the
-//! same verdicts as the blocking whole-buffer path — same requests, in
-//! order, and the same typed error (or clean close) at the end — for
-//! *any* byte stream and *any* chunking of it. This property is what
-//! lets the robustness suite's expectations (408/400/411/413/431/...)
-//! carry over to the reactor unchanged.
+//! Both I/O drivers feed the HTTP parser whatever byte chunks the
+//! socket delivers, so the incremental [`PushParser`] must reach the
+//! same verdicts — same requests, in order, and the same typed error
+//! (or clean close) at the end — for *any* byte stream however it is
+//! cut into reads. The reference is the same parser handed the stream
+//! in one piece: what that verdict *is* on each kind of input is pinned
+//! by the unit tests in `http.rs` and by the robustness suite; this
+//! property is what lets their expectations (408/400/411/413/431/...)
+//! hold whatever the network does to the bytes.
 
-use msc_serve::http::{parse_request, HttpError, Limits, Poll, PushParser, Request};
+use msc_serve::http::{HttpError, Limits, Poll, PushParser, Request};
 use proptest::prelude::*;
-use std::io::Cursor;
 
 /// How a parsing session ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,21 +20,8 @@ enum Terminal {
     Error(HttpError),
 }
 
-/// The blocking server's view: parse requests off one buffer until the
-/// peer would be disconnected (clean EOF or protocol error).
-fn whole_buffer(stream: &[u8], limits: &Limits) -> (Vec<Request>, Terminal) {
-    let mut cursor = Cursor::new(stream.to_vec());
-    let mut requests = Vec::new();
-    loop {
-        match parse_request(&mut cursor, limits) {
-            Ok(None) => return (requests, Terminal::CleanClose),
-            Ok(Some(r)) => requests.push(r),
-            Err(e) => return (requests, Terminal::Error(e)),
-        }
-    }
-}
-
-/// The reactor's view: the same bytes, pushed in arbitrary chunks.
+/// Push `stream` in chunks of the given sizes (cycled), then EOF, and
+/// parse until the peer would be disconnected.
 fn chunked(stream: &[u8], sizes: &[usize], limits: &Limits) -> (Vec<Request>, Terminal) {
     let mut parser = PushParser::new();
     let mut requests = Vec::new();
@@ -63,6 +51,11 @@ fn chunked(stream: &[u8], sizes: &[usize], limits: &Limits) -> (Vec<Request>, Te
             Err(e) => return (requests, Terminal::Error(e)),
         }
     }
+}
+
+/// The reference: the whole stream in one `feed`.
+fn whole_buffer(stream: &[u8], limits: &Limits) -> (Vec<Request>, Terminal) {
+    chunked(stream, &[stream.len()], limits)
 }
 
 /// One segment of a connection's byte stream: valid requests of every
@@ -131,8 +124,8 @@ fn arb_segment() -> BoxedStrategy<Vec<u8>> {
 }
 
 proptest! {
-    /// Any stream, any chunking: the push parser and the blocking
-    /// parser agree on every request and on how the session ends.
+    /// Any stream, any chunking: the same requests and the same end of
+    /// session as the stream fed whole.
     #[test]
     fn chunked_parsing_matches_whole_buffer(
         segments in prop::collection::vec(arb_segment(), 1..4),
