@@ -8,7 +8,8 @@
 #                         non-Linux cross-checks, compiling the benches, and
 #                         building + self-testing the perf/ benchmark
 #                         package against this tree)
-#   ./ci.sh bench-smoke   additionally *run* the set benches in their
+#   ./ci.sh bench-smoke   additionally *run* the set benches and the two
+#                         code-generation benches (csi, multiway) in their
 #                         --test smoke configuration (small sizes, 2
 #                         samples) and the bench-regression gates (one
 #                         claims -- setops regex explosion --check run),
@@ -141,6 +142,10 @@ if [ "$MODE" = "bench-smoke" ]; then
     cargo bench -p msc-bench --bench subsume_scaling -- --test
     echo "== bench smoke: obs_overhead --test =="
     cargo bench -p msc-bench --bench obs_overhead -- --test
+    echo "== bench smoke: csi --test =="
+    cargo bench -p msc-bench --bench csi -- --test
+    echo "== bench smoke: multiway --test =="
+    cargo bench -p msc-bench --bench multiway -- --test
     gate setops regex explosion
 fi
 

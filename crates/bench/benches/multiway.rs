@@ -3,7 +3,7 @@
 //! compared with the naive dense-table alternative.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use msc_bench::workloads::aggregate_keys;
+use msc_bench::workloads::{aggregate_keys, dispatch_keys};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -47,6 +47,27 @@ fn bench(c: &mut Criterion) {
                 }
                 black_box(acc)
             })
+        });
+    }
+    group.finish();
+
+    // The search on the key sets the converter really produces (2^k + 1
+    // cases of BIT(state) unions): what a cold compile pays per dispatch.
+    let mut group = c.benchmark_group("multiway_dispatch");
+    group.sample_size(30);
+    for k in 1..=6 {
+        let keys = dispatch_keys(k);
+        let mut search = msc_hash::HashSearch::default();
+        let ph = search.find(&keys, Default::default()).unwrap();
+        println!(
+            "[C7] {} dispatch cases: table {}, {} candidates tested, expr {}",
+            keys.len(),
+            ph.table.len(),
+            search.candidates_tested,
+            ph.expr
+        );
+        group.bench_with_input(BenchmarkId::new("find_hash", keys.len()), &k, |b, _| {
+            b.iter(|| black_box(msc_hash::find_hash(black_box(&keys)).unwrap().table.len()))
         });
     }
     group.finish();

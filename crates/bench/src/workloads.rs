@@ -197,6 +197,24 @@ pub fn aggregate_keys(n: usize, bits: u32) -> Vec<u64> {
     keys
 }
 
+/// The key set of the dispatch the converter most often produces: a meta
+/// state of `k` loop heads, each branching to its own body `B_i` or to the
+/// one exit `E` they share. A successor meta state is any set of targets
+/// that places every member — all subsets of the bodies with `E`, or every
+/// body without it — so the dispatch has `2^k + 1` cases (3, 5, 9, 17, 33,
+/// 65 for `k` = 1..=6), each the OR of its states' `BIT(state)`, with the
+/// closely spaced state ids a front end hands out.
+pub fn dispatch_keys(k: usize) -> Vec<u64> {
+    let exit = 1u64 << 2;
+    let bodies = |subset: u64| {
+        let chosen = (0..k).filter(|i| subset >> i & 1 != 0);
+        chosen.fold(0u64, |key, i| key | 1 << (4 + 3 * i))
+    };
+    let mut keys: Vec<u64> = (0..1 << k).map(|subset| exit | bodies(subset)).collect();
+    keys.push(bodies(u64::MAX));
+    keys
+}
+
 /// Two sorted, distinct member lists of `n` state ids each, drawn from a
 /// universe of `4n` ids with roughly 50% overlap — the set-algebra
 /// benchmark workload (dense enough that hybrid sets use the bitset
@@ -276,6 +294,18 @@ mod tests {
             let p = msc_lang::compile(&src).unwrap_or_else(|e| panic!("n={n}: {e}\n{src}"));
             assert!(p.graph.len() >= n);
         }
+    }
+
+    #[test]
+    fn dispatch_keys_have_the_converter_shape() {
+        for k in 1..=6 {
+            let keys = dispatch_keys(k);
+            let distinct: std::collections::HashSet<_> = keys.iter().collect();
+            assert_eq!((keys.len(), distinct.len()), ((1 << k) + 1, (1 << k) + 1));
+            msc_hash::find_hash(&keys).unwrap();
+        }
+        // ms_2 branching to {4}, {2} or both: Listing 5's three-way case.
+        assert_eq!(dispatch_keys(1), [1 << 2, 1 << 2 | 1 << 4, 1 << 4]);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 pub mod render;
 
 use msc_core::{MetaAutomaton, MetaId};
-use msc_csi::{CsiError, CsiOptions};
-use msc_hash::{HashError, SearchOptions};
+use msc_csi::{CsiError, CsiOptions, Inducer};
+use msc_hash::{HashError, HashSearch, PerfectHash, SearchOptions};
+use msc_ir::util::FxHashMap;
 use msc_ir::{CostModel, Op, StateId, Terminator};
 use msc_simd::{BlockId, Dispatch, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};
 use std::fmt;
@@ -120,6 +121,26 @@ pub fn meta_name(members: &[StateId]) -> String {
     s
 }
 
+/// How hard one [`generate_with_stats`] call worked: the counters of its CSI
+/// scheduler and of its perfect-hash search, summed over the program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GenStats {
+    /// CSI problems posed (one per meta state when CSI is on).
+    pub csi_problems: u64,
+    /// … of which had a single non-empty thread, so nothing was searched.
+    pub csi_single_thread: u64,
+    /// Candidate schedules built, improved and priced.
+    pub csi_candidates_tried: u64,
+    /// Problems that skipped candidates because one met the lower bound.
+    pub csi_lower_bound_exits: u64,
+    /// Perfect-hash searches run (distinct dispatch key sets).
+    pub hash_searches: u64,
+    /// Hashed dispatches served from an earlier search of the same key set.
+    pub hash_memo_hits: u64,
+    /// Candidate hash expressions tested for injectivity.
+    pub hash_candidates_tested: u64,
+}
+
 /// Generate an executable SIMD program from a converted automaton.
 ///
 /// `poly_words`/`mono_words` give the memory image sizes (from the front
@@ -131,42 +152,54 @@ pub fn generate(
     mono_words: u32,
     opts: &GenOptions,
 ) -> Result<SimdProgram, GenError> {
+    generate_with_stats(auto, poly_words, mono_words, opts).map(|(program, _)| program)
+}
+
+/// [`generate`], also reporting how hard the CSI and hash searches worked.
+pub fn generate_with_stats(
+    auto: &MetaAutomaton,
+    poly_words: u32,
+    mono_words: u32,
+    opts: &GenOptions,
+) -> Result<(SimdProgram, GenStats), GenError> {
     let graph = &auto.graph;
     let mut blocks = Vec::with_capacity(auto.len());
+    let csi_opts = CsiOptions {
+        costs: opts.costs.clone(),
+        ..Default::default()
+    };
+    let mut inducer = Inducer::default();
+    let mut hashing = Hashing {
+        barriers: graph.ids().filter(|&s| graph.state(s).barrier).collect(),
+        ..Default::default()
+    };
 
     for (mi, set) in auto.sets.iter().enumerate() {
         let meta = MetaId(mi as u32);
         let members: Vec<StateId> = set.iter().collect();
 
         // §3.1: the member bodies are the threads of a CSI problem.
-        let threads: Vec<Vec<Op>> = members
+        let threads: Vec<&[Op]> = members
             .iter()
-            .map(|&m| graph.state(m).ops.clone())
+            .map(|&m| graph.state(m).ops.as_slice())
             .collect();
         let mut body: Vec<GuardedInstr> = Vec::new();
         if opts.csi {
-            let schedule = msc_csi::induce_with(
-                &threads,
-                &CsiOptions {
-                    costs: opts.costs.clone(),
-                    ..Default::default()
-                },
-            )?;
+            let schedule = inducer.induce(&threads, &csi_opts)?;
             for slot in schedule.slots {
-                let guard: Vec<StateId> = members
-                    .iter()
-                    .enumerate()
-                    .filter(|(t, _)| slot.active & (1 << t) != 0)
-                    .map(|(_, &m)| m)
-                    .collect();
-                body.push(GuardedInstr {
-                    guard,
-                    instr: SimdInstr::Op(slot.op),
-                });
+                // The guard: the members at the mask's set bits, lowest first.
+                let mut guard = Vec::with_capacity(slot.active.count_ones() as usize);
+                let mut rest = slot.active;
+                while rest != 0 {
+                    guard.push(members[rest.trailing_zeros() as usize]);
+                    rest &= rest - 1;
+                }
+                let instr = SimdInstr::Op(slot.op);
+                body.push(GuardedInstr { guard, instr });
             }
         } else {
             for (t, thread) in threads.iter().enumerate() {
-                for op in thread {
+                for op in *thread {
                     body.push(GuardedInstr {
                         guard: vec![members[t]],
                         instr: SimdInstr::Op(op.clone()),
@@ -200,10 +233,10 @@ pub fn generate(
             body.push(GuardedInstr { guard, instr });
         }
 
-        let dispatch = build_dispatch(auto, meta, opts)?;
+        let dispatch = build_dispatch(auto, meta, opts, &mut hashing)?;
         blocks.push(MetaBlock {
-            members: members.clone(),
             name: meta_name(&members),
+            members,
             body,
             dispatch,
         });
@@ -218,7 +251,29 @@ pub fn generate(
         costs: opts.costs.clone(),
     };
     debug_assert_eq!(program.validate(), Ok(()));
-    Ok(program)
+    let stats = GenStats {
+        csi_problems: inducer.problems,
+        csi_single_thread: inducer.single_thread,
+        csi_candidates_tried: inducer.candidates_tried,
+        csi_lower_bound_exits: inducer.lower_bound_exits,
+        hash_searches: hashing.memo.len() as u64,
+        hash_memo_hits: hashing.memo_hits,
+        hash_candidates_tested: hashing.search.candidates_tested,
+    };
+    Ok((program, stats))
+}
+
+/// What the §3.2.3 encoder keeps for one program. The memo lives for one
+/// [`generate_with_stats`] call: dispatch key sets repeat within a program
+/// and the search is a pure function of the ordered key list, so a hit is
+/// the table a fresh search would build.
+#[derive(Default)]
+struct Hashing {
+    /// Every barrier state of the graph: possible at every dispatch.
+    barriers: Vec<StateId>,
+    search: HashSearch,
+    memo: FxHashMap<Vec<u64>, PerfectHash>,
+    memo_hits: u64,
 }
 
 /// Build the §3.2 exit encoding for one meta state.
@@ -226,6 +281,7 @@ fn build_dispatch(
     auto: &MetaAutomaton,
     meta: MetaId,
     opts: &GenOptions,
+    hashing: &mut Hashing,
 ) -> Result<Dispatch, GenError> {
     let succs = auto.successors(meta);
     let graph = &auto.graph;
@@ -271,49 +327,31 @@ fn build_dispatch(
             // Possible pc values at this dispatch: every member's graph
             // successors, every successor meta's members, and any barrier
             // state (lingering waiters keep their pc).
-            let mut possible: Vec<StateId> = Vec::new();
-            let mut push = |s: StateId| {
-                if !possible.contains(&s) {
-                    possible.push(s);
-                }
-            };
+            let mut possible: Vec<StateId> = hashing.barriers.clone();
             for m in auto.members(meta).iter() {
-                for s in graph.state(m).term.successors() {
-                    push(s);
-                }
+                possible.extend(graph.state(m).term.successors());
             }
             for &sm in succs {
-                for s in auto.members(sm).iter() {
-                    push(s);
-                }
+                possible.extend(auto.members(sm).iter());
             }
-            for s in graph.ids() {
-                if graph.state(s).barrier {
-                    push(s);
-                }
-            }
+            possible.sort_unstable();
+            possible.dedup();
             if possible.len() > 64 {
                 return Err(GenError::TooManyDispatchStates {
                     meta,
                     states: possible.len(),
                 });
             }
-            possible.sort_unstable();
             // When the whole graph fits in 64 states, use the paper's
-            // BIT(state) coding so rendered output matches Listing 5.
-            let bit_of: Vec<(StateId, u32)> = if graph.len() <= 64 {
-                possible.iter().map(|&s| (s, s.0)).collect()
-            } else {
-                possible
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, i as u32))
-                    .collect()
-            };
-            let bit = |s: StateId| -> u32 { bit_of.iter().find(|(st, _)| *st == s).unwrap().1 };
-            let barrier_mask: u64 = possible
+            // BIT(state) coding so rendered output matches Listing 5;
+            // otherwise a state's bit is its rank among the possible ones.
+            let rank = |s: StateId| possible.binary_search(&s).expect("collected above") as u32;
+            let small = graph.len() <= 64;
+            let bit = |s: StateId| if small { s.0 } else { rank(s) };
+            let bit_of: Vec<(StateId, u32)> = possible.iter().map(|&s| (s, bit(s))).collect();
+            let barrier_mask: u64 = hashing
+                .barriers
                 .iter()
-                .filter(|&&s| graph.state(s).barrier)
                 .fold(0, |m, &s| m | (1u64 << bit(s)));
             let keys: Vec<u64> = succs
                 .iter()
@@ -323,7 +361,17 @@ fn build_dispatch(
                         .fold(0u64, |k, s| k | (1u64 << bit(s)))
                 })
                 .collect();
-            let hash = msc_hash::find_hash_with(&keys, opts.hash_search)?;
+            let hash = match hashing.memo.get(&keys) {
+                Some(found) => {
+                    hashing.memo_hits += 1;
+                    found.clone()
+                }
+                None => {
+                    let found = hashing.search.find(&keys, opts.hash_search)?;
+                    hashing.memo.insert(keys, found.clone());
+                    found
+                }
+            };
             let targets: Vec<BlockId> = succs.iter().map(|&s| BlockId(s.0)).collect();
             Ok(Dispatch::Hashed {
                 bit_of,
@@ -338,7 +386,8 @@ fn build_dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msc_core::{convert, ConvertOptions};
+    use msc_core::{convert, ConvertOptions, StateSet};
+    use msc_ir::{MimdGraph, MimdState};
     use msc_lang::compile;
     use msc_simd::{MachineConfig, SimdMachine};
 
@@ -441,6 +490,115 @@ mod tests {
             .flat_map(|b| &b.body)
             .any(|gi| gi.guard.len() > 1 && matches!(gi.instr, SimdInstr::Op(_)));
         assert!(shared);
+    }
+
+    /// The effort counters repeat exactly, so they are pinned: a changed
+    /// `hash_candidates_tested` means the search *order* changed, a changed
+    /// `csi_candidates_tried` that the early exits moved.
+    #[test]
+    fn gen_stats_are_exact_for_the_dispatch_heavy_example() {
+        let src = include_str!("../../../examples/dispatch_heavy.mimdc");
+        let p = compile(src).unwrap();
+        let auto = convert(&p.graph, &ConvertOptions::base()).unwrap();
+        let opts = GenOptions::default();
+        let (prog, stats) =
+            generate_with_stats(&auto, p.layout.poly_words, p.layout.mono_words, &opts).unwrap();
+        let want = GenStats {
+            csi_problems: 31,
+            csi_single_thread: 9,
+            csi_candidates_tried: 3 * (31 - 9),
+            csi_lower_bound_exits: 0,
+            hash_searches: 10,
+            hash_memo_hits: 20,
+            hash_candidates_tested: 1214,
+        };
+        assert_eq!(stats, want);
+
+        // The memo neither loses nor double-counts a search: the total is
+        // what fresh searches of the distinct key sets test, and those are
+        // pinned to the pre-memo search by `msc-hash`'s differential tests.
+        let mut distinct: Vec<&[u64]> = Vec::new();
+        let mut hashed = 0;
+        for b in &prog.blocks {
+            if let Dispatch::Hashed { hash, .. } = &b.dispatch {
+                hashed += 1;
+                if !distinct.contains(&hash.keys.as_slice()) {
+                    distinct.push(&hash.keys);
+                }
+            }
+        }
+        assert_eq!(stats.hash_searches, distinct.len() as u64);
+        assert_eq!(stats.hash_searches + stats.hash_memo_hits, hashed);
+        let mut fresh = HashSearch::default();
+        for keys in distinct {
+            fresh.find(keys, opts.hash_search).unwrap();
+        }
+        assert_eq!(stats.hash_candidates_tested, fresh.candidates_tested);
+        assert_eq!(stats.csi_problems, prog.blocks.len() as u64);
+    }
+
+    /// A hand-built automaton: `graph`'s states grouped into `sets`, meta
+    /// state 0 branching to every other one.
+    fn fan_automaton(graph: MimdGraph, sets: Vec<Vec<u32>>) -> MetaAutomaton {
+        let mut succs = vec![vec![]; sets.len()];
+        succs[0] = (1..sets.len() as u32).map(MetaId).collect();
+        let set = |ids: Vec<u32>| StateSet::from_iter(ids.into_iter().map(StateId));
+        MetaAutomaton {
+            graph,
+            sets: sets.into_iter().map(set).collect(),
+            start: MetaId(0),
+            succs,
+        }
+    }
+
+    #[test]
+    fn sixty_five_members_overflow_the_csi_guard_word_only_with_csi_on() {
+        let mut graph = MimdGraph::new();
+        for i in 0..65 {
+            graph.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt));
+        }
+        let auto = fan_automaton(graph, vec![(0..65).collect()]);
+        let with_csi = generate(&auto, 0, 0, &GenOptions::default());
+        let too_many = GenError::Csi(CsiError::TooManyThreads(65));
+        assert_eq!(with_csi.err(), Some(too_many));
+        let serial = GenOptions {
+            csi: false,
+            ..Default::default()
+        };
+        let prog = generate(&auto, 0, 0, &serial).unwrap();
+        assert_eq!(
+            prog.blocks[0].body.len(),
+            65 + 1,
+            "65 pushes, one shared Halt"
+        );
+    }
+
+    #[test]
+    fn a_dispatch_may_need_sixty_four_aggregate_bits_but_not_sixty_five() {
+        let fan = |halting: u32| {
+            let mut graph = MimdGraph::new();
+            let (t, f) = (StateId(1), StateId(2));
+            graph.add(MimdState::new(vec![], Terminator::Branch { t, f }));
+            for _ in 0..halting {
+                graph.add(MimdState::new(vec![], Terminator::Halt));
+            }
+            let sets = vec![vec![0], (1..=32).collect(), (33..=halting).collect()];
+            generate(&fan_automaton(graph, sets), 0, 0, &GenOptions::default())
+        };
+        let prog = fan(64).unwrap();
+        let Dispatch::Hashed { bit_of, hash, .. } = &prog.blocks[0].dispatch else {
+            panic!(
+                "two successors dispatch by hash: {:?}",
+                prog.blocks[0].dispatch
+            );
+        };
+        assert_eq!(bit_of.len(), 64);
+        assert_eq!(hash.keys, [u64::from(u32::MAX), u64::from(u32::MAX) << 32]);
+        let too_many = GenError::TooManyDispatchStates {
+            meta: MetaId(0),
+            states: 65,
+        };
+        assert_eq!(fan(65).err(), Some(too_many));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use flight::{Flight, Singleflight};
 pub use msc_cache::{BreakerState, PeerConfig, PeerStatus, TierStatus};
 pub use parallel::{convert_parallel, convert_parallel_deadline, ParallelError};
 
-use msc_codegen::{generate, GenError, GenOptions};
+use msc_codegen::{generate_with_stats, GenError, GenOptions};
 use msc_core::{ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
 use msc_lang::{compile, CompileError, Program};
 use msc_simd::SimdProgram;
@@ -115,13 +115,26 @@ pub fn compile_stages(
         )?;
     let t2 = Instant::now();
 
-    let simd = generate(
+    let (simd, effort) = generate_with_stats(
         &automaton,
         compiled.layout.poly_words,
         compiled.layout.mono_words,
         &job.gen,
     )?;
     let t3 = Instant::now();
+    // How hard code generation searched, for `--metrics` and `/metrics`;
+    // the artifact does not carry it.
+    for (name, n) in [
+        ("csi.problems", effort.csi_problems),
+        ("csi.single_thread", effort.csi_single_thread),
+        ("csi.candidates_tried", effort.csi_candidates_tried),
+        ("csi.lower_bound_exits", effort.csi_lower_bound_exits),
+        ("hash.searches", effort.hash_searches),
+        ("hash.candidates_tested", effort.hash_candidates_tested),
+        ("codegen.hash_memo_hits", effort.hash_memo_hits),
+    ] {
+        msc_obs::count(name, n);
+    }
     if deadline.is_some_and(|d| t3 > d) {
         return Err(timed_out());
     }
@@ -759,6 +772,30 @@ mod tests {
         let a0 = results[0].as_ref().unwrap().artifact.automaton_text.clone();
         for r in &results {
             assert_eq!(r.as_ref().unwrap().artifact.automaton_text, a0);
+        }
+    }
+
+    #[test]
+    fn compile_stages_publishes_the_effort_of_code_generation() {
+        let registry = Arc::new(msc_obs::Registry::new());
+        let _guard = msc_obs::install(registry.clone());
+        let job = Job::new(
+            "effort",
+            include_str!("../../../examples/dispatch_heavy.mimdc"),
+        );
+        compile_stages(&job, 1, None).unwrap();
+        let snap = registry.snapshot();
+        // The values `msc-codegen` pins for this program (>=: tests of this
+        // process that install nothing may compile into this registry too).
+        for (name, at_least) in [
+            ("csi.problems", 31),
+            ("csi.single_thread", 9),
+            ("csi.candidates_tried", 66),
+            ("hash.searches", 10),
+            ("hash.candidates_tested", 1214),
+            ("codegen.hash_memo_hits", 20),
+        ] {
+            assert!(snap.counter(name) >= at_least, "{name}: {snap:?}");
         }
     }
 

@@ -15,13 +15,15 @@
 //! switch ((((apc >> 6) ^ apc) & 15)) { ... }
 //! ```
 //!
-//! [`find_hash`] reproduces that search: it tries, in increasing order of
-//! evaluation cost and table size, the hash families observed in the
-//! generated code (shift-mask of `x` or `-x`, shift-xor-mask,
-//! shift-add-mask, multiply-shift-mask) and returns the first expression
-//! that is injective on the key set. [`HashExpr::eval`] lets the SIMD
-//! simulator execute the dispatch; [`HashExpr::render`] prints the C-like
-//! form for MPL-style output.
+//! [`find_hash`] reproduces that search over the hash families observed in
+//! the generated code (shift-mask of `x` or `-x`, shift-xor-mask,
+//! shift-add-mask, multiply-shift-mask): table widths from the smallest
+//! power of two that holds the keys upward, and within a width the families
+//! in increasing op-count order, each over its shifts. The first expression
+//! in that order that is injective on the key set is returned, so the order
+//! *is* the output: the smallest table, then the fewest ALU ops.
+//! [`HashExpr::eval`] lets the SIMD simulator execute the dispatch;
+//! [`HashExpr::render`] prints the C-like form for MPL-style output.
 
 use std::fmt;
 
@@ -197,7 +199,8 @@ impl std::error::Error for HashError {}
 /// Search parameters for [`find_hash_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
-    /// Largest table considered, as a power of two (table ≤ 2^max_table_bits).
+    /// Largest table considered, as a power of two (table ≤ 2^max_table_bits),
+    /// itself capped at [`MAX_TABLE_BITS`].
     pub max_table_bits: u32,
     /// Allow the multiplicative family (more ops, but succeeds on
     /// adversarial key sets the folding families miss).
@@ -225,6 +228,29 @@ const MULTIPLIERS: [u64; 6] = [
     0x2545_f491_4f6c_dd1d,
 ];
 
+/// Ceiling that [`SearchOptions::max_table_bits`] is clamped to: a 16 M-slot
+/// jump table is already absurd for aggregates of at most 64 pc bits, and no
+/// option value may shift by 64 or size the search's scratch at will.
+pub const MAX_TABLE_BITS: u32 = 24;
+
+/// Every candidate of one table width, lazily, in increasing op-count
+/// order. This order *is* the output of the search: ShiftMask shifts 0..64,
+/// the negated ShiftMask 0..64, XorFold 1..64, AddFold 1..64, then (if
+/// allowed) each of [`MULTIPLIERS`] with shifts 63 down to 0.
+fn candidates(mask: u64, allow_mul: bool) -> impl Iterator<Item = HashExpr> {
+    let shift_mask = move |neg| (0..64).map(move |shift| HashExpr::ShiftMask { neg, shift, mask });
+    let muls = &MULTIPLIERS[..if allow_mul { MULTIPLIERS.len() } else { 0 }];
+    shift_mask(false)
+        .chain(shift_mask(true))
+        .chain((1..64).map(move |shift| HashExpr::XorFold { shift, mask }))
+        .chain((1..64).map(move |shift| HashExpr::AddFold { shift, mask }))
+        .chain(muls.iter().flat_map(move |&mul| {
+            (0..64)
+                .rev()
+                .map(move |shift| HashExpr::MulShift { mul, shift, mask })
+        }))
+}
+
 /// Find a minimal perfect hash for `keys` with default search options.
 pub fn find_hash(keys: &[u64]) -> Result<PerfectHash, HashError> {
     find_hash_with(keys, SearchOptions::default())
@@ -234,78 +260,170 @@ pub fn find_hash(keys: &[u64]) -> Result<PerfectHash, HashError> {
 /// ALU ops, mirroring \[Die92a\]'s goal of "mak\[ing\] the case values
 /// contiguous so that the compiler will use a jump table".
 pub fn find_hash_with(keys: &[u64], opts: SearchOptions) -> Result<PerfectHash, HashError> {
-    if keys.is_empty() {
-        return Err(HashError::NoKeys);
-    }
-    {
+    HashSearch::default().find(keys, opts)
+}
+
+/// The perfect-hash search with its scratch and its effort counter. One
+/// value can serve any number of searches (code generation keeps one per
+/// program); [`find_hash_with`] is a search on a fresh one.
+#[derive(Debug, Default)]
+pub struct HashSearch {
+    /// Candidate expressions tested for injectivity so far, over every
+    /// [`find`](Self::find) on this value.
+    pub candidates_tested: u64,
+    /// Injectivity scratch for tables of more than 64 slots: a slot holds
+    /// the epoch of the last candidate that hit it, so nothing is cleared
+    /// between candidates.
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl HashSearch {
+    /// [`find_hash_with`], counting into [`candidates_tested`](Self::candidates_tested).
+    pub fn find(&mut self, keys: &[u64], opts: SearchOptions) -> Result<PerfectHash, HashError> {
+        if keys.is_empty() {
+            return Err(HashError::NoKeys);
+        }
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(HashError::DuplicateKey(w[0]));
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(HashError::DuplicateKey(w[0]));
+        }
+        let min_bits = usize::BITS - (keys.len() - 1).leading_zeros();
+        for bits in min_bits..=opts.max_table_bits.min(MAX_TABLE_BITS) {
+            let found = candidates((1u64 << bits) - 1, opts.allow_mul).find(|expr| {
+                self.candidates_tested += 1;
+                self.injective(keys, expr)
+            });
+            if let Some(expr) = found {
+                // Only the winner's table is ever built.
+                let mut table = vec![None; expr.table_size()];
+                for (i, &k) in keys.iter().enumerate() {
+                    table[expr.eval(k) as usize] = Some(i as u32);
+                }
+                let keys = keys.to_vec();
+                return Ok(PerfectHash { expr, table, keys });
             }
         }
+        Err(HashError::NotFound)
     }
-    let min_bits = if keys.len() == 1 {
-        0
-    } else {
-        usize::BITS - (keys.len() - 1).leading_zeros()
-    };
-    for bits in min_bits..=opts.max_table_bits {
-        let mask = if bits == 0 { 0 } else { (1u64 << bits) - 1 };
-        // Families in increasing op-count order.
-        let mut candidates: Vec<HashExpr> = Vec::new();
-        for shift in 0..64 {
-            candidates.push(HashExpr::ShiftMask {
-                neg: false,
-                shift,
-                mask,
+
+    /// Does `expr` map `keys` to distinct slots? Rejects on the first
+    /// collision and allocates nothing per candidate: a `u64` seen-mask up
+    /// to 64 slots, the epoch-stamped array (one per table width) above.
+    fn injective(&mut self, keys: &[u64], expr: &HashExpr) -> bool {
+        let slots = expr.table_size();
+        if slots <= 64 {
+            let mut seen = 0u64;
+            return keys.iter().all(|&k| {
+                let bit = 1u64 << expr.eval(k);
+                let fresh = seen & bit == 0;
+                seen |= bit;
+                fresh
             });
         }
-        for shift in 0..64 {
-            candidates.push(HashExpr::ShiftMask {
-                neg: true,
-                shift,
-                mask,
-            });
+        if self.stamps.len() != slots || self.epoch == u32::MAX {
+            self.stamps = Vec::new(); // free the narrower array first
+            self.stamps = vec![0; slots];
+            self.epoch = 0;
         }
-        for shift in 1..64 {
-            candidates.push(HashExpr::XorFold { shift, mask });
+        self.epoch += 1;
+        let epoch = self.epoch;
+        keys.iter().all(|&k| {
+            let stamp = &mut self.stamps[expr.eval(k) as usize];
+            std::mem::replace(stamp, epoch) != epoch
+        })
+    }
+}
+
+/// The search as it stood before the lazy walk: a materialised candidate
+/// list per table width and a freshly allocated table per candidate. Kept
+/// only as the oracle the shipped search is compared against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The result, and how many candidates were tried to get it.
+    pub fn find_hash_with(
+        keys: &[u64],
+        opts: SearchOptions,
+    ) -> (Result<PerfectHash, HashError>, u64) {
+        if keys.is_empty() {
+            return (Err(HashError::NoKeys), 0);
         }
-        for shift in 1..64 {
-            candidates.push(HashExpr::AddFold { shift, mask });
-        }
-        if opts.allow_mul {
-            for &mul in &MULTIPLIERS {
-                for shift in (0..64).rev() {
-                    candidates.push(HashExpr::MulShift { mul, shift, mask });
+        {
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            for w in sorted.windows(2) {
+                if w[0] == w[1] {
+                    return (Err(HashError::DuplicateKey(w[0])), 0);
                 }
             }
         }
-        for expr in candidates {
-            if let Some(table) = try_build(keys, &expr) {
-                return Ok(PerfectHash {
-                    expr,
-                    table,
-                    keys: keys.to_vec(),
+        let min_bits = if keys.len() == 1 {
+            0
+        } else {
+            usize::BITS - (keys.len() - 1).leading_zeros()
+        };
+        let mut tested = 0;
+        for bits in min_bits..=opts.max_table_bits {
+            let mask = if bits == 0 { 0 } else { (1u64 << bits) - 1 };
+            // Families in increasing op-count order.
+            let mut candidates: Vec<HashExpr> = Vec::new();
+            for shift in 0..64 {
+                candidates.push(HashExpr::ShiftMask {
+                    neg: false,
+                    shift,
+                    mask,
                 });
             }
+            for shift in 0..64 {
+                candidates.push(HashExpr::ShiftMask {
+                    neg: true,
+                    shift,
+                    mask,
+                });
+            }
+            for shift in 1..64 {
+                candidates.push(HashExpr::XorFold { shift, mask });
+            }
+            for shift in 1..64 {
+                candidates.push(HashExpr::AddFold { shift, mask });
+            }
+            if opts.allow_mul {
+                for &mul in &MULTIPLIERS {
+                    for shift in (0..64).rev() {
+                        candidates.push(HashExpr::MulShift { mul, shift, mask });
+                    }
+                }
+            }
+            for expr in candidates {
+                tested += 1;
+                if let Some(table) = try_build(keys, &expr) {
+                    let found = PerfectHash {
+                        expr,
+                        table,
+                        keys: keys.to_vec(),
+                    };
+                    return (Ok(found), tested);
+                }
+            }
         }
+        (Err(HashError::NotFound), tested)
     }
-    Err(HashError::NotFound)
-}
 
-/// Attempt to build the dispatch table; `None` on any collision.
-fn try_build(keys: &[u64], expr: &HashExpr) -> Option<Vec<Option<u32>>> {
-    let mut table = vec![None; expr.table_size()];
-    for (i, &k) in keys.iter().enumerate() {
-        let h = expr.eval(k) as usize;
-        if table[h].is_some() {
-            return None;
+    /// Attempt to build the dispatch table; `None` on any collision.
+    fn try_build(keys: &[u64], expr: &HashExpr) -> Option<Vec<Option<u32>>> {
+        let mut table = vec![None; expr.table_size()];
+        for (i, &k) in keys.iter().enumerate() {
+            let h = expr.eval(k) as usize;
+            if table[h].is_some() {
+                return None;
+            }
+            table[h] = Some(i as u32);
         }
-        table[h] = Some(i as u32);
+        Some(table)
     }
-    Some(table)
 }
 
 #[cfg(test)]
@@ -446,6 +564,76 @@ mod tests {
             assert_eq!(ph.lookup(k), Some(i as u32));
         }
     }
+
+    /// Candidates per table width without the multiplicative family.
+    const FOLD_CANDIDATES: usize = 64 + 64 + 63 + 63;
+
+    /// Eight keys that differ only at bits 2, 30 and 58: no 24-bit window,
+    /// folded or not, sees more than two of the three positions, and the set
+    /// low bit makes negation a plain complement — so without the
+    /// multiplicative family the search must walk every width and give up.
+    fn far_apart_keys() -> Vec<u64> {
+        (0..8u64)
+            .map(|v| 1 | (v & 1) << 2 | (v >> 1 & 1) << 30 | (v >> 2) << 58)
+            .collect()
+    }
+
+    #[test]
+    fn hostile_max_table_bits_is_clamped_not_trusted() {
+        let keys = far_apart_keys();
+        let mut search = HashSearch::default();
+        let opts = SearchOptions {
+            max_table_bits: u32::MAX,
+            allow_mul: false,
+        };
+        assert_eq!(search.find(&keys, opts), Err(HashError::NotFound));
+        let widths = (MAX_TABLE_BITS - 3 + 1) as u64;
+        assert_eq!(search.candidates_tested, widths * FOLD_CANDIDATES as u64);
+        // One stamp array of the final width served all of its candidates:
+        // the epoch restarts at every allocation.
+        assert_eq!(search.stamps.len(), 1 << MAX_TABLE_BITS);
+        assert_eq!(search.epoch as usize, FOLD_CANDIDATES);
+
+        let ph = find_hash_with(
+            &keys,
+            SearchOptions {
+                allow_mul: true,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert!(matches!(ph.expr, HashExpr::MulShift { .. }), "{}", ph.expr);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(ph.lookup(k), Some(i as u32));
+        }
+        // More keys than the largest table has slots for: no search at all.
+        let many: Vec<u64> = (0..=64).collect();
+        let tiny = SearchOptions {
+            max_table_bits: 6,
+            allow_mul: true,
+        };
+        assert_eq!(find_hash_with(&many, tiny), Err(HashError::NotFound));
+    }
+
+    #[test]
+    fn candidate_walk_covers_each_family_once_in_op_count_order() {
+        let all: Vec<HashExpr> = candidates(15, true).collect();
+        let distinct: std::collections::HashSet<_> = all.iter().collect();
+        assert_eq!((all.len(), distinct.len()), (638, 638));
+        assert_eq!(all[0].op_count(), 1, "identity-with-mask comes first");
+        let folds: Vec<HashExpr> = candidates(15, false).collect();
+        assert_eq!(folds.len(), FOLD_CANDIDATES);
+        assert_eq!(folds[..], all[..FOLD_CANDIDATES]);
+        let (mul, shift) = (MULTIPLIERS[0], 63);
+        assert_eq!(
+            all[FOLD_CANDIDATES],
+            HashExpr::MulShift {
+                mul,
+                shift,
+                mask: 15
+            }
+        );
+    }
 }
 
 #[cfg(test)]
@@ -500,6 +688,68 @@ mod proptests {
             for (i, &k) in keys.iter().enumerate() {
                 prop_assert_eq!(ph.lookup(k), Some(i as u32));
             }
+        }
+    }
+
+    /// The six option settings every differential case runs under.
+    fn all_options() -> impl Iterator<Item = SearchOptions> {
+        [4, 8, 16].into_iter().flat_map(|max_table_bits| {
+            [true, false].map(|allow_mul| SearchOptions {
+                max_table_bits,
+                allow_mul,
+            })
+        })
+    }
+
+    /// New ≡ old: the same result (expression, table, keys — or the same
+    /// error) after testing the same number of candidates, which pins the
+    /// search *order*, not just its outcome.
+    fn same_as_reference(keys: &[u64]) -> Result<(), TestCaseError> {
+        for opts in all_options() {
+            let mut search = HashSearch::default();
+            let got = search.find(keys, opts);
+            let (want, tested) = reference::find_hash_with(keys, opts);
+            prop_assert_eq!(&got, &want, "{:?} on {:x?}", opts, keys);
+            prop_assert_eq!(
+                search.candidates_tested,
+                tested,
+                "{:?} on {:x?}",
+                opts,
+                keys
+            );
+        }
+        Ok(())
+    }
+
+    fn aggregates(positions: u32) -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::hash_set(prop::collection::vec(0..positions, 1..5), 1..40).prop_map(
+            |sets| {
+                let keys: std::collections::BTreeSet<u64> = sets
+                    .into_iter()
+                    .map(|bits| bits.into_iter().fold(0u64, |m, b| m | (1 << b)))
+                    .collect();
+                keys.into_iter().collect()
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn differential_arbitrary_keys(
+            keys in prop::collection::hash_set(any::<u64>(), 1..96)
+                .prop_map(|s| s.into_iter().collect::<Vec<u64>>())
+        ) {
+            same_as_reference(&keys)?;
+        }
+
+        #[test]
+        fn differential_aggregates_over_20_positions(keys in aggregates(20)) {
+            same_as_reference(&keys)?;
+        }
+
+        #[test]
+        fn differential_aggregates_over_64_positions(keys in aggregates(64)) {
+            same_as_reference(&keys)?;
         }
     }
 }
