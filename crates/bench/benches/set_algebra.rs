@@ -1,7 +1,8 @@
-//! Set-algebra microbenchmarks: the hybrid small-vector/bitset `StateSet`
+//! Set-algebra microbenchmarks: `StateSet` (one tight window of bit words)
 //! against an in-bench sorted-`Vec<u32>` baseline (the seed
 //! representation) on union / difference / subset / membership, at widths
-//! from "everything fits inline" (16) to "32 words of bitset" (1024).
+//! from "one word in place" (16 members over ids 0–63) to "64 boxed words"
+//! (1024 over 0–4 095).
 //!
 //! Runs under the offline criterion shim (`cargo bench -p msc-bench
 //! --bench set_algebra`). Passing `--test` switches to a smoke
@@ -32,14 +33,14 @@ fn bench_set_algebra(c: &mut Criterion, sizes: &[usize], samples: usize) {
         let ssub = to_set(&vsub);
         let probes: Vec<u32> = (0..16).map(|i| (i * 7) % (4 * n as u32)).collect();
 
-        group.bench_with_input(BenchmarkId::new("union/hybrid", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("union/state_set", n), &n, |bch, _| {
             bch.iter(|| black_box(&sa).union(black_box(&sb)).len())
         });
         group.bench_with_input(BenchmarkId::new("union/sorted_vec", n), &n, |bch, _| {
             bch.iter(|| vec_union(black_box(&va), black_box(&vb)).len())
         });
 
-        group.bench_with_input(BenchmarkId::new("difference/hybrid", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("difference/state_set", n), &n, |bch, _| {
             bch.iter(|| black_box(&sa).difference(black_box(&sb)).len())
         });
         group.bench_with_input(
@@ -48,14 +49,14 @@ fn bench_set_algebra(c: &mut Criterion, sizes: &[usize], samples: usize) {
             |bch, _| bch.iter(|| vec_difference(black_box(&va), black_box(&vb)).len()),
         );
 
-        group.bench_with_input(BenchmarkId::new("is_subset/hybrid", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("is_subset/state_set", n), &n, |bch, _| {
             bch.iter(|| black_box(&ssub).is_subset(black_box(&sa)))
         });
         group.bench_with_input(BenchmarkId::new("is_subset/sorted_vec", n), &n, |bch, _| {
             bch.iter(|| vec_is_subset(black_box(&vsub), black_box(&va)))
         });
 
-        group.bench_with_input(BenchmarkId::new("contains/hybrid", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("contains/state_set", n), &n, |bch, _| {
             bch.iter(|| probes.iter().filter(|&&p| sa.contains(StateId(p))).count())
         });
         group.bench_with_input(BenchmarkId::new("contains/sorted_vec", n), &n, |bch, _| {

@@ -1,8 +1,8 @@
 //! The seed's set representation, kept as a measurement baseline: meta
 //! states as sorted, deduplicated `Vec<u32>`, with two-pointer merge
 //! algebra. The production [`msc_core::StateSet`] replaced this with a
-//! hybrid inline/bitset representation; these routines let the benchmarks
-//! and the `claims` binary quantify what that bought.
+//! window of bit words; these routines let the benchmarks and the `claims`
+//! binary quantify what word-parallel algebra buys over merging ids.
 
 /// Sorted-merge union.
 pub fn vec_union(a: &[u32], b: &[u32]) -> Vec<u32> {

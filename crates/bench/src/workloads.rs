@@ -217,8 +217,9 @@ pub fn dispatch_keys(k: usize) -> Vec<u64> {
 
 /// Two sorted, distinct member lists of `n` state ids each, drawn from a
 /// universe of `4n` ids with roughly 50% overlap — the set-algebra
-/// benchmark workload (dense enough that hybrid sets use the bitset
-/// representation, sparse enough that word-level work is not trivial).
+/// benchmark workload (a quarter of the bits of an `n / 16`-word window:
+/// dense enough to be a real bitset, sparse enough that word-level work
+/// is not trivial).
 /// Deterministic.
 pub fn overlapping_members(n: usize) -> (Vec<u32>, Vec<u32>) {
     let universe = (4 * n.max(1)) as u32;

@@ -5,7 +5,7 @@
 //! can coexist at one instant — so the whole MIMD program runs under a
 //! single SIMD program counter.
 //!
-//! * [`stateset`] — interned sorted-set representation of meta states.
+//! * [`stateset`] — meta states as interned windows of bit words.
 //! * [`convert`](convert()) — the base (§2.3) and compressed (§2.5) subset
 //!   constructions, with time splitting (§2.4) and barrier constraint
 //!   propagation (§2.6).

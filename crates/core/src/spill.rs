@@ -205,12 +205,15 @@ impl SpillQueue {
     /// Enqueue at the tail.
     pub fn push_back(&mut self, v: u32) {
         self.len += 1;
-        if !self.spill {
+        // Straight to the front only while nothing older waits behind it:
+        // a failed flush turns `spill` off with ids still in `back` (and
+        // earlier chunks on disk), and those must pop first.
+        if !self.spill && self.back.is_empty() && self.chunks.is_empty() {
             self.front.push_back(v);
             return;
         }
         self.back.push(v);
-        if self.back.len() >= self.chunk_entries {
+        if self.spill && self.back.len() >= self.chunk_entries {
             self.flush_back();
         }
     }
@@ -361,6 +364,42 @@ mod tests {
             assert_eq!(q.pop_front(), Some(v));
         }
         assert_eq!(q.pop_front(), None);
+    }
+
+    #[test]
+    fn spill_queue_stays_fifo_after_a_failed_flush() {
+        // What `flush_back` leaves when `SegmentStore::create` fails: spill
+        // off, the unflushed ids still in `back`, nothing on disk.
+        let mut q = SpillQueue::with_chunk(true, 4);
+        q.push_back(1);
+        q.push_back(2);
+        q.spill = false;
+        q.push_back(3);
+        assert_eq!(
+            [q.pop_front(), q.pop_front(), q.pop_front()],
+            [Some(1), Some(2), Some(3)]
+        );
+        assert_eq!(q.pop_front(), None);
+        q.push_back(4);
+        assert_eq!(q.front, [4], "drained: back on the plain-deque path");
+
+        // What it leaves when `append_words` fails: the same, behind chunks
+        // that earlier flushes did write. No further flush is attempted.
+        let mut q = SpillQueue::with_chunk(true, 2);
+        for v in 1..=5 {
+            q.push_back(v);
+        }
+        assert_eq!((q.chunks.len(), &q.back[..]), (2, &[5][..]));
+        q.spill = false;
+        for v in 6..=9 {
+            q.push_back(v);
+        }
+        assert_eq!((q.chunks.len(), q.back.len()), (2, 5), "spill is off");
+        assert_eq!(q.len(), 9);
+        for v in 1..=9 {
+            assert_eq!(q.pop_front(), Some(v));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -4,30 +4,30 @@
 //! view the set of processor states at a particular time as \[a\] single,
 //! aggregate, 'Meta State'"). The converter manipulates huge numbers of
 //! these sets — §2.3's base construction unions, hashes, and interns one
-//! candidate set per successor choice, up to 3ⁿ per meta state — so the
-//! representation is a hybrid tuned for that workload:
+//! candidate set per successor choice, up to 3ⁿ per meta state — and every
+//! one of them has the same encoding: a **window** of bit words.
 //!
-//! * **Small** (≤ `SMALL_MAX` members): the ids live inline in a fixed
-//!   array, no heap allocation. Typical meta states are sparse, so this is
-//!   the common case on real programs.
-//! * **Bits** (> `SMALL_MAX` members): a dense `Vec<u64>` bitset with
-//!   trailing zero words trimmed. `union` / `difference` / `is_subset` run
-//!   word-parallel (64 members per operation), which is what keeps the
-//!   state-explosion workloads at memory bandwidth.
+//! Bit *b* of `words[i]` is member `64·(base + i) + b`. The window is
+//! *tight* — its first and last words are non-zero, and ∅ has no words and
+//! `base` 0 — so a set has exactly one `(len, base, words)` triple:
+//! equality compares the three fields, [`Hash`] feeds them to the hasher,
+//! and neither needs a rule about which form a set is in. Every operation
+//! is one body over words addressed by absolute index (`word(wi)`: the
+//! window's word there, zero outside it), 64 members at a time, and every
+//! derived set is built by one constructor that leaves zero end words out.
+//! A set whose members cluster far from id 0 — time splitting (§2.4)
+//! appends MIMD states, so late meta states sit at high ids — costs the
+//! words it spans, not the words below it. The member count is cached, so
+//! [`StateSet::len`] is O(1).
 //!
-//! Membership count is cached in both variants, so [`StateSet::len`] is
-//! O(1). The representation is **canonical** — a set has ≤ `SMALL_MAX`
-//! members if and only if it is `Small`, every operation re-normalizes,
-//! and unused inline slots are zeroed — so structural equality and hashing
-//! never need to compare across variants. Hash stability matters beyond
-//! this crate: the parallel engine shards its interner by the set's Fx
-//! hash, and identical hashing on every shard (and every thread) is what
-//! keeps its output bit-identical to the sequential converter.
+//! Where a window's words live is the business of one private type,
+//! `Words`: up to `INLINE_WORDS` in place (no heap allocation — every set
+//! the benchmark's converters build fits, DESIGN.md §9), a boxed slice
+//! past that. Nothing else looks.
 //!
-//! Sets are interned in a [`SetArena`]: each distinct set is stored once
-//! and referred to by a compact [`SetId`] handle. Dense bitsets cope fine
-//! with time splitting (§2.4) growing the MIMD state id space dynamically:
-//! ids grow by appending states, so the word vector grows at the tail.
+//! Sets are interned in a [`SetArena`]: each distinct set is stored once,
+//! as its window's words in one shared word stream, and referred to by a
+//! compact [`SetId`] handle.
 
 use crate::spill::{default_memory_budget, SegmentStore};
 use msc_ir::util::{FxHashMap, FxHasher};
@@ -36,23 +36,74 @@ use msc_simd::setops;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut, Range};
 
-/// Largest member count stored inline (spill threshold of the hybrid).
-const SMALL_MAX: usize = 4;
+/// Widest window stored in place; a wider one is a boxed slice.
+const INLINE_WORDS: usize = 2;
 
-/// Canonical storage: `Small` iff the set has ≤ [`SMALL_MAX`] members.
-/// `Small` keeps members sorted ascending with unused slots zeroed (so the
-/// derived equality is structural equality); `Bits` keeps `len` cached and
-/// the last word non-zero.
+/// A window's words. Which variant holds them is a function of the word
+/// count alone, decided in [`Words::zeroed`] and read in the two derefs;
+/// everything else sees a `[u64]`. In-place slots past `n` stay zero — the
+/// derefs never hand them out — so the derived equality is slice equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Repr {
-    Small { buf: [u32; SMALL_MAX], len: u8 },
-    Bits { len: u32, words: Vec<u64> },
+enum Words {
+    Inline { n: u8, buf: [u64; INLINE_WORDS] },
+    Heap(Box<[u64]>),
 }
 
-/// A set of MIMD state ids: one meta state's members.
+impl Words {
+    /// `n` zero words.
+    fn zeroed(n: usize) -> Words {
+        if n <= INLINE_WORDS {
+            Words::Inline {
+                n: n as u8,
+                buf: [0; INLINE_WORDS],
+            }
+        } else {
+            Words::Heap(vec![0; n].into_boxed_slice())
+        }
+    }
+}
+
+impl From<&[u64]> for Words {
+    fn from(words: &[u64]) -> Words {
+        let mut out = Words::zeroed(words.len());
+        out.copy_from_slice(words);
+        out
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline { n, buf } => &buf[..*n as usize],
+            Words::Heap(words) => words,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline { n, buf } => &mut buf[..*n as usize],
+            Words::Heap(words) => words,
+        }
+    }
+}
+
+/// A set of MIMD state ids: one meta state's members, as a tight window
+/// of bit words (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateSet(Repr);
+pub struct StateSet {
+    /// Member count (the population of `words`).
+    len: u32,
+    /// Index of the window's first word: bit 0 of `words[0]` is member
+    /// `64 · base`.
+    base: u32,
+    words: Words,
+}
 
 impl Default for StateSet {
     fn default() -> Self {
@@ -60,116 +111,125 @@ impl Default for StateSet {
     }
 }
 
-/// Build the canonical representation from a sorted, deduplicated slice.
-fn from_sorted(v: &[u32]) -> Repr {
-    if v.len() <= SMALL_MAX {
-        let mut buf = [0u32; SMALL_MAX];
-        buf[..v.len()].copy_from_slice(v);
-        Repr::Small {
-            buf,
-            len: v.len() as u8,
-        }
+/// The smallest word range covering both `a` and `b`; an empty range
+/// covers nothing, wherever it sits.
+fn hull(a: Range<u32>, b: Range<u32>) -> Range<u32> {
+    if a.is_empty() {
+        b
+    } else if b.is_empty() {
+        a
     } else {
-        let n_words = (*v.last().unwrap() as usize >> 6) + 1;
-        let mut words = vec![0u64; n_words];
-        for &x in v {
-            words[(x >> 6) as usize] |= 1u64 << (x & 63);
-        }
-        Repr::Bits {
-            len: v.len() as u32,
-            words,
-        }
+        a.start.min(b.start)..a.end.max(b.end)
     }
 }
 
-/// Re-normalize a word vector whose population is `len`: spill back to
-/// `Small` when it shrank to the inline range, otherwise trim trailing
-/// zero words.
-fn normalize_bits(len: u32, mut words: Vec<u64>) -> Repr {
-    if len as usize <= SMALL_MAX {
-        let mut buf = [0u32; SMALL_MAX];
-        let mut n = 0usize;
-        for (wi, &w) in words.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                buf[n] = (wi as u32) << 6 | w.trailing_zeros();
-                w &= w - 1;
-                n += 1;
-            }
-        }
-        debug_assert_eq!(n, len as usize);
-        Repr::Small {
-            buf,
-            len: len as u8,
-        }
-    } else {
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-        Repr::Bits { len, words }
+fn popcount(words: &[u64]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
+}
+
+/// Feed a window to `state`: what [`Hash`] does for a set, and what
+/// [`StateSet::union_into_scratch`] does for a candidate that is not one
+/// yet.
+fn hash_window<H: Hasher>(state: &mut H, len: u32, base: u32, words: &[u64]) {
+    state.write_u32(base);
+    for &w in words {
+        state.write_u64(w);
     }
+    state.write_u32(len);
 }
 
 impl StateSet {
     /// The empty set.
     pub fn empty() -> Self {
-        StateSet(Repr::Small {
-            buf: [0; SMALL_MAX],
+        StateSet {
             len: 0,
-        })
+            base: 0,
+            words: Words::zeroed(0),
+        }
     }
 
-    /// Build from an arbitrary iterator of state ids (sorts and dedups).
+    /// The set whose bitmap has `word(wi)` at every word index in `window`
+    /// and nothing outside it. Zero words at either end of `window` are
+    /// left out, which is what keeps every window tight.
+    fn from_words(window: Range<u32>, word: impl Fn(u32) -> u64) -> StateSet {
+        let nonzero = |wi: &u32| word(*wi) != 0;
+        let (Some(lo), Some(hi)) = (window.clone().find(nonzero), window.rev().find(nonzero))
+        else {
+            return StateSet::empty();
+        };
+        let mut words = Words::zeroed((hi + 1 - lo) as usize);
+        for (out, wi) in words.iter_mut().zip(lo..=hi) {
+            *out = word(wi);
+        }
+        StateSet {
+            len: popcount(&words),
+            base: lo,
+            words,
+        }
+    }
+
+    /// Build from an arbitrary iterator of state ids, in any order and
+    /// with repeats.
     #[allow(clippy::should_implement_trait)] // also provided via FromIterator below
     pub fn from_iter(iter: impl IntoIterator<Item = StateId>) -> Self {
-        let mut v: Vec<u32> = iter.into_iter().map(|s| s.0).collect();
-        v.sort_unstable();
-        v.dedup();
-        StateSet(from_sorted(&v))
+        let mut set = StateSet::empty();
+        for s in iter {
+            set.insert(s);
+        }
+        set
     }
 
     /// A singleton set.
     pub fn singleton(s: StateId) -> Self {
-        let mut buf = [0u32; SMALL_MAX];
-        buf[0] = s.0;
-        StateSet(Repr::Small { buf, len: 1 })
+        StateSet {
+            len: 1,
+            base: s.0 >> 6,
+            words: Words::from(&[1u64 << (s.0 & 63)][..]),
+        }
     }
 
     /// Number of member MIMD states (the meta state's *width*, which §2.5
-    /// notes governs SIMD efficiency). O(1): cached in both variants.
+    /// notes governs SIMD efficiency). O(1): cached.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Small { len, .. } => *len as usize,
-            Repr::Bits { len, .. } => *len as usize,
-        }
+        self.len as usize
     }
 
     /// True when the set has no members (program termination).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Membership test: inline scan or single bit probe.
+    /// The word indices the window covers.
+    fn range(&self) -> Range<u32> {
+        self.base..self.base + self.words.len() as u32
+    }
+
+    /// Where word `wi` of the absolute bitmap sits in `words`: past their
+    /// end (in either direction) when the window does not cover it.
+    fn slot(&self, wi: u32) -> usize {
+        wi.wrapping_sub(self.base) as usize
+    }
+
+    /// Word `wi` of the set as an absolute bitmap: the window's word there,
+    /// zero outside it.
+    fn word(&self, wi: u32) -> u64 {
+        self.words.get(self.slot(wi)).copied().unwrap_or(0)
+    }
+
+    /// Membership test: one bit probe.
     pub fn contains(&self, s: StateId) -> bool {
-        match &self.0 {
-            Repr::Small { buf, len } => buf[..*len as usize].contains(&s.0),
-            Repr::Bits { words, .. } => {
-                let wi = (s.0 >> 6) as usize;
-                wi < words.len() && words[wi] & (1u64 << (s.0 & 63)) != 0
-            }
-        }
+        self.word(s.0 >> 6) & (1u64 << (s.0 & 63)) != 0
     }
 
     /// Iterate members in ascending order.
     pub fn iter(&self) -> Members<'_> {
-        Members(match &self.0 {
-            Repr::Small { buf, len } => MembersInner::Small(buf[..*len as usize].iter()),
-            Repr::Bits { words, .. } => MembersInner::Bits {
-                words,
-                wi: 0,
-                cur: words.first().copied().unwrap_or(0),
-            },
-        })
+        Members {
+            words: &self.words,
+            base: self.base,
+            wi: 0,
+            cur: self.words.first().copied().unwrap_or(0),
+            left: self.len(),
+        }
     }
 
     /// Members as a freshly allocated sorted vector (tests, rendering).
@@ -177,204 +237,57 @@ impl StateSet {
         self.iter().map(|s| s.0).collect()
     }
 
-    /// Set union. Small∪Small is a bounded merge; anything involving a
-    /// bitset is a word-parallel OR.
+    /// Set union: a word-parallel OR over the hull of the two windows.
     pub fn union(&self, other: &StateSet) -> StateSet {
-        match (&self.0, &other.0) {
-            (Repr::Small { buf: a, len: la }, Repr::Small { buf: b, len: lb }) => {
-                let (a, b) = (&a[..*la as usize], &b[..*lb as usize]);
-                let mut out = [0u32; 2 * SMALL_MAX];
-                let (mut i, mut j, mut n) = (0, 0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        Ordering::Less => {
-                            out[n] = a[i];
-                            i += 1;
-                        }
-                        Ordering::Greater => {
-                            out[n] = b[j];
-                            j += 1;
-                        }
-                        Ordering::Equal => {
-                            out[n] = a[i];
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                    n += 1;
-                }
-                while i < a.len() {
-                    out[n] = a[i];
-                    i += 1;
-                    n += 1;
-                }
-                while j < b.len() {
-                    out[n] = b[j];
-                    j += 1;
-                    n += 1;
-                }
-                StateSet(from_sorted(&out[..n]))
-            }
-            (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) => {
-                let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-                // One fused SIMD pass: OR + popcount straight into a fresh
-                // exactly-sized vector (no clone-then-recount).
-                let mut words = Vec::new();
-                let len = setops::union_count(long, short, &mut words);
-                // A union with a bitset operand has > SMALL_MAX members.
-                StateSet(Repr::Bits { len, words })
-            }
-            (Repr::Small { buf, len }, Repr::Bits { .. }) => {
-                other.union_with_small(&buf[..*len as usize])
-            }
-            (Repr::Bits { .. }, Repr::Small { buf, len }) => {
-                self.union_with_small(&buf[..*len as usize])
-            }
-        }
-    }
-
-    /// `self` must be `Bits`; OR in a short sorted member list.
-    fn union_with_small(&self, small: &[u32]) -> StateSet {
-        let Repr::Bits { len, words } = &self.0 else {
-            unreachable!("caller checked the variant");
-        };
-        let mut words = words.clone();
-        let mut len = *len;
-        for &x in small {
-            let wi = (x >> 6) as usize;
-            if wi >= words.len() {
-                words.resize(wi + 1, 0);
-            }
-            let bit = 1u64 << (x & 63);
-            if words[wi] & bit == 0 {
-                words[wi] |= bit;
-                len += 1;
-            }
-        }
-        StateSet(Repr::Bits { len, words })
+        StateSet::from_words(hull(self.range(), other.range()), |wi| {
+            self.word(wi) | other.word(wi)
+        })
     }
 
     /// In-place union with a single element.
     pub fn insert(&mut self, s: StateId) {
-        match &mut self.0 {
-            Repr::Small { buf, len } => {
-                let n = *len as usize;
-                let pos = buf[..n].partition_point(|&x| x < s.0);
-                if pos < n && buf[pos] == s.0 {
-                    return;
-                }
-                if n < SMALL_MAX {
-                    buf.copy_within(pos..n, pos + 1);
-                    buf[pos] = s.0;
-                    *len += 1;
-                } else {
-                    // Spill: 5 members now.
-                    let mut v = [0u32; SMALL_MAX + 1];
-                    v[..pos].copy_from_slice(&buf[..pos]);
-                    v[pos] = s.0;
-                    v[pos + 1..].copy_from_slice(&buf[pos..]);
-                    self.0 = from_sorted(&v);
-                }
+        let (slot, bit) = (self.slot(s.0 >> 6), 1u64 << (s.0 & 63));
+        match self.words.get_mut(slot) {
+            Some(word) => {
+                self.len += u32::from(*word & bit == 0);
+                *word |= bit;
             }
-            Repr::Bits { len, words } => {
-                let wi = (s.0 >> 6) as usize;
-                if wi >= words.len() {
-                    words.resize(wi + 1, 0);
-                }
-                let bit = 1u64 << (s.0 & 63);
-                if words[wi] & bit == 0 {
-                    words[wi] |= bit;
-                    *len += 1;
-                }
-            }
+            // Outside the window (or ∅): the union finds the new one.
+            None => *self = self.union(&StateSet::singleton(s)),
         }
     }
 
-    /// Set difference `self \ other` (word-parallel AND-NOT on bitsets).
+    /// Set difference `self \ other`: a word-parallel AND-NOT over
+    /// `self`'s window.
     pub fn difference(&self, other: &StateSet) -> StateSet {
-        match (&self.0, &other.0) {
-            (Repr::Small { buf, len }, _) => {
-                let mut out = [0u32; SMALL_MAX];
-                let mut n = 0;
-                for &x in &buf[..*len as usize] {
-                    if !other.contains(StateId(x)) {
-                        out[n] = x;
-                        n += 1;
-                    }
-                }
-                StateSet(from_sorted(&out[..n]))
-            }
-            (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) => {
-                let mut words = Vec::new();
-                let len = setops::andnot_count(a, b, &mut words);
-                StateSet(normalize_bits(len, words))
-            }
-            (Repr::Bits { words, .. }, Repr::Small { buf, len: lb }) => {
-                let mut words = words.clone();
-                for &x in &buf[..*lb as usize] {
-                    let wi = (x >> 6) as usize;
-                    if wi < words.len() {
-                        words[wi] &= !(1u64 << (x & 63));
-                    }
-                }
-                let len = setops::popcount(&words);
-                StateSet(normalize_bits(len, words))
-            }
-        }
+        StateSet::from_words(self.range(), |wi| self.word(wi) & !other.word(wi))
     }
 
     /// Members satisfying `pred` (e.g. "is a barrier wait state", §2.6).
     pub fn filter(&self, mut pred: impl FnMut(StateId) -> bool) -> StateSet {
-        match &self.0 {
-            Repr::Small { buf, len } => {
-                let mut out = [0u32; SMALL_MAX];
-                let mut n = 0;
-                for &x in &buf[..*len as usize] {
-                    if pred(StateId(x)) {
-                        out[n] = x;
-                        n += 1;
-                    }
-                }
-                StateSet(from_sorted(&out[..n]))
-            }
-            Repr::Bits { words, .. } => {
-                let mut words = words.clone();
-                let mut len = 0u32;
-                for (wi, w) in words.iter_mut().enumerate() {
-                    let mut probe = *w;
-                    while probe != 0 {
-                        let bit = probe & probe.wrapping_neg();
-                        if !pred(StateId((wi as u32) << 6 | bit.trailing_zeros())) {
-                            *w &= !bit;
-                        }
-                        probe &= probe - 1;
-                    }
-                    len += w.count_ones();
-                }
-                StateSet(normalize_bits(len, words))
-            }
+        let mut kept = self.clone();
+        for s in self.iter().filter(|&s| !pred(s)) {
+            kept.words[self.slot(s.0 >> 6)] &= !(1u64 << (s.0 & 63));
+            kept.len -= 1;
         }
+        // Only an end word going to zero leaves the window loose.
+        if kept.words.first() == Some(&0) || kept.words.last() == Some(&0) {
+            kept = StateSet::from_words(kept.range(), |wi| kept.word(wi));
+        }
+        kept
     }
 
-    /// True when every member of `self` is in `other` (word-parallel on
-    /// bitset pairs).
+    /// True when every member of `self` is in `other`. A tight window that
+    /// sticks out of `other`'s has a member `other` lacks; inside it, the
+    /// test is word-parallel.
     pub fn is_subset(&self, other: &StateSet) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        match (&self.0, &other.0) {
-            (Repr::Small { buf, len }, _) => buf[..*len as usize]
-                .iter()
-                .all(|&x| other.contains(StateId(x))),
-            (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) => {
-                // Trailing words are trimmed, so extra words of `a` would
-                // hold members `b` lacks.
-                a.len() <= b.len() && setops::subset_of(a, b)
-            }
-            // A bitset has > SMALL_MAX members; the length check above
-            // already rejected it against any Small set.
-            (Repr::Bits { .. }, Repr::Small { .. }) => unreachable!("len check rejects Bits⊆Small"),
-        }
+        let (a, b) = (self.range(), other.range());
+        let inside = || &other.words[(a.start - b.start) as usize..][..a.len()];
+        self.is_empty()
+            || (self.len <= other.len
+                && b.start <= a.start
+                && a.end <= b.end
+                && setops::subset_of(&self.words, inside()))
     }
 
     /// True when `self ⊂ other` strictly.
@@ -382,161 +295,47 @@ impl StateSet {
         self.len() < other.len() && self.is_subset(other)
     }
 
-    /// Append this set's bitset words (trailing zeros trimmed) to `out`,
-    /// returning how many words were written. Small sets expand into bit
-    /// words here; the output is what a `Bits` representation of the same
-    /// members would hold, so slices from different sets are directly
-    /// comparable by the word-parallel kernels (e.g.
+    /// Append this set's bit words in *absolute* form — word 0 first, so
+    /// `base` zero words and then the window — to `out`, returning how
+    /// many words were written. Slices from different sets then line up
+    /// word for word under the batched kernels (e.g.
     /// [`setops::subset_of_many`]).
     pub fn append_bit_words(&self, out: &mut Vec<u64>) -> usize {
-        match &self.0 {
-            Repr::Small { buf, len } => {
-                let start = out.len();
-                for &m in &buf[..*len as usize] {
-                    let w = (m >> 6) as usize;
-                    while out.len() - start <= w {
-                        out.push(0);
-                    }
-                    out[start + w] |= 1u64 << (m & 63);
-                }
-                out.len() - start
-            }
-            Repr::Bits { words, .. } => {
-                out.extend_from_slice(words);
-                words.len()
-            }
-        }
+        let n = self.range().end as usize;
+        out.resize(out.len() + self.base as usize, 0);
+        out.extend_from_slice(&self.words);
+        n
     }
 
     /// Union into a reusable scratch buffer, fusing the Fx hash of the
-    /// result into the same pass — the allocation-free primitive the
+    /// result into the same call — the allocation-free primitive the
     /// converter's 3ⁿ candidate enumeration runs on. Returns exactly what
     /// [`fx_hash`] of the materialized union would return, so a caller can
     /// dedup candidates by `(hash, `[`UnionScratch::matches`]`)` and only
-    /// pay an allocation ([`UnionScratch::materialize`]) for sets that are
-    /// genuinely new.
+    /// pay for an owned set ([`UnionScratch::materialize`]) when the
+    /// candidate is genuinely new.
     pub fn union_into_scratch(&self, other: &StateSet, s: &mut UnionScratch) -> u64 {
-        match (&self.0, &other.0) {
-            (Repr::Small { buf: a, len: la }, Repr::Small { buf: b, len: lb }) => {
-                let (a, b) = (&a[..*la as usize], &b[..*lb as usize]);
-                let (mut i, mut j, mut n) = (0, 0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        Ordering::Less => {
-                            s.small[n] = a[i];
-                            i += 1;
-                        }
-                        Ordering::Greater => {
-                            s.small[n] = b[j];
-                            j += 1;
-                        }
-                        Ordering::Equal => {
-                            s.small[n] = a[i];
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                    n += 1;
-                }
-                while i < a.len() {
-                    s.small[n] = a[i];
-                    i += 1;
-                    n += 1;
-                }
-                while j < b.len() {
-                    s.small[n] = b[j];
-                    j += 1;
-                    n += 1;
-                }
-                s.small_len = n;
-                s.len = n as u32;
-                if n <= SMALL_MAX {
-                    s.is_small = true;
-                    let g = |k: usize| if k < n { s.small[k] as u64 } else { 0 };
-                    let mut h = FxHasher::default();
-                    h.write_u64(g(0) | g(1) << 32);
-                    h.write_u64(g(2) | g(3) << 32);
-                    h.write_u8(n as u8);
-                    s.hash = h.finish();
-                } else {
-                    s.is_small = false;
-                    let nw = (s.small[n - 1] as usize >> 6) + 1;
-                    s.words.clear();
-                    s.words.resize(nw, 0);
-                    for &x in &s.small[..n] {
-                        s.words[(x >> 6) as usize] |= 1u64 << (x & 63);
-                    }
-                    s.hash = hash_bits_words(&s.words, s.len);
-                }
-            }
-            (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) => {
-                let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-                let mut h = FxHasher::default();
-                s.len = setops::union_count_hash(long, short, &mut s.words, &mut h);
-                h.write_u32(s.len);
-                s.is_small = false;
-                s.hash = h.finish();
-            }
-            (Repr::Small { buf, len }, Repr::Bits { .. })
-            | (Repr::Bits { .. }, Repr::Small { buf, len }) => {
-                let (bits, small) = if matches!(self.0, Repr::Bits { .. }) {
-                    (self, &buf[..*len as usize])
-                } else {
-                    (other, &buf[..*len as usize])
-                };
-                let Repr::Bits {
-                    len: blen,
-                    words: bwords,
-                } = &bits.0
-                else {
-                    unreachable!("selected the Bits operand");
-                };
-                s.words.clear();
-                s.words.extend_from_slice(bwords);
-                s.len = *blen;
-                for &x in small {
-                    let wi = (x >> 6) as usize;
-                    if wi >= s.words.len() {
-                        s.words.resize(wi + 1, 0);
-                    }
-                    let bit = 1u64 << (x & 63);
-                    if s.words[wi] & bit == 0 {
-                        s.words[wi] |= bit;
-                        s.len += 1;
-                    }
-                }
-                s.is_small = false;
-                s.hash = hash_bits_words(&s.words, s.len);
-            }
-        }
+        let window = hull(self.range(), other.range());
+        s.base = window.start;
+        s.words.clear();
+        s.words
+            .extend(window.map(|wi| self.word(wi) | other.word(wi)));
+        s.len = popcount(&s.words);
+        let mut h = FxHasher::default();
+        hash_window(&mut h, s.len, s.base, &s.words);
+        s.hash = h.finish();
         s.hash
     }
 }
 
-/// The Fx hash the [`Hash`] impl produces for a `Bits` set with these
-/// words and member count.
-fn hash_bits_words(words: &[u64], len: u32) -> u64 {
-    let mut h = FxHasher::default();
-    for &w in words {
-        h.write_u64(w);
-    }
-    h.write_u32(len);
-    h.finish()
-}
-
 /// Reusable result buffer for [`StateSet::union_into_scratch`]: holds one
-/// candidate union (inline members or bitset words) without owning an
-/// allocation per candidate.
+/// candidate union — its window, member count and hash — without owning
+/// an allocation per candidate.
 #[derive(Debug, Default)]
 pub struct UnionScratch {
-    /// Bitset words of the candidate (when `!is_small`), trailing word
-    /// non-zero (canonical).
     words: Vec<u64>,
-    /// Merged members (sorted) while the candidate still fits inline.
-    small: [u32; 2 * SMALL_MAX],
-    small_len: usize,
+    base: u32,
     len: u32,
-    is_small: bool,
     hash: u64,
 }
 
@@ -559,78 +358,55 @@ impl UnionScratch {
     /// Structural equality between the held candidate and a materialized
     /// set — used to resolve hash-bucket collisions without allocating.
     pub fn matches(&self, set: &StateSet) -> bool {
-        match (&set.0, self.is_small) {
-            (Repr::Small { buf, len }, true) => {
-                *len as usize == self.small_len
-                    && buf[..self.small_len] == self.small[..self.small_len]
-            }
-            (Repr::Bits { len, words }, false) => *len == self.len && words[..] == self.words[..],
-            _ => false,
-        }
+        set.len == self.len && set.base == self.base && set.words.iter().eq(&self.words)
     }
 
-    /// Allocate the held candidate as an owned, canonical [`StateSet`].
+    /// The held candidate as an owned [`StateSet`].
     pub fn materialize(&self) -> StateSet {
-        if self.is_small {
-            StateSet(from_sorted(&self.small[..self.small_len]))
-        } else {
-            StateSet(Repr::Bits {
-                len: self.len,
-                words: self.words.clone(),
-            })
+        StateSet {
+            len: self.len,
+            base: self.base,
+            words: Words::from(&self.words[..]),
         }
     }
 }
 
 /// Iterator over a set's members in ascending order.
-pub struct Members<'a>(MembersInner<'a>);
-
-enum MembersInner<'a> {
-    Small(std::slice::Iter<'a, u32>),
-    Bits {
-        words: &'a [u64],
-        wi: usize,
-        cur: u64,
-    },
+pub struct Members<'a> {
+    words: &'a [u64],
+    base: u32,
+    /// Window index of the word `cur` was read from.
+    wi: usize,
+    /// Bits of that word not yet yielded.
+    cur: u64,
+    /// Members not yet yielded.
+    left: usize,
 }
 
 impl Iterator for Members<'_> {
     type Item = StateId;
 
     fn next(&mut self) -> Option<StateId> {
-        match &mut self.0 {
-            MembersInner::Small(it) => it.next().map(|&x| StateId(x)),
-            MembersInner::Bits { words, wi, cur } => {
-                while *cur == 0 {
-                    *wi += 1;
-                    *cur = *words.get(*wi)?;
-                }
-                let bit = cur.trailing_zeros();
-                *cur &= *cur - 1;
-                Some(StateId((*wi as u32) << 6 | bit))
-            }
+        while self.cur == 0 {
+            self.wi += 1;
+            self.cur = *self.words.get(self.wi)?;
         }
+        let bit = self.cur.trailing_zeros();
+        self.cur &= self.cur - 1;
+        self.left -= 1;
+        Some(StateId((self.base + self.wi as u32) << 6 | bit))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
+impl ExactSizeIterator for Members<'_> {}
+
 impl Hash for StateSet {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // The representation is canonical, so per-variant hashing is
-        // consistent: equal sets are always the same variant with the same
-        // payload. Both arms hash whole 64-bit words.
-        match &self.0 {
-            Repr::Small { buf, len } => {
-                state.write_u64((buf[0] as u64) | (buf[1] as u64) << 32);
-                state.write_u64((buf[2] as u64) | (buf[3] as u64) << 32);
-                state.write_u8(*len);
-            }
-            Repr::Bits { len, words } => {
-                for &w in words {
-                    state.write_u64(w);
-                }
-                state.write_u32(*len);
-            }
-        }
+        hash_window(state, self.len, self.base, &self.words);
     }
 }
 
@@ -645,12 +421,7 @@ impl Ord for StateSet {
     /// former sorted-`Vec<u32>` ordering, which test expectations and the
     /// deterministic successor orderings rely on.
     fn cmp(&self, other: &Self) -> Ordering {
-        match (&self.0, &other.0) {
-            (Repr::Small { buf: a, len: la }, Repr::Small { buf: b, len: lb }) => {
-                a[..*la as usize].cmp(&b[..*lb as usize])
-            }
-            _ => self.iter().cmp(other.iter()),
-        }
+        self.iter().cmp(other.iter())
     }
 }
 
@@ -673,8 +444,9 @@ impl FromIterator<StateId> for StateSet {
     }
 }
 
-/// The set's Fx hash — the key both the arena and the engine's sharded
-/// interner bucket by, so a set hashes identically everywhere.
+/// The set's Fx hash — the key the arena and the converter's candidate
+/// dedup bucket by. No output depends on its value: both resolve a bucket
+/// in first-seen order.
 pub fn fx_hash(set: &StateSet) -> u64 {
     let mut h = FxHasher::default();
     set.hash(&mut h);
@@ -694,11 +466,9 @@ impl SetId {
 
 /// Interning arena: each distinct [`StateSet`] is stored exactly once.
 ///
-/// Sets live in a struct-of-arrays bump arena — per-set `(len, span)`
-/// descriptors over one contiguous `words: Vec<u64>` block — instead of a
-/// `Vec<StateSet>` with a heap allocation per bitset. Inline ("small") sets
-/// pack their members into two words using the same packing the `Hash`
-/// impl hashes, so every set has exactly one encoded form.
+/// Sets live in a struct-of-arrays bump arena — per-set `(len, base, span)`
+/// descriptors over one contiguous `words: Vec<u64>` block holding each
+/// set's window — instead of a `Vec<StateSet>`.
 ///
 /// When a memory `budget` is set (explicitly via [`SetArena::with_budget`]
 /// or process-wide via `MSC_MEMORY_BUDGET`), the arena spills its *cold
@@ -714,8 +484,9 @@ impl SetId {
 pub struct SetArena {
     /// Per-set member count.
     lens: Vec<u32>,
-    /// Per-set `(logical word offset, word count)` into the arena stream.
-    spans: Vec<(u64, u32)>,
+    /// Per-set `(logical word offset, word count, window base)`: where the
+    /// window's words sit in the arena stream, and where the window sits.
+    spans: Vec<(u64, u32, u32)>,
     /// Resident suffix of the arena word stream.
     words: Vec<u64>,
     /// Logical word offset of `words[0]`; everything below it is spilled.
@@ -747,66 +518,28 @@ impl SetArena {
         }
     }
 
-    /// Encode a set's arena words: dense bitset words for `Bits`, the two
-    /// hash-packing words for non-empty `Small`, nothing for the empty set.
-    fn encode<'a>(set: &'a StateSet, inline: &'a mut [u64; 2]) -> &'a [u64] {
-        match &set.0 {
-            Repr::Small { len: 0, .. } => &[],
-            Repr::Small { buf, .. } => {
-                inline[0] = (buf[0] as u64) | (buf[1] as u64) << 32;
-                inline[1] = (buf[2] as u64) | (buf[3] as u64) << 32;
-                &inline[..]
-            }
-            Repr::Bits { words, .. } => words,
-        }
-    }
-
-    /// Decode arena words back into a canonical [`StateSet`].
-    fn decode(len: u32, words: &[u64]) -> StateSet {
-        if len == 0 {
-            return StateSet::empty();
-        }
-        if len as usize <= SMALL_MAX {
-            let buf = [
-                words[0] as u32,
-                (words[0] >> 32) as u32,
-                words[1] as u32,
-                (words[1] >> 32) as u32,
-            ];
-            StateSet(Repr::Small {
-                buf,
-                len: len as u8,
-            })
-        } else {
-            StateSet(Repr::Bits {
-                len,
-                words: words.to_vec(),
-            })
-        }
-    }
-
     /// Intern a set, returning its stable handle.
     pub fn intern(&mut self, set: StateSet) -> SetId {
         let hash = fx_hash(&set);
-        let mut inline = [0u64; 2];
-        let len = set.len() as u32;
         // Probe the hash bucket by index (not iterator) so a cold candidate
         // can be reloaded mid-scan without holding a borrow of `lookup`.
         let bucket_len = self.lookup.get(&hash).map_or(0, |b| b.len());
         for k in 0..bucket_len {
             let id = self.lookup[&hash][k];
-            let enc = Self::encode(&set, &mut inline);
-            if self.words_match(id, len, enc) {
+            if self.holds(id, &set) {
                 return id;
             }
         }
-        let enc = Self::encode(&set, &mut inline);
         let id = SetId(self.lens.len() as u32);
         let off = self.base + self.words.len() as u64;
-        self.words.extend_from_slice(enc);
-        self.spans.push((off, enc.len() as u32));
-        self.lens.push(len);
+        self.words.extend_from_slice(&set.words);
+        self.spans.push((off, set.words.len() as u32, set.base));
+        self.lens.push(set.len);
         self.lookup.entry(hash).or_default().push(id);
+        if msc_obs::enabled() {
+            msc_obs::value("convert.set_members", set.len as u64);
+            msc_obs::value("convert.set_words", set.words.len() as u64);
+        }
         let resident = (self.words.len() * 8) as u64;
         if resident > self.high_water {
             self.high_water = resident;
@@ -816,38 +549,36 @@ impl SetArena {
         id
     }
 
-    /// True when set `id`'s stored words equal `enc` (with member count
-    /// `len`), reloading from the segment store if the span is cold.
-    fn words_match(&mut self, id: SetId, len: u32, enc: &[u64]) -> bool {
-        if self.lens[id.idx()] != len {
-            return false;
-        }
-        let (off, nw) = self.spans[id.idx()];
-        if nw as usize != enc.len() {
-            return false;
-        }
-        if nw == 0 {
-            return true;
-        }
-        if off >= self.base {
-            let s = (off - self.base) as usize;
-            self.words[s..s + nw as usize] == *enc
-        } else {
-            self.reload_span(off, nw);
-            self.reload[..nw as usize] == *enc
-        }
+    /// True when set `id` is `set`; the words are compared last, so a cold
+    /// span is reloaded only for a set with the same shape.
+    fn holds(&mut self, id: SetId, set: &StateSet) -> bool {
+        let (_, nw, base) = self.spans[id.idx()];
+        self.lens[id.idx()] == set.len
+            && base == set.base
+            && nw as usize == set.words.len()
+            && *self.words_of(id) == *set.words
     }
 
-    /// Fill `self.reload` with a spilled span's words.
-    fn reload_span(&mut self, off: u64, nw: u32) {
-        self.reload.clear();
-        self.reload.resize(nw as usize, 0);
-        self.store
-            .as_mut()
-            .expect("spilled span without a segment store")
-            .read_words(off * 8, &mut self.reload)
-            .expect("spilled meta-state words must be readable");
-        msc_obs::count("engine.spill_reload", 1);
+    /// Set `id`'s window words, staged through the reload buffer when the
+    /// span is spilled.
+    fn words_of(&mut self, id: SetId) -> &[u64] {
+        let (off, nw, _) = self.spans[id.idx()];
+        let nw = nw as usize;
+        if nw == 0 {
+            &[]
+        } else if off >= self.base {
+            &self.words[(off - self.base) as usize..][..nw]
+        } else {
+            self.reload.clear();
+            self.reload.resize(nw, 0);
+            self.store
+                .as_mut()
+                .expect("spilled span without a segment store")
+                .read_words(off * 8, &mut self.reload)
+                .expect("spilled meta-state words must be readable");
+            msc_obs::count("engine.spill_reload", 1);
+            &self.reload
+        }
     }
 
     /// Spill the cold prefix of the arena when resident words exceed the
@@ -905,17 +636,10 @@ impl SetArena {
     /// Materialize a set by handle. Takes `&mut self` because a cold
     /// (spilled) set is staged through the reload buffer.
     pub fn get(&mut self, id: SetId) -> StateSet {
-        let len = self.lens[id.idx()];
-        let (off, nw) = self.spans[id.idx()];
-        if len == 0 {
-            return StateSet::empty();
-        }
-        if off >= self.base {
-            let s = (off - self.base) as usize;
-            Self::decode(len, &self.words[s..s + nw as usize])
-        } else {
-            self.reload_span(off, nw);
-            Self::decode(len, &self.reload[..nw as usize])
+        StateSet {
+            len: self.lens[id.idx()],
+            base: self.spans[id.idx()].2,
+            words: Words::from(self.words_of(id)),
         }
     }
 
@@ -958,6 +682,29 @@ mod tests {
         StateSet::from_iter(v.iter().map(|&x| StateId(x)))
     }
 
+    /// The encoding's invariants: a tight window, a true cached count, ∅
+    /// one value, storage picked by word count alone.
+    pub(super) fn assert_encoding(s: &StateSet) {
+        assert_eq!(s.len, popcount(&s.words), "cached count of {s:?}");
+        match (s.words.first(), s.words.last()) {
+            (Some(&first), Some(&last)) => assert!(first != 0 && last != 0, "loose {s:?}"),
+            _ => assert_eq!((s.len, s.base), (0, 0), "∅ is one value"),
+        }
+        assert_eq!(
+            matches!(s.words, Words::Inline { .. }),
+            s.words.len() <= INLINE_WORDS,
+            "storage of {s:?}"
+        );
+    }
+
+    /// `a` and `b` are one value: equal fields, equal hash.
+    pub(super) fn assert_same(a: &StateSet, b: &StateSet) {
+        assert_encoding(a);
+        assert_encoding(b);
+        assert_eq!(a, b);
+        assert_eq!(fx_hash(a), fx_hash(b), "hash of {a}");
+    }
+
     #[test]
     fn from_iter_sorts_and_dedups() {
         assert_eq!(set(&[3, 1, 2, 1, 3]).to_vec(), &[1, 2, 3]);
@@ -990,6 +737,12 @@ mod tests {
         assert!(!set(&[1, 2, 3]).is_strict_subset(&set(&[1, 2, 3])));
         assert!(!set(&[1, 4]).is_subset(&set(&[1, 2, 3])));
         assert!(set(&[]).is_subset(&set(&[1])));
+        // Windows that only partly overlap, and ∅ against a window that
+        // does not start at word 0.
+        assert!(set(&[200, 300]).is_subset(&set(&[70, 200, 300, 900])));
+        assert!(!set(&[70, 200]).is_subset(&set(&[200, 300, 900])));
+        assert!(!set(&[200, 900]).is_subset(&set(&[70, 200, 300])));
+        assert!(set(&[]).is_subset(&set(&[900])));
     }
 
     #[test]
@@ -1001,25 +754,90 @@ mod tests {
     }
 
     #[test]
-    fn insert_spills_small_to_bits_and_stays_canonical() {
-        let mut s = set(&[1, 3, 5, 7]);
-        s.insert(StateId(200));
-        assert_eq!(s.to_vec(), &[1, 3, 5, 7, 200]);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s, set(&[200, 7, 5, 3, 1]), "spilled set compares equal");
-        s.insert(StateId(200));
-        assert_eq!(s.len(), 5, "re-insert is a no-op");
+    fn insert_grows_the_window_at_either_end() {
+        let mut s = set(&[130]);
+        assert_eq!((s.base, s.words.len()), (2, 1));
+        s.insert(StateId(5000));
+        assert_eq!((s.base, s.words.len()), (2, 77), "boxed, base kept");
+        s.insert(StateId(3));
+        assert_eq!((s.base, s.words.len()), (0, 79));
+        s.insert(StateId(5000));
+        assert_eq!(s.len(), 3, "re-insert is a no-op");
+        assert_eq!(s.to_vec(), &[3, 130, 5000]);
+        assert_same(&s, &set(&[5000, 130, 3]));
     }
 
     #[test]
-    fn shrinking_bits_normalizes_back_to_small() {
-        let big = set(&[1, 2, 3, 4, 5, 6, 700]);
-        let small = big.difference(&set(&[2, 4, 6, 700]));
-        assert_eq!(small.to_vec(), &[1, 3, 5]);
-        // Canonical: must equal (and hash like) a directly-built small set.
-        let direct = set(&[1, 3, 5]);
-        assert_eq!(small, direct);
-        assert_eq!(fx_hash(&small), fx_hash(&direct));
+    fn shrinking_tightens_the_window_from_either_end() {
+        // Losing the high member drops 10 words and brings the set back in
+        // place; it must be the value a direct build gives.
+        let wide = set(&[1, 2, 3, 4, 5, 6, 700]);
+        assert_same(&wide.difference(&set(&[2, 4, 6, 700])), &set(&[1, 3, 5]));
+        assert_same(&wide.filter(|s| s.0 < 64), &set(&[1, 2, 3, 4, 5, 6]));
+        // Losing the low member moves `base` up instead.
+        let high = wide.difference(&set(&[1, 2, 3, 4, 5, 6, 9000]));
+        assert_eq!((high.base, high.words.len()), (10, 1));
+        assert_same(&high, &set(&[700]));
+        let sparse = set(&[3, 700, 9000]).filter(|s| s.0 != 3);
+        assert_eq!((sparse.base, sparse.words.len()), (10, 131));
+        assert_same(&sparse, &set(&[9000, 700]));
+    }
+
+    #[test]
+    fn one_set_is_one_value_by_every_route() {
+        // In place at word 0, in place at a base, boxed at a base.
+        for ids in [&[1, 3, 5][..], &[130, 200], &[130, 200, 4000]] {
+            let direct = set(ids);
+            let (head, tail) = ids.split_at(1);
+            assert_same(&set(tail).union(&set(head)), &direct);
+            let mut inserted = StateSet::empty();
+            for &x in ids.iter().rev() {
+                inserted.insert(StateId(x));
+            }
+            assert_same(&inserted, &direct);
+            let wider = direct.union(&set(&[0, 77, 9999]));
+            assert_same(&wider.difference(&set(&[0, 77, 9999])), &direct);
+            assert_same(&wider.filter(|s| ids.contains(&s.0)), &direct);
+            let mut scratch = UnionScratch::new();
+            set(head).union_into_scratch(&set(tail), &mut scratch);
+            assert_same(&scratch.materialize(), &direct);
+
+            let mut resident = SetArena::with_budget(None);
+            let id = resident.intern(direct.clone());
+            assert_same(&resident.get(id), &direct);
+            // Push the set's span out to the segment store and read it back.
+            let mut spilled = SetArena::with_budget(Some(64));
+            let id = spilled.intern(direct.clone());
+            for i in 0..64 {
+                spilled.intern(set(&[i, i + 64, i + 640]));
+            }
+            assert!(spilled.spans[id.idx()].0 + ids.len() as u64 <= spilled.base);
+            assert_same(&spilled.get(id), &direct);
+            assert_eq!(spilled.intern(direct.clone()), id, "re-intern hits it cold");
+        }
+    }
+
+    #[test]
+    fn empty_set_is_one_value() {
+        let mut arena = SetArena::with_budget(None);
+        let id = arena.intern(StateSet::empty());
+        for drained in [
+            set(&[9, 80, 300]).difference(&set(&[300, 9, 80])),
+            set(&[700, 9000]).filter(|_| false),
+            set(&[]).union(&StateSet::empty()),
+            set(&[]),
+            StateSet::default(),
+            arena.get(id),
+        ] {
+            assert!(drained.is_empty());
+            assert_same(&drained, &StateSet::empty());
+            assert_eq!(drained.to_vec(), &[] as &[u32]);
+        }
+    }
+
+    #[test]
+    fn a_set_is_four_words() {
+        assert!(std::mem::size_of::<StateSet>() <= 32);
     }
 
     #[test]
@@ -1029,6 +847,7 @@ mod tests {
         assert!(s.contains(StateId(1000)));
         assert!(!s.contains(StateId(999)));
         assert!(!s.contains(StateId(4096)), "beyond the last word");
+        assert!(!set(&[700]).contains(StateId(3)), "below the first word");
         assert_eq!(s.to_vec(), &[0, 63, 64, 127, 128, 1000]);
     }
 
@@ -1065,6 +884,15 @@ mod tests {
     }
 
     #[test]
+    fn append_bit_words_is_the_absolute_form() {
+        let mut out = vec![7];
+        assert_eq!(set(&[130, 200]).append_bit_words(&mut out), 4);
+        assert_eq!(out, [7, 0, 0, 1 << 2, 1 << 8]);
+        assert_eq!(StateSet::empty().append_bit_words(&mut out), 0);
+        assert_eq!(out.len(), 5);
+    }
+
+    #[test]
     fn arena_interns_once() {
         let mut arena = SetArena::new();
         let a = arena.intern(set(&[1, 2]));
@@ -1077,46 +905,15 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_inline_at_exactly_small_max() {
-        // A 5-member Bits set losing one member lands exactly on SMALL_MAX
-        // and must normalize back to the inline representation.
-        let five = set(&[1, 2, 3, 4, 100]);
-        let four = five.difference(&set(&[100]));
-        let direct = set(&[1, 2, 3, 4]);
-        assert_eq!(four.to_vec(), &[1, 2, 3, 4]);
-        assert_eq!(four, direct);
-        assert_eq!(fx_hash(&four), fx_hash(&direct));
-    }
-
-    #[test]
-    fn trailing_zero_words_are_trimmed() {
-        // Dropping the high member leaves 5 members (still Bits) but must
-        // trim the now-zero high words so equal sets share words and hash.
-        let wide = set(&[0, 1, 2, 3, 4, 700]);
-        let low = wide.difference(&set(&[700]));
-        let direct = set(&[0, 1, 2, 3, 4]);
-        assert_eq!(low, direct);
-        assert_eq!(fx_hash(&low), fx_hash(&direct));
-    }
-
-    #[test]
-    fn empty_set_canonical_form() {
-        let drained = set(&[9, 80, 300]).difference(&set(&[300, 9, 80]));
-        assert!(drained.is_empty());
-        assert_eq!(drained, StateSet::empty());
-        assert_eq!(fx_hash(&drained), fx_hash(&StateSet::empty()));
-        assert_eq!(drained.to_vec(), &[] as &[u32]);
-    }
-
-    #[test]
     fn union_into_scratch_matches_union_and_hash() {
         let cases = [
             (set(&[]), set(&[])),
             (set(&[1, 2]), set(&[2, 3])),
-            (set(&[1, 2, 3]), set(&[4, 5])), // small+small spills to bits
-            (set(&[1, 2, 3, 4, 100]), set(&[7])), // bits + small
-            (set(&[5]), set(&[1, 2, 3, 4, 200])), // small + bits
-            (set(&[0, 64, 128]), set(&[1, 2, 3, 4, 5, 300])), // bits + bits
+            (set(&[]), set(&[700])),                          // ∅ + a base
+            (set(&[1, 2, 3, 4, 100]), set(&[7])),             // one word + two
+            (set(&[5]), set(&[1, 2, 3, 4, 200])),             // in place → boxed
+            (set(&[0, 64, 128]), set(&[1, 2, 3, 4, 5, 300])), // boxed + boxed
+            (set(&[9000]), set(&[130, 200])),                 // disjoint windows
         ];
         let mut s = UnionScratch::new();
         for (a, b) in &cases {
@@ -1124,7 +921,7 @@ mod tests {
             let h = a.union_into_scratch(b, &mut s);
             assert_eq!(h, fx_hash(&expect), "fused hash for {a} ∪ {b}");
             assert!(s.matches(&expect));
-            assert_eq!(s.materialize(), expect);
+            assert_same(&s.materialize(), &expect);
             assert_eq!(s.len(), expect.len());
         }
     }
@@ -1164,13 +961,35 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{assert_encoding, assert_same};
     use super::*;
     use proptest::prelude::*;
 
-    /// Mixed-density sets: small inline ones and ones that spill to words.
+    /// 0–40 ids around up to two origins below 4 300: one-word sets at
+    /// word 0, in-place and boxed windows at a non-zero base, and sparse
+    /// pairs of clusters thousands of ids apart all come up.
+    fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
+        let origin = || prop_oneof![Just(0u32), 0u32..4000];
+        let width = prop_oneof![Just(8u32), Just(64), Just(130), Just(300)];
+        let picks = prop::collection::vec((any::<bool>(), 0u32..300), 0..41);
+        (origin(), origin(), width, picks).prop_map(|(near, far, width, picks)| {
+            picks
+                .into_iter()
+                .map(|(is_far, off)| if is_far { far } else { near } + off % width)
+                .collect()
+        })
+    }
+
     fn arb_set() -> impl Strategy<Value = StateSet> {
-        prop::collection::vec(0u32..96, 0..14)
-            .prop_map(|v| StateSet::from_iter(v.into_iter().map(StateId)))
+        arb_ids().prop_map(|v| StateSet::from_iter(v.into_iter().map(StateId)))
+    }
+
+    /// The sorted-`Vec<u32>` model of a set.
+    fn model(v: &[u32]) -> Vec<u32> {
+        let mut m = v.to_vec();
+        m.sort_unstable();
+        m.dedup();
+        m
     }
 
     proptest! {
@@ -1194,9 +1013,12 @@ mod proptests {
 
         /// Membership agrees with construction.
         #[test]
-        fn contains_matches(v in prop::collection::vec(0u32..96, 0..14), probe in 0u32..96) {
+        fn contains_matches(v in arb_ids(), probe in 0u32..4400) {
             let s = StateSet::from_iter(v.iter().copied().map(StateId));
             prop_assert_eq!(s.contains(StateId(probe)), v.contains(&probe));
+            for &x in &v {
+                prop_assert!(s.contains(StateId(x)));
+            }
         }
 
         /// Strict subset is irreflexive and implies subset.
@@ -1209,37 +1031,40 @@ mod proptests {
             }
         }
 
-        /// Every operation agrees with a model over sorted vectors, the
-        /// cached length agrees with iteration, equal sets hash equal, and
-        /// ordering matches the vector ordering.
+        /// Every operation agrees with a model over sorted vectors and
+        /// leaves the one encoding of its result, the cached length agrees
+        /// with iteration, equal sets hash equal, and ordering matches the
+        /// vector ordering.
         #[test]
-        fn operations_match_sorted_vec_model(
-            va in prop::collection::vec(0u32..96, 0..14),
-            vb in prop::collection::vec(0u32..96, 0..14),
-        ) {
-            let model = |v: &[u32]| {
-                let mut m = v.to_vec();
-                m.sort_unstable();
-                m.dedup();
-                m
-            };
+        fn operations_match_sorted_vec_model(va in arb_ids(), vb in arb_ids(), keep in 1u32..5) {
             let (ma, mb) = (model(&va), model(&vb));
-            let (a, b) = (
-                StateSet::from_iter(va.iter().copied().map(StateId)),
-                StateSet::from_iter(vb.iter().copied().map(StateId)),
-            );
-            let m_union: Vec<u32> = model(&[ma.clone(), mb.clone()].concat());
-            prop_assert_eq!(a.union(&b).to_vec(), m_union);
+            let of = |v: &[u32]| StateSet::from_iter(v.iter().copied().map(StateId));
+            let (a, b) = (of(&va), of(&vb));
+            assert_same(&a, &of(&ma));
+            prop_assert_eq!(a.to_vec(), ma.clone());
+            let m_union = model(&[ma.clone(), mb.clone()].concat());
+            assert_same(&a.union(&b), &of(&m_union));
             let m_diff: Vec<u32> = ma.iter().copied().filter(|x| !mb.contains(x)).collect();
-            prop_assert_eq!(a.difference(&b).to_vec(), m_diff);
+            assert_same(&a.difference(&b), &of(&m_diff));
+            let m_kept: Vec<u32> = ma.iter().copied().filter(|x| x % keep == 0).collect();
+            assert_same(&a.filter(|s| s.0 % keep == 0), &of(&m_kept));
+            let mut grown = a.clone();
+            for &x in &mb {
+                grown.insert(StateId(x));
+            }
+            assert_same(&grown, &of(&m_union));
             prop_assert_eq!(a.is_subset(&b), ma.iter().all(|x| mb.contains(x)));
+            prop_assert!(of(&m_diff).is_subset(&a));
             prop_assert_eq!(a.len(), ma.len());
             prop_assert_eq!(a.iter().count(), ma.len());
             prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
-            if ma == mb {
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(fx_hash(&a), fx_hash(&b));
-            }
+            prop_assert_eq!(a == b, ma == mb);
+            let mut words = vec![u64::MAX];
+            prop_assert_eq!(a.append_bit_words(&mut words), words.len() - 1);
+            let bits: Vec<u32> = (0..64 * (words.len() as u32 - 1))
+                .filter(|i| words[1 + (i >> 6) as usize] >> (i & 63) & 1 == 1)
+                .collect();
+            prop_assert_eq!(bits, ma);
         }
 
         /// Interning is injective: same handle iff same set. A hit must
@@ -1249,6 +1074,7 @@ mod proptests {
             let mut arena = SetArena::new();
             let ids: Vec<SetId> = sets.iter().map(|s| arena.intern(s.clone())).collect();
             for (i, a) in sets.iter().enumerate() {
+                assert_same(&arena.get(ids[i]), a);
                 for (j, b) in sets.iter().enumerate() {
                     prop_assert_eq!(ids[i] == ids[j], a == b);
                 }
@@ -1258,18 +1084,16 @@ mod proptests {
         /// The fused scratch union returns exactly `fx_hash(a ∪ b)` and a
         /// candidate that matches/materializes to the allocated union.
         #[test]
-        fn scratch_union_matches_union(
-            va in prop::collection::vec(0u32..300, 0..20),
-            vb in prop::collection::vec(0u32..300, 0..20),
-        ) {
-            let a = StateSet::from_iter(va.into_iter().map(StateId));
-            let b = StateSet::from_iter(vb.into_iter().map(StateId));
+        fn scratch_union_matches_union(a in arb_set(), b in arb_set(), c in arb_set()) {
             let mut s = UnionScratch::new();
+            // A warm scratch: the previous candidate must leave no trace.
+            c.union_into_scratch(&a, &mut s);
             let h = a.union_into_scratch(&b, &mut s);
             let expect = a.union(&b);
             prop_assert_eq!(h, fx_hash(&expect));
             prop_assert!(s.matches(&expect));
-            prop_assert_eq!(s.materialize(), expect.clone());
+            prop_assert_eq!(s.matches(&c), c == expect);
+            assert_same(&s.materialize(), &expect);
             prop_assert_eq!(s.len(), expect.len());
         }
 
@@ -1279,11 +1103,14 @@ mod proptests {
             let mut plain = SetArena::with_budget(None);
             let mut tiny = SetArena::with_budget(Some(64));
             for s in &sets {
-                prop_assert_eq!(plain.intern(s.clone()), tiny.intern(s.clone()));
+                let id = plain.intern(s.clone());
+                prop_assert_eq!(id, tiny.intern(s.clone()));
+                assert_same(&tiny.get(id), s);
             }
             for i in 0..plain.len() {
                 let id = SetId(i as u32);
-                prop_assert_eq!(plain.get(id), tiny.get(id));
+                assert_same(&plain.get(id), &tiny.get(id));
+                assert_encoding(&tiny.get(id));
             }
         }
     }

@@ -1,19 +1,23 @@
-//! Bit-identity of the hybrid-set converter against the seed semantics.
+//! Bit-identity of the converter against the seed semantics.
 //!
-//! `StateSet` changed representation (inline small set spilling to a word
-//! bitset) and the converter/subsumption pipelines were rebuilt around it
-//! (scratch buffers, hash-indexed dedup, inverted-index subsumption). The
-//! required invariant is that none of that changed a single observable
-//! bit: the automaton (member sets, successor lists, start id — i.e. the
-//! canonical numbering produced by discovery order) and the
-//! `ConvertStats` must be identical to what the original sorted-`Vec<u32>`
-//! implementation produced.
+//! `StateSet` has changed encoding twice (sorted ids, then an inline small
+//! set spilling to a word bitset, now one tight window of bit words) and
+//! the converter/subsumption pipelines were rebuilt around it (scratch
+//! buffers, hash-indexed dedup, inverted-index subsumption). The required
+//! invariant is that none of that changed a single observable bit: the
+//! automaton (member sets, successor lists, start id — i.e. the canonical
+//! numbering produced by discovery order) and the `ConvertStats` must be
+//! identical to what the original sorted-`Vec<u32>` implementation
+//! produced.
 //!
 //! This test *re-implements* the original algorithm over plain sorted
 //! vectors — set algebra, worklist, latent-barrier widening (§2.6), time
 //! splitting (§2.4), subsumption (§2.5), unreachable pruning — and checks
 //! equality on randomized MIMD graphs, including barrier and time-split
-//! programs, in base and compressed modes.
+//! programs, in base and compressed modes. The graphs carry 0, 60, 130 or
+//! 1 000 unreachable padding states ahead of the real ones, so the
+//! converter's sets are compared with a window base of zero, across a
+//! word boundary, and well past the first word.
 
 use msc_core::convert::{ConvertError, ConvertMode, ConvertOptions, TimeSplitOptions};
 use msc_core::convert_with_stats;
@@ -510,17 +514,17 @@ fn ref_convert(
 
 fn assert_matches_reference(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), TestCaseError> {
     let reference = ref_convert(g, opts);
-    let hybrid = convert_with_stats(g, opts);
-    match (reference, hybrid) {
+    let converted = convert_with_stats(g, opts);
+    match (reference, converted) {
         (Ok((ra, rs)), Ok((ha, hs))) => {
-            let hybrid_sets: Vec<VSet> = ha.sets.iter().map(|s| s.to_vec()).collect();
-            prop_assert_eq!(&hybrid_sets, &ra.sets, "member sets differ");
-            let hybrid_succs: Vec<Vec<usize>> = ha
+            let converted_sets: Vec<VSet> = ha.sets.iter().map(|s| s.to_vec()).collect();
+            prop_assert_eq!(&converted_sets, &ra.sets, "member sets differ");
+            let converted_succs: Vec<Vec<usize>> = ha
                 .succs
                 .iter()
                 .map(|v| v.iter().map(|m| m.idx()).collect())
                 .collect();
-            prop_assert_eq!(&hybrid_succs, &ra.succs, "successor lists differ");
+            prop_assert_eq!(&converted_succs, &ra.succs, "successor lists differ");
             prop_assert_eq!(ha.start.idx(), ra.start, "start differs");
             prop_assert_eq!(hs.restarts, rs.restarts, "restarts differ");
             prop_assert_eq!(hs.splits, rs.splits, "splits differ");
@@ -534,7 +538,11 @@ fn assert_matches_reference(g: &MimdGraph, opts: &ConvertOptions) -> Result<(), 
         (Err(re), Ok(_)) => {
             return Err(TestCaseError::fail(format!("only reference errs: {re:?}")))
         }
-        (Ok(_), Err(he)) => return Err(TestCaseError::fail(format!("only hybrid errs: {he}"))),
+        (Ok(_), Err(he)) => {
+            return Err(TestCaseError::fail(format!(
+                "only the converter errs: {he}"
+            )))
+        }
         (Err(re), Err(he)) => {
             let same = matches!(
                 (&re, &he),
@@ -566,19 +574,26 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
             (0u8..4, 0u32..64, 0u32..64, any::<bool>(), 1usize..24),
             2..8,
         ),
+        // Unreachable padding states ahead of the real ones, so member ids
+        // — and with them every set's window — start past word 0: in word
+        // 0, straddling words 0–1, in word 2, in word 15.
+        prop_oneof![Just(0u32), Just(60), Just(130), Just(1000)],
     )
-        .prop_map(|(n, seeds)| {
+        .prop_map(|(n, seeds, pad)| {
             let n = n.min(seeds.len());
             let mut g = MimdGraph::new();
+            for _ in 0..pad {
+                g.add(MimdState::new(vec![], Terminator::Halt));
+            }
             for (i, &(_, _, _, barrier, cost)) in seeds.iter().take(n).enumerate() {
                 let mut st = MimdState::new(vec![Op::Push(i as i64); cost], Terminator::Halt);
                 st.barrier = barrier && i != 0 && i % 3 == 0;
                 g.add(st);
             }
             for (i, &(kind, a, b, _, _)) in seeds.iter().take(n).enumerate() {
-                let t = StateId(a % n as u32);
-                let f = StateId(b % n as u32);
-                let id = StateId(i as u32);
+                let t = StateId(pad + a % n as u32);
+                let f = StateId(pad + b % n as u32);
+                let id = StateId(pad + i as u32);
                 g.state_mut(id).term = match kind % 4 {
                     0 => Terminator::Halt,
                     1 => Terminator::Jump(t),
@@ -586,7 +601,7 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
                     _ => Terminator::Multi(vec![t, f]),
                 };
             }
-            g.start = StateId(0);
+            g.start = StateId(pad);
             g
         })
 }

@@ -278,6 +278,22 @@ impl Hist {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// The non-empty log₂ buckets, ascending, as `(range, samples)` with
+    /// the range written `"4-7"` (or `"1"` when it is one value).
+    pub fn bucket_counts(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        let nonempty = self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+        nonempty.map(|(i, &n)| {
+            let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
+            let hi = lo + lo.saturating_sub(1);
+            let range = if lo == hi {
+                lo.to_string()
+            } else {
+                format!("{lo}-{hi}")
+            };
+            (range, n)
+        })
+    }
 }
 
 /// Aggregated timings of one span name.
@@ -405,16 +421,20 @@ impl MetricsSnapshot {
             }
         }
         if !self.hists.is_empty() {
-            out.push_str("histograms (count / mean / min / max):\n");
+            out.push_str("histograms (count / mean / min / max | log2 buckets):\n");
             for (name, h) in &self.hists {
-                let _ = writeln!(
+                let _ = write!(
                     out,
-                    "  {name:<28} {} / {:.2} / {} / {}",
+                    "  {name:<28} {} / {:.2} / {} / {} |",
                     h.count,
                     h.mean(),
                     if h.count == 0 { 0 } else { h.min },
                     h.max
                 );
+                for (range, n) in h.bucket_counts() {
+                    let _ = write!(out, " {range}:{n}");
+                }
+                out.push('\n');
             }
         }
         if !self.spans.is_empty() {
@@ -500,7 +520,10 @@ mod tests {
         assert!(sp.total_nanos >= sp.max_nanos);
         let table = snap.render_table();
         assert!(table.contains("t.hits"), "{table}");
-        assert!(table.contains("t.depth"), "{table}");
+        assert!(
+            table.contains("3 / 4.67 / 1 / 9 | 1:1 4-7:1 8-15:1\n"),
+            "{table}"
+        );
         assert!(table.contains("t.region"), "{table}");
     }
 
@@ -542,5 +565,9 @@ mod tests {
         assert_eq!(h.buckets[0], 1, "zero lands in bucket 0");
         assert_eq!(h.buckets[4], 1, "8 has bit length 4");
         assert!((h.mean() - 4.0).abs() < 1e-12);
+        h.record(1 << 63);
+        let ranges: Vec<(String, u64)> = h.bucket_counts().collect();
+        let top = format!("{}-{}", 1u64 << 63, u64::MAX);
+        assert_eq!(ranges, [("0".into(), 1), ("8-15".into(), 1), (top, 1)]);
     }
 }

@@ -274,6 +274,10 @@ pub fn metrics_response(snap: &MetricsSnapshot, gauges: &[(&str, u64)]) -> Json 
                     ("mean", Json::from(h.mean())),
                     ("min", Json::from(if h.count == 0 { 0 } else { h.min })),
                     ("max", Json::from(h.max)),
+                    (
+                        "buckets",
+                        Json::Obj(h.bucket_counts().map(|(r, n)| (r, Json::from(n))).collect()),
+                    ),
                 ]),
             )
         })

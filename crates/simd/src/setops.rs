@@ -1,32 +1,30 @@
 //! Data-parallel set algebra over `u64` word slices.
 //!
-//! The converter's inner loops (union, difference, subset tests, hashing
-//! of candidate meta states) are word-parallel over dense bitsets. This
-//! module widens them to 128/256-bit lanes behind a portable, std-only
-//! shim: `std::arch` intrinsics selected *at runtime* (AVX2+POPCNT on
-//! x86_64, NEON on aarch64) with the plain scalar loop as the universal
+//! Set algebra over windows of bit words is word-parallel (64 members per
+//! operation); this module widens the word to 128/256-bit lanes where sets
+//! are wide enough for that to pay, behind a portable, std-only shim:
+//! `std::arch` intrinsics selected *at runtime* (AVX2+POPCNT on x86_64,
+//! NEON on aarch64) with the plain scalar loop as the universal
 //! fallback. Callers never see the dispatch — every public kernel picks
 //! the widest available path once (cached) and the scalar twin is exported
 //! under [`scalar`] so tests can assert bit-identical results.
 //!
-//! Besides the element-wise kernels, the module provides the batched
-//! primitives subset construction actually wants:
+//! Three kernels:
 //!
-//! * [`union_count`] — union into a caller-owned scratch vector with a
-//!   fused popcount (no allocation, no separate counting pass);
-//! * [`union_count_hash`] — the same, additionally folding every output
-//!   word into an [`FxHasher`] as it is produced (hash-while-union), so
-//!   interning a candidate set needs no extra traversal;
+//! * [`subset_of`] — `a ⊆ b` over two word slices that start at the same
+//!   word (`msc_core::StateSet::is_subset` runs its windows through it);
 //! * [`subset_of_many`] — one query set tested against many candidate
-//!   spans laid out contiguously in a word arena (the SoA layout
-//!   [`subsume`](../../msc_core/subsume/index.html) and the set arena
-//!   stream through).
+//!   spans laid out contiguously in a word arena (the SoA snapshot
+//!   [`subsume`](../../msc_core/subsume/index.html) streams through);
+//! * [`union_count`] — union into a caller-owned scratch vector with a
+//!   fused popcount (no allocation, no separate counting pass). The
+//!   converter's own unions are a few words and run inline in
+//!   `msc_core::stateset`; this is the kernel BENCH_setops and `perf`
+//!   time at 256 members and up.
 //!
 //! Overriding the dispatch: set `MSC_NO_SIMD=1` to force the scalar path
 //! (read once per process; used by CI to exercise the fallback).
 
-use msc_ir::util::FxHasher;
-use std::hash::Hasher;
 use std::sync::OnceLock;
 
 /// Which lane width the runtime dispatch selected.
@@ -87,30 +85,6 @@ fn detect() -> Lanes {
     Lanes::Scalar
 }
 
-/// Population count of `words`.
-pub fn popcount(words: &[u64]) -> u32 {
-    match lanes() {
-        #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2 => unsafe { x86::popcount(words) },
-        #[cfg(target_arch = "aarch64")]
-        Lanes::Neon => neon::popcount(words),
-        _ => scalar::popcount(words),
-    }
-}
-
-/// `dst[i] |= src[i]` for every `i < src.len()`. Requires
-/// `src.len() <= dst.len()`.
-pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    assert!(src.len() <= dst.len(), "or_into: src longer than dst");
-    match lanes() {
-        #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2 => unsafe { x86::or_into(dst, src) },
-        #[cfg(target_arch = "aarch64")]
-        Lanes::Neon => neon::or_into(dst, src),
-        _ => scalar::or_into(dst, src),
-    }
-}
-
 /// Union into scratch: `out = long | short` (with `short` zero-extended to
 /// `long.len()`), returning the population count of the result. `out` is
 /// cleared and overwritten; no allocation happens once its capacity is
@@ -125,38 +99,6 @@ pub fn union_count(long: &[u64], short: &[u64], out: &mut Vec<u64>) -> u32 {
         #[cfg(target_arch = "aarch64")]
         Lanes::Neon => neon::union_count(long, short, out),
         _ => scalar::union_count(long, short, out),
-    }
-}
-
-/// [`union_count`] fused with hashing: every word of the union is folded
-/// into `hasher` (via `write_u64`) in index order as it is produced, so the
-/// hash a caller finishes afterwards is exactly the hash of the output
-/// words — no second traversal. Returns the population count.
-pub fn union_count_hash(
-    long: &[u64],
-    short: &[u64],
-    out: &mut Vec<u64>,
-    hasher: &mut FxHasher,
-) -> u32 {
-    let n = union_count(long, short, out);
-    for &w in out.iter() {
-        hasher.write_u64(w);
-    }
-    n
-}
-
-/// Difference into scratch: `out = a & !b` (with `b` zero-extended or
-/// truncated to `a.len()`), returning the population count. `out` is
-/// cleared and overwritten.
-pub fn andnot_count(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> u32 {
-    out.clear();
-    out.resize(a.len(), 0);
-    match lanes() {
-        #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2 => unsafe { x86::andnot_count(a, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        Lanes::Neon => neon::andnot_count(a, b, out),
-        _ => scalar::andnot_count(a, b, out),
     }
 }
 
@@ -192,18 +134,6 @@ pub fn subset_of_many(a: &[u64], arena: &[u64], spans: &[(u32, u32)], hits: &mut
 /// The scalar twins of every kernel — the universal fallback, and the
 /// reference the SIMD paths are property-tested against.
 pub mod scalar {
-    /// Population count (SWAR `count_ones` per word).
-    pub fn popcount(words: &[u64]) -> u32 {
-        words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// `dst |= src` word-wise.
-    pub fn or_into(dst: &mut [u64], src: &[u64]) {
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d |= s;
-        }
-    }
-
     /// `out = long | short`, returning the popcount. `out` must already be
     /// `long.len()` long.
     pub fn union_count(long: &[u64], short: &[u64], out: &mut [u64]) -> u32 {
@@ -215,23 +145,6 @@ pub mod scalar {
         }
         for i in short.len()..long.len() {
             let w = long[i];
-            out[i] = w;
-            n += w.count_ones();
-        }
-        n
-    }
-
-    /// `out = a & !b`, returning the popcount. `out` must be `a.len()`.
-    pub fn andnot_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u32 {
-        let nb = a.len().min(b.len());
-        let mut n = 0u32;
-        for i in 0..nb {
-            let w = a[i] & !b[i];
-            out[i] = w;
-            n += w.count_ones();
-        }
-        for i in nb..a.len() {
-            let w = a[i];
             out[i] = w;
             n += w.count_ones();
         }
@@ -250,37 +163,6 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
-
-    /// Safety: requires AVX2 + POPCNT (checked by the dispatcher).
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn popcount(words: &[u64]) -> u32 {
-        // `count_ones` lowers to the POPCNT instruction under the popcnt
-        // target feature — one instruction per word instead of the ~12-op
-        // SWAR sequence the portable build emits.
-        let mut n = 0u32;
-        for &w in words {
-            n += w.count_ones();
-        }
-        n
-    }
-
-    /// Safety: requires AVX2 + POPCNT.
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn or_into(dst: &mut [u64], src: &[u64]) {
-        let n = src.len();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_or_si256(d, s));
-            i += 4;
-        }
-        while i < n {
-            *dp.add(i) |= *sp.add(i);
-            i += 1;
-        }
-    }
 
     /// Safety: requires AVX2 + POPCNT; `out.len() == long.len()`,
     /// `short.len() <= long.len()`.
@@ -309,40 +191,6 @@ mod x86 {
         }
         while i < nl {
             let w = *lp.add(i);
-            *op.add(i) = w;
-            n += w.count_ones();
-            i += 1;
-        }
-        n
-    }
-
-    /// Safety: requires AVX2 + POPCNT; `out.len() == a.len()`.
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn andnot_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u32 {
-        let (na, nb) = (a.len(), a.len().min(b.len()));
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut n = 0u32;
-        let mut i = 0usize;
-        while i + 4 <= nb {
-            let va = _mm256_loadu_si256(ap.add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(bp.add(i) as *const __m256i);
-            // andnot(b, a) = !b & a.
-            let o = _mm256_andnot_si256(vb, va);
-            _mm256_storeu_si256(op.add(i) as *mut __m256i, o);
-            n += (_mm256_extract_epi64::<0>(o) as u64).count_ones();
-            n += (_mm256_extract_epi64::<1>(o) as u64).count_ones();
-            n += (_mm256_extract_epi64::<2>(o) as u64).count_ones();
-            n += (_mm256_extract_epi64::<3>(o) as u64).count_ones();
-            i += 4;
-        }
-        while i < nb {
-            let w = *ap.add(i) & !*bp.add(i);
-            *op.add(i) = w;
-            n += w.count_ones();
-            i += 1;
-        }
-        while i < na {
-            let w = *ap.add(i);
             *op.add(i) = w;
             n += w.count_ones();
             i += 1;
@@ -382,29 +230,6 @@ mod x86 {
 mod neon {
     use std::arch::aarch64::*;
 
-    pub fn popcount(words: &[u64]) -> u32 {
-        // aarch64 `count_ones` lowers to CNT+ADDV natively.
-        words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    pub fn or_into(dst: &mut [u64], src: &[u64]) {
-        let n = src.len();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0usize;
-        unsafe {
-            while i + 2 <= n {
-                let d = vld1q_u64(dp.add(i));
-                let s = vld1q_u64(sp.add(i));
-                vst1q_u64(dp.add(i), vorrq_u64(d, s));
-                i += 2;
-            }
-            while i < n {
-                *dp.add(i) |= *sp.add(i);
-                i += 1;
-            }
-        }
-    }
-
     pub fn union_count(long: &[u64], short: &[u64], out: &mut [u64]) -> u32 {
         let (nl, ns) = (long.len(), short.len());
         let (lp, sp, op) = (long.as_ptr(), short.as_ptr(), out.as_mut_ptr());
@@ -426,36 +251,6 @@ mod neon {
             }
             while i < nl {
                 let w = *lp.add(i);
-                *op.add(i) = w;
-                n += w.count_ones();
-                i += 1;
-            }
-        }
-        n
-    }
-
-    pub fn andnot_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u32 {
-        let (na, nb) = (a.len(), a.len().min(b.len()));
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut n = 0u32;
-        let mut i = 0usize;
-        unsafe {
-            while i + 2 <= nb {
-                // bic(a, b) = a & !b.
-                let o = vbicq_u64(vld1q_u64(ap.add(i)), vld1q_u64(bp.add(i)));
-                vst1q_u64(op.add(i), o);
-                n += vgetq_lane_u64::<0>(o).count_ones();
-                n += vgetq_lane_u64::<1>(o).count_ones();
-                i += 2;
-            }
-            while i < nb {
-                let w = *ap.add(i) & !*bp.add(i);
-                *op.add(i) = w;
-                n += w.count_ones();
-                i += 1;
-            }
-            while i < na {
-                let w = *ap.add(i);
                 *op.add(i) = w;
                 n += w.count_ones();
                 i += 1;
@@ -500,37 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn popcount_basics() {
-        assert_eq!(popcount(&[]), 0);
-        assert_eq!(popcount(&[0]), 0);
-        assert_eq!(popcount(&[u64::MAX]), 64);
-        assert_eq!(popcount(&[1, 2, 4, 8, u64::MAX]), 68);
-    }
-
-    #[test]
-    fn or_into_masks() {
-        let mut d = vec![1u64, 2, 4, 0, 0xff];
-        or_into(&mut d, &[2, 2, 2]);
-        assert_eq!(d, vec![3, 2, 6, 0, 0xff]);
-    }
-
-    #[test]
     fn union_count_zero_extends_short() {
         let mut out = Vec::new();
         let n = union_count(&[1, 0, 8, 16], &[2, 4], &mut out);
         assert_eq!(out, vec![3, 4, 8, 16]);
         assert_eq!(n, 5);
-    }
-
-    #[test]
-    fn andnot_count_handles_length_mismatch() {
-        let mut out = Vec::new();
-        // b longer than a: extra b words ignored.
-        assert_eq!(andnot_count(&[0b111], &[0b010, 0xff, 0xff], &mut out), 2);
-        assert_eq!(out, vec![0b101]);
-        // b shorter than a: missing b words are zero.
-        assert_eq!(andnot_count(&[0b111, 0b11], &[0b001], &mut out), 4);
-        assert_eq!(out, vec![0b110, 0b11]);
     }
 
     #[test]
@@ -542,19 +311,6 @@ mod tests {
         // …but a set bit past the right's length is not covered.
         assert!(!subset_of(&[0b01, 0, 4], &[0b11]));
         assert!(subset_of(&[], &[1, 2, 3]));
-    }
-
-    #[test]
-    fn union_count_hash_matches_separate_hash() {
-        let mut out = Vec::new();
-        let mut fused = FxHasher::default();
-        let n = union_count_hash(&[1, 2, 3, 4, 5], &[8, 8], &mut out, &mut fused);
-        assert_eq!(n, popcount(&out));
-        let mut plain = FxHasher::default();
-        for &w in &out {
-            plain.write_u64(w);
-        }
-        assert_eq!(fused.finish(), plain.finish());
     }
 
     #[test]
@@ -582,13 +338,10 @@ mod tests {
             let n = union_count(&a, &b, &mut out);
             let expect: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x | y).collect();
             assert_eq!(out, expect, "len {len}");
-            assert_eq!(n, scalar::popcount(&expect), "len {len}");
+            let ones: u32 = expect.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(n, ones, "len {len}");
             assert!(subset_of(&a, &out), "len {len}");
             assert!(subset_of(&b, &out), "len {len}");
-            let mut diff = Vec::new();
-            let nd = andnot_count(&out, &b, &mut diff);
-            assert_eq!(nd, scalar::popcount(&diff), "len {len}");
-            assert!(subset_of(&diff, &a), "len {len}");
         }
     }
 }
@@ -615,25 +368,10 @@ mod proptests {
             prop_assert_eq!(&out, &sout);
             prop_assert_eq!(n, sn);
 
-            let mut dout = Vec::new();
-            let dn = andnot_count(&a, &b, &mut dout);
-            let mut sdout = vec![0u64; a.len()];
-            let sdn = scalar::andnot_count(&a, &b, &mut sdout);
-            prop_assert_eq!(&dout, &sdout);
-            prop_assert_eq!(dn, sdn);
-
-            prop_assert_eq!(popcount(&a), scalar::popcount(&a));
-
             let trunc = a.len().min(b.len());
             let fast = subset_of(&a[..trunc], &b);
             let slow = scalar::subset_of(&a[..trunc], &b);
             prop_assert_eq!(fast, slow);
-
-            let mut ored = b.clone();
-            or_into(&mut ored, &a[..trunc]);
-            let mut sored = b.clone();
-            scalar::or_into(&mut sored, &a[..trunc]);
-            prop_assert_eq!(ored, sored);
         }
     }
 }

@@ -180,7 +180,7 @@ fn memory_budget_spills_at_two_threads() {
         ..ConvertOptions::base()
     };
     let budgeted = ConvertOptions {
-        // 512 meta states are about 6 KiB of set words.
+        // 512 meta states are 4 KiB of set words.
         memory_budget: Some(1 << 10),
         ..ConvertOptions::base()
     };
@@ -197,6 +197,12 @@ fn memory_budget_spills_at_two_threads() {
         snap.span("convert.round").is_some(),
         "never ran a round on two threads"
     );
+    // One sample per interned set: the eight loops and the exit state fit
+    // one word, whatever subset of them a meta state holds.
+    let members = snap.hist("convert.set_members").expect("set sizes");
+    assert_eq!((members.count, members.max), (spilled.len() as u64, 9));
+    let words = snap.hist("convert.set_words").expect("set widths");
+    assert_eq!((words.count, words.min, words.max), (members.count, 1, 1));
     assert_eq!(plain.sets, spilled.sets);
     assert_eq!(plain.succs, spilled.succs);
     assert_eq!(plain.start, spilled.start);
