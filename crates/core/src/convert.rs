@@ -24,9 +24,9 @@
 
 use crate::automaton::{MetaAutomaton, MetaId};
 use crate::spill::SpillQueue;
-use crate::stateset::{fx_hash, SetArena, SetId, StateSet, UnionScratch};
+use crate::stateset::{fx_hash, HashIndex, SetArena, SetId, StateSet, UnionScratch};
 use msc_ir::graph::GraphError;
-use msc_ir::util::{FxHashMap, FxHashSet};
+use msc_ir::util::FxHashMap;
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -431,12 +431,8 @@ pub fn convert_rounds<E: From<ConvertError>>(
                 let (targets, enumerated) = expansion?;
                 stats.successor_sets_enumerated += enumerated;
                 let mut out: Vec<MetaId> = Vec::with_capacity(targets.len());
-                let mut out_seen: FxHashSet<MetaId> = FxHashSet::default();
                 for (t, l) in targets {
-                    let id = f.intern(t, l);
-                    if out_seen.insert(id) {
-                        out.push(id);
-                    }
+                    out.push(f.intern(t, l));
                     if f.sets_in_order.len() > opts.max_meta_states {
                         return Err(ConvertError::TooManyMetaStates {
                             limit: opts.max_meta_states,
@@ -444,6 +440,15 @@ pub fn convert_rounds<E: From<ConvertError>>(
                         .into());
                     }
                 }
+                // Distinct visible sets intern to distinct meta states.
+                debug_assert!(
+                    {
+                        let mut ids = out.clone();
+                        ids.sort_unstable();
+                        ids.windows(2).all(|w| w[0] != w[1])
+                    },
+                    "successor_sets returned a visible set twice"
+                );
                 f.succs[m.idx()] = out;
             }
         }
@@ -527,19 +532,25 @@ pub fn barrier_sync(graph: &MimdGraph, set: StateSet) -> StateSet {
 }
 
 /// Reusable buffers for [`successor_sets`]: the partial-union DP vectors,
-/// a hash → index dedup table, and a memo of each member's successor
-/// choices (valid for one graph, i.e. one time-split restart). Each
-/// expansion thread reuses its own across the whole worklist, which keeps
-/// the hot loop free of per-meta allocations once the buffers are warm.
+/// the hash index that dedups them, and two memos valid for one graph,
+/// i.e. one time-split restart — each member's successor choices and the
+/// graph's barrier states. Each expansion thread reuses its own across the
+/// whole worklist, which keeps the hot loop free of per-meta allocations
+/// once the buffers are warm.
 #[derive(Default)]
 struct SuccScratch {
     acc: Vec<StateSet>,
     next: Vec<StateSet>,
-    /// Fx hash of a candidate set → indices of sets with that hash (into
-    /// `next` during the DP, into `out` during the barrier pass).
-    dedup: FxHashMap<u64, Vec<u32>>,
+    /// Fx hash of a candidate set → its index (into `next` during a DP
+    /// step, into `out` during the barrier pass), cleared between the two
+    /// by epoch. It grows with the candidates a step keeps — the guard
+    /// bounds those by `max_successor_sets` plus one member's choices —
+    /// never with the unions it tries.
+    dedup: HashIndex,
     /// Memoized [`member_choices`] keyed by MIMD state id.
     choices: FxHashMap<u32, Vec<StateSet>>,
+    /// The graph's barrier-wait states (§2.6), as one set.
+    barriers: Option<StateSet>,
     /// Candidate-union buffer: each DP step unions into this (hash fused
     /// into the same pass) and only materializes genuinely new sets.
     union: UnionScratch,
@@ -563,12 +574,13 @@ fn successor_sets(
         next,
         dedup,
         choices: choices_memo,
+        barriers,
         union,
     } = scratch;
     // DP over members: the set of achievable partial unions.
     acc.clear();
     acc.push(StateSet::empty());
-    let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
+    let (mut memo_hits, mut memo_misses, mut candidates) = (0u64, 0u64, 0u64);
     for m in members.iter() {
         let choices: &Vec<StateSet> = match choices_memo.entry(m.0) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -589,16 +601,19 @@ fn successor_sets(
             for c in choices {
                 // Union into the reusable scratch with the Fx hash fused
                 // into the same pass; only a genuinely new candidate pays
-                // an allocation. Hash values, bucket probe order, and
-                // insertion order are identical to the allocate-then-hash
-                // path, so the constructed automaton is bit-identical.
+                // for an owned set. A candidate is new when no kept one
+                // equals it, and `next` keeps them in the order they came
+                // up: nothing here depends on a hash value.
                 let h = u.union_into_scratch(c, union);
-                let bucket = dedup.entry(h).or_default();
-                if !bucket.iter().any(|&i| union.matches(&next[i as usize])) {
-                    bucket.push(next.len() as u32);
+                let kept = next.len() as u32;
+                if dedup
+                    .find_or_insert(h, kept, |i| union.matches(&next[i as usize]))
+                    .is_none()
+                {
                     next.push(union.materialize());
                 }
             }
+            candidates += choices.len() as u64;
             if next.len() > opts.max_successor_sets {
                 return Err(ConvertError::TooManySuccessorSets {
                     meta: members.clone(),
@@ -609,25 +624,48 @@ fn successor_sets(
         std::mem::swap(acc, next);
     }
     let enumerated = acc.len() as u64;
+
+    // With no inherited latent wait and no barrier in play, §2.6 has
+    // nothing to strip and nothing to merge: the DP's candidates, already
+    // distinct, are the successors — minus the empty set (every member
+    // halted and nothing lingers: a terminal meta state, §3.2.1).
+    let barriers =
+        barriers.get_or_insert_with(|| graph.ids().filter(|&s| graph.state(s).barrier).collect());
+    let pass_through = latent.is_empty() && (!opts.respect_barriers || barriers.is_empty());
     if msc_obs::enabled() {
         msc_obs::count("convert.memo_hit", memo_hits);
         msc_obs::count("convert.memo_miss", memo_misses);
+        msc_obs::count("convert.candidates", candidates);
         msc_obs::value("convert.fanout", enumerated);
+        let pass = if pass_through {
+            "convert.barrier_pass_skipped"
+        } else {
+            "convert.barrier_pass_run"
+        };
+        msc_obs::count(pass, 1);
+    }
+    if pass_through {
+        // Sized once: `collect` through a `filter` grows by doubling, which
+        // read as 3 MiB more peak RSS on the 3ⁿ frontier.
+        let mut out = Vec::with_capacity(acc.len());
+        out.extend(
+            acc.drain(..)
+                .filter(|t| !t.is_empty())
+                .map(|t| (t, StateSet::empty())),
+        );
+        return Ok((out, enumerated));
     }
 
     // Re-inject inherited latent waits, apply barrier filtering, dedupe by
-    // visible set (merging latents), and drop the empty set (every member
-    // halted and nothing lingers — a terminal meta state, §3.2.1).
+    // visible set (merging latents), and drop the empty set.
     let mut out: Vec<(StateSet, StateSet)> = Vec::with_capacity(acc.len());
     dedup.clear();
     let mut had_barrier_filter = false;
     let mut push = |v: StateSet, l: StateSet, out: &mut Vec<(StateSet, StateSet)>| {
-        let bucket = dedup.entry(fx_hash(&v)).or_default();
-        if let Some(&i) = bucket.iter().find(|&&i| out[i as usize].0 == v) {
-            out[i as usize].1 = out[i as usize].1.union(&l);
-        } else {
-            bucket.push(out.len() as u32);
-            out.push((v, l));
+        let fresh = out.len() as u32;
+        match dedup.find_or_insert(fx_hash(&v), fresh, |i| out[i as usize].0 == v) {
+            Some(i) => out[i as usize].1 = out[i as usize].1.union(&l),
+            None => out.push((v, l)),
         }
     };
     for t in acc.drain(..) {
@@ -639,7 +677,7 @@ fn successor_sets(
             push(t_all, StateSet::empty(), &mut out);
             continue;
         }
-        let waits = t_all.filter(|s| graph.state(s).barrier);
+        let waits = t_all.intersection(barriers);
         if waits.is_empty() || waits.len() == t_all.len() {
             // No barrier involvement, or everyone is at the barrier: the
             // all-barrier meta state is the release point (§2.6).
@@ -765,6 +803,166 @@ fn time_split_meta(
         }
     }
     did
+}
+
+#[cfg(test)]
+mod reference {
+    //! The successor enumeration as it stood before the flat [`HashIndex`]
+    //! and the word-parallel barrier pass (PR 18's, verbatim): a `Vec` per
+    //! hash bucket, a second pass over every candidate, `filter` +
+    //! `graph.state()` per member. The differential proptest holds
+    //! [`successor_sets`](super::successor_sets) to it.
+
+    use super::*;
+
+    /// Reusable buffers for [`successor_sets`]: the partial-union DP vectors,
+    /// a hash → index dedup table, and a memo of each member's successor
+    /// choices (valid for one graph, i.e. one time-split restart). Each
+    /// expansion thread reuses its own across the whole worklist, which keeps
+    /// the hot loop free of per-meta allocations once the buffers are warm.
+    #[derive(Default)]
+    pub struct SuccScratch {
+        acc: Vec<StateSet>,
+        next: Vec<StateSet>,
+        /// Fx hash of a candidate set → indices of sets with that hash (into
+        /// `next` during the DP, into `out` during the barrier pass).
+        dedup: FxHashMap<u64, Vec<u32>>,
+        /// Memoized [`member_choices`] keyed by MIMD state id.
+        choices: FxHashMap<u32, Vec<StateSet>>,
+        /// Candidate-union buffer: each DP step unions into this (hash fused
+        /// into the same pass) and only materializes genuinely new sets.
+        union: UnionScratch,
+    }
+
+    /// Enumerate the successor meta states of one meta state, per the paper's
+    /// `reach` routine (base or compressed variant), then push each through
+    /// `barrier_sync` (§2.6). Returns `(visible members, latent waits)` pairs:
+    /// barrier states stripped by `barrier_sync` become latent on the successor
+    /// (plus anything inherited through `latent`), so the barrier-release
+    /// transition stays statically reachable.
+    pub fn successor_sets(
+        graph: &MimdGraph,
+        members: &StateSet,
+        latent: &StateSet,
+        opts: &ConvertOptions,
+        scratch: &mut SuccScratch,
+    ) -> Expansion {
+        let SuccScratch {
+            acc,
+            next,
+            dedup,
+            choices: choices_memo,
+            union,
+        } = scratch;
+        // DP over members: the set of achievable partial unions.
+        acc.clear();
+        acc.push(StateSet::empty());
+        let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
+        for m in members.iter() {
+            let choices: &Vec<StateSet> = match choices_memo.entry(m.0) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    memo_hits += 1;
+                    e.into_mut()
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    memo_misses += 1;
+                    e.insert(member_choices(graph, m, opts)?)
+                }
+            };
+            if choices.len() == 1 && choices[0].is_empty() {
+                continue; // Halt member contributes nothing.
+            }
+            next.clear();
+            dedup.clear();
+            for u in acc.iter() {
+                for c in choices {
+                    // Union into the reusable scratch with the Fx hash fused
+                    // into the same pass; only a genuinely new candidate pays
+                    // an allocation. Hash values, bucket probe order, and
+                    // insertion order are identical to the allocate-then-hash
+                    // path, so the constructed automaton is bit-identical.
+                    let h = u.union_into_scratch(c, union);
+                    let bucket = dedup.entry(h).or_default();
+                    if !bucket.iter().any(|&i| union.matches(&next[i as usize])) {
+                        bucket.push(next.len() as u32);
+                        next.push(union.materialize());
+                    }
+                }
+                if next.len() > opts.max_successor_sets {
+                    return Err(ConvertError::TooManySuccessorSets {
+                        meta: members.clone(),
+                        limit: opts.max_successor_sets,
+                    });
+                }
+            }
+            std::mem::swap(acc, next);
+        }
+        let enumerated = acc.len() as u64;
+        if msc_obs::enabled() {
+            msc_obs::count("convert.memo_hit", memo_hits);
+            msc_obs::count("convert.memo_miss", memo_misses);
+            msc_obs::value("convert.fanout", enumerated);
+        }
+
+        // Re-inject inherited latent waits, apply barrier filtering, dedupe by
+        // visible set (merging latents), and drop the empty set (every member
+        // halted and nothing lingers — a terminal meta state, §3.2.1).
+        let mut out: Vec<(StateSet, StateSet)> = Vec::with_capacity(acc.len());
+        dedup.clear();
+        let mut had_barrier_filter = false;
+        let mut push = |v: StateSet, l: StateSet, out: &mut Vec<(StateSet, StateSet)>| {
+            let bucket = dedup.entry(fx_hash(&v)).or_default();
+            if let Some(&i) = bucket.iter().find(|&&i| out[i as usize].0 == v) {
+                out[i as usize].1 = out[i as usize].1.union(&l);
+            } else {
+                bucket.push(out.len() as u32);
+                out.push((v, l));
+            }
+        };
+        for t in acc.drain(..) {
+            let t_all = t.union(latent);
+            if t_all.is_empty() {
+                continue;
+            }
+            if !opts.respect_barriers {
+                push(t_all, StateSet::empty(), &mut out);
+                continue;
+            }
+            let waits = t_all.filter(|s| graph.state(s).barrier);
+            if waits.is_empty() || waits.len() == t_all.len() {
+                // No barrier involvement, or everyone is at the barrier: the
+                // all-barrier meta state is the release point (§2.6).
+                push(t_all, StateSet::empty(), &mut out);
+            } else {
+                had_barrier_filter = true;
+                push(t_all.difference(&waits), waits, &mut out);
+            }
+        }
+
+        // §3.2.4 for compressed mode: a compressed transition is unconditional,
+        // but once *every* PE has reached the barrier the automaton must be able
+        // to enter the all-barrier meta state. Base mode enumerates that choice
+        // naturally; compressed mode must add it explicitly.
+        if opts.mode == ConvertMode::Compressed && opts.respect_barriers && had_barrier_filter {
+            // The all-barrier set reachable from here: barrier successors of
+            // the members, barrier members, and inherited latent waits.
+            let mut waits = latent.clone();
+            for m in members.iter() {
+                for s in graph.state(m).term.successors() {
+                    if graph.state(s).barrier {
+                        waits.insert(s);
+                    }
+                }
+                if graph.state(m).barrier {
+                    waits.insert(m);
+                }
+            }
+            if !waits.is_empty() {
+                push(waits, StateSet::empty(), &mut out);
+            }
+        }
+        Ok((out, enumerated))
+    }
 }
 
 #[cfg(test)]
@@ -999,6 +1197,75 @@ mod tests {
         assert_eq!(err, ConvertError::TooManyMetaStates { limit: 10 });
     }
 
+    /// Two arity-16 `Multi` members: 65 535 choices each.
+    fn two_wide_multis() -> (MimdGraph, StateSet) {
+        let mut g = MimdGraph::new();
+        let targets: Vec<StateId> = (0..32)
+            .map(|i| g.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt)))
+            .collect();
+        let a = g.add(MimdState::new(
+            vec![],
+            Terminator::Multi(targets[..16].to_vec()),
+        ));
+        let b = g.add(MimdState::new(
+            vec![],
+            Terminator::Multi(targets[16..].to_vec()),
+        ));
+        g.start = a;
+        (g, StateSet::from_iter([a, b]))
+    }
+
+    #[test]
+    fn explosion_guard_fires_before_the_dedup_table_grows() {
+        // The second member's step would try 65 535² unions; the check after
+        // each partial union stops it at the second, as it always has, and
+        // the dedup table has seen only what was kept until then.
+        let (g, members) = two_wide_multis();
+        let opts = ConvertOptions::base();
+        let mut scratch = SuccScratch::default();
+        let err = successor_sets(&g, &members, &StateSet::empty(), &opts, &mut scratch)
+            .expect_err("65 535² candidate sets");
+        let limit = opts.max_successor_sets;
+        assert_eq!(
+            err,
+            ConvertError::TooManySuccessorSets {
+                meta: members.clone(),
+                limit
+            }
+        );
+        let mut old = reference::SuccScratch::default();
+        let old_err = reference::successor_sets(&g, &members, &StateSet::empty(), &opts, &mut old);
+        assert_eq!(Err(err), old_err);
+        assert_eq!(scratch.next.len(), 2 * 65_535, "stopped after the second");
+        assert!(
+            scratch.dedup.slots() <= 2 * (limit + 65_535).next_power_of_two(),
+            "{} slots",
+            scratch.dedup.slots()
+        );
+    }
+
+    #[test]
+    fn dedup_stays_exact_across_an_epoch_wrap() {
+        // Every member step and every barrier pass clears the table once:
+        // start three clears short of the wrap and expand through it.
+        let g = listing3();
+        for opts in [ConvertOptions::base(), ConvertOptions::compressed()] {
+            let mut scratch = SuccScratch::default();
+            let mut old = reference::SuccScratch::default();
+            scratch.dedup.set_epoch(u32::MAX - 2);
+            for members in [set(&[1, 2]), set(&[0]), set(&[1, 2, 3])] {
+                for latent in [StateSet::empty(), set(&[3])] {
+                    assert_eq!(
+                        successor_sets(&g, &members, &latent, &opts, &mut scratch),
+                        reference::successor_sets(&g, &members, &latent, &opts, &mut old),
+                        "{members} with latent {latent}"
+                    );
+                }
+            }
+            assert!(scratch.dedup.epoch() < 64, "the stamp wrapped");
+        }
+    }
+
     #[test]
     fn spill_budget_conversion_is_bit_identical() {
         // A fan-out to n independent self-loops (the 3ⁿ frontier shape),
@@ -1083,36 +1350,58 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Random small MIMD graphs: every state gets a cheap block and a
-    /// terminator drawn over valid targets. Start is state 0.
+    /// terminator drawn over valid targets, any state but the start may be
+    /// a barrier wait, and 0 / 60 / 130 unreachable padding states sit
+    /// between the first `split` real states and the rest — so member ids
+    /// cross word boundaries, windows start past word 0, and a meta state
+    /// holding a state from either side of 130 paddings spans three words,
+    /// which is a boxed window. The start is the first real state.
     fn arb_graph() -> impl Strategy<Value = MimdGraph> {
         (
             2usize..8,
             prop::collection::vec((0u8..4, 0u32..64, 0u32..64, any::<bool>()), 2..8),
+            prop_oneof![Just(0u32), Just(60), Just(130)],
+            0usize..8,
         )
-            .prop_map(|(n, seeds)| {
+            .prop_map(|(n, seeds, pad, split)| {
                 let n = n.min(seeds.len());
+                let id = |i: usize| StateId(i as u32 + if i < split { 0 } else { pad });
                 let mut g = MimdGraph::new();
                 for (i, &(_, _, _, barrier)) in seeds.iter().take(n).enumerate() {
+                    if i == split {
+                        for _ in 0..pad {
+                            g.add(MimdState::new(vec![], Terminator::Halt));
+                        }
+                    }
                     let mut st = MimdState::new(vec![Op::Push(i as i64)], Terminator::Halt);
-                    // Keep barriers rare-ish and never on the start state
-                    // (an all-barrier start is legal but uninteresting).
-                    st.barrier = barrier && i != 0 && i % 3 == 0;
-                    g.add(st);
+                    // Never on the start state (an all-barrier start is
+                    // legal but uninteresting).
+                    st.barrier = barrier && i != 0;
+                    assert_eq!(g.add(st), id(i));
                 }
                 for (i, &(kind, a, b, _)) in seeds.iter().take(n).enumerate() {
-                    let t = StateId(a % n as u32);
-                    let f = StateId(b % n as u32);
-                    let id = StateId(i as u32);
-                    g.state_mut(id).term = match kind % 4 {
+                    let t = id(a as usize % n);
+                    let f = id(b as usize % n);
+                    g.state_mut(id(i)).term = match kind % 4 {
                         0 => Terminator::Halt,
                         1 => Terminator::Jump(t),
                         2 => Terminator::Branch { t, f },
                         _ => Terminator::Multi(vec![t, f]),
                     };
                 }
-                g.start = StateId(0);
+                g.start = id(0);
                 g
             })
+    }
+
+    /// The real (non-padding) states of an [`arb_graph`], picked by mask.
+    fn pick(g: &MimdGraph, mask: u8, only_barriers: bool) -> StateSet {
+        g.ids()
+            .filter(|&s| !g.state(s).ops.is_empty())
+            .enumerate()
+            .filter(|&(i, s)| mask >> i & 1 == 1 && (!only_barriers || g.state(s).barrier))
+            .map(|(_, s)| s)
+            .collect()
     }
 
     proptest! {
@@ -1133,6 +1422,45 @@ mod proptests {
                     }
                     Err(ConvertError::TooManyMetaStates { .. }) => {}
                     Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                }
+            }
+        }
+
+        /// The flat-index, word-parallel `successor_sets` returns what the
+        /// enumeration it replaced returns — the same pairs in the same
+        /// order and the same count, or the same error — for any members,
+        /// any inherited latent waits drawn from the barrier states, both
+        /// modes, barriers honoured or not, with the guards loose or tight
+        /// and the scratch warm from the previous expansion.
+        #[test]
+        fn successor_sets_matches_the_replaced_enumeration(
+            g in arb_graph(),
+            picks in prop::collection::vec((any::<u8>(), any::<u8>()), 1..4),
+            max_successor_sets in prop_oneof![Just(1usize), Just(4), Just(1 << 16)],
+            max_multi_arity in prop_oneof![Just(1usize), Just(16)],
+        ) {
+            for mode in [ConvertMode::Base, ConvertMode::Compressed] {
+                for respect_barriers in [true, false] {
+                    let opts = ConvertOptions {
+                        mode,
+                        respect_barriers,
+                        max_successor_sets,
+                        max_multi_arity,
+                        ..ConvertOptions::base()
+                    };
+                    let mut new = SuccScratch::default();
+                    let mut old = reference::SuccScratch::default();
+                    for &(members, latent) in &picks {
+                        let members = pick(&g, members, false);
+                        for latent in [StateSet::empty(), pick(&g, latent, true)] {
+                            prop_assert_eq!(
+                                successor_sets(&g, &members, &latent, &opts, &mut new),
+                                reference::successor_sets(&g, &members, &latent, &opts, &mut old),
+                                "{:?} {} latent {} barriers {}",
+                                mode, members, latent, respect_barriers
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -133,12 +133,20 @@ impl SegmentStore {
         Ok(off)
     }
 
-    /// Read `out.len()` words starting at `byte_off`.
+    /// Read `out.len()` words starting at `byte_off`: one positioned read
+    /// where the platform has one — a conversion under a budget reloads a
+    /// cold set per arena probe — and a seek + read pair elsewhere.
     pub fn read_words(&mut self, byte_off: u64, out: &mut [u64]) -> std::io::Result<()> {
         self.buf.clear();
         self.buf.resize(out.len() * 8, 0);
-        self.file.seek(SeekFrom::Start(byte_off))?;
-        self.file.read_exact(&mut self.buf)?;
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, &mut self.buf, byte_off)?;
+        #[cfg(not(unix))]
+        {
+            use std::io::Read;
+            self.file.seek(SeekFrom::Start(byte_off))?;
+            self.file.read_exact(&mut self.buf)?;
+        }
         for (i, w) in out.iter_mut().enumerate() {
             *w = u64::from_le_bytes(self.buf[i * 8..i * 8 + 8].try_into().unwrap());
         }

@@ -30,7 +30,7 @@
 //! compact [`SetId`] handle.
 
 use crate::spill::{default_memory_budget, SegmentStore};
-use msc_ir::util::{FxHashMap, FxHasher};
+use msc_ir::util::FxHasher;
 use msc_ir::StateId;
 use msc_simd::setops;
 use std::cmp::Ordering;
@@ -263,6 +263,12 @@ impl StateSet {
         StateSet::from_words(self.range(), |wi| self.word(wi) & !other.word(wi))
     }
 
+    /// Set intersection: a word-parallel AND over `self`'s window (§2.6:
+    /// a candidate's barrier waits are `candidate ∩ barriers`).
+    pub(crate) fn intersection(&self, other: &StateSet) -> StateSet {
+        StateSet::from_words(self.range(), |wi| self.word(wi) & other.word(wi))
+    }
+
     /// Members satisfying `pred` (e.g. "is a barrier wait state", §2.6).
     pub fn filter(&self, mut pred: impl FnMut(StateId) -> bool) -> StateSet {
         let mut kept = self.clone();
@@ -445,12 +451,113 @@ impl FromIterator<StateId> for StateSet {
 }
 
 /// The set's Fx hash — the key the arena and the converter's candidate
-/// dedup bucket by. No output depends on its value: both resolve a bucket
-/// in first-seen order.
+/// dedup file a set under in their hash index. No output depends on its
+/// value: a set is new exactly when no earlier one equals it, and takes the
+/// next index in arrival order.
 pub fn fx_hash(set: &StateSet) -> u64 {
     let mut h = FxHasher::default();
     set.hash(&mut h);
     h.finish()
+}
+
+/// One slot of a [`HashIndex`]: live while `stamp` is the table's epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    hash: u64,
+    index: u32,
+    stamp: u32,
+}
+
+/// The subset construction's one `hash → u32 index` table: open-addressed
+/// `(hash, index)` slots, linear probing, no deletion. It serves the
+/// converter's per-step candidate dedup and its barrier pass (cleared by
+/// bumping the epoch, O(1)) and [`SetArena`]'s intern lookup (never
+/// cleared). The caller owns what an index means and says whether the item
+/// behind one is the item it is looking for; the table stores neither keys
+/// nor items, and grows by re-placing the hashes it stored — an arena's
+/// set words may be on disk by then.
+#[derive(Debug)]
+pub(crate) struct HashIndex {
+    /// None before the first insertion, then a power of two, at most half
+    /// of them live — so a probe always ends at a free slot.
+    slots: Vec<Slot>,
+    live: usize,
+    /// Never 0, which is the stamp of a slot nothing was ever put in.
+    epoch: u32,
+}
+
+impl Default for HashIndex {
+    fn default() -> Self {
+        HashIndex {
+            slots: Vec::new(),
+            live: 0,
+            epoch: 1,
+        }
+    }
+}
+
+impl HashIndex {
+    /// Fewest slots a table that holds anything has.
+    const MIN_SLOTS: usize = 16;
+
+    /// Forget every entry, keeping the slots.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: a stamp left 2³² clears ago would read live again.
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// The first index filed under `hash` that `same` accepts, in the
+    /// order they were filed; when there is none, file `new` under `hash`
+    /// and return `None`.
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        new: u32,
+        mut same: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        // The top bits: an Fx hash ends in a multiply, which mixes upward.
+        let bits = self.slots.len().trailing_zeros();
+        let mut at = (hash >> (u64::BITS - bits)) as usize;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.stamp != self.epoch {
+                *slot = Slot {
+                    hash,
+                    index: new,
+                    stamp: self.epoch,
+                };
+                self.live += 1;
+                return None;
+            }
+            if slot.hash == hash && same(slot.index) {
+                return Some(slot.index);
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// Double the slots and re-place every live entry by its stored hash,
+    /// walking the old slots from a free one on so that entries under one
+    /// hash are met, and so re-filed, in the order they were filed.
+    fn grow(&mut self) {
+        let bigger = vec![Slot::default(); (self.slots.len() * 2).max(Self::MIN_SLOTS)];
+        let mut old = std::mem::replace(&mut self.slots, bigger);
+        let epoch = self.epoch;
+        let free = old.iter().position(|slot| slot.stamp != epoch);
+        old.rotate_left(free.unwrap_or(0));
+        self.live = 0;
+        for slot in old.into_iter().filter(|slot| slot.stamp == epoch) {
+            self.find_or_insert(slot.hash, slot.index, |_| false);
+        }
+    }
 }
 
 /// Interned handle to a [`StateSet`] inside a [`SetArena`].
@@ -468,7 +575,9 @@ impl SetId {
 ///
 /// Sets live in a struct-of-arrays bump arena — per-set `(len, base, span)`
 /// descriptors over one contiguous `words: Vec<u64>` block holding each
-/// set's window — instead of a `Vec<StateSet>`.
+/// set's window — instead of a `Vec<StateSet>`, and are found again through
+/// one flat open-addressed hash → id index: an intern that hits is one
+/// probe sequence and allocates nothing.
 ///
 /// When a memory `budget` is set (explicitly via [`SetArena::with_budget`]
 /// or process-wide via `MSC_MEMORY_BUDGET`), the arena spills its *cold
@@ -495,7 +604,9 @@ pub struct SetArena {
     first_resident: usize,
     store: Option<SegmentStore>,
     budget: Option<usize>,
-    lookup: FxHashMap<u64, Vec<SetId>>,
+    /// Hash of a set → its id. Resident whatever the budget: the budget
+    /// counts arena words and the worklist only.
+    lookup: HashIndex,
     /// Peak resident words bytes, for `convert.arena_high_water`.
     high_water: u64,
     /// Reload buffer for spilled spans (`get`/`intern` on a cold set).
@@ -520,22 +631,20 @@ impl SetArena {
 
     /// Intern a set, returning its stable handle.
     pub fn intern(&mut self, set: StateSet) -> SetId {
-        let hash = fx_hash(&set);
-        // Probe the hash bucket by index (not iterator) so a cold candidate
-        // can be reloaded mid-scan without holding a borrow of `lookup`.
-        let bucket_len = self.lookup.get(&hash).map_or(0, |b| b.len());
-        for k in 0..bucket_len {
-            let id = self.lookup[&hash][k];
-            if self.holds(id, &set) {
-                return id;
-            }
-        }
         let id = SetId(self.lens.len() as u32);
+        // One probe sequence finds the set or files `id` for it. The index
+        // is out of `self` meanwhile: `holds` may stage a cold span through
+        // the reload buffer.
+        let mut lookup = std::mem::take(&mut self.lookup);
+        let known = lookup.find_or_insert(fx_hash(&set), id.0, |k| self.holds(SetId(k), &set));
+        self.lookup = lookup;
+        if let Some(k) = known {
+            return SetId(k);
+        }
         let off = self.base + self.words.len() as u64;
         self.words.extend_from_slice(&set.words);
         self.spans.push((off, set.words.len() as u32, set.base));
         self.lens.push(set.len);
-        self.lookup.entry(hash).or_default().push(id);
         if msc_obs::enabled() {
             msc_obs::value("convert.set_members", set.len as u64);
             msc_obs::value("convert.set_words", set.words.len() as u64);
@@ -677,6 +786,22 @@ impl SetArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the converter's tests need to see of its dedup table.
+    impl HashIndex {
+        pub(crate) fn slots(&self) -> usize {
+            self.slots.len()
+        }
+
+        pub(crate) fn epoch(&self) -> u32 {
+            self.epoch
+        }
+
+        /// Move the epoch, as that many clears would have.
+        pub(crate) fn set_epoch(&mut self, epoch: u32) {
+            self.epoch = epoch;
+        }
+    }
 
     fn set(v: &[u32]) -> StateSet {
         StateSet::from_iter(v.iter().map(|&x| StateId(x)))
@@ -923,6 +1048,92 @@ mod tests {
             assert!(s.matches(&expect));
             assert_same(&s.materialize(), &expect);
             assert_eq!(s.len(), expect.len());
+        }
+    }
+
+    #[test]
+    fn hash_index_resolves_equal_hashes_in_filing_order() {
+        // Items are the caller's: here `items[i]` filed under a hash that
+        // only tells odd from even apart, so every probe walks collisions —
+        // and the odd run starts in the last slot, wraps, and interleaves
+        // with the even one, which growth must not reorder.
+        let mut index = HashIndex::default();
+        let mut items: Vec<u32> = Vec::new();
+        for x in (0..500u32).chain(0..500) {
+            let hash = if x & 1 == 1 { u64::MAX } else { 0 };
+            let mut asked = Vec::new();
+            let found = index.find_or_insert(hash, items.len() as u32, |i| {
+                asked.push(i);
+                items[i as usize] == x
+            });
+            assert!(asked.windows(2).all(|w| w[0] < w[1]), "filing order");
+            match found {
+                Some(i) => assert_eq!(items[i as usize], x),
+                None => items.push(x),
+            }
+        }
+        assert_eq!(items, (0..500).collect::<Vec<u32>>());
+        assert!(index.slots() >= 1000, "at most half the slots are live");
+        index.clear();
+        assert_eq!(index.find_or_insert(0, 7, |_| true), None, "cleared");
+        assert_eq!(index.find_or_insert(0, 8, |i| i == 7), Some(7));
+    }
+
+    #[test]
+    fn hash_index_clear_survives_the_epoch_wrapping() {
+        let mut index = HashIndex::default();
+        assert_eq!(index.find_or_insert(7, 70, |_| true), None);
+        // 2³² − 2 clears later the slot still carries stamp 1 …
+        index.set_epoch(u32::MAX);
+        assert_eq!(index.find_or_insert(9, 90, |_| true), None);
+        // … and the next clear wraps the epoch back onto it.
+        index.clear();
+        assert_eq!(index.epoch(), 1);
+        assert_eq!(index.find_or_insert(7, 71, |_| true), None, "stale entry");
+        assert_eq!(index.find_or_insert(9, 91, |_| true), None, "cleared entry");
+        assert_eq!(index.find_or_insert(7, 72, |_| true), Some(71));
+    }
+
+    #[test]
+    fn arena_matches_a_map_model_across_index_growths_under_a_budget() {
+        // A few thousand interns of ~2 000 distinct sets in a shuffled
+        // order — one word, two words across a boundary, boxed — with all
+        // but 512 bytes of them on disk, so most probes that reach `holds`
+        // reload, and the index doubles eight times along the way without
+        // reading a set word.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let mut arena = SetArena::with_budget(Some(512));
+        let mut model: std::collections::HashMap<StateSet, SetId> = Default::default();
+        let mut in_order: Vec<StateSet> = Vec::new();
+        let mut slots_seen = std::collections::BTreeSet::new();
+        for _ in 0..6000 {
+            let (a, b) = (next(45) as u32, next(45) as u32);
+            let s = match next(3) {
+                0 => set(&[a, b]),
+                1 => set(&[40 + a, 50 + b]),
+                _ => set(&[a, 130 + b, 131 + b]),
+            };
+            let id = arena.intern(s.clone());
+            let first = *model.entry(s.clone()).or_insert_with(|| {
+                in_order.push(s.clone());
+                SetId(in_order.len() as u32 - 1)
+            });
+            assert_eq!(id, first, "{s}: the first id, every time");
+            slots_seen.insert(arena.lookup.slots());
+        }
+        assert_eq!(arena.len(), in_order.len());
+        assert!(in_order.len() > 1500, "{} distinct sets", in_order.len());
+        assert!(slots_seen.len() >= 8, "index sizes seen: {slots_seen:?}");
+        assert!(arena.spilled_bytes() > 0 && arena.resident_bytes() <= 512);
+        for (i, s) in in_order.iter().enumerate() {
+            assert_same(&arena.get(SetId(i as u32)), s);
+            assert_eq!(arena.intern(s.clone()), SetId(i as u32));
         }
     }
 

@@ -207,6 +207,26 @@ fn memory_budget_spills_at_two_threads() {
     assert_eq!(plain.succs, spilled.succs);
     assert_eq!(plain.start, spilled.start);
     assert_eq!(plain_stats, spilled_stats);
+
+    // Attempts beside outcomes: an expansion keeps `convert.fanout` of the
+    // unions it tries, and with no barrier state in the graph and nothing
+    // latent, none of them runs the barrier pass.
+    let fanout = snap.hist("convert.fanout").expect("fan-outs");
+    assert!(snap.counter("convert.candidates") > fanout.sum);
+    assert_eq!(snap.counter("convert.barrier_pass_skipped"), fanout.count);
+    assert_eq!(snap.counter("convert.barrier_pass_run"), 0);
+
+    // One barrier state anywhere in the graph and every expansion runs it.
+    let mut g = fan_out_loops(3);
+    g.state_mut(StateId(0)).barrier = true;
+    let registry = Arc::new(msc_obs::Registry::new());
+    let guard = msc_obs::install(registry.clone());
+    convert_parallel(&g, &in_ram, 1).unwrap();
+    drop(guard);
+    let snap = registry.snapshot();
+    let expansions = snap.hist("convert.fanout").expect("fan-outs").count;
+    assert_eq!(snap.counter("convert.barrier_pass_run"), expansions);
+    assert_eq!(snap.counter("convert.barrier_pass_skipped"), 0);
 }
 
 /// Threads that ran [`PanicOnSpawnedExpansion`]'s panic path and have not
