@@ -1,0 +1,194 @@
+//! Cross-commit golden for the two simulators. `codegen_golden` pins the
+//! generated program; this pins what running it *observes* — `{:?}` of the
+//! run result, `Metrics`, the per-block `visits`, the `with_trace()` event
+//! stream and every PE's return word — and the same for the §1.1
+//! interpreter (`InterpMetrics` + results), as one SipHash-2-4-128 digest
+//! per (workload, column) folded over the PE counts in `WIDTHS` (1, a
+//! ragged 7, and both sides of the 64-PE mask-word boundary, then the
+//! benchmark's 1 024). A digest may only change in a PR that says the
+//! machine's accounting or semantics changed, and why.
+
+use metastate::{Built, ConvertMode, Pipeline};
+use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
+use msc_ir::{Addr, CostModel};
+use msc_mimd::{InterpMachine, InterpProgram};
+use msc_simd::{MachineConfig, SimdMachine};
+use std::fmt::Write as _;
+
+const WIDTHS: [usize; 5] = [1, 7, 64, 65, 1024];
+
+/// (label, base machine, compressed machine, interpreter), captured at
+/// commit 7a4373b (PR 19), before PR 20 touched either simulator.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, &str, &str)] = &[
+    ("branchy(2)", "9b3f154cf9134d2402dd1ce5bd0a5b66", "e7a1ac57d68e38b0d33b86df356de6e8", "7e4a61e1a07bdee6263de72545e846fd"),
+    ("branchy(3)", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9"),
+    ("branchy(4)", "fd0176a44bcd408310db89023195c7a1", "e30b4e53a19575bc5bc5b4e1f292a8fe", "3141f87a35e79d825993e20b85003f3c"),
+    ("branchy(5)", "3d52b7b629898c7b09aefef087ccbf3c", "3e9b2c7ae08079b33c72b3ed265c0b49", "d7b50a096cc58781886a59ac17a7c2ae"),
+    ("branchy(6)", "da4a2eb9a7e96a65eabde9ccd76308b0", "075aab9a48ed51100599066b62dcbca2", "ea01b19acb515d364e7fa9ea3f22972a"),
+    ("imbalanced(5,40)", "962c9d44f747e5e0fcc44f1cd40a996b", "8aa4f0f4d965992a390fa0ea1d669ab1", "33b1bcce65bc19e61f4e0855d3e662a0"),
+    ("imbalanced(5,200)", "090f1198d582e8fadf893371841b0623", "daa1b55bcb0766444275033206d504d0", "d51e731c1319dc8682fe8dc9bf0f63e1"),
+    ("imbalanced(5,399)", "030d3b261ca3f42739611e889d19bc6b", "3512518c92faa1c860a6a8ed65ef1159", "b037ca801f14103562470fce107a6d81"),
+    ("barrier_phases(1)", "e5702d8e62030d78fee99538a0b1f7fd", "e5702d8e62030d78fee99538a0b1f7fd", "5537c45a4d6a44ce6ce784e00b49740a"),
+    ("barrier_phases(2)", "9779db97cc51c408e48fbc46a4b6763d", "d68d9add209938be1d8d9610f027513c", "b2e1a69c39523436bcf229bb60ef646d"),
+    ("barrier_phases(3)", "36b8197a3f5ed43abfc44be22c52baae", "992a164b627f4b345267c4e98cb9d6ba", "7593a03b3d590ca424f1732c14dc6c10"),
+    ("barrier_phases(4)", "8cb0515f5209effbc69efef48bf75007", "945c12bc4bf35b346921c1e01c54bb79", "83c081c32b6cbf676c7bb857f995e50a"),
+    ("barrier_phases(5)", "e256784a4bf773842a88ea40fc7ff83d", "4a6e28964cecefef3d543bbdbe0a494d", "26ea46fbca92df6f7492b14b3c9e6f1a"),
+    ("dispatch_heavy.mimdc", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9"),
+    ("spawn:workers", "8fdc4a0b30bf25c25dfa9f3db32508fa", "8fdc4a0b30bf25c25dfa9f3db32508fa", "721d218465d0153092be9c4d8cddf263"),
+    ("spawn:recycle", "8f5bdc6ff9e2dbc0f6dae7c66647ee25", "64b5e118f718923e3af590e698329bf8", "719306473088fbccadec748035fb7c16"),
+    ("spawn:inherit", "7350af66b88313a6ddc7de0767e5e1c4", "7350af66b88313a6ddc7de0767e5e1c4", "828ddefce0cbdf9bb1a9f1b9e7c422cf"),
+];
+
+/// The `tests/spawn_and_pool.rs` programs: (label, source, variable whose
+/// per-PE word is the result).
+const SPAWN: &[(&str, &str, &str)] = &[
+    (
+        "spawn:workers",
+        "void worker(int seed) { poly int r; r = seed * seed + 1; }
+         main() { spawn worker(pe_id() + 2); }",
+        "r",
+    ),
+    (
+        "spawn:recycle",
+        "void quick(int v) { poly int r; r = v; }
+         main() {
+             poly int me = pe_id();
+             if (me == 0) { spawn quick(10); }
+             wait;
+             if (me == 1) { spawn quick(20); }
+         }",
+        "r",
+    ),
+    (
+        "spawn:inherit",
+        "void worker(int unused) { poly int out, inherited; out = inherited + 5; }
+         main() { poly int inherited_src; spawn worker(0); }",
+        "out",
+    ),
+];
+
+/// `(n_pe, active)` pools for the spawn programs: the tests' own, both
+/// sides of a mask-word boundary, a wide pool, and two that overflow.
+const POOLS: [(usize, usize); 8] = [
+    (8, 3),
+    (3, 2),
+    (4, 1),
+    (4, 4),
+    (64, 20),
+    (65, 33),
+    (1024, 500),
+    (1024, 600),
+];
+
+fn corpus() -> Vec<(String, String)> {
+    let mut v = Vec::new();
+    for n in 2..=6 {
+        v.push((format!("branchy({n})"), branchy_source(n)));
+    }
+    for long in [40, 200, 399] {
+        v.push((format!("imbalanced(5,{long})"), imbalanced_source(5, long)));
+    }
+    for n in 1..=5 {
+        v.push((format!("barrier_phases({n})"), barrier_phases_source(n)));
+    }
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/dispatch_heavy.mimdc"
+    );
+    v.push((
+        "dispatch_heavy.mimdc".to_string(),
+        std::fs::read_to_string(example).expect("the bundled example is readable"),
+    ));
+    v
+}
+
+fn build(src: &str, mode: ConvertMode) -> Built {
+    Pipeline::new(src)
+        .mode(mode)
+        .build()
+        .expect("the corpus compiles")
+}
+
+/// Everything one machine run lets a caller see, as text.
+fn machine_run(out: &mut String, built: &Built, config: &MachineConfig, word: Addr) {
+    let config = config.clone().with_trace();
+    let mut machine = SimdMachine::new(&built.simd, &config);
+    let result = machine.run(&built.simd, &config);
+    let words: Vec<i64> = (0..config.n_pe)
+        .map(|pe| machine.poly_at(pe, word))
+        .collect();
+    let _ = writeln!(
+        out,
+        "{}/{}: {result:?} {:?} {:?} {:?} {words:?}",
+        config.n_pe, config.active_at_start, machine.metrics, machine.visits, machine.trace
+    );
+}
+
+/// The same for one interpreter run.
+fn interp_run(out: &mut String, built: &Built, n_pe: usize, active: usize, word: Addr) {
+    let layout = &built.compiled.layout;
+    let program =
+        InterpProgram::flatten(&built.compiled.graph, layout.poly_words, layout.mono_words);
+    let mut machine = InterpMachine::new(&program, n_pe, active);
+    let result = machine.run(&program, &CostModel::default(), 100_000_000);
+    let words: Vec<i64> = (0..n_pe).map(|pe| machine.poly_at(pe, word)).collect();
+    let _ = writeln!(
+        out,
+        "{n_pe}/{active}: {result:?} {:?} {words:?}",
+        machine.metrics
+    );
+}
+
+fn digest(text: &str) -> String {
+    msc_cache::content_key("sim-golden", &[text.as_bytes()]).hex()
+}
+
+/// One GOLDEN row: the three digests of `src` over `pools`.
+fn row(src: &str, pools: &[(usize, usize)], word: impl Fn(&Built) -> Addr) -> [String; 3] {
+    let base = build(src, ConvertMode::Base);
+    let compressed = build(src, ConvertMode::Compressed);
+    let mut text = [String::new(), String::new(), String::new()];
+    for &(n_pe, active) in pools {
+        let config = MachineConfig::with_pool(n_pe, active);
+        machine_run(&mut text[0], &base, &config, word(&base));
+        machine_run(&mut text[1], &compressed, &config, word(&compressed));
+        interp_run(&mut text[2], &base, n_pe, active, word(&base));
+    }
+    text.map(|t| digest(&t))
+}
+
+#[test]
+fn simulator_runs_match_the_committed_digests() {
+    let spmd = WIDTHS.map(|n| (n, n));
+    let mut actual: Vec<(String, [String; 3])> = corpus()
+        .into_iter()
+        .map(|(label, src)| {
+            let digests = row(&src, &spmd, |b| b.ret_addr().expect("main returns a value"));
+            (label, digests)
+        })
+        .collect();
+    for &(label, src, var) in SPAWN {
+        let digests = row(src, &POOLS, |b| {
+            b.compiled
+                .layout
+                .var(var)
+                .expect("the variable exists")
+                .addr
+        });
+        actual.push((label.to_string(), digests));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(l, [b, c, i])| format!("    (\"{l}\", \"{b}\", \"{c}\", \"{i}\"),\n"))
+        .collect();
+    let matches = actual.len() == GOLDEN.len()
+        && actual
+            .iter()
+            .zip(GOLDEN)
+            .all(|((l, [b, c, i]), g)| (l.as_str(), b.as_str(), c.as_str(), i.as_str()) == *g);
+    assert!(
+        matches,
+        "simulator output drifted from GOLDEN; this commit produces:\n{table}"
+    );
+}
