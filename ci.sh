@@ -8,8 +8,9 @@
 #                         non-Linux cross-checks, compiling the benches, and
 #                         building + self-testing the perf/ benchmark
 #                         package against this tree)
-#   ./ci.sh bench-smoke   additionally *run* the set benches and the two
-#                         code-generation benches (csi, multiway) in their
+#   ./ci.sh bench-smoke   additionally *run* the set benches, the two
+#                         code-generation benches (csi, multiway) and the
+#                         simulator bench (interp_vs_msc) in their
 #                         --test smoke configuration (small sizes, 2
 #                         samples) and the bench-regression gates (one
 #                         claims -- setops regex explosion --check run),
@@ -146,6 +147,8 @@ if [ "$MODE" = "bench-smoke" ]; then
     cargo bench -p msc-bench --bench csi -- --test
     echo "== bench smoke: multiway --test =="
     cargo bench -p msc-bench --bench multiway -- --test
+    echo "== bench smoke: interp_vs_msc --test =="
+    cargo bench -p msc-bench --bench interp_vs_msc -- --test
     gate setops regex explosion
 fi
 

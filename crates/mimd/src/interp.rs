@@ -25,9 +25,8 @@
 //! fetch+decode, one issue per *distinct instruction type present* (the
 //! step-3 serialization), and the loop-back overhead.
 
-use msc_ir::util::FxHashMap;
 use msc_ir::{CostModel, MimdGraph, Op, Terminator};
-use msc_simd::RunError;
+use msc_simd::{PeArray, RunError};
 use std::fmt;
 
 /// One interpreted MIMD instruction (the "instruction set" of §1.1's
@@ -81,7 +80,7 @@ impl InterpInstr {
     /// Dispatch key: the instruction *type* (step 3 serializes over these).
     /// Operands like immediates and addresses are per-PE data and do not
     /// split the type; distinct ALU operators do (they decode to different
-    /// execution routines).
+    /// execution routines). Always below [`TYPE_KEYS`].
     fn type_key(&self) -> u32 {
         match self {
             InterpInstr::Op(op) => match op {
@@ -120,6 +119,9 @@ impl InterpInstr {
         }
     }
 }
+
+/// One more than the largest [`InterpInstr::type_key`].
+const TYPE_KEYS: usize = 66;
 
 /// The flattened MIMD program image.
 #[derive(Debug, Clone)]
@@ -214,11 +216,12 @@ pub struct InterpMetrics {
 /// where the conditions coincide).
 pub type InterpError = RunError;
 
-/// Per-PE interpreter state.
-#[derive(Debug, Clone, PartialEq)]
-enum PeState {
-    Running { pc: usize },
-    Waiting { pc: usize }, // at a Wait, pc = address of the Wait
+/// What a PE is doing; `pc` is meaningful while `Running` (the next
+/// instruction) and `Waiting` (the address of the `Wait`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Running,
+    Waiting,
     Halted,
     Idle,
 }
@@ -229,13 +232,10 @@ enum PeState {
 pub struct InterpMachine {
     /// PE count.
     pub n_pe: usize,
-    /// Per-PE poly memory.
-    pub poly: Vec<Vec<i64>>,
-    /// Replicated mono memory.
-    pub mono: Vec<i64>,
-    stack: Vec<Vec<i64>>,
-    ret_stack: Vec<Vec<i64>>,
-    pes: Vec<PeState>,
+    /// Every PE's `poly` memory and stacks, and the `mono` replica.
+    pes: PeArray,
+    status: Vec<Status>,
+    pc: Vec<usize>,
     /// Metrics of the last run.
     pub metrics: InterpMetrics,
 }
@@ -244,27 +244,22 @@ impl InterpMachine {
     /// Build an interpreter machine: `active` PEs start at the program
     /// entry, the rest idle.
     pub fn new(program: &InterpProgram, n_pe: usize, active: usize) -> Self {
-        let mut pes = vec![PeState::Idle; n_pe];
-        for p in pes.iter_mut().take(active.min(n_pe)) {
-            *p = PeState::Running { pc: program.entry };
+        let mut status = vec![Status::Idle; n_pe];
+        for s in status.iter_mut().take(active) {
+            *s = Status::Running;
         }
         InterpMachine {
             n_pe,
-            poly: vec![vec![0; program.poly_words as usize]; n_pe],
-            mono: vec![0; program.mono_words as usize],
-            stack: vec![Vec::new(); n_pe],
-            ret_stack: vec![Vec::new(); n_pe],
-            pes,
+            pes: PeArray::new(n_pe, program.poly_words, program.mono_words),
+            status,
+            pc: vec![program.entry; n_pe],
             metrics: InterpMetrics::default(),
         }
     }
 
     /// Read a PE's view of an address.
     pub fn poly_at(&self, pe: usize, addr: msc_ir::Addr) -> i64 {
-        match addr.space {
-            msc_ir::Space::Poly => self.poly[pe][addr.index as usize],
-            msc_ir::Space::Mono => self.mono[addr.index as usize],
-        }
+        self.pes.poly_at(pe, addr)
     }
 
     /// Run the interpreter loop to completion.
@@ -274,25 +269,46 @@ impl InterpMachine {
         costs: &CostModel,
         max_cycles: u64,
     ) -> Result<InterpMetrics, InterpError> {
+        let image = &program.image;
+        // Step 2 gives the same answer every time a PE reaches an address:
+        // decode the type key and the handler cost once per address.
+        let decoded: Vec<(usize, u64)> = image
+            .iter()
+            .map(|i| (i.type_key() as usize, i.cost(costs) as u64))
+            .collect();
+        // Likewise an out-of-range operand is a property of the image; only
+        // an image that has one pays for the test at every step.
+        let suspect = image
+            .iter()
+            .any(|i| matches!(i, InterpInstr::Op(op) if self.pes.check_addr(op).is_some()));
+        // The running PEs, ascending; `stale` when a barrier release or a
+        // spawn has made PEs run that are not filed in it yet.
+        let mut running: Vec<usize> = Vec::new();
+        let mut stale = true;
+        // Step 3's buckets: the PEs at each instruction type, ascending.
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); TYPE_KEYS];
+        // Idle PEs are only ever consumed, so the lowest one moves up.
+        let mut next_idle = 0;
         loop {
             if self.metrics.cycles > max_cycles {
                 return Err(RunError::Watchdog { max_cycles });
             }
-            let running: Vec<usize> = (0..self.n_pe)
-                .filter(|&pe| matches!(self.pes[pe], PeState::Running { .. }))
-                .collect();
+            if stale {
+                running.clear();
+                running.extend((0..self.n_pe).filter(|&pe| self.status[pe] == Status::Running));
+                stale = false;
+            }
             if running.is_empty() {
                 // Barrier release or true termination.
-                let waiting: Vec<usize> = (0..self.n_pe)
-                    .filter(|&pe| matches!(self.pes[pe], PeState::Waiting { .. }))
-                    .collect();
-                if waiting.is_empty() {
-                    return Ok(self.metrics);
-                }
-                for pe in waiting {
-                    if let PeState::Waiting { pc } = self.pes[pe] {
-                        self.pes[pe] = PeState::Running { pc: pc + 1 };
+                for pe in 0..self.n_pe {
+                    if self.status[pe] == Status::Waiting {
+                        self.status[pe] = Status::Running;
+                        self.pc[pe] += 1;
+                        stale = true;
                     }
+                }
+                if !stale {
+                    return Ok(self.metrics);
                 }
                 continue;
             }
@@ -303,161 +319,116 @@ impl InterpMachine {
             self.metrics.fetch_decode_cycles += costs.interp_fetch_decode as u64;
 
             // Step 3: serialize over the distinct instruction types present.
-            let mut groups: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+            let mut present = 0u128;
             for &pe in &running {
-                let PeState::Running { pc } = self.pes[pe] else {
-                    unreachable!()
-                };
-                groups
-                    .entry(program.image[pc].type_key())
-                    .or_default()
-                    .push(pe);
+                let key = decoded[self.pc[pe]].0;
+                buckets[key].push(pe);
+                present |= 1 << key;
             }
-            let mut keys: Vec<u32> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            self.metrics.types_dispatched += keys.len() as u64;
-            for key in keys {
-                let pes = &groups[&key];
-                // One representative instruction gives the handler cost;
-                // all PEs in the group execute simultaneously.
-                let PeState::Running { pc: pc0 } = self.pes[pes[0]] else {
-                    unreachable!()
-                };
-                let cost = program.image[pc0].cost(costs) as u64;
-                self.metrics.cycles += cost;
-                self.metrics.execute_cycles += cost;
-                for &pe in pes {
-                    self.step_pe(pe, program)?;
+            self.metrics.types_dispatched += present.count_ones() as u64;
+            // Did a PE stop running (halt, wait) this round?
+            let mut left = false;
+            while present != 0 {
+                let key = present.trailing_zeros() as usize;
+                present &= present - 1;
+                let group = std::mem::take(&mut buckets[key]);
+                // One representative instruction gives the handler cost and
+                // picks the handler; all PEs in the group execute it
+                // simultaneously, each on its own operands.
+                let first = self.pc[group[0]];
+                self.metrics.cycles += decoded[first].1;
+                self.metrics.execute_cycles += decoded[first].1;
+                match &image[first] {
+                    InterpInstr::Op(_) => {
+                        for &pe in &group {
+                            let InterpInstr::Op(op) = &image[self.pc[pe]] else {
+                                unreachable!("grouped by instruction type")
+                            };
+                            if suspect {
+                                if let Some(index) = self.pes.check_addr(op) {
+                                    return Err(RunError::BadAddress { pe, index });
+                                }
+                            }
+                            self.pes.apply(op, [pe])?;
+                            self.pc[pe] += 1;
+                        }
+                    }
+                    InterpInstr::Jump(_) => {
+                        for &pe in &group {
+                            let InterpInstr::Jump(t) = image[self.pc[pe]] else {
+                                unreachable!("grouped by instruction type")
+                            };
+                            self.pc[pe] = t;
+                        }
+                    }
+                    InterpInstr::JumpF { .. } => {
+                        for &pe in &group {
+                            let InterpInstr::JumpF { t, f } = image[self.pc[pe]] else {
+                                unreachable!("grouped by instruction type")
+                            };
+                            let c = self.pes.pop(pe)?;
+                            self.pc[pe] = if c != 0 { t } else { f };
+                        }
+                    }
+                    InterpInstr::Halt => {
+                        for &pe in &group {
+                            self.status[pe] = Status::Halted;
+                            self.pes.reset(pe);
+                        }
+                        left = true;
+                    }
+                    InterpInstr::Wait => {
+                        for &pe in &group {
+                            self.status[pe] = Status::Waiting;
+                        }
+                        left = true;
+                    }
+                    InterpInstr::RetMulti(_) => {
+                        for &pe in &group {
+                            let InterpInstr::RetMulti(targets) = &image[self.pc[pe]] else {
+                                unreachable!("grouped by instruction type")
+                            };
+                            let sel = self.pes.pop(pe)?;
+                            self.pc[pe] = *targets
+                                .get(sel as usize)
+                                .ok_or(RunError::BadSelector { pe, selector: sel })?;
+                        }
+                    }
+                    InterpInstr::Spawn { .. } => {
+                        for &pe in &group {
+                            let InterpInstr::Spawn { child, next } = image[self.pc[pe]] else {
+                                unreachable!("grouped by instruction type")
+                            };
+                            while next_idle < self.n_pe && self.status[next_idle] != Status::Idle {
+                                next_idle += 1;
+                            }
+                            if next_idle == self.n_pe {
+                                return Err(RunError::SpawnOverflow {
+                                    block: msc_simd::BlockId(0),
+                                    requested: 1,
+                                    available: 0,
+                                });
+                            }
+                            self.pes.copy_poly(pe, next_idle);
+                            self.pes.reset(next_idle);
+                            self.status[next_idle] = Status::Running;
+                            self.pc[next_idle] = child;
+                            self.pc[pe] = next;
+                        }
+                        stale = true;
+                    }
                 }
+                buckets[key] = group;
+                buckets[key].clear();
+            }
+            if left && !stale {
+                running.retain(|&pe| self.status[pe] == Status::Running);
             }
 
             // Step 4: loop back.
             self.metrics.cycles += costs.interp_loop as u64;
             self.metrics.loop_cycles += costs.interp_loop as u64;
         }
-    }
-
-    fn step_pe(&mut self, pe: usize, program: &InterpProgram) -> Result<(), InterpError> {
-        let PeState::Running { pc } = self.pes[pe] else {
-            unreachable!()
-        };
-        let instr = &program.image[pc];
-        match instr {
-            InterpInstr::Op(op) => {
-                self.exec_op(op, pe)?;
-                self.pes[pe] = PeState::Running { pc: pc + 1 };
-            }
-            InterpInstr::Jump(t) => {
-                self.pes[pe] = PeState::Running { pc: *t };
-            }
-            InterpInstr::JumpF { t, f } => {
-                let c = self.pop(pe)?;
-                self.pes[pe] = PeState::Running {
-                    pc: if c != 0 { *t } else { *f },
-                };
-            }
-            InterpInstr::Halt => {
-                self.pes[pe] = PeState::Halted;
-                self.stack[pe].clear();
-                self.ret_stack[pe].clear();
-            }
-            InterpInstr::Wait => {
-                self.pes[pe] = PeState::Waiting { pc };
-            }
-            InterpInstr::RetMulti(targets) => {
-                let sel = self.pop(pe)?;
-                let t = *targets
-                    .get(sel as usize)
-                    .ok_or(RunError::BadSelector { pe, selector: sel })?;
-                self.pes[pe] = PeState::Running { pc: t };
-            }
-            InterpInstr::Spawn { child, next } => {
-                let idle = (0..self.n_pe).find(|&q| matches!(self.pes[q], PeState::Idle));
-                let Some(idle) = idle else {
-                    return Err(RunError::SpawnOverflow {
-                        block: msc_simd::BlockId(0),
-                        requested: 1,
-                        available: 0,
-                    });
-                };
-                self.poly[idle] = self.poly[pe].clone();
-                self.stack[idle].clear();
-                self.ret_stack[idle].clear();
-                self.pes[idle] = PeState::Running { pc: *child };
-                self.pes[pe] = PeState::Running { pc: *next };
-            }
-        }
-        Ok(())
-    }
-
-    fn pop(&mut self, pe: usize) -> Result<i64, InterpError> {
-        self.stack[pe].pop().ok_or(RunError::StackUnderflow { pe })
-    }
-
-    fn exec_op(&mut self, op: &Op, pe: usize) -> Result<(), InterpError> {
-        match op {
-            Op::Push(v) => self.stack[pe].push(*v),
-            Op::PushF(b) => self.stack[pe].push(*b as i64),
-            Op::Dup => {
-                let v = *self.stack[pe]
-                    .last()
-                    .ok_or(RunError::StackUnderflow { pe })?;
-                self.stack[pe].push(v);
-            }
-            Op::Pop(n) => {
-                for _ in 0..*n {
-                    self.pop(pe)?;
-                }
-            }
-            Op::Ld(a) => {
-                let v = match a.space {
-                    msc_ir::Space::Poly => self.poly[pe][a.index as usize],
-                    msc_ir::Space::Mono => self.mono[a.index as usize],
-                };
-                self.stack[pe].push(v);
-            }
-            Op::St(a) => {
-                let v = self.pop(pe)?;
-                match a.space {
-                    msc_ir::Space::Poly => self.poly[pe][a.index as usize] = v,
-                    msc_ir::Space::Mono => self.mono[a.index as usize] = v,
-                }
-            }
-            Op::LdRemote(a) => {
-                let idx = self.pop(pe)?;
-                let src = (idx.rem_euclid(self.n_pe as i64)) as usize;
-                let v = self.poly[src][a.index as usize];
-                self.stack[pe].push(v);
-            }
-            Op::StRemote(a) => {
-                let idx = self.pop(pe)?;
-                let v = self.pop(pe)?;
-                let dst = (idx.rem_euclid(self.n_pe as i64)) as usize;
-                self.poly[dst][a.index as usize] = v;
-            }
-            Op::Bin(b) => {
-                let rhs = self.pop(pe)?;
-                let lhs = self.pop(pe)?;
-                self.stack[pe].push(b.apply(lhs, rhs));
-            }
-            Op::Un(u) => {
-                let v = self.pop(pe)?;
-                self.stack[pe].push(u.apply(v));
-            }
-            Op::PeId => self.stack[pe].push(pe as i64),
-            Op::NProc => self.stack[pe].push(self.n_pe as i64),
-            Op::PushRet => {
-                let v = self.pop(pe)?;
-                self.ret_stack[pe].push(v);
-            }
-            Op::PopRet => {
-                let v = self.ret_stack[pe]
-                    .pop()
-                    .ok_or(RunError::RetStackUnderflow { pe })?;
-                self.stack[pe].push(v);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -570,6 +541,81 @@ mod tests {
         for pe in 0..3 {
             assert_eq!(m.poly_at(pe, ret), 55);
         }
+    }
+
+    fn image(image: Vec<InterpInstr>, poly_words: u32) -> InterpProgram {
+        InterpProgram {
+            image,
+            entry: 0,
+            poly_words,
+            mono_words: 0,
+        }
+    }
+
+    #[test]
+    fn out_of_range_address_is_a_run_error() {
+        use msc_ir::Addr;
+        // PE 0 halts at once; PE 1 is the first to reach the bad load.
+        let ip = image(
+            vec![
+                InterpInstr::Op(Op::PeId),
+                InterpInstr::JumpF { t: 2, f: 3 },
+                InterpInstr::Op(Op::Ld(Addr::poly(5))),
+                InterpInstr::Halt,
+            ],
+            1,
+        );
+        let mut m = InterpMachine::new(&ip, 3, 3);
+        assert_eq!(
+            m.run(&ip, &CostModel::default(), 1_000),
+            Err(RunError::BadAddress { pe: 1, index: 5 })
+        );
+        // A bad instruction nobody reaches is not a fault.
+        let mut m = InterpMachine::new(&ip, 1, 1);
+        assert!(m.run(&ip, &CostModel::default(), 1_000).is_ok());
+    }
+
+    #[test]
+    fn spawn_takes_idle_pes_in_ascending_order_and_never_a_halted_one() {
+        use msc_ir::Addr;
+        // Parents tag themselves 1 and spawn; children (entering at 3)
+        // inherit the tag and add 1.
+        let ip = image(
+            vec![
+                InterpInstr::Op(Op::Push(1)),
+                InterpInstr::Op(Op::St(Addr::poly(0))),
+                InterpInstr::Spawn { child: 3, next: 7 },
+                InterpInstr::Op(Op::Ld(Addr::poly(0))),
+                InterpInstr::Op(Op::Push(1)),
+                InterpInstr::Op(Op::Bin(msc_ir::BinOp::Add)),
+                InterpInstr::Op(Op::St(Addr::poly(0))),
+                InterpInstr::Halt,
+            ],
+            1,
+        );
+        let costs = CostModel::default();
+        let mut m = InterpMachine::new(&ip, 5, 2);
+        m.run(&ip, &costs, 10_000).unwrap();
+        let tags: Vec<i64> = (0..5).map(|pe| m.poly_at(pe, Addr::poly(0))).collect();
+        assert_eq!(tags, vec![1, 1, 2, 2, 0]);
+        // Three spawners, two idle PEs: the third finds none.
+        let mut m = InterpMachine::new(&ip, 5, 3);
+        assert_eq!(
+            m.run(&ip, &costs, 10_000),
+            Err(RunError::SpawnOverflow {
+                block: msc_simd::BlockId(0),
+                requested: 1,
+                available: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn an_empty_array_terminates_at_once() {
+        let ip = image(vec![InterpInstr::Halt], 0);
+        let mut m = InterpMachine::new(&ip, 0, 0);
+        let metrics = m.run(&ip, &CostModel::default(), 10).unwrap();
+        assert_eq!(metrics, InterpMetrics::default());
     }
 
     #[test]

@@ -13,18 +13,23 @@
 //! * [`machine`] — [`SimdMachine`]: the array itself, with the metrics
 //!   ([`Metrics`]) the experiments report: cycles by category, issue
 //!   counts, and PE utilization.
+//! * [`lanes`] — [`PeArray`]: the PEs' memories and stacks in flat
+//!   lane-major storage and the one implementation of the stack-op
+//!   semantics, shared with the §1.1 interpreter in `msc-mimd`.
 //! * [`setops`] — runtime-dispatched SIMD set algebra kernels (AVX2 /
 //!   NEON / scalar) the converter's hybrid bitsets run on.
 //! * [`profile`] — [`MachineProfile`]: the whole cost structure as strict
 //!   JSON config, so one binary evaluates many architectures (`mscc sweep`).
 
 pub mod asm;
+pub mod lanes;
 pub mod machine;
 pub mod profile;
 pub mod program;
 pub mod setops;
 
 pub use asm::{parse as parse_asm, serialize as serialize_asm, AsmError};
+pub use lanes::PeArray;
 pub use machine::{MachineConfig, Metrics, RunError, SimdMachine, TraceEvent};
 pub use profile::{MachineProfile, ProfileError};
 pub use program::{BlockId, Dispatch, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};

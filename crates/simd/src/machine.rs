@@ -16,8 +16,9 @@
 //! all live `pc` bits, applies the §3.2.4 barrier adjustment, and hashes
 //! into the jump table.
 
+use crate::lanes::PeArray;
 use crate::program::{BlockId, Dispatch, SimdInstr, SimdProgram};
-use msc_ir::{Op, Space, StateId};
+use msc_ir::{Addr, StateId};
 use std::fmt;
 
 /// Run-time failures. All of these indicate either a malformed program
@@ -237,15 +238,8 @@ impl Metrics {
 pub struct SimdMachine {
     /// Number of PEs.
     pub n_pe: usize,
-    /// Per-PE private (`poly`) memory.
-    pub poly: Vec<Vec<i64>>,
-    /// Replicated shared (`mono`) memory — modeled once, since every
-    /// replica is kept identical by broadcast stores.
-    pub mono: Vec<i64>,
-    /// Per-PE operand stacks.
-    pub stack: Vec<Vec<i64>>,
-    /// Per-PE return-site stacks (§2.2 machinery).
-    pub ret_stack: Vec<Vec<i64>>,
+    /// Every PE's `poly` memory and stacks, and the `mono` replica.
+    pes: PeArray,
     /// Per-PE current MIMD state; `None` = idle pool.
     pub pc: Vec<Option<StateId>>,
     /// Execution metrics.
@@ -254,20 +248,32 @@ pub struct SimdMachine {
     pub visits: Vec<u64>,
     /// Recorded events, when tracing is enabled.
     pub trace: Vec<TraceEvent>,
-    // Incremental dispatch bookkeeping (rebuilt from `pc` at the start of
-    // every `run`, then maintained per changed PE at each commit — the
-    // dispatch hot path must not rescan all N PEs every cycle):
+    // Incremental bookkeeping (rebuilt from `pc` at the start of every
+    // `run`, then maintained per changed PE at each commit — neither the
+    // dispatch nor an instruction issue may rescan all N PEs):
     /// Count of live (non-idle) PEs; equals `pc.iter().flatten().count()`.
     live: usize,
     /// PEs per MIMD state, indexed by state id (grown on demand). A state
     /// is occupied iff its count is non-zero — this is what the `globalor`
     /// aggregate and the all-at-barrier check iterate instead of `pc`.
     occupancy: Vec<u32>,
+    /// The enable register's source: one PE bitmask per MIMD state,
+    /// `mask_words` words each, grown with `occupancy`. A guard's enabled
+    /// PEs are the OR of its members' masks.
+    masks: Vec<u64>,
+    /// `n_pe.div_ceil(64)`.
+    mask_words: usize,
     /// Shadow `pc` buffer, equal to `pc` between blocks; control
     /// instructions write it during a body, the commit folds it back.
     shadow_pc: Vec<Option<StateId>>,
     /// PEs whose shadow pc was written this block (may hold duplicates).
     dirty: Vec<usize>,
+    /// The current guard's enabled PEs, ascending; rebuilt on a guard
+    /// switch, reused by every instruction that keeps the guard.
+    enabled: Vec<usize>,
+    /// Idle PEs recruited by a `Spawn` earlier in the current block: idle
+    /// by `pc` until the commit, but no longer available.
+    recruited: usize,
 }
 
 impl SimdMachine {
@@ -280,50 +286,83 @@ impl SimdMachine {
         }
         let mut machine = SimdMachine {
             n_pe: n,
-            poly: vec![vec![0; program.poly_words as usize]; n],
-            mono: vec![0; program.mono_words as usize],
-            stack: vec![Vec::new(); n],
-            ret_stack: vec![Vec::new(); n],
+            pes: PeArray::new(n, program.poly_words, program.mono_words),
             pc,
             metrics: Metrics::default(),
             visits: vec![0; program.blocks.len()],
             trace: Vec::new(),
             live: 0,
             occupancy: Vec::new(),
+            masks: Vec::new(),
+            mask_words: n.div_ceil(64),
             shadow_pc: Vec::new(),
             dirty: Vec::new(),
+            enabled: Vec::new(),
+            recruited: 0,
         };
         machine.rebuild_counters();
         machine
     }
 
-    /// Rebuild the incremental dispatch bookkeeping from `pc`. `pc` is a
-    /// public field, so `run` cannot assume it is unchanged since `new`.
+    /// Rebuild the incremental bookkeeping from `pc`. `pc` is a public
+    /// field, so `run` cannot assume it is unchanged since `new`.
     fn rebuild_counters(&mut self) {
-        self.live = self.pc.iter().filter(|p| p.is_some()).count();
+        self.live = 0;
         self.occupancy.clear();
-        for i in 0..self.pc.len() {
-            if let Some(s) = self.pc[i] {
-                Self::bump(&mut self.occupancy, s);
+        self.masks.clear();
+        for pe in 0..self.pc.len() {
+            if let Some(s) = self.pc[pe] {
+                self.enter(s, pe);
             }
         }
         self.shadow_pc.clone_from(&self.pc);
         self.dirty.clear();
+        self.recruited = 0;
     }
 
-    fn bump(occupancy: &mut Vec<u32>, s: StateId) {
-        if s.idx() >= occupancy.len() {
-            occupancy.resize(s.idx() + 1, 0);
+    /// PE `pe` becomes a live process in state `s`.
+    fn enter(&mut self, s: StateId, pe: usize) {
+        if s.idx() >= self.occupancy.len() {
+            self.occupancy.resize(s.idx() + 1, 0);
+            self.masks.resize((s.idx() + 1) * self.mask_words, 0);
         }
-        occupancy[s.idx()] += 1;
+        self.occupancy[s.idx()] += 1;
+        self.masks[s.idx() * self.mask_words + pe / 64] |= 1 << (pe % 64);
+        self.live += 1;
+    }
+
+    /// PE `pe` leaves state `s`.
+    fn leave(&mut self, s: StateId, pe: usize) {
+        self.occupancy[s.idx()] -= 1;
+        self.masks[s.idx() * self.mask_words + pe / 64] &= !(1 << (pe % 64));
+        self.live -= 1;
+    }
+
+    /// Load the enable register: the PEs whose `pc` is in `guard`,
+    /// ascending — the order that makes the highest-numbered enabled PE the
+    /// last writer and the lowest-numbered the first to fault.
+    fn enable(&self, guard: &[StateId], enabled: &mut Vec<usize>) {
+        enabled.clear();
+        for word in 0..self.mask_words {
+            let mut bits = guard
+                .iter()
+                .filter_map(|s| self.masks.get(s.idx() * self.mask_words + word))
+                .fold(0, |acc, m| acc | m);
+            while bits != 0 {
+                enabled.push(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Read PE `pe`'s poly word at `addr` (testing/inspection aid).
-    pub fn poly_at(&self, pe: usize, addr: msc_ir::Addr) -> i64 {
-        match addr.space {
-            Space::Poly => self.poly[pe][addr.index as usize],
-            Space::Mono => self.mono[addr.index as usize],
-        }
+    pub fn poly_at(&self, pe: usize, addr: Addr) -> i64 {
+        self.pes.poly_at(pe, addr)
+    }
+
+    /// Write PE `pe`'s poly word at `addr` (seeding inputs before `run`).
+    pub fn set_poly(&mut self, pe: usize, addr: Addr, value: i64) {
+        self.pes.set_poly(pe, addr, value);
     }
 
     /// Number of currently idle PEs.
@@ -368,17 +407,24 @@ impl SimdMachine {
                     at_cycle: self.metrics.cycles,
                 });
             }
-            // Guards read `self.pc` (block-entry values); control writes go
-            // to the shadow buffer, taken out of `self` so `exec` can hold
-            // it alongside `&mut self`.
+            // Guards read `self.pc` (block-entry values) through the state
+            // masks; control writes go to the shadow buffer. The buffers
+            // are taken out of `self` so `exec` can hold them alongside
+            // `&mut self`.
             let mut next_pc = std::mem::take(&mut self.shadow_pc);
             let mut dirty = std::mem::take(&mut self.dirty);
+            let mut enabled = std::mem::take(&mut self.enabled);
             let mut last_guard: Option<&[StateId]> = None;
 
             for gi in &block.body {
-                let enabled: Vec<usize> = (0..self.n_pe)
-                    .filter(|&pe| self.pc[pe].map(|s| gi.enables(s)).unwrap_or(false))
-                    .collect();
+                // `pc` is constant for the whole body, so the enabled PEs
+                // change only when the guard does — the same event the
+                // machine charges a guard switch for.
+                let switched = last_guard != Some(gi.guard.as_slice());
+                if switched {
+                    self.enable(&gi.guard, &mut enabled);
+                    last_guard = Some(gi.guard.as_slice());
+                }
                 let mut cost = gi.instr.cost(costs) as u64;
                 // A shared memory-port pool serializes the enabled PEs'
                 // accesses over ⌈enabled/ports⌉ rounds (0 ports = one per
@@ -392,30 +438,28 @@ impl SimdMachine {
                 self.metrics.cycles += cost;
                 self.metrics.body_cycles += cost;
                 self.metrics.issues += 1;
-                if last_guard != Some(gi.guard.as_slice()) {
+                if switched {
                     self.metrics.cycles += costs.guard_switch as u64;
                     self.metrics.guard_cycles += costs.guard_switch as u64;
-                    last_guard = Some(gi.guard.as_slice());
                 }
                 self.metrics.enabled_pe_cycles += enabled.len() as u64 * cost;
                 self.metrics.live_pe_cycles += live as u64 * cost;
                 self.exec(&gi.instr, &enabled, &mut next_pc, &mut dirty, cur)?;
             }
 
-            // Commit the shadow pcs, updating the live count and the state
-            // occupancy only for PEs whose pc actually changed.
+            // Commit the shadow pcs, updating the live count, the state
+            // occupancy and the state masks only for PEs whose pc actually
+            // changed.
             for &pe in &dirty {
                 let (old, new) = (self.pc[pe], next_pc[pe]);
                 if old == new {
                     continue; // duplicate dirty entry or no-op write
                 }
                 if let Some(s) = old {
-                    self.occupancy[s.idx()] -= 1;
-                    self.live -= 1;
+                    self.leave(s, pe);
                 }
                 if let Some(s) = new {
-                    Self::bump(&mut self.occupancy, s);
-                    self.live += 1;
+                    self.enter(s, pe);
                 }
                 self.pc[pe] = new;
             }
@@ -424,6 +468,8 @@ impl SimdMachine {
             // so the buffer is ready for the next block.
             self.shadow_pc = next_pc;
             self.dirty = dirty;
+            self.enabled = enabled;
+            self.recruited = 0;
 
             // Dispatch (§3.2): a single exit arc is a plain goto
             // (§3.2.2, one cheap cycle); multiway exits pay the
@@ -530,6 +576,10 @@ impl SimdMachine {
             .map(|(s, _)| StateId(s as u32))
     }
 
+    // Out of line on measurement: folded into `run`, the sixteen PE loops of
+    // `PeArray::apply` compete with the issue loop's state for registers
+    // and the benchmark's machine runs take about a tenth longer.
+    #[inline(never)]
     fn exec(
         &mut self,
         instr: &SimdInstr,
@@ -539,199 +589,78 @@ impl SimdMachine {
         block: BlockId,
     ) -> Result<(), RunError> {
         match instr {
-            SimdInstr::Op(op) => self.exec_op(op, enabled),
+            SimdInstr::Op(op) => {
+                // One range check per issue; a disabled instruction touches
+                // no memory and faults nowhere.
+                if let (Some(index), Some(&pe)) = (self.pes.check_addr(op), enabled.first()) {
+                    return Err(RunError::BadAddress { pe, index });
+                }
+                self.pes.apply(op, enabled.iter().copied())?;
+            }
             SimdInstr::JumpF { t, f } => {
                 for &pe in enabled {
-                    let c = self.pop(pe)?;
+                    let c = self.pes.pop(pe)?;
                     next_pc[pe] = Some(if c != 0 { *t } else { *f });
                     dirty.push(pe);
                 }
-                Ok(())
             }
             SimdInstr::SetPc(s) => {
                 for &pe in enabled {
                     next_pc[pe] = Some(*s);
                     dirty.push(pe);
                 }
-                Ok(())
             }
             SimdInstr::Halt => {
                 for &pe in enabled {
                     next_pc[pe] = None;
                     dirty.push(pe);
-                    self.stack[pe].clear();
-                    self.ret_stack[pe].clear();
+                    self.pes.reset(pe);
                 }
-                Ok(())
             }
             SimdInstr::RetMulti(targets) => {
                 for &pe in enabled {
-                    let sel = self.pop(pe)?;
+                    let sel = self.pes.pop(pe)?;
                     let t = targets
                         .get(sel as usize)
                         .ok_or(RunError::BadSelector { pe, selector: sel })?;
                     next_pc[pe] = Some(*t);
                     dirty.push(pe);
                 }
-                Ok(())
             }
             SimdInstr::Spawn { child, next } => {
                 // Recruit one idle PE per spawner; idle = no pc now and not
-                // being recruited in this very instruction.
-                let mut idle: Vec<usize> = (0..self.n_pe)
-                    .filter(|&pe| self.pc[pe].is_none() && next_pc[pe].is_none())
-                    .collect();
-                if idle.len() < enabled.len() {
+                // recruited earlier in this block. `live` is constant
+                // during a body, so the pool size needs no scan.
+                let available = self.n_pe - self.live - self.recruited;
+                if available < enabled.len() {
                     return Err(RunError::SpawnOverflow {
                         block,
                         requested: enabled.len(),
-                        available: idle.len(),
+                        available,
                     });
                 }
+                // One ascending cursor hands the lowest idle PE to the
+                // lowest spawner; its own recruits lie behind it.
+                let mut cursor = 0;
                 for &pe in enabled {
-                    let recruit = idle.remove(0);
+                    while self.pc[cursor].is_some() || next_pc[cursor].is_some() {
+                        cursor += 1;
+                    }
+                    let recruit = cursor;
+                    cursor += 1;
                     // The child starts with a copy of the parent's poly
                     // memory (parameters were stored there by the parent).
-                    self.poly[recruit] = self.poly[pe].clone();
-                    self.stack[recruit].clear();
-                    self.ret_stack[recruit].clear();
+                    self.pes.copy_poly(pe, recruit);
+                    self.pes.reset(recruit);
                     next_pc[recruit] = Some(*child);
                     next_pc[pe] = Some(*next);
                     dirty.push(recruit);
                     dirty.push(pe);
                 }
-                Ok(())
-            }
-        }
-    }
-
-    fn pop(&mut self, pe: usize) -> Result<i64, RunError> {
-        self.stack[pe].pop().ok_or(RunError::StackUnderflow { pe })
-    }
-
-    fn exec_op(&mut self, op: &Op, enabled: &[usize]) -> Result<(), RunError> {
-        match op {
-            Op::Push(v) => {
-                for &pe in enabled {
-                    self.stack[pe].push(*v);
-                }
-            }
-            Op::PushF(bits) => {
-                for &pe in enabled {
-                    self.stack[pe].push(*bits as i64);
-                }
-            }
-            Op::Dup => {
-                for &pe in enabled {
-                    let v = *self.stack[pe]
-                        .last()
-                        .ok_or(RunError::StackUnderflow { pe })?;
-                    self.stack[pe].push(v);
-                }
-            }
-            Op::Pop(n) => {
-                for &pe in enabled {
-                    for _ in 0..*n {
-                        self.pop(pe)?;
-                    }
-                }
-            }
-            Op::Ld(addr) => {
-                for &pe in enabled {
-                    let v = match addr.space {
-                        Space::Poly => self.poly[pe][addr.index as usize],
-                        Space::Mono => self.mono[addr.index as usize],
-                    };
-                    self.stack[pe].push(v);
-                }
-            }
-            Op::St(addr) => match addr.space {
-                Space::Poly => {
-                    for &pe in enabled {
-                        let v = self.pop(pe)?;
-                        self.poly[pe][addr.index as usize] = v;
-                    }
-                }
-                Space::Mono => {
-                    // Broadcast store: every enabled PE writes; the
-                    // highest-numbered enabled PE's value lands last
-                    // (deterministic tie-break, documented).
-                    for &pe in enabled {
-                        let v = self.pop(pe)?;
-                        self.mono[addr.index as usize] = v;
-                    }
-                }
-            },
-            Op::LdRemote(addr) => {
-                // All enabled PEs fetch simultaneously (reads don't race).
-                let mut fetched = Vec::with_capacity(enabled.len());
-                for &pe in enabled {
-                    let idx = self.pop(pe)?;
-                    let src = self.wrap_pe(idx);
-                    fetched.push((pe, self.poly[src][addr.index as usize]));
-                }
-                for (pe, v) in fetched {
-                    self.stack[pe].push(v);
-                }
-            }
-            Op::StRemote(addr) => {
-                // Gather all (target, value) pairs against the pre-write
-                // state, then apply; write conflicts resolve to the
-                // highest-numbered writer (deterministic router policy).
-                let mut writes = Vec::with_capacity(enabled.len());
-                for &pe in enabled {
-                    let idx = self.pop(pe)?;
-                    let v = self.pop(pe)?;
-                    writes.push((self.wrap_pe(idx), v));
-                }
-                for (target, v) in writes {
-                    self.poly[target][addr.index as usize] = v;
-                }
-            }
-            Op::Bin(b) => {
-                for &pe in enabled {
-                    let rhs = self.pop(pe)?;
-                    let lhs = self.pop(pe)?;
-                    self.stack[pe].push(b.apply(lhs, rhs));
-                }
-            }
-            Op::Un(u) => {
-                for &pe in enabled {
-                    let v = self.pop(pe)?;
-                    self.stack[pe].push(u.apply(v));
-                }
-            }
-            Op::PeId => {
-                for &pe in enabled {
-                    self.stack[pe].push(pe as i64);
-                }
-            }
-            Op::NProc => {
-                for &pe in enabled {
-                    self.stack[pe].push(self.n_pe as i64);
-                }
-            }
-            Op::PushRet => {
-                for &pe in enabled {
-                    let v = self.pop(pe)?;
-                    self.ret_stack[pe].push(v);
-                }
-            }
-            Op::PopRet => {
-                for &pe in enabled {
-                    let v = self.ret_stack[pe]
-                        .pop()
-                        .ok_or(RunError::RetStackUnderflow { pe })?;
-                    self.stack[pe].push(v);
-                }
+                self.recruited += enabled.len();
             }
         }
         Ok(())
-    }
-
-    /// PE indices wrap modulo N (the MP-1 router's toroidal addressing).
-    fn wrap_pe(&self, idx: i64) -> usize {
-        (idx.rem_euclid(self.n_pe as i64)) as usize
     }
 }
 
@@ -739,7 +668,7 @@ impl SimdMachine {
 mod tests {
     use super::*;
     use crate::program::{GuardedInstr, MetaBlock};
-    use msc_ir::{Addr, BinOp, CostModel};
+    use msc_ir::{BinOp, CostModel, Op};
 
     /// A one-block program: every PE computes pe_id()*2 + 1 into poly[0],
     /// then halts.
@@ -1104,6 +1033,7 @@ mod tests {
             occ[s.idx()] += 1;
         }
         assert_eq!(m.occupancy, occ);
+        assert!(m.masks.iter().all(|&w| w == 0), "nobody is left enabled");
         // And the bookkeeping survives an external pc reset + rerun.
         for slot in m.pc.iter_mut() {
             *slot = Some(StateId(0));
@@ -1111,6 +1041,24 @@ mod tests {
         m.run(&p, &cfg).unwrap();
         assert_eq!(m.live, 0);
         assert!(m.occupancy.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn state_masks_follow_pc_through_a_divergent_commit() {
+        // Stop after the first block of the branching program: PEs 0–1 are
+        // in s1, the rest in s2, and each state's mask says exactly that.
+        let p = branching_program();
+        let mut cfg = MachineConfig::spmd(70);
+        cfg.max_cycles = 0;
+        let mut m = SimdMachine::new(&p, &cfg);
+        assert_eq!(m.run(&p, &cfg), Err(RunError::Watchdog { max_cycles: 0 }));
+        assert_eq!(m.mask_words, 2);
+        assert_eq!(m.masks[..2], [0, 0], "s0 was left by everyone");
+        assert_eq!(m.masks[2..4], [0b11, 0]);
+        assert_eq!(m.masks[4..6], [!0b11, (1 << 6) - 1]);
+        let mut enabled = Vec::new();
+        m.enable(&[StateId(1), StateId(2), StateId(9)], &mut enabled);
+        assert_eq!(enabled, (0..70).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `globalor` aggregate of every PE's `pc` and encoded with a customized
 //! hash function (\[Die92a\]).
 
+use crate::lanes::bad_address;
 use msc_hash::PerfectHash;
 use msc_ir::{CostModel, Op, StateId};
 use std::fmt;
@@ -187,7 +188,8 @@ impl SimdProgram {
     }
 
     /// Structural checks: start in range, dispatch targets in range,
-    /// every hashed dispatch's tables consistent.
+    /// every hashed dispatch's tables consistent, every memory operand
+    /// inside the declared `poly_words` / `mono_words`.
     pub fn validate(&self) -> Result<(), String> {
         if self.start.idx() >= self.blocks.len() {
             return Err(format!("start {} out of range", self.start));
@@ -230,6 +232,11 @@ impl SimdProgram {
                 }
                 if gi.guard.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(format!("block {i} has an unsorted guard"));
+                }
+                if let SimdInstr::Op(op) = &gi.instr {
+                    if let Some(index) = bad_address(op, self.poly_words, self.mono_words) {
+                        return Err(format!("block {i} addresses out-of-range word {index}"));
+                    }
                 }
             }
         }

@@ -91,7 +91,7 @@ fn spawn_child_inherits_parent_poly_memory() {
     let cfg = MachineConfig::with_pool(4, 1);
     let mut machine = msc_simd::SimdMachine::new(&built.simd, &cfg);
     let inh = built.compiled.layout.var("inherited").unwrap().addr;
-    machine.poly[0][inh.index as usize] = 37;
+    machine.set_poly(0, inh, 37);
     machine.run(&built.simd, &cfg).unwrap();
     let outv = built.compiled.layout.var("out").unwrap().addr;
     let results: Vec<i64> = (0..4)
