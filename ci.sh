@@ -24,7 +24,10 @@
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
-#                         hit, miss, and malformed-pattern requests), run
+#                         hit, miss, and malformed-pattern requests),
+#                         read /metrics and fail unless the smoke was
+#                         answered on both threads (serve.resident_answers
+#                         and serve.dispatched > 0) with nothing shed, run
 #                         the serve bench-regression gate (claims --
 #                         serve --check vs BENCH_serve.json), and check
 #                         that SIGINT drains the daemon cleanly
@@ -173,6 +176,25 @@ if [ "$MODE" = "serve-smoke" ]; then
     fi
     echo "   daemon bound to ${ADDR}"
     ./target/release/loadgen --smoke --addr "$ADDR"
+    echo "== serve smoke: both sides of the resident / dispatched choice ran =="
+    # /metrics over bash's own /dev/tcp: no curl on the runner's path.
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    printf 'GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n' >&3
+    METRICS="$(cat <&3)"
+    exec 3<&-
+    counter() {
+        local v
+        v="$(sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p" <<<"$METRICS")"
+        echo "${v:-0}"
+    }
+    RESIDENT="$(counter serve.resident_answers)"
+    DISPATCHED="$(counter serve.dispatched)"
+    SHED="$(counter serve.shed)"
+    echo "   serve.resident_answers ${RESIDENT}, serve.dispatched ${DISPATCHED}, serve.shed ${SHED}"
+    if [ "$RESIDENT" -eq 0 ] || [ "$DISPATCHED" -eq 0 ] || [ "$SHED" -ne 0 ]; then
+        echo "serve smoke: want resident_answers > 0, dispatched > 0, shed == 0" >&2
+        exit 1
+    fi
     gate serve
     echo "== serve smoke: SIGINT drains the daemon =="
     kill -INT "$SERVE_PID"

@@ -95,6 +95,20 @@ pub fn smoke(addr: &str) -> bool {
         .and_then(|r| r.json())
         .and_then(|v| v.get("key").and_then(Json::as_str).map(str::to_string));
     check("POST /compile returns the cache key", compile_key.is_some());
+    // The same body again is resident: the one request of the smoke the
+    // reactor answers itself (`serve.resident_answers`).
+    check(
+        "POST /compile again is answered from memory",
+        c.request("POST", "/compile", Some(&body))
+            .ok()
+            .and_then(|r| r.json())
+            .and_then(|v| {
+                v.get("provenance")
+                    .and_then(Json::as_str)
+                    .map(|p| p == "memory")
+            })
+            .unwrap_or(false),
+    );
     // /artifact: the key just compiled must come back as a verifiable
     // envelope; a valid-but-absent key is a 404; a malformed key is 400.
     let artifact_hit = compile_key.as_deref().is_some_and(|hex| {

@@ -80,12 +80,13 @@ pub fn cache_key(
     optimize: bool,
     minimize: bool,
 ) -> CacheKey {
-    let mut msg = Vec::with_capacity(source.len() + 256);
+    use std::io::Write as _;
+    let mut msg = Vec::with_capacity(source.len() + 1024);
     msg.extend_from_slice(source.as_bytes());
     msg.push(0xfe);
-    msg.extend_from_slice(format!("{convert:?}").as_bytes());
+    write!(msg, "{convert:?}").expect("writing to a Vec cannot fail");
     msg.push(0xfe);
-    msg.extend_from_slice(format!("{gen:?}").as_bytes());
+    write!(msg, "{gen:?}").expect("writing to a Vec cannot fail");
     msg.push(optimize as u8);
     msg.push(minimize as u8);
     let (hi, lo) = siphash128(0x9e37_79b9_7f4a_7c15, 0xd1b5_4a32_d192_ed03, &msg);
@@ -300,39 +301,31 @@ impl<A: Send + Sync> TieredCache<A> {
         }
     }
 
-    fn local_tiers(&self) -> impl Iterator<Item = &dyn CacheTier<A>> {
-        std::iter::once(&self.memory as &dyn CacheTier<A>)
-            .chain(self.disk.iter().map(|d| d as &dyn CacheTier<A>))
+    /// Look up `key` in the memory tier and nowhere else: no file is
+    /// opened, no peer asked, nothing decoded — what a thread that must
+    /// not wait (the daemon's reactor) may call. A hit is counted and
+    /// touches recency exactly as [`probe`](Self::probe)'s does; a miss
+    /// counts nothing, so the caller can still take the full path.
+    pub fn probe_memory(&self, key: CacheKey) -> Option<Arc<A>> {
+        let artifact = self.memory.touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        msc_obs::count("cache.hit", 1);
+        Some(artifact)
     }
 
     /// Look up `key` in the *local* tiers (memory, then disk), promoting
-    /// a hit into every faster tier. Does not record a miss and does not
+    /// a disk hit into memory. Does not record a miss and does not
     /// touch the network: the singleflight layer probes first and only
     /// the elected leader pays for remote fetches and charges the miss.
     pub fn probe(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<(Arc<A>, CacheLayer)> {
-        for (depth, tier) in self.local_tiers().enumerate() {
-            if let Some(artifact) = tier.fetch(key, codec) {
-                let layer = tier.layer();
-                match layer {
-                    CacheLayer::Memory => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        msc_obs::count("cache.hit", 1);
-                    }
-                    CacheLayer::Disk => {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        msc_obs::count("cache.disk_hit", 1);
-                    }
-                    CacheLayer::Peer => unreachable!("peer tier is not a local tier"),
-                }
-                for (d, faster) in self.local_tiers().enumerate() {
-                    if d < depth {
-                        faster.store(key, &artifact, codec);
-                    }
-                }
-                return Some((artifact, layer));
-            }
+        if let Some(artifact) = self.probe_memory(key) {
+            return Some((artifact, CacheLayer::Memory));
         }
-        None
+        let artifact = self.disk.as_ref()?.fetch(key, codec)?;
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        msc_obs::count("cache.disk_hit", 1);
+        self.memory.store(key, &artifact, codec);
+        Some((artifact, CacheLayer::Disk))
     }
 
     /// Consult the peer tier for `key`; a verified hit is promoted into
@@ -409,7 +402,8 @@ impl<A: Send + Sync> TieredCache<A> {
 
     /// Status of every configured tier, fastest first.
     pub fn tier_status(&self) -> Vec<TierStatus> {
-        let mut out: Vec<TierStatus> = self.local_tiers().map(|t| t.status()).collect();
+        let mut out = vec![self.memory.status()];
+        out.extend(self.disk.iter().map(|disk| disk.status()));
         if let Some(peers) = &self.peers {
             out.push(CacheTier::<A>::status(peers));
         }
@@ -512,6 +506,10 @@ mod tests {
             cache.insert(key, Arc::new("payload".to_string()), &StrCodec);
         }
         let cache: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
+        // The memory-only probe never looks at the file, and its miss
+        // leaves no trace in the counters.
+        assert!(cache.probe_memory(key).is_none());
+        assert_eq!(cache.stats(), CacheStats::default());
         let (artifact, layer) = cache.probe(key, &StrCodec).expect("disk hit");
         assert_eq!(layer, CacheLayer::Disk);
         assert_eq!(*artifact, "payload");
@@ -519,8 +517,12 @@ mod tests {
             .probe(key, &StrCodec)
             .expect("memory hit after promotion");
         assert_eq!(layer, CacheLayer::Memory);
+        assert_eq!(
+            cache.probe_memory(key).as_deref(),
+            Some(&"payload".to_string())
+        );
         let s = cache.stats();
-        assert_eq!((s.hits, s.disk_hits, s.misses), (1, 1, 0));
+        assert_eq!((s.hits, s.disk_hits, s.misses), (2, 1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -59,6 +59,17 @@ impl<A> MemoryTier<A> {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Read `key` and mark it most recently used: the tier's
+    /// [`fetch`](CacheTier::fetch), for callers that hold no codec.
+    pub fn touch(&self, key: CacheKey) -> Option<Arc<A>> {
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.get_mut(&key)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.artifact))
+    }
+
     /// Read without touching recency and without counting anything —
     /// used by the export path, where a remote daemon scanning our
     /// artifacts must not reshuffle the local LRU order.
@@ -77,12 +88,7 @@ impl<A: Send + Sync> CacheTier<A> for MemoryTier<A> {
     }
 
     fn fetch(&self, key: CacheKey, _codec: &dyn Codec<A>) -> Option<Arc<A>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(&key)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.artifact))
+        self.touch(key)
     }
 
     fn store(&self, key: CacheKey, artifact: &Arc<A>, _codec: &dyn Codec<A>) {

@@ -100,6 +100,13 @@ impl CompileCache {
         self.tiers.probe(key, &ArtifactCodec { costs })
     }
 
+    /// [`probe`](Self::probe) restricted to the memory tier: no file, no
+    /// decode, no wait. Counts and touches recency as `probe` does on a
+    /// hit; a miss leaves no trace.
+    pub fn probe_memory(&self, key: CacheKey) -> Option<Arc<Artifact>> {
+        self.tiers.probe_memory(key)
+    }
+
     /// Consult the peer tier (if configured) for `key`; a verified hit
     /// is promoted into memory and disk. Called by the singleflight
     /// leader only, so N coalesced cold requests cost at most one peer

@@ -244,6 +244,9 @@ pub struct Compiled {
     pub artifact: Arc<Artifact>,
     /// Whether it was fresh or a cache hit.
     pub provenance: Provenance,
+    /// The key it was looked up (and is cached) under: [`job_key`] of
+    /// the job, computed once.
+    pub key: CacheKey,
 }
 
 /// One slot of [`Engine::compile_many_with_metrics`]: the job's outcome
@@ -427,7 +430,30 @@ impl Engine {
 
     /// Compile one job, using every engine thread for the conversion.
     pub fn compile(&self, job: &Job) -> Result<Compiled, EngineError> {
-        self.compile_with_threads(job, self.threads())
+        self.compile_keyed(job, job_key(job))
+    }
+
+    /// [`compile`](Self::compile) for a caller that already holds
+    /// `job_key(job)` (the daemon hashes a request once, where it is
+    /// decoded).
+    pub fn compile_keyed(&self, job: &Job, key: CacheKey) -> Result<Compiled, EngineError> {
+        debug_assert_eq!(key, job_key(job), "a job compiles under its own key");
+        self.compile_with_threads(job, key, self.threads())
+    }
+
+    /// The artifact filed under `key`, if it is resident in memory:
+    /// never the disk tier, the peer tier, the flight table or a
+    /// compile, so a thread that must not wait may ask. A hit counts
+    /// and touches recency like any other memory hit; `None` counts
+    /// nothing and says only that [`compile`](Self::compile) has to
+    /// answer instead.
+    pub fn probe_resident(&self, key: CacheKey) -> Option<Compiled> {
+        let artifact = self.cache.probe_memory(key)?;
+        Some(Compiled {
+            artifact,
+            provenance: Provenance::Memory,
+            key,
+        })
     }
 
     /// Compile a batch. Jobs are distributed over a pool of up to
@@ -465,7 +491,7 @@ impl Engine {
                     }
                     let job = &jobs[i];
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        self.compile_with_threads(job, per_job_threads)
+                        self.compile_with_threads(job, job_key(job), per_job_threads)
                     }))
                     .unwrap_or_else(|payload| {
                         msc_obs::count("engine.job_panicked", 1);
@@ -489,16 +515,21 @@ impl Engine {
             .collect()
     }
 
-    fn compile_with_threads(&self, job: &Job, threads: usize) -> Result<Compiled, EngineError> {
+    fn compile_with_threads(
+        &self,
+        job: &Job,
+        key: CacheKey,
+        threads: usize,
+    ) -> Result<Compiled, EngineError> {
         // Deliberate panic site for the batch isolation tests: no natural
         // input panics the pipeline, so the tests opt in by job name.
         #[cfg(test)]
         if job.name == "__panic_for_test__" {
             panic!("injected test panic");
         }
-        let key = job_key(job);
         let as_hit = |(artifact, layer): (Arc<Artifact>, CacheLayer)| Compiled {
             artifact,
+            key,
             provenance: match layer {
                 CacheLayer::Memory => Provenance::Memory,
                 CacheLayer::Disk => Provenance::Disk,
@@ -526,6 +557,7 @@ impl Engine {
                     Ok(artifact) => Ok(Compiled {
                         artifact,
                         provenance: Provenance::Coalesced,
+                        key,
                     }),
                     Err(message) => Err(EngineError::CoalescedFailed {
                         job: job.name.clone(),
@@ -545,6 +577,7 @@ impl Engine {
             return Ok(Compiled {
                 artifact,
                 provenance: Provenance::Peer,
+                key,
             });
         }
         // No peer had it: this request is the one that compiles (and the
@@ -595,6 +628,7 @@ impl Engine {
         Ok(Compiled {
             artifact,
             provenance: Provenance::Fresh,
+            key,
         })
     }
 }

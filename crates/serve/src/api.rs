@@ -119,7 +119,7 @@ pub fn compile_response(job: &Job, compiled: &Compiled) -> Json {
     let t = &a.timings;
     Json::obj(vec![
         ("name", Json::from(job.name.as_str())),
-        ("key", Json::from(job_key(job).hex())),
+        ("key", Json::from(compiled.key.hex())),
         (
             "provenance",
             Json::from(provenance_str(compiled.provenance)),
@@ -152,8 +152,14 @@ fn engine_error(e: msc_engine::EngineError) -> HttpError {
 /// `POST /compile`.
 pub fn compile(engine: &Engine, body: &Json, max_meta_states: usize) -> Result<Json, HttpError> {
     let job = job_from_json(body, "request", max_meta_states)?;
-    let compiled = engine.compile(&job).map_err(engine_error)?;
-    Ok(compile_response(&job, &compiled))
+    compile_job(engine, &job, job_key(&job))
+}
+
+/// `POST /compile` once the body is a [`Job`] and `key` its [`job_key`]:
+/// the one place a request is hashed is where it was decoded.
+pub fn compile_job(engine: &Engine, job: &Job, key: CacheKey) -> Result<Json, HttpError> {
+    let compiled = engine.compile_keyed(job, key).map_err(engine_error)?;
+    Ok(compile_response(job, &compiled))
 }
 
 /// `POST /run`: compile (through the cache) then execute on the SIMD

@@ -69,18 +69,19 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<Response> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: msc-serve\r\n");
+        // Head and body leave in one write: on a `TCP_NODELAY` socket
+        // two writes are two segments, and the daemon would wake for a
+        // head it cannot answer yet.
+        let mut wire = format!("{method} {path} HTTP/1.1\r\nHost: msc-serve\r\n");
         if let Some(b) = body {
-            head.push_str(&format!(
+            wire.push_str(&format!(
                 "Content-Type: application/json\r\nContent-Length: {}\r\n",
                 b.len()
             ));
         }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        if let Some(b) = body {
-            self.writer.write_all(b.as_bytes())?;
-        }
+        wire.push_str("\r\n");
+        wire.push_str(body.unwrap_or(""));
+        self.writer.write_all(wire.as_bytes())?;
         self.writer.flush()?;
         self.read_response()
     }

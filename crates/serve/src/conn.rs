@@ -103,8 +103,9 @@ impl State {
 pub enum Input {
     /// Nothing actionable yet; keep waiting for readiness.
     Pending,
-    /// A complete request — answer it (the reactor hands it to the
-    /// worker pool). The connection is now `Executing`.
+    /// A complete request — answer it (the reactor does so itself when
+    /// the answer is resident in memory, and hands every other request
+    /// to the worker pool). The connection is now `Executing`.
     Request(Request),
     /// The peer closed cleanly between requests.
     Closed,

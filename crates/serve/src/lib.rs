@@ -21,8 +21,11 @@
 //!   and the `serve.conn_state.*` counters are written down there only.
 //!   On Linux an epoll readiness reactor steps all of them from one
 //!   thread, so an idle keep-alive peer costs a table entry instead of a
-//!   parked thread; compute stays on the worker pool, and requests and
-//!   responses cross over a queue plus a wakeup socketpair. Elsewhere
+//!   parked thread. A `POST /compile` whose artifact is resident in
+//!   memory is answered on that thread, from the bytes it just read;
+//!   everything that may wait or compute goes to the worker pool, and
+//!   requests and responses cross over a queue plus a wakeup socketpair.
+//!   Elsewhere
 //!   the portable driver steps the same machine with blocking reads: an
 //!   acceptor queues connections and each worker serves one at a time.
 //!   The target picks the driver ([`reactor_available`]); no option does.
@@ -52,7 +55,7 @@ mod reactor;
 
 use conn::{Conn, Input, State};
 use http::{HttpError, Limits, Request};
-use msc_engine::{Engine, EngineOptions};
+use msc_engine::{job_key, CacheKey, Engine, EngineOptions, Job};
 use msc_obs::json::Json;
 use msc_obs::Registry;
 use queue::BoundedQueue;
@@ -145,10 +148,18 @@ enum Task {
         /// The reactor-side socket the response belongs to.
         fd: i32,
         request: Request,
+        /// What the reactor already made of the body while looking for
+        /// a resident answer; the worker does not decode or hash again.
+        decoded: Option<Box<CompileRequest>>,
+        /// When the reactor queued it (`serve.queue_wait_nanos`).
+        queued: Instant,
         /// Where the finished response goes.
         reply: Arc<reactor::ReactorShared>,
     },
 }
+
+/// A decoded `POST /compile`: the job and the key it is filed under.
+type CompileRequest = (Job, CacheKey);
 
 struct Shared {
     engine: Engine,
@@ -349,8 +360,13 @@ fn worker_loop(shared: &Shared) {
                 conn_id,
                 fd,
                 request,
+                decoded,
+                queued,
                 reply,
-            } => reply.complete(conn_id, fd, respond(shared, &request)),
+            } => {
+                msc_obs::value("serve.queue_wait_nanos", queued.elapsed().as_nanos() as u64);
+                reply.complete(conn_id, fd, respond(shared, &request, decoded));
+            }
         }
     }
 }
@@ -358,9 +374,24 @@ fn worker_loop(shared: &Shared) {
 /// Answer one decoded request: the only caller of [`route`], under
 /// either driver. Returns the response bytes and whether the connection
 /// stays open after them.
-fn respond(shared: &Shared, request: &Request) -> (Vec<u8>, bool) {
+fn respond(
+    shared: &Shared,
+    request: &Request,
+    decoded: Option<Box<CompileRequest>>,
+) -> (Vec<u8>, bool) {
     let t0 = Instant::now();
-    let outcome = route(shared, request);
+    let outcome = route(shared, request, decoded);
+    finish(shared, request, t0, outcome)
+}
+
+/// Turn a request's outcome into its response and its counters — the
+/// tail every answer shares, whichever thread produced the outcome.
+fn finish(
+    shared: &Shared,
+    request: &Request,
+    t0: Instant,
+    outcome: Result<Json, HttpError>,
+) -> (Vec<u8>, bool) {
     msc_obs::value("serve.request_nanos", t0.elapsed().as_nanos() as u64);
     // Don't hold a drained daemon open on keep-alive.
     let keep_alive = !request.wants_close() && !shared.stop.load(Ordering::SeqCst);
@@ -466,7 +497,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 None => break,
             },
             Ok(Input::Closed) => break,
-            Ok(Input::Request(request)) => respond(shared, &request),
+            Ok(Input::Request(request)) => respond(shared, &request, None),
             Err(err) => (refuse(&err), false),
         };
         conn.start_response(bytes, keep_alive, Instant::now());
@@ -497,6 +528,14 @@ fn json_body(req: &Request) -> Result<Json, HttpError> {
         .map_err(|_| HttpError::BadRequest("body is not UTF-8".to_string()))?;
     msc_obs::json::parse(text)
         .map_err(|e| HttpError::BadRequest(format!("body is not valid JSON: {e}")))
+}
+
+/// Decode a `POST /compile` body and key the job, once per request.
+fn decode_compile(shared: &Shared, req: &Request) -> Result<CompileRequest, HttpError> {
+    let body = json_body(req)?;
+    let job = api::job_from_json(&body, "request", shared.opts.max_meta_states)?;
+    let key = job_key(&job);
+    Ok((job, key))
 }
 
 fn count_coalesced(body: &Json) {
@@ -537,7 +576,11 @@ fn peer_gauges(shared: &Shared) -> Vec<(&'static str, u64)> {
     out
 }
 
-fn route(shared: &Shared, req: &Request) -> Result<Json, HttpError> {
+fn route(
+    shared: &Shared,
+    req: &Request,
+    decoded: Option<Box<CompileRequest>>,
+) -> Result<Json, HttpError> {
     let known_get =
         matches!(req.path.as_str(), "/healthz" | "/metrics") || req.path.starts_with("/artifact/");
     let known_post = matches!(req.path.as_str(), "/compile" | "/run" | "/batch" | "/match");
@@ -563,8 +606,11 @@ fn route(shared: &Shared, req: &Request) -> Result<Json, HttpError> {
             api::artifact(&shared.engine, &p["/artifact/".len()..])
         }
         ("POST", "/compile") => {
-            let body = json_body(req)?;
-            let resp = api::compile(&shared.engine, &body, shared.opts.max_meta_states)?;
+            let (job, key) = match decoded {
+                Some(decoded) => *decoded,
+                None => decode_compile(shared, req)?,
+            };
+            let resp = api::compile_job(&shared.engine, &job, key)?;
             count_coalesced(&resp);
             Ok(resp)
         }
