@@ -50,6 +50,9 @@ fn fnv1a(s: &str) -> u64 {
 /// newline so `.`'s exclusion is exercised.
 const ALPHABET: &[u8] = b"abcxy\n";
 
+/// Longest derived haystack.
+const LONG_INPUT_BYTES: u64 = 64 << 10;
+
 fn gen_pattern(rng: &mut Xoshiro256, depth: u32) -> String {
     if depth == 0 {
         return match rng.below(7) {
@@ -91,9 +94,18 @@ pub fn derive_case(source: &str) -> RegexCase {
         pattern.push('$');
     }
     let len = rng.below(48) as usize;
-    let input: Vec<u8> = (0..len).map(|_| *rng.pick(ALPHABET)).collect();
+    let mut input: Vec<u8> = (0..len).map(|_| *rng.pick(ALPHABET)).collect();
     let ncuts = rng.below(5) as usize;
-    let cuts: Vec<usize> = (0..ncuts).map(|_| rng.below(64) as usize).collect();
+    let mut cuts: Vec<usize> = (0..ncuts).map(|_| rng.below(64) as usize).collect();
+    // One case in eight is long: past the length from which the
+    // whole-buffer scan cuts its input into lockstep lanes, with cut
+    // points anywhere in it. (Drawn last, so the short cases are the ones
+    // this derivation always gave.)
+    if rng.below(8) == 0 {
+        let len = 1 + rng.below(LONG_INPUT_BYTES);
+        input = (0..len).map(|_| *rng.pick(ALPHABET)).collect();
+        cuts = (0..ncuts).map(|_| rng.below(len + 1) as usize).collect();
+    }
     RegexCase {
         pattern,
         input,

@@ -4,9 +4,10 @@
 //! semantics are defined over the *concatenation*: a match may start in
 //! one shard and end in another. [`ShardedInput`] provides absolute
 //! addressing over the concatenation and hands the matcher the input from
-//! any position on as plain `&[u8]` slices — one per shard, so a shard
-//! boundary costs one outer-loop turn, not a check per byte — without
-//! materializing the joined buffer.
+//! any position on as plain `&[u8]` slices — the rest of the shard holding
+//! the position, then each later shard whole, so a shard boundary costs
+//! one outer-loop turn, not a check per byte — without materializing the
+//! joined buffer.
 
 /// Borrowed shards viewed as one contiguous byte string.
 #[derive(Debug)]
@@ -45,25 +46,29 @@ impl<'a> ShardedInput<'a> {
         (self.starts[i], self.starts[i + 1])
     }
 
-    /// The input from absolute position `pos` on: the rest of the shard
-    /// holding `pos`, then every later shard whole. `shard` is a hint at
-    /// or before that shard and is advanced to it, so a caller whose
-    /// positions only grow resolves each shard once.
-    pub(crate) fn slices_from(
-        &self,
-        shard: &mut usize,
-        pos: usize,
-    ) -> impl Iterator<Item = &'a [u8]> {
-        debug_assert!(pos <= self.total_len() && self.starts[*shard] <= pos);
-        while *shard + 1 < self.shards.len() && self.starts[*shard + 1] <= pos {
-            *shard += 1;
+    /// The shard holding absolute position `pos`: the last one that starts
+    /// at or before it (so never an empty shard unless `pos` is the total
+    /// length). `hint` is a shard index; a caller whose positions only
+    /// grow passes the previous answer and resolves each shard once, any
+    /// other hint costs a binary search. The input has at least one shard.
+    #[inline]
+    pub(crate) fn shard_at(&self, hint: usize, pos: usize) -> usize {
+        debug_assert!(pos <= self.total_len());
+        let mut shard = hint;
+        if self.starts[shard] > pos {
+            shard = self.starts[..self.shards.len()].partition_point(|&s| s <= pos) - 1;
         }
-        let shards: &'a [&'a [u8]] = self.shards;
-        let (first, rest): (&'a [u8], _) = match shards.get(*shard) {
-            Some(s) => (&s[pos - self.starts[*shard]..], &shards[*shard + 1..]),
-            None => (&[], shards),
-        };
-        std::iter::once(first).chain(rest.iter().copied())
+        while shard + 1 < self.shards.len() && self.starts[shard + 1] <= pos {
+            shard += 1;
+        }
+        shard
+    }
+
+    /// Shard `shard` from absolute position `pos` (inside it, or its end)
+    /// on; `pos` at the shard's start gives the whole shard.
+    #[inline]
+    pub(crate) fn tail(&self, shard: usize, pos: usize) -> &'a [u8] {
+        &self.shards[shard][pos - self.starts[shard]..]
     }
 }
 
@@ -83,11 +88,15 @@ mod tests {
         // The shard holding each position; the empty shard holds none.
         let holder = [0, 0, 2, 2, 2, 3, 3];
         for (p, holder) in holder.into_iter().enumerate() {
-            // From a cold hint and from the exact shard alike.
-            for mut hint in [0, holder] {
-                let got: Vec<u8> = inp.slices_from(&mut hint, p).flatten().copied().collect();
-                assert_eq!(got, &b"abcdef"[p..], "slices from {p}");
-                assert_eq!(hint, holder, "hint advanced to the shard of {p}");
+            // From a cold hint, from the exact shard and from past it.
+            for hint in [0, holder, 3] {
+                let shard = inp.shard_at(hint, p);
+                assert_eq!(shard, holder, "shard of {p} from hint {hint}");
+                let rest: Vec<u8> = (shard + 1..4)
+                    .flat_map(|i| inp.tail(i, inp.starts[i]))
+                    .copied()
+                    .collect();
+                assert_eq!([inp.tail(shard, p), &rest].concat(), &b"abcdef"[p..]);
             }
         }
     }
@@ -95,12 +104,11 @@ mod tests {
     #[test]
     fn empty_input() {
         let shards: &[&[u8]] = &[];
-        let inp = ShardedInput::new(shards);
-        assert_eq!(inp.total_len(), 0);
-        assert_eq!(inp.slices_from(&mut 0, 0).flatten().count(), 0);
+        assert_eq!(ShardedInput::new(shards).total_len(), 0);
         let shards2: &[&[u8]] = &[b"", b""];
         let inp2 = ShardedInput::new(shards2);
         assert_eq!(inp2.total_len(), 0);
-        assert_eq!(inp2.slices_from(&mut 0, 0).flatten().count(), 0);
+        assert_eq!(inp2.shard_at(0, 0), 1);
+        assert!(inp2.tail(1, 0).is_empty());
     }
 }

@@ -12,9 +12,10 @@
 //! (subset construction into a byte-class DFA with positional anchor
 //! handling: an anchored table for one attempt, and a search table whose
 //! states carry the threads of every earlier start position) →
-//! [`matcher`] (one windowed forward pass over `&[u8]` slices, plus a
-//! sharded scan that speculates per shard in parallel and stitches
-//! exactly — output is bit-identical at every thread count). [`naive`]
+//! [`matcher`] (windowed forward passes over `&[u8]` slices: ranges of the
+//! input scanned speculatively, four to a thread in lockstep and on as
+//! many threads as asked, and stitched exactly — output is bit-identical
+//! however the input is cut). [`naive`]
 //! is an independent AST-walking reference engine used as the
 //! differential-fuzzing oracle, and [`engine`] wraps compilation in the
 //! same content-addressed cache + singleflight discipline as
@@ -153,6 +154,45 @@ impl Regex {
     /// independent implementation used as differential-fuzzing oracle.
     pub fn naive_find_all(&self, haystack: &[u8]) -> Vec<(usize, usize)> {
         naive::find_all(&self.ast, haystack)
+    }
+}
+
+/// What the unit tests of more than one module draw from.
+#[cfg(test)]
+pub(crate) mod testing {
+    use proptest::prelude::*;
+
+    /// Random syntactically valid pattern over a 3-letter alphabet, built
+    /// constructively so every generated case exercises the automaton (not
+    /// the parser's error paths). Anchors only at the ends, where they are
+    /// valid. (`tests/stitching.rs` has the same generator: an integration
+    /// test cannot see this module.)
+    pub(crate) fn arb_pattern() -> BoxedStrategy<String> {
+        let leaf = prop_oneof![
+            Just("a".to_string()),
+            Just("b".to_string()),
+            Just("c".to_string()),
+            Just(".".to_string()),
+            Just("[ab]".to_string()),
+            Just("[^c]".to_string()),
+            Just("ab".to_string()),
+        ];
+        let body = leaf.prop_recursive(3, 16, 3, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a}{b}")),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}|{b})")),
+                inner.clone().prop_map(|a| format!("({a})*")),
+                inner.clone().prop_map(|a| format!("({a})+")),
+                inner.prop_map(|a| format!("({a})?")),
+            ]
+        });
+        (0u8..4, body)
+            .prop_map(|(anchors, b)| {
+                let head = if anchors & 1 != 0 { "^" } else { "" };
+                let tail = if anchors & 2 != 0 { "$" } else { "" };
+                format!("{head}{b}{tail}")
+            })
+            .boxed()
     }
 }
 

@@ -8,10 +8,9 @@
 //! * **Anchors are positional, not consuming.** `^` is only traversable
 //!   in the closure that seeds an attempt at position 0, so the machine
 //!   carries two start states (`start_bof` / `start_mid`). `$` is only
-//!   traversable at total end of input, so each state carries two accept
-//!   flags: `ACCEPT_MID` (Match is in the set — true anywhere) and
-//!   `ACCEPT_END` (Match is in the set or becomes reachable once `$`
-//!   fires — true only at the end of the whole input).
+//!   traversable at total end of input, so a state accepts in one of three
+//!   ways: never, only at the end of the whole input (Match becomes
+//!   reachable once `$` fires), or anywhere (Match is in the set).
 //! * **No subsumption.** Folding a subset state into a superset preserves
 //!   MIMD emulation but not the recognized language — a superset can
 //!   accept strings the subset rejects — so the DFA keeps every distinct
@@ -33,7 +32,11 @@
 //! Both tables are laid out for the scan loop: state ids are premultiplied
 //! row offsets, the class stride is padded to a power of two, and row 0 is
 //! the empty set (dead / idle), so one step is `trans[state + class[b]]`
-//! and "no thread left" is `state == 0`.
+//! and "no thread left" is `state == 0`. After its sweep `build` sorts the
+//! rows by how they accept — never, then only at the end, then anywhere —
+//! and a table carries the two row offsets where the kinds change, so
+//! "does this state accept" is one compare on the state id: the walk loads
+//! nothing but the byte's class and the transition.
 
 use crate::nfa::{Nfa, State};
 use msc_core::{SetArena, SetId, StateSet};
@@ -45,12 +48,6 @@ use std::collections::HashMap;
 /// [`compile_with_limit`] accepts any other cap.
 pub const MAX_META_STATES: usize = 4096;
 
-/// [`Table::accept`] bit: Match is in the state's set (accept anywhere).
-const ACCEPT_MID: u8 = 1;
-/// [`Table::accept`] bit: Match is in the set or reachable from it through
-/// `$` assertions (accept only at total end of input).
-const ACCEPT_END: u8 = 2;
-
 /// One transition table over premultiplied state ids.
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
@@ -58,17 +55,22 @@ pub(crate) struct Table {
     /// `1 << shift` entries wide (the class count rounded up to a power
     /// of two; no byte maps to the excess); row 0 is the empty set.
     pub(crate) trans: Vec<u32>,
-    /// Accept bits per state, indexed by `state >> shift`.
-    pub(crate) accept: Vec<u8>,
+    /// First row offset that accepts at the total end of input: Match is
+    /// in the set or reachable from it through `$` assertions. Rows below
+    /// it never accept.
+    pub(crate) end_from: u32,
+    /// First row offset that accepts anywhere: Match is in the set.
+    /// `end_from <= mid_from`; either is `trans.len()` when no row
+    /// qualifies.
+    pub(crate) mid_from: u32,
 }
 
 impl Table {
     /// Does `state` accept here — anywhere, or, when `at_end`, at the
-    /// total end of input? `shift` is the owning automaton's.
+    /// total end of input?
     #[inline]
-    pub(crate) fn accepts(&self, state: u32, shift: u32, at_end: bool) -> bool {
-        let accept = self.accept[(state >> shift) as usize];
-        accept & ACCEPT_MID != 0 || (at_end && accept & ACCEPT_END != 0)
+    pub(crate) fn accepts(&self, state: u32, at_end: bool) -> bool {
+        state >= if at_end { self.end_from } else { self.mid_from }
     }
 }
 
@@ -99,7 +101,7 @@ impl MetaDfa {
     /// Number of meta states of the anchored automaton (the empty set is
     /// not counted).
     pub fn len(&self) -> usize {
-        self.anchored.accept.len() - 1
+        (self.anchored.trans.len() >> self.shift) - 1
     }
 
     /// True when the automaton has no states (both starts dead).
@@ -216,9 +218,11 @@ fn byte_classes(nfa: &Nfa) -> ([u8; 256], Vec<u8>) {
 /// after it, then sweep the arena, interning each set's successor on
 /// every class representative. `reseed` is united into a set before it
 /// steps — `∅` builds the anchored table, `closure(start_mid)` the search
-/// table. Returns the table and the row offsets of `roots`, or `None`
-/// once more than `limit` non-empty sets exist (or a row offset would
-/// not fit the table's `u32` entries).
+/// table. The rows are then sorted by how they accept (a stable sort, so
+/// `∅` stays row 0 and the order is a function of the pattern alone).
+/// Returns the table and the row offsets of `roots`, or `None` once more
+/// than `limit` non-empty sets exist (or a row offset would not fit the
+/// table's `u32` entries).
 fn build(
     nfa: &Nfa,
     reps: &[u8],
@@ -240,26 +244,22 @@ fn build(
         return None;
     }
 
-    let mut table = Table {
-        trans: Vec::new(),
-        accept: Vec::new(),
-    };
     // The arena grows as BFS discovers successors; meta state i is the
     // i-th interned set, so a plain index sweep visits every state once.
+    // `kind[i]`: 0 never accepts, 1 only at the end of input, 2 anywhere.
+    let mut trans: Vec<u32> = Vec::new();
+    let mut kind: Vec<u8> = Vec::new();
     let mut i = 0usize;
     while i < arena.len() {
         let set = arena.get(SetId(i as u32));
-        let mut accept = 0;
-        if set
+        let anywhere = set
             .iter()
-            .any(|s| matches!(nfa.states[s.0 as usize], State::Match))
-        {
-            accept |= ACCEPT_MID;
-        }
-        if end_accepts(nfa, &set) {
-            accept |= ACCEPT_END;
-        }
-        table.accept.push(accept);
+            .any(|s| matches!(nfa.states[s.0 as usize], State::Match));
+        kind.push(if anywhere {
+            2
+        } else {
+            u8::from(end_accepts(nfa, &set))
+        });
         for &rep in reps {
             let seeds =
                 set.iter()
@@ -272,11 +272,34 @@ fn build(
             if !fits(&arena) {
                 return None;
             }
-            table.trans.push(row(succ));
+            trans.push(row(succ));
         }
         i += 1;
-        table.trans.resize(i << shift, 0);
+        trans.resize(i << shift, 0);
     }
+
+    // Sort the rows by kind: `order[new] = old`, `moved[old]` is the new
+    // row offset. `∅` holds no Match and no `$`, so it sorts first.
+    let mut order: Vec<usize> = (0..kind.len()).collect();
+    order.sort_by_key(|&old| kind[old]);
+    let mut moved = vec![0u32; order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        moved[old] = (new as u32) << shift;
+    }
+    let first_of = |k: u8| (order.partition_point(|&old| kind[old] < k) as u32) << shift;
+    let table = Table {
+        trans: order
+            .iter()
+            .flat_map(|&old| &trans[old << shift..(old + 1) << shift])
+            .map(|&to| moved[(to >> shift) as usize])
+            .collect(),
+        end_from: first_of(1),
+        mid_from: first_of(2),
+    };
+    let roots = roots
+        .into_iter()
+        .map(|r| moved[(r >> shift) as usize])
+        .collect();
     Some((table, roots))
 }
 
@@ -302,7 +325,7 @@ pub fn compile_with_limit(nfa: &Nfa, limit: usize) -> Result<MetaDfa, TooComplex
         build(nfa, &reps, shift, roots, &StateSet::empty(), limit).ok_or(TooComplex { limit })?;
     let (start_bof, start_mid) = (starts[0], starts[1]);
 
-    let left = limit - (anchored.accept.len() - 1);
+    let left = limit - ((anchored.trans.len() >> shift) - 1);
     let search = build(nfa, &reps, shift, Vec::new(), &mid, left).map(|(table, _)| table);
 
     let mut can_start = [false; 256];
@@ -347,7 +370,7 @@ mod tests {
         let mut best = None;
         for (i, &b) in input.iter().enumerate() {
             state = table.trans[state as usize + d.classes[b as usize] as usize];
-            if table.accepts(state, d.shift, total_end && i + 1 == input.len()) {
+            if table.accepts(state, total_end && i + 1 == input.len()) {
                 best = Some(i + 1);
             }
         }
@@ -356,6 +379,189 @@ mod tests {
 
     fn anchored(d: &MetaDfa, start: u32, input: &[u8], total_end: bool) -> Option<usize> {
         longest(d, &d.anchored, start, input, total_end)
+    }
+
+    /// [`ACCEPT_END`]-style bits of the table layout this one replaced:
+    /// Match is in the set / Match is in the set or behind `$`.
+    const ACCEPT_MID: u8 = 1;
+    const ACCEPT_END: u8 = 2;
+
+    /// `build` as it stood before rows were sorted: rows in discovery
+    /// order and an accept byte per row, recomputed from the NFA. Returns
+    /// (`trans`, accept bytes, root offsets).
+    fn reference_build(
+        nfa: &Nfa,
+        reps: &[u8],
+        shift: u32,
+        roots: Vec<StateSet>,
+        reseed: &StateSet,
+    ) -> (Vec<u32>, Vec<u8>, Vec<u32>) {
+        let mut arena = SetArena::new();
+        arena.intern(StateSet::empty());
+        let row = |id: SetId| id.0 << shift;
+        let roots: Vec<u32> = roots
+            .into_iter()
+            .map(|set| row(arena.intern(set)))
+            .collect();
+        let (mut trans, mut accept) = (Vec::new(), Vec::new());
+        let mut i = 0usize;
+        while i < arena.len() {
+            let set = arena.get(SetId(i as u32));
+            let mut bits = 0;
+            if set
+                .iter()
+                .any(|s| matches!(nfa.states[s.0 as usize], State::Match))
+            {
+                bits |= ACCEPT_MID;
+            }
+            if end_accepts(nfa, &set) {
+                bits |= ACCEPT_END;
+            }
+            accept.push(bits);
+            for &rep in reps {
+                let seeds = set.iter().chain(reseed.iter()).filter_map(|s| {
+                    match nfa.states[s.0 as usize] {
+                        State::Byte { ref set, next } if set.contains(rep) => Some(next),
+                        _ => None,
+                    }
+                });
+                trans.push(row(arena.intern(closure(nfa, seeds, false))));
+            }
+            i += 1;
+            trans.resize(i << shift, 0);
+        }
+        (trans, accept, roots)
+    }
+
+    /// Hold both tables of `pat` to the unsorted reference: the same
+    /// automaton up to a renaming of rows (found by walking both from
+    /// their roots), every row accepting exactly as its accept byte said,
+    /// and the rows in threshold order.
+    fn check_against_reference(pat: &str) {
+        let nfa = nfa(pat);
+        let Ok(d) = compile(&nfa) else {
+            return;
+        };
+        let (_, reps) = byte_classes(&nfa);
+        let stride = 1usize << d.shift;
+        let bof = closure(&nfa, [nfa.start], true);
+        let mid = closure(&nfa, [nfa.start], false);
+        let none = StateSet::empty();
+        let mut tables = vec![(
+            &d.anchored,
+            vec![bof, mid.clone()],
+            vec![d.start_bof, d.start_mid],
+            &none,
+        )];
+        if let Some(search) = &d.search {
+            tables.push((search, Vec::new(), Vec::new(), &mid));
+        }
+        for (table, roots, starts, reseed) in tables {
+            let (trans, accept, old_starts) = reference_build(&nfa, &reps, d.shift, roots, reseed);
+            assert_eq!(table.trans.len(), trans.len(), "{pat:?}: same rows");
+            assert!(table.end_from <= table.mid_from, "{pat:?}");
+            assert!(table.mid_from as usize <= trans.len(), "{pat:?}");
+            // renamed[old row] = new row offset; row 0 stays row 0.
+            let mut renamed = vec![u32::MAX; accept.len()];
+            renamed[0] = 0;
+            let mut work = vec![0u32];
+            for (&old, &new) in old_starts.iter().zip(&starts) {
+                renamed[old as usize >> d.shift] = new;
+                work.push(old);
+            }
+            let mut seen = vec![false; accept.len()];
+            while let Some(old) = work.pop() {
+                if std::mem::replace(&mut seen[old as usize >> d.shift], true) {
+                    continue;
+                }
+                let new = renamed[old as usize >> d.shift];
+                let bits = accept[old as usize >> d.shift];
+                assert_eq!(
+                    table.accepts(new, false),
+                    bits & ACCEPT_MID != 0,
+                    "{pat:?}: row {old} -> {new} anywhere"
+                );
+                assert_eq!(
+                    table.accepts(new, true),
+                    bits & (ACCEPT_MID | ACCEPT_END) != 0,
+                    "{pat:?}: row {old} -> {new} at the end"
+                );
+                for class in 0..stride {
+                    let (to_old, to_new) = (
+                        trans[old as usize + class],
+                        table.trans[new as usize + class],
+                    );
+                    assert_eq!(to_new as usize % stride, 0, "premultiplied row offsets");
+                    let known = &mut renamed[to_old as usize >> d.shift];
+                    if *known == u32::MAX {
+                        *known = to_new;
+                    }
+                    assert_eq!(*known, to_new, "{pat:?}: one renaming");
+                    work.push(to_old);
+                }
+            }
+            // Every row is reachable, and no two share a new name.
+            assert!(seen.iter().all(|&s| s), "{pat:?}");
+            let mut names = renamed.clone();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), accept.len(), "{pat:?}: a bijection");
+        }
+    }
+
+    #[test]
+    fn sorted_rows_are_the_unsorted_automaton_renamed() {
+        for pat in [
+            "abc",
+            "a|ab",
+            "a+",
+            "a*",
+            "^ab",
+            "ab$",
+            "^a+$",
+            "(^a|b)+$",
+            "ab+c|b",
+            "a.*x|b",
+            "[a-c]+z",
+            "(foo|bar|baz)[0-9]+",
+            "a*b",
+            "[a-c]+$",
+            "(a|b)*$",
+        ] {
+            check_against_reference(pat);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorted_rows_are_the_unsorted_automaton_renamed_for_any_pattern(
+            pat in crate::testing::arb_pattern(),
+        ) {
+            check_against_reference(&pat);
+        }
+    }
+
+    #[test]
+    fn thresholds_partition_the_rows() {
+        // `ab$|c`: one `$`-only row (after `ab`), one accept-anywhere row
+        // (after `c`), the rest accept nothing.
+        let d = dfa("ab$|c");
+        let stride = 1u32 << d.shift;
+        let t = &d.anchored;
+        assert_eq!(t.mid_from as usize, t.trans.len() - stride as usize);
+        assert_eq!(t.end_from, t.mid_from - stride);
+        let after = |s: &[u8]| {
+            s.iter().fold(d.start_mid, |state, &b| {
+                t.trans[state as usize + d.classes[b as usize] as usize]
+            })
+        };
+        assert_eq!(after(b"c"), t.mid_from);
+        assert_eq!(after(b"ab"), t.end_from);
+        assert!(after(b"a") < t.end_from && after(b"a") > 0);
+        // No row accepts at all: both thresholds sit past the last row.
+        let idle_only = dfa("^ab").search.unwrap();
+        assert_eq!(idle_only.end_from as usize, idle_only.trans.len());
+        assert_eq!(idle_only.mid_from as usize, idle_only.trans.len());
     }
 
     #[test]
@@ -385,7 +591,7 @@ mod tests {
         assert_eq!(anchored(&d, d.start_bof, b"ab", true), Some(2));
         assert_eq!(d.start_mid, 0, "^ab cannot start mid-input");
         // Nothing re-seeds, so the search table is the idle state alone.
-        assert_eq!(d.search.as_ref().unwrap().accept, [0]);
+        assert_eq!(d.search.as_ref().unwrap().trans.len(), 1 << d.shift);
         assert!(d.can_start.iter().all(|&c| !c));
     }
 
@@ -454,7 +660,7 @@ mod tests {
         let stride = 1usize << d.shift;
         assert!(d.anchored.trans[..stride].iter().all(|&t| t == 0));
         assert_eq!(d.anchored.trans.len(), (d.len() + 1) * stride);
-        assert_eq!(d.anchored.accept[0], 0);
+        assert!(!d.anchored.accepts(0, true));
         for &t in &d.anchored.trans {
             assert_eq!(t as usize % stride, 0, "premultiplied row offsets");
         }
@@ -476,7 +682,7 @@ mod tests {
         assert!(d.can_start[b'a' as usize] && !d.can_start[b'b' as usize]);
         // Accept is taken on the carried set, never on the re-seed:
         // `a*` accepts the empty string, idle does not.
-        assert_eq!(dfa("a*").search.unwrap().accept[0], 0);
+        assert!(!dfa("a*").search.unwrap().accepts(0, true));
     }
 
     #[test]

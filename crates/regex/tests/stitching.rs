@@ -74,7 +74,7 @@ proptest! {
     fn sharded_equals_concatenated_equals_naive(
         pat in arb_pattern(),
         input in prop::collection::vec(0u8..6, 0..40),
-        cuts in prop::collection::vec(0usize..64, 0..6),
+        cuts in prop::collection::vec(0usize..64, 0..13),
     ) {
         // Map the small byte range onto the pattern alphabet plus noise.
         let input: Vec<u8> = input
@@ -96,7 +96,7 @@ proptest! {
                 table,
                 &pat
             );
-            for threads in [1, 2, 3, 8] {
+            for threads in [1, 2, 3, 5, 8] {
                 prop_assert_eq!(
                     re.find_sharded(&shards, threads),
                     sequential.clone(),
