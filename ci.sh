@@ -13,14 +13,18 @@
 #                         simulator bench (interp_vs_msc) in their
 #                         --test smoke configuration (small sizes, 2
 #                         samples) and the bench-regression gates (one
-#                         claims -- setops regex explosion --check run),
-#                         which re-measure the setops speedups, the regex
-#                         throughput, and the out-of-core explosion
-#                         conversion and fail if they regress past the
-#                         gate table's tolerances against
-#                         BENCH_setops.json / BENCH_regex.json /
-#                         BENCH_explosion.json, or if a gated key is
-#                         missing from either side
+#                         claims -- setops regex explosion --check run)
+#                         against BENCH_setops.json / BENCH_regex.json /
+#                         BENCH_explosion.json: counts and invariants
+#                         (spans agree, spilled == in-RAM, meta states)
+#                         fail anywhere, as does a gated key missing
+#                         from either side; the in-process ratios
+#                         (speedups, thread ratios, spilled vs in-RAM)
+#                         and each bench's one catastrophe floor fail
+#                         only on the machine whose env (nproc, cpu,
+#                         simd_lanes) the file carries and print
+#                         report-only elsewhere. No gate judges a
+#                         wall-clock number: that is perf/'s job
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
@@ -28,16 +32,22 @@
 #                         read /metrics and fail unless the smoke was
 #                         answered on both threads (serve.resident_answers
 #                         and serve.dispatched > 0) with nothing shed, run
-#                         the serve bench-regression gate (claims --
-#                         serve --check vs BENCH_serve.json), and check
+#                         the serve gate (claims -- serve --check vs
+#                         BENCH_serve.json: a 16-wide burst of identical
+#                         cold requests on an in-process daemon costs
+#                         exactly one compilation, zero errors; throughput
+#                         and latency are perf/'s serve_mixed), and check
 #                         that SIGINT drains the daemon cleanly
 #   ./ci.sh cluster-smoke additionally run the cluster bench-regression
 #                         gate (claims -- cluster --check vs
 #                         BENCH_cluster.json), which boots real `mscc
 #                         serve` daemons, warms one, and asserts the
 #                         other serves the workload entirely over
-#                         GET /artifact/{key} peer fetches; daemon logs
-#                         from cluster-logs/ are dumped on failure
+#                         GET /artifact/{key} peer fetches, that a dead
+#                         fleet adds no more than the peer tier's own
+#                         total deadline (as /healthz reports it), and
+#                         that a corrupt peer fails verification; daemon
+#                         logs from cluster-logs/ are dumped on failure
 #   ./ci.sh fuzz-smoke    additionally run the differential fuzzer over
 #                         the full in-process oracle matrix (including
 #                         the regex differential oracle) with a fixed
@@ -133,7 +143,8 @@ git diff --exit-code -- perf BENCHMARK.json
 
 # One bench-regression gate run: re-measure the named benches and hold
 # them against their committed BENCH_<name>.json (every gated metric and
-# its rule is one row of crates/bench/src/gate.rs).
+# its rule is one row of crates/bench/src/gate.rs; timing-derived rows
+# bite only on the machine the file's env names).
 gate() {
     echo "== bench regression gate: claims -- $* --check =="
     cargo run --release -p msc-bench --bin claims -- "$@" --check
@@ -195,6 +206,7 @@ if [ "$MODE" = "serve-smoke" ]; then
         echo "serve smoke: want resident_answers > 0, dispatched > 0, shed == 0" >&2
         exit 1
     fi
+    # The burst + invariants, on an in-process daemon of its own.
     gate serve
     echo "== serve smoke: SIGINT drains the daemon =="
     kill -INT "$SERVE_PID"

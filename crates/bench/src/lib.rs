@@ -7,7 +7,9 @@
 //! [`gate`] is the regression gate over the six committed `BENCH_*.json`
 //! files: one table of gated metrics per bench, one check, one writer.
 //! The measurements it drives live in [`timed`] (setops, explosion,
-//! regex), [`loadbench`] (serve), [`cluster`] and [`sweep`].
+//! regex), [`loadbench`] (serve), [`cluster`] and [`sweep`]. They pin
+//! counts, invariants and ratios taken inside one process; wall-clock
+//! numbers are judged by the `perf/` package, nowhere here.
 
 pub mod baseline;
 pub mod cluster;

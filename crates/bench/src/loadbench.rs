@@ -1,17 +1,15 @@
-//! Shared load-harness pieces for the msc-serve daemon.
-//!
-//! One source of truth for the workload mix, the endpoint smoke checks,
-//! and the `BENCH_serve.json` measurement, used by both the `loadgen`
-//! binary (any daemon, any client count) and the `serve` row of
-//! [`crate::gate::BENCHES`] (`claims -- serve [--check]`).
+//! Shared client-side pieces for the msc-serve daemon: the endpoint smoke
+//! checks behind `loadgen --smoke` and the `BENCH_serve.json` measurement
+//! behind the `serve` row of [`crate::gate::BENCHES`] (`claims -- serve
+//! [--check]`) — the coalesce burst and its invariants. How fast the
+//! daemon answers is `perf`'s `serve_mixed`, not measured here.
 
 use msc_obs::json::Json;
 use msc_serve::client::Client;
 use msc_serve::{ServeOptions, Server, ServerHandle};
 use std::time::{Duration, Instant};
 
-/// The warm-cache source pool: ~90% of load-phase requests rotate
-/// through these four programs.
+/// The sources the smoke checks compile.
 pub const HIT_POOL: [&str; 4] = [
     "main() { poly int x; x = pe_id() * 2 + 1; return(x); }",
     "main() { poly int x, acc = 0; x = pe_id() % 4; while (x > 0) { acc += x; x -= 1; } return(acc); }",
@@ -30,15 +28,6 @@ pub fn miss_source(salt: u64) -> String {
 /// JSON request body for `POST /compile`.
 pub fn compile_body(source: &str) -> String {
     Json::obj(vec![("source", Json::from(source))]).render()
-}
-
-/// Nearest-rank percentile over an already-sorted latency vector (ns).
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Poll `/healthz` until it answers 200 or the budget runs out.
@@ -227,122 +216,52 @@ pub fn smoke(addr: &str) -> bool {
     ok
 }
 
-/// The coalesce burst: `n` concurrent identical cold compiles must cost
-/// exactly one compilation (one `cache.miss`), the rest splitting into
-/// `engine.coalesced` + `cache.hit`. Returns `(compilations, coalesced)`.
-pub fn coalesce_burst(addr: &str, n: usize) -> (u64, u64) {
+/// Width of the coalesce burst.
+const BURST: usize = 16;
+
+/// The coalesce burst: [`BURST`] concurrent identical cold compiles must
+/// cost exactly one compilation (one `cache.miss`), the rest splitting
+/// into `engine.coalesced` + `cache.hit`. Returns `(compilations,
+/// coalesced, errors)`, an error being a request that was not answered
+/// 200.
+fn coalesce_burst(addr: &str) -> (u64, u64, u64) {
     let miss_before = counter(addr, "cache.miss");
-    let source = miss_source(999_999_983);
-    let body = compile_body(&source);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
+    let body = compile_body(&miss_source(999_999_983));
+    let errors = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..BURST)
             .map(|_| {
                 let body = &body;
                 s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("burst connect");
-                    let r = c
-                        .request("POST", "/compile", Some(body))
-                        .expect("burst request");
-                    assert_eq!(r.status, 200, "burst request failed: {}", r.body);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("burst client");
-        }
-    });
-    let compilations = counter(addr, "cache.miss") - miss_before;
-    let coalesced = counter(addr, "engine.coalesced");
-    (compilations, coalesced)
-}
-
-/// Aggregate result of one [`load_phase`].
-pub struct LoadReport {
-    pub requests: u64,
-    pub errors: u64,
-    pub elapsed: Duration,
-    /// Sorted per-request latencies in nanoseconds.
-    pub latencies: Vec<u64>,
-}
-
-/// Drive `clients` keep-alive connections at the daemon for `duration`,
-/// ~90% warm-pool compiles and ~10% unique sources.
-pub fn load_phase(addr: &str, clients: usize, duration: Duration) -> LoadReport {
-    let t0 = Instant::now();
-    let per_client: Vec<(u64, u64, Vec<u64>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("client connect");
-                    let (mut n, mut errors) = (0u64, 0u64);
-                    let mut lat = Vec::with_capacity(4096);
-                    let deadline = Instant::now() + duration;
-                    while Instant::now() < deadline {
-                        // ~10% of requests are never-seen sources (cache
-                        // misses); the rest rotate through the hit pool.
-                        let body = if n % 10 == 9 {
-                            compile_body(&miss_source(i as u64 * 1_000_000 + n))
-                        } else {
-                            compile_body(HIT_POOL[(n % 4) as usize])
-                        };
-                        let t = Instant::now();
-                        match c.request("POST", "/compile", Some(&body)) {
-                            Ok(r) if r.status == 200 => lat.push(t.elapsed().as_nanos() as u64),
-                            Ok(_) | Err(_) => {
-                                errors += 1;
-                                // The connection may be gone after an error.
-                                c = Client::connect(addr).expect("client reconnect");
-                            }
-                        }
-                        n += 1;
-                    }
-                    (n, errors, lat)
+                    Client::connect(addr)
+                        .and_then(|mut c| c.request("POST", "/compile", Some(body)))
+                        .map_or(true, |r| r.status != 200)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
+            .map(|h| u64::from(h.join().expect("burst client")))
+            .sum()
     });
-    let elapsed = t0.elapsed();
-    let mut latencies = Vec::new();
-    let (mut requests, mut errors) = (0, 0);
-    for (n, e, l) in per_client {
-        requests += n;
-        errors += e;
-        latencies.extend(l);
-    }
-    latencies.sort_unstable();
-    LoadReport {
-        requests,
-        errors,
-        elapsed,
-        latencies,
-    }
+    let compilations = counter(addr, "cache.miss") - miss_before;
+    (compilations, counter(addr, "engine.coalesced"), errors)
 }
-
-/// Client count the committed serve baseline is measured at.
-pub const BASELINE_CLIENTS: usize = 80;
 
 /// The daemon to drive: the one at `addr`, or an in-process one on an
 /// ephemeral port (the handle comes back so the caller can drain it).
 ///
 /// Under the epoll reactor the worker pool only runs compute, so the
 /// default sizing applies; the portable driver (non-Linux targets)
-/// parks one worker per keep-alive connection and needs `workers >=
-/// clients` plus burst headroom to avoid queueing stalls.
-pub fn attach(
-    addr: Option<&str>,
-    clients: usize,
-) -> Result<(String, Option<ServerHandle>), String> {
+/// parks one worker per keep-alive connection and needs a worker per
+/// burst client plus one for the `/metrics` reads.
+pub fn attach(addr: Option<&str>) -> Result<(String, Option<ServerHandle>), String> {
     let (addr, handle) = match addr {
         Some(addr) => (addr.to_string(), None),
         None => {
             let workers = if msc_serve::reactor_available() {
                 0 // ServeOptions default: one worker per available core
             } else {
-                clients + 17
+                BURST + 1
             };
             let handle = Server::start(ServeOptions {
                 addr: "127.0.0.1:0".to_string(),
@@ -363,89 +282,32 @@ pub fn attach(
     Err(format!("daemon at {addr} never became healthy"))
 }
 
-/// One `BENCH_serve.json` measurement against the daemon at `addr`
-/// (`None`: an in-process one, drained afterwards): warm the hit pool,
-/// run one load phase and one 16-wide coalesce burst. Returns the file
-/// body.
-pub fn measure_serve(
-    addr: Option<&str>,
-    clients: usize,
-    duration: Duration,
-) -> Result<Json, String> {
-    let (addr, handle) = attach(addr, clients)?;
-    let body = drive(&addr, clients, duration);
+/// One `BENCH_serve.json` measurement: an in-process daemon, one coalesce
+/// burst, drained afterwards. Returns the file body.
+pub fn measure_serve() -> Result<Json, String> {
+    let (addr, handle) = attach(None)?;
+    let (compilations, coalesced, errors) = coalesce_burst(&addr);
+    let shed = counter(&addr, "serve.shed");
     if let Some(h) = handle {
         h.shutdown();
     }
-    body
-}
-
-fn drive(addr: &str, clients: usize, duration: Duration) -> Result<Json, String> {
     println!(
-        "{clients} clients x {}ms against {addr}",
-        duration.as_millis()
+        "coalesce burst against {addr}: {BURST} identical cold requests -> {compilations} \
+         compilation(s), {coalesced} coalesced, {errors} error(s), {shed} shed"
     );
-    // Warm the cache so the measured phase is the advertised ~90% hit mix.
-    let mut c = Client::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
-    for src in HIT_POOL {
-        let r = c
-            .request("POST", "/compile", Some(&compile_body(src)))
-            .map_err(|e| format!("warmup compile: {e}"))?;
-        if r.status != 200 {
-            return Err(format!("warmup failed: {}", r.body));
-        }
-    }
-    drop(c);
-    let report = load_phase(addr, clients, duration);
-    let throughput = report.requests as f64 / report.elapsed.as_secs_f64();
-    let ms = |p: f64| percentile(&report.latencies, p) as f64 / 1e6;
-    let (p50, p90, p99, max) = (ms(50.0), ms(90.0), ms(99.0), ms(100.0));
-    println!(
-        "requests: {} ({} errors) in {:.2}s -> {throughput:.0} req/s",
-        report.requests,
-        report.errors,
-        report.elapsed.as_secs_f64(),
-    );
-    println!("latency: p50 {p50:.3}ms  p90 {p90:.3}ms  p99 {p99:.3}ms  max {max:.3}ms");
-    const BURST: usize = 16;
-    let (compilations, coalesced) = coalesce_burst(addr, BURST);
-    println!(
-        "coalesce burst: {BURST} identical cold requests -> {compilations} compilation(s), \
-         engine.coalesced total {coalesced}"
-    );
+    println!("\nshape check: singleflight + the cache make the whole burst cost one compile");
     Ok(Json::obj([
         (
             "workload",
-            Json::from("POST /compile, ~90% warm-cache pool of 4 sources, ~10% unique sources"),
+            Json::from("one burst of identical cold POST /compile requests, in-process daemon"),
         ),
-        ("clients", Json::from(clients)),
-        ("duration_ms", Json::from(duration.as_millis() as u64)),
-        ("requests", Json::from(report.requests)),
-        ("errors", Json::from(report.errors)),
-        ("shed", Json::from(counter(addr, "serve.shed"))),
-        ("throughput_rps", Json::from(throughput)),
-        (
-            "latency_ms",
-            Json::obj([
-                ("p50", Json::from(p50)),
-                ("p90", Json::from(p90)),
-                ("p99", Json::from(p99)),
-                ("max", Json::from(max)),
-            ]),
-        ),
+        ("errors", Json::from(errors)),
+        ("shed", Json::from(shed)),
         (
             "coalesce_burst",
             Json::obj([
                 ("requests", Json::from(BURST)),
                 ("compilations", Json::from(compilations)),
-            ]),
-        ),
-        (
-            "targets",
-            Json::obj([
-                ("throughput_rps_min", Json::from(5_000u64)),
-                ("p99_ms_max", Json::from(50u64)),
-                ("burst_compilations", Json::from(1u64)),
             ]),
         ),
     ]))

@@ -2,7 +2,7 @@
 //!
 //! A cache key is a 128-bit SipHash-2-4 fingerprint of everything that
 //! determines a compiled output. The artifacts behind those keys live in
-//! *tiers*, each implementing [`CacheTier`]:
+//! three *tiers*:
 //!
 //! - [`MemoryTier`] — bounded in-process LRU.
 //! - [`DiskTier`] — one text file per key, written via an atomic
@@ -212,20 +212,6 @@ pub trait Codec<A>: Sync {
     fn decode(&self, text: &str) -> Option<A>;
 }
 
-/// One storage tier. Implementations must tolerate arbitrary
-/// concurrency and degrade failures to misses — a sick tier never fails
-/// a compile, it just stops saving work.
-pub trait CacheTier<A>: Send + Sync {
-    /// Which layer this tier reports hits as.
-    fn layer(&self) -> CacheLayer;
-    /// Look up `key`; `None` is a miss at this tier.
-    fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>>;
-    /// Store an artifact (promotion or fresh insert). Best effort.
-    fn store(&self, key: CacheKey, artifact: &Arc<A>, codec: &dyn Codec<A>);
-    /// Introspection snapshot for `/healthz`.
-    fn status(&self) -> TierStatus;
-}
-
 /// Point-in-time tier introspection, surfaced on `/healthz`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TierStatus {
@@ -324,7 +310,7 @@ impl<A: Send + Sync> TieredCache<A> {
         let artifact = self.disk.as_ref()?.fetch(key, codec)?;
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
         msc_obs::count("cache.disk_hit", 1);
-        self.memory.store(key, &artifact, codec);
+        self.memory.put(key, &artifact);
         Some((artifact, CacheLayer::Disk))
     }
 
@@ -340,7 +326,7 @@ impl<A: Send + Sync> TieredCache<A> {
         if let Some(disk) = &self.disk {
             disk.store(key, &artifact, codec);
         }
-        self.memory.store(key, &artifact, codec);
+        self.memory.put(key, &artifact);
         Some(artifact)
     }
 
@@ -359,7 +345,7 @@ impl<A: Send + Sync> TieredCache<A> {
         if let Some(disk) = &self.disk {
             disk.store(key, &artifact, codec);
         }
-        self.memory.store(key, &artifact, codec);
+        self.memory.put(key, &artifact);
     }
 
     /// Serialize a locally cached artifact for the peer protocol:
@@ -404,9 +390,7 @@ impl<A: Send + Sync> TieredCache<A> {
     pub fn tier_status(&self) -> Vec<TierStatus> {
         let mut out = vec![self.memory.status()];
         out.extend(self.disk.iter().map(|disk| disk.status()));
-        if let Some(peers) = &self.peers {
-            out.push(CacheTier::<A>::status(peers));
-        }
+        out.extend(self.peers.iter().map(|peers| peers.status()));
         out
     }
 }

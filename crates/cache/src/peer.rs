@@ -13,7 +13,7 @@
 //! truncated bodies degrade to a miss and are counted
 //! (`cache.peer_verify_fail`).
 
-use crate::{wire, CacheKey, CacheLayer, CacheTier, Codec, TierStatus};
+use crate::{wire, CacheKey, Codec, TierStatus};
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
@@ -179,9 +179,8 @@ struct Peer {
 }
 
 /// The peer tier: an ordered list of sibling daemons tried in turn.
-/// [`CacheTier::store`] is a no-op — peers are read-through only; a
-/// node shares what it compiled by serving `GET /artifact/{key}`, not
-/// by pushing.
+/// Peers are read-through only: a node shares what it compiled by
+/// serving `GET /artifact/{key}`, not by pushing.
 pub struct PeerTier<A> {
     peers: Vec<Peer>,
     cfg: PeerConfig,
@@ -223,14 +222,10 @@ impl<A> PeerTier<A> {
     pub fn config(&self) -> &PeerConfig {
         &self.cfg
     }
-}
 
-impl<A: Send + Sync> CacheTier<A> for PeerTier<A> {
-    fn layer(&self) -> CacheLayer {
-        CacheLayer::Peer
-    }
-
-    fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
+    /// Ask each admitted peer in turn for `key` inside one total
+    /// deadline; `None` when no peer produced a verified artifact.
+    pub fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
         let deadline = Instant::now() + self.cfg.total_deadline;
         for peer in &self.peers {
             let now = Instant::now();
@@ -289,9 +284,8 @@ impl<A: Send + Sync> CacheTier<A> for PeerTier<A> {
         None
     }
 
-    fn store(&self, _key: CacheKey, _artifact: &Arc<A>, _codec: &dyn Codec<A>) {}
-
-    fn status(&self) -> TierStatus {
+    /// Introspection snapshot for `/healthz`.
+    pub fn status(&self) -> TierStatus {
         TierStatus::Peers {
             peers: self.statuses(),
             total_deadline: self.cfg.total_deadline,

@@ -1,6 +1,6 @@
 //! Local storage tiers: the in-process LRU and the on-disk layer.
 
-use crate::{CacheKey, CacheLayer, CacheTier, Codec, TierStatus};
+use crate::{CacheKey, Codec, TierStatus};
 use msc_ir::util::FxHashMap;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -59,8 +59,7 @@ impl<A> MemoryTier<A> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Read `key` and mark it most recently used: the tier's
-    /// [`fetch`](CacheTier::fetch), for callers that hold no codec.
+    /// Read `key` and mark it most recently used.
     pub fn touch(&self, key: CacheKey) -> Option<Arc<A>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -80,18 +79,10 @@ impl<A> MemoryTier<A> {
             .get(&key)
             .map(|e| Arc::clone(&e.artifact))
     }
-}
 
-impl<A: Send + Sync> CacheTier<A> for MemoryTier<A> {
-    fn layer(&self) -> CacheLayer {
-        CacheLayer::Memory
-    }
-
-    fn fetch(&self, key: CacheKey, _codec: &dyn Codec<A>) -> Option<Arc<A>> {
-        self.touch(key)
-    }
-
-    fn store(&self, key: CacheKey, artifact: &Arc<A>, _codec: &dyn Codec<A>) {
+    /// File `artifact` under `key` as most recently used, evicting the
+    /// least recently used entries past the capacity.
+    pub fn put(&self, key: CacheKey, artifact: &Arc<A>) {
         if self.capacity == 0 {
             return;
         }
@@ -120,7 +111,8 @@ impl<A: Send + Sync> CacheTier<A> for MemoryTier<A> {
         }
     }
 
-    fn status(&self) -> TierStatus {
+    /// Introspection snapshot for `/healthz`.
+    pub fn status(&self) -> TierStatus {
         TierStatus::Memory {
             entries: self.len(),
             capacity: self.capacity,
@@ -168,19 +160,16 @@ impl<A> DiskTier<A> {
         let text = std::fs::read_to_string(self.path(key)).ok()?;
         text.starts_with("mscache v1\n").then_some(text)
     }
-}
 
-impl<A: Send + Sync> CacheTier<A> for DiskTier<A> {
-    fn layer(&self) -> CacheLayer {
-        CacheLayer::Disk
-    }
-
-    fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
+    /// Read and decode `key`'s file; `None` is a miss (absent, unreadable
+    /// or undecodable).
+    pub fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
         let text = std::fs::read_to_string(self.path(key)).ok()?;
         codec.decode(&text).map(Arc::new)
     }
 
-    fn store(&self, key: CacheKey, artifact: &Arc<A>, codec: &dyn Codec<A>) {
+    /// Persist an artifact (promotion or fresh insert). Best effort.
+    pub fn store(&self, key: CacheKey, artifact: &Arc<A>, codec: &dyn Codec<A>) {
         let _ = std::fs::create_dir_all(&self.dir);
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
@@ -200,7 +189,8 @@ impl<A: Send + Sync> CacheTier<A> for DiskTier<A> {
         }
     }
 
-    fn status(&self) -> TierStatus {
+    /// Introspection snapshot for `/healthz`.
+    pub fn status(&self) -> TierStatus {
         TierStatus::Disk {
             dir: self.dir.display().to_string(),
         }
@@ -222,15 +212,15 @@ mod tests {
         let keys: Vec<CacheKey> = (0..3)
             .map(|i| crate::content_key("lru", &[&[i as u8]]))
             .collect();
-        tier.store(keys[0], &Arc::new("a".into()), &StrCodec);
-        tier.store(keys[1], &Arc::new("b".into()), &StrCodec);
+        tier.put(keys[0], &Arc::new("a".into()));
+        tier.put(keys[1], &Arc::new("b".into()));
         // Touch key 0 so key 1 becomes the LRU victim.
-        assert!(tier.fetch(keys[0], &StrCodec).is_some());
-        tier.store(keys[2], &Arc::new("c".into()), &StrCodec);
+        assert!(tier.touch(keys[0]).is_some());
+        tier.put(keys[2], &Arc::new("c".into()));
         assert_eq!(tier.len(), 2);
-        assert!(tier.fetch(keys[0], &StrCodec).is_some());
-        assert!(tier.fetch(keys[1], &StrCodec).is_none());
-        assert!(tier.fetch(keys[2], &StrCodec).is_some());
+        assert!(tier.touch(keys[0]).is_some());
+        assert!(tier.touch(keys[1]).is_none());
+        assert!(tier.touch(keys[2]).is_some());
         assert_eq!(tier.evictions(), 1);
     }
 
@@ -238,8 +228,8 @@ mod tests {
     fn zero_capacity_disables_the_memory_tier() {
         let tier: MemoryTier<String> = MemoryTier::new(0);
         let key = crate::content_key("zero", &[b"k"]);
-        tier.store(key, &Arc::new("a".into()), &StrCodec);
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        tier.put(key, &Arc::new("a".into()));
+        assert!(tier.touch(key).is_none());
         assert_eq!(tier.len(), 0);
     }
 

@@ -648,8 +648,8 @@ fn engine_for(opts: &CommonOpts) -> Engine {
 }
 
 /// Average and maximum meta-state width, read off the automaton rendering
-/// (`ms_3 {0,5} -> …`, one meta state per line): an artifact of any
-/// provenance carries the text, only a fresh one the automaton.
+/// (`ms_3 {0,5} -> …`, one meta state per line), which is what an
+/// artifact carries of the automaton.
 fn widths(automaton_text: &str) -> (f64, usize) {
     let (mut states, mut total, mut max) = (0usize, 0usize, 0usize);
     for line in automaton_text.lines() {
@@ -714,9 +714,10 @@ fn compile_source(
     Ok((engine, out))
 }
 
-/// `mscc build`. Artifacts reloaded from the disk cache carry the program
-/// and automaton text but not the in-memory IR, so `--emit dot|graph`
-/// rebuilds it for them.
+/// `mscc build`. What the cache stores is the program and the automaton
+/// text; the IR `--emit dot|graph` draw comes from
+/// [`metastate::engine::compile_stages`] on the command's `--jobs`,
+/// whatever the artifact's provenance.
 fn execute_build(
     file: &str,
     emit: &Emit,
@@ -725,6 +726,14 @@ fn execute_build(
 ) -> Result<String, CliError> {
     let (engine, out) = compile_source(file, src, opts)?;
     let artifact = &out.artifact;
+    let stages = || {
+        metastate::engine::compile_stages(
+            &build_pipeline(src, opts).into_job(file),
+            engine.threads(),
+            None,
+        )
+        .map_err(|e| CliError(e.to_string()))
+    };
     let mut text = match emit {
         Emit::Automaton => {
             let (avg, max) = widths(&artifact.automaton_text);
@@ -735,31 +744,13 @@ fn execute_build(
         }
         Emit::Mpl => metastate::render_mpl(&artifact.simd),
         Emit::Asm => msc_simd::serialize_asm(&artifact.simd),
-        Emit::Dot => match &artifact.automaton {
-            Some(a) => a.dot(),
-            None => classic_built(src, opts)?.automaton.dot(),
-        },
-        Emit::Graph => {
-            let graph_text =
-                |p: &msc_lang::Program| msc_ir::render::text(&p.graph, &CostModel::default());
-            match &artifact.compiled {
-                Some(p) => graph_text(p),
-                None => graph_text(&classic_built(src, opts)?.compiled),
-            }
-        }
+        Emit::Dot => stages()?.automaton.dot(),
+        Emit::Graph => msc_ir::render::text(&stages()?.compiled.graph, &CostModel::default()),
     };
     if opts.stats {
         text.push_str(&stats_block(artifact, out.provenance, &engine));
     }
     Ok(text)
-}
-
-/// The in-memory IR a disk- or peer-cached artifact lacks, from a plain
-/// [`Pipeline::build`] of the same source and options.
-fn classic_built(src: &str, opts: &CommonOpts) -> Result<metastate::Built, CliError> {
-    build_pipeline(src, opts)
-        .build()
-        .map_err(|e| CliError(e.to_string()))
 }
 
 fn mode_name(mode: ConvertMode) -> &'static str {

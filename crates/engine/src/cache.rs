@@ -9,10 +9,6 @@
 //! format `msc_simd::asm`, plus conversion stats and the automaton
 //! rendering), and [`CompileCache`] wraps `TieredCache<Artifact>` with
 //! the engine-facing API the rest of the workspace already speaks.
-//!
-//! Disk and peer artifacts reload the executable program but not the
-//! full automaton or front-end IR, so [`Artifact::automaton`] /
-//! [`Artifact::compiled`] are `None` for them.
 
 use crate::{Artifact, PhaseTimings};
 use msc_cache::{Codec, PeerConfig, TierStatus, TieredCache};
@@ -262,9 +258,7 @@ fn read_disk_artifact(text: &str, costs: &CostModel) -> Option<Artifact> {
         meta_states,
         timings,
         ret_addr,
-        automaton: None,
         automaton_text,
-        compiled: None,
     })
 }
 
@@ -304,8 +298,6 @@ mod tests {
             timings: PhaseTimings::default(),
             ret_addr: program.layout.main_ret,
             simd,
-            automaton: Some(automaton),
-            compiled: Some(program),
         })
     }
 
@@ -355,7 +347,6 @@ mod tests {
             msc_simd::asm::serialize(&art.simd),
             "assembly round-trips exactly"
         );
-        assert!(reloaded.automaton.is_none(), "disk artifacts are partial");
         // Second lookup is served from memory (promotion happened).
         let (_, layer) = cache.lookup(key, &c.costs).expect("memory hit");
         assert_eq!(layer, CacheLayer::Memory);

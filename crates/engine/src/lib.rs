@@ -152,10 +152,9 @@ pub fn compile_stages(
     })
 }
 
-/// Everything one compilation produced. Artifacts restored from the disk
-/// cache carry the executable program and summary data but not the
-/// in-memory IR ([`automaton`](Self::automaton) /
-/// [`compiled`](Self::compiled) are `None` for them).
+/// What the cache stores of one compilation: the executable program and
+/// summary data, the same value from memory, disk or a peer. The
+/// in-memory IR is [`compile_stages`]' to hand out, not the cache's.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The executable SIMD program.
@@ -169,12 +168,8 @@ pub struct Artifact {
     pub timings: PhaseTimings,
     /// Where `main`'s return value lands, if it returns one.
     pub ret_addr: Option<msc_ir::Addr>,
-    /// Text rendering of the automaton (always available, even from disk).
+    /// Text rendering of the automaton.
     pub automaton_text: String,
-    /// The meta-state automaton (`None` when restored from disk).
-    pub automaton: Option<MetaAutomaton>,
-    /// Front-end output (`None` when restored from disk).
-    pub compiled: Option<Program>,
 }
 
 /// One compilation request.
@@ -247,19 +242,6 @@ pub struct Compiled {
     /// The key it was looked up (and is cached) under: [`job_key`] of
     /// the job, computed once.
     pub key: CacheKey,
-}
-
-/// One slot of [`Engine::compile_many_with_metrics`]: the job's outcome
-/// plus a per-job metrics bundle (cache provenance, conversion counters,
-/// phase timings, failure flags) assembled by the engine regardless of
-/// whether a global [`msc_obs`] subscriber is installed.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// The job's result — identical to the matching
-    /// [`Engine::compile_many`] slot.
-    pub result: Result<Compiled, EngineError>,
-    /// Metrics for this job alone.
-    pub metrics: msc_obs::MetricsSnapshot,
 }
 
 /// Failures of [`Engine::compile`] / one slot of [`Engine::compile_many`].
@@ -459,28 +441,17 @@ impl Engine {
     /// Compile a batch. Jobs are distributed over a pool of up to
     /// [`threads`](Self::threads) workers (conversion threads are divided
     /// among concurrent jobs); each slot carries its own job's outcome —
-    /// an error or panic in one job never affects its neighbours.
+    /// an error or panic in one job never affects its neighbours, it
+    /// shows up as an `engine.job_failed` (and `engine.job_panicked`)
+    /// count on the installed [`msc_obs`] subscriber.
     pub fn compile_many(&self, jobs: &[Job]) -> Vec<Result<Compiled, EngineError>> {
-        self.compile_many_with_metrics(jobs)
-            .into_iter()
-            .map(|o| o.result)
-            .collect()
-    }
-
-    /// [`compile_many`](Self::compile_many), additionally returning a
-    /// per-job [`msc_obs::MetricsSnapshot`] alongside each result. A job
-    /// that panics is contained to its slot and shows up with an
-    /// `engine.job_failed` (and `engine.job_panicked`) count instead of
-    /// poisoning the pool; the same counters are emitted to the global
-    /// [`msc_obs`] subscriber when one is installed.
-    pub fn compile_many_with_metrics(&self, jobs: &[Job]) -> Vec<BatchOutcome> {
         if jobs.is_empty() {
             return Vec::new();
         }
         let pool = self.threads().min(jobs.len()).max(1);
         let per_job_threads = (self.threads() / pool).max(1);
         let next = AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Option<BatchOutcome>>> =
+        let results: Vec<parking_lot::Mutex<Option<Result<Compiled, EngineError>>>> =
             jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
         crossbeam::thread::scope(|s| {
             for _ in 0..pool {
@@ -503,8 +474,7 @@ impl Engine {
                     if result.is_err() {
                         msc_obs::count("engine.job_failed", 1);
                     }
-                    let metrics = job_metrics(&result);
-                    *results[i].lock() = Some(BatchOutcome { result, metrics });
+                    *results[i].lock() = Some(result);
                 });
             }
         })
@@ -620,8 +590,6 @@ impl Engine {
             timings: s.timings,
             ret_addr: s.compiled.layout.main_ret,
             automaton_text: s.automaton.text(),
-            automaton: Some(s.automaton),
-            compiled: Some(s.compiled),
         });
         self.jobs_compiled.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(key, Arc::clone(&artifact));
@@ -644,65 +612,6 @@ pub fn job_key(job: &Job) -> CacheKey {
         job.optimize,
         job.minimize,
     )
-}
-
-/// Assemble a job's private metrics bundle from data the engine already
-/// holds: cache provenance, the artifact's conversion counters, and the
-/// phase timings of the compile that produced it. Failures are flagged
-/// with `engine.job_failed` / `engine.job_panicked` counts.
-fn job_metrics(result: &Result<Compiled, EngineError>) -> msc_obs::MetricsSnapshot {
-    use msc_obs::Event;
-    let reg = msc_obs::Registry::new();
-    match result {
-        Ok(c) => {
-            let provenance = match c.provenance {
-                Provenance::Fresh => "cache.miss",
-                Provenance::Memory => "cache.hit",
-                Provenance::Disk => "cache.disk_hit",
-                Provenance::Peer => "cache.peer_hit",
-                Provenance::Coalesced => "engine.coalesced",
-            };
-            reg.record(&Event::Count {
-                name: provenance,
-                delta: 1,
-            });
-            let s = &c.artifact.stats;
-            for (name, v) in [
-                ("convert.restarts", s.restarts as u64),
-                ("convert.splits", s.splits as u64),
-                ("convert.subsumed", s.subsumed as u64),
-                ("convert.successor_sets", s.successor_sets_enumerated),
-            ] {
-                reg.record(&Event::Count { name, delta: v });
-            }
-            if c.provenance == Provenance::Fresh {
-                let t = &c.artifact.timings;
-                for (name, d) in [
-                    ("engine.phase.compile", t.compile),
-                    ("engine.phase.convert", t.convert),
-                    ("engine.phase.codegen", t.codegen),
-                ] {
-                    reg.record(&Event::Span {
-                        name,
-                        nanos: d.as_nanos() as u64,
-                    });
-                }
-            }
-        }
-        Err(e) => {
-            reg.record(&Event::Count {
-                name: "engine.job_failed",
-                delta: 1,
-            });
-            if matches!(e, EngineError::Panicked { .. }) {
-                reg.record(&Event::Count {
-                    name: "engine.job_panicked",
-                    delta: 1,
-                });
-            }
-        }
-    }
-    reg.snapshot()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -735,7 +644,6 @@ mod tests {
         let job = Job::new("p", PROG);
         let first = engine.compile(&job).unwrap();
         assert_eq!(first.provenance, Provenance::Fresh);
-        assert!(first.artifact.automaton.is_some());
         let second = engine.compile(&job).unwrap();
         assert_eq!(second.provenance, Provenance::Memory);
         assert!(
@@ -836,7 +744,7 @@ mod tests {
     #[test]
     fn batch_panic_isolated_and_emits_job_failed_metric() {
         let registry = Arc::new(msc_obs::Registry::new());
-        let outcomes = {
+        let results = {
             let _guard = msc_obs::install(registry.clone());
             let engine = Engine::new(EngineOptions {
                 threads: 4,
@@ -847,27 +755,15 @@ mod tests {
                 Job::new("__panic_for_test__", PROG),
                 Job::new("good-2", "main() { poly int v; v = 3; return(v); }"),
             ];
-            engine.compile_many_with_metrics(&jobs)
+            engine.compile_many(&jobs)
         };
-        // The panicking job is contained to its slot...
-        assert!(outcomes[0].result.is_ok());
-        assert!(
-            matches!(&outcomes[1].result, Err(EngineError::Panicked { job, .. })
-                if job == "__panic_for_test__")
-        );
-        assert!(outcomes[2].result.is_ok());
-        // ...and flagged in its own metrics bundle, not its neighbours'.
-        assert_eq!(outcomes[1].metrics.counter("engine.job_failed"), 1);
-        assert_eq!(outcomes[1].metrics.counter("engine.job_panicked"), 1);
-        assert_eq!(outcomes[0].metrics.counter("engine.job_failed"), 0);
-        assert_eq!(
-            outcomes[0].metrics.counter("cache.miss"),
-            1,
-            "fresh compile"
-        );
-        assert!(outcomes[0].metrics.span("engine.phase.convert").is_some());
-        // The global subscriber saw the failure too (>=: other tests in
-        // this process may run failing batches concurrently).
+        // The panicking job is contained to its slot.
+        assert!(results[0].is_ok());
+        assert!(matches!(&results[1], Err(EngineError::Panicked { job, .. })
+                if job == "__panic_for_test__"));
+        assert!(results[2].is_ok());
+        // The installed subscriber saw the failure (>=: other tests in this
+        // process may run failing batches concurrently).
         let snap = registry.snapshot();
         assert!(snap.counter("engine.job_failed") >= 1);
         assert!(snap.counter("engine.job_panicked") >= 1);
@@ -1057,10 +953,6 @@ mod tests {
             compiled.artifact.automaton_text
         );
         assert_eq!(got.artifact.meta_states, compiled.artifact.meta_states);
-        assert!(
-            got.artifact.automaton.is_none(),
-            "peer artifacts are partial, like disk reloads"
-        );
         let s = node_b.cache_stats();
         assert_eq!((s.peer_hits, s.misses), (1, 0), "{s:?}");
         // The fetched artifact was promoted: the repeat is a memory hit,

@@ -408,16 +408,11 @@ fn run_interp(src: &str, total: usize, live: usize, bound: u64) -> Result<Execut
     })
 }
 
-/// The `wr` slot of an artifact's front-end layout. Only fresh compiles
-/// carry the front-end program — disk-cache hits rebuild just the SIMD
-/// side — so cache round-trips must take the address from their cold
-/// compile instead.
-fn wr_addr(artifact: &msc_engine::Artifact) -> Option<msc_ir::Addr> {
-    artifact
-        .compiled
-        .as_ref()
-        .and_then(|p| p.layout.var("wr"))
-        .map(|v| v.addr)
+/// The `wr` slot of the source's front-end layout: an artifact carries
+/// the program, not the layout's names.
+fn wr_addr(src: &str) -> Option<msc_ir::Addr> {
+    let p = msc_lang::compile(src).ok()?;
+    p.layout.var("wr").map(|v| v.addr)
 }
 
 fn run_engine_artifact(
@@ -479,8 +474,7 @@ fn run_engine(
         }
         Err(e) => return Err(OracleError::Fail(format!("engine compile: {e}"))),
     };
-    let wr = wr_addr(&out.artifact);
-    run_engine_artifact(&out.artifact, wr, total, live)
+    run_engine_artifact(&out.artifact, wr_addr(src), total, live)
 }
 
 static CACHE_CASE: AtomicU64 = AtomicU64::new(0);
@@ -538,7 +532,7 @@ fn run_cache_roundtrip(
                 "disk cache returned a different SIMD program than the cold compile".into(),
             ));
         }
-        run_engine_artifact(&warm.artifact, wr_addr(&cold.artifact), total, live)
+        run_engine_artifact(&warm.artifact, wr_addr(src), total, live)
     })();
     let _ = std::fs::remove_dir_all(&dir);
     result

@@ -181,8 +181,8 @@ impl Pipeline {
     /// Run the pipeline through an [`Engine`]: the stages of
     /// [`build`](Self::build) on the engine's threads, behind its cache.
     /// The returned [`Compiled`] carries the artifact plus its provenance
-    /// (fresh / memory hit / disk hit); a fresh artifact's automaton and
-    /// program are [`build`](Self::build)'s, bit for bit.
+    /// (fresh / memory hit / disk hit); the artifact's program and
+    /// automaton text are [`build`](Self::build)'s, bit for bit.
     pub fn build_with(
         self,
         engine: &Engine,
