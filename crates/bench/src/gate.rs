@@ -107,7 +107,7 @@ const fn gate_vs(
     }
 }
 
-/// Resolve a dotted path: `latency_ms.p99` walks objects, and
+/// Resolve a dotted path: `coalesce_burst.compilations` walks objects, and
 /// `profiles[name=wide-simd].cycles` / `workloads[size=256].union_speedup`
 /// pick the array row whose `name` / `size` member is that value.
 pub fn lookup<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
@@ -265,9 +265,10 @@ const SETOPS: &[Gate] = &[
 // `serve_mixed` (`ops_per_s`, `op_ms_p99`).
 const SERVE: &[Gate] = &[
     gate("errors", Rule::Zero, "a burst request failed"),
-    gate(
+    gate_vs(
         "coalesce_burst.compilations",
         Rule::Exact,
+        "targets.burst_compilations",
         "a burst of identical cold requests must cost one compilation",
     ),
 ];
@@ -507,25 +508,29 @@ fn stamped(generated_by: &str, body: &Json) -> Json {
     )
 }
 
-/// The one writer.
-fn write_file(path: &Path, file: &Json) -> std::io::Result<()> {
-    std::fs::write(path, file.render() + "\n")
+/// `body` as the committed baseline of `bench` — unless the measurement
+/// breaks its own invariants or targets, which is a failed run, not a
+/// baseline (against itself every committed-relative rule holds).
+fn baseline_file(bench: &Bench, body: &Json) -> Result<Json, String> {
+    let name = bench.name;
+    let by = format!("cargo run --release -p msc-bench --bin claims -- {name}");
+    let file = stamped(&by, body);
+    let failures = check(&file, &file, bench.gates);
+    if failures.is_empty() {
+        Ok(file)
+    } else {
+        let path = bench.file();
+        Err(format!("not writing {path}: {}", failures.join("; ")))
+    }
 }
 
-/// `claims -- <name>`: measure and write the committed baseline — unless
-/// the measurement breaks its own invariants, which is a failed run, not
-/// a baseline (against itself every committed-relative rule holds).
+/// `claims -- <name>`: measure and write the committed baseline.
 pub fn regenerate(bench: &Bench) -> Result<(), String> {
     let (name, path) = (bench.name, bench.file());
     println!("== {name}: measuring the committed baseline {path} ==\n");
     let body = (bench.measure)().map_err(|e| format!("measurement failed: {e}"))?;
-    let by = format!("cargo run --release -p msc-bench --bin claims -- {name}");
-    let file = stamped(&by, &body);
-    let failures = check(&file, &file, bench.gates);
-    if !failures.is_empty() {
-        return Err(format!("not writing {path}: {}", failures.join("; ")));
-    }
-    write_file(Path::new(&path), &file).map_err(|e| format!("write {path}: {e}"))?;
+    let file = baseline_file(bench, &body)?;
+    std::fs::write(&path, file.render() + "\n").map_err(|e| format!("write {path}: {e}"))?;
     println!("\nwrote {path}\n");
     Ok(())
 }
@@ -547,7 +552,8 @@ pub fn recheck(bench: &Bench) -> Result<(), String> {
     // Best-effort: never fails the gate over an unwritable disk.
     let dir = Path::new("bench-remeasured");
     let snapshot = dir.join(&file);
-    match std::fs::create_dir_all(dir).and_then(|()| write_file(&snapshot, &measured)) {
+    let rendered = measured.render() + "\n";
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&snapshot, rendered)) {
         Ok(()) => println!("\nre-measured snapshot: {}", snapshot.display()),
         Err(e) => eprintln!("note: could not write {}: {e}", snapshot.display()),
     }
@@ -620,6 +626,13 @@ mod tests {
         if let Some(v) = value {
             fields.push((key.to_string(), v));
         }
+    }
+
+    /// A committed file without its stamp: what its measurement returned.
+    fn body_of(mut file: Json) -> Json {
+        edit(&mut file, "generated_by", None);
+        edit(&mut file, "env", None);
+        file
     }
 
     fn num(root: &Json, path: &str) -> f64 {
@@ -730,29 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_fleet_that_outlasts_the_peer_deadline_fails_the_cluster_gate() {
-        let cluster = bench("cluster");
-        let baseline = committed(cluster);
-        let deadline = num(&baseline, "peer_deadline_ms");
-        assert!(cluster::dead_peer_within_deadline(deadline, deadline));
-        let mut late = baseline.clone();
-        edit(
-            &mut late,
-            "dead_peer_within_deadline",
-            Some(Json::from(cluster::dead_peer_within_deadline(
-                deadline + 1.0,
-                deadline,
-            ))),
-        );
-        let failures = check(&baseline, &late, cluster.gates);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("dead_peer_within_deadline: "));
-        // An invariant, not a timing row: it fails on any machine.
-        edit(&mut late, "env", None);
-        assert_eq!(check(&baseline, &late, cluster.gates).len(), 1);
-    }
-
-    #[test]
     fn every_gate_bites_when_doctored() {
         for bench in &BENCHES {
             // What an honest re-run on the committed machine measures: the
@@ -853,16 +843,33 @@ mod tests {
 
     #[test]
     fn written_files_carry_env_and_read_back_as_the_measurement() {
-        let body = Json::obj([("meta_states", Json::from(7u64))]);
-        let path = std::env::temp_dir().join(format!("msc-gate-{}.json", std::process::id()));
-        write_file(&path, &stamped("test", &body)).unwrap();
-        let back = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(back, stamped("test", &body));
-        assert_eq!(lookup(&back, "generated_by"), Some(&Json::from("test")));
-        assert_eq!(lookup(&back, "meta_states"), Some(&Json::from(7u64)));
+        let explosion = bench("explosion");
+        let body = body_of(committed(explosion));
+        let file = baseline_file(explosion, &body).unwrap();
+        let back = parse(&(file.render() + "\n")).unwrap();
+        assert_eq!(back, file);
+        assert!(num(&back, "meta_states") > 0.0);
         for key in ["nproc", "cpu", "simd_lanes", "reactor"] {
             assert!(lookup(&back, &format!("env.{key}")).is_some(), "{key}");
         }
+        // A body that breaks its own invariant is not a baseline.
+        let mut bad = body.clone();
+        edit(&mut bad, "spill_identical", Some(Json::Bool(false)));
+        let refusal = baseline_file(explosion, &bad).unwrap_err();
+        assert!(
+            refusal.starts_with("not writing BENCH_explosion.json: spill_identical: "),
+            "{refusal}"
+        );
+        // Nor is a burst that cost more than the one compilation it may:
+        // that row reads a target, not what the run itself measured.
+        let serve = bench("serve");
+        let mut bad = body_of(committed(serve));
+        assert!(baseline_file(serve, &bad).is_ok());
+        edit(
+            &mut bad,
+            "coalesce_burst.compilations",
+            Some(Json::from(3u64)),
+        );
+        assert!(baseline_file(serve, &bad).is_err());
     }
 }

@@ -310,5 +310,10 @@ pub fn measure_serve() -> Result<Json, String> {
                 ("compilations", Json::from(compilations)),
             ]),
         ),
+        // Not a measurement: what singleflight + the cache promise.
+        (
+            "targets",
+            Json::obj([("burst_compilations", Json::from(1u64))]),
+        ),
     ]))
 }

@@ -225,41 +225,54 @@ fn regex_haystack(len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Rounds of one sample per engine in [`measure_regex`]: ~10 s.
+const REGEX_ROUNDS: usize = 24;
+
+/// One sample: `scans` passes of `scan` over `bytes`, in MB/s.
+fn sample_mbps(bytes: usize, scans: u32, mut scan: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..scans {
+        scan();
+    }
+    bytes as f64 * f64::from(scans) * 1e3 / t.elapsed().as_nanos() as f64
+}
+
 /// Meta-automaton throughput at 1/2/8 threads over the 16 MiB haystack,
 /// the naive reference over a small slice (it is algorithmically far
-/// slower), and the span-agreement invariant. The `targets` ratchet with
-/// the measurement: 70% of the 1-thread throughput, and 80% of each
-/// thread ratio, capped at 1.5.
+/// slower: it memoizes per (node, position), and 4 KiB is plenty to
+/// measure its per-byte cost), and the span-agreement invariant. The four
+/// are sampled in turn, round after round, and each keeps its best
+/// sample, because the box has modes that last seconds: after the guest
+/// has run one thread for half a minute its second vCPU does no work for
+/// the first ~2 s it is asked to (five rounds read t2 = t1 to the percent,
+/// the sixth 1.8x), and once it does, one-thread code runs at 0.6x for
+/// rounds at a time. Back-to-back samples of one engine all read one
+/// mode. The `targets` ratchet with the measurement: 70% of the 1-thread
+/// throughput, and 80% of each thread ratio, capped at 1.5.
 pub fn measure_regex() -> Result<Json, String> {
     let re = msc_regex::Regex::new(REGEX_PATTERN).map_err(|e| format!("bench pattern: {e}"))?;
     let hay = regex_haystack(REGEX_HAYSTACK_BYTES);
     let shards: Vec<&[u8]> = hay.chunks(1 << 16).collect();
+    let naive_slice = &hay[..1 << 12];
     let seq = re.find_all(&hay);
     let mut agree = true;
-    let mbps = |bytes: usize, ns: f64| bytes as f64 * 1e3 / ns;
-    let mut sharded_mbps = |threads: usize| {
-        let ns = time_ns(
-            || (),
-            |()| {
-                let found = re.find_sharded(&shards, threads);
-                if found != seq {
-                    agree = false;
-                }
-                found.len()
-            },
-        );
-        mbps(hay.len(), ns)
+    let mut sharded = |threads| {
+        // ~150 ms at one thread.
+        sample_mbps(hay.len(), 4, || {
+            agree &= re.find_sharded(&shards, threads) == seq;
+        })
     };
-    let t1 = sharded_mbps(1);
-    let t2 = sharded_mbps(2);
-    let t8 = sharded_mbps(8);
-    // The naive engine memoizes per (node, position); a small slice is
-    // plenty to measure its per-byte cost.
-    let naive_slice = &hay[..1 << 12];
-    let naive = mbps(
-        naive_slice.len(),
-        time_ns(|| (), |()| re.naive_find_all(naive_slice).len()),
-    );
+    let mut best = [0.0f64; 4];
+    for _ in 0..REGEX_ROUNDS {
+        let naive = sample_mbps(naive_slice.len(), 16, || {
+            std::hint::black_box(re.naive_find_all(naive_slice));
+        });
+        let round = [naive, sharded(1), sharded(2), sharded(8)];
+        for (best, sample) in best.iter_mut().zip(round) {
+            *best = best.max(sample);
+        }
+    }
+    let [naive, t1, t2, t8] = best;
     let (speedup, t2_vs_t1, t8_vs_t1) = (t1 / naive, t2 / t1, t8 / t1);
 
     println!(
@@ -273,8 +286,8 @@ pub fn measure_regex() -> Result<Json, String> {
     println!("dfa 2 threads | {t2:8.2}");
     println!("dfa 8 threads | {t8:8.2}");
     println!(
-        "dfa-vs-naive speedup {speedup:.1}x; t2/t1 {t2_vs_t1:.2}, t8/t1 {t8_vs_t1:.2}; \
-         spans agree: {agree}"
+        "dfa-vs-naive speedup {speedup:.1}x; t2/t1 {t2_vs_t1:.2}, t8/t1 {t8_vs_t1:.2} \
+         (each engine's best of {REGEX_ROUNDS} interleaved samples); spans agree: {agree}"
     );
     let ratio_floor = |measured: f64| (0.8 * measured).min(1.5);
     println!("\nshape check: the compiled meta-automaton beats the naive reference by an");

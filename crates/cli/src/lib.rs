@@ -714,26 +714,33 @@ fn compile_source(
     Ok((engine, out))
 }
 
+/// `--emit dot|graph`: the IR, which no artifact carries, from one run of
+/// [`metastate::engine::compile_stages`] on the command's `--jobs`.
+fn draw_ir(emit: &Emit, file: &str, opts: &CommonOpts, src: &str) -> Result<String, CliError> {
+    let job = build_pipeline(src, opts).into_job(file);
+    let s = metastate::engine::compile_stages(&job, opts.jobs, None)
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok(match emit {
+        Emit::Dot => s.automaton.dot(),
+        _ => msc_ir::render::text(&s.compiled.graph, &CostModel::default()),
+    })
+}
+
 /// `mscc build`. What the cache stores is the program and the automaton
-/// text; the IR `--emit dot|graph` draw comes from
-/// [`metastate::engine::compile_stages`] on the command's `--jobs`,
-/// whatever the artifact's provenance.
+/// text; `--emit dot|graph` draw the IR whatever the artifact's
+/// provenance, and compile for an artifact as well only when `--stats`
+/// or `--cache` is there to use it.
 fn execute_build(
     file: &str,
     emit: &Emit,
     opts: &CommonOpts,
     src: &str,
 ) -> Result<String, CliError> {
+    if matches!(emit, Emit::Dot | Emit::Graph) && !opts.stats && opts.cache.is_none() {
+        return draw_ir(emit, file, opts, src);
+    }
     let (engine, out) = compile_source(file, src, opts)?;
     let artifact = &out.artifact;
-    let stages = || {
-        metastate::engine::compile_stages(
-            &build_pipeline(src, opts).into_job(file),
-            engine.threads(),
-            None,
-        )
-        .map_err(|e| CliError(e.to_string()))
-    };
     let mut text = match emit {
         Emit::Automaton => {
             let (avg, max) = widths(&artifact.automaton_text);
@@ -744,8 +751,7 @@ fn execute_build(
         }
         Emit::Mpl => metastate::render_mpl(&artifact.simd),
         Emit::Asm => msc_simd::serialize_asm(&artifact.simd),
-        Emit::Dot => stages()?.automaton.dot(),
-        Emit::Graph => msc_ir::render::text(&stages()?.compiled.graph, &CostModel::default()),
+        Emit::Dot | Emit::Graph => draw_ir(emit, file, opts, src)?,
     };
     if opts.stats {
         text.push_str(&stats_block(artifact, out.provenance, &engine));
