@@ -5,26 +5,28 @@
 #
 #   ./ci.sh               the full gate (tier-1 plus the spill-path and
 #                         scalar-fallback test legs, the aarch64 and
-#                         non-Linux cross-checks, compiling the benches, and
-#                         building + self-testing the perf/ benchmark
-#                         package against this tree)
-#   ./ci.sh bench-smoke   additionally *run* the set benches, the two
-#                         code-generation benches (csi, multiway) and the
-#                         simulator bench (interp_vs_msc) in their
-#                         --test smoke configuration (small sizes, 2
-#                         samples) and the bench-regression gates (one
-#                         claims -- setops regex explosion --check run)
-#                         against BENCH_setops.json / BENCH_regex.json /
-#                         BENCH_explosion.json: counts and invariants
-#                         (spans agree, spilled == in-RAM, meta states)
-#                         fail anywhere, as does a gated key missing
-#                         from either side; the in-process ratios
-#                         (speedups, thread ratios, spilled vs in-RAM)
-#                         and each bench's one catastrophe floor fail
-#                         only on the machine whose env (nproc, cpu,
-#                         simd_lanes) the file carries and print
-#                         report-only elsewhere. No gate judges a
-#                         wall-clock number: that is perf/'s job
+#                         non-Linux cross-checks, and building +
+#                         self-testing the perf/ benchmark package
+#                         against this tree)
+#   ./ci.sh bench-smoke   additionally run `mscc sweep` over every
+#                         bundled machine profile in profiles/ on the
+#                         dispatch-heavy example workload, then the
+#                         bench-regression gates (one claims -- claims
+#                         regex explosion --check run) against
+#                         BENCH_claims.json / BENCH_regex.json /
+#                         BENCH_explosion.json: the paper's numbers
+#                         (C1-C10, A1-A4 and the S1 sweep, measured from
+#                         the committed profiles/ files), counts and
+#                         invariants (spans agree, spilled == in-RAM,
+#                         meta states) fail anywhere, as does a gated key
+#                         missing from either side; the in-process
+#                         ratios (speedups, thread ratios, spilled vs
+#                         in-RAM, disabled-instrumentation overhead) and
+#                         each bench's one catastrophe floor fail only on
+#                         the machine whose env (nproc, cpu, simd_lanes)
+#                         the file carries and print report-only
+#                         elsewhere. No gate judges a wall-clock number:
+#                         that is perf/'s job
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
@@ -53,14 +55,6 @@
 #                         the regex differential oracle) with a fixed
 #                         seed; any mismatch fails the build and leaves
 #                         minimized reproducers in fuzz-corpus/
-#   ./ci.sh sweep-smoke   additionally run `mscc sweep` over every
-#                         bundled machine profile in profiles/ on the
-#                         dispatch-heavy example workload, then the
-#                         sweep bench-regression gate (claims -- sweep
-#                         --check vs BENCH_sweep.json), which re-runs
-#                         the sweep against the committed profile files
-#                         and fails on any exact-cycle drift or broken
-#                         profile-ordering invariant
 #   ./ci.sh loc           print the non-test, non-shim Rust line count
 #                         and exit: every line of src/ and crates/*/src/
 #                         (shims excluded) above the file's first
@@ -125,12 +119,6 @@ for target in aarch64-unknown-linux-gnu x86_64-apple-darwin; do
     fi
 done
 
-echo "== benches compile =="
-# One workspace-wide invocation instead of per-crate `cargo bench
-# --no-run` calls; the bench profile matches release (no overrides in
-# Cargo.toml), so this reuses the tier-1 build artifacts.
-cargo build --benches --release --workspace
-
 echo "== perf: the benchmark of record builds against this tree =="
 # perf/ is its own package outside the workspace, so nothing above
 # compiles it: a PR that breaks an API it is pinned to would learn so
@@ -151,19 +139,14 @@ gate() {
 }
 
 if [ "$MODE" = "bench-smoke" ]; then
-    echo "== bench smoke: set_algebra --test =="
-    cargo bench -p msc-bench --bench set_algebra -- --test
-    echo "== bench smoke: subsume_scaling --test =="
-    cargo bench -p msc-bench --bench subsume_scaling -- --test
-    echo "== bench smoke: obs_overhead --test =="
-    cargo bench -p msc-bench --bench obs_overhead -- --test
-    echo "== bench smoke: csi --test =="
-    cargo bench -p msc-bench --bench csi -- --test
-    echo "== bench smoke: multiway --test =="
-    cargo bench -p msc-bench --bench multiway -- --test
-    echo "== bench smoke: interp_vs_msc --test =="
-    cargo bench -p msc-bench --bench interp_vs_msc -- --test
-    gate setops regex explosion
+    # The CLI half first (exercises --profiles dir loading, the engine
+    # pool, and the sweep.* counters on a real terminal run), then the
+    # gates. The claims gate measures the committed profiles/ files — not
+    # the built-in matrix — so a doctored profile file fails here even
+    # though it also fails tier-1's bit-equality test.
+    echo "== bench smoke: mscc sweep over every bundled profile =="
+    ./target/release/mscc sweep examples/dispatch_heavy.mimdc --profiles profiles --metrics
+    gate claims regex explosion
 fi
 
 if [ "$MODE" = "serve-smoke" ]; then
@@ -230,17 +213,6 @@ if [ "$MODE" = "cluster-smoke" ]; then
         done
         exit 1
     fi
-fi
-
-if [ "$MODE" = "sweep-smoke" ]; then
-    # The CLI half first (exercises --profiles dir loading, the engine
-    # pool, and the sweep.* counters on a real terminal run), then the
-    # gate. The gate measures the committed profiles/ files — not the
-    # built-in matrix — so a doctored profile file fails here even
-    # though it also fails tier-1's bit-equality test.
-    echo "== sweep smoke: mscc sweep over every bundled profile =="
-    ./target/release/mscc sweep examples/dispatch_heavy.mimdc --profiles profiles --metrics
-    gate sweep
 fi
 
 if [ "$MODE" = "fuzz-smoke" ]; then

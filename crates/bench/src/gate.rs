@@ -1,4 +1,4 @@
-//! The regression gates over the six committed `BENCH_*.json` baselines.
+//! The regression gates over the five committed `BENCH_*.json` baselines.
 //!
 //! One row of [`BENCHES`] per bench: how to measure it and which of the
 //! measured numbers are gated, by which [`Rule`]. A measurement is a
@@ -8,7 +8,7 @@
 //! the only reader, and [`regenerate`] / [`recheck`] the only writers.
 //!
 //! A gated metric that is absent — from the committed file (a key renamed
-//! or deleted, at top level or in one `workloads` / `profiles` row) or
+//! or deleted, at top level or in one table row) or
 //! from the measurement — is a gate *failure* naming the path, never a
 //! skipped row.
 //!
@@ -22,7 +22,7 @@
 //! machine whose `env` the baseline carries and print report-only
 //! anywhere else.
 
-use crate::{cluster, loadbench, sweep, timed};
+use crate::{claims, cluster, loadbench, timed};
 use msc_obs::json::{parse, Json};
 use std::path::Path;
 
@@ -108,8 +108,8 @@ const fn gate_vs(
 }
 
 /// Resolve a dotted path: `coalesce_burst.compilations` walks objects, and
-/// `profiles[name=wide-simd].cycles` / `workloads[size=256].union_speedup`
-/// pick the array row whose `name` / `size` member is that value.
+/// `profiles[name=wide-simd].cycles` / `c2[loops=10].base` pick the array
+/// row whose `name` / `loops` member is that value.
 pub fn lookup<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
     path.split('.').try_fold(root, |node, seg| {
         let Some((field, sel)) = seg.split_once('[') else {
@@ -158,8 +158,18 @@ impl Gate {
             v.as_f64()
                 .ok_or_else(|| fail(format!("{} is not a number", v.render())))
         };
+        // A table that moved is shown at its first differing cell.
+        let (m, b, at) = match self.rule {
+            Rule::Exact => first_difference(m, b),
+            _ => (m, b, String::new()),
+        };
+        let at = if at.is_empty() {
+            at
+        } else {
+            format!(" at {at}")
+        };
         let (ok, want) = match self.rule {
-            Rule::Exact => (m == b, format!("== {} ({source})", show(b))),
+            Rule::Exact => (m == b, format!("== {}{at} ({source})", show(b))),
             Rule::Within(tol) => {
                 let floor = num(b)? * (1.0 - tol);
                 let pct = tol * 100.0;
@@ -198,11 +208,38 @@ impl Gate {
     }
 }
 
-/// A value for a report line: timings to three places, the rest as is.
+/// A value for a report line: timings to three places, a table by its
+/// length, the rest as is.
 fn show(v: &Json) -> String {
     match v {
         Json::Num(n) if n.fract() != 0.0 => format!("{n:.3}"),
+        Json::Arr(rows) => format!("{} rows", rows.len()),
         _ => v.render(),
+    }
+}
+
+/// The first cell at which two tables differ: both values and the path
+/// from the table to them (`[4].base`). Equal values, and values that are
+/// not two tables of one shape, are their own answer, at an empty path.
+fn first_difference<'a>(m: &'a Json, b: &'a Json) -> (&'a Json, &'a Json, String) {
+    let child = match (m, b) {
+        (Json::Arr(ms), Json::Arr(bs)) if ms.len() == bs.len() => {
+            let mut cells = ms.iter().zip(bs).enumerate();
+            let differs = cells.find(|(_, (x, y))| x != y);
+            differs.map(|(i, (x, y))| (x, y, format!("[{i}]")))
+        }
+        (Json::Obj(ms), Json::Obj(_)) => ms.iter().find_map(|(k, x)| {
+            let y = b.get(k)?;
+            (x != y).then(|| (x, y, format!(".{k}")))
+        }),
+        _ => None,
+    };
+    match child {
+        Some((x, y, at)) => {
+            let (x, y, below) = first_difference(x, y);
+            (x, y, at + &below)
+        }
+        None => (m, b, String::new()),
     }
 }
 
@@ -233,33 +270,6 @@ impl Bench {
         format!("BENCH_{}.json", self.name)
     }
 }
-
-// Sets below ~4 bit-words finish in a handful of cycles, so their speedup
-// ratio swings 2x run to run; only the 256+ sizes time stably enough to
-// ratchet. The 64 row stays informational in the file.
-const SETOPS_NOTE: &str = "speedup over the sorted-vec baseline regressed";
-const SETOPS: &[Gate] = &[
-    gate(
-        "workloads[size=256].union_speedup",
-        Rule::Within(0.30),
-        SETOPS_NOTE,
-    ),
-    gate(
-        "workloads[size=256].is_subset_speedup",
-        Rule::Within(0.30),
-        SETOPS_NOTE,
-    ),
-    gate(
-        "workloads[size=1024].union_speedup",
-        Rule::Within(0.30),
-        SETOPS_NOTE,
-    ),
-    gate(
-        "workloads[size=1024].is_subset_speedup",
-        Rule::Within(0.30),
-        SETOPS_NOTE,
-    ),
-];
 
 // Invariants only: the daemon's throughput and latency are `perf`'s
 // `serve_mixed` (`ops_per_s`, `op_ms_p99`).
@@ -331,6 +341,12 @@ const EXPLOSION: &[Gate] = &[
         Rule::Within(0.50),
         "spilling costs more of the in-RAM conversion's speed than it did",
     ),
+    gate_vs(
+        "obs_disabled_overhead_pct",
+        Rule::AtMost,
+        "targets.obs_disabled_overhead_pct_max",
+        "the disabled instrumentation costs the conversion more than it did",
+    ),
 ];
 
 const CLUSTER: &[Gate] = &[
@@ -369,11 +385,16 @@ const CLUSTER: &[Gate] = &[
     ),
 ];
 
-// The simulator counts cycles, it times nothing: no tolerance on them,
-// and the speedups are ratios of those exact integers.
+// The compiler and the simulators count, they time nothing: every claim
+// is a table pinned whole, and S1 keeps its per-profile rows. The
+// speedups are ratios of exact integers.
+const TABLE_NOTE: &str = "a paper number moved: the converter, codegen, a simulator or a \
+                          workload changed (regenerate and update EXPERIMENTS.md)";
 const CYCLES_NOTE: &str = "deterministic: any drift is a conversion or cost-model change";
 const SPEEDUP_NOTE: &str = "speedup vs the interpreter baseline moved";
-const SWEEP: &[Gate] = &[
+const SWEEP: [Gate; 14] = [
+    gate("profiles", Rule::Exact, TABLE_NOTE),
+    gate("time_split_by_profile", Rule::Exact, TABLE_NOTE),
     gate(
         "profiles[name=paper-default].cycles",
         Rule::Exact,
@@ -431,13 +452,28 @@ const SWEEP: &[Gate] = &[
         "slow-globalor faster than paper-default: router latency not charged",
     ),
 ];
+/// One `Exact` row per [`claims::TABLES`] member, then S1's rows.
+const CLAIMS: &[Gate] = &{
+    let mut gates = [gate("", Rule::Exact, TABLE_NOTE); claims::TABLES.len() + SWEEP.len()];
+    let tables = claims::TABLES.len();
+    let mut i = 0;
+    while i < gates.len() {
+        gates[i] = if i < tables {
+            gate(claims::TABLES[i].0, Rule::Exact, TABLE_NOTE)
+        } else {
+            SWEEP[i - tables]
+        };
+        i += 1;
+    }
+    gates
+};
 
 /// Every bench with a committed baseline, in `claims` order.
-pub static BENCHES: [Bench; 6] = [
+pub static BENCHES: [Bench; 5] = [
     Bench {
-        name: "setops",
-        measure: timed::measure_setops,
-        gates: SETOPS,
+        name: "claims",
+        measure: claims::measure,
+        gates: CLAIMS,
         in_default_check: true,
     },
     Bench {
@@ -456,12 +492,6 @@ pub static BENCHES: [Bench; 6] = [
         name: "explosion",
         measure: timed::measure_explosion,
         gates: EXPLOSION,
-        in_default_check: true,
-    },
-    Bench {
-        name: "sweep",
-        measure: || Ok(sweep::measure(&sweep::committed_profiles())),
-        gates: SWEEP,
         in_default_check: true,
     },
     // Not in the default list: needs the mscc binary built first
@@ -645,6 +675,49 @@ mod tests {
             .any(|f| f.starts_with(&format!("{}: ", g.path)))
     }
 
+    /// `outer` is `inner`'s path or a table `inner` is a row or cell of.
+    fn holds(outer: &str, inner: &str) -> bool {
+        let rest = inner.strip_prefix(outer);
+        rest.is_some_and(|r| r.is_empty() || r.starts_with(['.', '[']))
+    }
+
+    /// The gate a failure line is about shares its value with `g`: `g`
+    /// itself, a table holding it, or a cell of it.
+    fn about(failure: &str, g: &Gate, gates: &[Gate]) -> bool {
+        gates.iter().any(|h| {
+            (holds(h.path, g.path) || holds(g.path, h.path))
+                && failure.starts_with(&format!("{}: ", h.path))
+        })
+    }
+
+    /// Every copy of `v` with exactly one leaf changed.
+    fn doctored_leaves(v: &Json) -> Vec<Json> {
+        match v {
+            Json::Arr(items) => (0..items.len())
+                .flat_map(|i| {
+                    doctored_leaves(&items[i]).into_iter().map(move |leaf| {
+                        let mut copy = items.clone();
+                        copy[i] = leaf;
+                        Json::Arr(copy)
+                    })
+                })
+                .collect(),
+            Json::Obj(fields) => (0..fields.len())
+                .flat_map(|i| {
+                    doctored_leaves(&fields[i].1).into_iter().map(move |leaf| {
+                        let mut copy = fields.clone();
+                        copy[i].1 = leaf;
+                        Json::Obj(copy)
+                    })
+                })
+                .collect(),
+            Json::Num(n) => vec![Json::Num(n + 1.0)],
+            Json::Bool(b) => vec![Json::Bool(!b)],
+            Json::Str(s) => vec![Json::Str(format!("{s}?"))],
+            Json::Null => vec![Json::from(0u64)],
+        }
+    }
+
     #[test]
     fn every_committed_file_passes_its_own_gates_on_its_own_machine() {
         for bench in &BENCHES {
@@ -675,10 +748,10 @@ mod tests {
         let cluster = committed(bench("cluster"));
         assert_eq!(num(&cluster, "peer_hits"), num(&cluster, "jobs"));
         assert!(num(&cluster, "dead_peer_overhead_ms") <= num(&cluster, "peer_deadline_ms"));
-        let sweep = committed(bench("sweep"));
+        let claims = committed(bench("claims"));
         assert_eq!(
-            num(&sweep, "profiles[name=paper-default].cycles"),
-            num(&sweep, "hard_coded_cycles"),
+            num(&claims, "profiles[name=paper-default].cycles"),
+            num(&claims, "hard_coded_cycles"),
             "bit-identity anchor"
         );
         let serve = committed(bench("serve"));
@@ -690,9 +763,11 @@ mod tests {
     fn timing_rows_bite_only_on_the_machine_that_measured_them() {
         let explosion = bench("explosion");
         let baseline = committed(explosion);
-        // One timing row and two unconditional ones, all three broken.
+        // Two timing rows (a floor and a ceiling) and two unconditional
+        // ones, all four broken.
         let mut bad = baseline.clone();
         edit(&mut bad, "in_ram_states_per_sec", Some(Json::from(1.0)));
+        edit(&mut bad, "obs_disabled_overhead_pct", Some(Json::from(5.0)));
         edit(&mut bad, "meta_states", Some(Json::from(7u64)));
         edit(&mut bad, "spill_identical", Some(Json::Bool(false)));
         let timing = explosion
@@ -707,12 +782,17 @@ mod tests {
                 .collect()
         };
 
-        // Same machine: all three fail.
+        // Same machine: all four fail.
         assert_eq!(
             failed(&baseline, &bad),
-            ["spill_identical", "meta_states", "in_ram_states_per_sec"]
+            [
+                "spill_identical",
+                "meta_states",
+                "in_ram_states_per_sec",
+                "obs_disabled_overhead_pct"
+            ]
         );
-        // Measured on another core count: the timing row reports, naming
+        // Measured on another core count: the timing rows report, naming
         // the key; the count and the invariant still fail.
         let mut elsewhere = bad.clone();
         edit(&mut elsewhere, "env.nproc", Some(Json::from(64u64)));
@@ -752,18 +832,20 @@ mod tests {
             for g in bench.gates {
                 let m = lookup(&honest, g.path).unwrap();
                 if let Some(p) = g.baseline_path() {
-                    // (a) the committed value doctored past the rule
-                    let b = num(&baseline, p);
+                    // (a) the committed value doctored past the rule; a
+                    // table (and a count) at every leaf, one at a time
                     let doctored = match g.rule {
-                        Rule::Within(_) => b * 4.0,
-                        Rule::AtLeast => m.as_f64().unwrap() * 2.0 + 1.0,
-                        Rule::AtMost => m.as_f64().unwrap() / 2.0 - 1.0,
-                        _ => b + 1.0,
+                        Rule::Within(_) => vec![Json::from(num(&baseline, p) * 4.0)],
+                        Rule::AtLeast => vec![Json::from(m.as_f64().unwrap() * 2.0 + 1.0)],
+                        Rule::AtMost => vec![Json::from(m.as_f64().unwrap() / 2.0 - 1.0)],
+                        _ => doctored_leaves(lookup(&baseline, p).unwrap()),
                     };
-                    let mut bad = baseline.clone();
-                    edit(&mut bad, p, Some(Json::from(doctored)));
-                    let failures = check(&bad, &honest, bench.gates);
-                    assert!(names(&failures, g), "{p} doctored: {failures:?}");
+                    for value in doctored {
+                        let mut bad = baseline.clone();
+                        edit(&mut bad, p, Some(value));
+                        let failures = check(&bad, &honest, bench.gates);
+                        assert!(names(&failures, g), "{p} doctored: {failures:?}");
+                    }
                     // (b) the committed key deleted
                     let mut bad = baseline.clone();
                     edit(&mut bad, p, None);
@@ -772,30 +854,39 @@ mod tests {
                     assert!(
                         failures
                             .iter()
-                            .all(|f| f.contains("missing from the committed")),
+                            .all(|f| f.contains("missing from the committed")
+                                || about(f, g, bench.gates)),
                         "{failures:?}"
                     );
                 }
                 // (c) the measured value broken, then gone
                 let broken = match g.rule {
-                    Rule::True => Json::Bool(false),
-                    Rule::Zero => Json::from(3u64),
-                    Rule::Nonzero => Json::from(0u64),
-                    Rule::Within(_) => Json::from(m.as_f64().unwrap() * 0.1),
+                    Rule::True => vec![Json::Bool(false)],
+                    Rule::Zero => vec![Json::from(3u64)],
+                    Rule::Nonzero => vec![Json::from(0u64)],
+                    Rule::Within(_) => vec![Json::from(m.as_f64().unwrap() * 0.1)],
                     Rule::AtLeast => {
-                        Json::from(num(&baseline, g.baseline_path().unwrap()) / 2.0 - 1.0)
+                        vec![Json::from(
+                            num(&baseline, g.baseline_path().unwrap()) / 2.0 - 1.0,
+                        )]
                     }
                     Rule::AtMost => {
-                        Json::from(num(&baseline, g.baseline_path().unwrap()) * 2.0 + 1.0)
+                        vec![Json::from(
+                            num(&baseline, g.baseline_path().unwrap()) * 2.0 + 1.0,
+                        )]
                     }
-                    Rule::Exact | Rule::Approx(_) => Json::from(m.as_f64().unwrap() + 1.0),
+                    Rule::Exact | Rule::Approx(_) => doctored_leaves(m),
                 };
-                for value in [Some(broken), None] {
+                for value in broken.into_iter().map(Some).chain([None]) {
                     let mut bad = honest.clone();
                     edit(&mut bad, g.path, value.clone());
                     let failures = check(&baseline, &bad, bench.gates);
-                    assert_eq!(failures.len(), 1, "{} {value:?}: {failures:?}", g.path);
-                    assert!(names(&failures, g), "{failures:?}");
+                    assert!(names(&failures, g), "{} {value:?}: {failures:?}", g.path);
+                    assert!(
+                        failures.iter().all(|f| about(f, g, bench.gates)),
+                        "{} {value:?}: {failures:?}",
+                        g.path
+                    );
                 }
             }
         }
@@ -803,42 +894,49 @@ mod tests {
 
     #[test]
     fn a_row_that_loses_a_gated_key_fails_instead_of_vanishing() {
-        // The parent's scraper dropped such rows from the baseline: with
-        // `union_speedup` gone from the 256 and 1024 rows, `setops
-        // --check` gated nothing and printed OK.
-        let setops = bench("setops");
-        let mut bad = committed(setops);
-        let honest = bad.clone();
-        edit(&mut bad, "workloads[size=256].union_speedup", None);
-        edit(&mut bad, "workloads[size=1024].union_speedup", None);
-        let failures = check(&bad, &honest, setops.gates);
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures[0].starts_with("workloads[size=256].union_speedup: "));
-        assert!(failures[1].starts_with("workloads[size=1024].union_speedup: "));
-
-        let sweep = bench("sweep");
-        let baseline = committed(sweep);
-        let honest = baseline.clone();
+        // The parent's scraper dropped such rows from the baseline, and
+        // `--check` then gated nothing and printed OK.
+        let claims = bench("claims");
+        let baseline = committed(claims);
         let mut bad = baseline.clone();
         edit(&mut bad, "profiles[name=slow-globalor].cycles", None);
-        let failures = check(&bad, &honest, sweep.gates);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("profiles[name=slow-globalor].cycles: "));
+        let failures = check(&bad, &baseline, claims.gates);
+        let paths: Vec<&str> = failures
+            .iter()
+            .map(|f| f.split(": ").next().unwrap())
+            .collect();
+        assert_eq!(paths, ["profiles", "profiles[name=slow-globalor].cycles"]);
+        assert!(
+            failures[1].contains("missing from the committed"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn a_table_fails_at_its_first_differing_cell() {
+        let claims = bench("claims");
+        let baseline = committed(claims);
+        let c2 = claims.gates.iter().find(|g| g.path == "c2").unwrap();
+        let mut moved = baseline.clone();
+        edit(&mut moved, "c2[loops=10].base", Some(Json::from(2184u64)));
+        let line = c2.eval(&baseline, &moved).unwrap_err();
+        let want = "c2: measured 2184, want == 2183 at [4].base (committed) — ";
+        assert!(line.starts_with(want), "{line}");
+        // A passing table reports its length, not its cells.
+        let line = c2.eval(&baseline, &baseline).unwrap();
+        assert_eq!(line, "c2: 5 rows, want == 5 rows (committed)");
     }
 
     #[test]
     fn default_check_list_is_the_flagged_rows() {
         let all: Vec<_> = BENCHES.iter().map(|b| b.name).collect();
-        assert_eq!(
-            all,
-            ["setops", "serve", "regex", "explosion", "sweep", "cluster"]
-        );
+        assert_eq!(all, ["claims", "serve", "regex", "explosion", "cluster"]);
         let default: Vec<_> = BENCHES
             .iter()
             .filter(|b| b.in_default_check)
             .map(|b| b.name)
             .collect();
-        assert_eq!(default, ["setops", "serve", "regex", "explosion", "sweep"]);
+        assert_eq!(default, ["claims", "serve", "regex", "explosion"]);
     }
 
     #[test]

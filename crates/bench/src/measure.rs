@@ -1,24 +1,18 @@
-//! Measurement helpers shared by the claim binaries and Criterion benches:
-//! run one program through each execution mode and collect the quantities
-//! the paper's claims are about.
+//! Measurement helpers behind the claims: run one program through meta-state
+//! conversion or the §1.1 interpreter and collect the quantities the
+//! paper's claims are about.
 
 use metastate::{ConvertMode, Pipeline};
 use msc_ir::CostModel;
-use msc_mimd::{InterpProgram, MimdConfig, MimdReference};
+use msc_mimd::InterpProgram;
 
 /// What one execution mode did.
 #[derive(Debug, Clone, Default)]
 pub struct Measurement {
     /// Total cycles.
     pub cycles: u64,
-    /// PE utilization (body work / available body work), when meaningful.
-    pub utilization: f64,
     /// Words of program memory **per PE** (zero for meta-state code).
     pub per_pe_program_words: usize,
-    /// Meta states (MSC modes only).
-    pub meta_states: usize,
-    /// Control-unit instructions (MSC) / image words (interpreter).
-    pub program_instrs: usize,
     /// Per-PE results of `main` (for cross-checking).
     pub values: Vec<i64>,
 }
@@ -30,10 +24,7 @@ pub fn measure_msc(src: &str, n_pe: usize, mode: ConvertMode) -> Measurement {
     let ret = built.ret_addr();
     Measurement {
         cycles: out.metrics.cycles,
-        utilization: out.metrics.utilization(),
         per_pe_program_words: built.simd.per_pe_program_words(),
-        meta_states: built.automaton.len(),
-        program_instrs: built.simd.control_unit_instrs(),
         values: ret
             .map(|r| (0..n_pe).map(|pe| out.machine.poly_at(pe, r)).collect())
             .unwrap_or_default(),
@@ -54,30 +45,7 @@ pub fn measure_interp(src: &str, n_pe: usize) -> Measurement {
     .expect("interpreter");
     Measurement {
         cycles: metrics.cycles,
-        utilization: 0.0,
         per_pe_program_words: image.per_pe_program_words(),
-        meta_states: 0,
-        program_instrs: image.image.len(),
-        values: p
-            .layout
-            .main_ret
-            .map(|r| (0..n_pe).map(|pe| m.poly_at(pe, r)).collect())
-            .unwrap_or_default(),
-    }
-}
-
-/// Run through the true-MIMD reference.
-pub fn measure_reference(src: &str, n_pe: usize) -> Measurement {
-    let p = msc_lang::compile(src).expect("compiles");
-    let cfg = MimdConfig::spmd(n_pe);
-    let mut m = MimdReference::new(p.layout.poly_words, p.layout.mono_words, &cfg);
-    let metrics = m.run(&p.graph, &cfg).expect("reference");
-    Measurement {
-        cycles: metrics.cycles,
-        utilization: metrics.utilization(n_pe),
-        per_pe_program_words: 0,
-        meta_states: 0,
-        program_instrs: 0,
         values: p
             .layout
             .main_ret
@@ -90,17 +58,28 @@ pub fn measure_reference(src: &str, n_pe: usize) -> Measurement {
 mod tests {
     use super::*;
     use crate::workloads::branchy_source;
+    use msc_mimd::{MimdConfig, MimdReference};
+
+    /// Per-PE results of `main` on the true-MIMD reference.
+    fn reference_values(src: &str, n_pe: usize) -> Vec<i64> {
+        let p = msc_lang::compile(src).expect("compiles");
+        let cfg = MimdConfig::spmd(n_pe);
+        let mut m = MimdReference::new(p.layout.poly_words, p.layout.mono_words, &cfg);
+        m.run(&p.graph, &cfg).expect("reference");
+        let ret = p.layout.main_ret.expect("main returns a value");
+        (0..n_pe).map(|pe| m.poly_at(pe, ret)).collect()
+    }
 
     #[test]
     fn all_measurers_agree_on_values() {
         let src = branchy_source(3);
+        let want = reference_values(&src, 6);
         let a = measure_msc(&src, 6, ConvertMode::Base);
         let b = measure_msc(&src, 6, ConvertMode::Compressed);
         let c = measure_interp(&src, 6);
-        let d = measure_reference(&src, 6);
-        assert_eq!(a.values, d.values);
-        assert_eq!(b.values, d.values);
-        assert_eq!(c.values, d.values);
+        assert_eq!(a.values, want);
+        assert_eq!(b.values, want);
+        assert_eq!(c.values, want);
     }
 
     #[test]

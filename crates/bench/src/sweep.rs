@@ -1,20 +1,20 @@
-//! Machine-profile sweep measurement: the library half of
-//! `claims -- sweep` / `BENCH_sweep.json`.
+//! Machine-profile sweep measurement: S1, the last part of
+//! `claims -- claims` / `BENCH_claims.json`.
 //!
-//! The sweep gate is different from the timing gates (setops, serve,
-//! regex): the simulator *counts* cycles, it doesn't time anything, so
-//! every number here is deterministic and the gate checks exact equality
-//! plus the profile-ordering invariants the bundled matrix was designed
+//! The simulator *counts* cycles, it doesn't time anything, so every
+//! number here is deterministic and the gate checks exact equality plus
+//! the profile-ordering invariants the bundled matrix was designed
 //! around — `cheap-dispatch` never slower than `paper-default` on the
 //! dispatch-heavy workload, `slow-globalor` never faster, and
 //! `paper-default` bit-identical to the untouched hard-coded path —
 //! which [`measure`] reports as fields of the file body.
 
-use metastate::{ConvertMode, Pipeline, TimeSplitOptions};
+use crate::claims::table;
+use metastate::{Pipeline, TimeSplitOptions};
 use msc_obs::json::Json;
 use msc_simd::MachineProfile;
 
-/// One measured profile (what a `BENCH_sweep.json` entry pins).
+/// One measured profile (one row of the `profiles` table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Profile name.
@@ -105,56 +105,59 @@ pub fn committed_profiles() -> Vec<MachineProfile> {
     MachineProfile::bundled()
 }
 
-/// The `BENCH_sweep.json` body: the dispatch-heavy workload under every
-/// one of `profiles`, the hard-coded-path anchor, and the three
-/// invariants as booleans (false when a profile they name is missing).
-/// Also prints the §2.4 landscape: time splitting's utilization rescue,
-/// per profile.
+/// S1's members of `BENCH_claims.json`: the dispatch-heavy workload under
+/// every one of `profiles`, in name order (a directory's and the bundled
+/// matrix's alike), the hard-coded-path anchor, §2.4's time-splitting
+/// rescue per profile, and the three invariants as booleans (false when
+/// a profile they name is missing).
 pub fn measure(profiles: &[MachineProfile]) -> Json {
+    let mut profiles = profiles.to_vec();
+    profiles.sort_by(|a, b| a.name.cmp(&b.name));
     let src = dispatch_heavy_source();
-    let rows = measure_sweep(&src, profiles);
+    let rows = measure_sweep(&src, &profiles);
     let hard = hard_coded_cycles(&src, 16);
-    println!("dispatch-heavy workload (branchy_source(3), base mode):");
-    println!("profile        | PEs | cycles | util% | interp | speedup");
-    for r in &rows {
-        println!(
-            "{:14} | {:3} | {:6} | {:5.1} | {:6} | {:6.2}x",
-            r.name,
-            r.pe_count,
-            r.cycles,
-            r.utilization * 100.0,
-            r.interp_cycles,
-            r.speedup
-        );
-    }
+    let columns = [
+        "name",
+        "pe_count",
+        "cycles",
+        "utilization",
+        "interp_cycles",
+        "speedup",
+    ];
+    let landscape = table(
+        "S1: examples/dispatch_heavy.mimdc per profile",
+        columns,
+        rows.iter().map(|r| {
+            [
+                r.name.as_str().into(),
+                r.pe_count.into(),
+                r.cycles.into(),
+                r.utilization.into(),
+                r.interp_cycles.into(),
+                r.speedup.into(),
+            ]
+        }),
+    );
     println!("hard-coded default path: {hard} cycles (paper-default must equal it)\n");
 
-    println!("§2.4 per profile — imbalanced_source(5, 100), utilization without/with");
-    println!("time splitting:");
-    println!("profile        | util (no split) | util (split)");
-    let src = crate::workloads::imbalanced_source(5, 100);
-    for p in profiles {
-        let run = |ts: bool| {
-            let mut pipe = Pipeline::new(src.as_str())
-                .mode(ConvertMode::Base)
-                .costs(p.costs.clone());
-            if ts {
-                pipe = pipe.time_split(TimeSplitOptions::default());
-            }
-            let built = pipe.build().expect("sweep workload must compile");
-            let out = built.run_with(p.machine_config());
-            out.expect("sweep workload must run").metrics.utilization()
-        };
-        println!(
-            "{:14} | {:14.1}% | {:11.1}%",
-            p.name,
-            run(false) * 100.0,
-            run(true) * 100.0
-        );
-    }
-    println!("\nshape check: cheap-dispatch ≤ paper-default ≤ slow-globalor on a");
-    println!("dispatch-heavy workload; the default profile is bit-identical to the");
-    println!("hard-coded model, so every other committed BENCH_*.json stays valid.");
+    let split_src = crate::workloads::imbalanced_source(5, 100);
+    let time_split = table(
+        "S1: imbalanced_source(5, 100) per profile",
+        ["profile", "util_unsplit", "util_split"],
+        profiles.iter().map(|p| {
+            let util = |ts: Option<TimeSplitOptions>| {
+                let mut pipe = Pipeline::new(split_src.as_str()).costs(p.costs.clone());
+                if let Some(ts) = ts {
+                    pipe = pipe.time_split(ts);
+                }
+                let built = pipe.build().expect("sweep workload must compile");
+                let out = built.run_with(p.machine_config());
+                out.expect("sweep workload must run").metrics.utilization()
+            };
+            let split = util(Some(TimeSplitOptions::default()));
+            [p.name.as_str().into(), util(None).into(), split.into()]
+        }),
+    );
 
     let cycles = |name: &str| rows.iter().find(|r| r.name == name).map(|r| r.cycles);
     let default = cycles("paper-default");
@@ -167,23 +170,8 @@ pub fn measure(profiles: &[MachineProfile]) -> Json {
             Json::from("branchy_source(3) == examples/dispatch_heavy.mimdc, base mode"),
         ),
         ("hard_coded_cycles", Json::from(hard)),
-        (
-            "profiles",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::from(r.name.as_str())),
-                            ("pe_count", Json::from(r.pe_count)),
-                            ("cycles", Json::from(r.cycles)),
-                            ("utilization", Json::from(r.utilization)),
-                            ("interp_cycles", Json::from(r.interp_cycles)),
-                            ("speedup", Json::from(r.speedup)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("profiles", landscape),
+        ("time_split_by_profile", time_split),
         (
             "paper_default_is_hard_coded",
             Json::from(default == Some(hard)),
@@ -206,7 +194,7 @@ mod tests {
     #[test]
     fn committed_example_is_the_gate_workload() {
         // `mscc sweep examples/dispatch_heavy.mimdc` (CI smoke) and
-        // `claims -- sweep` (the gate) must measure the same program.
+        // `claims -- claims` (the gate) must measure the same program.
         assert_eq!(
             include_str!("../../../examples/dispatch_heavy.mimdc"),
             dispatch_heavy_source()
@@ -232,27 +220,29 @@ mod tests {
 
     // The other half of the gate's negative test: not a doctored
     // *baseline* (see gate::tests) but a doctored *profile* — a bad
-    // committed profile file must fail `claims -- sweep --check`, which
+    // committed profile file must fail `claims -- claims --check`, which
     // measures whatever `profiles/` contains.
     #[test]
-    fn doctored_profile_fails_the_sweep_gate() {
+    fn doctored_profile_fails_the_claims_gate() {
         use crate::gate::{check, BENCHES};
-        let sweep = BENCHES.iter().find(|b| b.name == "sweep").unwrap();
+        let claims = BENCHES.iter().find(|b| b.name == "claims").unwrap();
         let baseline =
-            msc_obs::json::parse(include_str!("../../../BENCH_sweep.json")).expect("parses");
-        let failures = check(&baseline, &measure(&MachineProfile::bundled()), sweep.gates);
-        assert!(failures.is_empty(), "honest re-measurement: {failures:?}");
+            msc_obs::json::parse(include_str!("../../../BENCH_claims.json")).expect("parses");
+        let failed = |profiles: &[MachineProfile]| {
+            check(&baseline, &crate::claims::body(profiles), claims.gates)
+        };
+        let committed = MachineProfile::bundled;
 
         // cheap-dispatch made expensive: the exact-cycle pin and the
         // ordering invariant must both flag it.
-        let mut profiles = MachineProfile::bundled();
+        let mut profiles = committed();
         profiles
             .iter_mut()
             .find(|p| p.name == "cheap-dispatch")
             .unwrap()
             .costs
             .dispatch = 500;
-        let failures = check(&baseline, &measure(&profiles), sweep.gates);
+        let failures = failed(&profiles);
         for path in [
             "profiles[name=cheap-dispatch].cycles: ",
             "cheap_dispatch_not_slower: ",
@@ -262,24 +252,37 @@ mod tests {
 
         // paper-default nudged off the hard-coded model: the bit-identity
         // invariant must flag it.
-        let mut profiles = MachineProfile::bundled();
+        let mut profiles = committed();
         profiles
             .iter_mut()
             .find(|p| p.name == "paper-default")
             .unwrap()
             .costs
             .guard_switch += 1;
-        let failures = check(&baseline, &measure(&profiles), sweep.gates);
+        let failures = failed(&profiles);
         assert!(
             failures.iter().any(|f| f.contains("bit-identity")),
             "{failures:?}"
         );
 
         // A profile that drops out of the matrix fails every gate that
-        // names it instead of un-gating it.
-        let mut profiles = MachineProfile::bundled();
+        // names it, and both S1 tables, instead of un-gating them.
+        let mut profiles = committed();
         profiles.retain(|p| p.name != "slow-globalor");
-        let failures = check(&baseline, &measure(&profiles), sweep.gates);
-        assert_eq!(failures.len(), 3, "{failures:?}");
+        let failures = failed(&profiles);
+        let paths: Vec<&str> = failures
+            .iter()
+            .map(|f| f.split(": ").next().unwrap())
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                "profiles",
+                "time_split_by_profile",
+                "profiles[name=slow-globalor].cycles",
+                "profiles[name=slow-globalor].speedup",
+                "slow_globalor_not_faster",
+            ]
+        );
     }
 }

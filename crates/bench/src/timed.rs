@@ -1,141 +1,14 @@
-//! The three in-process timing measurements with a committed baseline:
-//! `BENCH_setops.json`, `BENCH_explosion.json`, `BENCH_regex.json`. Each
-//! prints its table and returns the file body the [`gate`](crate::gate)
-//! tables address by path.
+//! The two in-process timing measurements with a committed baseline:
+//! `BENCH_explosion.json` and `BENCH_regex.json`. Each prints its table
+//! and returns the file body the [`gate`](crate::gate) tables address by
+//! path.
 
-use crate::baseline::{vec_difference, vec_is_subset, vec_union};
-use crate::workloads::{fan_out_loops_graph, overlapping_members, subset_chain_automaton};
-use msc_core::{convert, ConvertOptions, StateSet, UnionScratch};
-use msc_ir::StateId;
+use crate::workloads::fan_out_loops_graph;
+use msc_core::{convert, ConvertOptions};
 use msc_obs::json::Json;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Best-of-3 per-iteration time of `f` over operands from `build`,
-/// auto-scaled to ~20 ms per sample. Each sample times freshly built
-/// operands, built while the previous sample's are still alive so the
-/// allocator cannot hand the same addresses back: where two bit-word
-/// vectors start within a cache line moves a 10 ns kernel by a quarter
-/// (8.6 vs 10.7 ns for `is_subset` at 1 024 members, same code), and the
-/// best of three placements repeats better than three samples of one.
-/// The returned `usize` is folded into a sink so the work cannot be
-/// optimized away.
-fn time_ns<T>(mut build: impl FnMut() -> T, mut f: impl FnMut(&mut T) -> usize) -> f64 {
-    let mut operands = build();
-    let mut sink = 0usize;
-    let t0 = Instant::now();
-    sink ^= f(&mut operands);
-    let one = t0.elapsed().as_nanos().max(1);
-    let iters = (20_000_000u128 / one).clamp(8, 1_000_000) as u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        operands = build();
-        let t = Instant::now();
-        for _ in 0..iters {
-            sink ^= f(&mut operands);
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    std::hint::black_box(sink);
-    best
-}
-
-/// `StateSet` vs the seed's sorted-vec representation, ns per operation,
-/// plus how subsumption scales with the chain length.
-pub fn measure_setops() -> Result<Json, String> {
-    println!("StateSet (one window of bit words) vs the seed's sorted-vec representation;");
-    println!("union is StateSet::union_into_scratch, the call the converter's successor_sets");
-    println!("makes: the fused union + count + hash into a reusable buffer, no allocation.\n");
-    let to_set = |v: &[u32]| -> StateSet { StateSet::from_iter(v.iter().map(|&x| StateId(x))) };
-
-    println!("size | op         | sorted-vec ns | StateSet ns | speedup");
-    let mut workloads = Vec::new();
-    for n in [64usize, 256, 1024] {
-        let (va, vb) = overlapping_members(n);
-        let vsub: Vec<u32> = va.iter().copied().step_by(2).collect();
-        let probes: Vec<u32> = (0..16).map(|i| (i * 7) % (4 * n as u32)).collect();
-        let vecs = || (va.clone(), vb.clone(), vsub.clone());
-        let sets = || (to_set(&va), to_set(&vb), to_set(&vsub), UnionScratch::new());
-
-        let ops: [(&str, f64, f64); 4] = [
-            (
-                "union",
-                time_ns(vecs, |(a, b, _)| vec_union(a, b).len()),
-                time_ns(sets, |(a, b, _, scratch)| {
-                    a.union_into_scratch(b, scratch);
-                    scratch.len()
-                }),
-            ),
-            (
-                "difference",
-                time_ns(vecs, |(a, b, _)| vec_difference(a, b).len()),
-                time_ns(sets, |(a, b, _, _)| a.difference(b).len()),
-            ),
-            (
-                "is_subset",
-                time_ns(vecs, |(a, _, sub)| usize::from(vec_is_subset(sub, a))),
-                time_ns(sets, |(a, _, sub, _)| usize::from(sub.is_subset(a))),
-            ),
-            (
-                "contains",
-                time_ns(vecs, |(a, _, _)| {
-                    probes
-                        .iter()
-                        .filter(|&&p| a.binary_search(&p).is_ok())
-                        .count()
-                }),
-                time_ns(sets, |(a, _, _, _)| {
-                    probes.iter().filter(|&&p| a.contains(StateId(p))).count()
-                }),
-            ),
-        ];
-        let mut row = vec![("size".to_string(), Json::from(n))];
-        for (name, naive, set_ns) in ops {
-            let speedup = naive / set_ns;
-            println!("{n:4} | {name:10} | {naive:13.1} | {set_ns:11.1} | {speedup:6.2}x");
-            row.push((format!("{name}_baseline_ns"), Json::from(naive)));
-            row.push((format!("{name}_stateset_ns"), Json::from(set_ns)));
-            row.push((format!("{name}_speedup"), Json::from(speedup)));
-        }
-        workloads.push(Json::Obj(row));
-    }
-
-    println!("\nsubsumption scaling (n subset/superset pairs, each folds once):");
-    println!("pairs | ns/pass | growth vs previous (quadratic would be ~4x)");
-    let sizes = [64usize, 128, 256, 512];
-    let mut times: Vec<f64> = Vec::new();
-    for n in sizes {
-        let ns = time_ns(
-            || subset_chain_automaton(n),
-            |auto| {
-                let mut a = auto.clone();
-                msc_core::subsume::subsume(&mut a);
-                a.len()
-            },
-        );
-        let growth = times
-            .last()
-            .map_or("-".into(), |p| format!("{:.2}x", ns / p));
-        println!("{n:5} | {ns:11.0} | {growth}");
-        times.push(ns);
-    }
-    println!("\nshape check: union/is_subset speedups reach >=2x from the 256-state");
-    println!("workload up, and subsume growth ratios stay near 2x per doubling");
-    let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::from).collect());
-    let growth_ratios = times.windows(2).map(|w| w[1] / w[0]).collect();
-    Ok(Json::obj([
-        ("units", Json::from("ns per operation, best of 3 samples")),
-        ("workloads", Json::Arr(workloads)),
-        (
-            "subsume",
-            Json::obj([
-                ("pairs", Json::Arr(sizes.map(Json::from).to_vec())),
-                ("ns", nums(times)),
-                ("growth_ratios", nums(growth_ratios)),
-                ("quadratic_growth_would_be", Json::from(4.0)),
-            ]),
-        ),
-    ]))
-}
 
 /// The explosion workload: enough co-reachable loop states that base-mode
 /// conversion builds thousands of meta states (§2.3's 3ⁿ frontier), fixed
@@ -146,9 +19,37 @@ const EXPLOSION_LOOPS: usize = 12;
 /// temp-file segment stores to finish.
 const EXPLOSION_BUDGET: usize = 1 << 14;
 
+/// Counts the events that reach it.
+struct EventCount(AtomicU64);
+
+impl msc_obs::Subscriber for EventCount {
+    fn event(&self, _: &msc_obs::Event) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Nanoseconds one `msc_obs::count` costs with no subscriber installed:
+/// the best of five runs of a million calls.
+fn disabled_count_ns() -> f64 {
+    const CALLS: u32 = 1_000_000;
+    let run = |_| {
+        let t = Instant::now();
+        for _ in 0..CALLS {
+            msc_obs::count(std::hint::black_box("bench.disabled_probe"), 1);
+        }
+        t.elapsed().as_nanos() as f64 / f64::from(CALLS)
+    };
+    (0..5).map(run).fold(f64::INFINITY, f64::min)
+}
+
 /// Base-mode subset construction over the fan-out-loops workload, in RAM
 /// and again under the spill budget, with the bit-identity invariant
-/// checked and the spill counter captured.
+/// checked and the spill counter captured; and what the instrumentation
+/// costs the in-RAM pass when nobody listens: every event a subscriber
+/// sees on it, priced at one disabled emit (the hot loops batch several
+/// emits behind one check, so this is a ceiling). The overhead's
+/// `targets` ceiling ratchets with the run: 3x what it measured, at most
+/// the 2 % DESIGN.md §10 allows.
 pub fn measure_explosion() -> Result<Json, String> {
     let g = fan_out_loops_graph(EXPLOSION_LOOPS);
     let mut opts = ConvertOptions::base();
@@ -158,7 +59,16 @@ pub fn measure_explosion() -> Result<Json, String> {
     let plain = convert(&g, &opts).map_err(|e| format!("in-RAM conversion: {e}"))?;
     let in_ram_secs = t0.elapsed().as_secs_f64();
 
-    let registry = std::sync::Arc::new(msc_obs::Registry::new());
+    let counter = Arc::new(EventCount(AtomicU64::new(0)));
+    let guard = msc_obs::install(counter.clone());
+    let counted = convert(&g, &opts);
+    drop(guard);
+    counted.map_err(|e| format!("counted conversion: {e}"))?;
+    let events = counter.0.load(Ordering::Relaxed);
+    let per_event_ns = disabled_count_ns();
+    let obs_pct = events as f64 * per_event_ns / (in_ram_secs * 1e9) * 100.0;
+
+    let registry = Arc::new(msc_obs::Registry::new());
     let guard = msc_obs::install(registry.clone());
     opts.memory_budget = Some(EXPLOSION_BUDGET);
     let t0 = Instant::now();
@@ -180,6 +90,10 @@ pub fn measure_explosion() -> Result<Json, String> {
     println!("in RAM                | {in_ram:10.0}");
     println!("{EXPLOSION_BUDGET:5}-byte budget     | {out_of_core:10.0}  ({spilled_vs_in_ram:.2} of in RAM)");
     println!("spilled {spill_bytes} bytes through segment stores; bit-identical: {identical}");
+    println!(
+        "disabled instrumentation: {events} events x {per_event_ns:.2} ns = {obs_pct:.4}% \
+         of the in-RAM pass"
+    );
     // The size distribution DESIGN.md §9 records, from the converter's own
     // counters (one sample per interned set), as `--metrics` prints it.
     println!("interned sets (count / mean / min / max | log2 buckets):");
@@ -199,6 +113,15 @@ pub fn measure_explosion() -> Result<Json, String> {
         ("spilled_vs_in_ram", Json::from(spilled_vs_in_ram)),
         ("spill_bytes", Json::from(spill_bytes)),
         ("spill_identical", Json::from(identical)),
+        ("obs_events", Json::from(events)),
+        ("obs_disabled_overhead_pct", Json::from(obs_pct)),
+        (
+            "targets",
+            Json::obj([(
+                "obs_disabled_overhead_pct_max",
+                Json::from((3.0 * obs_pct).min(2.0)),
+            )]),
+        ),
     ]))
 }
 

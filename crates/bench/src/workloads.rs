@@ -11,7 +11,6 @@
 //! direct [`MimdGraph`] construction (isolates the converter from the
 //! front end for the explosion measurements).
 
-use msc_core::{MetaAutomaton, MetaId, StateSet};
 use msc_ir::{Addr, MimdGraph, MimdState, Op, StateId, Terminator};
 use std::fmt::Write as _;
 
@@ -197,92 +196,6 @@ pub fn aggregate_keys(n: usize, bits: u32) -> Vec<u64> {
     keys
 }
 
-/// The key set of the dispatch the converter most often produces: a meta
-/// state of `k` loop heads, each branching to its own body `B_i` or to the
-/// one exit `E` they share. A successor meta state is any set of targets
-/// that places every member — all subsets of the bodies with `E`, or every
-/// body without it — so the dispatch has `2^k + 1` cases (3, 5, 9, 17, 33,
-/// 65 for `k` = 1..=6), each the OR of its states' `BIT(state)`, with the
-/// closely spaced state ids a front end hands out.
-pub fn dispatch_keys(k: usize) -> Vec<u64> {
-    let exit = 1u64 << 2;
-    let bodies = |subset: u64| {
-        let chosen = (0..k).filter(|i| subset >> i & 1 != 0);
-        chosen.fold(0u64, |key, i| key | 1 << (4 + 3 * i))
-    };
-    let mut keys: Vec<u64> = (0..1 << k).map(|subset| exit | bodies(subset)).collect();
-    keys.push(bodies(u64::MAX));
-    keys
-}
-
-/// Two sorted, distinct member lists of `n` state ids each, drawn from a
-/// universe of `4n` ids with roughly 50% overlap — the set-algebra
-/// benchmark workload (a quarter of the bits of an `n / 16`-word window:
-/// dense enough to be a real bitset, sparse enough that word-level work
-/// is not trivial).
-/// Deterministic.
-pub fn overlapping_members(n: usize) -> (Vec<u32>, Vec<u32>) {
-    let universe = (4 * n.max(1)) as u32;
-    let mut x = 0x13198a2e_03707344u64; // pi digits, fixed seed
-    let mut draw = |out: &mut Vec<u32>| {
-        while out.len() < n {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((x >> 33) % universe as u64) as u32;
-            if let Err(i) = out.binary_search(&v) {
-                out.insert(i, v);
-            }
-        }
-    };
-    let mut a = Vec::with_capacity(n);
-    let mut b: Vec<u32> = Vec::with_capacity(n);
-    draw(&mut a);
-    // Seed b with half of a so the pair overlaps, then fill the rest.
-    b.extend(a.iter().copied().step_by(2));
-    draw(&mut b);
-    (a, b)
-}
-
-/// A meta automaton of `n` subset/superset pairs ({3i, 3i+1} ⊂
-/// {3i, 3i+1, 3i+2}) chained by successor arcs so every meta state stays
-/// reachable — the subsumption-scaling workload. Each pair folds exactly
-/// once, and each MIMD state occurs in at most two meta states, so an
-/// occurrence-indexed subsumption pass does O(1) candidate work per meta
-/// state while an all-pairs pass does O(n).
-pub fn subset_chain_automaton(n: usize) -> MetaAutomaton {
-    let mut graph = MimdGraph::new();
-    for _ in 0..3 * n {
-        graph.add(MimdState::new(vec![], Terminator::Halt));
-    }
-    graph.start = StateId(0);
-    let mut sets = Vec::with_capacity(2 * n);
-    for i in 0..n as u32 {
-        sets.push(StateSet::from_iter([StateId(3 * i), StateId(3 * i + 1)]));
-        sets.push(StateSet::from_iter([
-            StateId(3 * i),
-            StateId(3 * i + 1),
-            StateId(3 * i + 2),
-        ]));
-    }
-    let last = sets.len() - 1;
-    let succs = (0..sets.len())
-        .map(|i| {
-            if i == last {
-                vec![]
-            } else {
-                vec![MetaId(i as u32 + 1)]
-            }
-        })
-        .collect();
-    MetaAutomaton {
-        graph,
-        sets,
-        start: MetaId(0),
-        succs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,18 +208,6 @@ mod tests {
             let p = msc_lang::compile(&src).unwrap_or_else(|e| panic!("n={n}: {e}\n{src}"));
             assert!(p.graph.len() >= n);
         }
-    }
-
-    #[test]
-    fn dispatch_keys_have_the_converter_shape() {
-        for k in 1..=6 {
-            let keys = dispatch_keys(k);
-            let distinct: std::collections::HashSet<_> = keys.iter().collect();
-            assert_eq!((keys.len(), distinct.len()), ((1 << k) + 1, (1 << k) + 1));
-            msc_hash::find_hash(&keys).unwrap();
-        }
-        // ms_2 branching to {4}, {2} or both: Listing 5's three-way case.
-        assert_eq!(dispatch_keys(1), [1 << 2, 1 << 2 | 1 << 4, 1 << 4]);
     }
 
     #[test]
@@ -352,28 +253,6 @@ mod tests {
         for seq in &t {
             assert_eq!(seq.len(), 5 + 2 * 3);
         }
-    }
-
-    #[test]
-    fn overlapping_members_shape() {
-        let (a, b) = overlapping_members(256);
-        assert_eq!(a.len(), 256);
-        assert_eq!(b.len(), 256);
-        assert!(a.windows(2).all(|w| w[0] < w[1]));
-        assert!(b.windows(2).all(|w| w[0] < w[1]));
-        let shared = a.iter().filter(|x| b.binary_search(x).is_ok()).count();
-        assert!(shared >= 64, "workload should overlap, got {shared}");
-        assert_eq!(overlapping_members(256), (a, b), "deterministic");
-    }
-
-    #[test]
-    fn subset_chain_folds_once_per_pair() {
-        let mut auto = subset_chain_automaton(16);
-        assert_eq!(auto.validate(), Ok(()));
-        let removed = msc_core::subsume::subsume(&mut auto);
-        assert_eq!(removed, 16);
-        assert_eq!(auto.len(), 16);
-        assert_eq!(auto.validate(), Ok(()));
     }
 
     #[test]

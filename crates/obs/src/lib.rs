@@ -6,8 +6,8 @@
 //! **true zero cost when nobody is listening**: every emit helper first
 //! loads a single static [`AtomicBool`] (relaxed) and returns immediately
 //! when no subscriber is installed, so instrumented code paths run within
-//! measurement noise of uninstrumented ones (pinned by the `obs_overhead`
-//! bench in `msc-bench`).
+//! measurement noise of uninstrumented ones (BENCH_explosion's
+//! `obs_disabled_overhead_pct` row gates the bound).
 //!
 //! ## Model
 //!

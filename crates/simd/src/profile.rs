@@ -12,7 +12,7 @@
 //! keys take the documented defaults below. The default profile
 //! round-trips bit-exact to today's hard-coded model
 //! ([`CostModel::default`] plus [`MachineConfig::spmd`]), so every
-//! committed `BENCH_*.json` number stays valid and `claims -- sweep
+//! committed `BENCH_*.json` number stays valid and `claims -- claims
 //! --check` can gate the identity.
 //!
 //! | key                | default       | meaning |
@@ -466,7 +466,7 @@ mod tests {
         }
     }
 
-    // A typo in a committed profile file fails tier-1, not sweep-smoke:
+    // A typo in a committed profile file fails tier-1, not bench-smoke:
     // each file must parse AND stay bit-equal to its bundled definition.
     #[test]
     fn committed_profile_files_match_the_bundled_matrix() {
