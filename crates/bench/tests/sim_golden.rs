@@ -11,7 +11,7 @@
 use metastate::{Built, ConvertMode, Pipeline};
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
 use msc_ir::{Addr, CostModel};
-use msc_mimd::{InterpMachine, InterpProgram};
+use msc_mimd::{InterpInstr, InterpMachine, InterpProgram};
 use msc_simd::{MachineConfig, SimdMachine};
 use std::fmt::Write as _;
 
@@ -156,6 +156,131 @@ fn row(src: &str, pools: &[(usize, usize)], word: impl Fn(&Built) -> Addr) -> [S
         interp_run(&mut text[2], &base, n_pe, active, word(&base));
     }
     text.map(|t| digest(&t))
+}
+
+/// Interpreter runs that fault, as (label, digest over `FAULT_WIDTHS`):
+/// `{:?}` of the result and `InterpMetrics`, then every poly word of
+/// every PE. Captured on the code of commit 6898ae5, where the interpreter
+/// stepped every PE on its own.
+#[rustfmt::skip]
+const FAULT_GOLDEN: &[(&str, &str)] = &[
+    ("fault:stack_underflow", "40318ad20cf733e5f589894b5b9fbc19"),
+    ("fault:bad_selector", "dae90e81f6b9fb12d78026fe7400eb65"),
+    ("fault:bad_address", "461860951c3b1682d3e7935c9f165cf6"),
+];
+
+const FAULT_WIDTHS: [usize; 3] = [7, 65, 1024];
+
+/// Hand-built images in which two pcs of one instruction type fault in the
+/// same round, and the lowest faulting PE is not the lowest PE of the type.
+fn fault_images() -> Vec<(&'static str, InterpProgram)> {
+    use msc_ir::{BinOp, Op, UnOp};
+    use InterpInstr::{Halt, Jump, JumpF, RetMulti};
+    let op = InterpInstr::Op;
+    let image = |image, poly_words| InterpProgram {
+        image,
+        entry: 0,
+        poly_words,
+        mono_words: 0,
+    };
+    let stack_underflow = vec![
+        op(Op::PeId),
+        op(Op::Push(10)),
+        op(Op::Bin(BinOp::Mul)),
+        op(Op::St(Addr::poly(0))),
+        op(Op::PeId),
+        op(Op::Push(3)),
+        op(Op::Bin(BinOp::Lt)),
+        JumpF { t: 8, f: 11 },
+        // PEs below 3 bring two operands to the add ...
+        op(Op::Push(100)),
+        op(Op::Push(101)),
+        Jump(14),
+        // ... the rest one, in as many rounds.
+        op(Op::Push(200)),
+        op(Op::Un(UnOp::Neg)),
+        Jump(14),
+        op(Op::PeId),
+        op(Op::Push(1)),
+        op(Op::Bin(BinOp::And)),
+        JumpF { t: 21, f: 18 },
+        // Even PEs: the first to underflow is 4.
+        op(Op::Bin(BinOp::Add)),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+        // Odd PEs: the first to underflow is 3.
+        op(Op::Bin(BinOp::Add)),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+    ];
+    let bad_selector = vec![
+        op(Op::PeId),
+        op(Op::St(Addr::poly(0))),
+        op(Op::PeId),
+        op(Op::Push(1)),
+        op(Op::Bin(BinOp::And)),
+        JumpF { t: 9, f: 6 },
+        // Even PEs select by PE number among five: 6 is the first out.
+        op(Op::PeId),
+        RetMulti(vec![12; 5]),
+        Halt,
+        // Odd PEs among two: 3 is the first out.
+        op(Op::PeId),
+        RetMulti(vec![12; 2]),
+        Halt,
+        op(Op::Push(1)),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+    ];
+    let bad_address = vec![
+        op(Op::PeId),
+        op(Op::St(Addr::poly(0))),
+        op(Op::PeId),
+        op(Op::Push(3)),
+        op(Op::Bin(BinOp::And)),
+        RetMulti(vec![6, 9, 6, 12]),
+        // PEs 0 and 2 mod 4 load in range ...
+        op(Op::Ld(Addr::poly(0))),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+        // ... 1 mod 4 and 3 mod 4 load past the two poly words.
+        op(Op::Ld(Addr::poly(9))),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+        op(Op::Ld(Addr::poly(7))),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+    ];
+    vec![
+        ("fault:stack_underflow", image(stack_underflow, 2)),
+        ("fault:bad_selector", image(bad_selector, 2)),
+        ("fault:bad_address", image(bad_address, 2)),
+    ]
+}
+
+#[test]
+fn interpreter_faults_match_the_committed_digests() {
+    let mut table = String::new();
+    let mut matches = true;
+    for ((label, program), (want_label, want)) in fault_images().into_iter().zip(FAULT_GOLDEN) {
+        let mut text = String::new();
+        for n_pe in FAULT_WIDTHS {
+            let mut machine = InterpMachine::new(&program, n_pe, n_pe);
+            let result = machine.run(&program, &CostModel::default(), 1_000_000);
+            let words: Vec<i64> = (0..n_pe)
+                .flat_map(|pe| (0..program.poly_words).map(move |w| (pe, w)))
+                .map(|(pe, w)| machine.poly_at(pe, Addr::poly(w)))
+                .collect();
+            let _ = writeln!(text, "{n_pe}: {result:?} {:?} {words:?}", machine.metrics);
+        }
+        let got = digest(&text);
+        matches &= label == *want_label && got == *want;
+        let _ = writeln!(table, "    (\"{label}\", \"{got}\"),");
+    }
+    assert!(
+        matches,
+        "interpreter faults drifted from FAULT_GOLDEN; this commit produces:\n{table}"
+    );
 }
 
 #[test]
