@@ -4,7 +4,7 @@
 
 use metastate::{ConvertMode, Pipeline};
 use msc_ir::CostModel;
-use msc_mimd::InterpProgram;
+use msc_mimd::{InterpMachine, InterpProgram};
 
 /// What one execution mode did.
 #[derive(Debug, Clone, Default)]
@@ -35,14 +35,10 @@ pub fn measure_msc(src: &str, n_pe: usize, mode: ConvertMode) -> Measurement {
 pub fn measure_interp(src: &str, n_pe: usize) -> Measurement {
     let p = msc_lang::compile(src).expect("compiles");
     let image = InterpProgram::flatten(&p.graph, p.layout.poly_words, p.layout.mono_words);
-    let (m, metrics) = msc_mimd::interpret_on_simd(
-        &p.graph,
-        p.layout.poly_words,
-        p.layout.mono_words,
-        n_pe,
-        &CostModel::default(),
-    )
-    .expect("interpreter");
+    let mut m = InterpMachine::new(&image, n_pe, n_pe);
+    let metrics = m
+        .run(&image, &CostModel::default(), 100_000_000)
+        .expect("interpreter");
     Measurement {
         cycles: metrics.cycles,
         per_pe_program_words: image.per_pe_program_words(),

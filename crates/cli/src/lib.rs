@@ -1369,21 +1369,26 @@ fn execute_build_or_run(cmd: &Command, src: &str) -> Result<String, CliError> {
                 }
             }
             if *compare {
+                // The reference and the interpreter run the same workload as
+                // the machine: `cfg.active_at_start` of `pes` PEs live.
                 let p = msc_lang::compile(src).map_err(|e| CliError(e.to_string()))?;
-                let mcfg = msc_mimd::MimdConfig::spmd(*pes);
+                let mcfg = msc_mimd::MimdConfig {
+                    active_at_start: cfg.active_at_start,
+                    ..msc_mimd::MimdConfig::spmd(*pes)
+                };
                 let mut mimd =
                     msc_mimd::MimdReference::new(p.layout.poly_words, p.layout.mono_words, &mcfg);
                 let mm = mimd
                     .run(&p.graph, &mcfg)
                     .map_err(|e| CliError(e.to_string()))?;
-                let (_, im) = msc_mimd::interpret_on_simd(
+                let image = msc_mimd::InterpProgram::flatten(
                     &p.graph,
                     p.layout.poly_words,
                     p.layout.mono_words,
-                    *pes,
-                    &CostModel::default(),
-                )
-                .map_err(|e| CliError(e.to_string()))?;
+                );
+                let im = msc_mimd::InterpMachine::new(&image, *pes, cfg.active_at_start)
+                    .run(&image, &CostModel::default(), mcfg.max_cycles)
+                    .map_err(|e| CliError(e.to_string()))?;
                 text.push_str(&format!(
                     "\ncompare: MIMD reference {} cycles; interpreter {} cycles ({:.2}x vs MSC)\n",
                     mm.cycles,
@@ -1683,6 +1688,24 @@ mod tests {
         let out = execute_on_source(&cmd, PROG).unwrap();
         assert!(out.contains(" 3 | 7"), "{out}");
         assert!(out.contains("cycles="), "{out}");
+        assert!(out.contains("results MATCH"), "{out}");
+    }
+
+    #[test]
+    fn compare_under_a_pool_runs_the_reference_on_the_same_live_pes() {
+        // PEs 0 and 1 take the branch; of 6 PEs only 3 are live, so the
+        // idle PEs 3..6 hold 0 on every side.
+        let cmd = Command::Run {
+            file: "x".into(),
+            pes: 6,
+            pool: Some(3),
+            compare: true,
+            trace: false,
+            opts: CommonOpts::default(),
+        };
+        let src = "main() { poly int x; x = pe_id(); if (x < 2) { x = x + 10; } return(x); }";
+        let out = execute_on_source(&cmd, src).unwrap();
+        assert!(out.contains(" 1 | 11\n 2 | 2\n 3 | 0\n"), "{out}");
         assert!(out.contains("results MATCH"), "{out}");
     }
 

@@ -7,10 +7,12 @@
 //! [`PeArray::apply`] is the only implementation of the [`Op`] semantics
 //! outside the MIMD reference (which stays separate on purpose: it is the
 //! oracle). [`SimdMachine`](crate::SimdMachine) applies one op to its
-//! enabled PEs in ascending order; the §1.1 interpreter applies each PE's
-//! own op to that PE alone. Neither order-dependent rule — a `mono` store
-//! keeps the last writer's value, a remote store conflict goes to the last
-//! writer — needs more than that ascending order.
+//! enabled PEs in ascending order; the §1.1 interpreter applies each
+//! cohort's op to the cohort's PEs, the ascending list of PEs at one image
+//! address. Neither order-dependent rule — a `mono` store keeps the last
+//! writer's value, a remote store conflict goes to the last writer — needs
+//! more than that ascending order (a store group that spans cohorts runs
+//! in ascending order across them).
 
 use crate::machine::RunError;
 use msc_ir::{Addr, Op, Space};
@@ -164,9 +166,7 @@ impl PeArray {
 
     /// Execute `op` on each of `pes`, in order, stopping at the first PE
     /// that faults. The `match` sits outside the PE loops so that an issue
-    /// to a thousand PEs decides what the op is once; generic over the PE
-    /// source so that the interpreter's one-PE call (`[pe]`) compiles to the
-    /// straight-line body.
+    /// to a thousand PEs decides what the op is once.
     #[inline]
     pub fn apply(&mut self, op: &Op, pes: impl IntoIterator<Item = usize>) -> Result<(), RunError> {
         match *op {

@@ -19,7 +19,7 @@
 
 use metastate::{ConvertMode, Pipeline};
 use msc_ir::CostModel;
-use msc_mimd::{InterpProgram, MimdConfig, MimdReference};
+use msc_mimd::{InterpMachine, InterpProgram, MimdConfig, MimdReference};
 
 const SRC: &str = r#"
     int collatz_steps(int n) {
@@ -76,19 +76,15 @@ fn main() {
     let msc_c = built_c.run(n_pe).expect("compressed MSC runs");
 
     // Interpreter baseline (§1.1).
-    let (interp, interp_metrics) = msc_mimd::interpret_on_simd(
-        &compiled.graph,
-        compiled.layout.poly_words,
-        compiled.layout.mono_words,
-        n_pe,
-        &CostModel::default(),
-    )
-    .expect("interpreter runs");
     let image = InterpProgram::flatten(
         &compiled.graph,
         compiled.layout.poly_words,
         compiled.layout.mono_words,
     );
+    let mut interp = InterpMachine::new(&image, n_pe, n_pe);
+    let interp_metrics = interp
+        .run(&image, &CostModel::default(), 100_000_000)
+        .expect("interpreter runs");
 
     println!("PE | kind      | MIMD | MSC  | interp");
     println!("---+-----------+------+------+-------");
