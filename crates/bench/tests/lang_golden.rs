@@ -1,0 +1,189 @@
+//! Cross-commit golden for the MIMDC front end. `codegen_golden` pins what
+//! the back end makes of a program; this pins the front end itself: `{:?}`
+//! of the parsed `Ast` and of the lowered `Program` (state graph and
+//! layout), one SipHash-2-4-128 digest each per source, over
+//! `codegen_golden`'s corpus plus the MIMDC embedded in `examples/`. It
+//! also pins the exact position and message of malformed inputs that
+//! reach every error site of the lexer and the parser, except two that no
+//! input reaches: a digit run always parses as an `f64`, and the parser
+//! asks for a type only when one is next. A digest or message may only
+//! change in a PR that says the front end's output changed, and why.
+
+use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
+
+/// (label, `Ast` digest, `Program` digest), captured at commit 806003c,
+/// the last one with the recursive-descent expression parser.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, &str)] = &[
+    ("branchy(2)", "df03a54b7b1dc283bf5d2672e97db24b", "c82dc71d2e066eaabb87a587e84a6862"),
+    ("branchy(3)", "2890615a2203689834f2c4c257321f26", "f0f5217436ce8f92233c97e25c9ffb23"),
+    ("branchy(4)", "a62c596332593f1fd68c64ce6b5984a9", "4763a264baf40550ea0b41ca77bcfe31"),
+    ("branchy(5)", "9ef3da0841b99ab9ccfbdd0ec63feae3", "c8580afdb40b2dd993447534cf0b53c1"),
+    ("branchy(6)", "b787b6a59cf489e95edb4313f4f126c0", "e98eb5fb252f2025d0c45a211cfff363"),
+    ("imbalanced(5,40)", "84dd773aa58f89ea8bc89dc04a781294", "01c6ccf327f8fbb8fcaaafe8c91f6c72"),
+    ("imbalanced(5,200)", "9bec5231ab3f94c11d209edfc7686c07", "a00752ae4a6e3199432b61bcc45367e7"),
+    ("imbalanced(5,399)", "76e3afa0af6ab0099f28dcd90595cfdd", "a3f7d3ba3fe24b12c5ab075029e4f531"),
+    ("barrier_phases(1)", "aa5ef5f4f431064aa43efb1af1283c3f", "4921bfb7b41d76c8a13bd780efcb65d9"),
+    ("barrier_phases(2)", "8eb8afe013a11a898221a160ecd9e9c4", "bc6f9e36d930fa1583163af170e6882e"),
+    ("barrier_phases(3)", "ed109a3dd75fc2d635cf59943a91aeb0", "03d55a397bcbb5e8b9742248f397728a"),
+    ("barrier_phases(4)", "053463ea7194e70852802afa5fb7f5c7", "dbf88b16e276ab380a09b88a51596945"),
+    ("barrier_phases(5)", "8b801cb9eb8da1d9f4d6cfa255f0bcb5", "9a5feea872f099544d91f8f560f86666"),
+    ("barrier_pipeline.rs", "c0b1b69515b915ed128701863c7383fb", "2c0060de5be0e6375af4dd5a01431336"),
+    ("branchy_workers.rs", "46ca4564a90d0c031fd4d10629898c13", "3888502d9829bce07170f9229461b2c1"),
+    ("dispatch_heavy.mimdc", "2890615a2203689834f2c4c257321f26", "f0f5217436ce8f92233c97e25c9ffb23"),
+    ("quickstart.rs", "06da9ae7ccea4da7296bc49af5eb1707", "a1ab38ba31b4229c6f95da7c49655485"),
+    ("recursive_calls.rs", "6b66a3e90a9e1a4946b3f3395db92e97", "44a950ba6a0dd4570ee28e3c86813ea0"),
+    ("reduction.rs", "7d559bf46f7899d77acdeed8b3f96dd5", "dbcbe6c65e7d72e5798da1c93bb72a9f"),
+    ("spawn_tree.rs", "70a7baeadbf4501d9f1edda04a0cf1e1", "3635e7aa3b3c6db98a3c74e2a9bdac6a"),
+];
+
+/// (source, `line:col message` of its `ParseError`), captured with
+/// `GOLDEN`.
+#[rustfmt::skip]
+const MALFORMED: &[(&str, &str)] = &[
+    ("main() { /* never closed", "1:10 unterminated block comment"),
+    ("main() { poly int x; x = 99999999999999999999; }", "1:26 bad int literal \"99999999999999999999\": number too large to fit in target type"),
+    ("main() { poly int x; x[3] = 1; }", "1:23 single '[' — MIMDC only has parallel subscripting '[[ ]]'"),
+    ("main() { poly int x; x = 1 ]; }", "1:28 single ']' — MIMDC only has parallel subscripting '[[ ]]'"),
+    ("main() { poly int x; x = 1 @ 2; }", "1:28 unexpected character '@'"),
+    ("main() {\n  poly int x;\n  x = \"s\";\n}", "3:7 unexpected character '\"'"),
+    ("main() { é }", "1:10 unexpected character 'Ã'"),
+    ("main() { poly int x; x = 1e; }", "1:27 expected `;`, found `e`"),
+    ("x = 1;", "1:1 expected declaration or function, found `x`"),
+    ("int (", "1:5 expected identifier, found `(`"),
+    ("main(int) { }", "1:9 expected identifier, found `)`"),
+    ("main(int a { }", "1:12 expected `)`, found `{`"),
+    ("main() return;", "1:8 expected `{`, found `return`"),
+    ("main() { poly int x;", "1:21 unterminated function body"),
+    ("mono x;", "1:7 expected `int` or `float`, found `x`"),
+    ("poly void v;", "1:11 expected `int` or `float`, found `void`"),
+    ("main() { poly int x = 1 }", "1:25 expected `;`, found `}`"),
+    ("main() { poly int x, 3; }", "1:22 expected identifier, found `3`"),
+    ("main() { poly int while; }", "1:19 expected identifier, found `while`"),
+    ("main() { if x) {} }", "1:13 expected `(`, found `x`"),
+    ("main() { poly int x; if (x {} }", "1:28 expected `)`, found `{`"),
+    ("main() { poly int x; while (x; }", "1:30 expected `)`, found `;`"),
+    ("main() { poly int x; do { } until (x); }", "1:29 expected `while`, found `until`"),
+    ("main() { poly int x; do x = 1; while (x) }", "1:42 expected `;`, found `}`"),
+    ("main() { poly int i; for (i = 0, i < 3; ) ; }", "1:32 expected `;`, found `,`"),
+    ("main() { poly int i; for (;i < 3) ; }", "1:33 expected `;`, found `)`"),
+    ("main() { poly int i; for (;;i += 1 ; }", "1:36 expected `)`, found `;`"),
+    ("main() { { poly int x; ", "1:24 unterminated block"),
+    ("main() { return 1 }", "1:19 expected `;`, found `}`"),
+    ("main() { while (1) { break } }", "1:28 expected `;`, found `}`"),
+    ("main() { while (1) { continue } }", "1:31 expected `;`, found `}`"),
+    ("main() { wait }", "1:15 expected `;`, found `}`"),
+    ("main() { halt }", "1:15 expected `;`, found `}`"),
+    ("main() { spawn (1); }", "1:16 expected identifier, found `(`"),
+    ("void w() {} main() { spawn w; }", "1:29 expected `(`, found `;`"),
+    ("void w(int a) {} main() { spawn w(1; }", "1:36 expected `)`, found `;`"),
+    ("void w() {} main() { spawn w() }", "1:32 expected `;`, found `}`"),
+    ("main() {\n  poly int x\n}", "3:1 expected `;`, found `}`"),
+    ("main() { 1 = 2; }", "1:10 left side of assignment is not assignable"),
+    ("main() { poly int x; (x + 1) += 2; }", "1:25 left side of assignment is not assignable"),
+    ("main() { poly int x; x = ; }", "1:26 expected expression, found `;`"),
+    ("main() { poly int x; x = 1 +", "1:29 expected expression, found `<eof>`"),
+    ("int f(int a) { return a; } main() { f(1; }", "1:40 expected `)`, found `;`"),
+    ("main() { poly int x; x = x[[0; }", "1:30 expected `]]`, found `;`"),
+    ("main() { poly int x; x = (1 + 2; }", "1:32 expected `)`, found `;`"),
+    ("main() { poly int x; x = 1 }", "1:28 expected `;`, found `}`"),
+];
+
+/// Every source file under `examples/`: a `.mimdc` file whole, a Rust
+/// example's one raw-string MIMDC literal.
+fn examples() -> Vec<(String, String)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("the examples directory is readable")
+        .map(|e| {
+            e.expect("a directory entry")
+                .file_name()
+                .into_string()
+                .unwrap()
+        })
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+            let src = if name.ends_with(".rs") {
+                let start = text.find("r#\"").expect("one raw-string MIMDC source") + 3;
+                let len = text[start..].find("\"#").expect("a closed raw string");
+                text[start..start + len].to_string()
+            } else {
+                text
+            };
+            (name, src)
+        })
+        .collect()
+}
+
+fn corpus() -> Vec<(String, String)> {
+    let mut v = Vec::new();
+    for n in 2..=6 {
+        v.push((format!("branchy({n})"), branchy_source(n)));
+    }
+    for long in [40, 200, 399] {
+        v.push((format!("imbalanced(5,{long})"), imbalanced_source(5, long)));
+    }
+    for n in 1..=5 {
+        v.push((format!("barrier_phases({n})"), barrier_phases_source(n)));
+    }
+    v.extend(examples());
+    v
+}
+
+fn digest(domain: &str, debug: &str) -> String {
+    msc_cache::content_key(domain, &[debug.as_bytes()]).hex()
+}
+
+#[test]
+fn front_end_output_matches_the_committed_digests() {
+    let actual: Vec<(String, String, String)> = corpus()
+        .into_iter()
+        .map(|(label, src)| {
+            let ast = msc_lang::parse(&src).expect("the corpus parses");
+            let program = msc_lang::lower::lower(&ast).expect("the corpus lowers");
+            let a = digest("lang-golden-ast", &format!("{ast:?}"));
+            let p = digest("lang-golden-program", &format!("{program:?}"));
+            (label, a, p)
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(l, a, p)| format!("    ({l:?}, \"{a}\", \"{p}\"),\n"))
+        .collect();
+    let matches = actual.len() == GOLDEN.len()
+        && actual
+            .iter()
+            .zip(GOLDEN)
+            .all(|((l, a, p), g)| (l.as_str(), a.as_str(), p.as_str()) == *g);
+    assert!(
+        matches,
+        "front-end output drifted from GOLDEN; this commit produces:\n{table}"
+    );
+}
+
+#[test]
+fn malformed_inputs_fail_at_the_committed_positions() {
+    let actual: Vec<(&str, String)> = MALFORMED
+        .iter()
+        .map(|&(src, _)| {
+            let e = msc_lang::parse(src).expect_err("a malformed input");
+            (src, format!("{} {}", e.pos, e.msg))
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(src, got)| format!("    ({src:?}, {got:?}),\n"))
+        .collect();
+    let matches = actual
+        .iter()
+        .zip(MALFORMED)
+        .all(|((_, got), (_, want))| got == want);
+    assert!(
+        matches,
+        "parse errors drifted from MALFORMED; this commit produces:\n{table}"
+    );
+}
