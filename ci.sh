@@ -30,7 +30,9 @@
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
-#                         hit, miss, and malformed-pattern requests),
+#                         hit, miss, and malformed-pattern requests, and
+#                         a /compile nested past the front end's bound,
+#                         refused with 422 on a real worker stack),
 #                         read /metrics and fail unless the smoke was
 #                         answered on both threads (serve.resident_answers
 #                         and serve.dispatched > 0) with nothing shed, run

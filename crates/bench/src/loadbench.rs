@@ -98,6 +98,20 @@ pub fn smoke(addr: &str) -> bool {
             })
             .unwrap_or(false),
     );
+    // A source nested past the front end's bound is refused with a 422
+    // by a worker, on its own stack, and the checks below show the daemon
+    // still answering.
+    let deep = format!(
+        "main() {{ poly int x; x = {}1{}; }}",
+        "(".repeat(800),
+        ")".repeat(800)
+    );
+    check(
+        "POST /compile nested 800 deep answered with 422",
+        c.request("POST", "/compile", Some(&compile_body(&deep)))
+            .map(|r| r.status == 422)
+            .unwrap_or(false),
+    );
     // /artifact: the key just compiled must come back as a verifiable
     // envelope; a valid-but-absent key is a 404; a malformed key is 400.
     let artifact_hit = compile_key.as_deref().is_some_and(|hex| {

@@ -79,6 +79,24 @@ impl Terminator {
         }
     }
 
+    /// Call `f` on every exit arc, in [`successors`](Self::successors)'s
+    /// order, without collecting them.
+    fn each_successor(&self, mut f: impl FnMut(StateId)) {
+        match self {
+            Terminator::Halt => {}
+            Terminator::Jump(s) => f(*s),
+            Terminator::Branch { t, f: fl } => {
+                f(*t);
+                f(*fl);
+            }
+            Terminator::Multi(v) => v.iter().for_each(|&s| f(s)),
+            Terminator::Spawn { child, next } => {
+                f(*child);
+                f(*next);
+            }
+        }
+    }
+
     /// Rewrite every successor through `f`.
     pub fn map_successors(&mut self, mut f: impl FnMut(StateId) -> StateId) {
         match self {
@@ -248,10 +266,14 @@ impl MimdGraph {
             if matches!(&st.term, Terminator::Multi(v) if v.is_empty()) {
                 return Err(GraphError::EmptyMulti(from));
             }
-            for s in st.term.successors() {
+            let mut dangling = None;
+            st.term.each_successor(|s| {
                 if s.idx() >= self.states.len() {
-                    return Err(GraphError::DanglingArc { from, to: s });
+                    dangling.get_or_insert(s);
                 }
+            });
+            if let Some(to) = dangling {
+                return Err(GraphError::DanglingArc { from, to });
             }
         }
         Ok(())
@@ -263,9 +285,7 @@ impl MimdGraph {
         let mut preds = vec![0u32; self.states.len()];
         preds[self.start.idx()] += 1;
         for st in &self.states {
-            for s in st.term.successors() {
-                preds[s.idx()] += 1;
-            }
+            st.term.each_successor(|s| preds[s.idx()] += 1);
         }
         preds
     }
@@ -279,12 +299,12 @@ impl MimdGraph {
             queue.push_back(self.start);
         }
         while let Some(s) = queue.pop_front() {
-            for n in self.states[s.idx()].term.successors() {
+            self.states[s.idx()].term.each_successor(|n| {
                 if !seen[n.idx()] {
                     seen[n.idx()] = true;
                     queue.push_back(n);
                 }
-            }
+            });
         }
         seen
     }
@@ -310,8 +330,12 @@ impl MimdGraph {
                 {
                     continue;
                 }
-                // Merge b's code and terminator into a.
-                let b_state = self.states[b.idx()].clone();
+                // Merge b's code and terminator into a. b becomes dead; an
+                // isolated halt keeps ids stable until compaction.
+                let b_state = std::mem::replace(
+                    &mut self.states[b.idx()],
+                    MimdState::new(vec![], Terminator::Halt),
+                );
                 let a_state = &mut self.states[i];
                 a_state.ops.extend(b_state.ops);
                 a_state.term = b_state.term;
@@ -322,9 +346,6 @@ impl MimdGraph {
                         a_state.label = format!("{};{}", a_state.label, b_state.label);
                     }
                 }
-                // b becomes dead; make it an isolated halt so ids stay stable
-                // until compaction.
-                self.states[b.idx()] = MimdState::new(vec![], Terminator::Halt);
                 merges += 1;
                 merged_this_round = true;
             }
@@ -372,9 +393,8 @@ impl MimdGraph {
             }
             cur
         }
-        let states_snapshot = self.states.clone();
         for i in 0..n {
-            resolve(&mut target, StateId(i as u32), &states_snapshot);
+            resolve(&mut target, StateId(i as u32), &self.states);
         }
         let removed = (0..n).filter(|&i| target[i] != StateId(i as u32)).count();
         if removed == 0 {
@@ -392,19 +412,18 @@ impl MimdGraph {
     /// and the start state are rewritten to the new numbering.
     pub fn compact(&mut self) {
         let reach = self.reachable();
-        let mut remap = vec![StateId(u32::MAX); self.states.len()];
-        let mut new_states = Vec::with_capacity(self.states.len());
-        for (i, keep) in reach.iter().enumerate() {
-            if *keep {
-                remap[i] = StateId(new_states.len() as u32);
-                new_states.push(self.states[i].clone());
-            }
+        let mut remap = vec![StateId(u32::MAX); reach.len()];
+        let kept = reach.iter().enumerate().filter(|&(_, &keep)| keep);
+        for (new, (old, _)) in kept.enumerate() {
+            remap[old] = StateId(new as u32);
         }
-        for st in &mut new_states {
+        let mut keep = reach.iter();
+        self.states
+            .retain(|_| *keep.next().expect("one reachability flag per state"));
+        for st in &mut self.states {
             st.term.map_successors(|s| remap[s.idx()]);
         }
         self.start = remap[self.start.idx()];
-        self.states = new_states;
     }
 
     /// Normalize: straighten then remove empty nodes, repeating to a fixed

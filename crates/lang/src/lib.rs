@@ -5,7 +5,7 @@
 //! constructs. Data values can be either `int` or `float`, and variables
 //! can be declared as `mono` (shared) or `poly` (private)."
 //!
-//! This crate provides the lexer ([`token`]), recursive-descent parser
+//! This crate provides the lexer ([`token`]), operator-precedence parser
 //! ([`parser`]), AST ([`ast`]), and the lowering to the MIMD state graph
 //! ([`lower`]), which implements the paper's §2.2 function-call handling by
 //! inline expansion (recursion included: `return`s become multiway
@@ -24,6 +24,16 @@
 //! "#).unwrap();
 //! assert!(program.graph.len() >= 1);
 //! ```
+//!
+//! ## Nesting bound
+//!
+//! Source arrives from the network (`mscc serve`), so how deeply it may
+//! nest is bounded: [`parser::MAX_DEPTH`], 256 levels of statements,
+//! operands and parentheses. The parser does not recurse, and past the
+//! bound it returns a [`ParseError`] naming the limit. The lowering, type
+//! inference and the AST's `Drop` do recurse, at most that deep per
+//! function body, and the lowering inlines a call only while its own walk
+//! is within the bound, so a chain of inlined bodies cannot add up.
 //!
 //! ## MIMDC language summary
 //!

@@ -30,13 +30,18 @@
 //! multi-call recursion (`fib(n-1) + fib(n-2)`) computes correctly.
 
 use crate::ast::*;
+use crate::parser::MAX_DEPTH;
 use crate::token::Pos;
 use msc_ir::util::FxHashMap;
 use msc_ir::{Addr, BinOp, MimdGraph, MimdState, Op, Space, StateId, Terminator, UnOp};
 use std::fmt;
 
 /// Maximum nesting depth of inline expansion (defense against pathological
-/// call chains; genuine recursion does not grow this).
+/// call chains; genuine recursion does not grow this). A copy is also
+/// refused where the walk of statements and expressions is already deeper
+/// than [`MAX_DEPTH`]: the parser bounds each body, but a copy is walked
+/// from inside its call site, so a chain of copies would add their depths
+/// up. The walk therefore never goes deeper than about twice `MAX_DEPTH`.
 const MAX_INLINE_DEPTH: usize = 64;
 
 /// A compile-time error with position.
@@ -101,11 +106,28 @@ pub struct Program {
     pub layout: Layout,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct VarInfo {
     addr: Addr,
     ty: Type,
     storage: Storage,
+}
+
+/// A binary operator's left operand: an expression, or the variable `x`
+/// that `x op= e` reads, already looked up (at the assignment's position).
+#[derive(Clone, Copy)]
+enum Left<'e> {
+    Expr(&'e Expr),
+    Var(VarInfo, Pos),
+}
+
+impl Left<'_> {
+    fn pos(self) -> Pos {
+        match self {
+            Left::Expr(e) => e.pos(),
+            Left::Var(_, pos) => pos,
+        }
+    }
 }
 
 struct LoopCtx {
@@ -158,6 +180,8 @@ struct Lowerer<'a> {
     cur: StateId,
     cur_ops: Vec<Op>,
     sealed: bool,
+    /// Statements and expressions open in the walk, across inline copies.
+    depth: usize,
 }
 
 /// Lower a parsed AST to a [`Program`].
@@ -179,6 +203,7 @@ pub fn lower(ast: &Ast) -> Result<Program, LowerError> {
         cur: StateId(0),
         cur_ops: Vec::new(),
         sealed: true,
+        depth: 0,
     };
 
     // Prologue block: global initializers, then main's body inline.
@@ -186,7 +211,7 @@ pub fn lower(ast: &Ast) -> Result<Program, LowerError> {
     lw.graph.start = entry;
     lw.start_block(entry);
     for g in &ast.globals {
-        lw.declare(g, "<global>")?;
+        lw.declare(g)?;
     }
 
     // main is the outermost copy; its returns halt the process.
@@ -406,7 +431,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn declare(&mut self, d: &VarDecl, func: &str) -> Result<(), LowerError> {
+    fn declare(&mut self, d: &VarDecl) -> Result<(), LowerError> {
         if d.ty == Type::Void {
             return Err(LowerError {
                 msg: format!("variable `{}` cannot be void", d.name),
@@ -447,7 +472,7 @@ impl<'a> Lowerer<'a> {
             },
         );
         self.layout.vars.push(VarRecord {
-            func: func.into(),
+            func: self.cur_func_name().into(),
             name: d.name.clone(),
             addr,
             ty: d.ty,
@@ -464,7 +489,7 @@ impl<'a> Lowerer<'a> {
     fn lookup(&self, name: &str, pos: Pos) -> Result<VarInfo, LowerError> {
         for scope in self.scopes.iter().rev() {
             if let Some(v) = scope.get(name) {
-                return Ok(v.clone());
+                return Ok(*v);
             }
         }
         Err(LowerError {
@@ -564,23 +589,23 @@ impl<'a> Lowerer<'a> {
 
     // ---- statements ----------------------------------------------------
 
-    fn cur_func_name(&self) -> String {
-        self.active
-            .last()
-            .map(|c| c.func.clone())
-            .unwrap_or_else(|| "<global>".into())
+    fn cur_func_name(&self) -> &str {
+        self.active.last().map_or("<global>", |c| c.func.as_str())
     }
 
     fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+        self.depth += 1;
+        let lowered = self.lower_stmt(s);
+        self.depth -= 1;
+        lowered
+    }
+
+    fn lower_stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
         match s {
-            Stmt::Decl(d) => {
-                let f = self.cur_func_name();
-                self.declare(d, &f)
-            }
+            Stmt::Decl(d) => self.declare(d),
             Stmt::Decls(ds) => {
-                let f = self.cur_func_name();
                 for d in ds {
-                    self.declare(d, &f)?;
+                    self.declare(d)?;
                 }
                 Ok(())
             }
@@ -798,14 +823,11 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_spawn(&mut self, name: &str, args: &[Expr], pos: Pos) -> Result<(), LowerError> {
-        let func = self
-            .ast
-            .func(name)
-            .ok_or_else(|| LowerError {
-                msg: format!("unknown function `{name}`"),
-                pos,
-            })?
-            .clone();
+        let ast = self.ast;
+        let func = ast.func(name).ok_or_else(|| LowerError {
+            msg: format!("unknown function `{name}`"),
+            pos,
+        })?;
         if args.len() != func.params.len() {
             return Err(LowerError {
                 msg: format!(
@@ -820,7 +842,7 @@ impl<'a> Lowerer<'a> {
         let (entry, param_addrs) = if let Some(e) = self.spawn_entries.get(name) {
             e.clone()
         } else {
-            self.build_spawn_copy(&func, pos)?
+            self.build_spawn_copy(func, pos)?
         };
         // The parent evaluates the arguments into the child's parameter
         // slots (in the parent's own poly memory); the recruited PE copies
@@ -855,7 +877,7 @@ impl<'a> Lowerer<'a> {
         func: &Func,
         pos: Pos,
     ) -> Result<(StateId, Vec<Addr>), LowerError> {
-        if self.active.len() >= MAX_INLINE_DEPTH {
+        if self.active.len() >= MAX_INLINE_DEPTH || self.depth > MAX_DEPTH {
             return Err(LowerError {
                 msg: "inline expansion too deep".into(),
                 pos,
@@ -967,6 +989,13 @@ impl<'a> Lowerer<'a> {
     /// Returns the value's type (`Void` possible only when `!need` or for
     /// void calls, which error when `need`).
     fn expr(&mut self, e: &Expr, need: bool) -> Result<Type, LowerError> {
+        self.depth += 1;
+        let lowered = self.lower_expr(e, need);
+        self.depth -= 1;
+        lowered
+    }
+
+    fn lower_expr(&mut self, e: &Expr, need: bool) -> Result<Type, LowerError> {
         match e {
             Expr::Int(v, _) => {
                 if need {
@@ -1064,7 +1093,7 @@ impl<'a> Lowerer<'a> {
                 Ok(rt)
             }
             Expr::Bin { op, l, r, pos } => {
-                let rt = self.lower_bin(*op, l, r, *pos)?;
+                let rt = self.lower_bin(*op, Left::Expr(l), r, *pos)?;
                 if !need {
                     self.emit(Op::Pop(1));
                 }
@@ -1080,10 +1109,21 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// Push a binary operator's left operand.
+    fn left(&mut self, l: Left<'_>) -> Result<Type, LowerError> {
+        match l {
+            Left::Expr(e) => self.expr(e, true),
+            Left::Var(v, _) => {
+                self.emit(Op::Ld(v.addr));
+                Ok(v.ty)
+            }
+        }
+    }
+
     fn lower_bin(
         &mut self,
         op: AstBinOp,
-        l: &Expr,
+        l: Left<'_>,
         r: &Expr,
         pos: Pos,
     ) -> Result<Type, LowerError> {
@@ -1091,7 +1131,7 @@ impl<'a> Lowerer<'a> {
         match op {
             LogAnd | LogOr => {
                 // Non-short-circuit (documented): normalize to 0/1, combine.
-                let tl = self.expr(l, true)?;
+                let tl = self.left(l)?;
                 self.truthify(tl, l.pos())?;
                 self.emit(Op::Push(0));
                 self.emit(Op::Bin(BinOp::Ne));
@@ -1103,7 +1143,7 @@ impl<'a> Lowerer<'a> {
                 Ok(Type::Int)
             }
             BitAnd | BitOr | BitXor | Shl | Shr | Rem => {
-                let tl = self.expr(l, true)?;
+                let tl = self.left(l)?;
                 if tl != Type::Int {
                     return Err(LowerError {
                         msg: format!("operator `{op:?}` requires int operands"),
@@ -1130,14 +1170,17 @@ impl<'a> Lowerer<'a> {
                 Ok(Type::Int)
             }
             Add | Sub | Mul | Div | Eq | Ne | Lt | Le | Gt | Ge => {
-                let tl = self.infer(l)?;
+                let tl = match l {
+                    Left::Expr(e) => self.infer(e)?,
+                    Left::Var(v, _) => v.ty,
+                };
                 let tr = self.infer(r)?;
                 let unified = if tl == Type::Float || tr == Type::Float {
                     Type::Float
                 } else {
                     Type::Int
                 };
-                let got_l = self.expr(l, true)?;
+                let got_l = self.left(l)?;
                 debug_assert_eq!(got_l, tl);
                 self.coerce(tl, unified, l.pos())?;
                 let got_r = self.expr(r, true)?;
@@ -1176,21 +1219,12 @@ impl<'a> Lowerer<'a> {
         match target {
             LValue::Var(name) => {
                 let v = self.lookup(name, pos)?;
-                if let Some(op) = op {
+                let t = match op {
                     // x op= e  ≡  x = x op e (with the usual promotions).
-                    let lhs = Expr::Var(name.clone(), pos);
-                    let combined = Expr::Bin {
-                        op,
-                        l: Box::new(lhs),
-                        r: Box::new(value.clone()),
-                        pos,
-                    };
-                    let t = self.expr(&combined, true)?;
-                    self.coerce(t, v.ty, pos)?;
-                } else {
-                    let t = self.expr(value, true)?;
-                    self.coerce(t, v.ty, pos)?;
-                }
+                    Some(op) => self.lower_bin(op, Left::Var(v, pos), value, pos)?,
+                    None => self.expr(value, true)?,
+                };
+                self.coerce(t, v.ty, pos)?;
                 if need {
                     self.emit(Op::Dup);
                 }
@@ -1231,14 +1265,11 @@ impl<'a> Lowerer<'a> {
         pos: Pos,
         need: bool,
     ) -> Result<Type, LowerError> {
-        let func = self
-            .ast
-            .func(name)
-            .ok_or_else(|| LowerError {
-                msg: format!("unknown function `{name}`"),
-                pos,
-            })?
-            .clone();
+        let ast = self.ast;
+        let func = ast.func(name).ok_or_else(|| LowerError {
+            msg: format!("unknown function `{name}`"),
+            pos,
+        })?;
         if args.len() != func.params.len() {
             return Err(LowerError {
                 msg: format!(
@@ -1303,7 +1334,7 @@ impl<'a> Lowerer<'a> {
             return Ok(func.ret);
         }
 
-        if self.active.len() >= MAX_INLINE_DEPTH {
+        if self.active.len() >= MAX_INLINE_DEPTH || self.depth > MAX_DEPTH {
             return Err(LowerError {
                 msg: "inline expansion too deep".into(),
                 pos,
@@ -1737,6 +1768,29 @@ mod tests {
         assert_eq!(p.layout.mono_words, 1);
         // b, c, and main's return slot.
         assert_eq!(p.layout.poly_words, 3);
+    }
+
+    #[test]
+    fn inline_chains_stop_at_the_nesting_bound() {
+        // Each function calls the next from inside ten blocks: a chain of
+        // 40 copies, within `MAX_INLINE_DEPTH`, would nest 400 deep.
+        let mut src = String::new();
+        for i in 0..40 {
+            let (open, close) = ("{".repeat(10), "}".repeat(10));
+            src += &format!(
+                "int f{i}(int a) {{ {open} return f{}(a); {close} }}\n",
+                i + 1
+            );
+        }
+        src += "int f40(int a) { return a; }\nmain() { poly int x; x = f0(1); }";
+        // Unoptimised builds spend kilobytes of stack a level of the walk.
+        let e = std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || compile_err(&src))
+            .expect("spawn the lowering thread")
+            .join()
+            .expect("the lowering thread returns");
+        assert_eq!(e.msg, "inline expansion too deep");
     }
 
     #[test]

@@ -327,6 +327,65 @@ fn match_hostile_inputs_are_clean_4xx_and_daemon_survives() {
     handle.shutdown();
 }
 
+/// The five ways MIMDC nests without bound — parentheses, unary minus, a
+/// left-deep `+` chain, blocks, an `else if` chain — each repeated to fill
+/// about `bytes`.
+fn over_deep_sources(bytes: usize) -> Vec<(&'static str, String)> {
+    [
+        ("parens", "x = ", "(", "1", ")", ";"),
+        ("negations", "x = ", "- ", "1", "", ";"),
+        ("sum", "x = 1", " + 1", "", "", ";"),
+        ("blocks", "", "{", "", "}", ""),
+        ("else-if", "", "if (x) x = 1; else ", "x = 2;", "", ""),
+    ]
+    .into_iter()
+    .map(|(name, pre, open, mid, close, post)| {
+        let n = bytes / (open.len() + close.len());
+        let (open, close) = (open.repeat(n), close.repeat(n));
+        let src = format!("main() {{ poly int x; {pre}{open}{mid}{close}{post} }}");
+        (name, src)
+    })
+    .collect()
+}
+
+#[test]
+fn over_deep_nesting_is_422_and_daemon_survives() {
+    use msc_obs::json::Json;
+    let handle = start(|_| {});
+    let addr = handle.local_addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let limit = "nesting deeper than 256 levels";
+    let job = |src: &str| Json::obj(vec![("source", Json::from(src))]);
+
+    // Just under the 1 MiB body cap once wrapped in JSON.
+    for (name, src) in over_deep_sources((1 << 20) - 64) {
+        for path in ["/compile", "/run"] {
+            let resp = c.post_json(path, &job(&src)).unwrap();
+            assert_eq!(resp.status, 422, "{name} {path}: {}", resp.body);
+            assert!(resp.body.contains(limit), "{name} {path}: {}", resp.body);
+        }
+    }
+
+    // In a batch the over-deep job fails in its own slot.
+    for (name, src) in over_deep_sources(1 << 19) {
+        let body = Json::obj(vec![("jobs", Json::from(vec![job(&src), job(PROG)]))]);
+        let resp = c.post_json("/batch", &body).unwrap();
+        assert_eq!(resp.status, 200, "{name}: {}", resp.body);
+        let v = resp.json().unwrap();
+        assert_eq!(v.get("succeeded").and_then(Json::as_u64), Some(1), "{name}");
+        let slots = v.get("results").and_then(Json::as_arr).unwrap();
+        let error = slots[0].get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.contains(limit), "{name}: {}", resp.body);
+        assert!(
+            slots[1].get("provenance").is_some(),
+            "{name}: {}",
+            resp.body
+        );
+    }
+    assert_alive(&addr);
+    handle.shutdown();
+}
+
 #[test]
 fn artifact_endpoint_serves_verified_artifacts_and_rejects_bad_keys() {
     let handle = start(|_| {});
