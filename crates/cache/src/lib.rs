@@ -15,10 +15,12 @@
 //!
 //! [`TieredCache`] composes them into the lookup path
 //! memory → disk → peers, with hits promoted into the faster tiers.
-//! The crate is generic over the artifact type `A`; serialization is
-//! delegated to a caller-supplied [`Codec`] so the engine's artifact
-//! format (and its `CostModel`-dependent deserializer) stays in the
-//! engine crate without a dependency cycle.
+//! The crate is generic over the artifact type `A`, which names its own
+//! interchange format by implementing [`Cacheable`]; the engine's
+//! artifact (and its `CostModel`-dependent decoder) stays in the engine
+//! crate without a dependency cycle. [`MemoryTier`] asks nothing of `A`,
+//! so a cache with no disk or peers (the regex pattern cache) uses it
+//! alone.
 
 pub mod peer;
 pub mod tier;
@@ -199,17 +201,24 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Artifact (de)serialization, supplied by the caller per lookup. The
-/// engine's decoder needs a `CostModel` to reparse assembly; passing the
-/// codec by reference per call lets it borrow that context instead of
-/// the cache owning it.
-pub trait Codec<A>: Sync {
-    /// Serialize an artifact to the tier interchange text (the same
-    /// format the disk tier persists and the peer protocol ships).
-    fn encode(&self, key: CacheKey, artifact: &A) -> String;
+/// An artifact the disk and peer tiers can hold: the type names its own
+/// interchange text (the format the disk tier persists and the peer
+/// protocol ships).
+pub trait Cacheable: Sized {
+    /// The first line of every encoding. The disk tier's raw export
+    /// checks it, so a corrupt file is a miss rather than garbage sent to
+    /// a peer.
+    const MAGIC: &'static str;
+    /// What decoding needs besides the text. The engine's artifact
+    /// reparses assembly against the request's `CostModel`; the cache key
+    /// already pins it, so the caller lends it per lookup.
+    type Context;
+    /// Serialize to the interchange text, starting with the
+    /// [`MAGIC`](Self::MAGIC) line.
+    fn encode(&self, key: CacheKey) -> String;
     /// Parse the interchange text; any malformation yields `None`
     /// (treated as a miss — the artifact is simply rebuilt).
-    fn decode(&self, text: &str) -> Option<A>;
+    fn decode(text: &str, cx: &Self::Context) -> Option<Self>;
 }
 
 /// Point-in-time tier introspection, surfaced on `/healthz`.
@@ -254,7 +263,7 @@ pub struct TieredCache<A> {
     insertions: AtomicU64,
 }
 
-impl<A: Send + Sync> TieredCache<A> {
+impl<A: Cacheable> TieredCache<A> {
     /// A cache holding at most `capacity` artifacts in memory (0 disables
     /// the memory layer), persisting to `disk_dir` when given (the
     /// directory is created on first use; I/O failures degrade to
@@ -303,14 +312,14 @@ impl<A: Send + Sync> TieredCache<A> {
     /// a disk hit into memory. Does not record a miss and does not
     /// touch the network: the singleflight layer probes first and only
     /// the elected leader pays for remote fetches and charges the miss.
-    pub fn probe(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<(Arc<A>, CacheLayer)> {
+    pub fn probe(&self, key: CacheKey, cx: &A::Context) -> Option<(Arc<A>, CacheLayer)> {
         if let Some(artifact) = self.probe_memory(key) {
             return Some((artifact, CacheLayer::Memory));
         }
-        let artifact = self.disk.as_ref()?.fetch(key, codec)?;
+        let artifact = self.disk.as_ref()?.fetch(key, cx)?;
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
         msc_obs::count("cache.disk_hit", 1);
-        self.memory.put(key, &artifact);
+        self.remember(key, &artifact);
         Some((artifact, CacheLayer::Disk))
     }
 
@@ -318,15 +327,15 @@ impl<A: Send + Sync> TieredCache<A> {
     /// memory and disk. Runs the full robustness stack (deadlines,
     /// retry, breakers, re-hash verification); with no peers configured
     /// it returns `None` immediately.
-    pub fn fetch_remote(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
+    pub fn fetch_remote(&self, key: CacheKey, cx: &A::Context) -> Option<Arc<A>> {
         let peers = self.peers.as_ref()?;
-        let artifact = peers.fetch(key, codec)?;
+        let artifact = peers.fetch(key, cx)?;
         self.peer_hits.fetch_add(1, Ordering::Relaxed);
         msc_obs::count("cache.peer_hit", 1);
         if let Some(disk) = &self.disk {
-            disk.store(key, &artifact, codec);
+            disk.store(key, &artifact);
         }
-        self.memory.put(key, &artifact);
+        self.remember(key, &artifact);
         Some(artifact)
     }
 
@@ -339,22 +348,30 @@ impl<A: Send + Sync> TieredCache<A> {
     }
 
     /// Insert a freshly compiled artifact into the local tiers.
-    pub fn insert(&self, key: CacheKey, artifact: Arc<A>, codec: &dyn Codec<A>) {
+    pub fn insert(&self, key: CacheKey, artifact: Arc<A>) {
         self.insertions.fetch_add(1, Ordering::Relaxed);
         msc_obs::count("cache.insert", 1);
         if let Some(disk) = &self.disk {
-            disk.store(key, &artifact, codec);
+            disk.store(key, &artifact);
         }
-        self.memory.put(key, &artifact);
+        self.remember(key, &artifact);
+    }
+
+    /// File `artifact` in the memory tier, counting what that evicts.
+    fn remember(&self, key: CacheKey, artifact: &Arc<A>) {
+        let evicted = self.memory.put(key, artifact);
+        if evicted > 0 {
+            msc_obs::count("cache.evict", evicted);
+        }
     }
 
     /// Serialize a locally cached artifact for the peer protocol:
     /// memory first (encoded on the fly), else the raw disk file text.
     /// Never consults peers (no fetch recursion between daemons) and
     /// counts nothing — an export is not a lookup.
-    pub fn export(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<String> {
+    pub fn export(&self, key: CacheKey) -> Option<String> {
         if let Some(artifact) = self.memory.peek(key) {
-            return Some(codec.encode(key, &artifact));
+            return Some(artifact.encode(key));
         }
         self.disk.as_ref()?.read_raw(key)
     }
@@ -381,11 +398,6 @@ impl<A: Send + Sync> TieredCache<A> {
         self.len() == 0
     }
 
-    /// True when a peer tier is configured.
-    pub fn has_peers(&self) -> bool {
-        self.peers.is_some()
-    }
-
     /// Status of every configured tier, fastest first.
     pub fn tier_status(&self) -> Vec<TierStatus> {
         let mut out = vec![self.memory.status()];
@@ -396,31 +408,26 @@ impl<A: Send + Sync> TieredCache<A> {
 }
 
 #[cfg(test)]
-pub(crate) mod test_support {
-    use super::*;
+/// Minimal artifact for tier tests: the payload is a `String`, framed
+/// with the same `mscache v1` magic the engine's format uses.
+impl Cacheable for String {
+    const MAGIC: &'static str = "mscache v1";
+    type Context = ();
 
-    /// Minimal artifact codec for tier tests: the payload is a `String`,
-    /// framed with the same `mscache v1` magic the real format uses (the
-    /// disk tier's raw-export path insists on it).
-    pub struct StrCodec;
+    fn encode(&self, key: CacheKey) -> String {
+        format!("{}\nkey {}\n{self}", Self::MAGIC, key.hex())
+    }
 
-    impl Codec<String> for StrCodec {
-        fn encode(&self, key: CacheKey, artifact: &String) -> String {
-            format!("mscache v1\nkey {}\n{artifact}", key.hex())
-        }
-
-        fn decode(&self, text: &str) -> Option<String> {
-            let rest = text.strip_prefix("mscache v1\n")?;
-            let (key_line, body) = rest.split_once('\n')?;
-            key_line.strip_prefix("key ")?;
-            Some(body.to_string())
-        }
+    fn decode(text: &str, _: &()) -> Option<String> {
+        let rest = text.strip_prefix(Self::MAGIC)?.strip_prefix('\n')?;
+        let (key_line, body) = rest.split_once('\n')?;
+        key_line.strip_prefix("key ")?;
+        Some(body.to_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::StrCodec;
     use super::*;
 
     #[test]
@@ -487,19 +494,17 @@ mod tests {
         let key = content_key("tiered", &[b"a"]);
         {
             let cache: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
-            cache.insert(key, Arc::new("payload".to_string()), &StrCodec);
+            cache.insert(key, Arc::new("payload".to_string()));
         }
         let cache: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
         // The memory-only probe never looks at the file, and its miss
         // leaves no trace in the counters.
         assert!(cache.probe_memory(key).is_none());
         assert_eq!(cache.stats(), CacheStats::default());
-        let (artifact, layer) = cache.probe(key, &StrCodec).expect("disk hit");
+        let (artifact, layer) = cache.probe(key, &()).expect("disk hit");
         assert_eq!(layer, CacheLayer::Disk);
         assert_eq!(*artifact, "payload");
-        let (_, layer) = cache
-            .probe(key, &StrCodec)
-            .expect("memory hit after promotion");
+        let (_, layer) = cache.probe(key, &()).expect("memory hit after promotion");
         assert_eq!(layer, CacheLayer::Memory);
         assert_eq!(
             cache.probe_memory(key).as_deref(),
@@ -511,21 +516,38 @@ mod tests {
     }
 
     #[test]
+    fn evictions_are_counted_by_the_composed_cache() {
+        let registry = Arc::new(msc_obs::Registry::new());
+        let _guard = msc_obs::install(registry.clone());
+        let cache: TieredCache<String> = TieredCache::new(1, None);
+        for i in 0..3u8 {
+            cache.insert(content_key("evict", &[&[i]]), Arc::new(i.to_string()));
+        }
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(registry.snapshot().counter("cache.evict"), 2);
+        // The bare tier counts in its own status only: a cache of
+        // something else (the regex pattern cache) reports nothing here.
+        let tier: MemoryTier<String> = MemoryTier::new(1);
+        for i in 0..3u8 {
+            tier.put(content_key("evict", &[&[i]]), &Arc::new(i.to_string()));
+        }
+        assert_eq!(tier.evictions(), 2);
+        assert_eq!(registry.snapshot().counter("cache.evict"), 2);
+    }
+
+    #[test]
     fn export_prefers_memory_then_raw_disk_and_never_counts() {
         let dir = std::env::temp_dir().join(format!("msc-cache-export-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let key = content_key("export", &[b"a"]);
         let cache: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
-        assert_eq!(cache.export(key, &StrCodec), None, "cold cache has nothing");
-        cache.insert(key, Arc::new("body".to_string()), &StrCodec);
-        let from_memory = cache.export(key, &StrCodec).expect("memory export");
+        assert_eq!(cache.export(key), None, "cold cache has nothing");
+        cache.insert(key, Arc::new("body".to_string()));
+        let from_memory = cache.export(key).expect("memory export");
         assert!(from_memory.starts_with("mscache v1\n"));
         // Cold memory, warm disk: the raw file text is served verbatim.
         let cold: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
-        assert_eq!(
-            cold.export(key, &StrCodec).as_deref(),
-            Some(from_memory.as_str())
-        );
+        assert_eq!(cold.export(key).as_deref(), Some(from_memory.as_str()));
         let s = cold.stats();
         assert_eq!(
             (s.hits, s.disk_hits, s.peer_hits, s.misses),

@@ -13,7 +13,7 @@
 //! truncated bodies degrade to a miss and are counted
 //! (`cache.peer_verify_fail`).
 
-use crate::{wire, CacheKey, Codec, TierStatus};
+use crate::{wire, CacheKey, Cacheable, TierStatus};
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
@@ -187,7 +187,7 @@ pub struct PeerTier<A> {
     _artifact: PhantomData<fn() -> A>,
 }
 
-impl<A> PeerTier<A> {
+impl<A: Cacheable> PeerTier<A> {
     /// A tier consulting `addrs` (each `host:port`) in order.
     pub fn new(addrs: Vec<String>, cfg: PeerConfig) -> Self {
         PeerTier {
@@ -218,14 +218,9 @@ impl<A> PeerTier<A> {
             .collect()
     }
 
-    /// The active tunables.
-    pub fn config(&self) -> &PeerConfig {
-        &self.cfg
-    }
-
     /// Ask each admitted peer in turn for `key` inside one total
     /// deadline; `None` when no peer produced a verified artifact.
-    pub fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
+    pub fn fetch(&self, key: CacheKey, cx: &A::Context) -> Option<Arc<A>> {
         let deadline = Instant::now() + self.cfg.total_deadline;
         for peer in &self.peers {
             let now = Instant::now();
@@ -251,7 +246,7 @@ impl<A> PeerTier<A> {
                 match http_get_artifact(&peer.addr, key, &self.cfg, deadline) {
                     Ok(Some(body)) => {
                         msc_obs::count("cache.peer_bytes", body.len() as u64);
-                        match wire::open(key, &body).and_then(|text| codec.decode(&text)) {
+                        match wire::open(key, &body).and_then(|text| A::decode(&text, cx)) {
                             Some(artifact) => {
                                 peer.breaker.on_success();
                                 return Some(Arc::new(artifact));
@@ -417,7 +412,6 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::StrCodec;
     use std::net::TcpListener;
 
     fn tiny_cfg() -> PeerConfig {
@@ -531,11 +525,11 @@ mod tests {
     #[test]
     fn fetches_and_verifies_an_artifact_from_a_peer() {
         let key = crate::content_key("peer-hit", &[b"k"]);
-        let text = StrCodec.encode(key, &"the artifact".to_string());
+        let text = "the artifact".to_string().encode(key);
         let body = wire::envelope(key, &text).render();
         let (addr, _h) = fake_peer(ok_response(&body));
         let tier: PeerTier<String> = PeerTier::new(vec![addr], tiny_cfg());
-        let got = tier.fetch(key, &StrCodec).expect("verified peer hit");
+        let got = tier.fetch(key, &()).expect("verified peer hit");
         assert_eq!(*got, "the artifact");
         assert_eq!(tier.statuses()[0].breaker, BreakerState::Closed);
     }
@@ -547,7 +541,7 @@ mod tests {
             b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nConnection: close\r\n\r\n".to_vec();
         let (addr, _h) = fake_peer(resp);
         let tier: PeerTier<String> = PeerTier::new(vec![addr], tiny_cfg());
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         let s = &tier.statuses()[0];
         assert_eq!(
             (s.breaker, s.consecutive_failures),
@@ -563,7 +557,7 @@ mod tests {
             "{\"key\":\"beef\",\"sum\":\"f00d\",\"artifact\":\"x\"}",
         ));
         let tier: PeerTier<String> = PeerTier::new(vec![addr], tiny_cfg());
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         assert_eq!(tier.statuses()[0].consecutive_failures, 1);
     }
 
@@ -573,11 +567,11 @@ mod tests {
         // artifact than the one asked for must not poison the cache.
         let asked = crate::content_key("peer-swap", &[b"asked"]);
         let served = crate::content_key("peer-swap", &[b"served"]);
-        let text = StrCodec.encode(served, &"wrong artifact".to_string());
+        let text = "wrong artifact".to_string().encode(served);
         let body = wire::envelope(served, &text).render();
         let (addr, _h) = fake_peer(ok_response(&body));
         let tier: PeerTier<String> = PeerTier::new(vec![addr], tiny_cfg());
-        assert!(tier.fetch(asked, &StrCodec).is_none());
+        assert!(tier.fetch(asked, &()).is_none());
     }
 
     #[test]
@@ -592,7 +586,7 @@ mod tests {
         let tier: PeerTier<String> = PeerTier::new(vec![refused], cfg);
         let key = crate::content_key("peer-dead", &[b"k"]);
         let start = Instant::now();
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "refused connections must fail fast"
@@ -601,14 +595,14 @@ mod tests {
         // Second fetch: the open breaker short-circuits — no attempts,
         // effectively instant.
         let start = Instant::now();
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         assert!(start.elapsed() < Duration::from_millis(100));
     }
 
     #[test]
     fn second_peer_serves_when_the_first_is_down() {
         let key = crate::content_key("peer-failover", &[b"k"]);
-        let text = StrCodec.encode(key, &"from peer two".to_string());
+        let text = "from peer two".to_string().encode(key);
         let body = wire::envelope(key, &text).render();
         let refused = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -616,7 +610,7 @@ mod tests {
         };
         let (good, _h) = fake_peer(ok_response(&body));
         let tier: PeerTier<String> = PeerTier::new(vec![refused, good], tiny_cfg());
-        let got = tier.fetch(key, &StrCodec).expect("failover hit");
+        let got = tier.fetch(key, &()).expect("failover hit");
         assert_eq!(*got, "from peer two");
     }
 
@@ -630,7 +624,7 @@ mod tests {
         let cfg = tiny_cfg();
         let tier: PeerTier<String> = PeerTier::new(vec![addr], cfg.clone());
         let start = Instant::now();
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         assert!(
             start.elapsed() < cfg.total_deadline + Duration::from_millis(500),
             "a lying peer costs at most the peer-path deadline"

@@ -1,10 +1,10 @@
 //! Local storage tiers: the in-process LRU and the on-disk layer.
 
-use crate::{CacheKey, Codec, TierStatus};
+use crate::{CacheKey, Cacheable, TierStatus};
 use msc_ir::util::FxHashMap;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,11 +49,6 @@ impl<A> MemoryTier<A> {
         self.len() == 0
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime eviction count.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -81,11 +76,14 @@ impl<A> MemoryTier<A> {
     }
 
     /// File `artifact` under `key` as most recently used, evicting the
-    /// least recently used entries past the capacity.
-    pub fn put(&self, key: CacheKey, artifact: &Arc<A>) {
+    /// least recently used entries past the capacity. Returns how many
+    /// were evicted; counting them is the caller's, which knows what the
+    /// tier caches.
+    pub fn put(&self, key: CacheKey, artifact: &Arc<A>) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 0;
         }
+        let mut evicted = 0;
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -106,9 +104,10 @@ impl<A> MemoryTier<A> {
                 .map(|(k, _)| *k)
                 .expect("non-empty map has a minimum");
             inner.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            msc_obs::count("cache.evict", 1);
+            evicted += 1;
         }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        evicted
     }
 
     /// Introspection snapshot for `/healthz`.
@@ -133,7 +132,7 @@ pub struct DiskTier<A> {
     _artifact: PhantomData<fn() -> A>,
 }
 
-impl<A> DiskTier<A> {
+impl<A: Cacheable> DiskTier<A> {
     /// A tier persisting under `dir` (created on first store).
     pub fn new(dir: PathBuf) -> Self {
         DiskTier {
@@ -143,33 +142,30 @@ impl<A> DiskTier<A> {
     }
 
     /// The file a key persists to.
-    pub fn path(&self, key: CacheKey) -> PathBuf {
-        disk_path(&self.dir, key)
-    }
-
-    /// Cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    fn path(&self, key: CacheKey) -> PathBuf {
+        self.dir.join(format!("{}.mscache", key.hex()))
     }
 
     /// Raw file text for `key`, for the export path — the bytes on disk
     /// are already in interchange format, so serving them verbatim
-    /// skips a decode/encode round-trip. The header magic is checked so
-    /// a corrupt file exports as a miss rather than as garbage.
+    /// skips a decode/encode round-trip. The [`Cacheable::MAGIC`] line
+    /// is checked so a corrupt file exports as a miss rather than as
+    /// garbage.
     pub fn read_raw(&self, key: CacheKey) -> Option<String> {
         let text = std::fs::read_to_string(self.path(key)).ok()?;
-        text.starts_with("mscache v1\n").then_some(text)
+        let first = text.split_once('\n')?.0;
+        (first == A::MAGIC).then_some(text)
     }
 
     /// Read and decode `key`'s file; `None` is a miss (absent, unreadable
     /// or undecodable).
-    pub fn fetch(&self, key: CacheKey, codec: &dyn Codec<A>) -> Option<Arc<A>> {
+    pub fn fetch(&self, key: CacheKey, cx: &A::Context) -> Option<Arc<A>> {
         let text = std::fs::read_to_string(self.path(key)).ok()?;
-        codec.decode(&text).map(Arc::new)
+        A::decode(&text, cx).map(Arc::new)
     }
 
     /// Persist an artifact (promotion or fresh insert). Best effort.
-    pub fn store(&self, key: CacheKey, artifact: &Arc<A>, codec: &dyn Codec<A>) {
+    pub fn store(&self, key: CacheKey, artifact: &A) {
         let _ = std::fs::create_dir_all(&self.dir);
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
@@ -178,7 +174,7 @@ impl<A> DiskTier<A> {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&tmp, codec.encode(key, artifact)).is_ok() {
+        if std::fs::write(&tmp, artifact.encode(key)).is_ok() {
             if std::fs::rename(&tmp, self.path(key)).is_ok() {
                 msc_obs::count("cache.disk_write", 1);
             } else {
@@ -197,14 +193,9 @@ impl<A> DiskTier<A> {
     }
 }
 
-fn disk_path(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.mscache", key.hex()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::StrCodec;
 
     #[test]
     fn memory_tier_is_lru_and_counts_evictions() {
@@ -216,7 +207,7 @@ mod tests {
         tier.put(keys[1], &Arc::new("b".into()));
         // Touch key 0 so key 1 becomes the LRU victim.
         assert!(tier.touch(keys[0]).is_some());
-        tier.put(keys[2], &Arc::new("c".into()));
+        assert_eq!(tier.put(keys[2], &Arc::new("c".into())), 1);
         assert_eq!(tier.len(), 2);
         assert!(tier.touch(keys[0]).is_some());
         assert!(tier.touch(keys[1]).is_none());
@@ -239,17 +230,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let tier: DiskTier<String> = DiskTier::new(dir.clone());
         let key = crate::content_key("disk", &[b"k"]);
-        assert!(tier.fetch(key, &StrCodec).is_none());
-        tier.store(key, &Arc::new("payload".into()), &StrCodec);
+        assert!(tier.fetch(key, &()).is_none());
+        tier.store(key, &"payload".to_string());
         assert_eq!(
-            tier.fetch(key, &StrCodec).as_deref(),
+            tier.fetch(key, &()).as_deref(),
             Some(&"payload".to_string())
         );
         assert!(tier.read_raw(key).expect("raw").starts_with("mscache v1\n"));
         // A file that lost its magic is not exportable.
         std::fs::write(tier.path(key), "garbage").unwrap();
         assert!(tier.read_raw(key).is_none());
-        assert!(tier.fetch(key, &StrCodec).is_none());
+        assert!(tier.fetch(key, &()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,276 +1,148 @@
-//! The engine's view of the tiered compile cache.
-//!
-//! The tier machinery itself — the key/fingerprint algebra, the
-//! in-memory LRU, the atomic on-disk layer, and the peer-fetch tier
-//! with its breakers and deadlines — lives in the `msc-cache` crate,
-//! generic over the artifact type. This module binds it to
-//! [`Artifact`]: `ArtifactCodec` implements the `mscache v1`
-//! interchange format (the SIMD program via the reloadable assembly
-//! format `msc_simd::asm`, plus conversion stats and the automaton
-//! rendering), and [`CompileCache`] wraps `TieredCache<Artifact>` with
-//! the engine-facing API the rest of the workspace already speaks.
+//! The artifact's cache format, `mscache v1`: a small line-oriented
+//! header (key, meta-state count, conversion stats, phase timings,
+//! return slot) followed by the automaton rendering and the reloadable
+//! assembly (`msc_simd::asm`), each prefixed by its line count. The
+//! tiers themselves are `msc_cache::TieredCache<Artifact>`, which is
+//! [`CompileCache`](crate::CompileCache).
 
 use crate::{Artifact, PhaseTimings};
-use msc_cache::{Codec, PeerConfig, TierStatus, TieredCache};
+use msc_cache::{CacheKey, Cacheable};
 use msc_core::ConvertStats;
 use msc_ir::{Addr, CostModel};
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-pub use msc_cache::{cache_key, content_key, CacheKey, CacheLayer, CacheStats};
+impl Cacheable for Artifact {
+    const MAGIC: &'static str = "mscache v1";
+    /// Decoding reparses the assembly, which needs the request's cost
+    /// model.
+    type Context = CostModel;
 
-/// The `mscache v1` (de)serializer for [`Artifact`]s. Decoding reparses
-/// the assembly, which needs the request's [`CostModel`]; the cache key
-/// already pins it, so borrowing it per call is sound.
-pub(crate) struct ArtifactCodec<'a> {
-    pub costs: &'a CostModel,
-}
-
-impl ArtifactCodec<'_> {
-    /// Codec for paths that only encode (insert, export): encoding
-    /// never reads the cost model.
-    pub fn encode_only() -> ArtifactCodec<'static> {
-        static DEFAULT: std::sync::OnceLock<CostModel> = std::sync::OnceLock::new();
-        ArtifactCodec {
-            costs: DEFAULT.get_or_init(CostModel::default),
+    fn encode(&self, key: CacheKey) -> String {
+        use std::fmt::Write as _;
+        let asm = msc_simd::asm::serialize(&self.simd);
+        let mut out = String::new();
+        let _ = writeln!(out, "{}", Self::MAGIC);
+        let _ = writeln!(out, "key {}", key.hex());
+        let _ = writeln!(out, "meta_states {}", self.meta_states);
+        let s = &self.stats;
+        let _ = writeln!(
+            out,
+            "stats {} {} {} {}",
+            s.restarts, s.splits, s.subsumed, s.successor_sets_enumerated
+        );
+        let t = &self.timings;
+        let _ = writeln!(
+            out,
+            "timings_ns {} {} {}",
+            t.compile.as_nanos(),
+            t.convert.as_nanos(),
+            t.codegen.as_nanos()
+        );
+        match self.ret_addr {
+            Some(a) => {
+                let _ = writeln!(out, "ret {} {}", a.space, a.index);
+            }
+            None => {
+                let _ = writeln!(out, "ret none");
+            }
         }
-    }
-}
-
-impl Codec<Artifact> for ArtifactCodec<'_> {
-    fn encode(&self, key: CacheKey, artifact: &Artifact) -> String {
-        write_disk_artifact(key, artifact)
-    }
-
-    fn decode(&self, text: &str) -> Option<Artifact> {
-        read_disk_artifact(text, self.costs)
-    }
-}
-
-/// Bounded, thread-safe artifact cache: memory LRU, optional disk
-/// layer, optional peer-daemon layer.
-pub struct CompileCache {
-    tiers: TieredCache<Artifact>,
-}
-
-impl CompileCache {
-    /// A cache holding at most `capacity` artifacts in memory (0 disables
-    /// the memory layer), persisting to `disk_dir` when given (the
-    /// directory is created on first use; I/O failures degrade to misses).
-    pub fn new(capacity: usize, disk_dir: Option<PathBuf>) -> Self {
-        CompileCache {
-            tiers: TieredCache::new(capacity, disk_dir),
+        let _ = writeln!(out, "automaton {}", self.automaton_text.lines().count());
+        out.push_str(&self.automaton_text);
+        if !self.automaton_text.ends_with('\n') && !self.automaton_text.is_empty() {
+            out.push('\n');
         }
+        let _ = writeln!(out, "asm {}", asm.lines().count());
+        out.push_str(&asm);
+        out
     }
 
-    /// [`new`](Self::new) plus a peer tier fetching from sibling
-    /// daemons (`host:port` each; an empty list disables the tier).
-    pub fn with_peers(
-        capacity: usize,
-        disk_dir: Option<PathBuf>,
-        peers: Vec<String>,
-        cfg: PeerConfig,
-    ) -> Self {
-        CompileCache {
-            tiers: TieredCache::with_peers(capacity, disk_dir, peers, cfg),
+    fn decode(text: &str, costs: &CostModel) -> Option<Artifact> {
+        let mut lines = text.lines();
+        if lines.next()? != Self::MAGIC {
+            return None;
         }
-    }
-
-    /// Look up `key`, consulting memory then disk. `costs` is needed to
-    /// reparse a disk artifact's assembly (the key already pins it).
-    pub fn lookup(&self, key: CacheKey, costs: &CostModel) -> Option<(Arc<Artifact>, CacheLayer)> {
-        let hit = self.probe(key, costs);
-        if hit.is_none() {
-            self.note_miss();
+        let _key = lines.next()?.strip_prefix("key ")?;
+        let meta_states: usize = lines.next()?.strip_prefix("meta_states ")?.parse().ok()?;
+        let stats_line = lines.next()?.strip_prefix("stats ")?;
+        let mut it = stats_line.split_whitespace();
+        let stats = ConvertStats {
+            restarts: it.next()?.parse().ok()?,
+            splits: it.next()?.parse().ok()?,
+            subsumed: it.next()?.parse().ok()?,
+            successor_sets_enumerated: it.next()?.parse().ok()?,
+        };
+        let timings_line = lines.next()?.strip_prefix("timings_ns ")?;
+        let mut it = timings_line.split_whitespace();
+        let mut dur =
+            || -> Option<Duration> { it.next()?.parse::<u64>().ok().map(Duration::from_nanos) };
+        let timings = PhaseTimings {
+            compile: dur()?,
+            convert: dur()?,
+            codegen: dur()?,
+        };
+        let ret_line = lines.next()?.strip_prefix("ret ")?;
+        let ret_addr = match ret_line {
+            "none" => None,
+            other => {
+                let mut it = other.split_whitespace();
+                let space = it.next()?;
+                let index: u32 = it.next()?.parse().ok()?;
+                Some(match space {
+                    "poly" => Addr::poly(index),
+                    "mono" => Addr::mono(index),
+                    _ => return None,
+                })
+            }
+        };
+        let n_auto: usize = lines.next()?.strip_prefix("automaton ")?.parse().ok()?;
+        let mut automaton_text = String::new();
+        for _ in 0..n_auto {
+            automaton_text.push_str(lines.next()?);
+            automaton_text.push('\n');
         }
-        hit
-    }
-
-    /// [`lookup`](Self::lookup) without recording a miss (hits are still
-    /// counted). The engine's singleflight layer probes first and only
-    /// charges a miss to the one request that actually compiles, so a
-    /// burst of N identical requests reads as 1 miss + N−1 hits/coalesced
-    /// rather than N misses. Local tiers only — never the network.
-    pub fn probe(&self, key: CacheKey, costs: &CostModel) -> Option<(Arc<Artifact>, CacheLayer)> {
-        self.tiers.probe(key, &ArtifactCodec { costs })
-    }
-
-    /// [`probe`](Self::probe) restricted to the memory tier: no file, no
-    /// decode, no wait. Counts and touches recency as `probe` does on a
-    /// hit; a miss leaves no trace.
-    pub fn probe_memory(&self, key: CacheKey) -> Option<Arc<Artifact>> {
-        self.tiers.probe_memory(key)
-    }
-
-    /// Consult the peer tier (if configured) for `key`; a verified hit
-    /// is promoted into memory and disk. Called by the singleflight
-    /// leader only, so N coalesced cold requests cost at most one peer
-    /// round-trip.
-    pub fn fetch_remote(&self, key: CacheKey, costs: &CostModel) -> Option<Arc<Artifact>> {
-        self.tiers.fetch_remote(key, &ArtifactCodec { costs })
-    }
-
-    /// Record one miss. Paired with [`probe`](Self::probe): the
-    /// singleflight leader calls this exactly once per coalesced group.
-    pub fn note_miss(&self) {
-        self.tiers.note_miss();
-    }
-
-    /// Insert a freshly compiled artifact into the local tiers.
-    pub fn insert(&self, key: CacheKey, artifact: Arc<Artifact>) {
-        self.tiers
-            .insert(key, artifact, &ArtifactCodec::encode_only());
-    }
-
-    /// Serialize a locally cached artifact for `GET /artifact/{key}`:
-    /// memory first, else the raw disk file. `None` when this node has
-    /// nothing — serving a peer must never trigger a compile, and never
-    /// consults *our* peers (no fetch recursion across the fleet).
-    pub fn export(&self, key: CacheKey) -> Option<String> {
-        self.tiers.export(key, &ArtifactCodec::encode_only())
-    }
-
-    /// True when a peer tier is configured.
-    pub fn has_peers(&self) -> bool {
-        self.tiers.has_peers()
-    }
-
-    /// Status of every configured tier, fastest first (for `/healthz`).
-    pub fn tier_status(&self) -> Vec<TierStatus> {
-        self.tiers.tier_status()
-    }
-
-    /// Current counter values.
-    pub fn stats(&self) -> CacheStats {
-        self.tiers.stats()
-    }
-
-    /// Number of artifacts currently in memory.
-    pub fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// True when the memory layer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tiers.is_empty()
-    }
-}
-
-/// On-disk artifact: a small line-oriented header followed by the
-/// automaton rendering and the reloadable assembly, each length-prefixed
-/// by line count.
-fn write_disk_artifact(key: CacheKey, artifact: &Artifact) -> String {
-    use std::fmt::Write as _;
-    let asm = msc_simd::asm::serialize(&artifact.simd);
-    let mut out = String::new();
-    let _ = writeln!(out, "mscache v1");
-    let _ = writeln!(out, "key {}", key.hex());
-    let _ = writeln!(out, "meta_states {}", artifact.meta_states);
-    let s = &artifact.stats;
-    let _ = writeln!(
-        out,
-        "stats {} {} {} {}",
-        s.restarts, s.splits, s.subsumed, s.successor_sets_enumerated
-    );
-    let t = &artifact.timings;
-    let _ = writeln!(
-        out,
-        "timings_ns {} {} {}",
-        t.compile.as_nanos(),
-        t.convert.as_nanos(),
-        t.codegen.as_nanos()
-    );
-    match artifact.ret_addr {
-        Some(a) => {
-            let _ = writeln!(out, "ret {} {}", a.space, a.index);
+        let n_asm: usize = lines.next()?.strip_prefix("asm ")?.parse().ok()?;
+        let mut asm = String::new();
+        for _ in 0..n_asm {
+            asm.push_str(lines.next()?);
+            asm.push('\n');
         }
-        None => {
-            let _ = writeln!(out, "ret none");
-        }
+        let simd = msc_simd::asm::parse(&asm, costs.clone()).ok()?;
+        Some(Artifact {
+            simd,
+            stats,
+            meta_states,
+            timings,
+            ret_addr,
+            automaton_text,
+        })
     }
-    let _ = writeln!(out, "automaton {}", artifact.automaton_text.lines().count());
-    out.push_str(&artifact.automaton_text);
-    if !artifact.automaton_text.ends_with('\n') && !artifact.automaton_text.is_empty() {
-        out.push('\n');
-    }
-    let _ = writeln!(out, "asm {}", asm.lines().count());
-    out.push_str(&asm);
-    out
-}
-
-/// Parse an artifact from interchange text; any malformation yields
-/// `None` (treated as a miss — the artifact is simply rebuilt).
-fn read_disk_artifact(text: &str, costs: &CostModel) -> Option<Artifact> {
-    let mut lines = text.lines();
-    if lines.next()? != "mscache v1" {
-        return None;
-    }
-    let _key = lines.next()?.strip_prefix("key ")?;
-    let meta_states: usize = lines.next()?.strip_prefix("meta_states ")?.parse().ok()?;
-    let stats_line = lines.next()?.strip_prefix("stats ")?;
-    let mut it = stats_line.split_whitespace();
-    let stats = ConvertStats {
-        restarts: it.next()?.parse().ok()?,
-        splits: it.next()?.parse().ok()?,
-        subsumed: it.next()?.parse().ok()?,
-        successor_sets_enumerated: it.next()?.parse().ok()?,
-    };
-    let timings_line = lines.next()?.strip_prefix("timings_ns ")?;
-    let mut it = timings_line.split_whitespace();
-    let mut dur =
-        || -> Option<Duration> { it.next()?.parse::<u64>().ok().map(Duration::from_nanos) };
-    let timings = PhaseTimings {
-        compile: dur()?,
-        convert: dur()?,
-        codegen: dur()?,
-    };
-    let ret_line = lines.next()?.strip_prefix("ret ")?;
-    let ret_addr = match ret_line {
-        "none" => None,
-        other => {
-            let mut it = other.split_whitespace();
-            let space = it.next()?;
-            let index: u32 = it.next()?.parse().ok()?;
-            Some(match space {
-                "poly" => Addr::poly(index),
-                "mono" => Addr::mono(index),
-                _ => return None,
-            })
-        }
-    };
-    let n_auto: usize = lines.next()?.strip_prefix("automaton ")?.parse().ok()?;
-    let mut automaton_text = String::new();
-    for _ in 0..n_auto {
-        automaton_text.push_str(lines.next()?);
-        automaton_text.push('\n');
-    }
-    let n_asm: usize = lines.next()?.strip_prefix("asm ")?.parse().ok()?;
-    let mut asm = String::new();
-    for _ in 0..n_asm {
-        asm.push_str(lines.next()?);
-        asm.push('\n');
-    }
-    let simd = msc_simd::asm::parse(&asm, costs.clone()).ok()?;
-    Some(Artifact {
-        simd,
-        stats,
-        meta_states,
-        timings,
-        ret_addr,
-        automaton_text,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{cache_key, CacheLayer, CompileCache};
     use msc_codegen::GenOptions;
     use msc_core::ConvertOptions;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
 
     fn opts() -> (ConvertOptions, GenOptions) {
         (ConvertOptions::base(), GenOptions::default())
+    }
+
+    /// A probe that charges a miss itself when nothing answers, as the
+    /// singleflight leader does for its group.
+    fn lookup(
+        cache: &CompileCache,
+        key: CacheKey,
+        costs: &CostModel,
+    ) -> Option<(Arc<Artifact>, CacheLayer)> {
+        let hit = cache.probe(key, costs);
+        if hit.is_none() {
+            cache.note_miss();
+        }
+        hit
     }
 
     fn disk_path(dir: &Path, key: CacheKey) -> PathBuf {
@@ -311,12 +183,12 @@ mod tests {
         cache.insert(keys[0], dummy_artifact(0));
         cache.insert(keys[1], dummy_artifact(1));
         // Touch key 0 so key 1 becomes the LRU victim.
-        assert!(cache.lookup(keys[0], &c.costs).is_some());
+        assert!(lookup(&cache, keys[0], &c.costs).is_some());
         cache.insert(keys[2], dummy_artifact(2));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(keys[0], &c.costs).is_some());
-        assert!(cache.lookup(keys[1], &c.costs).is_none());
-        assert!(cache.lookup(keys[2], &c.costs).is_some());
+        assert!(lookup(&cache, keys[0], &c.costs).is_some());
+        assert!(lookup(&cache, keys[1], &c.costs).is_none());
+        assert!(lookup(&cache, keys[2], &c.costs).is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.misses, 1);
@@ -337,7 +209,7 @@ mod tests {
         }
         // A fresh cache (cold memory) must reload from disk.
         let cache = CompileCache::new(4, Some(dir.clone()));
-        let (reloaded, layer) = cache.lookup(key, &c.costs).expect("disk hit");
+        let (reloaded, layer) = lookup(&cache, key, &c.costs).expect("disk hit");
         assert_eq!(layer, CacheLayer::Disk);
         assert_eq!(reloaded.meta_states, art.meta_states);
         assert_eq!(reloaded.automaton_text, art.automaton_text);
@@ -348,7 +220,7 @@ mod tests {
             "assembly round-trips exactly"
         );
         // Second lookup is served from memory (promotion happened).
-        let (_, layer) = cache.lookup(key, &c.costs).expect("memory hit");
+        let (_, layer) = lookup(&cache, key, &c.costs).expect("memory hit");
         assert_eq!(layer, CacheLayer::Memory);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -375,7 +247,7 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             let cache = CompileCache::new(4, Some(dir.clone()));
             assert!(
-                cache.lookup(key, &c.costs).is_none(),
+                lookup(&cache, key, &c.costs).is_none(),
                 "truncation at {cut}/{} bytes must be a miss",
                 full.len()
             );
@@ -384,7 +256,7 @@ mod tests {
         // Arbitrary garbage bytes (not even UTF-8) likewise.
         std::fs::write(&path, [0xff, 0x00, 0xfe, 0x80, 0x80]).unwrap();
         let cache = CompileCache::new(4, Some(dir.clone()));
-        assert!(cache.lookup(key, &c.costs).is_none());
+        assert!(lookup(&cache, key, &c.costs).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -402,7 +274,7 @@ mod tests {
         )
         .unwrap();
         let cache = CompileCache::new(4, Some(dir.clone()));
-        assert!(cache.lookup(key, &c.costs).is_none());
+        assert!(lookup(&cache, key, &c.costs).is_none());
         assert_eq!(cache.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -427,7 +299,7 @@ mod tests {
 
         // Cold lookups (memory+disk miss).
         for &k in &keys {
-            assert!(cache.lookup(k, &c.costs).is_none());
+            assert!(lookup(&cache, k, &c.costs).is_none());
             resolved += 1;
         }
         // The singleflight shape: probe (miss), then note_miss once for
@@ -460,7 +332,7 @@ mod tests {
                 resolved += 1;
             }
             let fresh = cache_key(&format!("inv-fresh-{round}"), &c, &g, false, false);
-            assert!(cache.lookup(fresh, &c.costs).is_none());
+            assert!(lookup(&cache, fresh, &c.costs).is_none());
             resolved += 1;
         }
 
@@ -517,8 +389,7 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..300 {
                     let which = i % 2;
-                    let (artifact, _) = cache
-                        .lookup(keys[which], &costs)
+                    let (artifact, _) = lookup(&cache, keys[which], &costs)
                         .expect("concurrent rewrite must never read as a miss");
                     assert_eq!(
                         artifact.meta_states, expected_meta[which],

@@ -10,9 +10,11 @@
 //! * [`compile_stages`] — the one stage sequence (front end → optional IR
 //!   passes → conversion → code generation) that both [`Engine`] and
 //!   `metastate::Pipeline::build` run;
-//! * [`cache`] — a content-addressed compile cache keyed by the hash of
-//!   (source, conversion options, codegen options, IR passes), with a
-//!   bounded in-memory LRU and an optional on-disk layer;
+//! * [`CompileCache`] — `msc_cache::TieredCache` of [`Artifact`]s, keyed
+//!   by the hash of (source, conversion options, codegen options, IR
+//!   passes): a bounded in-memory LRU, an optional on-disk layer and
+//!   optional peer daemons; the artifact's `mscache v1` format is its
+//!   `msc_cache::Cacheable` impl;
 //! * [`Engine`] — the service wrapper: [`Engine::compile`] for one job,
 //!   [`Engine::compile_many`] for a batch over a worker pool with per-job
 //!   cooperative timeouts and panic capture (one poisoned job yields one
@@ -30,13 +32,15 @@
 //! assert_eq!(again.provenance, msc_engine::Provenance::Memory);
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod flight;
 pub mod parallel;
 
-pub use cache::{cache_key, content_key, CacheKey, CacheLayer, CacheStats, CompileCache};
 pub use flight::{Flight, Singleflight};
-pub use msc_cache::{BreakerState, PeerConfig, PeerStatus, TierStatus};
+pub use msc_cache::{
+    cache_key, content_key, BreakerState, CacheKey, CacheLayer, CacheStats, MemoryTier, PeerConfig,
+    PeerStatus, TierStatus,
+};
 pub use parallel::{convert_parallel, convert_parallel_deadline, ParallelError};
 
 use msc_codegen::{generate_with_stats, GenError, GenOptions};
@@ -171,6 +175,11 @@ pub struct Artifact {
     /// Text rendering of the automaton.
     pub automaton_text: String,
 }
+
+/// The engine's artifact cache: memory LRU, optional disk layer,
+/// optional peer-daemon layer. Lookups lend the request's `CostModel`,
+/// which a disk or peer hit reparses its assembly against.
+pub type CompileCache = msc_cache::TieredCache<Artifact>;
 
 /// One compilation request.
 #[derive(Debug, Clone)]

@@ -4,29 +4,23 @@
 //! blocks directly: patterns are keyed by
 //! [`msc_engine::content_key`]`("regex", pattern)`, compiled at most once
 //! per key ([`msc_engine::Singleflight`] coalesces concurrent identical
-//! requests), and held in a small tick-LRU. [`msc_engine::Provenance`]
-//! reports how each request was served (`Disk` is never returned — the
-//! regex cache has no disk layer).
+//! requests), and held in a [`msc_engine::MemoryTier`], the compile
+//! cache's in-memory LRU. [`msc_engine::Provenance`] reports how
+//! each request was served (`Disk` is never returned — a compiled
+//! pattern has no interchange format, so there is no disk layer).
 
 use crate::{Regex, RegexError};
-use msc_engine::{content_key, CacheKey, Flight, Provenance, Singleflight};
-use std::collections::HashMap;
+use msc_engine::{content_key, CacheKey, Flight, MemoryTier, Provenance, Singleflight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default LRU capacity in compiled patterns.
 pub const DEFAULT_PATTERN_CAPACITY: usize = 64;
 
-struct Lru {
-    map: HashMap<CacheKey, (Arc<Regex>, u64)>,
-    tick: u64,
-}
-
 /// The compiled-pattern cache.
 pub struct RegexEngine {
-    capacity: usize,
     max_meta_states: usize,
-    lru: Mutex<Lru>,
+    patterns: MemoryTier<Regex>,
     flights: Singleflight<CacheKey, Arc<Regex>>,
     compiled: AtomicU64,
     hits: AtomicU64,
@@ -53,12 +47,8 @@ impl RegexEngine {
     /// as too complex (0 acts as 1).
     pub fn with_limits(capacity: usize, max_meta_states: usize) -> Self {
         RegexEngine {
-            capacity,
             max_meta_states,
-            lru: Mutex::new(Lru {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            patterns: MemoryTier::new(capacity),
             flights: Singleflight::new(),
             compiled: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -81,40 +71,11 @@ impl RegexEngine {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    fn probe(&self, key: CacheKey) -> Option<Arc<Regex>> {
-        let mut lru = self.lru.lock().unwrap_or_else(|p| p.into_inner());
-        lru.tick += 1;
-        let tick = lru.tick;
-        let (regex, stamp) = lru.map.get_mut(&key)?;
-        *stamp = tick;
-        Some(Arc::clone(regex))
-    }
-
-    fn insert(&self, key: CacheKey, regex: &Arc<Regex>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut lru = self.lru.lock().unwrap_or_else(|p| p.into_inner());
-        lru.tick += 1;
-        let tick = lru.tick;
-        if lru.map.len() >= self.capacity && !lru.map.contains_key(&key) {
-            if let Some(victim) = lru
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-            {
-                lru.map.remove(&victim);
-            }
-        }
-        lru.map.insert(key, (Arc::clone(regex), tick));
-    }
-
     /// Fetch or compile the pattern. Concurrent identical misses compile
     /// once; followers share the leader's outcome.
     pub fn get(&self, pattern: &str) -> Result<(Arc<Regex>, Provenance), RegexError> {
         let key = content_key("regex", &[pattern.as_bytes()]);
-        let leader = match self.flights.begin(key, || self.probe(key)) {
+        let leader = match self.flights.begin(key, || self.patterns.touch(key)) {
             Flight::Hit(regex) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 msc_obs::count("regex.cache_hits", 1);
@@ -136,7 +97,7 @@ impl RegexEngine {
                 // Insert before the leader guard retires the flight entry
                 // (the Singleflight contract: joiners either coalesce or
                 // hit the cache, never recompile).
-                self.insert(key, regex);
+                self.patterns.put(key, regex);
                 self.compiled.fetch_add(1, Ordering::Relaxed);
                 msc_obs::count("regex.compiled", 1);
                 leader.publish(Ok(Arc::clone(regex)));
@@ -181,6 +142,14 @@ mod tests {
         eng.get("c").unwrap(); // evicts `b`
         assert_eq!(eng.get("a").unwrap().1, Provenance::Memory);
         assert_eq!(eng.get("b").unwrap().1, Provenance::Fresh);
+    }
+
+    #[test]
+    fn zero_capacity_compiles_every_request() {
+        let eng = RegexEngine::new(0);
+        assert_eq!(eng.get("ab+").unwrap().1, Provenance::Fresh);
+        assert_eq!(eng.get("ab+").unwrap().1, Provenance::Fresh);
+        assert_eq!((eng.compiled(), eng.hits()), (2, 0));
     }
 
     #[test]
