@@ -4,14 +4,13 @@
 //! ```text
 //! cargo run --release -p msc-bench --bin claims -- claims           # C1–C10, A1–A4, S1
 //! cargo run --release -p msc-bench --bin claims -- claims --check   # gate them
-//! cargo run --release -p msc-bench --bin claims -- --check          # the default list
+//! cargo run --release -p msc-bench --bin claims -- --check          # all three
 //! ```
 //!
-//! A name (`claims`, `serve`, `regex`, `explosion`, `cluster`; every one
-//! when none is given) measures and writes `BENCH_<name>.json` in the
-//! current directory; with `--check` it re-measures and gates against
-//! that file instead (every bench whose row says so when none is given),
-//! exiting nonzero on any regression.
+//! A name (`claims`, `regex`, `explosion`; every one when none is given)
+//! measures and writes `BENCH_<name>.json` in the current directory; with
+//! `--check` it re-measures and gates against that file instead, exiting
+//! nonzero on any regression.
 
 use msc_bench::gate::{recheck, regenerate, BENCHES};
 
@@ -20,8 +19,7 @@ fn main() {
     let check = which.iter().any(|w| w == "--check");
     which.retain(|w| w != "--check");
     if which.is_empty() {
-        let all = BENCHES.iter().filter(|b| !check || b.in_default_check);
-        which = all.map(|b| b.name.to_string()).collect();
+        which = BENCHES.iter().map(|b| b.name.to_string()).collect();
     }
     let mut ok = true;
     for w in &which {

@@ -12,24 +12,8 @@
 use metastate::{ConvertMode, Pipeline, TimeSplitOptions};
 use msc_ir::CostModel;
 
-const LISTING4: &str = r#"
-    main() {
-        poly int x;
-        if (x) { do { x = 1; } while (x); }
-        else   { do { x = 2; } while (x); }
-        return(x);
-    }
-"#;
-
-const LISTING3: &str = r#"
-    main() {
-        poly int x;
-        if (x) { do { x = 1; } while (x); }
-        else   { do { x = 2; } while (x); }
-        wait; /* barrier sync. of all threads */
-        return(x);
-    }
-"#;
+const LISTING4: &str = include_str!("../../../../examples/listing4.mimdc");
+const LISTING3: &str = include_str!("../../../../examples/listing3.mimdc");
 
 fn fig1() {
     println!("== Figure 1: MIMD state graph for Listing 1 ==\n");

@@ -1,8 +1,8 @@
 //! Endpoint smoke for the msc-serve daemon: wait for `/healthz`, touch
 //! every endpoint once over real sockets, exit 0/1. No load, no output
 //! file — how fast the daemon answers is measured by `perf`'s
-//! `serve_mixed` workload, and the coalescing invariant by `claims --
-//! serve`.
+//! `serve_mixed` workload, and the coalescing invariant by
+//! `tests/serve_end_to_end.rs`.
 //!
 //! ```text
 //! cargo run --release -p msc-bench --bin loadgen -- --smoke                  # in-process daemon

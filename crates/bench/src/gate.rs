@@ -1,4 +1,4 @@
-//! The regression gates over the five committed `BENCH_*.json` baselines.
+//! The regression gates over the three committed `BENCH_*.json` baselines.
 //!
 //! One row of [`BENCHES`] per bench: how to measure it and which of the
 //! measured numbers are gated, by which [`Rule`]. A measurement is a
@@ -22,7 +22,7 @@
 //! machine whose `env` the baseline carries and print report-only
 //! anywhere else.
 
-use crate::{claims, cluster, loadbench, timed};
+use crate::{claims, timed};
 use msc_obs::json::{parse, Json};
 use std::path::Path;
 
@@ -107,7 +107,7 @@ const fn gate_vs(
     }
 }
 
-/// Resolve a dotted path: `coalesce_burst.compilations` walks objects, and
+/// Resolve a dotted path: `targets.t1_mbps_min` walks objects, and
 /// `profiles[name=wide-simd].cycles` / `c2[loops=10].base` pick the array
 /// row whose `name` / `loops` member is that value.
 pub fn lookup<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
@@ -260,8 +260,6 @@ pub struct Bench {
     /// is the body of the baseline file.
     pub measure: fn() -> Result<Json, String>,
     pub gates: &'static [Gate],
-    /// Part of a bare `claims -- --check`.
-    pub in_default_check: bool,
 }
 
 impl Bench {
@@ -270,18 +268,6 @@ impl Bench {
         format!("BENCH_{}.json", self.name)
     }
 }
-
-// Invariants only: the daemon's throughput and latency are `perf`'s
-// `serve_mixed` (`ops_per_s`, `op_ms_p99`).
-const SERVE: &[Gate] = &[
-    gate("errors", Rule::Zero, "a burst request failed"),
-    gate_vs(
-        "coalesce_burst.compilations",
-        Rule::Exact,
-        "targets.burst_compilations",
-        "a burst of identical cold requests must cost one compilation",
-    ),
-];
 
 const REGEX: &[Gate] = &[
     gate(
@@ -346,42 +332,6 @@ const EXPLOSION: &[Gate] = &[
         Rule::AtMost,
         "targets.obs_disabled_overhead_pct_max",
         "the disabled instrumentation costs the conversion more than it did",
-    ),
-];
-
-const CLUSTER: &[Gate] = &[
-    gate(
-        "errors",
-        Rule::Zero,
-        "wrong status or provenance on a cluster leg",
-    ),
-    gate("jobs", Rule::Exact, "the cluster workload changed size"),
-    gate_vs(
-        "peer_hits",
-        Rule::Exact,
-        "jobs",
-        "node B must take every job from its peer",
-    ),
-    gate(
-        "node_b_compilations",
-        Rule::Exact,
-        "node B compiled locally despite a warm donor",
-    ),
-    gate(
-        "verify_fails",
-        Rule::Nonzero,
-        "the corrupt-peer leg never tripped checksum verification",
-    ),
-    gate_vs(
-        "peer_hit_mean_ms",
-        Rule::AtMost,
-        "targets.peer_hit_ms_max",
-        "a peer hit must stay far cheaper than a compile",
-    ),
-    gate(
-        "dead_peer_within_deadline",
-        Rule::True,
-        "a dead fleet may cost one peer-path deadline over single-node, no more",
     ),
 ];
 
@@ -469,39 +419,21 @@ const CLAIMS: &[Gate] = &{
 };
 
 /// Every bench with a committed baseline, in `claims` order.
-pub static BENCHES: [Bench; 5] = [
+pub static BENCHES: [Bench; 3] = [
     Bench {
         name: "claims",
         measure: claims::measure,
         gates: CLAIMS,
-        in_default_check: true,
-    },
-    Bench {
-        name: "serve",
-        measure: loadbench::measure_serve,
-        gates: SERVE,
-        in_default_check: true,
     },
     Bench {
         name: "regex",
         measure: timed::measure_regex,
         gates: REGEX,
-        in_default_check: true,
     },
     Bench {
         name: "explosion",
         measure: timed::measure_explosion,
         gates: EXPLOSION,
-        in_default_check: true,
-    },
-    // Not in the default list: needs the mscc binary built first
-    // (subprocess daemons) — `ci.sh cluster-smoke` runs it as its own
-    // stage.
-    Bench {
-        name: "cluster",
-        measure: cluster::measure_cluster,
-        gates: CLUSTER,
-        in_default_check: false,
     },
 ];
 
@@ -744,19 +676,13 @@ mod tests {
                 );
             }
         }
-        // The shapes the gates lean on.
-        let cluster = committed(bench("cluster"));
-        assert_eq!(num(&cluster, "peer_hits"), num(&cluster, "jobs"));
-        assert!(num(&cluster, "dead_peer_overhead_ms") <= num(&cluster, "peer_deadline_ms"));
+        // The shape the gates lean on.
         let claims = committed(bench("claims"));
         assert_eq!(
             num(&claims, "profiles[name=paper-default].cycles"),
             num(&claims, "hard_coded_cycles"),
             "bit-identity anchor"
         );
-        let serve = committed(bench("serve"));
-        assert_eq!(num(&serve, "coalesce_burst.requests"), 16.0);
-        assert_eq!(num(&serve, "coalesce_burst.compilations"), 1.0);
     }
 
     #[test]
@@ -928,18 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn default_check_list_is_the_flagged_rows() {
-        let all: Vec<_> = BENCHES.iter().map(|b| b.name).collect();
-        assert_eq!(all, ["claims", "serve", "regex", "explosion", "cluster"]);
-        let default: Vec<_> = BENCHES
-            .iter()
-            .filter(|b| b.in_default_check)
-            .map(|b| b.name)
-            .collect();
-        assert_eq!(default, ["claims", "serve", "regex", "explosion"]);
-    }
-
-    #[test]
     fn written_files_carry_env_and_read_back_as_the_measurement() {
         let explosion = bench("explosion");
         let body = body_of(committed(explosion));
@@ -958,16 +872,19 @@ mod tests {
             refusal.starts_with("not writing BENCH_explosion.json: spill_identical: "),
             "{refusal}"
         );
-        // Nor is a burst that cost more than the one compilation it may:
-        // that row reads a target, not what the run itself measured.
-        let serve = bench("serve");
-        let mut bad = body_of(committed(serve));
-        assert!(baseline_file(serve, &bad).is_ok());
+        // Nor is one over a ceiling it writes beside what it measured:
+        // that row reads a target, not the measured value itself.
+        let mut bad = body.clone();
+        let ceiling = num(&body, "targets.obs_disabled_overhead_pct_max");
         edit(
             &mut bad,
-            "coalesce_burst.compilations",
-            Some(Json::from(3u64)),
+            "obs_disabled_overhead_pct",
+            Some(Json::from(ceiling + 1.0)),
         );
-        assert!(baseline_file(serve, &bad).is_err());
+        let refusal = baseline_file(explosion, &bad).unwrap_err();
+        assert!(
+            refusal.starts_with("not writing BENCH_explosion.json: obs_disabled_overhead_pct: "),
+            "{refusal}"
+        );
     }
 }

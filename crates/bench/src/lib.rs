@@ -4,16 +4,15 @@
 //! regeneration binaries (`figures`, `claims`). EXPERIMENTS.md maps every
 //! artifact and claim of the paper to these.
 //!
-//! [`gate`] is the regression gate over the five committed `BENCH_*.json`
+//! [`gate`] is the regression gate over the three committed `BENCH_*.json`
 //! files: one table of gated metrics per bench, one check, one writer.
 //! The measurements it drives live in [`claims`] (the paper's numbers,
-//! with [`sweep`]), [`timed`] (explosion, regex), [`loadbench`] (serve)
-//! and [`cluster`]. They pin counts, invariants and ratios taken inside
-//! one process; wall-clock numbers are judged by the `perf/` package,
-//! nowhere here.
+//! with [`sweep`]) and [`timed`] (explosion, regex). They pin counts,
+//! invariants and ratios taken inside one process; wall-clock numbers are
+//! judged by the `perf/` package, nowhere here. [`loadbench`] is the
+//! daemon's endpoint smoke (`loadgen --smoke`).
 
 pub mod claims;
-pub mod cluster;
 pub mod gate;
 pub mod loadbench;
 pub mod measure;

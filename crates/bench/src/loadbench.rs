@@ -1,8 +1,8 @@
-//! Shared client-side pieces for the msc-serve daemon: the endpoint smoke
-//! checks behind `loadgen --smoke` and the `BENCH_serve.json` measurement
-//! behind the `serve` row of [`crate::gate::BENCHES`] (`claims -- serve
-//! [--check]`) — the coalesce burst and its invariants. How fast the
-//! daemon answers is `perf`'s `serve_mixed`, not measured here.
+//! Client-side pieces for the msc-serve daemon: the endpoint smoke checks
+//! behind `loadgen --smoke`. How fast the daemon answers is `perf`'s
+//! `serve_mixed`; what a burst of identical cold requests costs is
+//! `tests/serve_end_to_end.rs`, and two daemons sharing artifacts are
+//! `crates/cli/tests/fleet.rs`.
 
 use msc_obs::json::Json;
 use msc_serve::client::Client;
@@ -10,28 +10,19 @@ use msc_serve::{ServeOptions, Server, ServerHandle};
 use std::time::{Duration, Instant};
 
 /// The sources the smoke checks compile.
-pub const HIT_POOL: [&str; 4] = [
+const HIT_POOL: [&str; 3] = [
     "main() { poly int x; x = pe_id() * 2 + 1; return(x); }",
     "main() { poly int x, acc = 0; x = pe_id() % 4; while (x > 0) { acc += x; x -= 1; } return(acc); }",
     "main() { poly int v; v = 3; if (pe_id() % 2) { v = v + 1; } else { v = v + 2; } return(v); }",
-    "main() { mono int total = 0; poly int x; x = pe_id(); total += x; return(x + total); }",
 ];
 
-/// A never-seen-before source (cache miss) parameterized by `salt`.
-pub fn miss_source(salt: u64) -> String {
-    format!(
-        "main() {{ poly int x, acc = {salt}; x = pe_id() % 3; \
-         while (x > 0) {{ acc += x; x -= 1; }} return(acc); }}"
-    )
-}
-
 /// JSON request body for `POST /compile`.
-pub fn compile_body(source: &str) -> String {
+fn compile_body(source: &str) -> String {
     Json::obj(vec![("source", Json::from(source))]).render()
 }
 
 /// Poll `/healthz` until it answers 200 or the budget runs out.
-pub fn wait_healthy(addr: &str, budget: Duration) -> bool {
+fn wait_healthy(addr: &str, budget: Duration) -> bool {
     let deadline = Instant::now() + budget;
     while Instant::now() < deadline {
         if let Ok(mut c) = Client::connect_with_timeout(addr, Duration::from_secs(2)) {
@@ -45,7 +36,7 @@ pub fn wait_healthy(addr: &str, budget: Duration) -> bool {
 }
 
 /// Read one counter out of the daemon's `/metrics` endpoint.
-pub fn counter(addr: &str, name: &str) -> u64 {
+fn counter(addr: &str, name: &str) -> u64 {
     let mut c = Client::connect(addr).expect("connect for /metrics");
     let v = c
         .get("/metrics")
@@ -230,57 +221,15 @@ pub fn smoke(addr: &str) -> bool {
     ok
 }
 
-/// Width of the coalesce burst.
-const BURST: usize = 16;
-
-/// The coalesce burst: [`BURST`] concurrent identical cold compiles must
-/// cost exactly one compilation (one `cache.miss`), the rest splitting
-/// into `engine.coalesced` + `cache.hit`. Returns `(compilations,
-/// coalesced, errors)`, an error being a request that was not answered
-/// 200.
-fn coalesce_burst(addr: &str) -> (u64, u64, u64) {
-    let miss_before = counter(addr, "cache.miss");
-    let body = compile_body(&miss_source(999_999_983));
-    let errors = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..BURST)
-            .map(|_| {
-                let body = &body;
-                s.spawn(move || {
-                    Client::connect(addr)
-                        .and_then(|mut c| c.request("POST", "/compile", Some(body)))
-                        .map_or(true, |r| r.status != 200)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| u64::from(h.join().expect("burst client")))
-            .sum()
-    });
-    let compilations = counter(addr, "cache.miss") - miss_before;
-    (compilations, counter(addr, "engine.coalesced"), errors)
-}
-
 /// The daemon to drive: the one at `addr`, or an in-process one on an
-/// ephemeral port (the handle comes back so the caller can drain it).
-///
-/// Under the epoll reactor the worker pool only runs compute, so the
-/// default sizing applies; the portable driver (non-Linux targets)
-/// parks one worker per keep-alive connection and needs a worker per
-/// burst client plus one for the `/metrics` reads.
+/// ephemeral port with the default sizing (the handle comes back so the
+/// caller can drain it).
 pub fn attach(addr: Option<&str>) -> Result<(String, Option<ServerHandle>), String> {
     let (addr, handle) = match addr {
         Some(addr) => (addr.to_string(), None),
         None => {
-            let workers = if msc_serve::reactor_available() {
-                0 // ServeOptions default: one worker per available core
-            } else {
-                BURST + 1
-            };
             let handle = Server::start(ServeOptions {
                 addr: "127.0.0.1:0".to_string(),
-                queue_depth: 256,
-                workers,
                 ..ServeOptions::default()
             })
             .map_err(|e| format!("start in-process daemon: {e}"))?;
@@ -294,40 +243,4 @@ pub fn attach(addr: Option<&str>) -> Result<(String, Option<ServerHandle>), Stri
         h.shutdown();
     }
     Err(format!("daemon at {addr} never became healthy"))
-}
-
-/// One `BENCH_serve.json` measurement: an in-process daemon, one coalesce
-/// burst, drained afterwards. Returns the file body.
-pub fn measure_serve() -> Result<Json, String> {
-    let (addr, handle) = attach(None)?;
-    let (compilations, coalesced, errors) = coalesce_burst(&addr);
-    let shed = counter(&addr, "serve.shed");
-    if let Some(h) = handle {
-        h.shutdown();
-    }
-    println!(
-        "coalesce burst against {addr}: {BURST} identical cold requests -> {compilations} \
-         compilation(s), {coalesced} coalesced, {errors} error(s), {shed} shed"
-    );
-    println!("\nshape check: singleflight + the cache make the whole burst cost one compile");
-    Ok(Json::obj([
-        (
-            "workload",
-            Json::from("one burst of identical cold POST /compile requests, in-process daemon"),
-        ),
-        ("errors", Json::from(errors)),
-        ("shed", Json::from(shed)),
-        (
-            "coalesce_burst",
-            Json::obj([
-                ("requests", Json::from(BURST)),
-                ("compilations", Json::from(compilations)),
-            ]),
-        ),
-        // Not a measurement: what singleflight + the cache promise.
-        (
-            "targets",
-            Json::obj([("burst_compilations", Json::from(1u64))]),
-        ),
-    ]))
 }

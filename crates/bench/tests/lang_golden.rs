@@ -12,7 +12,9 @@
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
 
 /// (label, `Ast` digest, `Program` digest), captured at commit 806003c,
-/// the last one with the recursive-descent expression parser.
+/// the last one with the recursive-descent expression parser; the two
+/// `listing*.mimdc` rows were added when those files were, at 1101d3b's
+/// front end.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, &str)] = &[
     ("branchy(2)", "df03a54b7b1dc283bf5d2672e97db24b", "c82dc71d2e066eaabb87a587e84a6862"),
@@ -31,6 +33,8 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("barrier_pipeline.rs", "c0b1b69515b915ed128701863c7383fb", "2c0060de5be0e6375af4dd5a01431336"),
     ("branchy_workers.rs", "46ca4564a90d0c031fd4d10629898c13", "3888502d9829bce07170f9229461b2c1"),
     ("dispatch_heavy.mimdc", "2890615a2203689834f2c4c257321f26", "f0f5217436ce8f92233c97e25c9ffb23"),
+    ("listing3.mimdc", "f587b7e0f535b6a306249533cfa44a88", "9896621ff97f6fa4008c2e04919b6f25"),
+    ("listing4.mimdc", "81206a529f5346cd0266730414b41950", "14dd3b8b113a89879c34350ecc278ca1"),
     ("quickstart.rs", "06da9ae7ccea4da7296bc49af5eb1707", "a1ab38ba31b4229c6f95da7c49655485"),
     ("recursive_calls.rs", "6b66a3e90a9e1a4946b3f3395db92e97", "44a950ba6a0dd4570ee28e3c86813ea0"),
     ("reduction.rs", "7d559bf46f7899d77acdeed8b3f96dd5", "dbcbe6c65e7d72e5798da1c93bb72a9f"),

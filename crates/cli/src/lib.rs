@@ -146,6 +146,10 @@ pub enum Command {
         files: Vec<String>,
         /// Matcher threads (0 = all cores).
         threads: usize,
+        /// `--trace-out FILE` (observability).
+        trace_out: Option<String>,
+        /// `--metrics` (observability).
+        metrics: bool,
     },
     /// `mscc help` / `-h` / `--help`.
     Help,
@@ -301,7 +305,7 @@ MATCH FLAGS:
   with no FILE, the pattern is matched against stdin; supported syntax is
   literals, classes [a-z] [^…], . * + ? |, grouping, and ^/$ anchors
 
-OBSERVABILITY FLAGS (all commands):
+OBSERVABILITY FLAGS (all commands but serve):
   --trace-out FILE         stream structured events (spans, counters,
                            samples) as JSON lines to FILE
   --metrics                append an end-of-run metrics summary table
@@ -495,6 +499,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             peers.push(p.to_string());
                         }
                     }
+                    "--trace-out" | "--metrics" => {
+                        // The daemon installs its own registry for its
+                        // lifetime; a CLI session would block forever on
+                        // the obs install lock (see `fuzz --serve`).
+                        return Err(CliError(format!(
+                            "serve does not take {a}: the daemon installs its own metrics \
+                             registry and serves it on GET /metrics"
+                        )));
+                    }
                     other => return Err(CliError(format!("unexpected argument `{other}`"))),
                 }
             }
@@ -584,10 +597,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut pattern: Option<String> = None;
             let mut files: Vec<String> = Vec::new();
             let mut threads = 0usize;
+            let mut trace_out: Option<String> = None;
+            let mut metrics = false;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--threads" => {
                         threads = parsed(&mut it, "--threads needs a value", "thread count")?;
+                    }
+                    "--trace-out" | "--metrics" => {
+                        obs_flag(a, &mut it, &mut trace_out, &mut metrics)?;
                     }
                     // The first positional is the pattern — even when it
                     // starts with `-` inside a class or alternation the
@@ -604,6 +622,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 pattern,
                 files,
                 threads,
+                trace_out,
+                metrics,
             })
         }
         other => Err(CliError(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -949,8 +969,9 @@ pub fn execute_sweep(
 /// [`msc_obs::JsonlSink`] for `--trace-out`, fanned out when both) for the
 /// duration of the command. Exactly one session is installed per
 /// invocation — nesting would deadlock on the obs install lock, so
-/// [`execute_batch`] owns the session for batches and
-/// [`execute_on_source`] owns it for build/run.
+/// [`execute_batch`] owns the session for batches, [`execute_fuzz`] for
+/// fuzzing, and the command's arm of [`execute_on_source`] or
+/// [`main_with_args`] for the rest.
 struct ObsSession {
     registry: Option<Arc<msc_obs::Registry>>,
     sink: Option<Arc<msc_obs::JsonlSink<std::fs::File>>>,
@@ -961,16 +982,16 @@ impl ObsSession {
     /// Start a session if the options ask for one; `None` means the
     /// command runs with observability fully disabled (the zero-cost
     /// path).
-    fn start(opts: &CommonOpts) -> Result<Option<ObsSession>, CliError> {
-        if !opts.metrics && opts.trace_out.is_none() {
+    fn start(metrics: bool, trace_out: Option<&str>) -> Result<Option<ObsSession>, CliError> {
+        if !metrics && trace_out.is_none() {
             return Ok(None);
         }
-        let registry = if opts.metrics {
+        let registry = if metrics {
             Some(Arc::new(msc_obs::Registry::new()))
         } else {
             None
         };
-        let sink = match &opts.trace_out {
+        let sink = match trace_out {
             Some(path) => {
                 Some(Arc::new(msc_obs::JsonlSink::create(path).map_err(|e| {
                     CliError(format!("cannot open trace file {path}: {e}"))
@@ -995,6 +1016,21 @@ impl ObsSession {
             sink,
             guard,
         }))
+    }
+
+    /// Run `command` inside the session the flags ask for and append the
+    /// metrics table to its output.
+    fn around(
+        metrics: bool,
+        trace_out: Option<&str>,
+        command: impl FnOnce() -> Result<String, CliError>,
+    ) -> Result<String, CliError> {
+        let session = ObsSession::start(metrics, trace_out)?;
+        let mut text = command()?;
+        if let Some(session) = session {
+            text.push_str(&session.finish()?);
+        }
+        Ok(text)
     }
 
     /// Uninstall the subscribers, flush the trace file, and return the
@@ -1059,12 +1095,7 @@ pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
     let resolved_addr = serve_addr
         .clone()
         .or_else(|| handle.as_ref().map(|h| h.local_addr().to_string()));
-    let obs_opts = CommonOpts {
-        trace_out: trace_out.clone(),
-        metrics: *metrics,
-        ..CommonOpts::default()
-    };
-    let session = ObsSession::start(&obs_opts)?;
+    let session = ObsSession::start(*metrics, trace_out.as_deref())?;
     let cfg = msc_fuzz::FuzzConfig {
         seed: *seed,
         cases: *cases,
@@ -1201,7 +1232,7 @@ pub fn execute_batch(
     sources: &[(String, String)],
     opts: &CommonOpts,
 ) -> Result<(String, usize), CliError> {
-    let session = ObsSession::start(opts)?;
+    let session = ObsSession::start(opts.metrics, opts.trace_out.as_deref())?;
     let engine = engine_for(opts);
     let jobs: Vec<metastate::Job> = sources
         .iter()
@@ -1266,35 +1297,28 @@ pub fn execute_on_source(cmd: &Command, src: &str) -> Result<String, CliError> {
         )),
         Command::Fuzz { .. } => execute_fuzz(cmd),
         Command::Match {
-            pattern, threads, ..
-        } => {
+            pattern,
+            threads,
+            trace_out,
+            metrics,
+            ..
+        } => ObsSession::around(*metrics, trace_out.as_deref(), || {
             // Testing convenience: the source text is the one haystack.
-            execute_match(
-                pattern,
-                &[("<input>".to_string(), src.as_bytes().to_vec())],
-                *threads,
-            )
-        }
+            let input = ("<input>".to_string(), src.as_bytes().to_vec());
+            execute_match(pattern, &[input], *threads)
+        }),
         Command::Sweep {
             file,
             profiles,
             opts,
-        } => {
-            let session = ObsSession::start(opts)?;
+        } => ObsSession::around(opts.metrics, opts.trace_out.as_deref(), || {
             let loaded = load_profiles(profiles)?;
-            let mut text = execute_sweep(file, src, &loaded, opts)?;
-            if let Some(session) = session {
-                text.push_str(&session.finish()?);
-            }
-            Ok(text)
-        }
+            execute_sweep(file, src, &loaded, opts)
+        }),
         Command::Build { opts, .. } | Command::Run { opts, .. } => {
-            let session = ObsSession::start(opts)?;
-            let mut text = execute_build_or_run(cmd, src)?;
-            if let Some(session) = session {
-                text.push_str(&session.finish()?);
-            }
-            Ok(text)
+            ObsSession::around(opts.metrics, opts.trace_out.as_deref(), || {
+                execute_build_or_run(cmd, src)
+            })
         }
     }
 }
@@ -1473,6 +1497,8 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
             pattern,
             files,
             threads,
+            trace_out,
+            metrics,
         } => {
             let inputs: Vec<(String, Vec<u8>)> = if files.is_empty() {
                 use std::io::Read as _;
@@ -1493,7 +1519,9 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
                     })
                     .collect::<Result<Vec<_>, CliError>>()?
             };
-            execute_match(pattern, &inputs, *threads)
+            ObsSession::around(*metrics, trace_out.as_deref(), || {
+                execute_match(pattern, &inputs, *threads)
+            })
         }
         Command::Build { file, .. } | Command::Run { file, .. } | Command::Sweep { file, .. } => {
             execute_on_source(&cmd, &read(file)?)
@@ -1531,6 +1559,11 @@ mod tests {
         assert!(parse_args(&args("serve --max-meta-states 0")).is_err());
         assert!(parse_args(&args("serve --workers")).is_err());
         assert!(parse_args(&args("serve extra.mimdc")).is_err());
+        // The daemon serves its own registry; the CLI's would block on it.
+        for flag in ["--metrics", "--trace-out t.jsonl"] {
+            let err = parse_args(&args(&format!("serve {flag}"))).unwrap_err();
+            assert!(err.0.contains("GET /metrics"), "{err:?}");
+        }
         // One build, one driver: there is no selector to pass.
         let err = parse_args(&args("serve --blocking")).unwrap_err();
         assert!(
@@ -1780,6 +1813,8 @@ mod tests {
                 pattern: "a+b".into(),
                 files: vec!["in1.txt".into(), "in2.txt".into()],
                 threads: 3,
+                trace_out: None,
+                metrics: false,
             }
         );
         assert!(parse_args(&args("match")).is_err(), "pattern is required");
@@ -1793,8 +1828,24 @@ mod tests {
                 pattern: "-+".into(),
                 files: vec![],
                 threads: 0,
+                trace_out: None,
+                metrics: false,
             }
         );
+        // The observability flags, on either side of the pattern, are
+        // flags: not the pattern, not a file.
+        let cmd = parse_args(&args("match --metrics ab+ f --trace-out t.jsonl")).unwrap();
+        assert_eq!(
+            cmd,
+            Command::Match {
+                pattern: "ab+".into(),
+                files: vec!["f".into()],
+                threads: 0,
+                trace_out: Some("t.jsonl".into()),
+                metrics: true,
+            }
+        );
+        assert!(parse_args(&args("match ab+ --trace-out")).is_err());
     }
 
     #[test]
@@ -1809,6 +1860,13 @@ mod tests {
         let cmd = parse_args(&args("match b+")).unwrap();
         let out = execute_on_source(&cmd, "abbba").unwrap();
         assert!(out.contains("<input>:1..4: bbb"), "{out}");
+        assert!(!out.contains("-- metrics --"), "{out}");
+        // --metrics appends the table of what the scan counted.
+        let cmd = parse_args(&args("match --metrics b+")).unwrap();
+        let out = execute_on_source(&cmd, "abbba").unwrap();
+        assert!(out.contains("<input>:1..4: bbb"), "{out}");
+        assert!(out.contains("-- metrics --"), "{out}");
+        assert!(out.contains("regex.bytes_stepped"), "{out}");
     }
 
     #[test]

@@ -9,25 +9,10 @@ use msc_core::StateSet;
 use msc_ir::{StateId, Terminator};
 
 /// The paper's Listing 1 / Listing 4 control structure.
-const LISTING4: &str = r#"
-    main() {
-        poly int x;
-        if (x) { do { x = 1; } while (x); }
-        else   { do { x = 2; } while (x); }
-        return(x);
-    }
-"#;
+const LISTING4: &str = include_str!("../examples/listing4.mimdc");
 
 /// Listing 3: Listing 1 plus a barrier before F.
-const LISTING3: &str = r#"
-    main() {
-        poly int x;
-        if (x) { do { x = 1; } while (x); }
-        else   { do { x = 2; } while (x); }
-        wait; /* barrier sync. of all threads */
-        return(x);
-    }
-"#;
+const LISTING3: &str = include_str!("../examples/listing3.mimdc");
 
 fn set(v: &[u32]) -> StateSet {
     StateSet::from_iter(v.iter().map(|&x| StateId(x)))
