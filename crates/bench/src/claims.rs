@@ -90,9 +90,12 @@ pub fn body(profiles: &[MachineProfile]) -> Json {
     Json::Obj(fields)
 }
 
-/// `claims -- claims`: [`body`] over the committed profiles.
+/// `claims -- claims`: [`body`] over the profiles `mscc sweep` runs by
+/// default ([`msc_cli::load_profiles`]: `profiles/` when present, else
+/// the bundled matrix). An unreadable or empty `profiles/` is an error.
 pub fn measure() -> Result<Json, String> {
-    Ok(body(&sweep::committed_profiles()))
+    let profiles = msc_cli::load_profiles(&[]).map_err(|e| e.0)?;
+    Ok(body(&profiles))
 }
 
 fn build(pipe: Pipeline) -> Built {

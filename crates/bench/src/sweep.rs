@@ -7,29 +7,13 @@
 //! around — `cheap-dispatch` never slower than `paper-default` on the
 //! dispatch-heavy workload, `slow-globalor` never faster, and
 //! `paper-default` bit-identical to the untouched hard-coded path —
-//! which [`measure`] reports as fields of the file body.
+//! which [`measure`] reports as fields of the file body. The per-profile
+//! rows are `mscc sweep`'s: [`msc_cli::sweep`] measures both.
 
 use crate::claims::table;
 use metastate::{Pipeline, TimeSplitOptions};
 use msc_obs::json::Json;
 use msc_simd::MachineProfile;
-
-/// One measured profile (one row of the `profiles` table).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    /// Profile name.
-    pub name: String,
-    /// PEs the profile ran on.
-    pub pe_count: usize,
-    /// Simulated MSC cycles.
-    pub cycles: u64,
-    /// PE utilization inside meta-state bodies.
-    pub utilization: f64,
-    /// The §1.1 interpreter baseline priced under the same profile.
-    pub interp_cycles: u64,
-    /// `interp_cycles / cycles`.
-    pub speedup: f64,
-}
 
 /// The gate's workload: three-way divergent workers
 /// ([`branchy_source(3)`](crate::workloads::branchy_source)) — every
@@ -40,39 +24,19 @@ pub fn dispatch_heavy_source() -> String {
     crate::workloads::branchy_source(3)
 }
 
-/// Measure one workload under one profile: the profile's cost model is
-/// threaded through conversion + codegen, the run uses its machine
-/// config, and the interpreter baseline is priced under the same costs.
-pub fn measure_profile(src: &str, profile: &MachineProfile) -> SweepRow {
-    let built = Pipeline::new(src)
-        .costs(profile.costs.clone())
-        .build()
+/// The workload under every profile, measured by `mscc sweep`'s own
+/// [`msc_cli::sweep`] with its defaults (base mode, the whole engine
+/// pool). A profile that fails to compile or run is a broken matrix, not
+/// a row to leave out.
+fn sweep_rows(src: &str, profiles: &[MachineProfile]) -> Vec<msc_cli::SweepRow> {
+    let opts = msc_cli::CommonOpts {
+        jobs: 0,
+        ..msc_cli::CommonOpts::default()
+    };
+    let (rows, failures) = msc_cli::sweep("dispatch_heavy", src, profiles, &opts)
         .expect("sweep workload must compile");
-    let out = built
-        .run_with(profile.machine_config())
-        .expect("sweep workload must run");
-    let p = msc_lang::compile(src).expect("sweep workload must compile");
-    let (_, im) = msc_mimd::interpret_on_simd(
-        &p.graph,
-        p.layout.poly_words,
-        p.layout.mono_words,
-        profile.pe_count,
-        &profile.costs,
-    )
-    .expect("interpreter baseline must run");
-    SweepRow {
-        name: profile.name.clone(),
-        pe_count: profile.pe_count,
-        cycles: out.metrics.cycles,
-        utilization: out.metrics.utilization(),
-        interp_cycles: im.cycles,
-        speedup: im.cycles as f64 / out.metrics.cycles as f64,
-    }
-}
-
-/// Measure the workload under every profile.
-pub fn measure_sweep(src: &str, profiles: &[MachineProfile]) -> Vec<SweepRow> {
-    profiles.iter().map(|p| measure_profile(src, p)).collect()
+    assert!(failures.is_empty(), "S1 sweep failed: {failures:?}");
+    rows
 }
 
 /// Cycles for `src` down today's untouched hard-coded path — default
@@ -89,22 +53,6 @@ pub fn hard_coded_cycles(src: &str, n_pe: usize) -> u64 {
         .cycles
 }
 
-/// The profile matrix the sweep gate runs: the committed `profiles/`
-/// directory when present (so a doctored committed profile fails the
-/// `--check` gate, not just tier-1), else the bundled matrix — tier-1
-/// pins the two bit-equal either way.
-pub fn committed_profiles() -> Vec<MachineProfile> {
-    let dir = std::path::Path::new("profiles");
-    if dir.is_dir() {
-        match MachineProfile::load_dir(dir) {
-            Ok(p) if !p.is_empty() => return p,
-            Ok(_) => {}
-            Err(e) => eprintln!("note: profiles/ unreadable ({e}); using bundled matrix"),
-        }
-    }
-    MachineProfile::bundled()
-}
-
 /// S1's members of `BENCH_claims.json`: the dispatch-heavy workload under
 /// every one of `profiles`, in name order (a directory's and the bundled
 /// matrix's alike), the hard-coded-path anchor, §2.4's time-splitting
@@ -114,7 +62,7 @@ pub fn measure(profiles: &[MachineProfile]) -> Json {
     let mut profiles = profiles.to_vec();
     profiles.sort_by(|a, b| a.name.cmp(&b.name));
     let src = dispatch_heavy_source();
-    let rows = measure_sweep(&src, &profiles);
+    let rows = sweep_rows(&src, &profiles);
     let hard = hard_coded_cycles(&src, 16);
     let columns = [
         "name",
@@ -204,14 +152,14 @@ mod tests {
     #[test]
     fn paper_default_profile_is_bit_identical_to_hard_coded_path() {
         let src = dispatch_heavy_source();
-        let row = measure_profile(&src, &MachineProfile::default());
-        assert_eq!(row.cycles, hard_coded_cycles(&src, 16));
+        let rows = sweep_rows(&src, &[MachineProfile::default()]);
+        assert_eq!(rows[0].cycles, hard_coded_cycles(&src, 16));
     }
 
     #[test]
     fn bundled_ordering_invariants_hold_on_dispatch_heavy() {
         let src = dispatch_heavy_source();
-        let rows = measure_sweep(&src, &MachineProfile::bundled());
+        let rows = sweep_rows(&src, &MachineProfile::bundled());
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
         let base = by_name("paper-default").cycles;
         assert!(by_name("cheap-dispatch").cycles <= base);

@@ -5,33 +5,39 @@
 //! mscc build prog.mimdc --emit mpl            # Listing-5-style SIMD code
 //! mscc build prog.mimdc --emit dot            # Graphviz of the automaton
 //! mscc build prog.mimdc --emit graph          # the MIMD state graph
+//! mscc build prog.mimdc --emit asm            # reloadable SIMD assembly
 //! mscc build prog.mimdc --stats               # conversion stats + timings
 //! mscc build prog.mimdc --jobs 8              # frontier-parallel conversion
 //! mscc build prog.mimdc --cache .msc-cache    # reuse artifacts across runs
 //! mscc batch a.mimdc b.mimdc c.mimdc          # compile many over a pool
 //! mscc run   prog.mimdc --pes 16              # execute and print results
 //! mscc run   prog.mimdc --compare             # also run MIMD ref + interpreter
+//! mscc sweep prog.mimdc --profiles profiles   # one row per machine profile
+//! mscc serve --addr 127.0.0.1:0               # the compile-and-run daemon
+//! mscc fuzz  --seed 1 --cases 50              # differential oracle matrix
+//! mscc match 'ab+' input.txt                  # data-parallel regex spans
+//! mscc help
 //! ```
 //!
-//! Shared flags: `--mode base|compressed`, `--time-split`, `--optimize`,
-//! `--minimize`, `--no-csi`, `--pes N`, `--pool N` (live PEs, rest idle).
+//! Each command takes only its own flags (see [`USAGE`]); a flag that
+//! belongs to another command is an ``unexpected argument `…` `` error.
+//! The compile commands (build, run, batch, sweep) share the conversion
+//! flags (`--mode`, `--time-split`, `--optimize`, `--minimize`,
+//! `--no-csi`, `--max-meta-states`, `--memory-budget`) and compile
+//! through [`metastate::Engine`]: `--jobs N` converts frontier-parallel
+//! on N threads (the output is the same at any N; batch and sweep also
+//! compile concurrently) and `--cache DIR` reloads an unchanged source +
+//! options combination instead of recompiling it.
 //!
-//! Engine flags (build, run, batch, sweep): `--jobs N` runs meta-state
-//! conversion frontier-parallel on N threads (default 1, 0 = all cores;
-//! batch and sweep also use the pool to compile concurrently) — the output
-//! is the same at any N; `--cache DIR` persists compiled artifacts
-//! content-addressed under DIR, so an unchanged source + options
-//! combination is reloaded instead of recompiled; `--stats` appends a
-//! stats block (meta-state counts, conversion counters, per-phase
-//! timings, cache hits/misses). Every command compiles through
-//! [`metastate::Engine`].
-//!
-//! The argument parser and command execution live in this library so they
-//! are unit-testable; `main.rs` is a thin shell.
+//! One route per command: [`main_with_args`] parses the command line
+//! ([`parse_args`]), reads the files it names (stdin for a `match` with
+//! none), and hands the `(name, bytes)` pairs to [`execute`], which runs
+//! the command inside the invocation's one observability session
+//! (`--metrics`, `--trace-out FILE`). `main.rs` is a thin shell.
 
 use metastate::{ConvertMode, Engine, EngineOptions, Pipeline, Provenance, TimeSplitOptions};
 use msc_ir::CostModel;
-use msc_simd::MachineConfig;
+use msc_simd::{MachineConfig, MachineProfile};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,8 +56,8 @@ pub enum Emit {
     Asm,
 }
 
-/// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+/// Parsed command line (the observability flags are [`Obs`]).
+#[derive(Debug, Clone)]
 pub enum Command {
     /// `mscc build FILE`.
     Build {
@@ -66,9 +72,10 @@ pub enum Command {
     Run {
         /// Source path.
         file: String,
-        /// PEs to simulate.
+        /// PEs to simulate (at least 1).
         pes: usize,
-        /// Live PEs at start (None = all; Some(n) leaves a spawn pool).
+        /// Live PEs at start, 1 to `pes` (None = all; Some(n) leaves a
+        /// spawn pool).
         pool: Option<usize>,
         /// Also run the MIMD reference and interpreter and compare.
         compare: bool,
@@ -90,53 +97,21 @@ pub enum Command {
         /// Source path.
         file: String,
         /// Profile files and/or directories (`--profiles`, comma
-        /// separated). Empty = `profiles/` when present, else the bundled
-        /// matrix.
+        /// separated); see [`load_profiles`].
         profiles: Vec<String>,
         /// Common options.
         opts: CommonOpts,
     },
     /// `mscc serve`: run the compile-and-run daemon until SIGINT/SIGTERM.
-    Serve {
-        /// Bind address (port 0 = ephemeral).
-        addr: String,
-        /// Worker threads (0 = all cores).
-        workers: usize,
-        /// Admission queue depth (beyond it requests are shed with 503).
-        queue_depth: usize,
-        /// Disk cache directory.
-        cache: Option<String>,
-        /// Server-side ceiling on every job's explosion guard (None =
-        /// the daemon default).
-        max_meta_states: Option<usize>,
-        /// Sibling daemons (`host:port`) consulted on local cache
-        /// misses before compiling.
-        peers: Vec<String>,
-    },
+    Serve(msc_serve::ServeOptions),
     /// `mscc fuzz`: differential fuzzing over the whole oracle matrix.
     Fuzz {
-        /// Run seed (every case derives from it).
-        seed: u64,
-        /// Cases to generate and check.
-        cases: u64,
-        /// Live PEs per case.
-        pes: usize,
-        /// Meta-state bound; beyond it an oracle is skipped, not failed.
-        max_states: usize,
-        /// Directory for minimized reproducers.
-        corpus: Option<String>,
-        /// Comma-separated oracle list (None = the full in-process set).
-        oracles: Option<String>,
-        /// Start an in-process daemon and include the serve oracle.
+        /// The run; `--serve-addr` is its `oracle_cfg.serve_addr`.
+        cfg: msc_fuzz::FuzzConfig,
+        /// Start an in-process daemon and fuzz it over TCP.
         serve: bool,
-        /// Use an already-running daemon for the serve oracle.
-        serve_addr: Option<String>,
-        /// Replay a corpus reproducer file instead of fuzzing.
+        /// Replay this corpus reproducer file instead of fuzzing.
         replay: Option<String>,
-        /// `--trace-out FILE` (observability).
-        trace_out: Option<String>,
-        /// `--metrics` (observability).
-        metrics: bool,
     },
     /// `mscc match PATTERN [FILE]...`: data-parallel regex matching.
     Match {
@@ -146,16 +121,25 @@ pub enum Command {
         files: Vec<String>,
         /// Matcher threads (0 = all cores).
         threads: usize,
-        /// `--trace-out FILE` (observability).
-        trace_out: Option<String>,
-        /// `--metrics` (observability).
-        metrics: bool,
     },
     /// `mscc help` / `-h` / `--help`.
     Help,
 }
 
-/// Options shared by build and run.
+impl Command {
+    /// The files the command reads its inputs from.
+    fn files(&self) -> &[String] {
+        match self {
+            Command::Build { file, .. }
+            | Command::Run { file, .. }
+            | Command::Sweep { file, .. } => std::slice::from_ref(file),
+            Command::Batch { files, .. } | Command::Match { files, .. } => files,
+            Command::Help | Command::Serve(_) | Command::Fuzz { .. } => &[],
+        }
+    }
+}
+
+/// Options shared by the compile commands (build, run, batch, sweep).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonOpts {
     /// Conversion mode.
@@ -175,12 +159,6 @@ pub struct CommonOpts {
     pub cache: Option<String>,
     /// Append the stats block to build/run/batch output.
     pub stats: bool,
-    /// Stream structured observability events (spans, counters, samples)
-    /// to this JSONL file for the duration of the command.
-    pub trace_out: Option<String>,
-    /// Append the end-of-run metrics summary table (aggregated from the
-    /// same event stream).
-    pub metrics: bool,
     /// Explosion guard override: fail conversion past this many meta
     /// states (None = the mode's default, 2²⁰).
     pub max_meta_states: Option<usize>,
@@ -201,12 +179,22 @@ impl Default for CommonOpts {
             jobs: 1,
             cache: None,
             stats: false,
-            trace_out: None,
-            metrics: false,
             max_meta_states: None,
             memory_budget: None,
         }
     }
+}
+
+/// The observability flags every command but `serve` and `fuzz --serve`
+/// takes: what the invocation's one [`msc_obs`] session records. Neither
+/// set means no session at all (the zero-cost path).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Obs {
+    /// `--metrics`: append the end-of-run metrics summary table.
+    pub metrics: bool,
+    /// `--trace-out FILE`: stream structured events (spans, counters,
+    /// samples) to this JSONL file.
+    pub trace_out: Option<String>,
 }
 
 /// CLI failures (parse or execution).
@@ -229,7 +217,7 @@ USAGE:
   mscc build <FILE>    [--emit automaton|mpl|dot|graph|asm] [common flags] [engine flags]
   mscc batch <FILE>... [common flags] [engine flags]
   mscc run   <FILE>    [--pes N] [--pool N] [--compare] [--trace] [common flags] [engine flags]
-  mscc sweep <FILE>    [--profiles FILES/DIRS,...] [common flags] [engine flags]
+  mscc sweep <FILE>    [--profiles FILES/DIRS,...] [--jobs N] [--cache DIR] [common flags]
   mscc serve           [--addr HOST:PORT] [--workers N] [--queue-depth N] [--cache DIR]
                        [--max-meta-states N] [--peers HOST:PORT,...]
   mscc fuzz            [--seed N] [--cases N] [--pes N] [--max-states N] [--corpus DIR]
@@ -237,7 +225,9 @@ USAGE:
   mscc match <PATTERN> [FILE]... [--threads N]
   mscc help
 
-COMMON FLAGS:
+A command takes only the flags listed for it.
+
+COMMON FLAGS (build, run, batch, sweep):
   --mode base|compressed   conversion mode (default: base)
   --time-split             enable §2.4 time splitting
   --optimize               peephole-optimize blocks first
@@ -250,7 +240,15 @@ COMMON FLAGS:
                            suffixes; default: MSC_MEMORY_BUDGET env, else
                            never spill)
 
-ENGINE FLAGS (build, run, batch, sweep):
+RUN FLAGS:
+  --pes N                  PEs to simulate (default 8, at least 1)
+  --pool N                 live PEs at start, 1 to --pes; the rest idle
+                           in the spawn pool (default: all live)
+  --compare                also run the MIMD reference and the §1.1
+                           interpreter on the same live PEs
+  --trace                  print the meta-state execution trace
+
+ENGINE FLAGS (build, run, batch; sweep takes --jobs and --cache):
   --jobs N                 convert frontier-parallel on N threads (default 1,
                            0 = all cores; same output at any N); batch and
                            sweep also compile concurrently
@@ -305,7 +303,7 @@ MATCH FLAGS:
   with no FILE, the pattern is matched against stdin; supported syntax is
   literals, classes [a-z] [^…], . * + ? |, grouping, and ^/$ anchors
 
-OBSERVABILITY FLAGS (all commands but serve):
+OBSERVABILITY FLAGS (all commands but serve and fuzz --serve):
   --trace-out FILE         stream structured events (spans, counters,
                            samples) as JSON lines to FILE
   --metrics                append an end-of-run metrics summary table
@@ -347,45 +345,74 @@ fn cache_dir<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<String, Cl
     value(it, "--cache needs a directory").cloned()
 }
 
-/// `--trace-out FILE` / `--metrics`, the observability flags every
-/// command takes.
-fn obs_flag<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a String>,
-    trace_out: &mut Option<String>,
-    metrics: &mut bool,
-) -> Result<(), CliError> {
-    if flag == "--metrics" {
-        *metrics = true;
-    } else {
-        *trace_out = Some(value(it, "--trace-out needs a file path")?.clone());
-    }
-    Ok(())
+fn unexpected(arg: &str) -> CliError {
+    CliError(format!("unexpected argument `{arg}`"))
 }
 
-/// Parse an argument vector (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| CliError(USAGE.into()))?;
-    match cmd.as_str() {
+/// Parse an argument vector (without the program name) into the command
+/// and the observability flags that bracket it. `--metrics` and
+/// `--trace-out FILE` are taken out first, wherever they stand; what is
+/// left must be the command's own flags.
+pub fn parse_args(args: &[String]) -> Result<(Command, Obs), CliError> {
+    let (cmd, rest) = args.split_first().ok_or_else(|| CliError(USAGE.into()))?;
+    let mut obs = Obs::default();
+    let mut flags = Vec::new();
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--metrics" => obs.metrics = true,
+            "--trace-out" => {
+                obs.trace_out = Some(value(&mut it, "--trace-out needs a file path")?.clone());
+            }
+            _ => flags.push(a),
+        }
+    }
+    let command = parse_command(cmd, flags.into_iter())?;
+    // The daemon installs its own registry for its lifetime, and so does
+    // the in-process one of `fuzz --serve`: a CLI session on top would
+    // block forever on the obs install lock. An external daemon has its
+    // own process, so `--serve-addr` composes fine.
+    let observed = obs.metrics || obs.trace_out.is_some();
+    match &command {
+        Command::Serve(_) if observed => Err(CliError(format!(
+            "serve does not take {}: the daemon installs its own metrics registry and \
+             serves it on GET /metrics",
+            if obs.metrics {
+                "--metrics"
+            } else {
+                "--trace-out"
+            }
+        ))),
+        Command::Fuzz { serve: true, .. } if observed => Err(CliError(
+            "--serve owns the in-process metrics registry; combine --metrics/--trace-out \
+             with --serve-addr instead"
+                .into(),
+        )),
+        _ => Ok((command, obs)),
+    }
+}
+
+/// One command's own flags.
+fn parse_command<'a>(
+    cmd: &str,
+    mut it: impl Iterator<Item = &'a String>,
+) -> Result<Command, CliError> {
+    match cmd {
         "help" | "-h" | "--help" => Ok(Command::Help),
         "build" | "run" | "batch" | "sweep" => {
             let mut files: Vec<String> = Vec::new();
             let mut emit = Emit::Automaton;
-            let mut pes = 8usize;
-            let mut pool: Option<usize> = None;
-            let mut compare = false;
-            let mut trace = false;
+            let (mut pes, mut pool, mut compare, mut trace) = (8usize, None, false, false);
             let mut profiles: Vec<String> = Vec::new();
-            let mut jobs_set = false;
-            let mut opts = CommonOpts::default();
+            let mut opts = CommonOpts {
+                // Profile compiles are independent: sweep defaults to the
+                // whole pool.
+                jobs: if cmd == "sweep" { 0 } else { 1 },
+                ..CommonOpts::default()
+            };
             while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--profiles" if cmd == "sweep" => {
-                        let v = value(&mut it, "--profiles needs files/dirs")?;
-                        profiles.extend(v.split(',').filter(|s| !s.is_empty()).map(String::from));
-                    }
-                    "--emit" => {
+                match (cmd, a.as_str()) {
+                    ("build", "--emit") => {
                         emit = match value(&mut it, "--emit needs a value")?.as_str() {
                             "automaton" => Emit::Automaton,
                             "mpl" => Emit::Mpl,
@@ -395,99 +422,100 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             other => return Err(CliError(format!("unknown emit kind `{other}`"))),
                         };
                     }
-                    "--mode" => {
+                    ("run", "--pes") => pes = parsed(&mut it, "--pes needs a value", "PE count")?,
+                    ("run", "--pool") => {
+                        pool = Some(parsed(&mut it, "--pool needs a value", "pool count")?);
+                    }
+                    ("run", "--compare") => compare = true,
+                    ("run", "--trace") => trace = true,
+                    ("sweep", "--profiles") => {
+                        let v = value(&mut it, "--profiles needs files/dirs")?;
+                        profiles.extend(v.split(',').filter(|s| !s.is_empty()).map(String::from));
+                    }
+                    ("build" | "run" | "batch", "--stats") => opts.stats = true,
+                    (_, "--mode") => {
                         opts.mode = match value(&mut it, "--mode needs a value")?.as_str() {
                             "base" => ConvertMode::Base,
                             "compressed" => ConvertMode::Compressed,
                             other => return Err(CliError(format!("unknown mode `{other}`"))),
                         };
                     }
-                    "--pes" => pes = parsed(&mut it, "--pes needs a value", "PE count")?,
-                    "--pool" => {
-                        pool = Some(parsed(&mut it, "--pool needs a value", "pool count")?);
-                    }
-                    "--time-split" => opts.time_split = true,
-                    "--optimize" => opts.optimize = true,
-                    "--minimize" => opts.minimize = true,
-                    "--no-csi" => opts.no_csi = true,
-                    "--compare" => compare = true,
-                    "--trace" => trace = true,
-                    "--jobs" => {
+                    (_, "--time-split") => opts.time_split = true,
+                    (_, "--optimize") => opts.optimize = true,
+                    (_, "--minimize") => opts.minimize = true,
+                    (_, "--no-csi") => opts.no_csi = true,
+                    (_, "--jobs") => {
                         opts.jobs = parsed(&mut it, "--jobs needs a value", "job count")?;
-                        jobs_set = true;
                     }
-                    "--cache" => opts.cache = Some(cache_dir(&mut it)?),
-                    "--stats" => opts.stats = true,
-                    "--trace-out" | "--metrics" => {
-                        obs_flag(a, &mut it, &mut opts.trace_out, &mut opts.metrics)?;
-                    }
-                    "--max-meta-states" => {
+                    (_, "--cache") => opts.cache = Some(cache_dir(&mut it)?),
+                    (_, "--max-meta-states") => {
                         opts.max_meta_states = Some(max_meta_states(&mut it, "meta-state limit")?);
                     }
-                    "--memory-budget" => {
+                    (_, "--memory-budget") => {
                         let v = value(&mut it, "--memory-budget needs a byte size")?;
                         opts.memory_budget = Some(msc_core::parse_bytes(v).ok_or_else(|| {
                             CliError(format!("bad memory budget `{v}` (try 64m, 2g, 65536)"))
                         })?);
                     }
-                    other if !other.starts_with('-') && (cmd == "batch" || files.is_empty()) => {
+                    (_, other)
+                        if !other.starts_with('-') && (cmd == "batch" || files.is_empty()) =>
+                    {
                         files.push(other.to_string());
                     }
-                    other => return Err(CliError(format!("unexpected argument `{other}`"))),
+                    (_, other) => return Err(unexpected(other)),
                 }
             }
             if files.is_empty() {
                 return Err(CliError("missing input file".into()));
             }
-            Ok(match cmd.as_str() {
-                "build" => Command::Build {
-                    file: files.remove(0),
-                    emit,
+            let file = files[0].clone();
+            Ok(match cmd {
+                "build" => Command::Build { file, emit, opts },
+                "batch" => Command::Batch { files, opts },
+                "sweep" => Command::Sweep {
+                    file,
+                    profiles,
                     opts,
                 },
-                "batch" => Command::Batch { files, opts },
-                "sweep" => {
-                    if !jobs_set {
-                        // Profile compiles are independent; default to the
-                        // whole pool.
-                        opts.jobs = 0;
+                _ => {
+                    // `POST /run`'s rule: at least one PE, and at least
+                    // one and at most all of them live.
+                    if pes == 0 {
+                        return Err(CliError("--pes must be at least 1".into()));
                     }
-                    Command::Sweep {
-                        file: files.remove(0),
-                        profiles,
+                    match pool {
+                        Some(0) => return Err(CliError("--pool must be at least 1".into())),
+                        Some(live) if live > pes => {
+                            return Err(CliError(format!("--pool {live} is more than --pes {pes}")))
+                        }
+                        _ => {}
+                    }
+                    Command::Run {
+                        file,
+                        pes,
+                        pool,
+                        compare,
+                        trace,
                         opts,
                     }
                 }
-                _ => Command::Run {
-                    file: files.remove(0),
-                    pes,
-                    pool,
-                    compare,
-                    trace,
-                    opts,
-                },
             })
         }
         "serve" => {
-            let mut addr = "127.0.0.1:7643".to_string();
-            let mut workers = 0usize;
-            let mut queue_depth = 64usize;
-            let mut cache: Option<String> = None;
-            let mut max_states: Option<usize> = None;
-            let mut peers: Vec<String> = Vec::new();
+            let mut o = msc_serve::ServeOptions::default();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--addr" => addr = value(&mut it, "--addr needs HOST:PORT")?.clone(),
+                    "--addr" => o.addr = value(&mut it, "--addr needs HOST:PORT")?.clone(),
                     "--workers" => {
-                        workers = parsed(&mut it, "--workers needs a value", "worker count")?;
+                        o.workers = parsed(&mut it, "--workers needs a value", "worker count")?;
                     }
                     "--queue-depth" => {
-                        queue_depth =
+                        o.queue_depth =
                             parsed(&mut it, "--queue-depth needs a value", "queue depth")?;
                     }
-                    "--cache" => cache = Some(cache_dir(&mut it)?),
+                    "--cache" => o.cache_dir = Some(cache_dir(&mut it)?.into()),
                     "--max-meta-states" => {
-                        max_states = Some(max_meta_states(&mut it, "meta-state cap")?);
+                        o.max_meta_states = max_meta_states(&mut it, "meta-state cap")?;
                     }
                     "--peers" => {
                         let v = value(&mut it, "--peers needs a comma-separated HOST:PORT list")?;
@@ -496,116 +524,69 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             if p.is_empty() {
                                 return Err(CliError(format!("empty peer address in `{v}`")));
                             }
-                            peers.push(p.to_string());
+                            o.peers.push(p.to_string());
                         }
                     }
-                    "--trace-out" | "--metrics" => {
-                        // The daemon installs its own registry for its
-                        // lifetime; a CLI session would block forever on
-                        // the obs install lock (see `fuzz --serve`).
-                        return Err(CliError(format!(
-                            "serve does not take {a}: the daemon installs its own metrics \
-                             registry and serves it on GET /metrics"
-                        )));
-                    }
-                    other => return Err(CliError(format!("unexpected argument `{other}`"))),
+                    other => return Err(unexpected(other)),
                 }
             }
-            Ok(Command::Serve {
-                addr,
-                workers,
-                queue_depth,
-                cache,
-                max_meta_states: max_states,
-                peers,
-            })
+            Ok(Command::Serve(o))
         }
         "fuzz" => {
-            let mut seed = 1u64;
-            let mut cases = 200u64;
-            let mut pes = 5usize;
-            let mut max_states = 3000usize;
-            let mut corpus: Option<String> = None;
-            let mut oracles: Option<String> = None;
-            let mut serve = false;
-            let mut serve_addr: Option<String> = None;
-            let mut replay: Option<String> = None;
-            let mut trace_out: Option<String> = None;
-            let mut metrics = false;
-            fn num<'a>(
-                it: &mut impl Iterator<Item = &'a String>,
-                flag: &str,
-            ) -> Result<u64, CliError> {
-                let v = value(it, &format!("{flag} needs a value"))?;
-                v.parse()
-                    .map_err(|_| CliError(format!("bad value `{v}` for {flag}")))
-            }
+            let mut cfg = msc_fuzz::FuzzConfig {
+                cases: 200,
+                ..msc_fuzz::FuzzConfig::default()
+            };
+            let (mut serve, mut replay) = (false, None);
             while let Some(a) = it.next() {
+                let oracle_cfg = &mut cfg.oracle_cfg;
                 match a.as_str() {
-                    "--seed" => seed = num(&mut it, "--seed")?,
-                    "--cases" => cases = num(&mut it, "--cases")?,
-                    "--pes" => pes = num(&mut it, "--pes")? as usize,
+                    "--seed" => cfg.seed = parsed(&mut it, "--seed needs a value", "seed")?,
+                    "--cases" => {
+                        cfg.cases = parsed(&mut it, "--cases needs a value", "case count")?
+                    }
+                    "--pes" => {
+                        oracle_cfg.n_pe = parsed(&mut it, "--pes needs a value", "PE count")?
+                    }
                     // --max-meta-states: the same knob under the name the
                     // other commands use.
-                    "--max-states" | "--max-meta-states" => max_states = num(&mut it, a)? as usize,
+                    "--max-states" | "--max-meta-states" => {
+                        let missing = format!("{a} needs a value");
+                        oracle_cfg.max_meta_states = parsed(&mut it, &missing, "meta-state bound")?;
+                    }
                     "--corpus" => {
-                        corpus = Some(value(&mut it, "--corpus needs a directory")?.clone());
+                        cfg.corpus_dir = Some(value(&mut it, "--corpus needs a directory")?.into());
                     }
                     "--oracles" => {
-                        oracles = Some(value(&mut it, "--oracles needs a list")?.clone())
+                        let list = value(&mut it, "--oracles needs a list")?;
+                        cfg.oracles = msc_fuzz::Oracle::parse_list(list).map_err(CliError)?;
                     }
                     "--serve" => serve = true,
                     "--serve-addr" => {
-                        serve_addr = Some(value(&mut it, "--serve-addr needs HOST:PORT")?.clone());
+                        oracle_cfg.serve_addr =
+                            Some(value(&mut it, "--serve-addr needs HOST:PORT")?.clone());
                     }
                     "--replay" => replay = Some(value(&mut it, "--replay needs a file")?.clone()),
-                    "--trace-out" | "--metrics" => {
-                        obs_flag(a, &mut it, &mut trace_out, &mut metrics)?;
-                    }
-                    other => return Err(CliError(format!("unexpected argument `{other}`"))),
+                    other => return Err(unexpected(other)),
                 }
             }
-            if pes == 0 {
+            if cfg.oracle_cfg.n_pe == 0 {
                 return Err(CliError("--pes must be at least 1".into()));
             }
-            if serve && (metrics || trace_out.is_some()) {
-                // Server::start holds the process-global obs install lock
-                // for its lifetime; a CLI obs session on top would block
-                // forever. An external daemon has its own process, so
-                // --serve-addr composes fine.
-                return Err(CliError(
-                    "--serve owns the in-process metrics registry; combine --metrics/--trace-out \
-                     with --serve-addr instead"
-                        .into(),
-                ));
+            let wants_serve = serve || cfg.oracle_cfg.serve_addr.is_some();
+            if wants_serve && !cfg.oracles.contains(&msc_fuzz::Oracle::Serve) {
+                cfg.oracles.push(msc_fuzz::Oracle::Serve);
             }
-            Ok(Command::Fuzz {
-                seed,
-                cases,
-                pes,
-                max_states,
-                corpus,
-                oracles,
-                serve,
-                serve_addr,
-                replay,
-                trace_out,
-                metrics,
-            })
+            Ok(Command::Fuzz { cfg, serve, replay })
         }
         "match" => {
             let mut pattern: Option<String> = None;
             let mut files: Vec<String> = Vec::new();
             let mut threads = 0usize;
-            let mut trace_out: Option<String> = None;
-            let mut metrics = false;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--threads" => {
                         threads = parsed(&mut it, "--threads needs a value", "thread count")?;
-                    }
-                    "--trace-out" | "--metrics" => {
-                        obs_flag(a, &mut it, &mut trace_out, &mut metrics)?;
                     }
                     // The first positional is the pattern — even when it
                     // starts with `-` inside a class or alternation the
@@ -614,7 +595,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     // text so `mscc match '-+'` works.
                     other if pattern.is_none() => pattern = Some(other.to_string()),
                     other if !other.starts_with('-') => files.push(other.to_string()),
-                    other => return Err(CliError(format!("unexpected argument `{other}`"))),
+                    other => return Err(unexpected(other)),
                 }
             }
             let pattern = pattern.ok_or_else(|| CliError("missing pattern".into()))?;
@@ -622,8 +603,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 pattern,
                 files,
                 threads,
-                trace_out,
-                metrics,
             })
         }
         other => Err(CliError(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -779,6 +758,113 @@ fn execute_build(
     Ok(text)
 }
 
+/// `mscc run`: compile, run on `pes` PEs (`pool` of them live), and
+/// print the per-PE results, the machine's counters, and on request the
+/// meta-state trace and the comparison against the MIMD reference and
+/// the §1.1 interpreter.
+fn execute_run(
+    file: &str,
+    src: &str,
+    pes: usize,
+    pool: Option<usize>,
+    compare: bool,
+    trace: bool,
+    opts: &CommonOpts,
+) -> Result<String, CliError> {
+    let (engine, compiled) = compile_source(file, src, opts)?;
+    let artifact = &compiled.artifact;
+    let simd = &artifact.simd;
+    let mut cfg = match pool {
+        Some(live) => MachineConfig::with_pool(pes, live),
+        None => MachineConfig::spmd(pes),
+    };
+    cfg.trace = trace;
+    let mut machine = metastate::SimdMachine::new(simd, &cfg);
+    let metrics = machine
+        .run(simd, &cfg)
+        .map_err(|e| CliError(e.to_string()))?;
+    let mut text = String::new();
+    if let Some(ret) = artifact.ret_addr {
+        text.push_str("PE | result\n");
+        for pe in 0..pes {
+            text.push_str(&format!("{pe:2} | {}\n", machine.poly_at(pe, ret)));
+        }
+    }
+    text.push_str(&format!(
+        "\ncycles={} (body {}, guards {}, dispatch {}), issues={}, dispatches={}, utilization={:.1}%\n",
+        metrics.cycles,
+        metrics.body_cycles,
+        metrics.guard_cycles,
+        metrics.dispatch_cycles,
+        metrics.issues,
+        metrics.dispatches,
+        metrics.utilization() * 100.0
+    ));
+    text.push_str(&format!(
+        "automaton: {} meta states; per-PE program memory: 0 words\n",
+        artifact.meta_states
+    ));
+    if trace {
+        text.push_str("\ntrace (meta-state path):\n");
+        for ev in &machine.trace {
+            match ev {
+                msc_simd::TraceEvent::EnterBlock {
+                    block,
+                    live,
+                    at_cycle,
+                } => {
+                    text.push_str(&format!(
+                        "  @{at_cycle:<6} enter {} (live PEs: {live})\n",
+                        simd.block(*block).name
+                    ));
+                }
+                msc_simd::TraceEvent::Dispatch { to: Some(t), .. } => {
+                    text.push_str(&format!("          -> {}\n", simd.block(*t).name));
+                }
+                msc_simd::TraceEvent::Dispatch { to: None, .. } => {
+                    text.push_str("          -> exit\n");
+                }
+            }
+        }
+    }
+    if compare {
+        // The reference and the interpreter run the same workload as
+        // the machine: `cfg.active_at_start` of `pes` PEs live.
+        let p = msc_lang::compile(src).map_err(|e| CliError(e.to_string()))?;
+        let mcfg = msc_mimd::MimdConfig {
+            active_at_start: cfg.active_at_start,
+            ..msc_mimd::MimdConfig::spmd(pes)
+        };
+        let mut mimd =
+            msc_mimd::MimdReference::new(p.layout.poly_words, p.layout.mono_words, &mcfg);
+        let mm = mimd
+            .run(&p.graph, &mcfg)
+            .map_err(|e| CliError(e.to_string()))?;
+        let image =
+            msc_mimd::InterpProgram::flatten(&p.graph, p.layout.poly_words, p.layout.mono_words);
+        let im = msc_mimd::InterpMachine::new(&image, pes, cfg.active_at_start)
+            .run(&image, &CostModel::default(), mcfg.max_cycles)
+            .map_err(|e| CliError(e.to_string()))?;
+        text.push_str(&format!(
+            "\ncompare: MIMD reference {} cycles; interpreter {} cycles ({:.2}x vs MSC)\n",
+            mm.cycles,
+            im.cycles,
+            im.cycles as f64 / metrics.cycles as f64
+        ));
+        if let (Some(ret), Some(mret)) = (artifact.ret_addr, p.layout.main_ret) {
+            let agree = (0..pes).all(|pe| machine.poly_at(pe, ret) == mimd.poly_at(pe, mret));
+            text.push_str(&format!(
+                "results {} the MIMD reference\n",
+                if agree { "MATCH" } else { "DIVERGE FROM" }
+            ));
+        }
+    }
+    if opts.stats {
+        text.push_str(&stats_block(artifact, compiled.provenance, &engine));
+    }
+    Ok(text)
+}
+
 fn mode_name(mode: ConvertMode) -> &'static str {
     match mode {
         ConvertMode::Base => "base",
@@ -787,11 +873,13 @@ fn mode_name(mode: ConvertMode) -> &'static str {
 }
 
 /// Resolve `--profiles` specs (files and/or directories) into the profile
-/// matrix. No specs: the committed `profiles/` directory when present,
-/// else the bundled matrix (same content — the tier-1 tests pin the
-/// committed files bit-equal to [`msc_simd::MachineProfile::bundled`]).
-fn load_profiles(specs: &[String]) -> Result<Vec<msc_simd::MachineProfile>, CliError> {
-    use msc_simd::MachineProfile;
+/// matrix. No specs: the `profiles/` directory of the working directory
+/// when present, else the bundled matrix (same content — the tier-1 tests
+/// pin the committed files bit-equal to [`MachineProfile::bundled`]). A
+/// spec or `profiles/` that is unreadable, malformed or yields no profile
+/// is an error, never a fallback. `mscc sweep` and the S1 gate of
+/// `BENCH_claims.json` both resolve their matrix here.
+pub fn load_profiles(specs: &[String]) -> Result<Vec<MachineProfile>, CliError> {
     let mut out = Vec::new();
     if specs.is_empty() {
         let dir = std::path::Path::new("profiles");
@@ -818,30 +906,39 @@ fn load_profiles(specs: &[String]) -> Result<Vec<msc_simd::MachineProfile>, CliE
     Ok(out)
 }
 
-/// One measured profile in a sweep.
-struct SweepRow {
-    name: String,
-    pe_count: usize,
-    meta_states: usize,
-    cycles: u64,
-    utilization: f64,
-    interp_cycles: u64,
-    speedup: f64,
+/// One measured profile of a [`sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepRow {
+    /// Profile name.
+    pub name: String,
+    /// PEs the profile ran on.
+    pub pe_count: usize,
+    /// Meta states of the program compiled under the profile's costs.
+    pub meta_states: usize,
+    /// Simulated MSC cycles.
+    pub cycles: u64,
+    /// PE utilization inside meta-state bodies.
+    pub utilization: f64,
+    /// The §1.1 interpreter baseline priced under the same profile.
+    pub interp_cycles: u64,
+    /// `interp_cycles / cycles`.
+    pub speedup: f64,
 }
 
-/// `mscc sweep`: compile the workload once per profile (each profile's
-/// cost model is part of the [`metastate::Job`], so the engine pool
-/// parallelizes the compiles and the cache keys stay distinct), run each
-/// program on its profile's machine, and price the §1.1 interpreter
-/// baseline under the same profile for the speedup column. Output: an
-/// aligned text table plus one machine-readable JSON line.
-pub fn execute_sweep(
-    file: &str,
+/// Measure `src` under every profile: compile once per profile (each
+/// profile's cost model is part of the [`metastate::Job`], so the engine
+/// pool parallelizes the compiles and the cache keys stay distinct), run
+/// each program on its profile's machine, and price the §1.1 interpreter
+/// baseline under the same profile for the speedup. Returns a row per
+/// profile that compiled and ran, in `profiles` order, and a line per
+/// profile that did not. `mscc sweep` renders this; the S1 gate of
+/// `BENCH_claims.json` pins it.
+pub fn sweep(
+    name: &str,
     src: &str,
-    profiles: &[msc_simd::MachineProfile],
+    profiles: &[MachineProfile],
     opts: &CommonOpts,
-) -> Result<String, CliError> {
-    use msc_obs::json::Json;
+) -> Result<(Vec<SweepRow>, Vec<String>), CliError> {
     msc_obs::count("sweep.profiles", profiles.len() as u64);
     let program = msc_lang::compile(src).map_err(|e| CliError(e.to_string()))?;
     let engine = engine_for(opts);
@@ -850,7 +947,7 @@ pub fn execute_sweep(
         .map(|p| {
             build_pipeline(src, opts)
                 .costs(p.costs.clone())
-                .into_job(format!("{file}@{}", p.name))
+                .into_job(format!("{name}@{}", p.name))
         })
         .collect();
     let compiled = engine.compile_many(&jobs);
@@ -858,51 +955,58 @@ pub fn execute_sweep(
     let mut rows: Vec<SweepRow> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for (p, result) in profiles.iter().zip(compiled) {
-        let out = match result {
-            Ok(out) => out,
+        let measured = result
+            .map_err(|e| format!("compile failed: {e}"))
+            .and_then(|out| {
+                let cfg = p.machine_config();
+                let simd = &out.artifact.simd;
+                let mut machine = metastate::SimdMachine::new(simd, &cfg);
+                let metrics = machine
+                    .run(simd, &cfg)
+                    .map_err(|e| format!("run failed: {e}"))?;
+                let (_, im) = msc_mimd::interpret_on_simd(
+                    &program.graph,
+                    program.layout.poly_words,
+                    program.layout.mono_words,
+                    p.pe_count,
+                    &p.costs,
+                )
+                .map_err(|e| format!("interpreter baseline failed: {e}"))?;
+                Ok(SweepRow {
+                    name: p.name.clone(),
+                    pe_count: p.pe_count,
+                    meta_states: out.artifact.meta_states,
+                    cycles: metrics.cycles,
+                    utilization: metrics.utilization(),
+                    interp_cycles: im.cycles,
+                    speedup: im.cycles as f64 / metrics.cycles as f64,
+                })
+            });
+        match measured {
+            Ok(row) => {
+                msc_obs::count("sweep.runs", 1);
+                rows.push(row);
+            }
             Err(e) => {
                 msc_obs::count("sweep.errors", 1);
-                failures.push(format!("{}: compile failed: {e}", p.name));
-                continue;
+                failures.push(format!("{}: {e}", p.name));
             }
-        };
-        let cfg = p.machine_config();
-        let simd = &out.artifact.simd;
-        let mut machine = metastate::SimdMachine::new(simd, &cfg);
-        let metrics = match machine.run(simd, &cfg) {
-            Ok(m) => m,
-            Err(e) => {
-                msc_obs::count("sweep.errors", 1);
-                failures.push(format!("{}: run failed: {e}", p.name));
-                continue;
-            }
-        };
-        let interp_cycles = match msc_mimd::interpret_on_simd(
-            &program.graph,
-            program.layout.poly_words,
-            program.layout.mono_words,
-            p.pe_count,
-            &p.costs,
-        ) {
-            Ok((_, im)) => im.cycles,
-            Err(e) => {
-                msc_obs::count("sweep.errors", 1);
-                failures.push(format!("{}: interpreter baseline failed: {e}", p.name));
-                continue;
-            }
-        };
-        msc_obs::count("sweep.runs", 1);
-        rows.push(SweepRow {
-            name: p.name.clone(),
-            pe_count: p.pe_count,
-            meta_states: out.artifact.meta_states,
-            cycles: metrics.cycles,
-            utilization: metrics.utilization(),
-            interp_cycles,
-            speedup: interp_cycles as f64 / metrics.cycles as f64,
-        });
+        }
     }
+    Ok((rows, failures))
+}
 
+/// `mscc sweep`: [`sweep`] as an aligned text table plus one
+/// machine-readable JSON line; any profile that failed makes the whole
+/// report an error.
+fn execute_sweep(
+    file: &str,
+    src: &str,
+    profiles: &[MachineProfile],
+    opts: &CommonOpts,
+) -> Result<String, CliError> {
+    use msc_obs::json::Json;
+    let (rows, failures) = sweep(file, src, profiles, opts)?;
     let name_w = rows
         .iter()
         .map(|r| r.name.len())
@@ -965,13 +1069,10 @@ pub fn execute_sweep(
 }
 
 /// Observability wiring for one CLI invocation: installs the subscribers
-/// the flags ask for (a metrics [`msc_obs::Registry`] for `--metrics`, a
-/// [`msc_obs::JsonlSink`] for `--trace-out`, fanned out when both) for the
-/// duration of the command. Exactly one session is installed per
-/// invocation — nesting would deadlock on the obs install lock, so
-/// [`execute_batch`] owns the session for batches, [`execute_fuzz`] for
-/// fuzzing, and the command's arm of [`execute_on_source`] or
-/// [`main_with_args`] for the rest.
+/// the [`Obs`] flags ask for (a metrics [`msc_obs::Registry`] for
+/// `--metrics`, a [`msc_obs::JsonlSink`] for `--trace-out`, fanned out
+/// when both) for the duration of the command. [`execute`] opens exactly
+/// one per invocation — nesting would deadlock on the obs install lock.
 struct ObsSession {
     registry: Option<Arc<msc_obs::Registry>>,
     sink: Option<Arc<msc_obs::JsonlSink<std::fs::File>>>,
@@ -979,19 +1080,15 @@ struct ObsSession {
 }
 
 impl ObsSession {
-    /// Start a session if the options ask for one; `None` means the
+    /// Start a session if the flags ask for one; `None` means the
     /// command runs with observability fully disabled (the zero-cost
     /// path).
-    fn start(metrics: bool, trace_out: Option<&str>) -> Result<Option<ObsSession>, CliError> {
-        if !metrics && trace_out.is_none() {
+    fn start(obs: &Obs) -> Result<Option<ObsSession>, CliError> {
+        if !obs.metrics && obs.trace_out.is_none() {
             return Ok(None);
         }
-        let registry = if metrics {
-            Some(Arc::new(msc_obs::Registry::new()))
-        } else {
-            None
-        };
-        let sink = match trace_out {
+        let registry = obs.metrics.then(|| Arc::new(msc_obs::Registry::new()));
+        let sink = match &obs.trace_out {
             Some(path) => {
                 Some(Arc::new(msc_obs::JsonlSink::create(path).map_err(|e| {
                     CliError(format!("cannot open trace file {path}: {e}"))
@@ -1018,21 +1115,6 @@ impl ObsSession {
         }))
     }
 
-    /// Run `command` inside the session the flags ask for and append the
-    /// metrics table to its output.
-    fn around(
-        metrics: bool,
-        trace_out: Option<&str>,
-        command: impl FnOnce() -> Result<String, CliError>,
-    ) -> Result<String, CliError> {
-        let session = ObsSession::start(metrics, trace_out)?;
-        let mut text = command()?;
-        if let Some(session) = session {
-            text.push_str(&session.finish()?);
-        }
-        Ok(text)
-    }
-
     /// Uninstall the subscribers, flush the trace file, and return the
     /// rendered metrics table (empty when `--metrics` was not given).
     fn finish(self) -> Result<String, CliError> {
@@ -1048,39 +1130,33 @@ impl ObsSession {
     }
 }
 
+/// `mscc serve`: announce the bound address, then serve until a signal
+/// drains the daemon.
+fn execute_serve(options: &msc_serve::ServeOptions) -> Result<String, CliError> {
+    let handle = msc_serve::Server::start(options.clone())
+        .map_err(|e| CliError(format!("cannot start daemon on {}: {e}", options.addr)))?;
+    // Announce before blocking so scripts can find the port.
+    println!("msc-serve listening on {}", handle.local_addr());
+    if !options.peers.is_empty() {
+        println!("msc-serve peers: {}", options.peers.join(", "));
+    }
+    msc_serve::run_until_signal(handle);
+    Ok("msc-serve: drained and stopped\n".to_string())
+}
+
 /// `mscc fuzz`: run the differential fuzzer, or replay one reproducer.
 ///
-/// The returned report ends with a machine-readable JSON summary line.
-/// When the run finds mismatches the report comes back as `Err`, so the
-/// driver exits nonzero without losing the reproducer paths; a replay
-/// always returns `Ok` (its JSON says whether the bug still reproduces).
-pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
+/// The report ends with a machine-readable JSON summary line. When the
+/// run finds mismatches the report comes back as `Err`, so the driver
+/// exits nonzero without losing the reproducer paths; a replay always
+/// returns `Ok` (its JSON says whether the bug still reproduces).
+fn execute_fuzz(
+    cfg: &msc_fuzz::FuzzConfig,
+    serve: bool,
+    replay: Option<&str>,
+) -> Result<String, CliError> {
     use msc_obs::json::Json;
-    let Command::Fuzz {
-        seed,
-        cases,
-        pes,
-        max_states,
-        corpus,
-        oracles,
-        serve,
-        serve_addr,
-        replay,
-        trace_out,
-        metrics,
-    } = cmd
-    else {
-        return Err(CliError("not a fuzz command".into()));
-    };
-    let mut matrix = match oracles {
-        Some(list) => msc_fuzz::Oracle::parse_list(list).map_err(CliError)?,
-        None => msc_fuzz::Oracle::default_set(),
-    };
-    let wants_serve = *serve || serve_addr.is_some();
-    if wants_serve && !matrix.contains(&msc_fuzz::Oracle::Serve) {
-        matrix.push(msc_fuzz::Oracle::Serve);
-    }
-    let handle = if *serve {
+    let handle = if serve {
         Some(
             msc_serve::Server::start(msc_serve::ServeOptions {
                 addr: "127.0.0.1:0".into(),
@@ -1092,23 +1168,10 @@ pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
     } else {
         None
     };
-    let resolved_addr = serve_addr
-        .clone()
-        .or_else(|| handle.as_ref().map(|h| h.local_addr().to_string()));
-    let session = ObsSession::start(*metrics, trace_out.as_deref())?;
-    let cfg = msc_fuzz::FuzzConfig {
-        seed: *seed,
-        cases: *cases,
-        oracles: matrix,
-        corpus_dir: corpus.as_ref().map(std::path::PathBuf::from),
-        oracle_cfg: msc_fuzz::OracleConfig {
-            n_pe: *pes,
-            max_meta_states: *max_states,
-            serve_addr: resolved_addr,
-            scratch_dir: None,
-        },
-        ..msc_fuzz::FuzzConfig::default()
-    };
+    let mut cfg = cfg.clone();
+    if let (None, Some(h)) = (&cfg.oracle_cfg.serve_addr, &handle) {
+        cfg.oracle_cfg.serve_addr = Some(h.local_addr().to_string());
+    }
     let mut text = String::new();
     let mut found = 0u64;
     if let Some(path) = replay {
@@ -1121,7 +1184,7 @@ pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
         text.push_str(&format!(
             "{}\n",
             Json::obj(vec![
-                ("replay", Json::from(path.as_str())),
+                ("replay", Json::from(path)),
                 ("seed", Json::from(repro.seed)),
                 ("case", Json::from(repro.case_index)),
                 ("oracle", Json::from(repro.oracle.as_str())),
@@ -1131,7 +1194,7 @@ pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
             .render()
         ));
     } else {
-        let total = *cases;
+        let total = cfg.cases;
         let summary = msc_fuzz::run_fuzz_with(&cfg, |i, r| {
             if !r.clean() {
                 eprintln!("mscc fuzz: mismatch in case {i}");
@@ -1144,9 +1207,6 @@ pub fn execute_fuzz(cmd: &Command) -> Result<String, CliError> {
         }
         text.push_str(&format!("{}\n", summary.to_json().render()));
         found = summary.mismatches;
-    }
-    if let Some(session) = session {
-        text.push_str(&session.finish()?);
     }
     if let Some(h) = handle {
         h.shutdown();
@@ -1188,7 +1248,7 @@ fn shard_bytes(bytes: &[u8], n: usize) -> Vec<&[u8]> {
 /// `mscc match`: compile the pattern once, scan every input sharded.
 /// Spans are byte offsets into each input and — by the stitching
 /// construction — identical at every thread count.
-pub fn execute_match(
+fn execute_match(
     pattern: &str,
     inputs: &[(String, Vec<u8>)],
     threads: usize,
@@ -1224,20 +1284,26 @@ pub fn execute_match(
     Ok(text)
 }
 
-/// `mscc batch`: compile `(name, source)` pairs over the engine's worker
-/// pool; each file reports success or its own error. Returns the report
-/// and the number of files that failed (so the driver can exit nonzero
-/// on partial failure without losing the per-file lines).
-pub fn execute_batch(
-    sources: &[(String, String)],
-    opts: &CommonOpts,
-) -> Result<(String, usize), CliError> {
-    let session = ObsSession::start(opts.metrics, opts.trace_out.as_deref())?;
+/// An input as MIMDC source text.
+fn source((name, bytes): &(String, Vec<u8>)) -> Result<(&str, &str), CliError> {
+    let src =
+        std::str::from_utf8(bytes).map_err(|e| CliError(format!("cannot read {name}: {e}")))?;
+    Ok((name, src))
+}
+
+/// `mscc batch`: compile every input over the engine's worker pool; each
+/// file reports success or its own error. Any failed file makes the
+/// whole report an error, so scripts see the partial failure without
+/// losing the per-file lines.
+fn execute_batch(inputs: &[(String, Vec<u8>)], opts: &CommonOpts) -> Result<String, CliError> {
     let engine = engine_for(opts);
-    let jobs: Vec<metastate::Job> = sources
+    let jobs = inputs
         .iter()
-        .map(|(name, src)| build_pipeline(src, opts).into_job(name.clone()))
-        .collect();
+        .map(|input| {
+            let (name, src) = source(input)?;
+            Ok(build_pipeline(src, opts).into_job(name))
+        })
+        .collect::<Result<Vec<metastate::Job>, CliError>>()?;
     let results = engine.compile_many(&jobs);
     let mut text = String::new();
     let mut ok = 0usize;
@@ -1273,260 +1339,80 @@ pub fn execute_batch(
         ));
     }
     text.push('\n');
-    if let Some(session) = session {
-        text.push_str(&session.finish()?);
+    match results.len() - ok {
+        0 => Ok(text),
+        failed => Err(CliError(format!("{failed} file(s) failed\n{text}"))),
     }
-    Ok((text, results.len() - ok))
 }
 
-/// Execute a parsed command against source text, returning the output the
-/// CLI prints. Separated from file I/O for testability. (`Batch` reads
-/// many files, so it goes through [`execute_batch`] instead.)
-pub fn execute_on_source(cmd: &Command, src: &str) -> Result<String, CliError> {
-    match cmd {
+/// Run a parsed command on its inputs — `(name, bytes)` pairs, one per
+/// file the command names (build, run, sweep: exactly one), or the one
+/// haystack of a `match` that named none — and return what the CLI
+/// prints. The whole command runs inside one observability session, and
+/// its metrics table ends the output, `Ok` or `Err` alike (a batch with
+/// a failed file, a fuzz run with mismatches).
+pub fn execute(cmd: &Command, obs: &Obs, inputs: &[(String, Vec<u8>)]) -> Result<String, CliError> {
+    let one_source = || {
+        inputs
+            .first()
+            .ok_or_else(|| CliError("missing input file".into()))
+            .and_then(source)
+    };
+    let session = ObsSession::start(obs)?;
+    let out = match cmd {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Batch { files, opts } => {
-            // Testing convenience: every file gets the same source text.
-            // (`execute_batch` owns the obs session for batches.)
-            let sources: Vec<(String, String)> =
-                files.iter().map(|f| (f.clone(), src.to_string())).collect();
-            execute_batch(&sources, opts).map(|(text, _)| text)
+        Command::Build { emit, opts, .. } => {
+            one_source().and_then(|(name, src)| execute_build(name, emit, opts, src))
         }
-        Command::Serve { .. } => Err(CliError(
-            "serve is a long-running daemon; it is driven by main_with_args".into(),
-        )),
-        Command::Fuzz { .. } => execute_fuzz(cmd),
-        Command::Match {
-            pattern,
-            threads,
-            trace_out,
-            metrics,
-            ..
-        } => ObsSession::around(*metrics, trace_out.as_deref(), || {
-            // Testing convenience: the source text is the one haystack.
-            let input = ("<input>".to_string(), src.as_bytes().to_vec());
-            execute_match(pattern, &[input], *threads)
-        }),
-        Command::Sweep {
-            file,
-            profiles,
-            opts,
-        } => ObsSession::around(opts.metrics, opts.trace_out.as_deref(), || {
-            let loaded = load_profiles(profiles)?;
-            execute_sweep(file, src, &loaded, opts)
-        }),
-        Command::Build { opts, .. } | Command::Run { opts, .. } => {
-            ObsSession::around(opts.metrics, opts.trace_out.as_deref(), || {
-                execute_build_or_run(cmd, src)
-            })
-        }
-    }
-}
-
-/// The build/run arms of [`execute_on_source`], split out so the caller
-/// can bracket them with an [`ObsSession`] and append the metrics table.
-fn execute_build_or_run(cmd: &Command, src: &str) -> Result<String, CliError> {
-    match cmd {
-        Command::Build { file, emit, opts } => execute_build(file, emit, opts, src),
         Command::Run {
-            file,
             pes,
             pool,
             compare,
             trace,
             opts,
-        } => {
-            let (engine, compiled) = compile_source(file, src, opts)?;
-            let artifact = &compiled.artifact;
-            let simd = &artifact.simd;
-            let mut cfg = match pool {
-                Some(live) => MachineConfig::with_pool(*pes, *live),
-                None => MachineConfig::spmd(*pes),
-            };
-            cfg.trace = *trace;
-            let mut machine = metastate::SimdMachine::new(simd, &cfg);
-            let metrics = machine
-                .run(simd, &cfg)
-                .map_err(|e| CliError(e.to_string()))?;
-            let mut text = String::new();
-            if let Some(ret) = artifact.ret_addr {
-                text.push_str("PE | result\n");
-                for pe in 0..*pes {
-                    text.push_str(&format!("{pe:2} | {}\n", machine.poly_at(pe, ret)));
-                }
-            }
-            text.push_str(&format!(
-                "\ncycles={} (body {}, guards {}, dispatch {}), issues={}, dispatches={}, utilization={:.1}%\n",
-                metrics.cycles,
-                metrics.body_cycles,
-                metrics.guard_cycles,
-                metrics.dispatch_cycles,
-                metrics.issues,
-                metrics.dispatches,
-                metrics.utilization() * 100.0
-            ));
-            text.push_str(&format!(
-                "automaton: {} meta states; per-PE program memory: 0 words\n",
-                artifact.meta_states
-            ));
-            if *trace {
-                text.push_str("\ntrace (meta-state path):\n");
-                for ev in &machine.trace {
-                    match ev {
-                        msc_simd::TraceEvent::EnterBlock {
-                            block,
-                            live,
-                            at_cycle,
-                        } => {
-                            text.push_str(&format!(
-                                "  @{at_cycle:<6} enter {} (live PEs: {live})\n",
-                                simd.block(*block).name
-                            ));
-                        }
-                        msc_simd::TraceEvent::Dispatch { to: Some(t), .. } => {
-                            text.push_str(&format!("          -> {}\n", simd.block(*t).name));
-                        }
-                        msc_simd::TraceEvent::Dispatch { to: None, .. } => {
-                            text.push_str("          -> exit\n");
-                        }
-                    }
-                }
-            }
-            if *compare {
-                // The reference and the interpreter run the same workload as
-                // the machine: `cfg.active_at_start` of `pes` PEs live.
-                let p = msc_lang::compile(src).map_err(|e| CliError(e.to_string()))?;
-                let mcfg = msc_mimd::MimdConfig {
-                    active_at_start: cfg.active_at_start,
-                    ..msc_mimd::MimdConfig::spmd(*pes)
-                };
-                let mut mimd =
-                    msc_mimd::MimdReference::new(p.layout.poly_words, p.layout.mono_words, &mcfg);
-                let mm = mimd
-                    .run(&p.graph, &mcfg)
-                    .map_err(|e| CliError(e.to_string()))?;
-                let image = msc_mimd::InterpProgram::flatten(
-                    &p.graph,
-                    p.layout.poly_words,
-                    p.layout.mono_words,
-                );
-                let im = msc_mimd::InterpMachine::new(&image, *pes, cfg.active_at_start)
-                    .run(&image, &CostModel::default(), mcfg.max_cycles)
-                    .map_err(|e| CliError(e.to_string()))?;
-                text.push_str(&format!(
-                    "\ncompare: MIMD reference {} cycles; interpreter {} cycles ({:.2}x vs MSC)\n",
-                    mm.cycles,
-                    im.cycles,
-                    im.cycles as f64 / metrics.cycles as f64
-                ));
-                if let (Some(ret), Some(mret)) = (artifact.ret_addr, p.layout.main_ret) {
-                    let agree =
-                        (0..*pes).all(|pe| machine.poly_at(pe, ret) == mimd.poly_at(pe, mret));
-                    text.push_str(&format!(
-                        "results {} the MIMD reference\n",
-                        if agree { "MATCH" } else { "DIVERGE FROM" }
-                    ));
-                }
-            }
-            if opts.stats {
-                text.push_str(&stats_block(artifact, compiled.provenance, &engine));
-            }
-            Ok(text)
-        }
-        Command::Help
-        | Command::Batch { .. }
-        | Command::Sweep { .. }
-        | Command::Serve { .. }
-        | Command::Fuzz { .. }
-        | Command::Match { .. } => {
-            unreachable!("handled by execute_on_source")
-        }
+            ..
+        } => one_source()
+            .and_then(|(name, src)| execute_run(name, src, *pes, *pool, *compare, *trace, opts)),
+        Command::Batch { opts, .. } => execute_batch(inputs, opts),
+        Command::Sweep { profiles, opts, .. } => one_source()
+            .and_then(|(name, src)| execute_sweep(name, src, &load_profiles(profiles)?, opts)),
+        Command::Serve(options) => execute_serve(options),
+        Command::Fuzz { cfg, serve, replay } => execute_fuzz(cfg, *serve, replay.as_deref()),
+        Command::Match {
+            pattern, threads, ..
+        } => execute_match(pattern, inputs, *threads),
+    };
+    let Some(session) = session else {
+        return out;
+    };
+    let table = session.finish()?;
+    match out {
+        Ok(text) => Ok(text + &table),
+        Err(CliError(text)) => Err(CliError(text + &table)),
     }
 }
 
-/// Full entry point: parse args, read the file(s), execute.
+/// Full entry point: parse the arguments, read the files the command
+/// names (stdin for a `match` with none), and [`execute`].
 pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
-    let cmd = parse_args(args)?;
-    let read = |file: &str| {
-        std::fs::read_to_string(file).map_err(|e| CliError(format!("cannot read {file}: {e}")))
+    let (cmd, obs) = parse_args(args)?;
+    let read = |file: &String| {
+        std::fs::read(file)
+            .map(|bytes| (file.clone(), bytes))
+            .map_err(|e| CliError(format!("cannot read {file}: {e}")))
     };
-    match &cmd {
-        Command::Help => execute_on_source(&cmd, ""),
-        Command::Serve {
-            addr,
-            workers,
-            queue_depth,
-            cache,
-            max_meta_states,
-            peers,
-        } => {
-            let defaults = msc_serve::ServeOptions::default();
-            let handle = msc_serve::Server::start(msc_serve::ServeOptions {
-                addr: addr.clone(),
-                workers: *workers,
-                queue_depth: *queue_depth,
-                cache_dir: cache.as_ref().map(std::path::PathBuf::from),
-                max_meta_states: max_meta_states.unwrap_or(defaults.max_meta_states),
-                peers: peers.clone(),
-                ..defaults
-            })
-            .map_err(|e| CliError(format!("cannot start daemon on {addr}: {e}")))?;
-            // Announce before blocking so scripts can find the port.
-            println!("msc-serve listening on {}", handle.local_addr());
-            if !peers.is_empty() {
-                println!("msc-serve peers: {}", peers.join(", "));
-            }
-            msc_serve::run_until_signal(handle);
-            Ok("msc-serve: drained and stopped\n".to_string())
+    let inputs = match &cmd {
+        Command::Match { files, .. } if files.is_empty() => {
+            use std::io::Read as _;
+            let mut buf = Vec::new();
+            std::io::stdin()
+                .read_to_end(&mut buf)
+                .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
+            vec![("<stdin>".to_string(), buf)]
         }
-        Command::Batch { files, opts } => {
-            let sources = files
-                .iter()
-                .map(|f| Ok((f.clone(), read(f)?)))
-                .collect::<Result<Vec<_>, CliError>>()?;
-            let (text, failed) = execute_batch(&sources, opts)?;
-            if failed > 0 {
-                // Per-file lines are in the report; fail the invocation so
-                // scripts see the partial failure.
-                return Err(CliError(format!("{failed} file(s) failed\n{text}")));
-            }
-            Ok(text)
-        }
-        Command::Fuzz { .. } => execute_fuzz(&cmd),
-        Command::Match {
-            pattern,
-            files,
-            threads,
-            trace_out,
-            metrics,
-        } => {
-            let inputs: Vec<(String, Vec<u8>)> = if files.is_empty() {
-                use std::io::Read as _;
-                let mut buf = Vec::new();
-                std::io::stdin()
-                    .read_to_end(&mut buf)
-                    .map_err(|e| CliError(format!("cannot read stdin: {e}")))?;
-                vec![("<stdin>".to_string(), buf)]
-            } else {
-                files
-                    .iter()
-                    .map(|f| {
-                        Ok((
-                            f.clone(),
-                            std::fs::read(f)
-                                .map_err(|e| CliError(format!("cannot read {f}: {e}")))?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, CliError>>()?
-            };
-            ObsSession::around(*metrics, trace_out.as_deref(), || {
-                execute_match(pattern, &inputs, *threads)
-            })
-        }
-        Command::Build { file, .. } | Command::Run { file, .. } | Command::Sweep { file, .. } => {
-            execute_on_source(&cmd, &read(file)?)
-        }
-    }
+        _ => cmd.files().iter().map(read).collect::<Result<_, _>>()?,
+    };
+    execute(&cmd, &obs, &inputs)
 }
 
 #[cfg(test)]
@@ -1537,24 +1423,46 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parse(s: &str) -> Command {
+        parse_args(&args(s)).unwrap().0
+    }
+
+    /// `mscc LINE` with `src` as every file the line names (or as the
+    /// haystack of a `match` that names none).
+    fn exec(line: &str, src: &str) -> Result<String, CliError> {
+        let (cmd, obs) = parse_args(&args(line))?;
+        let names = match &cmd {
+            Command::Match { files, .. } if files.is_empty() => vec!["<stdin>".to_string()],
+            _ => cmd.files().to_vec(),
+        };
+        let inputs: Vec<(String, Vec<u8>)> = names
+            .into_iter()
+            .map(|n| (n, src.as_bytes().to_vec()))
+            .collect();
+        execute(&cmd, &obs, &inputs)
+    }
+
     const PROG: &str = "main() { poly int x; x = pe_id() * 2 + 1; return(x); }";
 
     #[test]
     fn parse_serve_flags() {
-        let cmd = parse_args(&args(
+        let Command::Serve(o) = parse(
             "serve --addr 127.0.0.1:0 --workers 2 --queue-depth 4 --cache /tmp/c --max-meta-states 512",
-        ))
-        .unwrap();
+        ) else {
+            panic!("expected serve command");
+        };
+        assert_eq!(o.addr, "127.0.0.1:0");
+        assert_eq!((o.workers, o.queue_depth, o.max_meta_states), (2, 4, 512));
+        assert_eq!(o.cache_dir, Some("/tmp/c".into()));
+        assert!(o.peers.is_empty());
+        // Unset flags keep the daemon's defaults.
+        let Command::Serve(o) = parse("serve") else {
+            panic!("expected serve command");
+        };
+        let d = msc_serve::ServeOptions::default();
         assert_eq!(
-            cmd,
-            Command::Serve {
-                addr: "127.0.0.1:0".into(),
-                workers: 2,
-                queue_depth: 4,
-                cache: Some("/tmp/c".into()),
-                max_meta_states: Some(512),
-                peers: Vec::new(),
-            }
+            (o.addr, o.workers, o.queue_depth, o.max_meta_states),
+            (d.addr, d.workers, d.queue_depth, d.max_meta_states)
         );
         assert!(parse_args(&args("serve --max-meta-states 0")).is_err());
         assert!(parse_args(&args("serve --workers")).is_err());
@@ -1578,43 +1486,38 @@ mod tests {
         // a silently dropped peer.
         assert!(parse_args(&args("serve --peers 10.0.0.1:7643,,10.0.0.2:7643")).is_err());
         assert!(parse_args(&args("serve --peers 10.0.0.1:7643,")).is_err());
-        let cmd = parse_args(&args(
-            "serve --addr 127.0.0.1:0 --peers 10.0.0.1:7643,10.0.0.2:7643",
-        ))
-        .unwrap();
-        let Command::Serve { peers, .. } = cmd else {
+        let Command::Serve(o) =
+            parse("serve --addr 127.0.0.1:0 --peers 10.0.0.1:7643,10.0.0.2:7643")
+        else {
             panic!("expected serve command");
         };
-        assert_eq!(peers, vec!["10.0.0.1:7643", "10.0.0.2:7643"]);
+        assert_eq!(o.peers, vec!["10.0.0.1:7643", "10.0.0.2:7643"]);
         assert!(parse_args(&args("serve --peers")).is_err());
     }
 
     #[test]
     fn parse_build_defaults() {
-        let cmd = parse_args(&args("build foo.mimdc")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Build {
-                file: "foo.mimdc".into(),
-                emit: Emit::Automaton,
-                opts: CommonOpts::default()
-            }
-        );
+        let (cmd, obs) = parse_args(&args("build foo.mimdc")).unwrap();
+        let Command::Build { file, emit, opts } = cmd else {
+            panic!("expected build command");
+        };
+        assert_eq!(file, "foo.mimdc");
+        assert_eq!(emit, Emit::Automaton);
+        assert_eq!(opts, CommonOpts::default());
+        assert_eq!(obs, Obs::default());
     }
 
     #[test]
     fn parse_run_with_flags() {
-        let cmd = parse_args(&args(
-            "run foo.mimdc --pes 32 --pool 4 --compare --mode compressed --time-split --optimize --minimize --no-csi",
-        ))
-        .unwrap();
         let Command::Run {
             pes,
             pool,
             compare,
             opts,
             ..
-        } = cmd
+        } = parse(
+            "run foo.mimdc --pes 32 --pool 4 --compare --mode compressed --time-split --optimize --minimize --no-csi",
+        )
         else {
             panic!()
         };
@@ -1626,13 +1529,68 @@ mod tests {
     }
 
     #[test]
+    fn run_follows_the_daemons_pe_rule() {
+        // `POST /run` answers 400 for pes 0, active 0 and active > pes;
+        // so does the command line, before compiling anything.
+        for (line, want) in [
+            ("run f --pes 0", "--pes must be at least 1"),
+            ("run f --pool 0", "--pool must be at least 1"),
+            ("run f --pes 4 --pool 5", "--pool 5 is more than --pes 4"),
+            ("run f --pool 9", "--pool 9 is more than --pes 8"),
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err.0, want, "{line}");
+        }
+        let Command::Run { pes, pool, .. } = parse("run f --pes 4 --pool 4") else {
+            panic!("expected run command");
+        };
+        assert_eq!((pes, pool), (4, Some(4)));
+        assert!(exec("run x --pes 1", PROG).unwrap().contains(" 0 | 1\n"));
+    }
+
+    #[test]
+    fn each_command_takes_only_its_own_flags() {
+        for line in [
+            "build f --pes 4",
+            "build f --compare",
+            "build f --pool 2",
+            "build f --trace",
+            "build f --profiles profiles",
+            "run f --emit mpl",
+            "run f --profiles profiles",
+            "batch a --emit mpl",
+            "batch a --pes 2",
+            "batch a --compare",
+            "batch a --trace",
+            "sweep f --pes 3",
+            "sweep f --pool 2",
+            "sweep f --emit mpl",
+            "sweep f --compare",
+            "sweep f --trace",
+            "sweep f --stats",
+        ] {
+            let flag = line.split_whitespace().nth(2).unwrap();
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err.0, format!("unexpected argument `{flag}`"), "{line}");
+        }
+        // What each takes, it still takes.
+        for line in [
+            "build f --emit mpl --stats --jobs 2 --cache c --mode compressed",
+            "run f --pes 4 --pool 2 --compare --trace --stats --jobs 2 --cache c",
+            "batch a b --stats --jobs 2 --cache c --time-split",
+            "sweep f --profiles p --jobs 2 --cache c --no-csi",
+        ] {
+            assert!(parse_args(&args(line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
     fn parse_sweep_flags() {
-        let cmd = parse_args(&args("sweep foo.mimdc --profiles a.json,b.json")).unwrap();
         let Command::Sweep {
             file,
             profiles,
             opts,
-        } = cmd
+        } = parse("sweep foo.mimdc --profiles a.json,b.json")
         else {
             panic!("expected sweep command");
         };
@@ -1641,25 +1599,34 @@ mod tests {
         // Sweep defaults to all cores unless --jobs was given
         // explicitly.
         assert_eq!(opts.jobs, 0);
-        let cmd = parse_args(&args("sweep foo.mimdc --jobs 2")).unwrap();
-        let Command::Sweep { profiles, opts, .. } = cmd else {
+        let Command::Sweep { profiles, opts, .. } = parse("sweep foo.mimdc --jobs 2") else {
             panic!("expected sweep command");
         };
         assert!(profiles.is_empty());
         assert_eq!(opts.jobs, 2);
-        // --profiles is a sweep flag, not a build/run flag.
-        assert!(parse_args(&args("build foo.mimdc --profiles a.json")).is_err());
         assert!(parse_args(&args("sweep foo.mimdc --profiles")).is_err());
         assert!(parse_args(&args("sweep")).is_err());
     }
 
     #[test]
+    fn a_broken_profile_directory_is_an_error_not_a_fallback() {
+        let dir = std::env::temp_dir().join(format!("mscc-profiles-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = [dir.display().to_string()];
+        let err = load_profiles(&spec).unwrap_err();
+        assert_eq!(err.0, "no machine profiles found");
+        std::fs::write(dir.join("x.json"), r#"{"bogus":1}"#).unwrap();
+        let err = load_profiles(&spec).unwrap_err();
+        assert!(err.0.contains("bogus"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn parse_guard_and_budget_flags() {
-        let cmd = parse_args(&args(
-            "build foo.mimdc --max-meta-states 4096 --memory-budget 64m",
-        ))
-        .unwrap();
-        let Command::Build { opts, .. } = cmd else {
+        let Command::Build { opts, .. } =
+            parse("build foo.mimdc --max-meta-states 4096 --memory-budget 64m")
+        else {
             panic!()
         };
         assert_eq!(opts.max_meta_states, Some(4096));
@@ -1678,47 +1645,38 @@ mod tests {
 
     #[test]
     fn help_works() {
-        assert_eq!(parse_args(&args("help")).unwrap(), Command::Help);
-        assert!(execute_on_source(&Command::Help, "")
-            .unwrap()
-            .contains("USAGE"));
+        assert!(matches!(parse("help"), Command::Help));
+        assert!(exec("help", "").unwrap().contains("USAGE"));
     }
 
     #[test]
     fn build_emits_each_kind() {
         for jobs in [1, 2] {
             for (emit, needle) in [
-                (Emit::Automaton, "meta states"),
-                (Emit::Mpl, "ms_"),
-                (Emit::Dot, "digraph"),
-                (Emit::Graph, "-> "),
-                (Emit::Asm, ".program start=mb"),
+                ("automaton", "meta states"),
+                ("mpl", "ms_"),
+                ("dot", "digraph"),
+                ("graph", "-> "),
+                ("asm", ".program start=mb"),
             ] {
-                let cmd = Command::Build {
-                    file: "x".into(),
-                    emit,
-                    opts: CommonOpts {
-                        jobs,
-                        ..CommonOpts::default()
-                    },
-                };
-                let out = execute_on_source(&cmd, PROG).unwrap();
-                assert!(out.contains(needle), "{emit:?} at --jobs {jobs}: {out}");
+                let out = exec(&format!("build x --emit {emit} --jobs {jobs}"), PROG).unwrap();
+                assert!(out.contains(needle), "{emit} at --jobs {jobs}: {out}");
             }
         }
     }
 
     #[test]
+    fn build_and_run_need_their_one_input() {
+        let cmd = parse("build x");
+        let err = execute(&cmd, &Obs::default(), &[]).unwrap_err();
+        assert_eq!(err.0, "missing input file");
+        let err = execute(&cmd, &Obs::default(), &[("x".into(), vec![0xff])]).unwrap_err();
+        assert!(err.0.starts_with("cannot read x: "), "{err}");
+    }
+
+    #[test]
     fn run_prints_results_and_metrics() {
-        let cmd = Command::Run {
-            file: "x".into(),
-            pes: 4,
-            pool: None,
-            compare: true,
-            trace: false,
-            opts: CommonOpts::default(),
-        };
-        let out = execute_on_source(&cmd, PROG).unwrap();
+        let out = exec("run x --pes 4 --compare", PROG).unwrap();
         assert!(out.contains(" 3 | 7"), "{out}");
         assert!(out.contains("cycles="), "{out}");
         assert!(out.contains("results MATCH"), "{out}");
@@ -1728,44 +1686,16 @@ mod tests {
     fn compare_under_a_pool_runs_the_reference_on_the_same_live_pes() {
         // PEs 0 and 1 take the branch; of 6 PEs only 3 are live, so the
         // idle PEs 3..6 hold 0 on every side.
-        let cmd = Command::Run {
-            file: "x".into(),
-            pes: 6,
-            pool: Some(3),
-            compare: true,
-            trace: false,
-            opts: CommonOpts::default(),
-        };
         let src = "main() { poly int x; x = pe_id(); if (x < 2) { x = x + 10; } return(x); }";
-        let out = execute_on_source(&cmd, src).unwrap();
+        let out = exec("run x --pes 6 --pool 3 --compare", src).unwrap();
         assert!(out.contains(" 1 | 11\n 2 | 2\n 3 | 0\n"), "{out}");
         assert!(out.contains("results MATCH"), "{out}");
     }
 
     #[test]
     fn run_with_optimizer_flags_matches_plain() {
-        let plain = Command::Run {
-            file: "x".into(),
-            pes: 4,
-            pool: None,
-            compare: false,
-            trace: false,
-            opts: CommonOpts::default(),
-        };
-        let opt = Command::Run {
-            file: "x".into(),
-            pes: 4,
-            pool: None,
-            compare: false,
-            trace: false,
-            opts: CommonOpts {
-                optimize: true,
-                minimize: true,
-                ..CommonOpts::default()
-            },
-        };
-        let a = execute_on_source(&plain, PROG).unwrap();
-        let b = execute_on_source(&opt, PROG).unwrap();
+        let a = exec("run x --pes 4", PROG).unwrap();
+        let b = exec("run x --pes 4 --optimize --minimize", PROG).unwrap();
         let results = |s: &str| -> Vec<String> {
             s.lines()
                 .filter(|l| l.contains(" | "))
@@ -1777,8 +1707,8 @@ mod tests {
 
     #[test]
     fn parse_engine_flags() {
-        let cmd = parse_args(&args("build foo.mimdc --jobs 8 --cache /tmp/c --stats")).unwrap();
-        let Command::Build { opts, .. } = cmd else {
+        let Command::Build { opts, .. } = parse("build foo.mimdc --jobs 8 --cache /tmp/c --stats")
+        else {
             panic!()
         };
         assert_eq!(opts.jobs, 8);
@@ -1788,8 +1718,7 @@ mod tests {
 
     #[test]
     fn parse_batch_collects_files() {
-        let cmd = parse_args(&args("batch a.mimdc b.mimdc c.mimdc --jobs 2")).unwrap();
-        let Command::Batch { files, opts } = cmd else {
+        let Command::Batch { files, opts } = parse("batch a.mimdc b.mimdc c.mimdc --jobs 2") else {
             panic!()
         };
         assert_eq!(files, vec!["a.mimdc", "b.mimdc", "c.mimdc"]);
@@ -1806,45 +1735,35 @@ mod tests {
 
     #[test]
     fn parse_match_command() {
-        let cmd = parse_args(&args("match a+b in1.txt in2.txt --threads 3")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Match {
-                pattern: "a+b".into(),
-                files: vec!["in1.txt".into(), "in2.txt".into()],
-                threads: 3,
-                trace_out: None,
-                metrics: false,
-            }
-        );
+        let match_parts = |line: &str| {
+            let (cmd, obs) = parse_args(&args(line)).unwrap();
+            let Command::Match {
+                pattern,
+                files,
+                threads,
+            } = cmd
+            else {
+                panic!("expected match command");
+            };
+            (pattern, files, threads, obs)
+        };
+        let (pattern, files, threads, _) = match_parts("match a+b in1.txt in2.txt --threads 3");
+        assert_eq!(pattern, "a+b");
+        assert_eq!(files, vec!["in1.txt", "in2.txt"]);
+        assert_eq!(threads, 3);
         assert!(parse_args(&args("match")).is_err(), "pattern is required");
         assert!(parse_args(&args("match a --threads")).is_err());
         assert!(parse_args(&args("match a --threads zero")).is_err());
         // A leading-dash token in pattern position is pattern text.
-        let cmd = parse_args(&args("match -+")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Match {
-                pattern: "-+".into(),
-                files: vec![],
-                threads: 0,
-                trace_out: None,
-                metrics: false,
-            }
-        );
+        let (pattern, files, threads, _) = match_parts("match -+");
+        assert_eq!((pattern.as_str(), files.len(), threads), ("-+", 0, 0));
         // The observability flags, on either side of the pattern, are
         // flags: not the pattern, not a file.
-        let cmd = parse_args(&args("match --metrics ab+ f --trace-out t.jsonl")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Match {
-                pattern: "ab+".into(),
-                files: vec!["f".into()],
-                threads: 0,
-                trace_out: Some("t.jsonl".into()),
-                metrics: true,
-            }
-        );
+        let (pattern, files, _, obs) = match_parts("match --metrics ab+ f --trace-out t.jsonl");
+        assert_eq!(pattern, "ab+");
+        assert_eq!(files, vec!["f"]);
+        assert!(obs.metrics);
+        assert_eq!(obs.trace_out.as_deref(), Some("t.jsonl"));
         assert!(parse_args(&args("match ab+ --trace-out")).is_err());
     }
 
@@ -1856,15 +1775,13 @@ mod tests {
         assert!(out.contains("2 match(es)"), "{out}");
         let err = execute_match("a(", &[], 1).unwrap_err();
         assert!(err.to_string().contains("parse error"), "{err}");
-        // Through execute_on_source the source text is the haystack.
-        let cmd = parse_args(&args("match b+")).unwrap();
-        let out = execute_on_source(&cmd, "abbba").unwrap();
-        assert!(out.contains("<input>:1..4: bbb"), "{out}");
+        // Through execute, each input is one haystack.
+        let out = exec("match b+", "abbba").unwrap();
+        assert!(out.contains("<stdin>:1..4: bbb"), "{out}");
         assert!(!out.contains("-- metrics --"), "{out}");
         // --metrics appends the table of what the scan counted.
-        let cmd = parse_args(&args("match --metrics b+")).unwrap();
-        let out = execute_on_source(&cmd, "abbba").unwrap();
-        assert!(out.contains("<input>:1..4: bbb"), "{out}");
+        let out = exec("match --metrics b+ h1 h2", "abbba").unwrap();
+        assert!(out.contains("h1:1..4: bbb\nh2:1..4: bbb\n"), "{out}");
         assert!(out.contains("-- metrics --"), "{out}");
         assert!(out.contains("regex.bytes_stepped"), "{out}");
     }
@@ -1887,16 +1804,7 @@ mod tests {
 
     #[test]
     fn build_stats_block() {
-        let cmd = Command::Build {
-            file: "x".into(),
-            emit: Emit::Automaton,
-            opts: CommonOpts {
-                stats: true,
-                jobs: 2,
-                ..CommonOpts::default()
-            },
-        };
-        let out = execute_on_source(&cmd, PROG).unwrap();
+        let out = exec("build x --stats --jobs 2", PROG).unwrap();
         assert!(out.contains("-- stats --"), "{out}");
         assert!(out.contains("provenance: fresh compile"), "{out}");
         assert!(out.contains("timings: compile"), "{out}");
@@ -1935,30 +1843,26 @@ mod tests {
     fn build_output_is_the_same_at_any_jobs_and_provenance() {
         let dir = std::env::temp_dir().join(format!("mscc-identity-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for (src, mode) in [
-            (PROG, ConvertMode::Base),
-            (CASE_541, ConvertMode::Compressed),
-        ] {
-            for emit in [Emit::Automaton, Emit::Asm] {
+        for (src, mode) in [(PROG, "base"), (CASE_541, "compressed")] {
+            for emit in ["automaton", "asm"] {
                 let build = |jobs, cache: bool| {
-                    let cmd = Command::Build {
-                        file: "x".into(),
-                        emit,
-                        opts: CommonOpts {
-                            mode,
-                            jobs,
-                            cache: cache.then(|| dir.to_string_lossy().into_owned()),
-                            ..CommonOpts::default()
-                        },
+                    let cache = if cache {
+                        format!("--cache {}", dir.display())
+                    } else {
+                        String::new()
                     };
-                    execute_on_source(&cmd, src).unwrap()
+                    exec(
+                        &format!("build x --emit {emit} --mode {mode} --jobs {jobs} {cache}"),
+                        src,
+                    )
+                    .unwrap()
                 };
                 let one = build(1, false);
-                assert_eq!(build(2, false), one, "{emit:?} at --jobs 2");
+                assert_eq!(build(2, false), one, "{emit} at --jobs 2");
                 // Every call builds a fresh engine, so the second cached
                 // build can only be a disk hit.
-                assert_eq!(build(2, true), one, "{emit:?} cold --cache");
-                assert_eq!(build(1, true), one, "{emit:?} warm --cache");
+                assert_eq!(build(2, true), one, "{emit} cold --cache");
+                assert_eq!(build(1, true), one, "{emit} warm --cache");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1968,22 +1872,13 @@ mod tests {
     fn repeated_cached_build_reports_disk_hit() {
         let dir = std::env::temp_dir().join(format!("mscc-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = CommonOpts {
-            cache: Some(dir.to_string_lossy().into_owned()),
-            stats: true,
-            ..CommonOpts::default()
-        };
-        let cmd = Command::Build {
-            file: "x".into(),
-            emit: Emit::Automaton,
-            opts,
-        };
+        let line = format!("build x --stats --cache {}", dir.display());
         // First invocation compiles and persists; each call builds a fresh
         // engine (as separate mscc processes would), so the second can only
         // be satisfied by the disk layer.
-        let first = execute_on_source(&cmd, PROG).unwrap();
+        let first = exec(&line, PROG).unwrap();
         assert!(first.contains("provenance: fresh compile"), "{first}");
-        let second = execute_on_source(&cmd, PROG).unwrap();
+        let second = exec(&line, PROG).unwrap();
         assert!(second.contains("provenance: cache hit (disk)"), "{second}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1992,22 +1887,18 @@ mod tests {
     fn repeated_cached_run_reports_disk_hit_and_same_results() {
         let dir = std::env::temp_dir().join(format!("mscc-run-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cmd = parse_args(&args(&format!(
-            "run x --pes 4 --jobs 2 --stats --cache {}",
-            dir.display()
-        )))
-        .unwrap();
+        let line = format!("run x --pes 4 --jobs 2 --stats --cache {}", dir.display());
         let table = |s: &str| -> Vec<String> {
             s.lines()
                 .filter(|l| l.contains(" | ") || l.starts_with("cycles="))
                 .map(String::from)
                 .collect()
         };
-        let first = execute_on_source(&cmd, PROG).unwrap();
+        let first = exec(&line, PROG).unwrap();
         assert!(first.contains("provenance: fresh compile"), "{first}");
         assert!(first.contains("threads: 2"), "{first}");
         assert!(first.contains(" 3 | 7"), "{first}");
-        let second = execute_on_source(&cmd, PROG).unwrap();
+        let second = exec(&line, PROG).unwrap();
         assert!(second.contains("provenance: cache hit (disk)"), "{second}");
         assert_eq!(table(&second), table(&first));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2015,66 +1906,69 @@ mod tests {
 
     #[test]
     fn batch_reports_per_file_outcomes() {
-        let good = "main() { poly int x; x = pe_id(); return(x); }";
-        let bad = "main() { y = 1; }";
-        let sources = vec![
-            ("a.mimdc".to_string(), good.to_string()),
-            ("broken.mimdc".to_string(), bad.to_string()),
-            ("c.mimdc".to_string(), good.to_string()),
+        let good = b"main() { poly int x; x = pe_id(); return(x); }".to_vec();
+        let bad = b"main() { y = 1; }".to_vec();
+        let inputs = vec![
+            ("a.mimdc".to_string(), good.clone()),
+            ("broken.mimdc".to_string(), bad),
+            ("c.mimdc".to_string(), good),
         ];
-        // jobs: 1 keeps the pool sequential so the cache hit on the
-        // repeated source is deterministic.
-        let opts = CommonOpts {
-            jobs: 1,
-            stats: true,
-            ..CommonOpts::default()
-        };
-        let (out, failed) = execute_batch(&sources, &opts).unwrap();
-        assert_eq!(failed, 1, "{out}");
-        assert!(out.contains("a.mimdc: ok"), "{out}");
-        assert!(out.contains("broken.mimdc: error: compile:"), "{out}");
-        assert!(out.contains("c.mimdc: ok"), "{out}");
-        assert!(out.contains("2/3 succeeded"), "{out}");
+        // --jobs 1 keeps the pool sequential so the cache hit on the
+        // repeated source is deterministic; --metrics puts the table
+        // after the report the failure carries.
+        let (cmd, obs) = parse_args(&args("batch a b c --jobs 1 --stats --metrics")).unwrap();
+        let err = execute(&cmd, &obs, &inputs).unwrap_err().0;
+        assert!(err.starts_with("1 file(s) failed\n"), "{err}");
+        assert!(err.contains("a.mimdc: ok"), "{err}");
+        assert!(err.contains("broken.mimdc: error: compile:"), "{err}");
+        assert!(err.contains("c.mimdc: ok"), "{err}");
+        assert!(err.contains("2/3 succeeded"), "{err}");
         // a and c share source + options: the second must hit the cache.
         assert!(
-            out.contains("cache hit (memory)") || out.contains("1 memory hits"),
-            "{out}"
+            err.contains("cache hit (memory)") || err.contains("1 memory hits"),
+            "{err}"
         );
+        let report_end = err.find("succeeded").unwrap();
+        let table = err.find("-- metrics --").expect("the metrics table");
+        assert!(report_end < table, "{err}");
     }
 
     #[test]
     fn compile_errors_surface() {
-        let cmd = Command::Build {
-            file: "x".into(),
-            emit: Emit::Automaton,
-            opts: CommonOpts::default(),
-        };
-        let err = execute_on_source(&cmd, "main() { y = 1; }").unwrap_err();
+        let err = exec("build x", "main() { y = 1; }").unwrap_err();
         assert!(err.0.contains("undeclared"), "{err}");
     }
 
     #[test]
     fn parse_obs_flags() {
-        let cmd = parse_args(&args("build foo.mimdc --metrics --trace-out t.jsonl")).unwrap();
-        let Command::Build { opts, .. } = cmd else {
-            panic!()
-        };
-        assert!(opts.metrics);
-        assert_eq!(opts.trace_out.as_deref(), Some("t.jsonl"));
+        let (_, obs) = parse_args(&args("build foo.mimdc --metrics --trace-out t.jsonl")).unwrap();
+        assert!(obs.metrics);
+        assert_eq!(obs.trace_out.as_deref(), Some("t.jsonl"));
         assert!(parse_args(&args("build foo.mimdc --trace-out")).is_err());
+        // Every command but serve takes them, before or after its own
+        // arguments.
+        for line in [
+            "run foo.mimdc --metrics",
+            "batch --metrics a b",
+            "sweep foo.mimdc --metrics",
+            "fuzz --metrics --cases 1",
+            "fuzz --serve-addr 127.0.0.1:1 --trace-out t.jsonl",
+            "match --metrics a",
+        ] {
+            let (_, obs) = parse_args(&args(line)).unwrap();
+            assert!(obs.metrics || obs.trace_out.is_some(), "{line}");
+        }
     }
 
     #[test]
     fn metrics_flag_appends_table() {
-        let cmd = parse_args(&args("build foo.mimdc --metrics")).unwrap();
-        let out = execute_on_source(&cmd, PROG).unwrap();
+        let out = exec("build foo.mimdc --metrics", PROG).unwrap();
         // Conversion is instrumented, so the summary table must show at
         // least its span.
         assert!(out.contains("-- metrics --"), "{out}");
         assert!(out.contains("convert.run"), "{out}");
         // Without the flag no table appears.
-        let cmd = parse_args(&args("build foo.mimdc")).unwrap();
-        let out = execute_on_source(&cmd, PROG).unwrap();
+        let out = exec("build foo.mimdc", PROG).unwrap();
         assert!(!out.contains("-- metrics --"), "{out}");
     }
 
@@ -2083,8 +1977,7 @@ mod tests {
         // --jobs 1 keeps the two identical compiles serial: concurrent
         // identical jobs may coalesce onto one flight instead of hitting
         // the cache, which made this assertion racy under --jobs 2.
-        let cmd = parse_args(&args("batch a.mimdc b.mimdc --jobs 1 --metrics")).unwrap();
-        let out = execute_on_source(&cmd, PROG).unwrap();
+        let out = exec("batch a.mimdc b.mimdc --jobs 1 --metrics", PROG).unwrap();
         assert!(out.contains("-- metrics --"), "{out}");
         // Identical sources: the first compile misses, the second hits.
         assert!(out.contains("cache.hit"), "{out}");
@@ -2094,39 +1987,55 @@ mod tests {
 
     #[test]
     fn parse_fuzz_flags() {
-        let cmd = parse_args(&args(
+        let Command::Fuzz { cfg, serve, replay } = parse(
             "fuzz --seed 9 --cases 50 --pes 3 --max-states 500 --corpus /tmp/corp --oracles base,engine:2",
-        ))
-        .unwrap();
+        ) else {
+            panic!("expected fuzz command");
+        };
+        assert_eq!((cfg.seed, cfg.cases), (9, 50));
+        assert_eq!(cfg.oracle_cfg.n_pe, 3);
+        assert_eq!(cfg.oracle_cfg.max_meta_states, 500);
+        assert_eq!(cfg.corpus_dir, Some("/tmp/corp".into()));
         assert_eq!(
-            cmd,
-            Command::Fuzz {
-                seed: 9,
-                cases: 50,
-                pes: 3,
-                max_states: 500,
-                corpus: Some("/tmp/corp".into()),
-                oracles: Some("base,engine:2".into()),
-                serve: false,
-                serve_addr: None,
-                replay: None,
-                trace_out: None,
-                metrics: false,
-            }
+            cfg.oracles,
+            msc_fuzz::Oracle::parse_list("base,engine:2").unwrap()
         );
+        assert_eq!(cfg.oracle_cfg.serve_addr, None);
+        assert!(!serve && replay.is_none());
+        // Defaults: 200 cases over the full in-process matrix.
+        let Command::Fuzz { cfg, .. } = parse("fuzz --max-meta-states 7") else {
+            panic!("expected fuzz command");
+        };
+        assert_eq!((cfg.seed, cfg.cases, cfg.oracle_cfg.n_pe), (1, 200, 5));
+        assert_eq!(cfg.oracle_cfg.max_meta_states, 7);
+        assert_eq!(cfg.oracles, msc_fuzz::Oracle::default_set());
+        // A daemon to fuzz adds the serve oracle once.
+        let Command::Fuzz { cfg, .. } = parse("fuzz --serve-addr 127.0.0.1:1 --oracles base,serve")
+        else {
+            panic!("expected fuzz command");
+        };
+        assert_eq!(cfg.oracle_cfg.serve_addr.as_deref(), Some("127.0.0.1:1"));
+        assert_eq!(
+            cfg.oracles,
+            msc_fuzz::Oracle::parse_list("base,serve").unwrap()
+        );
+
         assert!(parse_args(&args("fuzz --cases")).is_err());
         assert!(parse_args(&args("fuzz --pes 0")).is_err());
-        assert!(parse_args(&args("fuzz --seed banana")).is_err());
+        let err = parse_args(&args("fuzz --seed banana")).unwrap_err();
+        assert_eq!(err.0, "bad seed `banana`");
         assert!(parse_args(&args("fuzz prog.mimdc")).is_err());
         // The in-process daemon owns the obs registry for its lifetime.
         assert!(parse_args(&args("fuzz --serve --metrics")).is_err());
         assert!(parse_args(&args("fuzz --serve-addr 127.0.0.1:1 --metrics")).is_ok());
+        // The oracle list resolves at parse time.
+        let err = parse_args(&args("fuzz --oracles base,warp-drive")).unwrap_err();
+        assert!(err.0.contains("unknown oracle"), "{err}");
     }
 
     #[test]
     fn fuzz_clean_run_emits_json_summary() {
-        let cmd = parse_args(&args("fuzz --seed 3 --cases 2 --oracles interp,base")).unwrap();
-        let out = execute_on_source(&cmd, "").unwrap();
+        let out = exec("fuzz --seed 3 --cases 2 --oracles interp,base", "").unwrap();
         let last = out.lines().rev().find(|l| !l.is_empty()).unwrap();
         let v = msc_obs::json::parse(last).unwrap();
         assert_eq!(v.get("cases").unwrap().as_u64(), Some(2));
@@ -2138,36 +2047,30 @@ mod tests {
     fn fuzz_mismatch_exits_nonzero_with_reproducer() {
         let dir = std::env::temp_dir().join(format!("mscc-fuzz-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cmd = parse_args(&args(&format!(
-            "fuzz --seed 1 --cases 20 --oracles selftest --corpus {}",
+        let line = format!(
+            "fuzz --seed 1 --cases 20 --oracles selftest --metrics --corpus {}",
             dir.display()
-        )))
-        .unwrap();
-        let err = execute_on_source(&cmd, "").unwrap_err();
-        assert!(err.0.contains("mismatch(es) found"), "{err}");
-        assert!(err.0.contains("reproducer: "), "{err}");
-        assert!(err.0.contains("\"ok\":false"), "{err}");
+        );
+        let err = exec(&line, "").unwrap_err().0;
+        assert!(err.contains(" mismatch(es) found\n"), "{err}");
+        assert!(err.contains("reproducer: "), "{err}");
+        // The report, then the metrics table of the run.
+        let summary = err.find("\"ok\":false").expect("the JSON summary");
+        let table = err.find("-- metrics --").expect("the metrics table");
+        assert!(summary < table, "{err}");
         let entries = std::fs::read_dir(&dir).unwrap().count();
         assert!(entries > 0, "corpus directory is empty");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn fuzz_bad_oracle_list_is_rejected() {
-        let cmd = parse_args(&args("fuzz --oracles base,warp-drive")).unwrap();
-        let err = execute_on_source(&cmd, "").unwrap_err();
-        assert!(err.0.contains("unknown oracle"), "{err}");
-    }
-
-    #[test]
     fn trace_out_writes_parseable_jsonl() {
         let path = std::env::temp_dir().join(format!("mscc_trace_{}.jsonl", std::process::id()));
-        let cmd = parse_args(&args(&format!(
-            "build foo.mimdc --trace-out {}",
-            path.display()
-        )))
+        let out = exec(
+            &format!("build foo.mimdc --trace-out {}", path.display()),
+            PROG,
+        )
         .unwrap();
-        let out = execute_on_source(&cmd, PROG).unwrap();
         assert!(!out.contains("-- metrics --"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let mut parsed = 0usize;

@@ -507,7 +507,12 @@ mod tests {
             sample("t.depth", 7, 1);
             let _span = span("t.region");
         }
-        assert!(!enabled(), "guard drop re-arms the fast path");
+        {
+            // Under the install lock no other test's subscriber can be
+            // live, so the flag reads what the drop left.
+            let _lock = INSTALL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+            assert!(!enabled(), "guard drop re-arms the fast path");
+        }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("t.hits"), 3);
         let h = snap.hist("t.depth").unwrap();

@@ -109,19 +109,17 @@ fn cli_batch_trace_and_metrics_agree() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("cli.jsonl");
 
-    let opts = msc_cli::CommonOpts {
-        jobs: 2,
-        stats: true,
-        trace_out: Some(trace_path.display().to_string()),
-        metrics: true,
-        ..msc_cli::CommonOpts::default()
-    };
-    let sources = vec![
-        ("a.mimdc".to_string(), PROG_A.to_string()),
-        ("b.mimdc".to_string(), PROG_A.to_string()),
+    let line = format!(
+        "batch a.mimdc b.mimdc --jobs 2 --stats --metrics --trace-out {}",
+        trace_path.display()
+    );
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let (cmd, obs) = msc_cli::parse_args(&args).unwrap();
+    let inputs = vec![
+        ("a.mimdc".to_string(), PROG_A.as_bytes().to_vec()),
+        ("b.mimdc".to_string(), PROG_A.as_bytes().to_vec()),
     ];
-    let (out, failed) = msc_cli::execute_batch(&sources, &opts).unwrap();
-    assert_eq!(failed, 0, "{out}");
+    let out = msc_cli::execute(&cmd, &obs, &inputs).unwrap();
     assert!(out.contains("-- metrics --"), "{out}");
     // The identical second source is either a memory hit (it started
     // after the first landed) or coalesced onto the in-flight compile.
