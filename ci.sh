@@ -3,8 +3,9 @@
 # This script is the single source of truth — .github/workflows/ci.yml
 # just runs it.
 #
-#   ./ci.sh               the full gate (tier-1 plus the spill-path and
-#                         scalar-fallback test legs, the aarch64 and
+#   ./ci.sh               the full gate (tier-1 plus the spill-path leg,
+#                         which also fails on a leaked spill file, the
+#                         scalar-fallback test leg, the aarch64 and
 #                         non-Linux cross-checks, and building +
 #                         self-testing the perf/ benchmark package
 #                         against this tree)
@@ -83,8 +84,17 @@ cargo test -q --workspace
 echo "== tier-1: test again under a tiny memory budget (spill path) =="
 # 16k is far below any test workload's resident set, so every conversion
 # in the suite runs through the out-of-core arena + worklist spill and
-# must still produce bit-identical automata.
-MSC_MEMORY_BUDGET=16k cargo test -q --workspace
+# must still produce bit-identical automata. The leg gets a temp dir of
+# its own, and fails if any spill file outlives the suite.
+SPILL_TMP="$(mktemp -d)"
+MSC_MEMORY_BUDGET=16k TMPDIR="$SPILL_TMP" cargo test -q --workspace
+LEAKED="$(find "$SPILL_TMP" -name 'msc-spill-*')"
+if [ -n "$LEAKED" ]; then
+    echo "spill files left behind by the suite:" >&2
+    echo "$LEAKED" >&2
+    exit 1
+fi
+rm -rf "$SPILL_TMP"
 
 echo "== tier-1: test again with SIMD kernels disabled (scalar path) =="
 # MSC_NO_SIMD forces the portable scalar fallbacks everywhere the SIMD

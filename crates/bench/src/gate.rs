@@ -318,6 +318,12 @@ const EXPLOSION: &[Gate] = &[
         "conversion is deterministic: the converter or the workload changed",
     ),
     gate(
+        "spill_reloads",
+        Rule::Exact,
+        "reads from disk are deterministic: the block cache, the budget split or the converter \
+         changed",
+    ),
+    gate(
         "in_ram_states_per_sec",
         Rule::Within(0.50),
         "in-RAM conversion throughput regressed",

@@ -44,12 +44,12 @@ fn disabled_count_ns() -> f64 {
 
 /// Base-mode subset construction over the fan-out-loops workload, in RAM
 /// and again under the spill budget, with the bit-identity invariant
-/// checked and the spill counter captured; and what the instrumentation
-/// costs the in-RAM pass when nobody listens: every event a subscriber
-/// sees on it, priced at one disabled emit (the hot loops batch several
-/// emits behind one check, so this is a ceiling). The overhead's
-/// `targets` ceiling ratchets with the run: 3x what it measured, at most
-/// the 2 % DESIGN.md §10 allows.
+/// checked and the spill and reload counters captured; and what the
+/// instrumentation costs the in-RAM pass when nobody listens: every event
+/// a subscriber sees on it, priced at one disabled emit (the hot loops
+/// batch several emits behind one check, so this is a ceiling). The
+/// overhead's `targets` ceiling ratchets with the run: 3x what it
+/// measured, at most the 2 % DESIGN.md §10 allows.
 pub fn measure_explosion() -> Result<Json, String> {
     let g = fan_out_loops_graph(EXPLOSION_LOOPS);
     let mut opts = ConvertOptions::base();
@@ -78,6 +78,8 @@ pub fn measure_explosion() -> Result<Json, String> {
     let spilled = spilled.map_err(|e| format!("spilled conversion: {e}"))?;
     let snap = registry.snapshot();
     let spill_bytes = snap.counter("convert.spill_bytes");
+    let spill_reloads = snap.counter("engine.spill_reload");
+    let cache_hits = snap.counter("engine.spill_cache_hit");
     let identical =
         plain.sets == spilled.sets && plain.succs == spilled.succs && plain.start == spilled.start;
     let in_ram = plain.len() as f64 / in_ram_secs;
@@ -90,6 +92,7 @@ pub fn measure_explosion() -> Result<Json, String> {
     println!("in RAM                | {in_ram:10.0}");
     println!("{EXPLOSION_BUDGET:5}-byte budget     | {out_of_core:10.0}  ({spilled_vs_in_ram:.2} of in RAM)");
     println!("spilled {spill_bytes} bytes through segment stores; bit-identical: {identical}");
+    println!("cold reads: {spill_reloads} from disk, {cache_hits} blocks from the block cache");
     println!(
         "disabled instrumentation: {events} events x {per_event_ns:.2} ns = {obs_pct:.4}% \
          of the in-RAM pass"
@@ -112,6 +115,7 @@ pub fn measure_explosion() -> Result<Json, String> {
         ("spilled_states_per_sec", Json::from(out_of_core)),
         ("spilled_vs_in_ram", Json::from(spilled_vs_in_ram)),
         ("spill_bytes", Json::from(spill_bytes)),
+        ("spill_reloads", Json::from(spill_reloads)),
         ("spill_identical", Json::from(identical)),
         ("obs_events", Json::from(events)),
         ("obs_disabled_overhead_pct", Json::from(obs_pct)),

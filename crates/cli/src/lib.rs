@@ -1633,6 +1633,7 @@ mod tests {
         assert_eq!(opts.memory_budget, Some(64 << 20));
         assert!(parse_args(&args("build foo.mimdc --max-meta-states 0")).is_err());
         assert!(parse_args(&args("build foo.mimdc --memory-budget banana")).is_err());
+        assert!(parse_args(&args("build foo.mimdc --memory-budget 1kgb")).is_err());
     }
 
     #[test]

@@ -88,12 +88,15 @@ pub struct ConvertOptions {
     /// Widest `Multi` terminator the base mode will enumerate subsets of.
     pub max_multi_arity: usize,
     /// Resident-memory budget in bytes for the conversion's interned-set
-    /// arena and BFS worklist. Past it, cold interned sets and the
-    /// worklist tail spill to a temp-file segment store, so a frontier
-    /// larger than RAM degrades to out-of-core operation instead of
-    /// failing — the guard above stays the hard cap on *total* states.
-    /// `None` = never spill. Defaults to the process-wide
-    /// `MSC_MEMORY_BUDGET` (bytes, `k`/`m`/`g` suffixes), when set.
+    /// words: the arena's resident suffix, the block cache over its
+    /// spilled prefix and its reload buffers stay within it. Past it, cold
+    /// interned sets spill to a temp-file segment store, and the worklist
+    /// keeps at most two 8 192-entry chunks of ids resident whatever the
+    /// budget, spilling the rest, so a frontier larger than RAM
+    /// degrades to out-of-core operation instead of failing — the guard
+    /// above stays the hard cap on *total* states. `None` = never spill.
+    /// Defaults to the process-wide `MSC_MEMORY_BUDGET` (bytes, `k`/`m`/`g`
+    /// suffixes), when set.
     pub memory_budget: Option<usize>,
     /// Cycle cost model used for time splitting.
     pub costs: CostModel,
