@@ -6,15 +6,18 @@
 //! also pins the exact position and message of malformed inputs that
 //! reach every error site of the lexer and the parser, except two that no
 //! input reaches: a digit run always parses as an `f64`, and the parser
-//! asks for a type only when one is next. A digest or message may only
-//! change in a PR that says the front end's output changed, and why.
+//! asks for a type only when one is next; and the same for every error
+//! site of the lowering that a parsed source can reach. A digest or
+//! message may only change in a PR that says the front end's output
+//! changed, and why.
 
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
 
 /// (label, `Ast` digest, `Program` digest), captured at commit 806003c,
 /// the last one with the recursive-descent expression parser; the two
 /// `listing*.mimdc` rows were added when those files were, at 1101d3b's
-/// front end.
+/// front end; the five `copy:` rows, the §2.2 copy shapes the rest of the
+/// corpus lacks, were added at caeab06's front end.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, &str)] = &[
     ("branchy(2)", "df03a54b7b1dc283bf5d2672e97db24b", "c82dc71d2e066eaabb87a587e84a6862"),
@@ -39,6 +42,43 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("recursive_calls.rs", "6b66a3e90a9e1a4946b3f3395db92e97", "44a950ba6a0dd4570ee28e3c86813ea0"),
     ("reduction.rs", "7d559bf46f7899d77acdeed8b3f96dd5", "dbcbe6c65e7d72e5798da1c93bb72a9f"),
     ("spawn_tree.rs", "70a7baeadbf4501d9f1edda04a0cf1e1", "3635e7aa3b3c6db98a3c74e2a9bdac6a"),
+    ("copy:spawn-recursive", "f94d18f3756e281b51dac5ffef0cae01", "5b6aece45139c7e97f85be074a9fe00a"),
+    ("copy:spawn-calls-recursive-and-itself", "8120bae360720787f49442e8b5add695", "579935cef187e33bf86124669f95c4ca"),
+    ("copy:mutual-recursion", "398b320dd9aac38f6df5e5f0590d4f66", "1445f3d4389e50f2e891cfbc965461cf"),
+    ("copy:called-and-spawned", "9ce11b46d4e0e3dd61491530fad9d864", "515601fc1e262962ed3e07d6960fa663"),
+    ("copy:recursive-called-and-spawned", "33a4e36b1d23adfeb98ad615239afe38", "82670e4328044899d7cd4758fce5c1b4"),
+];
+
+/// Sources of the §2.2 copy shapes: `main`, inline calls and spawned
+/// processes, each recursive or not.
+const COPY_SHAPES: &[(&str, &str)] = &[
+    (
+        "copy:spawn-recursive",
+        "int rec(int n) { if (n <= 0) return 0; return rec(n - 1) + 1; }
+         main() { poly int x; x = pe_id(); spawn rec(3); return(x); }",
+    ),
+    (
+        "copy:spawn-calls-recursive-and-itself",
+        "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
+         void worker(int d) { poly int wr; wr = fact(d); if (d > 1) spawn worker(d - 1); }
+         main() { poly int x; x = pe_id(); spawn worker(3); return(x); }",
+    ),
+    (
+        "copy:mutual-recursion",
+        "int even(int n) { if (n == 0) return 1; return odd(n - 1); }
+         int odd(int n) { if (n == 0) return 0; return even(n - 1); }
+         main() { poly int x; x = even(pe_id()); return(x); }",
+    ),
+    (
+        "copy:called-and-spawned",
+        "int sq(int a) { poly int t; t = a * a; return t; }
+         main() { poly int x; x = sq(pe_id()); spawn sq(x); return(x); }",
+    ),
+    (
+        "copy:recursive-called-and-spawned",
+        "int rec(int n) { poly int k; k = n; if (n <= 0) return 0; return rec(n - 1) + k; }
+         main() { poly int x; x = rec(pe_id()); spawn rec(x); return(x); }",
+    ),
 ];
 
 /// (source, `line:col message` of its `ParseError`), captured with
@@ -93,6 +133,60 @@ const MALFORMED: &[(&str, &str)] = &[
     ("main() { poly int x; x = 1 }", "1:28 expected `;`, found `}`"),
 ];
 
+/// (source, `line:col message` of its `LowerError`), one row for every
+/// error site of `msc_lang::lower` that a parsed source reaches, captured
+/// at caeab06. A `<…>` source is generated by `lowering_source`. Seven
+/// sites are unreachable from source: `internal: lowered graph invalid`;
+/// `variable … cannot be void` (the parser admits no void variable);
+/// `` `return` outside of a function `` (main's copy encloses every
+/// statement); and `void value used`, `void value used as condition` and
+/// both `void operand`s (a void call used as a value fails first, with
+/// `void function … used as a value`).
+#[rustfmt::skip]
+const LOWER_ERRORS: &[(&str, &str)] = &[
+    ("int f() { return 1; }", "1:1 program has no `main` function"),
+    ("main(int a) { }", "1:1 `main` takes no parameters"),
+    ("main() { poly int x; x = 1; main(); }", "1:1 recursive `main` is not supported"),
+    ("main() { poly int x; poly int x; }", "1:22 `x` already declared in this scope"),
+    ("main() { x = 1; }", "1:10 undeclared variable `x`"),
+    ("main() { poly int x; x = g() + 1; }", "1:26 unknown function `g`"),
+    ("main() { poly int x; x = 1; break; }", "1:29 `break` outside loop"),
+    ("main() { while (1) { } continue; }", "1:24 `continue` outside loop"),
+    ("void f() { return 1; } main() { f(); }", "1:12 returning a value from a void function"),
+    ("main() { spawn g(); }", "1:10 unknown function `g`"),
+    ("void w(int a) { } main() { spawn w(); }", "1:28 `w` expects 1 argument(s), got 0"),
+    ("<64 copies, then a spawn>", "65:18 inline expansion too deep"),
+    ("main() { mono int m; poly int x; x = m[[0]]; }", "1:38 parallel subscript on `mono` variable `m`"),
+    ("main() { poly int x; x = ~1.5; }", "1:26 `~` requires an int operand"),
+    ("main() { poly int x; x = 1.5 % 2; }", "1:30 operator `Rem` requires int operands"),
+    ("main() { poly int x; x = 1 % 2.5; }", "1:28 operator `Rem` requires int operands"),
+    ("main() { poly int x; x[[0]] += 1; }", "1:22 compound assignment to a parallel subscript is not supported"),
+    ("main() { mono int m; m[[0]] = 1; }", "1:22 parallel subscript on `mono` variable `m`"),
+    ("main() { g(); }", "1:10 unknown function `g`"),
+    ("int f(int a) { return a; } main() { f(); }", "1:37 `f` expects 1 argument(s), got 0"),
+    ("void f() { } main() { poly int x; x = f(); }", "1:39 void function `f` used as a value"),
+    ("<64 copies, then a call>", "65:22 inline expansion too deep"),
+];
+
+/// The source a `LOWER_ERRORS` row names: itself, or for a `<…>` label
+/// `main` and 63 nested inline copies (`MAX_INLINE_DEPTH` is 64), the
+/// innermost of which calls or spawns one more.
+fn lowering_source(row: &str) -> String {
+    let chain = |last: &str| {
+        let mut src = String::from("void w() { }\nint g(int a) { return a; }\n");
+        for i in 0..62 {
+            src += &format!("int f{i}(int a) {{ return f{}(a); }}\n", i + 1);
+        }
+        src + &format!("int f62(int a) {{ {last} return a; }}\n")
+            + "main() { poly int x; x = f0(1); return(x); }"
+    };
+    match row {
+        "<64 copies, then a call>" => chain("a = g(a);"),
+        "<64 copies, then a spawn>" => chain("spawn w();"),
+        src => src.to_string(),
+    }
+}
+
 /// Every source file under `examples/`: a `.mimdc` file whole, a Rust
 /// example's one raw-string MIMDC literal.
 fn examples() -> Vec<(String, String)> {
@@ -135,6 +229,11 @@ fn corpus() -> Vec<(String, String)> {
         v.push((format!("barrier_phases({n})"), barrier_phases_source(n)));
     }
     v.extend(examples());
+    v.extend(
+        COPY_SHAPES
+            .iter()
+            .map(|&(l, s)| (l.to_string(), s.to_string())),
+    );
     v
 }
 
@@ -189,5 +288,38 @@ fn malformed_inputs_fail_at_the_committed_positions() {
     assert!(
         matches,
         "parse errors drifted from MALFORMED; this commit produces:\n{table}"
+    );
+}
+
+#[test]
+fn lowering_errors_fail_at_the_committed_positions() {
+    let actual: Vec<(&str, String)> = LOWER_ERRORS
+        .iter()
+        .map(|&(row, _)| {
+            let src = lowering_source(row);
+            // Unoptimised builds spend kilobytes of stack a level of the walk.
+            let e = std::thread::Builder::new()
+                .stack_size(16 << 20)
+                .spawn(move || {
+                    let ast = msc_lang::parse(&src).expect("the row parses");
+                    msc_lang::lower::lower(&ast).expect_err("the row fails to lower")
+                })
+                .expect("spawn the lowering thread")
+                .join()
+                .expect("the lowering thread returns");
+            (row, format!("{} {}", e.pos, e.msg))
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(row, got)| format!("    ({row:?}, {got:?}),\n"))
+        .collect();
+    let matches = actual
+        .iter()
+        .zip(LOWER_ERRORS)
+        .all(|((_, got), (_, want))| got == want);
+    assert!(
+        matches,
+        "lowering errors drifted from LOWER_ERRORS; this commit produces:\n{table}"
     );
 }
