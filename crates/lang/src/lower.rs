@@ -32,7 +32,7 @@
 use crate::ast::*;
 use crate::parser::MAX_DEPTH;
 use crate::token::Pos;
-use msc_ir::util::FxHashMap;
+use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{Addr, BinOp, MimdGraph, MimdState, Op, Space, StateId, Terminator, UnOp};
 use std::fmt;
 
@@ -135,7 +135,8 @@ struct LoopCtx {
     brk: StateId,
 }
 
-/// One inline-expansion copy of a function, per §2.2.
+/// One copy of a function body, per §2.2: `main`, an inline call, or a
+/// spawned process.
 struct ActiveCopy {
     func: String,
     entry: StateId,
@@ -147,23 +148,34 @@ struct ActiveCopy {
     /// Blocks ending in `return`, patched to `Multi(ret_targets)` (or a
     /// plain `Jump` when only one site exists) once the copy is complete.
     ret_blocks: Vec<StateId>,
-    /// The process ends at `return` (main, or a spawned process body).
+    /// The copy was made without a return site (`main`, a spawned process
+    /// that does not recurse): its `return` ends the process.
     halt_on_return: bool,
     /// Whether the copy needs the return-site stack (recursive function).
     recursive: bool,
     /// Parameter slot addresses, in declaration order.
     params: Vec<Addr>,
-    /// Every poly slot belonging to this copy (params + pre-allocated
-    /// locals). Recursive re-entry clobbers these, so the caller saves
-    /// them on the per-PE operand stack around the link and restores them
-    /// at the return site (the activation-record side of §2.2, which the
-    /// paper leaves open — documented in DESIGN.md).
-    slots: Vec<Addr>,
-    /// Pre-allocated local slots not yet bound to a declaration (recursive
-    /// copies only); `declare` consumes them in source order.
+    /// Pre-allocated poly locals (recursive copies only); `declare`
+    /// binds them in source order.
     prealloc: Vec<Addr>,
     /// Next unconsumed index into `prealloc`.
     prealloc_next: usize,
+}
+
+impl ActiveCopy {
+    /// Every poly slot of a recursive copy (params + pre-allocated locals).
+    /// Recursive re-entry clobbers these, so the caller saves them on the
+    /// per-PE operand stack around the link and restores them at the
+    /// return site (the activation-record side of §2.2, which the paper
+    /// leaves open — documented in DESIGN.md).
+    fn slots(&self) -> impl Iterator<Item = Addr> + '_ {
+        let params = if self.recursive {
+            &self.params[..]
+        } else {
+            &[]
+        };
+        params.iter().chain(&self.prealloc).copied()
+    }
 }
 
 struct Lowerer<'a> {
@@ -176,7 +188,7 @@ struct Lowerer<'a> {
     /// Reusable spawn-entry copies per function name.
     spawn_entries: FxHashMap<String, (StateId, Vec<Addr>)>,
     /// Functions that can reach themselves through the AST call graph.
-    recursive_funcs: FxHashMap<String, bool>,
+    recursive_funcs: FxHashSet<String>,
     cur: StateId,
     cur_ops: Vec<Op>,
     sealed: bool,
@@ -214,7 +226,8 @@ pub fn lower(ast: &Ast) -> Result<Program, LowerError> {
         lw.declare(g)?;
     }
 
-    // main is the outermost copy; its returns halt the process.
+    // main is the outermost copy, in the prologue block; it has no return
+    // site, so its returns halt the process.
     let ret_slot = (main.ret != Type::Void).then(|| lw.alloc(Space::Poly));
     lw.layout.main_ret = ret_slot;
     if let Some(a) = ret_slot {
@@ -226,41 +239,19 @@ pub fn lower(ast: &Ast) -> Result<Program, LowerError> {
             storage: Storage::Poly,
         });
     }
-    lw.active.push(ActiveCopy {
-        func: "main".into(),
-        entry,
-        ret_slot,
-        ret_ty: main.ret,
-        ret_targets: vec![],
-        ret_blocks: vec![],
-        halt_on_return: true,
-        recursive: false,
-        params: vec![],
-        slots: vec![],
-        prealloc: vec![],
-        prealloc_next: 0,
-    });
-    lw.scopes.push(FxHashMap::default());
     if !main.params.is_empty() {
         return Err(LowerError {
             msg: "`main` takes no parameters".into(),
             pos: main.pos,
         });
     }
-    if *lw.recursive_funcs.get("main").unwrap_or(&false) {
+    if lw.recursive_funcs.contains("main") {
         return Err(LowerError {
             msg: "recursive `main` is not supported".into(),
             pos: main.pos,
         });
     }
-    for s in &main.body {
-        lw.stmt(s)?;
-    }
-    if !lw.sealed {
-        lw.seal(Terminator::Halt);
-    }
-    lw.scopes.pop();
-    lw.active.pop();
+    lw.lower_copy(main, vec![], ret_slot, None)?;
 
     let mut graph = lw.graph;
     graph.compact();
@@ -278,7 +269,7 @@ pub fn lower(ast: &Ast) -> Result<Program, LowerError> {
 /// Which functions can reach themselves through the call graph (direct or
 /// mutual recursion). `spawn` edges do not count: a spawned process is a
 /// new process, not a pending return.
-fn compute_recursive(ast: &Ast) -> FxHashMap<String, bool> {
+fn compute_recursive(ast: &Ast) -> FxHashSet<String> {
     fn calls_in_stmt(s: &Stmt, out: &mut Vec<String>) {
         match s {
             Stmt::Decl(d) => {
@@ -355,15 +346,14 @@ fn compute_recursive(ast: &Ast) -> FxHashMap<String, bool> {
         f.body.iter().for_each(|s| calls_in_stmt(s, &mut out));
         edges.insert(&f.name, out);
     }
-    let mut result = FxHashMap::default();
+    let mut result = FxHashSet::default();
     for f in &ast.funcs {
         // DFS from f's callees looking for f.
         let mut stack: Vec<&str> = edges[f.name.as_str()].iter().map(|s| s.as_str()).collect();
         let mut seen: Vec<&str> = Vec::new();
-        let mut rec = false;
         while let Some(g) = stack.pop() {
             if g == f.name {
-                rec = true;
+                result.insert(f.name.clone());
                 break;
             }
             if seen.contains(&g) {
@@ -374,7 +364,6 @@ fn compute_recursive(ast: &Ast) -> FxHashMap<String, bool> {
                 stack.extend(next.iter().map(|s| s.as_str()));
             }
         }
-        result.insert(f.name.clone(), rec);
     }
     result
 }
@@ -804,63 +793,32 @@ impl<'a> Lowerer<'a> {
             }
             (None, _) => {}
         }
-        if halt {
-            self.seal(Terminator::Halt);
-        } else if recursive {
-            // Pop the return-site id; the multiway branch targets are
-            // patched in when the copy completes (§2.2).
-            self.emit(Op::PopRet);
+        if !halt {
+            if recursive {
+                // Pop the return-site id; the multiway branch targets are
+                // patched in when the copy completes (§2.2).
+                self.emit(Op::PopRet);
+            }
             let cur = self.cur;
-            self.seal(Terminator::Halt); // placeholder
-            self.active.last_mut().unwrap().ret_blocks.push(cur);
-        } else {
-            let cur = self.cur;
-            self.seal(Terminator::Halt); // placeholder, becomes Jump
             self.active.last_mut().unwrap().ret_blocks.push(cur);
         }
+        // A halt, or a placeholder that `lower_copy` patches.
+        self.seal(Terminator::Halt);
         self.start_unreachable();
         Ok(())
     }
 
     fn lower_spawn(&mut self, name: &str, args: &[Expr], pos: Pos) -> Result<(), LowerError> {
-        let ast = self.ast;
-        let func = ast.func(name).ok_or_else(|| LowerError {
-            msg: format!("unknown function `{name}`"),
-            pos,
-        })?;
-        if args.len() != func.params.len() {
-            return Err(LowerError {
-                msg: format!(
-                    "`{name}` expects {} argument(s), got {}",
-                    func.params.len(),
-                    args.len()
-                ),
-                pos,
-            });
-        }
+        let func = self.callee(name, args, pos)?;
         // Get (or build) the reusable spawn copy of this function.
-        let (entry, param_addrs) = if let Some(e) = self.spawn_entries.get(name) {
-            e.clone()
-        } else {
-            self.build_spawn_copy(func, pos)?
+        let (entry, params) = match self.spawn_entries.get(name) {
+            Some(e) => e.clone(),
+            None => self.spawn_copy(func, pos)?,
         };
         // The parent evaluates the arguments into the child's parameter
         // slots (in the parent's own poly memory); the recruited PE copies
         // the parent's locals on spawn, so the values transfer (§3.2.5).
-        for (arg, (pty, _)) in args.iter().zip(&func.params) {
-            let t = self.expr(arg, true)?;
-            self.coerce(t, *pty, arg.pos())?;
-        }
-        // Stored in reverse so evaluation order stays left-to-right.
-        for (addr, _) in param_addrs
-            .iter()
-            .zip(&func.params)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-        {
-            self.emit(Op::St(*addr));
-        }
+        self.pass_args(func, args, &params)?;
         let cont = self.new_block();
         self.seal(Terminator::Spawn {
             child: entry,
@@ -870,104 +828,33 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    /// Lower a function body as a spawned-process copy: entered by a
-    /// recruited PE, returns become `Halt` (the PE goes back to the pool).
-    fn build_spawn_copy(
-        &mut self,
-        func: &Func,
-        pos: Pos,
-    ) -> Result<(StateId, Vec<Addr>), LowerError> {
-        if self.active.len() >= MAX_INLINE_DEPTH || self.depth > MAX_DEPTH {
-            return Err(LowerError {
-                msg: "inline expansion too deep".into(),
-                pos,
-            });
-        }
+    /// Lower a function body as a spawned-process copy, entered by a
+    /// recruited PE. Its returns end the process, unless it recurses: then
+    /// its returns are multiway branches whose site 0 is an explicit halt
+    /// block, and the recruit itself pushes site 0 since no caller did.
+    fn spawn_copy(&mut self, func: &Func, pos: Pos) -> Result<(StateId, Vec<Addr>), LowerError> {
+        self.check_depth(pos)?;
         let entry = self.new_block();
-        let param_addrs: Vec<Addr> = func
+        let params: Vec<Addr> = func
             .params
             .iter()
             .map(|_| self.alloc(Space::Poly))
             .collect();
         // Register before lowering the body so recursive spawns reuse it.
         self.spawn_entries
-            .insert(func.name.clone(), (entry, param_addrs.clone()));
-
+            .insert(func.name.clone(), (entry, params.clone()));
         let ret_slot = (func.ret != Type::Void).then(|| self.alloc(Space::Poly));
+        let recursive = self.recursive_funcs.contains(&func.name);
+        let halt_site = recursive.then(|| self.new_block());
         let saved = self.suspend_block();
-        self.scopes.push(FxHashMap::default());
-        for ((ty, pname), addr) in func.params.iter().zip(&param_addrs) {
-            self.scopes.last_mut().unwrap().insert(
-                pname.clone(),
-                VarInfo {
-                    addr: *addr,
-                    ty: *ty,
-                    storage: Storage::Poly,
-                },
-            );
-            self.layout.vars.push(VarRecord {
-                func: func.name.clone(),
-                name: pname.clone(),
-                addr: *addr,
-                ty: *ty,
-                storage: Storage::Poly,
-            });
-        }
-        // A spawned process that recurses needs the full §2.2 machinery:
-        // its returns are multiway branches whose site 0 is an explicit
-        // halt block (falling out of the process), and the recruit itself
-        // pushes site 0 since no caller did.
-        let recursive = *self.recursive_funcs.get(&func.name).unwrap_or(&false);
-        let halt_cont = recursive.then(|| self.new_block());
-        let (slots, prealloc) = if recursive {
-            let prealloc: Vec<Addr> = (0..count_poly_decls(&func.body))
-                .map(|_| self.alloc(Space::Poly))
-                .collect();
-            let mut slots = param_addrs.clone();
-            slots.extend(prealloc.iter().copied());
-            (slots, prealloc)
-        } else {
-            (vec![], vec![])
-        };
-        self.active.push(ActiveCopy {
-            func: func.name.clone(),
-            entry,
-            ret_slot,
-            ret_ty: func.ret,
-            ret_targets: halt_cont.into_iter().collect(),
-            ret_blocks: vec![],
-            halt_on_return: !recursive,
-            recursive,
-            params: param_addrs.clone(),
-            slots,
-            prealloc,
-            prealloc_next: 0,
-        });
         self.start_block(entry);
         if recursive {
             self.emit(Op::Push(0));
             self.emit(Op::PushRet);
         }
-        for s in &func.body {
-            self.stmt(s)?;
-        }
-        if !self.sealed {
-            if recursive {
-                self.lower_return(None, func.pos)?;
-                if !self.sealed {
-                    self.seal(Terminator::Halt);
-                }
-            } else {
-                self.seal(Terminator::Halt);
-            }
-        }
-        let copy = self.active.pop().unwrap();
-        for b in &copy.ret_blocks {
-            self.graph.state_mut(*b).term = Terminator::Multi(copy.ret_targets.clone());
-        }
-        self.scopes.pop();
+        self.lower_copy(func, params.clone(), ret_slot, halt_site)?;
         self.resume_block(saved);
-        Ok((entry, param_addrs))
+        Ok((entry, params))
     }
 
     /// Save the in-progress block so a nested body can be lowered.
@@ -1265,21 +1152,7 @@ impl<'a> Lowerer<'a> {
         pos: Pos,
         need: bool,
     ) -> Result<Type, LowerError> {
-        let ast = self.ast;
-        let func = ast.func(name).ok_or_else(|| LowerError {
-            msg: format!("unknown function `{name}`"),
-            pos,
-        })?;
-        if args.len() != func.params.len() {
-            return Err(LowerError {
-                msg: format!(
-                    "`{name}` expects {} argument(s), got {}",
-                    func.params.len(),
-                    args.len()
-                ),
-                pos,
-            });
-        }
+        let func = self.callee(name, args, pos)?;
         if need && func.ret == Type::Void {
             return Err(LowerError {
                 msg: format!("void function `{name}` used as a value"),
@@ -1294,27 +1167,17 @@ impl<'a> Lowerer<'a> {
         // to here, so those are caller-saved on the per-PE operand stack
         // and restored at the continuation.
         if let Some(ci) = self.active.iter().rposition(|c| c.func == name) {
-            let (entry, param_slots, ret_slot) = {
-                let copy = &self.active[ci];
-                debug_assert!(copy.recursive, "linking into a non-recursive copy");
-                (copy.entry, copy.params.clone(), copy.ret_slot)
-            };
+            let copy = &self.active[ci];
+            debug_assert!(copy.recursive, "linking into a non-recursive copy");
+            let (entry, params, ret_slot) = (copy.entry, copy.params.clone(), copy.ret_slot);
             let save: Vec<Addr> = self.active[ci..]
                 .iter()
-                .flat_map(|c| c.slots.iter().copied())
+                .flat_map(ActiveCopy::slots)
                 .collect();
             for a in &save {
                 self.emit(Op::Ld(*a));
             }
-            // Evaluate every argument before storing any (a store could
-            // clobber a slot a later argument reads).
-            for (arg, (pty, _)) in args.iter().zip(&func.params) {
-                let t = self.expr(arg, true)?;
-                self.coerce(t, *pty, arg.pos())?;
-            }
-            for addr in param_slots.iter().rev() {
-                self.emit(Op::St(*addr));
-            }
+            self.pass_args(func, args, &params)?;
             let cont = self.new_block();
             let site = {
                 let copy = &mut self.active[ci];
@@ -1334,109 +1197,153 @@ impl<'a> Lowerer<'a> {
             return Ok(func.ret);
         }
 
-        if self.active.len() >= MAX_INLINE_DEPTH || self.depth > MAX_DEPTH {
-            return Err(LowerError {
-                msg: "inline expansion too deep".into(),
-                pos,
-            });
-        }
-
         // Fresh inline copy for this call site.
-        let recursive = *self.recursive_funcs.get(name).unwrap_or(&false);
-        let param_addrs: Vec<Addr> = func
+        self.check_depth(pos)?;
+        let params: Vec<Addr> = func
             .params
             .iter()
             .map(|_| self.alloc(Space::Poly))
             .collect();
         let ret_slot = (func.ret != Type::Void).then(|| self.alloc(Space::Poly));
-        for (arg, ((pty, _), addr)) in args.iter().zip(func.params.iter().zip(&param_addrs)) {
+        for (arg, ((pty, _), addr)) in args.iter().zip(func.params.iter().zip(&params)) {
             let t = self.expr(arg, true)?;
             self.coerce(t, *pty, arg.pos())?;
             self.emit(Op::St(*addr));
         }
         let entry = self.new_block();
         let cont = self.new_block();
-        if recursive {
+        if self.recursive_funcs.contains(name) {
             // Initial activation returns to site 0.
             self.emit(Op::Push(0));
             self.emit(Op::PushRet);
         }
         self.seal(Terminator::Jump(entry));
+        self.start_block(entry);
+        self.lower_copy(func, params, ret_slot, Some(cont))?;
+        self.start_block(cont);
+        if need {
+            self.emit(Op::Ld(ret_slot.expect("non-void checked above")));
+        }
+        Ok(func.ret)
+    }
 
-        self.scopes.push(FxHashMap::default());
-        for ((ty, pname), addr) in func.params.iter().zip(&param_addrs) {
-            self.scopes.last_mut().unwrap().insert(
-                pname.clone(),
-                VarInfo {
-                    addr: *addr,
-                    ty: *ty,
-                    storage: Storage::Poly,
-                },
-            );
-            self.layout.vars.push(VarRecord {
-                func: func.name.clone(),
-                name: pname.clone(),
-                addr: *addr,
-                ty: *ty,
-                storage: Storage::Poly,
+    // ---- §2.2 copies ---------------------------------------------------
+
+    /// The function a call or spawn names, checked against its arguments.
+    fn callee(&self, name: &str, args: &[Expr], pos: Pos) -> Result<&'a Func, LowerError> {
+        let func = self.ast.func(name).ok_or_else(|| LowerError {
+            msg: format!("unknown function `{name}`"),
+            pos,
+        })?;
+        if args.len() != func.params.len() {
+            return Err(LowerError {
+                msg: format!(
+                    "`{name}` expects {} argument(s), got {}",
+                    func.params.len(),
+                    args.len()
+                ),
+                pos,
             });
         }
-        let (slots, prealloc) = if recursive {
-            let prealloc: Vec<Addr> = (0..count_poly_decls(&func.body))
+        Ok(func)
+    }
+
+    /// Refuse one more copy past the inline and walk depth bounds.
+    fn check_depth(&self, pos: Pos) -> Result<(), LowerError> {
+        if self.active.len() >= MAX_INLINE_DEPTH || self.depth > MAX_DEPTH {
+            return Err(LowerError {
+                msg: "inline expansion too deep".into(),
+                pos,
+            });
+        }
+        Ok(())
+    }
+
+    /// Evaluate every argument before storing any into `params` (a store
+    /// could clobber a slot a later argument reads); stored in reverse so
+    /// evaluation order stays left-to-right.
+    fn pass_args(&mut self, func: &Func, args: &[Expr], params: &[Addr]) -> Result<(), LowerError> {
+        for (arg, (pty, _)) in args.iter().zip(&func.params) {
+            let t = self.expr(arg, true)?;
+            self.coerce(t, *pty, arg.pos())?;
+        }
+        for addr in params.iter().rev() {
+            self.emit(Op::St(*addr));
+        }
+        Ok(())
+    }
+
+    /// Instantiate `func`'s body as one §2.2 copy, starting in the block
+    /// the caller has open, with its parameters in `params` and its return
+    /// value in `ret_slot`. `ret_site` is the continuation of its first
+    /// return site; a copy without one ends the process at `return`. What
+    /// fixes state ids and slot addresses stays with the caller: which
+    /// blocks and slots it allocates when, where it evaluates the
+    /// arguments, and where a recursive copy's first `Push(0); PushRet`
+    /// goes.
+    fn lower_copy(
+        &mut self,
+        func: &Func,
+        params: Vec<Addr>,
+        ret_slot: Option<Addr>,
+        ret_site: Option<StateId>,
+    ) -> Result<(), LowerError> {
+        let recursive = self.recursive_funcs.contains(&func.name);
+        let mut scope = FxHashMap::default();
+        for (&(ty, ref name), &addr) in func.params.iter().zip(&params) {
+            let storage = Storage::Poly;
+            scope.insert(name.clone(), VarInfo { addr, ty, storage });
+            self.layout.vars.push(VarRecord {
+                func: func.name.clone(),
+                name: name.clone(),
+                addr,
+                ty,
+                storage,
+            });
+        }
+        self.scopes.push(scope);
+        let prealloc = if recursive {
+            (0..count_poly_decls(&func.body))
                 .map(|_| self.alloc(Space::Poly))
-                .collect();
-            let mut slots = param_addrs.clone();
-            slots.extend(prealloc.iter().copied());
-            (slots, prealloc)
+                .collect()
         } else {
-            (vec![], vec![])
+            vec![]
         };
         self.active.push(ActiveCopy {
-            func: name.to_string(),
-            entry,
+            func: func.name.clone(),
+            entry: self.cur,
             ret_slot,
             ret_ty: func.ret,
-            ret_targets: vec![cont],
+            ret_targets: ret_site.into_iter().collect(),
             ret_blocks: vec![],
-            halt_on_return: false,
+            halt_on_return: ret_site.is_none(),
             recursive,
-            params: param_addrs.clone(),
-            slots,
+            params,
             prealloc,
             prealloc_next: 0,
         });
-        self.start_block(entry);
         for s in &func.body {
             self.stmt(s)?;
         }
         if !self.sealed {
-            // Implicit return (no value).
+            // The implicit return; `compact` drops the unreachable block it
+            // opens.
             self.lower_return(None, func.pos)?;
-            // lower_return opened an unreachable block; close it.
-            if !self.sealed {
-                self.seal(Terminator::Halt);
-            }
+            self.seal(Terminator::Halt);
         }
         let copy = self.active.pop().unwrap();
         self.scopes.pop();
-
-        // Patch return blocks now that every return site is known (§2.2:
-        // "we can replace the return statements with the appropriate
+        // Patch the return blocks now that every return site is known
+        // (§2.2: "we can replace the return statements with the appropriate
         // multiway branch").
         for b in &copy.ret_blocks {
-            let term = if copy.recursive {
+            self.graph.state_mut(*b).term = if copy.recursive {
                 Terminator::Multi(copy.ret_targets.clone())
             } else {
                 Terminator::Jump(copy.ret_targets[0])
             };
-            self.graph.state_mut(*b).term = term;
         }
-
-        self.start_block(cont);
-        if need {
-            self.emit(Op::Ld(copy.ret_slot.expect("non-void checked above")));
-        }
-        Ok(func.ret)
+        Ok(())
     }
 }
 
