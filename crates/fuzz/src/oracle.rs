@@ -18,9 +18,10 @@
 //! reference did not produce is a finding, like a result mismatch.
 
 use crate::grammar::Program;
-use metastate::{Pipeline, TimeSplitOptions};
-use msc_engine::{Engine, EngineError, EngineOptions, Job, Provenance};
-use msc_ir::CostModel;
+use metastate::{Pipeline, PipelineError, TimeSplitOptions};
+use msc_core::ConvertError;
+use msc_engine::{Engine, EngineOptions, Job, Provenance};
+use msc_ir::{Addr, CostModel};
 use msc_simd::{MachineConfig, SimdMachine};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,11 +242,44 @@ fn base_opts(cfg: &OracleConfig) -> msc_core::ConvertOptions {
     o
 }
 
-fn too_many(e: &metastate::PipelineError) -> bool {
-    matches!(
-        e,
-        metastate::PipelineError::Convert(msc_core::ConvertError::TooManyMetaStates { .. })
-    )
+/// A failed compile: the meta-state bound skips the oracle, any other
+/// error is a finding.
+fn compile_failure<E: std::fmt::Display + Into<PipelineError>>(what: &str, e: E) -> OracleError {
+    let msg = format!("{what}: {e}");
+    match e.into() {
+        PipelineError::Convert(ConvertError::TooManyMetaStates { .. }) => {
+            OracleError::Skip("meta-state bound".into())
+        }
+        _ => OracleError::Fail(msg),
+    }
+}
+
+/// Read a finished run through `poly_at`: `main`'s slot `ret` on the live
+/// PEs and the sorted nonzero `wr` values across every PE.
+fn read_out(
+    poly_at: impl Fn(usize, Addr) -> i64,
+    ret: Option<Addr>,
+    wr: Option<Addr>,
+    (total, live): (usize, usize),
+    cycles: u64,
+) -> Result<Execution, String> {
+    let ret = ret.ok_or("main has no return slot")?;
+    let mut worker_values: Vec<i64> = match wr {
+        Some(addr) => (0..total)
+            .map(|pe| poly_at(pe, addr))
+            .filter(|&w| w != 0)
+            .collect(),
+        None => Vec::new(),
+    };
+    worker_values.sort_unstable();
+    Ok(Execution {
+        main_values: (0..live).map(|pe| poly_at(pe, ret)).collect(),
+        worker_values,
+        cycles: Some(cycles),
+        automaton: None,
+        asm: None,
+        workers_observable: true,
+    })
 }
 
 /// Run the true-MIMD reference — the golden semantics.
@@ -263,58 +297,13 @@ pub fn run_reference(prog: &Program, cfg: &OracleConfig) -> Result<Execution, St
     let metrics = m
         .run(&p.graph, &mcfg)
         .map_err(|e| format!("reference run: {e}"))?;
-    let ret = p.layout.main_ret.ok_or("main has no return slot")?;
-    let worker_values = match p.layout.var("wr") {
-        Some(v) => {
-            let mut ws: Vec<i64> = (0..total)
-                .map(|pe| m.poly_at(pe, v.addr))
-                .filter(|&w| w != 0)
-                .collect();
-            ws.sort_unstable();
-            ws
-        }
-        None => Vec::new(),
-    };
-    Ok(Execution {
-        main_values: (0..live).map(|pe| m.poly_at(pe, ret)).collect(),
-        worker_values,
-        cycles: Some(metrics.cycles),
-        automaton: None,
-        asm: None,
-        workers_observable: true,
-    })
-}
-
-/// Extract the normalized execution out of a finished SIMD machine.
-fn execution_from_machine(
-    machine: &SimdMachine,
-    layout: &msc_lang::Layout,
-    total: usize,
-    live: usize,
-    cycles: u64,
-) -> Result<Execution, OracleError> {
-    let ret = layout
-        .main_ret
-        .ok_or_else(|| OracleError::Fail("main has no return slot".into()))?;
-    let worker_values = match layout.var("wr") {
-        Some(v) => {
-            let mut ws: Vec<i64> = (0..total)
-                .map(|pe| machine.poly_at(pe, v.addr))
-                .filter(|&w| w != 0)
-                .collect();
-            ws.sort_unstable();
-            ws
-        }
-        None => Vec::new(),
-    };
-    Ok(Execution {
-        main_values: (0..live).map(|pe| machine.poly_at(pe, ret)).collect(),
-        worker_values,
-        cycles: Some(cycles),
-        automaton: None,
-        asm: None,
-        workers_observable: true,
-    })
+    read_out(
+        |pe, a| m.poly_at(pe, a),
+        p.layout.main_ret,
+        p.layout.var("wr").map(|v| v.addr),
+        (total, live),
+        metrics.cycles,
+    )
 }
 
 fn run_pipeline_oracle(
@@ -342,21 +331,19 @@ fn run_pipeline_oracle(
             ..Default::default()
         });
     }
-    let built = match p.build() {
-        Ok(b) => b,
-        Err(e) if too_many(&e) => return Err(OracleError::Skip(e.to_string())),
-        Err(e) => return Err(OracleError::Fail(format!("build: {e}"))),
-    };
+    let built = p.build().map_err(|e| compile_failure("build", e))?;
     let out = built
         .run_with(MachineConfig::with_pool(total, live))
         .map_err(|e| OracleError::Fail(format!("run: {e}")))?;
-    let mut exec = execution_from_machine(
-        &out.machine,
-        &built.compiled.layout,
-        total,
-        live,
+    let layout = &built.compiled.layout;
+    let mut exec = read_out(
+        |pe, a| out.machine.poly_at(pe, a),
+        layout.main_ret,
+        layout.var("wr").map(|v| v.addr),
+        (total, live),
         out.metrics.cycles,
-    )?;
+    )
+    .map_err(OracleError::Fail)?;
     if oracle.bit_identical() {
         exec.automaton = Some(built.automaton_text());
         exec.asm = Some(msc_simd::serialize_asm(&built.simd));
@@ -383,41 +370,26 @@ fn run_interp(src: &str, total: usize, live: usize, bound: u64) -> Result<Execut
     let metrics = m
         .run(&program, &CostModel::default(), bound.max(1_000_000) * 64)
         .map_err(|e| OracleError::Fail(format!("interp run: {e}")))?;
-    let ret = p
-        .layout
-        .main_ret
-        .ok_or_else(|| OracleError::Fail("main has no return slot".into()))?;
-    let worker_values = match p.layout.var("wr") {
-        Some(v) => {
-            let mut ws: Vec<i64> = (0..total)
-                .map(|pe| m.poly_at(pe, v.addr))
-                .filter(|&w| w != 0)
-                .collect();
-            ws.sort_unstable();
-            ws
-        }
-        None => Vec::new(),
-    };
-    Ok(Execution {
-        main_values: (0..live).map(|pe| m.poly_at(pe, ret)).collect(),
-        worker_values,
-        cycles: Some(metrics.cycles),
-        automaton: None,
-        asm: None,
-        workers_observable: true,
-    })
+    read_out(
+        |pe, a| m.poly_at(pe, a),
+        p.layout.main_ret,
+        p.layout.var("wr").map(|v| v.addr),
+        (total, live),
+        metrics.cycles,
+    )
+    .map_err(OracleError::Fail)
 }
 
 /// The `wr` slot of the source's front-end layout: an artifact carries
 /// the program, not the layout's names.
-fn wr_addr(src: &str) -> Option<msc_ir::Addr> {
+fn wr_addr(src: &str) -> Option<Addr> {
     let p = msc_lang::compile(src).ok()?;
     p.layout.var("wr").map(|v| v.addr)
 }
 
 fn run_engine_artifact(
     artifact: &msc_engine::Artifact,
-    wr: Option<msc_ir::Addr>,
+    wr: Option<Addr>,
     total: usize,
     live: usize,
 ) -> Result<Execution, OracleError> {
@@ -426,28 +398,17 @@ fn run_engine_artifact(
     let metrics = machine
         .run(&artifact.simd, &cfg)
         .map_err(|e| OracleError::Fail(format!("run: {e}")))?;
-    let ret = artifact
-        .ret_addr
-        .ok_or_else(|| OracleError::Fail("main has no return slot".into()))?;
-    let worker_values = match wr {
-        Some(addr) => {
-            let mut ws: Vec<i64> = (0..total)
-                .map(|pe| machine.poly_at(pe, addr))
-                .filter(|&w| w != 0)
-                .collect();
-            ws.sort_unstable();
-            ws
-        }
-        None => Vec::new(),
-    };
-    Ok(Execution {
-        main_values: (0..live).map(|pe| machine.poly_at(pe, ret)).collect(),
-        worker_values,
-        cycles: Some(metrics.cycles),
-        automaton: Some(artifact.automaton_text.clone()),
-        asm: Some(msc_simd::serialize_asm(&artifact.simd)),
-        workers_observable: true,
-    })
+    let mut exec = read_out(
+        |pe, a| machine.poly_at(pe, a),
+        artifact.ret_addr,
+        wr,
+        (total, live),
+        metrics.cycles,
+    )
+    .map_err(OracleError::Fail)?;
+    exec.automaton = Some(artifact.automaton_text.clone());
+    exec.asm = Some(msc_simd::serialize_asm(&artifact.simd));
+    Ok(exec)
 }
 
 fn engine_job(src: &str, cfg: &OracleConfig) -> Job {
@@ -467,13 +428,9 @@ fn run_engine(
         threads,
         ..EngineOptions::default()
     });
-    let out = match engine.compile(&engine_job(src, cfg)) {
-        Ok(c) => c,
-        Err(EngineError::Convert(msc_core::ConvertError::TooManyMetaStates { .. })) => {
-            return Err(OracleError::Skip("meta-state bound".into()))
-        }
-        Err(e) => return Err(OracleError::Fail(format!("engine compile: {e}"))),
-    };
+    let out = engine
+        .compile(&engine_job(src, cfg))
+        .map_err(|e| compile_failure("engine compile", e))?;
     run_engine_artifact(&out.artifact, wr_addr(src), total, live)
 }
 
@@ -499,13 +456,9 @@ fn run_cache_roundtrip(
         };
         let job = engine_job(src, cfg);
         let cold_engine = Engine::new(disk_opts(1));
-        let cold = match cold_engine.compile(&job) {
-            Ok(c) => c,
-            Err(EngineError::Convert(msc_core::ConvertError::TooManyMetaStates { .. })) => {
-                return Err(OracleError::Skip("meta-state bound".into()))
-            }
-            Err(e) => return Err(OracleError::Fail(format!("cold compile: {e}"))),
-        };
+        let cold = cold_engine
+            .compile(&job)
+            .map_err(|e| compile_failure("cold compile", e))?;
         if cold.provenance != Provenance::Fresh {
             return Err(OracleError::Fail(format!(
                 "cold compile into an empty cache reported {}",
