@@ -5,8 +5,8 @@
 //! recomputing what I already know". Four pieces:
 //!
 //! * [`parallel`] — frontier-parallel meta-state conversion: `msc-core`'s
-//!   one conversion on several expansion threads, with a cooperative
-//!   deadline; the automaton is the sequential converter's at any count;
+//!   one conversion on several expansion threads; the automaton is the
+//!   sequential converter's at any count;
 //! * [`compile_stages`] — the one stage sequence (front end → optional IR
 //!   passes → conversion → code generation) that both [`Engine`] and
 //!   `metastate::Pipeline::build` run;
@@ -41,10 +41,10 @@ pub use msc_cache::{
     cache_key, content_key, BreakerState, CacheKey, CacheLayer, CacheStats, MemoryTier, PeerConfig,
     PeerStatus, TierStatus,
 };
-pub use parallel::{convert_parallel, convert_parallel_deadline, ParallelError};
+pub use parallel::convert_parallel;
 
 use msc_codegen::{generate_with_stats, GenError, GenOptions};
-use msc_core::{ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
+use msc_core::{convert_threads, ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
 use msc_lang::{compile, CompileError, Program};
 use msc_simd::SimdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,9 +90,12 @@ pub fn compile_stages(
     timeout: Option<Duration>,
 ) -> Result<Stages, EngineError> {
     let deadline = timeout.map(|t| Instant::now() + t);
-    let timed_out = || EngineError::TimedOut {
-        job: job.name.clone(),
-        timeout: timeout.unwrap_or_default(),
+    let check = |now: Instant| match deadline {
+        Some(d) if now > d => Err(EngineError::TimedOut {
+            job: job.name.clone(),
+            timeout: timeout.unwrap_or_default(),
+        }),
+        _ => Ok(()),
     };
 
     let t0 = Instant::now();
@@ -106,17 +109,12 @@ pub fn compile_stages(
         compiled.graph.normalize();
     }
     let t1 = Instant::now();
-    if deadline.is_some_and(|d| t1 > d) {
-        return Err(timed_out());
-    }
+    check(t1)?;
 
-    let (automaton, stats) =
-        convert_parallel_deadline(&compiled.graph, &job.convert, threads, deadline).map_err(
-            |e| match e {
-                ParallelError::Convert(e) => EngineError::Convert(e),
-                ParallelError::TimedOut => timed_out(),
-            },
-        )?;
+    let threads = parallel::effective_threads(threads);
+    let (automaton, stats) = convert_threads(&compiled.graph, &job.convert, threads, || {
+        check(Instant::now())
+    })?;
     let t2 = Instant::now();
 
     let (simd, effort) = generate_with_stats(
@@ -139,9 +137,7 @@ pub fn compile_stages(
     ] {
         msc_obs::count(name, n);
     }
-    if deadline.is_some_and(|d| t3 > d) {
-        return Err(timed_out());
-    }
+    check(t3)?;
 
     Ok(Stages {
         compiled,
@@ -314,6 +310,12 @@ impl std::error::Error for EngineError {}
 impl From<CompileError> for EngineError {
     fn from(e: CompileError) -> Self {
         EngineError::Compile(e)
+    }
+}
+
+impl From<ConvertError> for EngineError {
+    fn from(e: ConvertError) -> Self {
+        EngineError::Convert(e)
     }
 }
 

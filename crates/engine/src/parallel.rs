@@ -4,38 +4,10 @@
 //! [`msc_core::convert_threads`] returns the same automaton and statistics
 //! at any thread count and memory budget, and [`msc_core::convert()`] is it
 //! at one thread. This module adds the thread-count default (`0` = all
-//! cores) and the cooperative deadline.
+//! cores); `compile_stages` adds the cooperative deadline.
 
 use msc_core::{convert_threads, ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
 use msc_ir::MimdGraph;
-use std::time::Instant;
-
-/// Failures of [`convert_parallel`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParallelError {
-    /// The underlying conversion failed (same errors as the sequential
-    /// converter).
-    Convert(ConvertError),
-    /// The cooperative deadline passed before conversion finished.
-    TimedOut,
-}
-
-impl std::fmt::Display for ParallelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParallelError::Convert(e) => write!(f, "{e}"),
-            ParallelError::TimedOut => write!(f, "conversion deadline exceeded"),
-        }
-    }
-}
-
-impl std::error::Error for ParallelError {}
-
-impl From<ConvertError> for ParallelError {
-    fn from(e: ConvertError) -> Self {
-        ParallelError::Convert(e)
-    }
-}
 
 /// Convert `graph` with up to `threads` expansion threads; the result is
 /// [`msc_core::convert_with_stats`]' bit for bit. `threads == 0` selects
@@ -46,20 +18,6 @@ pub fn convert_parallel(
     threads: usize,
 ) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
     convert_threads(graph, opts, effective_threads(threads), || Ok(()))
-}
-
-/// [`convert_parallel`] with a cooperative deadline, checked once per
-/// round of the worklist at every thread count.
-pub fn convert_parallel_deadline(
-    graph: &MimdGraph,
-    opts: &ConvertOptions,
-    threads: usize,
-    deadline: Option<Instant>,
-) -> Result<(MetaAutomaton, ConvertStats), ParallelError> {
-    convert_threads(graph, opts, effective_threads(threads), || match deadline {
-        Some(d) if Instant::now() > d => Err(ParallelError::TimedOut),
-        _ => Ok(()),
-    })
 }
 
 pub(crate) fn effective_threads(threads: usize) -> usize {
@@ -77,6 +35,7 @@ mod tests {
     use super::*;
     use msc_core::ConvertMode;
     use msc_ir::{MimdState, Terminator};
+    use std::time::Instant;
 
     /// A chain of n conditional branches: 2^n reachable subsets in base
     /// mode — enough meta states for many multi-entry rounds.
@@ -154,22 +113,31 @@ mod tests {
 
     #[test]
     fn deadline_in_the_past_times_out() {
-        // The deadline is looked at before the first round at every thread
-        // count and with time splitting on, so it wins over a guard that
-        // the same conversion would trip.
+        // `compile_stages`' deadline check runs before the first round at
+        // every thread count and with time splitting on, so it wins over a
+        // guard that the same conversion would trip.
         let past = Instant::now() - std::time::Duration::from_secs(1);
+        let timed_out = || crate::EngineError::TimedOut {
+            job: "t".into(),
+            timeout: Default::default(),
+        };
         for (threads, time_split) in [(1, false), (4, false), (1, true), (4, true)] {
             let opts = ConvertOptions {
                 max_meta_states: 4,
                 time_split: time_split.then(Default::default),
                 ..ConvertOptions::base()
             };
-            let err = convert_parallel_deadline(&branch_chain(10), &opts, threads, Some(past))
-                .unwrap_err();
-            assert_eq!(
-                err,
-                ParallelError::TimedOut,
-                "{threads} threads, time_split {time_split}"
+            let err = convert_threads(&branch_chain(10), &opts, threads, || {
+                if Instant::now() > past {
+                    Err(timed_out())
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, crate::EngineError::TimedOut { .. }),
+                "{threads} threads, time_split {time_split}: {err:?}"
             );
         }
     }
