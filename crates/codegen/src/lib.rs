@@ -54,18 +54,6 @@ impl Default for GenOptions {
     }
 }
 
-impl GenOptions {
-    /// Options priced by a machine profile: CSI scheduling and dispatch
-    /// accounting use the profile's per-class costs, so the generated
-    /// program is costed for the machine it will run on (`mscc sweep`).
-    pub fn for_profile(profile: &msc_simd::MachineProfile) -> Self {
-        GenOptions {
-            costs: profile.costs.clone(),
-            ..GenOptions::default()
-        }
-    }
-}
-
 /// Code-generation failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GenError {

@@ -23,8 +23,8 @@
 //! problem (NP-hard for many threads), so — following the \[Die92\] summary
 //! quoted in §3.1 — the implementation:
 //!
-//! 1. computes **operation classes** and a **theoretical lower bound** on
-//!    execution time;
+//! 1. computes a **theoretical lower bound** on execution time from the
+//!    ops' prices (\[Die92\] also used operation classes; this does not);
 //! 2. creates a **linear schedule** three ways: a greedy list schedule over
 //!    all threads, hierarchical pairwise merging by an optimal two-sequence
 //!    dynamic program, and plain serialization;
@@ -38,7 +38,6 @@
 //! The schedulers run on the problem's ops interned to dense ids with a
 //! price table ([`Inducer`]); only the winning schedule is mapped back.
 
-use msc_ir::op::OpClass;
 use msc_ir::util::FxHashMap;
 use msc_ir::{CostModel, Op};
 use std::fmt;
@@ -299,18 +298,6 @@ pub fn naive_cost(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
         .filter(|t| !t.is_empty())
         .map(|t| costs.block_cost(t) + costs.guard_switch as u64)
         .sum()
-}
-
-/// Histogram of op classes across all threads (the \[Die92\] "operation
-/// classes" used for search pruning; exposed for the experiment harness).
-pub fn op_class_histogram(threads: &[Vec<Op>]) -> FxHashMap<OpClass, usize> {
-    let mut h = FxHashMap::default();
-    for t in threads {
-        for op in t {
-            *h.entry(op.class()).or_insert(0) += 1;
-        }
-    }
-    h
 }
 
 /// One issued instruction of an interned [`Problem`]: the op's dense id and
@@ -1031,15 +1018,6 @@ mod tests {
         let t1 = vec![Op::Push(0)];
         let lb = lower_bound(&[t0, t1], &c());
         assert!(lb >= 64);
-    }
-
-    #[test]
-    fn op_class_histogram_counts() {
-        let t0 = vec![Op::Push(1), Op::Bin(BinOp::Add), Op::Ld(Addr::poly(0))];
-        let h = op_class_histogram(&[t0]);
-        assert_eq!(h.get(&OpClass::Stack), Some(&1));
-        assert_eq!(h.get(&OpClass::IntAlu), Some(&1));
-        assert_eq!(h.get(&OpClass::Memory), Some(&1));
     }
 
     /// The shipped schedule, checked equal to the reference's, with the

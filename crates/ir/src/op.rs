@@ -338,8 +338,9 @@ impl fmt::Display for Op {
     }
 }
 
-/// Coarse operation classes, used by the CSI scheduler (\[Die92\]) for search
-/// pruning and by the statistics in the benchmark harness.
+/// Coarse operation classes. The simulator uses one: `Memory` ops contend
+/// for the PEs' local-memory ports. CSI prices ops one by one and uses no
+/// class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Stack shuffling and immediates.

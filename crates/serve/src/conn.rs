@@ -118,10 +118,9 @@ pub struct Conn {
     pub id: u64,
     state: State,
     parser: PushParser,
-    /// The daemon's [`ServeOptions::limits`] and read/write timeouts.
+    /// The daemon's [`ServeOptions::limits`] and read timeout.
     limits: Limits,
     read_timeout: Duration,
-    write_timeout: Duration,
     /// Response bytes being drained, and how many are already written.
     out: Vec<u8>,
     written: usize,
@@ -141,7 +140,6 @@ impl Conn {
             parser: PushParser::new(),
             limits: opts.limits.clone(),
             read_timeout: opts.read_timeout,
-            write_timeout: opts.write_timeout,
             out: Vec::new(),
             written: 0,
             close_after_write: false,
@@ -236,7 +234,7 @@ impl Conn {
         self.out = bytes;
         self.written = 0;
         self.close_after_write = !keep_alive;
-        self.deadline = Some(now + self.write_timeout);
+        self.deadline = Some(now + crate::WRITE_TIMEOUT);
     }
 
     /// Bytes still owed to the socket.

@@ -92,10 +92,7 @@ pub enum HttpError {
     /// 431 — header section exceeds the configured bounds.
     HeadersTooLarge,
     /// 503 — the admission queue is full; retry after the hinted seconds.
-    Overloaded {
-        /// `Retry-After` hint, seconds.
-        retry_after: u64,
-    },
+    Overloaded,
 }
 
 impl HttpError {
@@ -111,7 +108,7 @@ impl HttpError {
             HttpError::UnsupportedMediaType => (415, "Unsupported Media Type"),
             HttpError::Unprocessable(_) => (422, "Unprocessable Entity"),
             HttpError::HeadersTooLarge => (431, "Request Header Fields Too Large"),
-            HttpError::Overloaded { .. } => (503, "Service Unavailable"),
+            HttpError::Overloaded => (503, "Service Unavailable"),
         }
     }
 
@@ -128,7 +125,7 @@ impl HttpError {
             }
             HttpError::UnsupportedMediaType => "Content-Type must be application/json".to_string(),
             HttpError::HeadersTooLarge => "header section too large".to_string(),
-            HttpError::Overloaded { .. } => "request queue is full".to_string(),
+            HttpError::Overloaded => "request queue is full".to_string(),
         }
     }
 }

@@ -66,6 +66,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How long one response may take to drain into the socket.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// `Retry-After` seconds hinted on shed requests.
+const RETRY_AFTER: u64 = 1;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -87,10 +93,6 @@ pub struct ServeOptions {
     /// answered 408 — the slow-loris bound, and the upper bound on how
     /// long shutdown waits for a peer that is mid-request.
     pub read_timeout: Duration,
-    /// How long one response may take to drain into the socket.
-    pub write_timeout: Duration,
-    /// `Retry-After` seconds hinted on shed requests.
-    pub retry_after: u64,
     /// Ceiling on the per-job meta-state explosion guard: every job is
     /// clamped to it, whether or not the request supplies
     /// `max_meta_states`. Also caps `/match` pattern complexity (there
@@ -116,8 +118,6 @@ impl Default for ServeOptions {
             job_timeout: Some(Duration::from_secs(30)),
             limits: Limits::default(),
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            retry_after: 1,
             max_meta_states: 1 << 20,
             peers: Vec::new(),
             peer: msc_engine::PeerConfig::default(),
@@ -336,7 +336,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let _ = stream.set_write_timeout(Some(shared.opts.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = stream.set_nodelay(true);
         msc_obs::count("serve.accepted", 1);
         if let Err((task, _reason)) = shared.queue.try_push(Task::Connection(stream)) {
@@ -346,7 +346,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             let Task::Connection(mut stream) = task else {
                 continue;
             };
-            let _ = stream.write_all(&shed(shared));
+            let _ = stream.write_all(&shed());
         }
     }
 }
@@ -411,8 +411,8 @@ fn render(outcome: Result<&Json, &HttpError>, keep_alive: bool) -> Vec<u8> {
         Ok(body) => (200, "OK", body.render()),
         Err(err) => {
             let (status, reason) = err.status();
-            if let HttpError::Overloaded { retry_after } = err {
-                extra.push(("Retry-After", retry_after.to_string()));
+            if let HttpError::Overloaded = err {
+                extra.push(("Retry-After", RETRY_AFTER.to_string()));
             }
             let body = Json::obj(vec![
                 ("error", Json::from(reason)),
@@ -443,12 +443,9 @@ fn refuse(err: &HttpError) -> Vec<u8> {
 }
 
 /// Answer a connection the daemon will not admit: 503 + `Retry-After`.
-fn shed(shared: &Shared) -> Vec<u8> {
+fn shed() -> Vec<u8> {
     msc_obs::count("serve.shed", 1);
-    let err = HttpError::Overloaded {
-        retry_after: shared.opts.retry_after,
-    };
-    render(Err(&err), false)
+    render(Err(&HttpError::Overloaded), false)
 }
 
 /// The portable driver's read: block until the peer sends something or

@@ -351,7 +351,7 @@ impl Reactor {
                     if self.draining || self.conns.len() >= self.shared.admit_capacity {
                         // Best-effort: a fresh socket's send buffer is
                         // empty, so this short write does not block.
-                        let _ = (&stream).write(&shed(&self.shared));
+                        let _ = (&stream).write(&shed());
                         continue;
                     }
                     let fd = stream.as_raw_fd();
@@ -516,7 +516,7 @@ impl Reactor {
         // the queue's capacity — but shed rather than hang.
         match shared.queue.try_push(task) {
             Ok(()) => None,
-            Err(_) => Some((shed(shared), false)),
+            Err(_) => Some((shed(), false)),
         }
     }
 
