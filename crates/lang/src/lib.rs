@@ -45,7 +45,9 @@
 //! * Built-ins: `pe_id()`, `nproc()`.
 //! * `wait;` — barrier synchronization of all threads (§2.6).
 //! * `spawn f(args);` — restricted dynamic process creation (§3.2.5).
-//! * `halt;` — end this process; the PE returns to the free pool.
+//! * `halt;` — end this process. The SIMD machine returns the PE to the
+//!   free pool; the MIMD reference and the interpreter do not (DESIGN.md
+//!   §8 "Spawn").
 //! * Control flow: `if`/`else`, `while`, `do`/`while`, `for`, `break`,
 //!   `continue`, `return`. Logical `&&`/`||` evaluate both sides (no
 //!   short-circuit — on SIMD hardware both sides run under masks anyway).
