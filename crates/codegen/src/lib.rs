@@ -26,8 +26,8 @@ use msc_core::{MetaAutomaton, MetaId};
 use msc_csi::{CsiError, CsiOptions, Inducer};
 use msc_hash::{HashError, HashSearch, PerfectHash, SearchOptions};
 use msc_ir::util::FxHashMap;
-use msc_ir::{CostModel, Op, StateId, Terminator};
-use msc_simd::{BlockId, Dispatch, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};
+use msc_ir::{CostModel, StateId, Terminator};
+use msc_simd::{BlockId, Dispatch, Guard, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};
 use std::fmt;
 
 /// Options controlling code generation.
@@ -121,6 +121,10 @@ pub struct GenStats {
     pub csi_candidates_tried: u64,
     /// Problems that skipped candidates because one met the lower bound.
     pub csi_lower_bound_exits: u64,
+    /// Pairwise merges an earlier meta state of the program had made.
+    pub csi_merges_reused: u64,
+    /// Member threads interned, each once per program.
+    pub csi_threads_interned: u64,
     /// Perfect-hash searches run (distinct dispatch key sets).
     pub hash_searches: u64,
     /// Hashed dispatches served from an earlier search of the same key set.
@@ -167,29 +171,24 @@ pub fn generate_with_stats(
         let members: Vec<StateId> = set.iter().collect();
 
         // §3.1: the member bodies are the threads of a CSI problem.
-        let threads: Vec<&[Op]> = members
-            .iter()
-            .map(|&m| graph.state(m).ops.as_slice())
-            .collect();
+        let thread = |m: StateId| graph.state(m).ops.as_slice();
         let mut body: Vec<GuardedInstr> = Vec::new();
         if opts.csi {
-            let schedule = inducer.induce(&threads, &csi_opts)?;
+            let schedule = inducer.induce(&members, thread, &csi_opts)?;
+            body.reserve(schedule.slots.len() + members.len());
             for slot in schedule.slots {
                 // The guard: the members at the mask's set bits, lowest first.
-                let mut guard = Vec::with_capacity(slot.active.count_ones() as usize);
-                let mut rest = slot.active;
-                while rest != 0 {
-                    guard.push(members[rest.trailing_zeros() as usize]);
-                    rest &= rest - 1;
-                }
-                let instr = SimdInstr::Op(slot.op);
-                body.push(GuardedInstr { guard, instr });
+                let guard = (0..members.len()).filter(|&t| slot.active >> t & 1 != 0);
+                body.push(GuardedInstr {
+                    guard: guard.map(|t| members[t]).collect(),
+                    instr: SimdInstr::Op(slot.op),
+                });
             }
         } else {
-            for (t, thread) in threads.iter().enumerate() {
-                for op in *thread {
+            for &m in &members {
+                for op in thread(m) {
                     body.push(GuardedInstr {
-                        guard: vec![members[t]],
+                        guard: Guard::from(&[m][..]),
                         instr: SimdInstr::Op(op.clone()),
                     });
                 }
@@ -197,10 +196,14 @@ pub fn generate_with_stats(
         }
 
         // Member terminators, merged when identical (e.g. several members
-        // halting share one guarded Halt).
-        let mut term_instrs: Vec<(SimdInstr, Vec<StateId>)> = Vec::new();
-        for &m in &members {
-            let instr = match &graph.state(m).term {
+        // halting share one guarded Halt), in order of first member; the
+        // members are sorted, so each guard is too.
+        let term = |m: StateId| &graph.state(m).term;
+        for (i, &m) in members.iter().enumerate() {
+            if members[..i].iter().any(|&e| term(e) == term(m)) {
+                continue;
+            }
+            let instr = match term(m) {
                 Terminator::Halt => SimdInstr::Halt,
                 Terminator::Jump(b) => SimdInstr::SetPc(*b),
                 Terminator::Branch { t, f } => SimdInstr::JumpF { t: *t, f: *f },
@@ -210,15 +213,11 @@ pub fn generate_with_stats(
                     next: *next,
                 },
             };
-            if let Some(entry) = term_instrs.iter_mut().find(|(i, _)| *i == instr) {
-                entry.1.push(m);
-            } else {
-                term_instrs.push((instr, vec![m]));
-            }
-        }
-        for (instr, mut guard) in term_instrs {
-            guard.sort_unstable();
-            body.push(GuardedInstr { guard, instr });
+            let guard = members[i..].iter().filter(|&&o| term(o) == term(m));
+            body.push(GuardedInstr {
+                guard: guard.copied().collect(),
+                instr,
+            });
         }
 
         let dispatch = build_dispatch(auto, meta, opts, &mut hashing)?;
@@ -244,6 +243,8 @@ pub fn generate_with_stats(
         csi_single_thread: inducer.single_thread,
         csi_candidates_tried: inducer.candidates_tried,
         csi_lower_bound_exits: inducer.lower_bound_exits,
+        csi_merges_reused: inducer.merges_reused,
+        csi_threads_interned: inducer.threads_interned,
         hash_searches: hashing.memo.len() as u64,
         hash_memo_hits: hashing.memo_hits,
         hash_candidates_tested: hashing.search.candidates_tested,
@@ -375,7 +376,7 @@ fn build_dispatch(
 mod tests {
     use super::*;
     use msc_core::{convert, ConvertOptions, StateSet};
-    use msc_ir::{MimdGraph, MimdState};
+    use msc_ir::{MimdGraph, MimdState, Op};
     use msc_lang::compile;
     use msc_simd::{MachineConfig, SimdMachine};
 
@@ -482,7 +483,8 @@ mod tests {
 
     /// The effort counters repeat exactly, so they are pinned: a changed
     /// `hash_candidates_tested` means the search *order* changed, a changed
-    /// `csi_candidates_tried` that the early exits moved.
+    /// `csi_candidates_tried` that the early exits moved, a changed
+    /// `csi_merges_reused` that the merge memo kept or lost a prefix.
     #[test]
     fn gen_stats_are_exact_for_the_dispatch_heavy_example() {
         let src = include_str!("../../../examples/dispatch_heavy.mimdc");
@@ -496,6 +498,8 @@ mod tests {
             csi_single_thread: 9,
             csi_candidates_tried: 3 * (31 - 9),
             csi_lower_bound_exits: 0,
+            csi_merges_reused: 28,
+            csi_threads_interned: 8,
             hash_searches: 10,
             hash_memo_hits: 20,
             hash_candidates_tested: 1214,

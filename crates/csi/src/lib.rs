@@ -35,11 +35,13 @@
 //!    the cheapest. On compiled MIMDC the two searches almost never find
 //!    anything: step 2 decides the schedule.
 //!
-//! The schedulers run on the problem's ops interned to dense ids with a
-//! price table ([`Inducer`]); only the winning schedule is mapped back.
+//! An [`Inducer`] schedules the meta states of one program: it interns each
+//! member's ops to dense ids with a price table once, and memoises the
+//! pairwise merges by ordered member prefix; only the winning schedule is
+//! mapped back to ops.
 
 use msc_ir::util::FxHashMap;
-use msc_ir::{CostModel, Op};
+use msc_ir::{CostModel, Op, StateId};
 use std::fmt;
 
 /// Maximum number of threads (member MIMD states) in one CSI problem; the
@@ -154,16 +156,29 @@ pub fn induce(threads: &[Vec<Op>]) -> Result<Schedule, CsiError> {
 
 /// Run CSI on the given thread op sequences (thread *t* guards bit *t*).
 pub fn induce_with(threads: &[Vec<Op>], opts: &CsiOptions) -> Result<Schedule, CsiError> {
-    Inducer::default().induce(&as_slices(threads), opts)
+    Inducer::default().induce(&numbered(threads), |m| &threads[m.idx()], opts)
 }
 
-fn as_slices(threads: &[Vec<Op>]) -> Vec<&[Op]> {
-    threads.iter().map(Vec::as_slice).collect()
+/// Member ids `0..n` for `n` anonymous threads.
+fn numbered(threads: &[Vec<Op>]) -> Vec<StateId> {
+    (0..threads.len() as u32).map(StateId).collect()
 }
 
-/// The CSI scheduler with its scratch and its counters. One value can serve
-/// any number of problems (code generation keeps one per program), the
-/// counters running over all of them; [`induce_with`] poses one to a fresh one.
+/// Most slots the pairwise-merge memo of one [`Inducer`] holds. Past it a
+/// merge is still made, just not stored; the output does not depend on
+/// what the memo holds.
+const MEMO_SLOTS: usize = 1 << 15;
+
+/// The CSI scheduler of one program, with its scratch and its counters.
+///
+/// A problem is posed by member id: thread *t* is the op list of
+/// `members[t]`, and an id must name the same op list for the life of the
+/// value (code generation keeps one per program and poses each meta state
+/// by its member `StateId`s; [`induce_with`] poses one problem to a fresh
+/// one). Each member's ops are interned to program-wide ids once, and the
+/// pairwise merge chain is memoised by its ordered member prefix, so a meta
+/// state pays only for the merges no earlier one made. No id value decides
+/// a tie, so every schedule is the one a fresh value builds.
 #[derive(Debug, Default)]
 pub struct Inducer {
     /// Problems posed.
@@ -176,27 +191,132 @@ pub struct Inducer {
     /// Problems that skipped their remaining candidates because one met the
     /// §3.1 lower bound, which no later candidate can beat.
     pub lower_bound_exits: u64,
-    problem: Problem,
+    /// Pairwise merges served from the memo instead of a DP.
+    pub merges_reused: u64,
+    /// Member threads interned (each once while the cost model holds).
+    pub threads_interned: u64,
+    /// The cost model the prices and the memo were built under: a problem
+    /// posed under another one starts both afresh.
+    costs: Option<CostModel>,
+    interned: Interned,
+    memo: Memo,
+    scratch: Scratch,
+}
+
+/// Every op and member thread the [`Inducer`] has seen, on dense ids.
+#[derive(Debug, Default)]
+struct Interned {
+    ids: FxHashMap<Op, u32>,
+    /// Per id: the op and its issue cost.
+    ops: Vec<Op>,
+    price: Vec<u64>,
+    /// Per member id: its thread, once interned.
+    members: Vec<Option<Thread>>,
+    /// Every interned thread's op ids, back to back.
+    seq: Vec<u32>,
+}
+
+/// One member's op ids (`Interned::seq[start..end]`) and their cost.
+#[derive(Debug, Clone, Copy)]
+struct Thread {
+    start: u32,
+    end: u32,
+    cost: u64,
+}
+
+impl Thread {
+    fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
+/// Pairwise merge results by ordered member prefix: a trie whose node for
+/// `m0 … mk` holds the merge of those threads in that order, guard bit `j`
+/// standing for the `j`-th thread merged. A problem remaps the bits to its
+/// own thread numbers, so any problem whose chain starts with `m0 … mk`
+/// can reuse the node.
+#[derive(Debug, Default)]
+struct Memo {
+    /// Every stored merge result, back to back; at most [`MEMO_SLOTS`].
+    slots: Vec<IdSlot>,
+    /// Per node: its result's `slots` range.
+    nodes: Vec<(u32, u32)>,
+    /// (parent node, member merged next) → child node.
+    children: FxHashMap<(u32, StateId), u32>,
+}
+
+/// The parent of every chain's first merge: the empty schedule.
+const ROOT: u32 = u32::MAX;
+
+impl Memo {
+    fn result(&self, node: u32) -> &[IdSlot] {
+        match node {
+            ROOT => &[],
+            n => {
+                let (start, end) = self.nodes[n as usize];
+                &self.slots[start as usize..end as usize]
+            }
+        }
+    }
+
+    /// Store `slots` as the child of `parent` by `member`, if they fit.
+    fn insert(&mut self, parent: u32, member: StateId, slots: &[IdSlot]) -> Option<u32> {
+        if self.slots.len() + slots.len() > MEMO_SLOTS {
+            return None;
+        }
+        let start = self.slots.len() as u32;
+        self.slots.extend_from_slice(slots);
+        let node = self.nodes.len() as u32;
+        self.nodes.push((start, self.slots.len() as u32));
+        self.children.insert((parent, member), node);
+        Some(node)
+    }
+}
+
+/// Buffers reused by every problem: `count` and `max_count` are left
+/// zeroed, the others are written before they are read.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The problem's threads, thread *t* at index *t*.
+    threads: Vec<Thread>,
+    /// Per op id: occurrences (lower bound) or waiting threads (greedy).
+    count: Vec<u64>,
+    max_count: Vec<u64>,
     /// The flat two-sequence DP table, reused by every pairwise merge.
     dp: Vec<u64>,
+    /// The merge chain when it has left the memo, and the next merge.
+    acc: Vec<IdSlot>,
+    next: Vec<IdSlot>,
 }
 
 impl Inducer {
-    /// [`induce_with`] over borrowed threads.
-    pub fn induce(&mut self, threads: &[&[Op]], opts: &CsiOptions) -> Result<Schedule, CsiError> {
-        if threads.len() > MAX_THREADS {
-            return Err(CsiError::TooManyThreads(threads.len()));
+    /// Schedule the meta state whose members are `members`, thread *t*
+    /// (guard bit *t*) being `thread(members[t])`. `thread` is asked which
+    /// members are busy, and for the ops of a member not seen before: only
+    /// those are interned.
+    pub fn induce<'a>(
+        &mut self,
+        members: &[StateId],
+        thread: impl Fn(StateId) -> &'a [Op],
+        opts: &CsiOptions,
+    ) -> Result<Schedule, CsiError> {
+        if members.len() > MAX_THREADS {
+            return Err(CsiError::TooManyThreads(members.len()));
         }
         self.problems += 1;
-        let mut busy = threads.iter().enumerate().filter(|(_, t)| !t.is_empty());
-        let (t, only) = match (busy.next(), busy.next()) {
+        let mut busy = members
+            .iter()
+            .enumerate()
+            .filter(|(_, &m)| !thread(m).is_empty());
+        let (t, &only) = match (busy.next(), busy.next()) {
             (None, _) => return Ok(Schedule::default()),
             (Some(one), None) => one,
-            _ => return Ok(self.search(threads, opts)),
+            _ => return Ok(self.search(members, thread, opts)),
         };
         // One non-empty thread is its own schedule: every candidate of the
         // search would reproduce it, at the lower bound.
         self.single_thread += 1;
+        let only = thread(only);
         let active = 1u64 << t;
         let body = opts.costs.block_cost(only);
         let cost = body + opts.costs.guard_switch as u64;
@@ -208,21 +328,53 @@ impl Inducer {
         })
     }
 
+    /// Intern the members not seen before (under `costs`) and set the
+    /// problem's threads in `scratch.threads`.
+    fn pose<'a>(
+        &mut self,
+        members: &[StateId],
+        thread: impl Fn(StateId) -> &'a [Op],
+        costs: &CostModel,
+    ) {
+        if self.costs.as_ref() != Some(costs) {
+            self.costs = Some(costs.clone());
+            self.interned = Interned::default();
+            self.memo = Memo::default();
+        }
+        let problem = &mut self.scratch.threads;
+        problem.clear();
+        for &m in members {
+            let known = self.interned.members.get(m.idx()).copied().flatten();
+            let interned = known.unwrap_or_else(|| {
+                self.threads_interned += 1;
+                self.interned.intern(m, thread(m), costs)
+            });
+            problem.push(interned);
+        }
+        let ops = self.interned.ops.len();
+        self.scratch.count.resize(ops, 0);
+        self.scratch.max_count.resize(ops, 0);
+    }
+
     /// Three linear schedules: greedy list schedule, hierarchical pairwise
     /// DP merge, and plain serialization (sharing can lose to serialization
     /// once guard-switch costs are accounted, so serialization stays in the
     /// race). Each is improved, then the first of the cheapest wins.
-    fn search(&mut self, threads: &[&[Op]], opts: &CsiOptions) -> Schedule {
+    fn search<'a>(
+        &mut self,
+        members: &[StateId],
+        thread: impl Fn(StateId) -> &'a [Op],
+        opts: &CsiOptions,
+    ) -> Schedule {
         let guard_switch = opts.costs.guard_switch as u64;
-        let p = &mut self.problem;
-        p.intern(threads, &opts.costs);
-        let lower_bound = p.lower_bound(guard_switch);
+        self.pose(members, thread, &opts.costs);
+        let lower_bound = self.lower_bound(guard_switch);
         let mut best: Option<(u64, Vec<IdSlot>)> = None;
         for candidate in 0..3 {
             let mut slots = match candidate {
-                0 => p.greedy_schedule(),
-                1 => p.pairwise_merge_schedule(&mut self.dp),
-                _ => p.serial_schedule(),
+                0 => self.greedy_schedule(),
+                1 => self.pairwise_merge_schedule(members),
+                _ => self.serial_schedule(),
             };
             self.candidates_tried += 1;
             // Cheap approximate search: fuse adjacent identical ops with
@@ -235,7 +387,7 @@ impl Inducer {
                     break;
                 }
             }
-            let cost = p.schedule_cost(&slots, guard_switch);
+            let cost = self.interned.schedule_cost(&slots, guard_switch);
             if best.as_ref().is_none_or(|(b, _)| cost < *b) {
                 best = Some((cost, slots));
             }
@@ -247,17 +399,196 @@ impl Inducer {
             }
         }
         let (cost, slots) = best.expect("the loop ran at least once");
+        let ops = &self.interned.ops;
         let slot = |s: IdSlot| Slot {
-            op: p.ops[s.id as usize].clone(),
+            op: ops[s.id as usize].clone(),
             active: s.active,
         };
-        let busy = p.threads().filter(|t| !t.is_empty());
+        let busy = self.scratch.threads.iter().filter(|t| !t.is_empty());
         Schedule {
             slots: slots.into_iter().map(slot).collect(),
             cost,
             lower_bound,
-            naive_cost: busy.map(|t| p.cost(t) + guard_switch).sum(),
+            naive_cost: busy.map(|t| t.cost + guard_switch).sum(),
         }
+    }
+
+    /// [`lower_bound`], with the per-thread occurrence counts in dense
+    /// arrays indexed by op id, left zeroed for the next problem.
+    fn lower_bound(&mut self, guard_switch: u64) -> u64 {
+        let Scratch {
+            threads,
+            count,
+            max_count,
+            ..
+        } = &mut self.scratch;
+        let interned = &self.interned;
+        let per_thread = threads.iter().map(|t| t.cost).max().unwrap_or(0);
+        for &t in threads.iter() {
+            let ids = interned.ids_of(t);
+            ids.iter().for_each(|&id| count[id as usize] += 1);
+            for &id in ids {
+                let c = std::mem::take(&mut count[id as usize]);
+                max_count[id as usize] = max_count[id as usize].max(c);
+            }
+        }
+        let mut per_op = 0;
+        for &t in threads.iter() {
+            for &id in interned.ids_of(t) {
+                per_op += std::mem::take(&mut max_count[id as usize]) * interned.price[id as usize];
+            }
+        }
+        match per_thread.max(per_op) {
+            0 => 0,
+            body => body + guard_switch,
+        }
+    }
+
+    /// Thread-by-thread serialization (the no-CSI baseline, kept as a
+    /// candidate because it minimizes guard switches).
+    fn serial_schedule(&self) -> Vec<IdSlot> {
+        let threads = self.scratch.threads.iter().enumerate();
+        let guarded = threads.flat_map(|(t, &thread)| {
+            let active = 1u64 << t;
+            let ids = self.interned.ids_of(thread);
+            ids.iter().map(move |&id| IdSlot { id, active })
+        });
+        guarded.collect()
+    }
+
+    /// Greedy list schedule: at each step, among the candidate "next op of
+    /// some thread", pick the one shared by the most remaining cost, breaking
+    /// ties toward the guard used by the previous slot (to minimize mask
+    /// switches).
+    fn greedy_schedule(&mut self) -> Vec<IdSlot> {
+        let Scratch { threads, count, .. } = &mut self.scratch;
+        let (seq, price) = (&self.interned.seq, &self.interned.price);
+        let waiting = count;
+        let mut pos: Vec<u32> = threads.iter().map(|t| t.start).collect();
+        let mut slots =
+            Vec::with_capacity(threads.iter().map(|t| (t.end - t.start) as usize).sum());
+        // Candidate next ops in order of first appearance, and which threads
+        // are waiting on each.
+        let mut cands: Vec<u32> = Vec::new();
+        let mut prev_guard = 0u64;
+        loop {
+            for (t, &at) in pos.iter().enumerate() {
+                if at < threads[t].end {
+                    let id = seq[at as usize];
+                    if waiting[id as usize] == 0 {
+                        cands.push(id);
+                    }
+                    waiting[id as usize] |= 1 << t;
+                }
+            }
+            // Score: shared issue saving, then guard affinity, then op cost
+            // (prefer retiring expensive ops when shared widely).
+            let pick = cands
+                .drain(..)
+                .map(|id| (id, std::mem::take(&mut waiting[id as usize])))
+                .max_by_key(|&(id, mask)| {
+                    let price = price[id as usize];
+                    let saving = (mask.count_ones() as u64 - 1) * price;
+                    (saving, mask == prev_guard, std::cmp::Reverse(price))
+                });
+            let Some((id, active)) = pick else {
+                return slots;
+            };
+            for (t, p) in pos.iter_mut().enumerate() {
+                *p += (active >> t & 1) as u32;
+            }
+            prev_guard = active;
+            slots.push(IdSlot { id, active });
+        }
+    }
+
+    /// Hierarchical pairwise merging: threads, sorted by descending cost,
+    /// are merged one by one into the accumulated schedule with an optimal
+    /// two-sequence dynamic program (inter-thread CSE on aligned ops).
+    ///
+    /// The chain runs on merge positions (the `j`-th thread merged guards
+    /// bit `j`) and walks the memo while its prefix is there; the result is
+    /// remapped to thread bits at the end.
+    fn pairwise_merge_schedule(&mut self, members: &[StateId]) -> Vec<IdSlot> {
+        let Scratch {
+            threads,
+            dp,
+            acc,
+            next,
+            ..
+        } = &mut self.scratch;
+        let (interned, memo) = (&self.interned, &mut self.memo);
+        let mut order: Vec<usize> = (0..threads.len())
+            .filter(|&t| !threads[t].is_empty())
+            .collect();
+        order.sort_by_key(|&t| std::cmp::Reverse(threads[t].cost));
+        // The memo node holding the chain so far; `None` once the chain
+        // has outgrown the memo and lives in `acc`.
+        let mut at = Some(ROOT);
+        acc.clear();
+        for (j, &t) in order.iter().enumerate() {
+            let m = members[t];
+            if let Some(&child) = at.and_then(|node| memo.children.get(&(node, m))) {
+                self.merges_reused += 1;
+                at = Some(child);
+                continue;
+            }
+            let merged = at.map_or(acc.as_slice(), |node| memo.result(node));
+            let b = interned.ids_of(threads[t]);
+            merge_two(&interned.price, merged, b, 1u64 << j, dp, next);
+            at = at.and_then(|node| memo.insert(node, m, next));
+            if at.is_none() {
+                std::mem::swap(acc, next);
+            }
+        }
+        let chain = at.map_or(acc.as_slice(), |node| memo.result(node));
+        let slots = chain.iter().map(|s| {
+            let mut active = 0;
+            let mut rest = s.active;
+            while rest != 0 {
+                active |= 1u64 << order[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            IdSlot { id: s.id, active }
+        });
+        slots.collect()
+    }
+}
+
+impl Interned {
+    /// Intern `member`'s ops and record its thread.
+    fn intern(&mut self, member: StateId, ops: &[Op], costs: &CostModel) -> Thread {
+        let start = self.seq.len() as u32;
+        let mut cost = 0;
+        for op in ops {
+            let next = self.ops.len() as u32;
+            let id = *self.ids.entry(op.clone()).or_insert(next);
+            if id == next {
+                self.ops.push(op.clone());
+                self.price.push(costs.op_cost(op) as u64);
+            }
+            cost += self.price[id as usize];
+            self.seq.push(id);
+        }
+        let thread = Thread {
+            start,
+            end: self.seq.len() as u32,
+            cost,
+        };
+        if self.members.len() <= member.idx() {
+            self.members.resize(member.idx() + 1, None);
+        }
+        self.members[member.idx()] = Some(thread);
+        thread
+    }
+
+    fn ids_of(&self, t: Thread) -> &[u32] {
+        &self.seq[t.start as usize..t.end as usize]
+    }
+
+    fn schedule_cost(&self, slots: &[IdSlot], guard_switch: u64) -> u64 {
+        let issue: u64 = slots.iter().map(|s| self.price[s.id as usize]).sum();
+        issue + guard_switch * guard_regions(slots.iter().map(|s| s.active))
     }
 }
 
@@ -285,9 +616,9 @@ fn guard_regions(guards: impl Iterator<Item = u64>) -> u64 {
 ///
 /// The returned bound is the max of the two plus one guard set-up.
 pub fn lower_bound(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
-    let mut p = Problem::default();
-    p.intern(&as_slices(threads), costs);
-    p.lower_bound(costs.guard_switch as u64)
+    let mut inducer = Inducer::default();
+    inducer.pose(&numbered(threads), |m| &threads[m.idx()], costs);
+    inducer.lower_bound(costs.guard_switch as u64)
 }
 
 /// Cost of running the threads fully serialized with no sharing — one
@@ -300,7 +631,7 @@ pub fn naive_cost(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
         .sum()
 }
 
-/// One issued instruction of an interned [`Problem`]: the op's dense id and
+/// One issued instruction of an interned problem: the op's dense id and
 /// the bitmask of enabled threads. `Copy`, so the schedulers move and
 /// compare words where [`Slot`] would clone and compare `Op`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,191 +640,61 @@ struct IdSlot {
     active: u64,
 }
 
-/// One problem with its ops interned once: the schedulers work on dense ids
-/// and a price table, and only the winning schedule is mapped back to `Op`s.
-#[derive(Debug, Default)]
-struct Problem {
-    ids: FxHashMap<Op, u32>,
-    /// Per id: the op and its issue cost.
-    ops: Vec<Op>,
-    price: Vec<u64>,
-    /// Thread `t` (guard bit `t`) is `seq[bounds[t]..bounds[t + 1]]`.
-    seq: Vec<u32>,
-    bounds: Vec<usize>,
-}
-
-impl Problem {
-    fn intern(&mut self, threads: &[&[Op]], costs: &CostModel) {
-        self.ids.clear();
-        self.ops.clear();
-        self.price.clear();
-        self.seq.clear();
-        self.bounds.clear();
-        self.bounds.push(0);
-        for thread in threads {
-            for op in *thread {
-                let next = self.ops.len() as u32;
-                let id = *self.ids.entry(op.clone()).or_insert(next);
-                if id == next {
-                    self.ops.push(op.clone());
-                    self.price.push(costs.op_cost(op) as u64);
-                }
-                self.seq.push(id);
-            }
-            self.bounds.push(self.seq.len());
-        }
+/// Optimal merge of a guarded sequence `a` with thread `b` (guard `bit`)
+/// into `out`, by dynamic programming: classic edit-path DP where aligning
+/// two slots with equal ops issues one shared slot (cost charged once).
+/// Guard-switch effects are handled afterwards by the improvement passes.
+fn merge_two(
+    price: &[u64],
+    a: &[IdSlot],
+    b: &[u32],
+    bit: u64,
+    dp: &mut Vec<u64>,
+    out: &mut Vec<IdSlot>,
+) {
+    let price = |id: u32| price[id as usize];
+    let (la, lb, w) = (a.len(), b.len(), b.len() + 1);
+    // dp[i * w + j]: min cost to schedule a[i..] and b[j..]. Every cell
+    // is written before it is read, so stale contents do not matter.
+    if dp.len() < (la + 1) * w {
+        dp.resize((la + 1) * w, 0);
     }
-
-    fn threads(&self) -> impl Iterator<Item = &[u32]> {
-        self.bounds.windows(2).map(|w| &self.seq[w[0]..w[1]])
+    dp[la * w + lb] = 0;
+    for j in (0..lb).rev() {
+        dp[la * w + j] = dp[la * w + j + 1] + price(b[j]);
     }
-
-    fn cost(&self, ids: &[u32]) -> u64 {
-        ids.iter().map(|&id| self.price[id as usize]).sum()
-    }
-
-    fn schedule_cost(&self, slots: &[IdSlot], guard_switch: u64) -> u64 {
-        let issue: u64 = slots.iter().map(|s| self.price[s.id as usize]).sum();
-        issue + guard_switch * guard_regions(slots.iter().map(|s| s.active))
-    }
-
-    /// [`lower_bound`], with the per-thread occurrence counts in dense
-    /// arrays indexed by op id.
-    fn lower_bound(&self, guard_switch: u64) -> u64 {
-        let per_thread = self.threads().map(|t| self.cost(t)).max().unwrap_or(0);
-        let mut count = vec![0u64; self.ops.len()];
-        let mut max_count = vec![0u64; self.ops.len()];
-        for t in self.threads() {
-            t.iter().for_each(|&id| count[id as usize] += 1);
-            for &id in t {
-                let c = std::mem::take(&mut count[id as usize]);
-                max_count[id as usize] = max_count[id as usize].max(c);
-            }
-        }
-        let per_op: u64 = max_count.iter().zip(&self.price).map(|(c, p)| c * p).sum();
-        match per_thread.max(per_op) {
-            0 => 0,
-            body => body + guard_switch,
-        }
-    }
-
-    /// Thread-by-thread serialization (the no-CSI baseline, kept as a
-    /// candidate because it minimizes guard switches).
-    fn serial_schedule(&self) -> Vec<IdSlot> {
-        let guarded = self.threads().enumerate().flat_map(|(t, seq)| {
-            let active = 1u64 << t;
-            seq.iter().map(move |&id| IdSlot { id, active })
-        });
-        guarded.collect()
-    }
-
-    /// Greedy list schedule: at each step, among the candidate "next op of
-    /// some thread", pick the one shared by the most remaining cost, breaking
-    /// ties toward the guard used by the previous slot (to minimize mask
-    /// switches).
-    fn greedy_schedule(&self) -> Vec<IdSlot> {
-        let mut pos = self.bounds[..self.bounds.len() - 1].to_vec();
-        let mut slots = Vec::with_capacity(self.seq.len());
-        // Candidate next ops in order of first appearance, and which threads
-        // are waiting on each.
-        let mut cands: Vec<u32> = Vec::new();
-        let mut waiting = vec![0u64; self.ops.len()];
-        let mut prev_guard = 0u64;
-        loop {
-            for (t, &at) in pos.iter().enumerate() {
-                if at < self.bounds[t + 1] {
-                    let id = self.seq[at];
-                    if waiting[id as usize] == 0 {
-                        cands.push(id);
-                    }
-                    waiting[id as usize] |= 1 << t;
-                }
-            }
-            // Score: shared issue saving, then guard affinity, then op cost
-            // (prefer retiring expensive ops when shared widely).
-            let pick = cands
-                .drain(..)
-                .map(|id| (id, std::mem::take(&mut waiting[id as usize])))
-                .max_by_key(|&(id, mask)| {
-                    let price = self.price[id as usize];
-                    let saving = (mask.count_ones() as u64 - 1) * price;
-                    (saving, mask == prev_guard, std::cmp::Reverse(price))
-                });
-            let Some((id, active)) = pick else {
-                return slots;
-            };
-            for (t, p) in pos.iter_mut().enumerate() {
-                *p += (active >> t & 1) as usize;
-            }
-            prev_guard = active;
-            slots.push(IdSlot { id, active });
-        }
-    }
-
-    /// Hierarchical pairwise merging: threads, sorted by descending cost,
-    /// are merged one by one into the accumulated schedule with an optimal
-    /// two-sequence dynamic program (inter-thread CSE on aligned ops).
-    fn pairwise_merge_schedule(&self, dp: &mut Vec<u64>) -> Vec<IdSlot> {
-        let mut order: Vec<(usize, &[u32])> = self.threads().enumerate().collect();
-        order.retain(|(_, seq)| !seq.is_empty());
-        order.sort_by_key(|(_, seq)| std::cmp::Reverse(self.cost(seq)));
-        let mut acc: Vec<IdSlot> = Vec::new();
-        for (t, seq) in order {
-            acc = self.merge_two(&acc, seq, 1u64 << t, dp);
-        }
-        acc
-    }
-
-    /// Optimal merge of a guarded sequence with thread `b` (guard `bit`) by
-    /// dynamic programming: classic edit-path DP where aligning two slots
-    /// with equal ops issues one shared slot (cost charged once).
-    /// Guard-switch effects are handled afterwards by the improvement passes.
-    fn merge_two(&self, a: &[IdSlot], b: &[u32], bit: u64, dp: &mut Vec<u64>) -> Vec<IdSlot> {
-        let price = |id: u32| self.price[id as usize];
-        let (la, lb, w) = (a.len(), b.len(), b.len() + 1);
-        // dp[i * w + j]: min cost to schedule a[i..] and b[j..]. Every cell
-        // is written before it is read, so stale contents do not matter.
-        if dp.len() < (la + 1) * w {
-            dp.resize((la + 1) * w, 0);
-        }
-        dp[la * w + lb] = 0;
+    for i in (0..la).rev() {
+        let (ai, pa) = (a[i].id, price(a[i].id));
+        let (row, below) = dp[i * w..(i + 2) * w].split_at_mut(w);
+        row[lb] = below[lb] + pa;
         for j in (0..lb).rev() {
-            dp[la * w + j] = dp[la * w + j + 1] + price(b[j]);
-        }
-        for i in (0..la).rev() {
-            let (ai, pa) = (a[i].id, price(a[i].id));
-            let (row, below) = dp[i * w..(i + 2) * w].split_at_mut(w);
-            row[lb] = below[lb] + pa;
-            for j in (0..lb).rev() {
-                let mut best = (below[j] + pa).min(row[j + 1] + price(b[j]));
-                if ai == b[j] {
-                    best = best.min(below[j + 1] + pa);
-                }
-                row[j] = best;
+            let mut best = (below[j] + pa).min(row[j + 1] + price(b[j]));
+            if ai == b[j] {
+                best = best.min(below[j + 1] + pa);
             }
+            row[j] = best;
         }
-        // Reconstruct, preferring a shared slot, then `a`, then `b`.
-        let mut out = Vec::with_capacity(la + lb);
-        let (mut i, mut j) = (0, 0);
-        while i < la || j < lb {
-            let here = dp[i * w + j];
-            if i < la && j < lb && a[i].id == b[j] && here == dp[(i + 1) * w + j + 1] + price(b[j])
-            {
-                let active = a[i].active | bit;
-                out.push(IdSlot { id: b[j], active });
-                (i, j) = (i + 1, j + 1);
-            } else if i < la && here == dp[(i + 1) * w + j] + price(a[i].id) {
-                out.push(a[i]);
-                i += 1;
-            } else {
-                out.push(IdSlot {
-                    id: b[j],
-                    active: bit,
-                });
-                j += 1;
-            }
+    }
+    // Reconstruct, preferring a shared slot, then `a`, then `b`.
+    out.clear();
+    out.reserve(la + lb);
+    let (mut i, mut j) = (0, 0);
+    while i < la || j < lb {
+        let here = dp[i * w + j];
+        if i < la && j < lb && a[i].id == b[j] && here == dp[(i + 1) * w + j + 1] + price(b[j]) {
+            let active = a[i].active | bit;
+            out.push(IdSlot { id: b[j], active });
+            (i, j) = (i + 1, j + 1);
+        } else if i < la && here == dp[(i + 1) * w + j] + price(a[i].id) {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(IdSlot {
+                id: b[j],
+                active: bit,
+            });
+            j += 1;
         }
-        out
     }
 }
 
@@ -1063,8 +1264,10 @@ mod tests {
         assert_eq!(plain.cost, 13);
 
         let mut inducer = Inducer::default();
-        let slices: Vec<&[Op]> = threads.iter().map(Vec::as_slice).collect();
-        inducer.induce(&slices, &passes(c(), 64)).unwrap();
+        let members = numbered(&threads);
+        inducer
+            .induce(&members, |m| &threads[m.idx()], &passes(c(), 64))
+            .unwrap();
         assert_eq!(
             (inducer.candidates_tried, inducer.lower_bound_exits),
             (3, 0)
@@ -1103,25 +1306,31 @@ mod tests {
         let t = vec![Op::Push(7), Op::Bin(BinOp::Add), Op::St(Addr::poly(0))];
         let other = vec![Op::Bin(BinOp::Mul), Op::Bin(BinOp::Div)];
         let opts = CsiOptions::default();
+        let pool = [t.clone(), t.clone(), t.clone(), other, vec![], vec![]];
+        let ops = |m: StateId| pool[m.idx()].as_slice();
+        let ids = |ids: &[u32]| ids.iter().map(|&i| StateId(i)).collect::<Vec<_>>();
         let mut inducer = Inducer::default();
         // Identical threads: greedy meets the bound, the other two are skipped.
-        inducer.induce(&[&t, &t, &t], &opts).unwrap();
+        inducer.induce(&ids(&[0, 1, 2]), ops, &opts).unwrap();
         // One busy thread: no search. No busy thread: no schedule.
-        let alone = inducer.induce(&[&[], &t], &opts).unwrap();
+        let alone = inducer.induce(&ids(&[4, 0]), ops, &opts).unwrap();
         assert_eq!(
             alone,
             reference::induce_with(&[vec![], t.clone()], &opts)
                 .unwrap()
                 .0
         );
-        inducer.induce(&[&[], &[]], &opts).unwrap();
+        inducer.induce(&ids(&[4, 5]), ops, &opts).unwrap();
         // Nothing shareable: no candidate meets the bound, all three run.
-        inducer.induce(&[&t, &other], &opts).unwrap();
+        inducer.induce(&ids(&[0, 3]), ops, &opts).unwrap();
         assert_eq!((inducer.problems, inducer.single_thread), (4, 1));
         assert_eq!(
             (inducer.candidates_tried, inducer.lower_bound_exits),
             (1 + 3, 1)
         );
+        // Only searched problems intern, each member once; the one pairwise
+        // chain had nothing to reuse.
+        assert_eq!((inducer.threads_interned, inducer.merges_reused), (4, 0));
     }
 
     #[test]
@@ -1138,6 +1347,141 @@ mod tests {
         s.validate(&[t0, t1]).unwrap();
         // 2 shared prefix + 2 divergent + 1 shared suffix = 5.
         assert_eq!(s.issues(), 5, "{:?}", s.slots);
+    }
+
+    /// A small deterministic generator (64-bit LCG, high bits out).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+
+        fn op(&mut self) -> Op {
+            let x = Addr::poly(self.below(3) as u32);
+            match self.below(6) {
+                0 => Op::Push(self.below(3) as i64),
+                1 => Op::Ld(x),
+                2 => Op::St(x),
+                3 => Op::Bin(BinOp::Add),
+                4 => Op::Bin(BinOp::Mul),
+                _ => Op::Dup,
+            }
+        }
+
+        /// `n` distinct members drawn from `0..pool`, in drawn order. A
+        /// meta state lists its members sorted, but the scheduler must not
+        /// rely on that, and unsorted lists break cost ties between two
+        /// members one way in one problem and the other way in the next.
+        fn members(&mut self, pool: usize, n: usize) -> Vec<StateId> {
+            let mut ids: Vec<u32> = (0..pool as u32).collect();
+            for i in 0..n {
+                let j = i + self.below((pool - i) as u64) as usize;
+                ids.swap(i, j);
+            }
+            ids[..n].iter().map(|&i| StateId(i)).collect()
+        }
+    }
+
+    /// Member threads that meet every case the memo must get right:
+    /// identical op lists under different ids, equal-cost threads (a list
+    /// and its reverse), empty threads, and repeated ops.
+    fn member_pool(rng: &mut Lcg) -> Vec<Vec<Op>> {
+        let mut pool: Vec<Vec<Op>> = (0..10)
+            .map(|_| (0..1 + rng.below(10)).map(|_| rng.op()).collect())
+            .collect();
+        pool.push(pool[0].clone());
+        pool.push(pool[1].iter().rev().cloned().collect());
+        pool.push(pool[2].iter().rev().cloned().collect());
+        pool.push(vec![]);
+        pool.push(vec![]);
+        pool.push(vec![Op::Dup; 4]);
+        pool
+    }
+
+    fn cost_models() -> [CostModel; 3] {
+        let dear = CostModel {
+            stack: 2,
+            int_simple: 3,
+            int_mul: 7,
+            mem_local: 5,
+            guard_switch: 4,
+            ..c()
+        };
+        let flat = CostModel {
+            mem_local: 1,
+            int_mul: 1,
+            guard_switch: 0,
+            ..c()
+        };
+        [c(), dear, flat]
+    }
+
+    /// One `Inducer` posed a stream of meta states drawn from one member
+    /// pool returns, problem by problem, the reference's schedule: what it
+    /// interned and memoised for earlier problems changes nothing. A
+    /// second `Inducer` sees every problem under all three cost models in
+    /// turn, so its prices and memo start over at each change of model.
+    #[test]
+    fn one_long_lived_inducer_matches_the_reference() {
+        let mut rng = Lcg(7);
+        let pool = member_pool(&mut rng);
+        let problems: Vec<Vec<StateId>> = (0..240)
+            .map(|_| {
+                let n = 2 + rng.below(5) as usize;
+                rng.members(pool.len(), n)
+            })
+            .collect();
+        let ops = |m: StateId| pool[m.idx()].as_slice();
+        let mut mixed = Inducer::default();
+        for costs in cost_models() {
+            let opts = passes(costs, 64);
+            let mut inducer = Inducer::default();
+            for members in &problems {
+                let threads: Vec<Vec<Op>> = members.iter().map(|&m| ops(m).to_vec()).collect();
+                let (want, _) = reference::induce_with(&threads, &opts).unwrap();
+                assert_eq!(inducer.induce(members, ops, &opts).unwrap(), want);
+                let mixed_opts = passes(cost_models()[members.len() % 3].clone(), 64);
+                let (want, _) = reference::induce_with(&threads, &mixed_opts).unwrap();
+                assert_eq!(mixed.induce(members, ops, &mixed_opts).unwrap(), want);
+            }
+            assert_eq!(inducer.threads_interned, pool.len() as u64);
+            assert!(inducer.merges_reused > 100, "{inducer:?}");
+        }
+    }
+
+    /// The memo never holds more than `MEMO_SLOTS` slots, and a stream that
+    /// outgrows it gets the schedules a fresh scheduler builds, both while
+    /// it fills and once it is full.
+    #[test]
+    fn the_merge_memo_stays_under_its_cap_and_the_cap_changes_no_schedule() {
+        let mut rng = Lcg(11);
+        let pool: Vec<Vec<Op>> = (0..48)
+            .map(|_| (0..40 + rng.below(40)).map(|_| rng.op()).collect())
+            .collect();
+        let ops = |m: StateId| pool[m.idx()].as_slice();
+        let opts = CsiOptions::default();
+        let mut inducer = Inducer::default();
+        let mut full = 0;
+        for _ in 0..40 {
+            let members = rng.members(pool.len(), 12);
+            let nodes = inducer.memo.nodes.len();
+            let reused = inducer.merges_reused;
+            let got = inducer.induce(&members, ops, &opts).unwrap();
+            let threads: Vec<Vec<Op>> = members.iter().map(|&m| ops(m).to_vec()).collect();
+            assert_eq!(got, induce_with(&threads, &opts).unwrap());
+            assert!(inducer.memo.slots.len() <= MEMO_SLOTS);
+            // Every merge of the chain was either reused or stored, or the
+            // memo had no room for it.
+            let stored = inducer.memo.nodes.len() - nodes;
+            let reused = (inducer.merges_reused - reused) as usize;
+            full += (stored + reused < members.len()) as usize;
+        }
+        assert!(full > 10, "the stream hit the cap only {full} times");
     }
 }
 

@@ -131,6 +131,8 @@ pub fn compile_stages(
         ("csi.single_thread", effort.csi_single_thread),
         ("csi.candidates_tried", effort.csi_candidates_tried),
         ("csi.lower_bound_exits", effort.csi_lower_bound_exits),
+        ("csi.merges_reused", effort.csi_merges_reused),
+        ("csi.threads_interned", effort.csi_threads_interned),
         ("hash.searches", effort.hash_searches),
         ("hash.candidates_tested", effort.hash_candidates_tested),
         ("codegen.hash_memo_hits", effort.hash_memo_hits),
@@ -744,6 +746,8 @@ mod tests {
             ("csi.problems", 31),
             ("csi.single_thread", 9),
             ("csi.candidates_tried", 66),
+            ("csi.merges_reused", 28),
+            ("csi.threads_interned", 8),
             ("hash.searches", 10),
             ("hash.candidates_tested", 1214),
             ("codegen.hash_memo_hits", 20),

@@ -495,7 +495,7 @@ pub fn parse(text: &str, costs: CostModel) -> Result<SimdProgram, AsmError> {
             let mut guard = guard?;
             guard.sort_unstable();
             body.push(GuardedInstr {
-                guard,
+                guard: guard.into(),
                 instr: parse_instr(instr_text.trim(), iline)?,
             });
         }
@@ -618,5 +618,23 @@ mod tests {
                     .dispatch end";
         let err = parse(text, CostModel::default()).unwrap_err();
         assert_eq!(err.line, 3, "{err}");
+    }
+
+    /// A guard naming a state outside its block's members would enable the
+    /// PEs of another meta state: the text parses, the program does not.
+    #[test]
+    fn parse_rejects_a_guard_outside_the_block_members() {
+        let text = |guard: &str| {
+            format!(
+                ".program start=mb0 start_state=s0 poly=0 mono=0\n\
+                 .block mb0 ms_0_2 members=s0,s2\n\
+                 \x20 [{guard}] Push 1\n\
+                 \x20 [s0,s2] Halt\n\
+                 .dispatch end"
+            )
+        };
+        assert!(parse(&text("s0,s2"), CostModel::default()).is_ok());
+        let err = parse(&text("s0,s1"), CostModel::default()).unwrap_err();
+        assert!(err.msg.contains("non-member s1"), "{err}");
     }
 }

@@ -32,4 +32,4 @@ pub use asm::{parse as parse_asm, serialize as serialize_asm, AsmError};
 pub use lanes::PeArray;
 pub use machine::{MachineConfig, Metrics, RunError, SimdMachine, TraceEvent};
 pub use profile::{MachineProfile, ProfileError};
-pub use program::{BlockId, Dispatch, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};
+pub use program::{BlockId, Dispatch, Guard, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};

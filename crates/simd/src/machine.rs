@@ -676,31 +676,31 @@ mod tests {
         let s0 = StateId(0);
         let body = vec![
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::PeId),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::Push(2)),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::Bin(BinOp::Mul)),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::Push(1)),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::Bin(BinOp::Add)),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Op(Op::St(Addr::poly(0))),
             },
             GuardedInstr {
-                guard: vec![s0],
+                guard: vec![s0].into(),
                 instr: SimdInstr::Halt,
             },
         ];
@@ -747,19 +747,19 @@ mod tests {
             name: "ms_0".into(),
             body: vec![
                 GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Op(Op::PeId),
                 },
                 GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Op(Op::Push(2)),
                 },
                 GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Op(Op::Bin(BinOp::Lt)),
                 },
                 GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::JumpF { t: s1, f: s2 },
                 },
             ],
@@ -775,19 +775,19 @@ mod tests {
             name: "ms_1_2".into(),
             body: vec![
                 GuardedInstr {
-                    guard: vec![s1],
+                    guard: vec![s1].into(),
                     instr: SimdInstr::Op(Op::Push(111)),
                 },
                 GuardedInstr {
-                    guard: vec![s2],
+                    guard: vec![s2].into(),
                     instr: SimdInstr::Op(Op::Push(222)),
                 },
                 GuardedInstr {
-                    guard: vec![s1, s2],
+                    guard: vec![s1, s2].into(),
                     instr: SimdInstr::Op(Op::St(Addr::poly(0))),
                 },
                 GuardedInstr {
-                    guard: vec![s1, s2],
+                    guard: vec![s1, s2].into(),
                     instr: SimdInstr::Halt,
                 },
             ],
@@ -834,7 +834,7 @@ mod tests {
                 members: vec![s0],
                 name: "ms_0".into(),
                 body: vec![GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::SetPc(s0),
                 }],
                 dispatch: Dispatch::Direct(BlockId(0)),
@@ -862,7 +862,7 @@ mod tests {
                 members: vec![s0],
                 name: "ms_0".into(),
                 body: vec![GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Op(Op::Pop(1)),
                 }],
                 dispatch: Dispatch::End,
@@ -884,7 +884,7 @@ mod tests {
         // (pe_id+1) mod N into poly[1].
         let s0 = StateId(0);
         let g = |instr| GuardedInstr {
-            guard: vec![s0],
+            guard: vec![s0].into(),
             instr,
         };
         let p = SimdProgram {
@@ -927,15 +927,15 @@ mod tests {
                     name: "ms_0".into(),
                     body: vec![
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::Op(Op::Push(42)),
                         },
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::Op(Op::St(Addr::poly(0))),
                         },
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::Spawn {
                                 child: s1,
                                 next: s1,
@@ -949,15 +949,15 @@ mod tests {
                     name: "ms_1".into(),
                     body: vec![
                         GuardedInstr {
-                            guard: vec![s1],
+                            guard: vec![s1].into(),
                             instr: SimdInstr::Op(Op::Push(7)),
                         },
                         GuardedInstr {
-                            guard: vec![s1],
+                            guard: vec![s1].into(),
                             instr: SimdInstr::Op(Op::St(Addr::poly(1))),
                         },
                         GuardedInstr {
-                            guard: vec![s1],
+                            guard: vec![s1].into(),
                             instr: SimdInstr::Halt,
                         },
                     ],
@@ -996,7 +996,7 @@ mod tests {
                 members: vec![s0],
                 name: "ms_0".into(),
                 body: vec![GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Spawn {
                         child: s1,
                         next: s1,
@@ -1065,7 +1065,7 @@ mod tests {
     fn mono_store_broadcasts() {
         let s0 = StateId(0);
         let g = |instr| GuardedInstr {
-            guard: vec![s0],
+            guard: vec![s0].into(),
             instr,
         };
         let p = SimdProgram {
@@ -1155,15 +1155,15 @@ mod trace_tests {
                     name: "ms_0".into(),
                     body: vec![
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::Op(Op::Push(1)),
                         },
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::Op(Op::Pop(1)),
                         },
                         GuardedInstr {
-                            guard: vec![s0],
+                            guard: vec![s0].into(),
                             instr: SimdInstr::SetPc(s1),
                         },
                     ],
@@ -1173,7 +1173,7 @@ mod trace_tests {
                     members: vec![s1],
                     name: "ms_1".into(),
                     body: vec![GuardedInstr {
-                        guard: vec![s1],
+                        guard: vec![s1].into(),
                         instr: SimdInstr::Halt,
                     }],
                     dispatch: Dispatch::End,
@@ -1234,7 +1234,7 @@ mod trace_tests {
                 members: vec![s0],
                 name: "ms_0".into(),
                 body: vec![GuardedInstr {
-                    guard: vec![s0],
+                    guard: vec![s0].into(),
                     instr: SimdInstr::Halt,
                 }],
                 dispatch: Dispatch::End,

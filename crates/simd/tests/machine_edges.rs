@@ -15,7 +15,7 @@ const EVEN: StateId = StateId(2);
 
 fn on(guard: &[StateId], instr: SimdInstr) -> GuardedInstr {
     GuardedInstr {
-        guard: guard.to_vec(),
+        guard: guard.into(),
         instr,
     }
 }
