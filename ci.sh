@@ -38,9 +38,9 @@
 #                         answered on both threads (serve.resident_answers
 #                         and serve.dispatched > 0) with nothing shed, and
 #                         check that SIGINT drains the daemon cleanly (the
-#                         coalescing burst and the two-daemon peer share
-#                         are tier-1 tests; throughput and latency are
-#                         perf/'s serve_mixed)
+#                         coalescing burst and the restart on one disk
+#                         cache are tier-1 tests; throughput and latency
+#                         are perf/'s serve_mixed)
 #   ./ci.sh fuzz-smoke    additionally run the differential fuzzer over
 #                         the full in-process oracle matrix (including
 #                         the regex differential oracle) with a fixed

@@ -1,6 +1,6 @@
 //! Cross-commit golden for the cache's artifact format. `codegen_golden`
 //! pins the generated program; this pins the `mscache v1` text an
-//! artifact is filed under on disk and shipped to peers as: the bytes
+//! artifact is filed under on disk as: the bytes
 //! `Engine::export_artifact` returns after a fresh compile, as one
 //! SipHash-2-4-128 digest per (workload, mode) over `codegen_golden`'s
 //! corpus. Two lines are masked before digesting: `key` (checked against
@@ -8,8 +8,8 @@
 //! `timings_ns` (wall clock). Each export must also decode: a cold engine
 //! over a disk tier holding only that text serves the compile from disk,
 //! and exports the same bytes again. A digest may only change in a PR
-//! that says the format changed, and why: a disk cache or a peer written
-//! by an older daemon then reads as misses.
+//! that says the format changed, and why: a disk cache written by an
+//! older daemon then reads as misses.
 
 use metastate::engine::{job_key, Engine, EngineOptions, Job, Provenance};
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};

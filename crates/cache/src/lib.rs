@@ -2,31 +2,23 @@
 //!
 //! A cache key is a 128-bit SipHash-2-4 fingerprint of everything that
 //! determines a compiled output. The artifacts behind those keys live in
-//! three *tiers*:
+//! two *tiers*:
 //!
 //! - [`MemoryTier`] — bounded in-process LRU.
 //! - [`DiskTier`] — one text file per key, written via an atomic
 //!   temp-file + rename so concurrent readers and writers (other
 //!   processes sharing the directory) never observe a torn artifact.
-//! - [`PeerTier`] — fetches artifacts from sibling daemons over the
-//!   std-only HTTP protocol (`GET /artifact/{key}`), with per-peer
-//!   deadlines, bounded retry, a circuit breaker per peer, and
-//!   content-key re-hash verification of every fetched body.
 //!
-//! [`TieredCache`] composes them into the lookup path
-//! memory → disk → peers, with hits promoted into the faster tiers.
+//! [`TieredCache`] composes them into the lookup path memory → disk,
+//! with disk hits promoted into memory.
 //! The crate is generic over the artifact type `A`, which names its own
 //! interchange format by implementing [`Cacheable`]; the engine's
 //! artifact (and its `CostModel`-dependent decoder) stays in the engine
 //! crate without a dependency cycle. [`MemoryTier`] asks nothing of `A`,
-//! so a cache with no disk or peers (the regex pattern cache) uses it
-//! alone.
+//! so a cache with no disk (the regex pattern cache) uses it alone.
 
-pub mod peer;
 pub mod tier;
-pub mod wire;
 
-pub use peer::{BreakerState, PeerConfig, PeerStatus, PeerTier};
 pub use tier::{DiskTier, MemoryTier};
 
 use msc_codegen::GenOptions;
@@ -34,7 +26,6 @@ use msc_core::ConvertOptions;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A 128-bit content fingerprint (the two words of a SipHash-2-4-128).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,23 +35,9 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Hex rendering, used as the on-disk file stem and the
-    /// `/artifact/{key}` path segment.
+    /// Hex rendering, used as the on-disk file stem.
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-
-    /// Parse the canonical rendering produced by [`hex`](Self::hex):
-    /// exactly 32 lowercase hex characters. Anything else — wrong
-    /// length, uppercase, stray bytes — is `None`, so HTTP handlers can
-    /// reject malformed keys before touching any tier.
-    pub fn from_hex(s: &str) -> Option<CacheKey> {
-        if s.len() != 32 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-            return None;
-        }
-        let hi = u64::from_str_radix(&s[..16], 16).ok()?;
-        let lo = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(CacheKey { hi, lo })
     }
 }
 
@@ -180,8 +157,6 @@ pub enum CacheLayer {
     Memory,
     /// On-disk artifact, reloaded (and promoted into memory).
     Disk,
-    /// Fetched from a sibling daemon (and promoted into memory + disk).
-    Peer,
 }
 
 /// Counter snapshot for `--stats` output.
@@ -191,8 +166,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Disk hits (artifact reloaded and promoted to memory).
     pub disk_hits: u64,
-    /// Verified artifacts fetched from peer daemons (promoted locally).
-    pub peer_hits: u64,
     /// Lookups that found nothing anywhere.
     pub misses: u64,
     /// Artifacts inserted after a fresh compile.
@@ -201,13 +174,11 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// An artifact the disk and peer tiers can hold: the type names its own
-/// interchange text (the format the disk tier persists and the peer
-/// protocol ships).
+/// An artifact the disk tier can hold: the type names its own
+/// interchange text (the format the disk tier persists).
 pub trait Cacheable: Sized {
     /// The first line of every encoding. The disk tier's raw export
-    /// checks it, so a corrupt file is a miss rather than garbage sent to
-    /// a peer.
+    /// checks it, so a corrupt file is a miss rather than garbage.
     const MAGIC: &'static str;
     /// What decoding needs besides the text. The engine's artifact
     /// reparses assembly against the request's `CostModel`; the cache key
@@ -238,27 +209,17 @@ pub enum TierStatus {
         /// Cache directory.
         dir: String,
     },
-    /// The peer-fetch layer.
-    Peers {
-        /// Per-peer breaker snapshots, in configured order.
-        peers: Vec<PeerStatus>,
-        /// Budget for one whole peer-path traversal.
-        total_deadline: Duration,
-    },
 }
 
-/// The composed lookup path: memory → disk → peers, hits promoted into
-/// every faster tier, stats accounted at this level so the
-/// `probe`/`note_miss` split (singleflight charges one miss per
-/// coalesced group) keeps the invariant
-/// `hits + disk_hits + peer_hits + misses == resolved lookups`.
+/// The composed lookup path: memory → disk, disk hits promoted into
+/// memory, stats accounted at this level so the `probe`/`note_miss`
+/// split (singleflight charges one miss per coalesced group) keeps the
+/// invariant `hits + disk_hits + misses == resolved lookups`.
 pub struct TieredCache<A> {
     memory: MemoryTier<A>,
     disk: Option<DiskTier<A>>,
-    peers: Option<PeerTier<A>>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
-    peer_hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
 }
@@ -267,37 +228,20 @@ impl<A: Cacheable> TieredCache<A> {
     /// A cache holding at most `capacity` artifacts in memory (0 disables
     /// the memory layer), persisting to `disk_dir` when given (the
     /// directory is created on first use; I/O failures degrade to
-    /// misses), with no peer tier.
+    /// misses).
     pub fn new(capacity: usize, disk_dir: Option<PathBuf>) -> Self {
-        Self::with_peers(capacity, disk_dir, Vec::new(), PeerConfig::default())
-    }
-
-    /// [`new`](Self::new) plus a peer tier fetching from `peers`
-    /// (`host:port` each); an empty list disables the tier.
-    pub fn with_peers(
-        capacity: usize,
-        disk_dir: Option<PathBuf>,
-        peers: Vec<String>,
-        cfg: PeerConfig,
-    ) -> Self {
         TieredCache {
             memory: MemoryTier::new(capacity),
             disk: disk_dir.map(DiskTier::new),
-            peers: if peers.is_empty() {
-                None
-            } else {
-                Some(PeerTier::new(peers, cfg))
-            },
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
         }
     }
 
     /// Look up `key` in the memory tier and nowhere else: no file is
-    /// opened, no peer asked, nothing decoded — what a thread that must
+    /// opened, nothing decoded — what a thread that must
     /// not wait (the daemon's reactor) may call. A hit is counted and
     /// touches recency exactly as [`probe`](Self::probe)'s does; a miss
     /// counts nothing, so the caller can still take the full path.
@@ -308,10 +252,9 @@ impl<A: Cacheable> TieredCache<A> {
         Some(artifact)
     }
 
-    /// Look up `key` in the *local* tiers (memory, then disk), promoting
-    /// a disk hit into memory. Does not record a miss and does not
-    /// touch the network: the singleflight layer probes first and only
-    /// the elected leader pays for remote fetches and charges the miss.
+    /// Look up `key` in memory, then on disk, promoting a disk hit into
+    /// memory. Does not record a miss: the singleflight layer probes
+    /// first and only the elected leader charges it.
     pub fn probe(&self, key: CacheKey, cx: &A::Context) -> Option<(Arc<A>, CacheLayer)> {
         if let Some(artifact) = self.probe_memory(key) {
             return Some((artifact, CacheLayer::Memory));
@@ -323,25 +266,8 @@ impl<A: Cacheable> TieredCache<A> {
         Some((artifact, CacheLayer::Disk))
     }
 
-    /// Consult the peer tier for `key`; a verified hit is promoted into
-    /// memory and disk. Runs the full robustness stack (deadlines,
-    /// retry, breakers, re-hash verification); with no peers configured
-    /// it returns `None` immediately.
-    pub fn fetch_remote(&self, key: CacheKey, cx: &A::Context) -> Option<Arc<A>> {
-        let peers = self.peers.as_ref()?;
-        let artifact = peers.fetch(key, cx)?;
-        self.peer_hits.fetch_add(1, Ordering::Relaxed);
-        msc_obs::count("cache.peer_hit", 1);
-        if let Some(disk) = &self.disk {
-            disk.store(key, &artifact);
-        }
-        self.remember(key, &artifact);
-        Some(artifact)
-    }
-
     /// Record one miss. Paired with [`probe`](Self::probe): the
-    /// singleflight leader calls this exactly once per coalesced group,
-    /// after the peer path (if any) also came up empty.
+    /// singleflight leader calls this exactly once per coalesced group.
     pub fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         msc_obs::count("cache.miss", 1);
@@ -365,10 +291,9 @@ impl<A: Cacheable> TieredCache<A> {
         }
     }
 
-    /// Serialize a locally cached artifact for the peer protocol:
-    /// memory first (encoded on the fly), else the raw disk file text.
-    /// Never consults peers (no fetch recursion between daemons) and
-    /// counts nothing — an export is not a lookup.
+    /// Serialize a cached artifact to its interchange text: memory
+    /// first (encoded on the fly), else the raw disk file text. Counts
+    /// nothing — an export is not a lookup.
     pub fn export(&self, key: CacheKey) -> Option<String> {
         if let Some(artifact) = self.memory.peek(key) {
             return Some(artifact.encode(key));
@@ -381,7 +306,6 @@ impl<A: Cacheable> TieredCache<A> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            peer_hits: self.peer_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.memory.evictions(),
@@ -402,7 +326,6 @@ impl<A: Cacheable> TieredCache<A> {
     pub fn tier_status(&self) -> Vec<TierStatus> {
         let mut out = vec![self.memory.status()];
         out.extend(self.disk.iter().map(|disk| disk.status()));
-        out.extend(self.peers.iter().map(|peers| peers.status()));
         out
     }
 }
@@ -468,26 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn from_hex_round_trips_and_rejects_malformed() {
-        let key = content_key("t", &[b"x"]);
-        assert_eq!(CacheKey::from_hex(&key.hex()), Some(key));
-        for bad in [
-            "",
-            "abc",
-            "zz000000000000000000000000000000",     // non-hex
-            "ABCDEF0000000000000000000000000000",   // wrong length
-            "ABCDEF00000000000000000000000000",     // uppercase
-            "0123456789abcdef0123456789abcde",      // 31 chars
-            "0123456789abcdef0123456789abcdef0",    // 33 chars
-            "0123456789abcdef0123456789abcd\u{e9}", // non-ASCII
-            " 0123456789abcdef0123456789abcde",     // leading space
-            "../../../../../../../../etc/pass",     // traversal junk
-        ] {
-            assert_eq!(CacheKey::from_hex(bad), None, "must reject {bad:?}");
-        }
-    }
-
-    #[test]
     fn tiered_probe_promotes_disk_hits_to_memory() {
         let dir = std::env::temp_dir().join(format!("msc-cache-tiered-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -550,8 +453,8 @@ mod tests {
         assert_eq!(cold.export(key).as_deref(), Some(from_memory.as_str()));
         let s = cold.stats();
         assert_eq!(
-            (s.hits, s.disk_hits, s.peer_hits, s.misses),
-            (0, 0, 0, 0),
+            (s.hits, s.disk_hits, s.misses),
+            (0, 0, 0),
             "exports are not lookups"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -559,8 +462,8 @@ mod tests {
 
     #[test]
     fn tier_status_reports_each_configured_tier() {
-        let cache: TieredCache<String> =
-            TieredCache::with_peers(8, None, vec!["127.0.0.1:1".into()], PeerConfig::default());
+        let dir = std::env::temp_dir().join(format!("msc-cache-status-{}", std::process::id()));
+        let cache: TieredCache<String> = TieredCache::new(8, Some(dir.clone()));
         let status = cache.tier_status();
         assert_eq!(status.len(), 2);
         assert!(matches!(
@@ -571,13 +474,13 @@ mod tests {
                 ..
             }
         ));
-        match &status[1] {
-            TierStatus::Peers { peers, .. } => {
-                assert_eq!(peers.len(), 1);
-                assert_eq!(peers[0].addr, "127.0.0.1:1");
-                assert_eq!(peers[0].breaker, BreakerState::Closed);
+        assert_eq!(
+            status[1],
+            TierStatus::Disk {
+                dir: dir.display().to_string()
             }
-            other => panic!("expected peer tier status, got {other:?}"),
-        }
+        );
+        let memory_only: TieredCache<String> = TieredCache::new(8, None);
+        assert_eq!(memory_only.tier_status().len(), 1);
     }
 }

@@ -65,8 +65,7 @@ impl<A> MemoryTier<A> {
     }
 
     /// Read without touching recency and without counting anything —
-    /// used by the export path, where a remote daemon scanning our
-    /// artifacts must not reshuffle the local LRU order.
+    /// used by the export path, which must not reshuffle the LRU order.
     pub fn peek(&self, key: CacheKey) -> Option<Arc<A>> {
         self.inner
             .lock()

@@ -219,7 +219,7 @@ USAGE:
   mscc run   <FILE>    [--pes N] [--pool N] [--compare] [--trace] [common flags] [engine flags]
   mscc sweep <FILE>    [--profiles FILES/DIRS,...] [--jobs N] [--cache DIR] [common flags]
   mscc serve           [--addr HOST:PORT] [--workers N] [--queue-depth N] [--cache DIR]
-                       [--max-meta-states N] [--peers HOST:PORT,...]
+                       [--max-meta-states N]
   mscc fuzz            [--seed N] [--cases N] [--pes N] [--max-states N] [--corpus DIR]
                        [--oracles LIST] [--serve | --serve-addr HOST:PORT] [--replay FILE]
   mscc match <PATTERN> [FILE]... [--threads N]
@@ -276,9 +276,6 @@ SERVE FLAGS:
   --cache DIR              on-disk compile cache shared across restarts
   --max-meta-states N      ceiling on every job's explosion guard; requests
                            asking for more are clamped (default 1048576)
-  --peers HOST:PORT,...    sibling daemons consulted on local cache misses
-                           before compiling (GET /artifact/{key}); a sick
-                           peer is skipped via a per-peer circuit breaker
 
 FUZZ FLAGS:
   --seed N                 run seed; case k is reproducible from (seed, k) (default 1)
@@ -517,16 +514,6 @@ fn parse_command<'a>(
                     "--max-meta-states" => {
                         o.max_meta_states = max_meta_states(&mut it, "meta-state cap")?;
                     }
-                    "--peers" => {
-                        let v = value(&mut it, "--peers needs a comma-separated HOST:PORT list")?;
-                        for p in v.split(',') {
-                            let p = p.trim();
-                            if p.is_empty() {
-                                return Err(CliError(format!("empty peer address in `{v}`")));
-                            }
-                            o.peers.push(p.to_string());
-                        }
-                    }
                     other => return Err(unexpected(other)),
                 }
             }
@@ -685,10 +672,9 @@ fn stats_block(artifact: &metastate::Artifact, provenance: Provenance, engine: &
         t.compile, t.convert, t.codegen
     ));
     out.push_str(&format!(
-        "cache: {} memory hits, {} disk hits, {} peer hits, {} misses, {} coalesced, {} insertions, {} evictions\n",
+        "cache: {} memory hits, {} disk hits, {} misses, {} coalesced, {} insertions, {} evictions\n",
         c.hits,
         c.disk_hits,
-        c.peer_hits,
         c.misses,
         engine.coalesced(),
         c.insertions,
@@ -1137,9 +1123,6 @@ fn execute_serve(options: &msc_serve::ServeOptions) -> Result<String, CliError> 
         .map_err(|e| CliError(format!("cannot start daemon on {}: {e}", options.addr)))?;
     // Announce before blocking so scripts can find the port.
     println!("msc-serve listening on {}", handle.local_addr());
-    if !options.peers.is_empty() {
-        println!("msc-serve peers: {}", options.peers.join(", "));
-    }
     msc_serve::run_until_signal(handle);
     Ok("msc-serve: drained and stopped\n".to_string())
 }
@@ -1330,10 +1313,9 @@ fn execute_batch(inputs: &[(String, Vec<u8>)], opts: &CommonOpts) -> Result<Stri
     if opts.stats {
         let c = engine.cache_stats();
         text.push_str(&format!(
-            "; cache: {} memory hits, {} disk hits, {} peer hits, {} misses, {} coalesced",
+            "; cache: {} memory hits, {} disk hits, {} misses, {} coalesced",
             c.hits,
             c.disk_hits,
-            c.peer_hits,
             c.misses,
             engine.coalesced()
         ));
@@ -1454,7 +1436,6 @@ mod tests {
         assert_eq!(o.addr, "127.0.0.1:0");
         assert_eq!((o.workers, o.queue_depth, o.max_meta_states), (2, 4, 512));
         assert_eq!(o.cache_dir, Some("/tmp/c".into()));
-        assert!(o.peers.is_empty());
         // Unset flags keep the daemon's defaults.
         let Command::Serve(o) = parse("serve") else {
             panic!("expected serve command");
@@ -1478,21 +1459,6 @@ mod tests {
             err.0.contains("unexpected argument `--blocking`"),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn parse_serve_peers() {
-        // An empty entry (doubled or trailing comma) is an error, not
-        // a silently dropped peer.
-        assert!(parse_args(&args("serve --peers 10.0.0.1:7643,,10.0.0.2:7643")).is_err());
-        assert!(parse_args(&args("serve --peers 10.0.0.1:7643,")).is_err());
-        let Command::Serve(o) =
-            parse("serve --addr 127.0.0.1:0 --peers 10.0.0.1:7643,10.0.0.2:7643")
-        else {
-            panic!("expected serve command");
-        };
-        assert_eq!(o.peers, vec!["10.0.0.1:7643", "10.0.0.2:7643"]);
-        assert!(parse_args(&args("serve --peers")).is_err());
     }
 
     #[test]

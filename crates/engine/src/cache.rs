@@ -338,7 +338,7 @@ mod tests {
 
         let s = cache.stats();
         assert_eq!(
-            s.hits + s.disk_hits + s.peer_hits + s.misses,
+            s.hits + s.disk_hits + s.misses,
             resolved,
             "every resolved lookup lands in exactly one stats bucket: {s:?}"
         );

@@ -12,9 +12,9 @@
 //!   `metastate::Pipeline::build` run;
 //! * [`CompileCache`] — `msc_cache::TieredCache` of [`Artifact`]s, keyed
 //!   by the hash of (source, conversion options, codegen options, IR
-//!   passes): a bounded in-memory LRU, an optional on-disk layer and
-//!   optional peer daemons; the artifact's `mscache v1` format is its
-//!   `msc_cache::Cacheable` impl;
+//!   passes): a bounded in-memory LRU and an optional on-disk layer;
+//!   the artifact's `mscache v1` format is its `msc_cache::Cacheable`
+//!   impl;
 //! * [`Engine`] — the service wrapper: [`Engine::compile`] for one job,
 //!   [`Engine::compile_many`] for a batch over a worker pool with per-job
 //!   cooperative timeouts and panic capture (one poisoned job yields one
@@ -38,8 +38,7 @@ pub mod parallel;
 
 pub use flight::{Flight, Singleflight};
 pub use msc_cache::{
-    cache_key, content_key, BreakerState, CacheKey, CacheLayer, CacheStats, MemoryTier, PeerConfig,
-    PeerStatus, TierStatus,
+    cache_key, content_key, CacheKey, CacheLayer, CacheStats, MemoryTier, TierStatus,
 };
 pub use parallel::convert_parallel;
 
@@ -155,7 +154,7 @@ pub fn compile_stages(
 }
 
 /// What the cache stores of one compilation: the executable program and
-/// summary data, the same value from memory, disk or a peer. The
+/// summary data, the same value from memory or disk. The
 /// in-memory IR is [`compile_stages`]' to hand out, not the cache's.
 #[derive(Debug, Clone)]
 pub struct Artifact {
@@ -174,9 +173,9 @@ pub struct Artifact {
     pub automaton_text: String,
 }
 
-/// The engine's artifact cache: memory LRU, optional disk layer,
-/// optional peer-daemon layer. Lookups lend the request's `CostModel`,
-/// which a disk or peer hit reparses its assembly against.
+/// The engine's artifact cache: memory LRU and an optional disk layer.
+/// Lookups lend the request's `CostModel`, which a disk hit reparses its
+/// assembly against.
 pub type CompileCache = msc_cache::TieredCache<Artifact>;
 
 /// One compilation request.
@@ -219,8 +218,6 @@ pub enum Provenance {
     Memory,
     /// Reloaded from the on-disk cache.
     Disk,
-    /// Fetched (verified) from a peer daemon's cache.
-    Peer,
     /// Coalesced onto a concurrent identical compile (singleflight): this
     /// request waited for the in-flight compilation and shares its
     /// artifact.
@@ -233,7 +230,6 @@ impl std::fmt::Display for Provenance {
             Provenance::Fresh => write!(f, "fresh compile"),
             Provenance::Memory => write!(f, "cache hit (memory)"),
             Provenance::Disk => write!(f, "cache hit (disk)"),
-            Provenance::Peer => write!(f, "cache hit (peer)"),
             Provenance::Coalesced => write!(f, "coalesced (shared in-flight compile)"),
         }
     }
@@ -339,11 +335,6 @@ pub struct EngineOptions {
     /// Per-job cooperative timeout, checked at phase boundaries and
     /// once per round of the conversion worklist (None = unbounded).
     pub job_timeout: Option<Duration>,
-    /// Sibling daemons (`host:port` each) to consult for artifacts
-    /// before compiling locally (empty disables the peer tier).
-    pub peers: Vec<String>,
-    /// Peer-tier tunables (deadlines, retry, breaker thresholds).
-    pub peer: PeerConfig,
 }
 
 impl Default for EngineOptions {
@@ -353,8 +344,6 @@ impl Default for EngineOptions {
             cache_capacity: 128,
             cache_dir: None,
             job_timeout: None,
-            peers: Vec::new(),
-            peer: PeerConfig::default(),
         }
     }
 }
@@ -374,12 +363,7 @@ pub struct Engine {
 impl Engine {
     /// Build an engine from options.
     pub fn new(opts: EngineOptions) -> Self {
-        let cache = CompileCache::with_peers(
-            opts.cache_capacity,
-            opts.cache_dir.clone(),
-            opts.peers.clone(),
-            opts.peer.clone(),
-        );
+        let cache = CompileCache::new(opts.cache_capacity, opts.cache_dir.clone());
         Engine {
             opts,
             cache,
@@ -410,15 +394,14 @@ impl Engine {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Serialize a locally cached artifact for `GET /artifact/{key}`.
-    /// `None` when neither memory nor disk has it — serving a peer must
-    /// never trigger a compile, and never consults our own peers.
+    /// Serialize a cached artifact to its `mscache v1` text. `None` when
+    /// neither memory nor disk has it — an export never compiles.
     pub fn export_artifact(&self, key: CacheKey) -> Option<String> {
         self.cache.export(key)
     }
 
     /// Status of every configured cache tier, fastest first (for
-    /// `/healthz` and the breaker gauges on `/metrics`).
+    /// `/healthz`).
     pub fn tier_status(&self) -> Vec<TierStatus> {
         self.cache.tier_status()
     }
@@ -437,7 +420,7 @@ impl Engine {
     }
 
     /// The artifact filed under `key`, if it is resident in memory:
-    /// never the disk tier, the peer tier, the flight table or a
+    /// never the disk tier, the flight table or a
     /// compile, so a thread that must not wait may ask. A hit counts
     /// and touches recency like any other memory hit; `None` counts
     /// nothing and says only that [`compile`](Self::compile) has to
@@ -516,7 +499,6 @@ impl Engine {
             provenance: match layer {
                 CacheLayer::Memory => Provenance::Memory,
                 CacheLayer::Disk => Provenance::Disk,
-                CacheLayer::Peer => Provenance::Peer,
             },
         };
         if let Some(hit) = self.cache.probe(key, &job.gen.costs) {
@@ -550,21 +532,8 @@ impl Engine {
             }
             Flight::Lead(leader) => leader,
         };
-        // Leader: first try the fleet. The fetch runs outside the
-        // flight-table lock but inside the flight, so N coalesced cold
-        // requests cost at most one peer round-trip; a verified peer hit
-        // is promoted into the local tiers and is *not* a miss.
-        if let Some(artifact) = self.cache.fetch_remote(key, &job.gen.costs) {
-            leader.publish(Ok(Arc::clone(&artifact)));
-            drop(leader);
-            return Ok(Compiled {
-                artifact,
-                provenance: Provenance::Peer,
-                key,
-            });
-        }
-        // No peer had it: this request is the one that compiles (and the
-        // one that counts the miss for the whole coalesced group).
+        // Leader: this request is the one that compiles (and the one that
+        // counts the miss for the whole coalesced group).
         self.cache.note_miss();
         let result = self.compile_fresh(job, key, threads);
         leader.publish(match &result {
@@ -615,8 +584,8 @@ impl Engine {
 }
 
 /// The content-addressed cache key a job compiles under — the same key
-/// [`Engine::compile`] uses, exposed so callers (the serve layer, peer
-/// fetches) can name the artifact without compiling anything.
+/// [`Engine::compile`] uses, exposed so callers (the serve layer) can
+/// name the artifact without compiling anything.
 pub fn job_key(job: &Job) -> CacheKey {
     cache_key(
         &job.source,
@@ -900,144 +869,5 @@ mod tests {
         // The engine is still fully usable afterwards.
         let ok = engine.compile(&Job::new("after", PROG)).unwrap();
         assert_eq!(ok.provenance, Provenance::Fresh);
-    }
-
-    /// A minimal fleet sibling: serves `GET /artifact/{key}` out of a
-    /// warm donor engine over real TCP (404 on anything it lacks),
-    /// counting requests. The thread leaks with the test process.
-    fn artifact_server(donor: Arc<Engine>, requests: Arc<AtomicU64>) -> String {
-        use std::io::{Read as _, Write as _};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            while let Ok((mut stream, _)) = listener.accept() {
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 1024];
-                while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                    match stream.read(&mut chunk) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    }
-                }
-                requests.fetch_add(1, Ordering::Relaxed);
-                let path = std::str::from_utf8(&buf)
-                    .ok()
-                    .and_then(|t| t.split_whitespace().nth(1))
-                    .unwrap_or("");
-                let body = path
-                    .strip_prefix("/artifact/")
-                    .and_then(CacheKey::from_hex)
-                    .and_then(|key| {
-                        donor
-                            .export_artifact(key)
-                            .map(|text| msc_cache::wire::envelope(key, &text).render())
-                    });
-                let resp = match body {
-                    Some(b) => format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{b}",
-                        b.len()
-                    ),
-                    None => {
-                        "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-                            .to_string()
-                    }
-                };
-                let _ = stream.write_all(resp.as_bytes());
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn peer_hit_avoids_local_compile_and_promotes() {
-        let donor = Arc::new(Engine::new(EngineOptions::default()));
-        let job = Job::new("fleet", PROG);
-        let compiled = donor.compile(&job).unwrap();
-        let requests = Arc::new(AtomicU64::new(0));
-        let addr = artifact_server(Arc::clone(&donor), Arc::clone(&requests));
-
-        let node_b = Engine::new(EngineOptions {
-            peers: vec![addr],
-            ..EngineOptions::default()
-        });
-        let got = node_b.compile(&job).unwrap();
-        assert_eq!(got.provenance, Provenance::Peer);
-        assert_eq!(node_b.jobs_compiled(), 0, "node B never compiled");
-        assert_eq!(
-            got.artifact.automaton_text,
-            compiled.artifact.automaton_text
-        );
-        assert_eq!(got.artifact.meta_states, compiled.artifact.meta_states);
-        let s = node_b.cache_stats();
-        assert_eq!((s.peer_hits, s.misses), (1, 0), "{s:?}");
-        // The fetched artifact was promoted: the repeat is a memory hit,
-        // no second round-trip.
-        assert_eq!(node_b.compile(&job).unwrap().provenance, Provenance::Memory);
-        assert_eq!(requests.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn cold_burst_on_one_node_costs_one_peer_round_trip() {
-        let _obs = exclusive_obs();
-        let donor = Arc::new(Engine::new(EngineOptions::default()));
-        let job = Job::new("burst", PROG);
-        donor.compile(&job).unwrap();
-        let requests = Arc::new(AtomicU64::new(0));
-        let addr = artifact_server(Arc::clone(&donor), Arc::clone(&requests));
-
-        let node_b = Engine::new(EngineOptions {
-            peers: vec![addr],
-            threads: 2,
-            ..EngineOptions::default()
-        });
-        let results: Vec<Result<Compiled, EngineError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| node_b.compile(&job))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in &results {
-            assert!(r.is_ok(), "{:?}", r.as_ref().err());
-        }
-        assert_eq!(node_b.jobs_compiled(), 0, "nothing compiled locally");
-        assert_eq!(
-            requests.load(Ordering::Relaxed),
-            1,
-            "singleflight collapses the cold burst onto one peer fetch"
-        );
-        let s = node_b.cache_stats();
-        assert_eq!((s.peer_hits, s.misses), (1, 0), "{s:?}");
-    }
-
-    #[test]
-    fn dead_peers_degrade_to_a_bounded_local_compile() {
-        // A port that refuses connections: bind, note the addr, drop.
-        let refused = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let peer = PeerConfig {
-            connect_timeout: Duration::from_millis(100),
-            read_timeout: Duration::from_millis(200),
-            total_deadline: Duration::from_millis(600),
-            backoff: Duration::from_millis(1),
-            ..PeerConfig::default()
-        };
-        let engine = Engine::new(EngineOptions {
-            peers: vec![refused.clone(), refused],
-            peer,
-            ..EngineOptions::default()
-        });
-        let start = Instant::now();
-        let out = engine.compile(&Job::new("deadfleet", PROG)).unwrap();
-        assert_eq!(out.provenance, Provenance::Fresh, "compiled locally");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "a dead fleet costs at most one peer deadline: {:?}",
-            start.elapsed()
-        );
-        let s = engine.cache_stats();
-        assert_eq!((s.peer_hits, s.misses), (0, 1), "{s:?}");
-        // The dead peers' breakers show up in tier status.
-        let status = engine.tier_status();
-        assert!(status.iter().any(|t| matches!(t, TierStatus::Peers { .. })));
     }
 }

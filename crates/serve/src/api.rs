@@ -109,7 +109,6 @@ fn provenance_str(p: Provenance) -> &'static str {
         Provenance::Memory => "memory",
         Provenance::Disk => "disk",
         Provenance::Coalesced => "coalesced",
-        Provenance::Peer => "peer",
     }
 }
 
@@ -392,29 +391,6 @@ pub fn find_matches(regex: &RegexEngine, body: &Json) -> Result<Json, HttpError>
     ]))
 }
 
-/// `GET /artifact/{key}`: serve a cached artifact out of the local
-/// tiers (memory, then raw disk). Never compiles — a fleet fetch must
-/// not trigger work on the donor — so an absent key is a plain 404. The
-/// response is the verification envelope the peer tier checks
-/// ([`msc_cache::wire`]): `{key, sum, artifact}`.
-pub fn artifact(engine: &Engine, key_hex: &str) -> Result<Json, HttpError> {
-    let key = CacheKey::from_hex(key_hex).ok_or_else(|| {
-        bad(format!(
-            "malformed artifact key {key_hex:?}: expected 32 lowercase hex digits"
-        ))
-    })?;
-    match engine.export_artifact(key) {
-        Some(text) => {
-            msc_obs::count("serve.artifact_hit", 1);
-            Ok(msc_cache::wire::envelope(key, &text))
-        }
-        None => {
-            msc_obs::count("serve.artifact_miss", 1);
-            Err(HttpError::NotFound)
-        }
-    }
-}
-
 fn tier_json(tier: &TierStatus) -> Json {
     match tier {
         TierStatus::Memory {
@@ -431,40 +407,10 @@ fn tier_json(tier: &TierStatus) -> Json {
             ("tier", Json::from("disk")),
             ("dir", Json::from(dir.as_str())),
         ]),
-        TierStatus::Peers {
-            peers,
-            total_deadline,
-        } => Json::obj(vec![
-            ("tier", Json::from("peers")),
-            (
-                "total_deadline_ms",
-                Json::from(total_deadline.as_millis() as u64),
-            ),
-            (
-                "peers",
-                Json::Arr(
-                    peers
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("addr", Json::from(p.addr.as_str())),
-                                ("breaker", Json::from(p.breaker.as_str())),
-                                (
-                                    "consecutive_failures",
-                                    Json::from(u64::from(p.consecutive_failures)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
     }
 }
 
-/// `GET /healthz`: liveness, queue depth, and per-tier cache status —
-/// including each peer's circuit-breaker state, so an operator can see
-/// which siblings a node currently trusts.
+/// `GET /healthz`: liveness, queue depth, and per-tier cache status.
 pub fn health_response(queued: usize, draining: bool, tiers: &[TierStatus]) -> Json {
     Json::obj(vec![
         (

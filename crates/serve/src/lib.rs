@@ -99,12 +99,6 @@ pub struct ServeOptions {
     /// the effective cap is the smaller of this and
     /// [`msc_regex::MAX_META_STATES`]).
     pub max_meta_states: usize,
-    /// Sibling daemons (`host:port`) consulted on local cache misses
-    /// before compiling (`mscc serve --peers`). Empty = single node.
-    pub peers: Vec<String>,
-    /// Deadlines, retry policy and circuit-breaker tuning for the peer
-    /// tier.
-    pub peer: msc_engine::PeerConfig,
 }
 
 impl Default for ServeOptions {
@@ -119,8 +113,6 @@ impl Default for ServeOptions {
             limits: Limits::default(),
             read_timeout: Duration::from_secs(5),
             max_meta_states: 1 << 20,
-            peers: Vec::new(),
-            peer: msc_engine::PeerConfig::default(),
         }
     }
 }
@@ -235,8 +227,6 @@ impl Server {
                 threads: opts.engine_threads.max(1),
                 cache_dir: opts.cache_dir.clone(),
                 job_timeout: opts.job_timeout,
-                peers: opts.peers.clone(),
-                peer: opts.peer.clone(),
                 ..EngineOptions::default()
             }),
             regex: msc_regex::RegexEngine::with_limits(
@@ -547,39 +537,12 @@ fn count_coalesced(body: &Json) {
     }
 }
 
-/// Point-in-time gauges describing the peer tier (if configured):
-/// peer count plus per-breaker-state tallies. Flat counters so they sit
-/// next to the serve gauges on `/metrics`.
-fn peer_gauges(shared: &Shared) -> Vec<(&'static str, u64)> {
-    let mut out = Vec::new();
-    for tier in shared.engine.tier_status() {
-        if let msc_engine::TierStatus::Peers { peers, .. } = tier {
-            let mut closed = 0u64;
-            let mut open = 0u64;
-            let mut half_open = 0u64;
-            for p in &peers {
-                match p.breaker {
-                    msc_engine::BreakerState::Closed => closed += 1,
-                    msc_engine::BreakerState::Open => open += 1,
-                    msc_engine::BreakerState::HalfOpen => half_open += 1,
-                }
-            }
-            out.push(("cache.peers", peers.len() as u64));
-            out.push(("cache.peer_breaker_closed", closed));
-            out.push(("cache.peer_breaker_open", open));
-            out.push(("cache.peer_breaker_half_open", half_open));
-        }
-    }
-    out
-}
-
 fn route(
     shared: &Shared,
     req: &Request,
     decoded: Option<Box<CompileRequest>>,
 ) -> Result<Json, HttpError> {
-    let known_get =
-        matches!(req.path.as_str(), "/healthz" | "/metrics") || req.path.starts_with("/artifact/");
+    let known_get = matches!(req.path.as_str(), "/healthz" | "/metrics");
     let known_post = matches!(req.path.as_str(), "/compile" | "/run" | "/batch" | "/match");
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(api::health_response(
@@ -588,7 +551,7 @@ fn route(
             &shared.engine.tier_status(),
         )),
         ("GET", "/metrics") => {
-            let mut gauges = vec![
+            let gauges = [
                 (
                     "serve.open_connections",
                     shared.open_conns.load(Ordering::SeqCst) as u64,
@@ -596,11 +559,7 @@ fn route(
                 ("serve.queued", shared.queue.len() as u64),
                 ("serve.admit_capacity", shared.admit_capacity as u64),
             ];
-            gauges.extend(peer_gauges(shared));
             Ok(api::metrics_response(&shared.registry.snapshot(), &gauges))
-        }
-        ("GET", p) if p.starts_with("/artifact/") => {
-            api::artifact(&shared.engine, &p["/artifact/".len()..])
         }
         ("POST", "/compile") => {
             let (job, key) = match decoded {

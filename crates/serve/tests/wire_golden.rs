@@ -14,8 +14,8 @@
 //! invisible from outside.
 //!
 //! `job_key` literals ride along (at a pinned `memory_budget`): keys
-//! name on-disk artifacts and `/artifact/{key}` across daemons, and every
-//! other test only compares keys with each other.
+//! name on-disk artifacts across restarts, and every other test only
+//! compares keys with each other.
 
 use msc_engine::{job_key, Job};
 use msc_serve::{ServeOptions, Server};
