@@ -26,7 +26,7 @@ use crate::automaton::{MetaAutomaton, MetaId};
 use crate::spill::SpillQueue;
 use crate::stateset::{fx_hash, HashIndex, SetArena, SetId, StateSet, UnionScratch};
 use msc_ir::graph::GraphError;
-use msc_ir::util::FxHashMap;
+use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -262,9 +262,10 @@ const ROUND_ENTRIES_PER_THREAD: usize = 64;
 /// The subset-construction state every round reads and the interning step
 /// alone writes: the set arena, the BFS worklist (both spill under a
 /// memory budget), and the per-meta-state tables indexed by [`MetaId`].
+/// Only [`Frontier::intern`] fills the arena, so a meta state's [`SetId`]
+/// is its [`MetaId`].
 struct Frontier {
     arena: SetArena,
-    sets_in_order: Vec<SetId>,
     succs: Vec<Vec<MetaId>>,
     /// Latent barrier states per meta state: barrier waits that may hold
     /// lingering processes while this meta state's visible members run.
@@ -273,7 +274,6 @@ struct Frontier {
     /// even when every visible member halts first (spawned workers
     /// finishing after the rest of the array reached a `wait`).
     latents: Vec<StateSet>,
-    meta_of_set: Vec<Option<MetaId>>,
     worklist: SpillQueue,
     /// Membership flag per meta state: re-enqueue on latent widening in
     /// O(1) instead of scanning the whole worklist. Stays set from the
@@ -286,21 +286,17 @@ impl Frontier {
     fn new(memory_budget: Option<usize>) -> Self {
         Frontier {
             arena: SetArena::with_budget(memory_budget),
-            sets_in_order: Vec::new(),
             succs: Vec::new(),
             latents: Vec::new(),
-            meta_of_set: Vec::new(),
             worklist: SpillQueue::new(memory_budget.is_some()),
             in_worklist: Vec::new(),
         }
     }
 
     fn intern(&mut self, set: StateSet, latent: StateSet) -> MetaId {
-        let sid = self.arena.intern(set);
-        if sid.idx() >= self.meta_of_set.len() {
-            self.meta_of_set.resize(sid.idx() + 1, None);
-        }
-        if let Some(m) = self.meta_of_set[sid.idx()] {
+        let known = self.arena.len();
+        let m = MetaId(self.arena.intern(set).0);
+        if m.idx() < known {
             // Known meta state: widen its latent set if this path can
             // leave more waiters behind; its successors must then be
             // recomputed.
@@ -313,9 +309,6 @@ impl Frontier {
             }
             return m;
         }
-        let m = MetaId(self.sets_in_order.len() as u32);
-        self.meta_of_set[sid.idx()] = Some(m);
-        self.sets_in_order.push(sid);
         self.succs.push(Vec::new());
         self.latents.push(latent);
         self.in_worklist.push(true);
@@ -324,11 +317,36 @@ impl Frontier {
     }
 }
 
-/// One popped worklist entry, with the latent set it had when popped.
+/// What §2.3's successor list of a meta state is a function of: its
+/// *running core* — its members minus the graph's non-barrier `Halt`
+/// states, which choose nothing in the DP and which neither §2.6 nor
+/// §3.2.4 reads — and its latent set.
+#[derive(Default, PartialEq, Eq, Hash)]
+struct Key {
+    core: StateSet,
+    latent: StateSet,
+}
+
+/// Each [`Key`] → the first meta state expanded with it, and its DP's
+/// candidate count.
+type Owners = FxHashMap<Key, (MetaId, u64)>;
+
+/// The owner of `key` whose successor list still answers for it: one whose
+/// latent set has not widened since its expansion. Re-interning that list
+/// would only hit meta states whose latents already cover what it carries,
+/// so another meta state with the same key takes the list as it is.
+fn fresh_owner(owners: &Owners, key: &Key, latents: &[StateSet]) -> Option<(MetaId, u64)> {
+    owners
+        .get(key)
+        .copied()
+        .filter(|(owner, _)| latents[owner.idx()] == key.latent)
+}
+
+/// One popped worklist entry, with its key as of the pop.
 struct Entry {
     meta: MetaId,
     members: StateSet,
-    latent: StateSet,
+    key: Key,
 }
 
 /// `(visible members, latent waits)` successor pairs of one meta state and
@@ -349,6 +367,12 @@ type Expansion = Result<(Vec<(StateSet, StateSet)>, u64), ConvertError>;
 /// thread count and under any memory budget. One thread pops one entry per
 /// round and spawns nothing; so does time splitting, whose restarts would
 /// discard whatever was expanded ahead.
+///
+/// Meta states that differ only in halted members have one successor list
+/// (§2.3's DP skips a member with no choice): an entry whose `Key` has a
+/// fresh owner (`fresh_owner`) at its turn takes the owner's list and
+/// candidate count, with no DP and no interning, and no round expands it
+/// ahead — nor an entry whose key an earlier entry of the round holds.
 ///
 /// `before_round` runs once per round and ends the conversion with its
 /// error: the engine's deadline check. A panic on an expansion thread
@@ -378,8 +402,14 @@ pub fn convert_rounds<E: From<ConvertError>>(
         let start_set = apply_barrier(&g, StateSet::singleton(g.start), opts);
         let start = f.intern(start_set, StateSet::empty());
         // One per thread, kept across rounds; the memo inside is valid for
-        // one graph, i.e. until the next time-split restart.
+        // one graph, i.e. until the next time-split restart. So are the
+        // halted states and the owner table.
         let mut scratch: Vec<SuccScratch> = (0..threads).map(|_| SuccScratch::default()).collect();
+        let halted: StateSet = g
+            .ids()
+            .filter(|&s| g.state(s).term == Terminator::Halt && !g.state(s).barrier)
+            .collect();
+        let mut owners = Owners::default();
 
         loop {
             before_round()?;
@@ -388,23 +418,37 @@ pub fn convert_rounds<E: From<ConvertError>>(
                 let Some(m) = f.worklist.pop_front().map(MetaId) else {
                     break;
                 };
+                let members = f.arena.get(SetId(m.0));
+                let key = Key {
+                    core: members.difference(&halted),
+                    latent: f.latents[m.idx()].clone(),
+                };
                 batch.push(Entry {
                     meta: m,
-                    members: f.arena.get(f.sets_in_order[m.idx()]),
-                    latent: f.latents[m.idx()].clone(),
+                    members,
+                    key,
                 });
             }
             if batch.is_empty() {
                 break;
             }
-            expand_ahead(&g, opts, &batch, &mut scratch, &mut ahead);
+            expand_ahead(
+                &g,
+                opts,
+                &batch,
+                &owners,
+                &f.latents,
+                &mut scratch,
+                &mut ahead,
+            );
 
-            for (i, e) in batch.iter().enumerate() {
+            let entries = batch.len();
+            for (i, e) in batch.iter_mut().enumerate() {
                 let m = e.meta;
                 f.in_worklist[m.idx()] = false;
                 msc_obs::value(
                     "convert.worklist_depth",
-                    (f.worklist.len() + batch.len() - 1 - i) as u64,
+                    (f.worklist.len() + entries - 1 - i) as u64,
                 );
 
                 // §2.4: "It would be invoked on each meta state as it is
@@ -422,13 +466,25 @@ pub fn convert_rounds<E: From<ConvertError>>(
                     }
                 }
 
+                let widened = f.latents[m.idx()] != e.key.latent;
+                if widened {
+                    e.key.latent = f.latents[m.idx()].clone();
+                }
+                if let Some((owner, enumerated)) = fresh_owner(&owners, &e.key, &f.latents) {
+                    if msc_obs::enabled() {
+                        msc_obs::count("convert.expansion_reused", 1);
+                    }
+                    stats.successor_sets_enumerated += enumerated;
+                    f.succs[m.idx()] = f.succs[owner.idx()].clone();
+                    continue;
+                }
                 let expansion = match ahead[i].take() {
-                    Some(x) if f.latents[m.idx()] == e.latent => x,
+                    Some(x) if !widened => x,
                     stale => {
                         if stale.is_some() {
                             msc_obs::count("convert.stale_expansion", 1);
                         }
-                        successor_sets(&g, &e.members, &f.latents[m.idx()], opts, &mut scratch[0])
+                        successor_sets(&g, &e.members, &e.key.latent, opts, &mut scratch[0])
                     }
                 };
                 let (targets, enumerated) = expansion?;
@@ -436,7 +492,7 @@ pub fn convert_rounds<E: From<ConvertError>>(
                 let mut out: Vec<MetaId> = Vec::with_capacity(targets.len());
                 for (t, l) in targets {
                     out.push(f.intern(t, l));
-                    if f.sets_in_order.len() > opts.max_meta_states {
+                    if f.arena.len() > opts.max_meta_states {
                         return Err(ConvertError::TooManyMetaStates {
                             limit: opts.max_meta_states,
                         }
@@ -453,10 +509,13 @@ pub fn convert_rounds<E: From<ConvertError>>(
                     "successor_sets returned a visible set twice"
                 );
                 f.succs[m.idx()] = out;
+                owners.insert(std::mem::take(&mut e.key), (m, enumerated));
             }
         }
 
-        let sets = f.sets_in_order.iter().map(|&s| f.arena.get(s)).collect();
+        let sets = (0..f.arena.len() as u32)
+            .map(|s| f.arena.get(SetId(s)))
+            .collect();
         let automaton = MetaAutomaton {
             graph: g,
             sets,
@@ -470,17 +529,31 @@ pub fn convert_rounds<E: From<ConvertError>>(
 /// The parallel half of a round: fill `ahead[i]` with the expansion of
 /// `batch[i]`, threads claiming entries from one cursor. Leaves every slot
 /// empty — the caller expands at the entry's turn — when the round or the
-/// thread count is one.
+/// thread count is one, and leaves empty the slot of an entry whose key has
+/// a fresh owner or sits earlier in the round: its turn takes an owner's
+/// list.
 fn expand_ahead(
     graph: &MimdGraph,
     opts: &ConvertOptions,
     batch: &[Entry],
+    owners: &Owners,
+    latents: &[StateSet],
     scratch: &mut [SuccScratch],
     ahead: &mut Vec<OnceLock<Expansion>>,
 ) {
     ahead.clear();
     ahead.resize_with(batch.len(), OnceLock::new);
-    let spawned = scratch.len().min(batch.len()) - 1;
+    if scratch.len().min(batch.len()) == 1 {
+        return;
+    }
+    let mut seen = FxHashSet::default();
+    let todo: Vec<usize> = (0..batch.len())
+        .filter(|&i| {
+            let key = &batch[i].key;
+            fresh_owner(owners, key, latents).is_none() && seen.insert(key)
+        })
+        .collect();
+    let spawned = scratch.len().min(todo.len()).saturating_sub(1);
     if spawned == 0 {
         return;
     }
@@ -491,9 +564,10 @@ fn expand_ahead(
     let cursor = AtomicUsize::new(0);
     let ahead = &*ahead;
     let work = |scratch: &mut SuccScratch| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(e) = batch.get(i) else { break };
-        let x = successor_sets(graph, &e.members, &e.latent, opts, scratch);
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = todo.get(k) else { break };
+        let e = &batch[i];
+        let x = successor_sets(graph, &e.members, &e.key.latent, opts, scratch);
         ahead[i].set(x).expect("the cursor hands out an index once");
     };
     let (mine, theirs) = scratch.split_first_mut().expect("at least one thread");

@@ -606,6 +606,76 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
         })
 }
 
+/// A meta state whose latent set widens after its expansion, followed by
+/// one that shares its running core and holds its *old* latent set.
+///
+/// `{P}` is expanded first with nothing latent (successor `{W}`). `{Q}` and
+/// `{P,Q}` then widen its latent set to `{B,W}` and it is expanded again
+/// (successor `{B,W}`). Last, `{P,H}` is popped with nothing latent: its core
+/// is `{P}`, as `{P}`'s is, but its successor is `{W}` — `{P}`'s list of
+/// before the widening, which `{P}` no longer holds.
+fn stale_owner_graph() -> MimdGraph {
+    let mut g = MimdGraph::new();
+    let state =
+        |g: &mut MimdGraph, i: i64| g.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt));
+    let [s, p, q, w, b, r, h] = [0, 1, 2, 3, 4, 5, 6].map(|i| state(&mut g, i));
+    g.state_mut(s).term = Terminator::Branch { t: p, f: q };
+    g.state_mut(p).term = Terminator::Jump(w);
+    g.state_mut(q).term = Terminator::Spawn { child: b, next: p };
+    g.state_mut(w).barrier = true;
+    g.state_mut(b).barrier = true;
+    g.state_mut(b).term = Terminator::Jump(r);
+    g.state_mut(r).term = Terminator::Spawn { child: p, next: h };
+    g.start = s;
+    g
+}
+
+#[test]
+fn a_widened_owner_does_not_answer_for_its_old_latent_set() {
+    let g = stale_owner_graph();
+    assert_matches_reference(&g, &ConvertOptions::base()).unwrap();
+    let (a, _) = convert_with_stats(&g, &ConvertOptions::base()).unwrap();
+    let id = |v: &[u32]| a.find(&v.iter().map(|&s| StateId(s)).collect()).unwrap();
+    assert_eq!(a.successors(id(&[1])), &[id(&[3, 4])]);
+    assert_eq!(a.successors(id(&[1, 6])), &[id(&[3])]);
+}
+
+/// A halted barrier wait is part of the running core: compressed mode's
+/// §3.2.4 release edge collects the barrier members.
+///
+/// `{B,W}` (`W` a halted wait) is expanded first; `{B}` is reached later,
+/// from `{X}`'s release edge, with the same (empty) latent set. Its own
+/// release edge loops to `{B}`, where `{B,W}`'s goes to `{B,W}`.
+fn halted_wait_graph() -> MimdGraph {
+    let mut g = MimdGraph::new();
+    let state =
+        |g: &mut MimdGraph, i: i64| g.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt));
+    let [s, a, c, w, b, x, z] = [0, 1, 2, 3, 4, 5, 6].map(|i| state(&mut g, i));
+    g.state_mut(s).term = Terminator::Branch { t: a, f: c };
+    g.state_mut(a).term = Terminator::Jump(b);
+    g.state_mut(c).term = Terminator::Jump(w);
+    g.state_mut(w).barrier = true;
+    g.state_mut(b).barrier = true;
+    g.state_mut(b).term = Terminator::Branch { t: x, f: b };
+    g.state_mut(x).term = Terminator::Jump(z);
+    g.state_mut(z).term = Terminator::Jump(b);
+    g.start = s;
+    g
+}
+
+#[test]
+fn a_halted_barrier_wait_is_part_of_the_running_core() {
+    let g = halted_wait_graph();
+    let mut opts = ConvertOptions::compressed();
+    opts.subsumption = false;
+    assert_matches_reference(&g, &opts).unwrap();
+    let (a, _) = convert_with_stats(&g, &opts).unwrap();
+    let id = |v: &[u32]| a.find(&v.iter().map(|&s| StateId(s)).collect()).unwrap();
+    assert_eq!(a.successors(id(&[3, 4])), &[id(&[5]), id(&[3, 4])]);
+    assert_eq!(a.successors(id(&[4])), &[id(&[5]), id(&[4])]);
+    assert_matches_reference(&g, &ConvertOptions::compressed()).unwrap();
+}
+
 fn bounded(mut opts: ConvertOptions) -> ConvertOptions {
     opts.max_meta_states = 4096;
     opts

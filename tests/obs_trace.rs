@@ -213,6 +213,13 @@ fn memory_budget_spills_at_two_threads() {
     assert!(snap.counter("convert.candidates") > fanout.sum);
     assert_eq!(snap.counter("convert.barrier_pass_skipped"), fanout.count);
     assert_eq!(snap.counter("convert.barrier_pass_run"), 0);
+    // Nothing is latent, so every meta state is expanded once: by the DP,
+    // or by taking the successor list of the first one with its running
+    // core. A subset of the loops with the exit state beside it repeats
+    // the subset without it, so 2⁸ − 1 of them run no DP.
+    let reused = snap.counter("convert.expansion_reused");
+    assert_eq!(reused, 255);
+    assert_eq!(fanout.count + reused, spilled.len() as u64);
 
     // One barrier state anywhere in the graph and every expansion runs it.
     let mut g = fan_out_loops(3);
