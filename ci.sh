@@ -6,9 +6,11 @@
 #   ./ci.sh               the full gate (tier-1 plus the spill-path leg,
 #                         which also fails on a leaked spill file, the
 #                         scalar-fallback test leg, the aarch64 and
-#                         non-Linux cross-checks, and building +
-#                         self-testing the perf/ benchmark package
-#                         against this tree)
+#                         non-Linux cross-checks, and formatting,
+#                         linting, building + self-testing the perf/
+#                         benchmark package against this tree: perf/ is
+#                         its own workspace, which the --workspace fmt
+#                         and clippy runs above never reach)
 #   ./ci.sh bench-smoke   additionally run `mscc sweep` over every
 #                         bundled machine profile in profiles/ on the
 #                         dispatch-heavy example workload, then the
@@ -124,7 +126,10 @@ echo "== perf: the benchmark of record builds against this tree =="
 # compiles it: a PR that breaks an API it is pinned to would learn so
 # only when the benchmark runs. Its tests pin the generators and metric
 # tables; selftest proves each oracle still catches a doctored result.
-# The diff check fails a change that would dirty perf/Cargo.lock.
+# The diff check fails a change that would dirty perf/Cargo.lock. Being
+# its own workspace, it gets its own fmt and clippy runs.
+cargo fmt --manifest-path perf/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path perf/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- selftest
 git diff --exit-code -- perf BENCHMARK.json

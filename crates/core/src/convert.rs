@@ -24,7 +24,7 @@
 
 use crate::automaton::{MetaAutomaton, MetaId};
 use crate::spill::SpillQueue;
-use crate::stateset::{fx_hash, HashIndex, SetArena, SetId, StateSet, UnionScratch};
+use crate::stateset::{fx_hash, SetArena, SetId, SetList, StateSet, Window};
 use msc_ir::graph::GraphError;
 use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
@@ -293,9 +293,11 @@ impl Frontier {
         }
     }
 
-    fn intern(&mut self, set: StateSet, latent: StateSet) -> MetaId {
+    /// Intern the set behind `set`, whose [`fx_hash`] is `hash`, with the
+    /// latent waits it leaves behind.
+    fn intern(&mut self, set: Window<'_>, hash: u64, latent: StateSet) -> MetaId {
         let known = self.arena.len();
-        let m = MetaId(self.arena.intern(set).0);
+        let m = MetaId(self.arena.intern_window(set, hash).0);
         if m.idx() < known {
             // Known meta state: widen its latent set if this path can
             // leave more waiters behind; its successors must then be
@@ -349,10 +351,19 @@ struct Entry {
     key: Key,
 }
 
-/// `(visible members, latent waits)` successor pairs of one meta state and
-/// the candidate-set count behind them (its
-/// [`ConvertStats::successor_sets_enumerated`] share).
-type Expansion = Result<(Vec<(StateSet, StateSet)>, u64), ConvertError>;
+/// The successors of one meta state, as [`successor_sets`] hands them to
+/// the interning step: the visible sets, each with its [`fx_hash`], and —
+/// on the §2.6 barrier path only — each one's latent waits. A successor
+/// with no entry in `latents` leaves nothing latent.
+#[derive(Debug)]
+struct Successors {
+    visible: SetList,
+    latents: Vec<StateSet>,
+}
+
+/// One meta state's successors and the candidate-set count behind them
+/// (its [`ConvertStats::successor_sets_enumerated`] share).
+type Expansion = Result<(Successors, u64), ConvertError>;
 
 /// The one MIMD subset-construction loop, under [`convert_threads`].
 /// Returns the automaton as discovered — not pruned, not folded.
@@ -400,7 +411,7 @@ pub fn convert_rounds<E: From<ConvertError>>(
     'restart: loop {
         let mut f = Frontier::new(opts.memory_budget);
         let start_set = apply_barrier(&g, StateSet::singleton(g.start), opts);
-        let start = f.intern(start_set, StateSet::empty());
+        let start = f.intern(start_set.window(), fx_hash(&start_set), StateSet::empty());
         // One per thread, kept across rounds; the memo inside is valid for
         // one graph, i.e. until the next time-split restart. So are the
         // halted states and the owner table.
@@ -489,9 +500,10 @@ pub fn convert_rounds<E: From<ConvertError>>(
                 };
                 let (targets, enumerated) = expansion?;
                 stats.successor_sets_enumerated += enumerated;
-                let mut out: Vec<MetaId> = Vec::with_capacity(targets.len());
-                for (t, l) in targets {
-                    out.push(f.intern(t, l));
+                let mut out: Vec<MetaId> = Vec::with_capacity(targets.visible.len());
+                let mut latents = targets.latents.into_iter();
+                for (t, hash) in targets.visible.iter() {
+                    out.push(f.intern(t, hash, latents.next().unwrap_or_default()));
                     if f.arena.len() > opts.max_meta_states {
                         return Err(ConvertError::TooManyMetaStates {
                             limit: opts.max_meta_states,
@@ -608,37 +620,33 @@ pub fn barrier_sync(graph: &MimdGraph, set: StateSet) -> StateSet {
     }
 }
 
-/// Reusable buffers for [`successor_sets`]: the partial-union DP vectors,
-/// the hash index that dedups them, and two memos valid for one graph,
-/// i.e. one time-split restart — each member's successor choices and the
-/// graph's barrier states. Each expansion thread reuses its own across the
-/// whole worklist, which keeps the hot loop free of per-meta allocations
-/// once the buffers are warm.
+/// Reusable buffers for [`successor_sets`]: the partial-union DP lists and
+/// two memos valid for one graph, i.e. one time-split restart — each
+/// member's successor choices and the graph's barrier states. Each
+/// expansion thread reuses its own across the whole worklist, which keeps
+/// the hot loop free of per-meta allocations once the buffers are warm.
 #[derive(Default)]
 struct SuccScratch {
-    acc: Vec<StateSet>,
-    next: Vec<StateSet>,
-    /// Fx hash of a candidate set → its index (into `next` during a DP
-    /// step, into `out` during the barrier pass), cleared between the two
-    /// by epoch. It grows with the candidates a step keeps — the guard
-    /// bounds those by `max_successor_sets` plus one member's choices —
-    /// never with the unions it tries.
-    dedup: HashIndex,
+    /// The distinct partial unions after the members so far.
+    acc: SetList,
+    /// The step being built: `acc`'s sets, each unioned with each choice
+    /// of the next member; its index is the step's dedup, which grows with
+    /// the candidates a step keeps — the guard bounds those by
+    /// `max_successor_sets` plus one member's choices — never with the
+    /// unions it tries. After the last step, the barrier pass's visible
+    /// sets.
+    next: SetList,
     /// Memoized [`member_choices`] keyed by MIMD state id.
     choices: FxHashMap<u32, Vec<StateSet>>,
     /// The graph's barrier-wait states (§2.6), as one set.
     barriers: Option<StateSet>,
-    /// Candidate-union buffer: each DP step unions into this (hash fused
-    /// into the same pass) and only materializes genuinely new sets.
-    union: UnionScratch,
 }
 
 /// Enumerate the successor meta states of one meta state, per the paper's
 /// `reach` routine (base or compressed variant), then push each through
-/// `barrier_sync` (§2.6). Returns `(visible members, latent waits)` pairs:
-/// barrier states stripped by `barrier_sync` become latent on the successor
-/// (plus anything inherited through `latent`), so the barrier-release
-/// transition stays statically reachable.
+/// `barrier_sync` (§2.6). Barrier states stripped by `barrier_sync` become
+/// latent on the successor (plus anything inherited through `latent`), so
+/// the barrier-release transition stays statically reachable.
 fn successor_sets(
     graph: &MimdGraph,
     members: &StateSet,
@@ -649,14 +657,12 @@ fn successor_sets(
     let SuccScratch {
         acc,
         next,
-        dedup,
         choices: choices_memo,
         barriers,
-        union,
     } = scratch;
     // DP over members: the set of achievable partial unions.
     acc.clear();
-    acc.push(StateSet::empty());
+    acc.push(Window::EMPTY);
     let (mut memo_hits, mut memo_misses, mut candidates) = (0u64, 0u64, 0u64);
     for m in members.iter() {
         let choices: &Vec<StateSet> = match choices_memo.entry(m.0) {
@@ -672,23 +678,13 @@ fn successor_sets(
         if choices.len() == 1 && choices[0].is_empty() {
             continue; // Halt member contributes nothing.
         }
+        // A candidate is new when no kept one equals it, and `next` keeps
+        // them in the order they came up: nothing here depends on a hash
+        // value.
         next.clear();
-        dedup.clear();
-        for u in acc.iter() {
+        for (u, _) in acc.iter() {
             for c in choices {
-                // Union into the reusable scratch with the Fx hash fused
-                // into the same pass; only a genuinely new candidate pays
-                // for an owned set. A candidate is new when no kept one
-                // equals it, and `next` keeps them in the order they came
-                // up: nothing here depends on a hash value.
-                let h = u.union_into_scratch(c, union);
-                let kept = next.len() as u32;
-                if dedup
-                    .find_or_insert(h, kept, |i| union.matches(&next[i as usize]))
-                    .is_none()
-                {
-                    next.push(union.materialize());
-                }
+                next.push_union(u, c.window());
             }
             candidates += choices.len() as u64;
             if next.len() > opts.max_successor_sets {
@@ -722,46 +718,36 @@ fn successor_sets(
         msc_obs::count(pass, 1);
     }
     if pass_through {
-        // Sized once: `collect` through a `filter` grows by doubling, which
-        // read as 3 MiB more peak RSS on the 3ⁿ frontier.
-        let mut out = Vec::with_capacity(acc.len());
-        out.extend(
-            acc.drain(..)
-                .filter(|t| !t.is_empty())
-                .map(|t| (t, StateSet::empty())),
-        );
-        return Ok((out, enumerated));
+        let (visible, latents) = (acc.nonempty(), Vec::new());
+        return Ok((Successors { visible, latents }, enumerated));
     }
 
     // Re-inject inherited latent waits, apply barrier filtering, dedupe by
     // visible set (merging latents), and drop the empty set.
-    let mut out: Vec<(StateSet, StateSet)> = Vec::with_capacity(acc.len());
-    dedup.clear();
+    next.clear();
+    let mut latents: Vec<StateSet> = Vec::with_capacity(acc.len());
     let mut had_barrier_filter = false;
-    let mut push = |v: StateSet, l: StateSet, out: &mut Vec<(StateSet, StateSet)>| {
-        let fresh = out.len() as u32;
-        match dedup.find_or_insert(fx_hash(&v), fresh, |i| out[i as usize].0 == v) {
-            Some(i) => out[i as usize].1 = out[i as usize].1.union(&l),
-            None => out.push((v, l)),
-        }
+    let mut push = |v: StateSet, l: StateSet| match next.push(v.window()) {
+        Some(i) => latents[i] = latents[i].union(&l),
+        None => latents.push(l),
     };
-    for t in acc.drain(..) {
-        let t_all = t.union(latent);
+    for (t, _) in acc.iter() {
+        let t_all = t.to_set().union(latent);
         if t_all.is_empty() {
             continue;
         }
         if !opts.respect_barriers {
-            push(t_all, StateSet::empty(), &mut out);
+            push(t_all, StateSet::empty());
             continue;
         }
         let waits = t_all.intersection(barriers);
         if waits.is_empty() || waits.len() == t_all.len() {
             // No barrier involvement, or everyone is at the barrier: the
             // all-barrier meta state is the release point (§2.6).
-            push(t_all, StateSet::empty(), &mut out);
+            push(t_all, StateSet::empty());
         } else {
             had_barrier_filter = true;
-            push(t_all.difference(&waits), waits, &mut out);
+            push(t_all.difference(&waits), waits);
         }
     }
 
@@ -784,10 +770,13 @@ fn successor_sets(
             }
         }
         if !waits.is_empty() {
-            push(waits, StateSet::empty(), &mut out);
+            push(waits, StateSet::empty());
         }
     }
-    Ok((out, enumerated))
+    // Nothing pushed above is ∅, so the copy keeps every set's latents.
+    let visible = next.nonempty();
+    debug_assert_eq!(visible.len(), latents.len());
+    Ok((Successors { visible, latents }, enumerated))
 }
 
 /// The successor-choice sets of one member MIMD state.
@@ -884,86 +873,68 @@ fn time_split_meta(
 
 #[cfg(test)]
 mod reference {
-    //! The successor enumeration as it stood before the flat [`HashIndex`]
-    //! and the word-parallel barrier pass (PR 18's, verbatim): a `Vec` per
-    //! hash bucket, a second pass over every candidate, `filter` +
-    //! `graph.state()` per member. The differential proptest holds
-    //! [`successor_sets`](super::successor_sets) to it.
+    //! The successor enumeration as it stood before the flat [`SetList`]
+    //! and the word-parallel barrier pass: owned sets built by
+    //! [`StateSet::union`], kept in a map keyed by the set itself (std
+    //! hashing, `==` on a collision), `filter` + `graph.state()` per
+    //! member. It shares no buffer, hash or index with the list. The
+    //! differential proptest holds [`successor_sets`](super::successor_sets)
+    //! to it.
 
     use super::*;
+    use std::collections::HashMap;
 
-    /// Reusable buffers for [`successor_sets`]: the partial-union DP vectors,
-    /// a hash → index dedup table, and a memo of each member's successor
-    /// choices (valid for one graph, i.e. one time-split restart). Each
-    /// expansion thread reuses its own across the whole worklist, which keeps
-    /// the hot loop free of per-meta allocations once the buffers are warm.
+    /// `(visible members, latent waits)` successor pairs and the
+    /// candidate-set count behind them.
+    pub type Pairs = Result<(Vec<(StateSet, StateSet)>, u64), ConvertError>;
+
+    /// A memo of each member's successor choices, valid for one graph.
     #[derive(Default)]
     pub struct SuccScratch {
-        acc: Vec<StateSet>,
-        next: Vec<StateSet>,
-        /// Fx hash of a candidate set → indices of sets with that hash (into
-        /// `next` during the DP, into `out` during the barrier pass).
-        dedup: FxHashMap<u64, Vec<u32>>,
-        /// Memoized [`member_choices`] keyed by MIMD state id.
         choices: FxHashMap<u32, Vec<StateSet>>,
-        /// Candidate-union buffer: each DP step unions into this (hash fused
-        /// into the same pass) and only materializes genuinely new sets.
-        union: UnionScratch,
     }
 
-    /// Enumerate the successor meta states of one meta state, per the paper's
-    /// `reach` routine (base or compressed variant), then push each through
-    /// `barrier_sync` (§2.6). Returns `(visible members, latent waits)` pairs:
-    /// barrier states stripped by `barrier_sync` become latent on the successor
-    /// (plus anything inherited through `latent`), so the barrier-release
-    /// transition stays statically reachable.
+    /// Keep `set` in `kept` unless an equal set is there: then return the
+    /// index of that one.
+    fn keep(
+        kept: &mut Vec<StateSet>,
+        seen: &mut HashMap<StateSet, usize>,
+        set: StateSet,
+    ) -> Option<usize> {
+        if let Some(&i) = seen.get(&set) {
+            return Some(i);
+        }
+        seen.insert(set.clone(), kept.len());
+        kept.push(set);
+        None
+    }
+
+    /// Enumerate the successor meta states of one meta state, per the
+    /// paper's `reach` routine (base or compressed variant), then push each
+    /// through `barrier_sync` (§2.6).
     pub fn successor_sets(
         graph: &MimdGraph,
         members: &StateSet,
         latent: &StateSet,
         opts: &ConvertOptions,
         scratch: &mut SuccScratch,
-    ) -> Expansion {
-        let SuccScratch {
-            acc,
-            next,
-            dedup,
-            choices: choices_memo,
-            union,
-        } = scratch;
+    ) -> Pairs {
         // DP over members: the set of achievable partial unions.
-        acc.clear();
-        acc.push(StateSet::empty());
-        let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
+        let mut acc = vec![StateSet::empty()];
         for m in members.iter() {
-            let choices: &Vec<StateSet> = match choices_memo.entry(m.0) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    memo_hits += 1;
-                    e.into_mut()
-                }
+            let choices = match scratch.choices.entry(m.0) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    memo_misses += 1;
                     e.insert(member_choices(graph, m, opts)?)
                 }
             };
             if choices.len() == 1 && choices[0].is_empty() {
                 continue; // Halt member contributes nothing.
             }
-            next.clear();
-            dedup.clear();
-            for u in acc.iter() {
-                for c in choices {
-                    // Union into the reusable scratch with the Fx hash fused
-                    // into the same pass; only a genuinely new candidate pays
-                    // an allocation. Hash values, bucket probe order, and
-                    // insertion order are identical to the allocate-then-hash
-                    // path, so the constructed automaton is bit-identical.
-                    let h = u.union_into_scratch(c, union);
-                    let bucket = dedup.entry(h).or_default();
-                    if !bucket.iter().any(|&i| union.matches(&next[i as usize])) {
-                        bucket.push(next.len() as u32);
-                        next.push(union.materialize());
-                    }
+            let (mut next, mut seen) = (Vec::new(), HashMap::new());
+            for u in &acc {
+                for c in choices.iter() {
+                    keep(&mut next, &mut seen, u.union(c));
                 }
                 if next.len() > opts.max_successor_sets {
                     return Err(ConvertError::TooManySuccessorSets {
@@ -972,57 +943,45 @@ mod reference {
                     });
                 }
             }
-            std::mem::swap(acc, next);
+            acc = next;
         }
         let enumerated = acc.len() as u64;
-        if msc_obs::enabled() {
-            msc_obs::count("convert.memo_hit", memo_hits);
-            msc_obs::count("convert.memo_miss", memo_misses);
-            msc_obs::value("convert.fanout", enumerated);
-        }
 
-        // Re-inject inherited latent waits, apply barrier filtering, dedupe by
-        // visible set (merging latents), and drop the empty set (every member
-        // halted and nothing lingers — a terminal meta state, §3.2.1).
-        let mut out: Vec<(StateSet, StateSet)> = Vec::with_capacity(acc.len());
-        dedup.clear();
+        // Re-inject inherited latent waits, apply barrier filtering, dedupe
+        // by visible set (merging latents), and drop the empty set (every
+        // member halted and nothing lingers — a terminal meta state,
+        // §3.2.1).
+        let (mut visible, mut seen) = (Vec::new(), HashMap::new());
+        let mut latents: Vec<StateSet> = Vec::new();
         let mut had_barrier_filter = false;
-        let mut push = |v: StateSet, l: StateSet, out: &mut Vec<(StateSet, StateSet)>| {
-            let bucket = dedup.entry(fx_hash(&v)).or_default();
-            if let Some(&i) = bucket.iter().find(|&&i| out[i as usize].0 == v) {
-                out[i as usize].1 = out[i as usize].1.union(&l);
-            } else {
-                bucket.push(out.len() as u32);
-                out.push((v, l));
-            }
+        let mut push = |v: StateSet, l: StateSet| match keep(&mut visible, &mut seen, v) {
+            Some(i) => latents[i] = latents[i].union(&l),
+            None => latents.push(l),
         };
-        for t in acc.drain(..) {
+        for t in acc {
             let t_all = t.union(latent);
             if t_all.is_empty() {
                 continue;
             }
             if !opts.respect_barriers {
-                push(t_all, StateSet::empty(), &mut out);
+                push(t_all, StateSet::empty());
                 continue;
             }
             let waits = t_all.filter(|s| graph.state(s).barrier);
             if waits.is_empty() || waits.len() == t_all.len() {
-                // No barrier involvement, or everyone is at the barrier: the
-                // all-barrier meta state is the release point (§2.6).
-                push(t_all, StateSet::empty(), &mut out);
+                // No barrier involvement, or everyone is at the barrier:
+                // the all-barrier meta state is the release point (§2.6).
+                push(t_all, StateSet::empty());
             } else {
                 had_barrier_filter = true;
-                push(t_all.difference(&waits), waits, &mut out);
+                push(t_all.difference(&waits), waits);
             }
         }
 
-        // §3.2.4 for compressed mode: a compressed transition is unconditional,
-        // but once *every* PE has reached the barrier the automaton must be able
-        // to enter the all-barrier meta state. Base mode enumerates that choice
-        // naturally; compressed mode must add it explicitly.
+        // §3.2.4 for compressed mode: once *every* PE has reached the
+        // barrier the automaton must be able to enter the all-barrier meta
+        // state.
         if opts.mode == ConvertMode::Compressed && opts.respect_barriers && had_barrier_filter {
-            // The all-barrier set reachable from here: barrier successors of
-            // the members, barrier members, and inherited latent waits.
             let mut waits = latent.clone();
             for m in members.iter() {
                 for s in graph.state(m).term.successors() {
@@ -1035,10 +994,10 @@ mod reference {
                 }
             }
             if !waits.is_empty() {
-                push(waits, StateSet::empty(), &mut out);
+                push(waits, StateSet::empty());
             }
         }
-        Ok((out, enumerated))
+        Ok((visible.into_iter().zip(latents).collect(), enumerated))
     }
 }
 
@@ -1066,6 +1025,24 @@ mod tests {
 
     fn set(v: &[u32]) -> StateSet {
         StateSet::from_iter(v.iter().map(|&x| StateId(x)))
+    }
+
+    /// An expansion as the reference returns it, once every set's hash is
+    /// checked against [`fx_hash`].
+    pub(super) fn pairs(x: Expansion) -> reference::Pairs {
+        let (succs, enumerated) = x?;
+        let mut latents = succs.latents.into_iter();
+        let pairs = succs
+            .visible
+            .iter()
+            .map(|(v, hash)| {
+                let v = v.to_set();
+                assert_eq!(hash, fx_hash(&v), "hash of {v}");
+                (v, latents.next().unwrap_or_default())
+            })
+            .collect();
+        assert!(latents.next().is_none(), "a latent set with no visible set");
+        Ok((pairs, enumerated))
     }
 
     #[test]
@@ -1300,8 +1277,14 @@ mod tests {
         let (g, members) = two_wide_multis();
         let opts = ConvertOptions::base();
         let mut scratch = SuccScratch::default();
-        let err = successor_sets(&g, &members, &StateSet::empty(), &opts, &mut scratch)
-            .expect_err("65 535² candidate sets");
+        let err = pairs(successor_sets(
+            &g,
+            &members,
+            &StateSet::empty(),
+            &opts,
+            &mut scratch,
+        ))
+        .expect_err("65 535² candidate sets");
         let limit = opts.max_successor_sets;
         assert_eq!(
             err,
@@ -1314,32 +1297,35 @@ mod tests {
         let old_err = reference::successor_sets(&g, &members, &StateSet::empty(), &opts, &mut old);
         assert_eq!(Err(err), old_err);
         assert_eq!(scratch.next.len(), 2 * 65_535, "stopped after the second");
+        let slots = scratch.next.index_mut().slots();
         assert!(
-            scratch.dedup.slots() <= 2 * (limit + 65_535).next_power_of_two(),
-            "{} slots",
-            scratch.dedup.slots()
+            slots <= 2 * (limit + 65_535).next_power_of_two(),
+            "{slots} slots"
         );
     }
 
     #[test]
     fn dedup_stays_exact_across_an_epoch_wrap() {
-        // Every member step and every barrier pass clears the table once:
-        // start three clears short of the wrap and expand through it.
+        // Every member step and every barrier pass clears one list's index
+        // once, and every expansion clears both: start both three clears
+        // short of the wrap and expand through it.
         let g = listing3();
         for opts in [ConvertOptions::base(), ConvertOptions::compressed()] {
             let mut scratch = SuccScratch::default();
             let mut old = reference::SuccScratch::default();
-            scratch.dedup.set_epoch(u32::MAX - 2);
+            scratch.acc.index_mut().set_epoch(u32::MAX - 2);
+            scratch.next.index_mut().set_epoch(u32::MAX - 2);
             for members in [set(&[1, 2]), set(&[0]), set(&[1, 2, 3])] {
                 for latent in [StateSet::empty(), set(&[3])] {
                     assert_eq!(
-                        successor_sets(&g, &members, &latent, &opts, &mut scratch),
+                        pairs(successor_sets(&g, &members, &latent, &opts, &mut scratch)),
                         reference::successor_sets(&g, &members, &latent, &opts, &mut old),
                         "{members} with latent {latent}"
                     );
                 }
             }
-            assert!(scratch.dedup.epoch() < 64, "the stamp wrapped");
+            assert!(scratch.acc.index_mut().epoch() < 64, "the stamp wrapped");
+            assert!(scratch.next.index_mut().epoch() < 64, "the stamp wrapped");
         }
     }
 
@@ -1503,7 +1489,7 @@ mod proptests {
             }
         }
 
-        /// The flat-index, word-parallel `successor_sets` returns what the
+        /// The flat-list, word-parallel `successor_sets` returns what the
         /// enumeration it replaced returns — the same pairs in the same
         /// order and the same count, or the same error — for any members,
         /// any inherited latent waits drawn from the barrier states, both
@@ -1531,7 +1517,7 @@ mod proptests {
                         let members = pick(&g, members, false);
                         for latent in [StateSet::empty(), pick(&g, latent, true)] {
                             prop_assert_eq!(
-                                successor_sets(&g, &members, &latent, &opts, &mut new),
+                                super::tests::pairs(successor_sets(&g, &members, &latent, &opts, &mut new)),
                                 reference::successor_sets(&g, &members, &latent, &opts, &mut old),
                                 "{:?} {} latent {} barriers {}",
                                 mode, members, latent, respect_barriers

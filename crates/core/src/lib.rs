@@ -26,4 +26,4 @@ pub use convert::{
     ConvertError, ConvertMode, ConvertOptions, ConvertStats, TimeSplitOptions,
 };
 pub use spill::{default_memory_budget, parse_bytes, SegmentStore, SpillQueue};
-pub use stateset::{fx_hash, SetArena, SetId, StateSet, UnionScratch};
+pub use stateset::{fx_hash, SetArena, SetId, StateSet};

@@ -127,15 +127,18 @@ fn popcount(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
 }
 
-/// Feed a window to `state`: what [`Hash`] does for a set, and what
-/// [`StateSet::union_into_scratch`] does for a candidate that is not one
-/// yet.
-fn hash_window<H: Hasher>(state: &mut H, len: u32, base: u32, words: &[u64]) {
+/// Feed a window to `state` — its base, each word, its member count — and
+/// return the count: what [`Hash`] does for a set, and what
+/// [`SetList::push_union`] does in the one pass that ORs a union's words.
+fn hash_window<H: Hasher>(state: &mut H, base: u32, words: impl Iterator<Item = u64>) -> u32 {
     state.write_u32(base);
-    for &w in words {
+    let mut len = 0;
+    for w in words {
         state.write_u64(w);
+        len += w.count_ones();
     }
     state.write_u32(len);
+    len
 }
 
 impl StateSet {
@@ -201,7 +204,7 @@ impl StateSet {
 
     /// The word indices the window covers.
     fn range(&self) -> Range<u32> {
-        self.base..self.base + self.words.len() as u32
+        self.window().range()
     }
 
     /// Where word `wi` of the absolute bitmap sits in `words`: past their
@@ -213,7 +216,7 @@ impl StateSet {
     /// Word `wi` of the set as an absolute bitmap: the window's word there,
     /// zero outside it.
     fn word(&self, wi: u32) -> u64 {
-        self.words.get(self.slot(wi)).copied().unwrap_or(0)
+        self.window().word(wi)
     }
 
     /// Membership test: one bit probe.
@@ -313,66 +316,51 @@ impl StateSet {
         n
     }
 
-    /// Union into a reusable scratch buffer, fusing the Fx hash of the
-    /// result into the same call — the allocation-free primitive the
-    /// converter's 3ⁿ candidate enumeration runs on. Returns exactly what
-    /// [`fx_hash`] of the materialized union would return, so a caller can
-    /// dedup candidates by `(hash, `[`UnionScratch::matches`]`)` and only
-    /// pay for an owned set ([`UnionScratch::materialize`]) when the
-    /// candidate is genuinely new.
-    pub fn union_into_scratch(&self, other: &StateSet, s: &mut UnionScratch) -> u64 {
-        let window = hull(self.range(), other.range());
-        s.base = window.start;
-        s.words.clear();
-        s.words
-            .extend(window.map(|wi| self.word(wi) | other.word(wi)));
-        s.len = popcount(&s.words);
-        let mut h = FxHasher::default();
-        hash_window(&mut h, s.len, s.base, &s.words);
-        s.hash = h.finish();
-        s.hash
+    /// The set as a borrowed [`Window`].
+    pub(crate) fn window(&self) -> Window<'_> {
+        Window {
+            len: self.len,
+            base: self.base,
+            words: &self.words,
+        }
     }
 }
 
-/// Reusable result buffer for [`StateSet::union_into_scratch`]: holds one
-/// candidate union — its window, member count and hash — without owning
-/// an allocation per candidate.
-#[derive(Debug, Default)]
-pub struct UnionScratch {
-    words: Vec<u64>,
-    base: u32,
+/// A set's `(len, base, words)` wherever its words live: a [`StateSet`]'s,
+/// a [`SetList`] entry's. The window is tight, as a `StateSet`'s is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window<'a> {
     len: u32,
-    hash: u64,
+    base: u32,
+    words: &'a [u64],
 }
 
-impl UnionScratch {
-    /// A fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
+impl Window<'_> {
+    /// ∅'s window.
+    pub(crate) const EMPTY: Window<'static> = Window {
+        len: 0,
+        base: 0,
+        words: &[],
+    };
+
+    /// The word indices the window covers.
+    fn range(&self) -> Range<u32> {
+        self.base..self.base + self.words.len() as u32
     }
 
-    /// Member count of the held candidate.
-    pub fn len(&self) -> usize {
-        self.len as usize
+    /// Word `wi` of the absolute bitmap: the window's word there, zero
+    /// outside it.
+    fn word(&self, wi: u32) -> u64 {
+        let slot = wi.wrapping_sub(self.base) as usize;
+        self.words.get(slot).copied().unwrap_or(0)
     }
 
-    /// True when the held candidate is the empty set.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Structural equality between the held candidate and a materialized
-    /// set — used to resolve hash-bucket collisions without allocating.
-    pub fn matches(&self, set: &StateSet) -> bool {
-        set.len == self.len && set.base == self.base && set.words.iter().eq(&self.words)
-    }
-
-    /// The held candidate as an owned [`StateSet`].
-    pub fn materialize(&self) -> StateSet {
+    /// The window as an owned set.
+    pub(crate) fn to_set(self) -> StateSet {
         StateSet {
             len: self.len,
             base: self.base,
-            words: Words::from(&self.words[..]),
+            words: Words::from(self.words),
         }
     }
 }
@@ -412,7 +400,7 @@ impl ExactSizeIterator for Members<'_> {}
 
 impl Hash for StateSet {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        hash_window(state, self.len, self.base, &self.words);
+        hash_window(state, self.base, self.words.iter().copied());
     }
 }
 
@@ -560,6 +548,132 @@ impl HashIndex {
     }
 }
 
+/// One set of a [`SetList`]. Sets sit back to back in the list's word
+/// stream, in arrival order, so a set's words run from its `off` to the
+/// next set's.
+#[derive(Debug, Clone, Copy)]
+struct Listed {
+    off: usize,
+    base: u32,
+    len: u32,
+    hash: u64,
+}
+
+/// Distinct sets in arrival order, each with its Fx hash: the §2.3 DP's
+/// partial unions and [`successor_sets`](crate::convert)' result. One word
+/// stream holds every set's window, a [`HashIndex`] over the list finds an
+/// equal set, and a union is built in the stream's tail — OR-ed, counted
+/// and hashed in one pass — and then kept, or cut off when an equal set is
+/// listed already. No candidate becomes a [`StateSet`].
+///
+/// Not a [`SetArena`]: the DP clears a list once per member step and cuts
+/// off a rejected tail on most unions, and the arena's budget, spill and
+/// `convert.set_*` samples have no place on that path.
+#[derive(Debug, Default)]
+pub(crate) struct SetList {
+    words: Vec<u64>,
+    sets: Vec<Listed>,
+    /// Hash of a listed set → its index; empty in a [`SetList::nonempty`]
+    /// copy, which is read, never pushed to.
+    index: HashIndex,
+}
+
+impl SetList {
+    /// Forget every set, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.sets.clear();
+        self.index.clear();
+    }
+
+    /// Number of sets listed.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// The words of set `i`.
+    fn words_of(&self, i: usize) -> &[u64] {
+        let end = self.sets.get(i + 1).map_or(self.words.len(), |s| s.off);
+        &self.words[self.sets[i].off..end]
+    }
+
+    /// Set `i` as a borrowed window.
+    pub(crate) fn window(&self, i: usize) -> Window<'_> {
+        Window {
+            len: self.sets[i].len,
+            base: self.sets[i].base,
+            words: self.words_of(i),
+        }
+    }
+
+    /// Every set with its Fx hash ([`fx_hash`] of the set), in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Window<'_>, u64)> {
+        (0..self.len()).map(|i| (self.window(i), self.sets[i].hash))
+    }
+
+    /// List `a ∪ b` unless an equal set is listed: then return that set's
+    /// index and leave the list as it was.
+    pub(crate) fn push_union(&mut self, a: Window<'_>, b: Window<'_>) -> Option<usize> {
+        debug_assert_eq!(self.index.live, self.sets.len(), "a list with an index");
+        let off = self.words.len();
+        // Both windows are tight, so their hull is the union's window.
+        let window = hull(a.range(), b.range());
+        let base = window.start;
+        let mut h = FxHasher::default();
+        let words = &mut self.words;
+        words.reserve(window.len());
+        let or = window.map(|wi| a.word(wi) | b.word(wi));
+        let len = hash_window(&mut h, base, or.inspect(|&w| words.push(w)));
+        let hash = h.finish();
+        let (tail, listed) = (&self.words[off..], &self.sets);
+        let found = self.index.find_or_insert(hash, listed.len() as u32, |i| {
+            let s = &listed[i as usize];
+            let end = listed.get(i as usize + 1).map_or(off, |next| next.off);
+            s.len == len && s.base == base && self.words[s.off..end] == *tail
+        });
+        match found {
+            Some(i) => {
+                self.words.truncate(off);
+                Some(i as usize)
+            }
+            None => {
+                self.sets.push(Listed {
+                    off,
+                    base,
+                    len,
+                    hash,
+                });
+                None
+            }
+        }
+    }
+
+    /// List `set` unless an equal set is listed (see
+    /// [`push_union`](SetList::push_union)).
+    pub(crate) fn push(&mut self, set: Window<'_>) -> Option<usize> {
+        self.push_union(set, Window::EMPTY)
+    }
+
+    /// The listed sets but ∅, in order, in buffers sized to hold just them
+    /// and with no index: a list to read, not to push to.
+    pub(crate) fn nonempty(&self) -> SetList {
+        let kept = self.sets.iter().filter(|s| s.len > 0).count();
+        let mut out = SetList {
+            words: Vec::with_capacity(self.words.len()),
+            sets: Vec::with_capacity(kept),
+            index: HashIndex::default(),
+        };
+        for (i, s) in self.sets.iter().enumerate().filter(|(_, s)| s.len > 0) {
+            out.sets.push(Listed {
+                off: out.words.len(),
+                ..*s
+            });
+            out.words.extend_from_slice(self.words_of(i));
+        }
+        out
+    }
+}
+
 /// Interned handle to a [`StateSet`] inside a [`SetArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SetId(pub u32);
@@ -645,12 +759,18 @@ impl SetArena {
 
     /// Intern a set, returning its stable handle.
     pub fn intern(&mut self, set: StateSet) -> SetId {
+        self.intern_window(set.window(), fx_hash(&set))
+    }
+
+    /// Intern the set behind a window whose [`fx_hash`] is `hash`: a set
+    /// the caller has not built, or has hashed already.
+    pub(crate) fn intern_window(&mut self, set: Window<'_>, hash: u64) -> SetId {
         let id = SetId(self.lens.len() as u32);
         // One probe sequence finds the set or files `id` for it. The index
         // is out of `self` meanwhile: `holds` may read a cold span through
         // the block cache.
         let mut lookup = std::mem::take(&mut self.lookup);
-        let known = lookup.find_or_insert(fx_hash(&set), id.0, |k| self.holds(SetId(k), &set));
+        let known = lookup.find_or_insert(hash, id.0, |k| self.holds(SetId(k), set));
         self.lookup = lookup;
         if let Some(k) = known {
             self.fit();
@@ -658,7 +778,7 @@ impl SetArena {
         }
         let off = self.base + self.words.len() as u64;
         self.reserve(set.words.len());
-        self.words.extend_from_slice(&set.words);
+        self.words.extend_from_slice(set.words);
         self.spans.push((off, set.words.len() as u32, set.base));
         self.lens.push(set.len);
         if msc_obs::enabled() {
@@ -672,7 +792,7 @@ impl SetArena {
 
     /// True when set `id` is `set`; the words are compared last, so a cold
     /// span is read only for a set with the same shape.
-    fn holds(&mut self, id: SetId, set: &StateSet) -> bool {
+    fn holds(&mut self, id: SetId, set: Window<'_>) -> bool {
         let (_, nw, base) = self.spans[id.idx()];
         self.lens[id.idx()] == set.len
             && base == set.base
@@ -866,6 +986,13 @@ mod tests {
         }
     }
 
+    /// What the converter's tests need to see of its DP lists.
+    impl SetList {
+        pub(crate) fn index_mut(&mut self) -> &mut HashIndex {
+            &mut self.index
+        }
+    }
+
     fn set(v: &[u32]) -> StateSet {
         StateSet::from_iter(v.iter().map(|&x| StateId(x)))
     }
@@ -986,9 +1113,9 @@ mod tests {
             let wider = direct.union(&set(&[0, 77, 9999]));
             assert_same(&wider.difference(&set(&[0, 77, 9999])), &direct);
             assert_same(&wider.filter(|s| ids.contains(&s.0)), &direct);
-            let mut scratch = UnionScratch::new();
-            set(head).union_into_scratch(&set(tail), &mut scratch);
-            assert_same(&scratch.materialize(), &direct);
+            let mut list = SetList::default();
+            list.push_union(set(head).window(), set(tail).window());
+            assert_same(&list.window(0).to_set(), &direct);
 
             let mut resident = SetArena::with_budget(None);
             let id = resident.intern(direct.clone());
@@ -1092,26 +1219,72 @@ mod tests {
         assert_eq!(arena.get(a).to_vec(), &[1, 2]);
     }
 
+    /// Push `a ∪ b` onto `list` and hold it to `model`, the distinct
+    /// unions in arrival order: the union is `StateSet::union`, its hash
+    /// `fx_hash`, a new one takes the next index, and a duplicate returns
+    /// the first arrival's index and leaves the list as it was.
+    pub(super) fn push_and_check(
+        list: &mut SetList,
+        model: &mut Vec<StateSet>,
+        a: &StateSet,
+        b: &StateSet,
+    ) {
+        let expect = a.union(b);
+        let first = model.iter().position(|s| *s == expect);
+        let (words, sets) = (list.words.clone(), list.len());
+        assert_eq!(list.push_union(a.window(), b.window()), first, "{a} ∪ {b}");
+        let i = match first {
+            Some(i) => {
+                assert_eq!((&list.words, list.len()), (&words, sets), "{a} ∪ {b}");
+                i
+            }
+            None => {
+                model.push(expect.clone());
+                sets
+            }
+        };
+        assert_same(&list.window(i).to_set(), &expect);
+        assert_eq!(list.iter().nth(i).map(|(_, h)| h), Some(fx_hash(&expect)));
+        let words = list.words.clone();
+        assert_eq!(
+            list.push_union(b.window(), a.window()),
+            Some(i),
+            "{b} ∪ {a}"
+        );
+        assert_eq!(list.words, words, "a duplicate leaves the stream");
+    }
+
     #[test]
-    fn union_into_scratch_matches_union_and_hash() {
+    fn set_list_unions_match_union_and_hash() {
         let cases = [
             (set(&[]), set(&[])),
-            (set(&[1, 2]), set(&[2, 3])),
-            (set(&[]), set(&[700])),                          // ∅ + a base
-            (set(&[1, 2, 3, 4, 100]), set(&[7])),             // one word + two
-            (set(&[5]), set(&[1, 2, 3, 4, 200])),             // in place → boxed
+            (set(&[1, 2]), set(&[2, 3])),         // overlapping
+            (set(&[]), set(&[700])),              // ∅ + a base
+            (set(&[1, 2, 3, 4, 100]), set(&[7])), // one word + two
+            (set(&[5]), set(&[1, 2, 3, 4, 200])), // in place → boxed
             (set(&[0, 64, 128]), set(&[1, 2, 3, 4, 5, 300])), // boxed + boxed
-            (set(&[9000]), set(&[130, 200])),                 // disjoint windows
+            (set(&[9000]), set(&[130, 200])),     // disjoint windows
+            (set(&[3]), set(&[1, 2])),            // a listed union
+            (set(&[700]), set(&[])),              // a listed set
+            (set(&[130, 200]), set(&[9000, 130])), // a listed boxed one
         ];
-        let mut s = UnionScratch::new();
+        let mut list = SetList::default();
+        let mut model = Vec::new();
         for (a, b) in &cases {
-            let expect = a.union(b);
-            let h = a.union_into_scratch(b, &mut s);
-            assert_eq!(h, fx_hash(&expect), "fused hash for {a} ∪ {b}");
-            assert!(s.matches(&expect));
-            assert_same(&s.materialize(), &expect);
-            assert_eq!(s.len(), expect.len());
+            push_and_check(&mut list, &mut model, a, b);
         }
+        assert_eq!(model.len(), 7);
+        let listed: Vec<StateSet> = list.iter().map(|(w, _)| w.to_set()).collect();
+        assert_eq!(listed, model, "arrival order");
+        // The read-only copy: the same sets and hashes, but ∅.
+        let copy = list.nonempty();
+        let kept: Vec<(StateSet, u64)> = copy.iter().map(|(w, h)| (w.to_set(), h)).collect();
+        let want: Vec<(StateSet, u64)> =
+            model[1..].iter().map(|s| (s.clone(), fx_hash(s))).collect();
+        assert_eq!(kept, want);
+        assert_eq!(copy.words.len(), list.words.len(), "∅ has no words");
+        list.clear();
+        assert_eq!(list.push(set(&[1, 2, 3]).window()), None, "cleared");
     }
 
     #[test]
@@ -1306,7 +1479,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{assert_encoding, assert_same};
+    use super::tests::{assert_encoding, assert_same, push_and_check};
     use super::*;
     use proptest::prelude::*;
 
@@ -1426,20 +1599,18 @@ mod proptests {
             }
         }
 
-        /// The fused scratch union returns exactly `fx_hash(a ∪ b)` and a
-        /// candidate that matches/materializes to the allocated union.
+        /// A list of unions holds `StateSet::union`'s sets and `fx_hash`'s
+        /// hashes, in arrival order, whatever the windows: a duplicate
+        /// leaves the stream as it was and answers with the first index.
         #[test]
-        fn scratch_union_matches_union(a in arb_set(), b in arb_set(), c in arb_set()) {
-            let mut s = UnionScratch::new();
-            // A warm scratch: the previous candidate must leave no trace.
-            c.union_into_scratch(&a, &mut s);
-            let h = a.union_into_scratch(&b, &mut s);
-            let expect = a.union(&b);
-            prop_assert_eq!(h, fx_hash(&expect));
-            prop_assert!(s.matches(&expect));
-            prop_assert_eq!(s.matches(&c), c == expect);
-            assert_same(&s.materialize(), &expect);
-            prop_assert_eq!(s.len(), expect.len());
+        fn set_list_matches_union(unions in prop::collection::vec((arb_set(), arb_set()), 1..16)) {
+            let mut list = SetList::default();
+            let mut model = Vec::new();
+            for (a, b) in &unions {
+                push_and_check(&mut list, &mut model, a, b);
+            }
+            let listed: Vec<StateSet> = list.iter().map(|(w, _)| w.to_set()).collect();
+            prop_assert_eq!(listed, model);
         }
 
         /// An arena forced to spill behaves identically to an in-RAM one.

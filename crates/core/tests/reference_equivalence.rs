@@ -17,7 +17,8 @@
 //! programs, in base and compressed modes. The graphs carry 0, 60, 130 or
 //! 1 000 unreachable padding states ahead of the real ones, so the
 //! converter's sets are compared with a window base of zero, across a
-//! word boundary, and well past the first word.
+//! word boundary, and well past the first word, and 0 or 130 between two
+//! runs of real states, so a set can span three words.
 
 use msc_core::convert::{ConvertError, ConvertMode, ConvertOptions, TimeSplitOptions};
 use msc_core::convert_with_stats;
@@ -578,30 +579,40 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
         // — and with them every set's window — start past word 0: in word
         // 0, straddling words 0–1, in word 2, in word 15.
         prop_oneof![Just(0u32), Just(60), Just(130), Just(1000)],
+        // And between the first `split` real states and the rest, so a
+        // meta state holding a state from either side of 130 paddings
+        // spans three words: a boxed window.
+        prop_oneof![Just(0u32), Just(130)],
+        0usize..8,
     )
-        .prop_map(|(n, seeds, pad)| {
+        .prop_map(|(n, seeds, pad, gap, split)| {
             let n = n.min(seeds.len());
+            let id = |i: usize| StateId(pad + i as u32 + if i < split { 0 } else { gap });
             let mut g = MimdGraph::new();
             for _ in 0..pad {
                 g.add(MimdState::new(vec![], Terminator::Halt));
             }
             for (i, &(_, _, _, barrier, cost)) in seeds.iter().take(n).enumerate() {
+                if i == split {
+                    for _ in 0..gap {
+                        g.add(MimdState::new(vec![], Terminator::Halt));
+                    }
+                }
                 let mut st = MimdState::new(vec![Op::Push(i as i64); cost], Terminator::Halt);
                 st.barrier = barrier && i != 0 && i % 3 == 0;
-                g.add(st);
+                assert_eq!(g.add(st), id(i));
             }
             for (i, &(kind, a, b, _, _)) in seeds.iter().take(n).enumerate() {
-                let t = StateId(pad + a % n as u32);
-                let f = StateId(pad + b % n as u32);
-                let id = StateId(pad + i as u32);
-                g.state_mut(id).term = match kind % 4 {
+                let t = id(a as usize % n);
+                let f = id(b as usize % n);
+                g.state_mut(id(i)).term = match kind % 4 {
                     0 => Terminator::Halt,
                     1 => Terminator::Jump(t),
                     2 => Terminator::Branch { t, f },
                     _ => Terminator::Multi(vec![t, f]),
                 };
             }
-            g.start = StateId(pad);
+            g.start = id(0);
             g
         })
 }
