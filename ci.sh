@@ -85,9 +85,9 @@ cargo test -q --workspace
 
 echo "== tier-1: test again under a tiny memory budget (spill path) =="
 # 16k is far below any test workload's resident set, so every conversion
-# in the suite runs through the out-of-core arena + worklist spill and
-# must still produce bit-identical automata. The leg gets a temp dir of
-# its own, and fails if any spill file outlives the suite.
+# in the suite runs through the out-of-core arena and must still produce
+# bit-identical automata. The leg gets a temp dir of its own, and fails
+# if any spill file outlives the suite.
 SPILL_TMP="$(mktemp -d)"
 MSC_MEMORY_BUDGET=16k TMPDIR="$SPILL_TMP" cargo test -q --workspace
 LEAKED="$(find "$SPILL_TMP" -name 'msc-spill-*')"

@@ -15,8 +15,8 @@ use std::time::Instant;
 /// so committed and re-measured runs compare like for like.
 const EXPLOSION_LOOPS: usize = 12;
 /// Spill budget for the out-of-core pass — far below the workload's
-/// resident footprint, so the arena and worklist must page through the
-/// temp-file segment stores to finish.
+/// resident set words, so the arena must page through its temp-file
+/// segment store to finish.
 const EXPLOSION_BUDGET: usize = 1 << 14;
 
 /// Counts the events that reach it.

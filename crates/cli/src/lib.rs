@@ -162,8 +162,10 @@ pub struct CommonOpts {
     /// Explosion guard override: fail conversion past this many meta
     /// states (None = the mode's default, 2²⁰).
     pub max_meta_states: Option<usize>,
-    /// Conversion memory budget in bytes (`k`/`m`/`g` suffixes accepted);
-    /// past it the interned-set arena and worklist spill to temp files.
+    /// Conversion memory budget in bytes (`k`/`m`/`g` suffixes accepted)
+    /// for the interned-set arena's words; past it cold ones spill to a
+    /// temp file. It bounds nothing else: each meta state keeps at least
+    /// 109 bytes of tables resident, capped by `max_meta_states`.
     /// None = the `MSC_MEMORY_BUDGET` env default (or never spill).
     pub memory_budget: Option<usize>,
 }
@@ -235,10 +237,11 @@ COMMON FLAGS (build, run, batch, sweep):
   --no-csi                 disable common subexpression induction
   --max-meta-states N      explosion guard: fail conversion past N meta
                            states (default 1048576)
-  --memory-budget BYTES    spill cold meta-state sets and the worklist
-                           tail to temp files past BYTES resident (k/m/g
-                           suffixes; default: MSC_MEMORY_BUDGET env, else
-                           never spill)
+  --memory-budget BYTES    keep at most BYTES of meta-state set words
+                           resident, spilling cold ones to a temp file;
+                           per-state tables (>= 109 bytes a state) stay
+                           resident (k/m/g suffixes; default:
+                           MSC_MEMORY_BUDGET env, else never spill)
 
 RUN FLAGS:
   --pes N                  PEs to simulate (default 8, at least 1)

@@ -23,11 +23,11 @@
 //!   barrier.
 
 use crate::automaton::{MetaAutomaton, MetaId};
-use crate::spill::SpillQueue;
 use crate::stateset::{fx_hash, SetArena, SetId, SetList, StateSet, Window};
 use msc_ir::graph::GraphError;
 use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -87,16 +87,18 @@ pub struct ConvertOptions {
     pub max_successor_sets: usize,
     /// Widest `Multi` terminator the base mode will enumerate subsets of.
     pub max_multi_arity: usize,
-    /// Resident-memory budget in bytes for the conversion's interned-set
-    /// words: the arena's resident suffix, the block cache over its
-    /// spilled prefix and its reload buffers stay within it. Past it, cold
-    /// interned sets spill to a temp-file segment store, and the worklist
-    /// keeps at most two 8 192-entry chunks of ids resident whatever the
-    /// budget, spilling the rest, so a frontier larger than RAM
-    /// degrades to out-of-core operation instead of failing — the guard
-    /// above stays the hard cap on *total* states. `None` = never spill.
-    /// Defaults to the process-wide `MSC_MEMORY_BUDGET` (bytes, `k`/`m`/`g`
-    /// suffixes), when set.
+    /// Resident-memory budget in bytes for the arena's word stream, the
+    /// interned sets' member words: its resident suffix, the block cache
+    /// over its spilled prefix and its reload buffers stay within it, and
+    /// past it cold words spill to a temp file. Nothing else is in it.
+    /// Every meta state keeps at least 109 bytes resident whatever the
+    /// budget — the arena's count and span (4 + 16), its hash-index slots
+    /// (≥ 32), its latent set (32), its successor list's header (24) and
+    /// worklist flag (1) — beside the 4 bytes of each queued id, the
+    /// expansion owners' keys and the finished automaton's sets; that
+    /// part is O(meta states) and capped by `max_meta_states` above.
+    /// `None` = never spill. Defaults to the process-wide
+    /// `MSC_MEMORY_BUDGET` (bytes, `k`/`m`/`g` suffixes), when set.
     pub memory_budget: Option<usize>,
     /// Cycle cost model used for time splitting.
     pub costs: CostModel,
@@ -260,10 +262,14 @@ pub fn convert_threads<E: From<ConvertError>>(
 const ROUND_ENTRIES_PER_THREAD: usize = 64;
 
 /// The subset-construction state every round reads and the interning step
-/// alone writes: the set arena, the BFS worklist (both spill under a
-/// memory budget), and the per-meta-state tables indexed by [`MetaId`].
-/// Only [`Frontier::intern`] fills the arena, so a meta state's [`SetId`]
-/// is its [`MetaId`].
+/// alone writes: the set arena, the BFS worklist, and the per-meta-state
+/// tables indexed by [`MetaId`]. Only [`Frontier::intern`] fills the
+/// arena, so a meta state's [`SetId`] is its [`MetaId`].
+///
+/// A memory budget bounds the arena's word stream alone
+/// ([`ConvertOptions::memory_budget`]). Everything else here stays
+/// resident — at least 109 bytes a meta state and 4 a queued id — and is
+/// O(meta states), capped by `max_meta_states`.
 struct Frontier {
     arena: SetArena,
     succs: Vec<Vec<MetaId>>,
@@ -274,7 +280,7 @@ struct Frontier {
     /// even when every visible member halts first (spawned workers
     /// finishing after the rest of the array reached a `wait`).
     latents: Vec<StateSet>,
-    worklist: SpillQueue,
+    worklist: VecDeque<u32>,
     /// Membership flag per meta state: re-enqueue on latent widening in
     /// O(1) instead of scanning the whole worklist. Stays set from the
     /// push until the entry's turn in pop order, so a popped entry that
@@ -288,7 +294,7 @@ impl Frontier {
             arena: SetArena::with_budget(memory_budget),
             succs: Vec::new(),
             latents: Vec::new(),
-            worklist: SpillQueue::new(memory_budget.is_some()),
+            worklist: VecDeque::new(),
             in_worklist: Vec::new(),
         }
     }
@@ -1331,29 +1337,39 @@ mod tests {
 
     #[test]
     fn spill_budget_conversion_is_bit_identical() {
-        // A fan-out to n independent self-loops (the 3ⁿ frontier shape),
-        // converted once in RAM and once under a budget tiny enough to
-        // force both the arena and the worklist out of core: the automata
-        // must be identical, byte for byte.
-        let mut g = MimdGraph::new();
-        let end = g.add(MimdState::new(vec![], Terminator::Halt));
+        // Converted once in RAM and once under a budget tiny enough to
+        // force the arena out of core, the automata must be identical,
+        // byte for byte. Two inputs: a fan-out to six independent
+        // self-loops (the 3ⁿ frontier shape, a few dozen ids queued at
+        // most), and a start state whose `Multi` has 14 halting targets,
+        // which queues all 16 383 of its successors at once.
+        let mut fan_out = MimdGraph::new();
+        let end = fan_out.add(MimdState::new(vec![], Terminator::Halt));
         let loops: Vec<StateId> = (0..6)
-            .map(|i| g.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt)))
+            .map(|i| fan_out.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt)))
             .collect();
         for &l in &loops {
-            g.state_mut(l).term = Terminator::Branch { t: l, f: end };
+            fan_out.state_mut(l).term = Terminator::Branch { t: l, f: end };
         }
-        let root = g.add(MimdState::new(vec![], Terminator::Multi(loops)));
-        g.start = root;
-        let mut opts = ConvertOptions::base();
-        opts.memory_budget = None;
-        let plain = convert(&g, &opts).unwrap();
-        opts.memory_budget = Some(512);
-        let spilled = convert(&g, &opts).unwrap();
-        assert!(plain.len() > 50, "workload must be non-trivial");
-        assert_eq!(plain.sets, spilled.sets);
-        assert_eq!(plain.succs, spilled.succs);
-        assert_eq!(plain.start, spilled.start);
+        fan_out.start = fan_out.add(MimdState::new(vec![], Terminator::Multi(loops)));
+
+        let mut wide = MimdGraph::new();
+        let halts: Vec<StateId> = (0..14)
+            .map(|i| wide.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt)))
+            .collect();
+        wide.start = wide.add(MimdState::new(vec![], Terminator::Multi(halts)));
+
+        for (g, at_least) in [(fan_out, 50), (wide, 1 << 14)] {
+            let mut opts = ConvertOptions::base();
+            opts.memory_budget = None;
+            let plain = convert(&g, &opts).unwrap();
+            opts.memory_budget = Some(512);
+            let spilled = convert(&g, &opts).unwrap();
+            assert!(plain.len() >= at_least, "{} meta states", plain.len());
+            assert_eq!(plain.sets, spilled.sets);
+            assert_eq!(plain.succs, spilled.succs);
+            assert_eq!(plain.start, spilled.start);
+        }
     }
 
     #[test]

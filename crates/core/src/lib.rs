@@ -25,5 +25,5 @@ pub use convert::{
     apply_barrier, barrier_sync, convert, convert_rounds, convert_threads, convert_with_stats,
     ConvertError, ConvertMode, ConvertOptions, ConvertStats, TimeSplitOptions,
 };
-pub use spill::{default_memory_budget, parse_bytes, SegmentStore, SpillQueue};
+pub use spill::{default_memory_budget, parse_bytes};
 pub use stateset::{fx_hash, SetArena, SetId, StateSet};

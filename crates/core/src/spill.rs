@@ -1,36 +1,33 @@
-//! Out-of-core storage for the 3ⁿ frontier.
+//! Out-of-core storage for the interned meta-state sets.
 //!
-//! Subset construction's memory is dominated by two append-mostly
-//! streams: the interned meta-state sets (the [`SetArena`](crate::SetArena)
-//! word stream) and the BFS worklist. Both are written once, which is the
-//! easy case for external memory: spill a cold *prefix* to a temp-file
-//! segment store, keep the hot suffix resident, and reload on demand with
-//! explicit reads — no mmap, no unsafe, std only.
+//! The [`SetArena`](crate::SetArena) word stream — every interned set's
+//! member words, end to end — is append-only, which is the easy case for
+//! external memory: spill a cold *prefix* to a temp file, keep the hot
+//! suffix resident, and reload on demand with explicit reads — no mmap,
+//! no unsafe, std only.
 //!
-//! * [`SegmentStore`] — an append-only temp file of `u64` words with
+//! * `SegmentStore` — an append-only temp file of `u64` words with
 //!   positioned reads. Created lazily on first eviction, deleted on drop.
 //!   Word offsets are *stable*: logical word `i` of the stream always
 //!   lands at byte `8·i`, because evictions always spill a contiguous
 //!   prefix in order.
 //! * `ColdWords` — the arena's spilled prefix: its store and a
 //!   set-associative cache of 4-word blocks aligned to those offsets.
-//!   The worklist is read back in order, once; the arena is not — an
-//!   intern that finds a known set compares against it, and most known
-//!   sets are cold and hit again and again — so every arena read of a
+//!   An intern that finds a known set compares against it, and most known
+//!   sets are cold and hit again and again, so every arena read of a
 //!   spilled span goes through the cache, and a run of missed blocks is
 //!   one positioned read.
-//! * [`SpillQueue`] — a FIFO of `u32` ids whose middle section lives in
-//!   chunked segments on disk: a resident front (oldest), spilled chunks,
-//!   and a resident back (newest). Pop order is exactly the push order at
-//!   any spill threshold.
 //!
-//! **What the budget bounds.** The arena's resident suffix, block cache
-//! and reload buffers together stay within the budget after every call
-//! (the arena splits it; `SetArena::resident_bytes`). The worklist is not
-//! in it: spilled or not, it holds at most two 8 192-entry chunks of ids
-//! resident (a reloaded front and an unflushed back, 64 KiB), whatever the
-//! budget, beside the byte staging of the one chunk it last read back.
-//! The arena's per-set columns and its hash index stay resident.
+//! **What the budget bounds.** The arena's word stream alone: its
+//! resident suffix, block cache and reload buffers together stay within
+//! the budget after every call (the arena splits it;
+//! `SetArena::resident_bytes`). Everything else a conversion holds is
+//! O(meta states), resident whatever the budget and capped by
+//! `max_meta_states`: at least 109 bytes a meta state — the arena's count
+//! and span (4 + 16) and hash-index slots (≥ 32), the converter's latent
+//! set (32), successor-list header (24) and worklist flag (1) — beside 4
+//! bytes per queued id, the expansion owners' keys and the finished
+//! automaton's sets.
 //!
 //! **Recovery semantics:** spill files are private to one conversion and
 //! carry no cross-run state — a crash leaves at worst an orphaned
@@ -47,7 +44,6 @@
 //! optional `k`/`m`/`g` suffix) — which is how CI runs the whole tier-1
 //! suite with a tiny budget to exercise this path end to end.
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -82,7 +78,7 @@ pub fn default_memory_budget() -> Option<usize> {
 }
 
 /// An append-only temp file of `u64` words with positioned reads.
-pub struct SegmentStore {
+pub(crate) struct SegmentStore {
     file: File,
     path: PathBuf,
     bytes: u64,
@@ -102,7 +98,7 @@ impl std::fmt::Debug for SegmentStore {
 impl SegmentStore {
     /// Create a fresh store as `msc-spill-<pid>-<n>-<tag>.seg` in the
     /// system temp dir. The file is deleted when the store is dropped.
-    pub fn create(tag: &str) -> std::io::Result<SegmentStore> {
+    fn create(tag: &str) -> std::io::Result<SegmentStore> {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
@@ -125,22 +121,16 @@ impl SegmentStore {
     }
 
     /// Bytes appended so far.
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         self.bytes
     }
 
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.bytes == 0
-    }
-
-    /// Append `words` at the end, returning the byte offset they start at.
+    /// Append `words` at the end, at byte offset `len()`.
     /// The words are encoded through a fixed stack chunk: the store's heap
     /// buffer stages reads alone, so a spill leaves no copy of what it
     /// wrote resident.
-    pub fn append_words(&mut self, words: &[u64]) -> std::io::Result<u64> {
-        let off = self.bytes;
-        self.file.seek(SeekFrom::Start(off))?;
+    fn append_words(&mut self, words: &[u64]) -> std::io::Result<()> {
+        self.file.seek(SeekFrom::Start(self.bytes))?;
         let mut chunk = [0u8; 4096];
         for part in words.chunks(chunk.len() / 8) {
             for (bytes, w) in chunk.chunks_exact_mut(8).zip(part) {
@@ -149,14 +139,14 @@ impl SegmentStore {
             self.file.write_all(&chunk[..part.len() * 8])?;
         }
         self.bytes += words.len() as u64 * 8;
-        Ok(off)
+        Ok(())
     }
 
     /// Read `out.len()` words starting at `byte_off`: one positioned read
     /// where the platform has one — a conversion under a budget makes one
     /// per run of cache blocks it misses — and a seek + read pair
     /// elsewhere.
-    pub fn read_words(&mut self, byte_off: u64, out: &mut [u64]) -> std::io::Result<()> {
+    fn read_words(&mut self, byte_off: u64, out: &mut [u64]) -> std::io::Result<()> {
         self.buf.clear();
         self.buf.resize(out.len() * 8, 0);
         #[cfg(unix)]
@@ -307,8 +297,7 @@ impl ColdWords {
 
     /// Spill the next `words` of the stream.
     pub(crate) fn append(&mut self, words: &[u64]) -> std::io::Result<()> {
-        self.store.append_words(words)?;
-        Ok(())
+        self.store.append_words(words)
     }
 
     /// Words `off .. off + n` of the stream, all of them spilled.
@@ -380,140 +369,6 @@ impl Drop for ColdWords {
     }
 }
 
-/// Entries per spilled [`SpillQueue`] chunk (32 KiB of ids).
-const QUEUE_CHUNK: usize = 8192;
-
-/// A FIFO of `u32` ids whose cold middle lives on disk.
-///
-/// Layout (oldest → newest): `front` (resident) → `chunks` (on disk, in
-/// order) → `back` (resident). With spilling on, `back` is flushed as a
-/// chunk when it reaches `QUEUE_CHUNK` ids and `front` refills from one
-/// chunk (or the whole of `back`) at a time, so at most two chunks' worth
-/// of ids are resident. With spilling disabled it degenerates to a plain
-/// `VecDeque`.
-#[derive(Debug)]
-pub struct SpillQueue {
-    front: VecDeque<u32>,
-    back: Vec<u32>,
-    /// `(byte offset, entry count)` per spilled chunk, oldest first.
-    chunks: VecDeque<(u64, u32)>,
-    store: Option<SegmentStore>,
-    spill: bool,
-    chunk_entries: usize,
-    len: usize,
-}
-
-impl SpillQueue {
-    /// A queue that spills once its resident tail reaches the default
-    /// chunk size (when `spill` is true) or never does (false).
-    pub fn new(spill: bool) -> SpillQueue {
-        SpillQueue::with_chunk(spill, QUEUE_CHUNK)
-    }
-
-    /// [`SpillQueue::new`] with an explicit chunk size (tests).
-    pub fn with_chunk(spill: bool, chunk_entries: usize) -> SpillQueue {
-        SpillQueue {
-            front: VecDeque::new(),
-            back: Vec::new(),
-            chunks: VecDeque::new(),
-            store: None,
-            spill,
-            chunk_entries: chunk_entries.max(2),
-            len: 0,
-        }
-    }
-
-    /// Number of queued entries (resident + spilled).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Enqueue at the tail.
-    pub fn push_back(&mut self, v: u32) {
-        self.len += 1;
-        // Straight to the front only while nothing older waits behind it:
-        // a failed flush turns `spill` off with ids still in `back` (and
-        // earlier chunks on disk), and those must pop first.
-        if !self.spill && self.back.is_empty() && self.chunks.is_empty() {
-            self.front.push_back(v);
-            return;
-        }
-        self.back.push(v);
-        if self.spill && self.back.len() >= self.chunk_entries {
-            self.flush_back();
-        }
-    }
-
-    /// Dequeue from the head (FIFO).
-    pub fn pop_front(&mut self) -> Option<u32> {
-        if self.front.is_empty() {
-            if let Some((off, count)) = self.chunks.pop_front() {
-                self.load_chunk(off, count);
-            } else if !self.back.is_empty() {
-                self.front.extend(self.back.drain(..));
-            }
-        }
-        let v = self.front.pop_front();
-        if v.is_some() {
-            self.len -= 1;
-        }
-        v
-    }
-
-    /// Spill the resident tail as one chunk. On any I/O failure the queue
-    /// falls back to resident-only operation (data is never lost).
-    fn flush_back(&mut self) {
-        let store = match &mut self.store {
-            Some(s) => s,
-            None => match SegmentStore::create("worklist") {
-                Ok(s) => self.store.insert(s),
-                Err(_) => {
-                    self.spill = false;
-                    return;
-                }
-            },
-        };
-        // Pack two ids per word; odd tails are padded with a zero that the
-        // entry count makes unambiguous.
-        let words: Vec<u64> = self
-            .back
-            .chunks(2)
-            .map(|c| (c[0] as u64) | ((c.get(1).copied().unwrap_or(0) as u64) << 32))
-            .collect();
-        match store.append_words(&words) {
-            Ok(off) => {
-                msc_obs::count("convert.spill_bytes", (words.len() * 8) as u64);
-                self.chunks.push_back((off, self.back.len() as u32));
-                self.back.clear();
-            }
-            Err(_) => self.spill = false,
-        }
-    }
-
-    /// Reload one spilled chunk into the resident front.
-    fn load_chunk(&mut self, off: u64, count: u32) {
-        let store = self.store.as_mut().expect("chunk recorded without store");
-        let mut words = vec![0u64; (count as usize).div_ceil(2)];
-        store
-            .read_words(off, &mut words)
-            .expect("spilled worklist chunk must be readable");
-        msc_obs::count("engine.spill_reload", 1);
-        for i in 0..count as usize {
-            let w = words[i / 2];
-            self.front.push_back(if i % 2 == 0 {
-                w as u32
-            } else {
-                (w >> 32) as u32
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,18 +394,30 @@ mod tests {
     }
 
     #[test]
+    fn a_set_memory_budget_variable_is_a_byte_count() {
+        // `default_memory_budget` reads a value `parse_bytes` rejects as no
+        // budget at all, so a typo in a run under `MSC_MEMORY_BUDGET` (CI's
+        // spill leg) would quietly convert everything in RAM.
+        if let Ok(v) = std::env::var("MSC_MEMORY_BUDGET") {
+            assert!(
+                parse_bytes(&v).is_some(),
+                "MSC_MEMORY_BUDGET={v:?} is not a byte count"
+            );
+        }
+    }
+
+    #[test]
     fn segment_store_roundtrips_words() {
         let mut s = SegmentStore::create("test").unwrap();
-        let a = s.append_words(&[1, 2, 3]).unwrap();
-        let b = s.append_words(&[u64::MAX, 0x0123_4567_89ab_cdef]).unwrap();
-        assert_eq!(a, 0);
-        assert_eq!(b, 24);
+        s.append_words(&[1, 2, 3]).unwrap();
+        assert_eq!(s.len(), 24);
+        s.append_words(&[u64::MAX, 0x0123_4567_89ab_cdef]).unwrap();
         assert_eq!(s.len(), 40);
         let mut out = [0u64; 2];
-        s.read_words(b, &mut out).unwrap();
+        s.read_words(24, &mut out).unwrap();
         assert_eq!(out, [u64::MAX, 0x0123_4567_89ab_cdef]);
         let mut out = [0u64; 3];
-        s.read_words(a, &mut out).unwrap();
+        s.read_words(0, &mut out).unwrap();
         assert_eq!(out, [1, 2, 3]);
     }
 
@@ -638,114 +505,5 @@ mod tests {
         }
         assert!(cache.get(0, &mut out) && out == [1; BLOCK]);
         assert!(cache.find(99).is_some() && cache.find(1).is_none());
-    }
-
-    #[test]
-    fn spill_queue_is_fifo_across_chunk_boundaries() {
-        for &(spill, chunk) in &[(false, 4usize), (true, 4), (true, 7), (true, 1000)] {
-            let mut q = SpillQueue::with_chunk(spill, chunk);
-            let n = 100u32;
-            for i in 0..n {
-                q.push_back(i);
-            }
-            assert_eq!(q.len(), n as usize);
-            for i in 0..n {
-                assert_eq!(q.pop_front(), Some(i), "spill={spill} chunk={chunk}");
-            }
-            assert_eq!(q.pop_front(), None);
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn spill_queue_interleaves_push_and_pop() {
-        let mut q = SpillQueue::with_chunk(true, 3);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut next = 0u32;
-        // A deterministic interleaving: pushes in bursts, pops between.
-        for round in 0..50 {
-            for _ in 0..(round % 5 + 1) {
-                q.push_back(next);
-                model.push_back(next);
-                next += 1;
-            }
-            for _ in 0..(round % 3) {
-                assert_eq!(q.pop_front(), model.pop_front());
-            }
-            assert_eq!(q.len(), model.len());
-        }
-        while let Some(v) = model.pop_front() {
-            assert_eq!(q.pop_front(), Some(v));
-        }
-        assert_eq!(q.pop_front(), None);
-    }
-
-    #[test]
-    fn spill_queue_stays_fifo_after_a_failed_flush() {
-        // What `flush_back` leaves when `SegmentStore::create` fails: spill
-        // off, the unflushed ids still in `back`, nothing on disk.
-        let mut q = SpillQueue::with_chunk(true, 4);
-        q.push_back(1);
-        q.push_back(2);
-        q.spill = false;
-        q.push_back(3);
-        assert_eq!(
-            [q.pop_front(), q.pop_front(), q.pop_front()],
-            [Some(1), Some(2), Some(3)]
-        );
-        assert_eq!(q.pop_front(), None);
-        q.push_back(4);
-        assert_eq!(q.front, [4], "drained: back on the plain-deque path");
-
-        // What it leaves when `append_words` fails: the same, behind chunks
-        // that earlier flushes did write. No further flush is attempted.
-        let mut q = SpillQueue::with_chunk(true, 2);
-        for v in 1..=5 {
-            q.push_back(v);
-        }
-        assert_eq!((q.chunks.len(), &q.back[..]), (2, &[5][..]));
-        q.spill = false;
-        for v in 6..=9 {
-            q.push_back(v);
-        }
-        assert_eq!((q.chunks.len(), q.back.len()), (2, 5), "spill is off");
-        assert_eq!(q.len(), 9);
-        for v in 1..=9 {
-            assert_eq!(q.pop_front(), Some(v));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn spill_queue_holds_at_most_two_chunks_resident() {
-        // Whatever the budget: the unflushed back stays under one chunk,
-        // and the front is one reloaded chunk or one drained back.
-        let mut q = SpillQueue::new(true);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut most = 0;
-        for round in 0..40u32 {
-            for i in 0..(round % 7 + 1) * 1500 {
-                q.push_back(round * 100_000 + i);
-                model.push_back(round * 100_000 + i);
-                most = most.max(q.front.len() + q.back.len());
-            }
-            for _ in 0..(round % 5) * 1700 {
-                assert_eq!(q.pop_front(), model.pop_front());
-                most = most.max(q.front.len() + q.back.len());
-            }
-        }
-        assert!(q.chunks.len() > 1, "the test must spill");
-        assert!(most <= 2 * QUEUE_CHUNK, "{most} ids resident");
-        assert!(most > QUEUE_CHUNK, "{most}: the bound is reached");
-    }
-
-    #[test]
-    fn spill_queue_actually_spills() {
-        let mut q = SpillQueue::with_chunk(true, 4);
-        for i in 0..20 {
-            q.push_back(i);
-        }
-        assert!(!q.chunks.is_empty(), "expected spilled chunks");
-        assert!(q.store.is_some());
     }
 }

@@ -128,9 +128,10 @@ impl Pipeline {
         self
     }
 
-    /// Set the conversion's resident-memory budget in bytes; past it, cold
-    /// interned sets and the worklist tail spill to a temp-file segment
-    /// store (`None` = never spill). Composes with [`mode`](Self::mode)
+    /// Set the conversion's resident-memory budget in bytes for the
+    /// interned sets' words; past it, cold ones spill to a temp file
+    /// (`None` = never spill). The per-meta-state tables stay resident
+    /// (`ConvertOptions::memory_budget`). Composes with [`mode`](Self::mode)
     /// like [`max_meta_states`](Self::max_meta_states).
     pub fn memory_budget(mut self, bytes: Option<usize>) -> Self {
         self.convert_opts.memory_budget = bytes;

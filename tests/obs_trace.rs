@@ -168,10 +168,10 @@ fn fan_out_loops(n: usize) -> MimdGraph {
 
 #[test]
 fn memory_budget_spills_at_two_threads() {
-    // The arena and the worklist belong to the interning thread, so the
-    // budget holds at any thread count. The spill byte count is an obs
-    // counter, so this lives with the other tests that install a
-    // subscriber and is serialized against them.
+    // The arena belongs to the interning thread, so its budget holds at
+    // any thread count. The spill byte count is an obs counter, so this
+    // lives with the other tests that install a subscriber and is
+    // serialized against them.
     let g = fan_out_loops(8);
     let in_ram = ConvertOptions {
         memory_budget: None,
