@@ -318,6 +318,12 @@ const EXPLOSION: &[Gate] = &[
         "conversion is deterministic: the converter or the workload changed",
     ),
     gate(
+        "succ_edges_stored",
+        Rule::Exact,
+        "a meta state that takes another's successor list stores it again, or the converter \
+         changed",
+    ),
+    gate(
         "spill_reloads",
         Rule::Exact,
         "reads from disk are deterministic: the block cache, the budget split or the converter \

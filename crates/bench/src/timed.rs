@@ -44,7 +44,8 @@ fn disabled_count_ns() -> f64 {
 
 /// Base-mode subset construction over the fan-out-loops workload, in RAM
 /// and again under the spill budget, with the bit-identity invariant
-/// checked and the spill and reload counters captured; and what the
+/// checked, the successor edges the lists hold and the table stores
+/// counted, and the spill and reload counters captured; and what the
 /// instrumentation costs the in-RAM pass when nobody listens: every event
 /// a subscriber sees on it, priced at one disabled emit (the hot loops
 /// batch several emits behind one check, so this is a ceiling). The
@@ -82,12 +83,17 @@ pub fn measure_explosion() -> Result<Json, String> {
     let cache_hits = snap.counter("engine.spill_cache_hit");
     let identical =
         plain.sets == spilled.sets && plain.succs == spilled.succs && plain.start == spilled.start;
+    let edges: usize = plain.succs.iter().map(<[_]>::len).sum();
+    let stored = plain.succs.stored_edges();
     let in_ram = plain.len() as f64 / in_ram_secs;
     let out_of_core = spilled.len() as f64 / spilled_secs;
     let spilled_vs_in_ram = out_of_core / in_ram;
 
     let workload = format!("fan_out_loops({EXPLOSION_LOOPS}), base mode");
-    println!("{workload}: {} meta states", plain.len());
+    println!(
+        "{workload}: {} meta states, {edges} successor edges, {stored} stored",
+        plain.len()
+    );
     println!("pass                  | states/sec");
     println!("in RAM                | {in_ram:10.0}");
     println!("{EXPLOSION_BUDGET:5}-byte budget     | {out_of_core:10.0}  ({spilled_vs_in_ram:.2} of in RAM)");
@@ -110,6 +116,8 @@ pub fn measure_explosion() -> Result<Json, String> {
     Ok(Json::obj([
         ("workload", Json::from(workload)),
         ("meta_states", Json::from(plain.len())),
+        ("succ_edges", Json::from(edges)),
+        ("succ_edges_stored", Json::from(stored)),
         ("in_ram_states_per_sec", Json::from(in_ram)),
         ("spill_budget_bytes", Json::from(EXPLOSION_BUDGET)),
         ("spilled_states_per_sec", Json::from(out_of_core)),

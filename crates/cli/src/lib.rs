@@ -165,7 +165,7 @@ pub struct CommonOpts {
     /// Conversion memory budget in bytes (`k`/`m`/`g` suffixes accepted)
     /// for the interned-set arena's words; past it cold ones spill to a
     /// temp file. It bounds nothing else: each meta state keeps at least
-    /// 109 bytes of tables resident, capped by `max_meta_states`.
+    /// 93 bytes of tables resident, capped by `max_meta_states`.
     /// None = the `MSC_MEMORY_BUDGET` env default (or never spill).
     pub memory_budget: Option<usize>,
 }
@@ -239,9 +239,10 @@ COMMON FLAGS (build, run, batch, sweep):
                            states (default 1048576)
   --memory-budget BYTES    keep at most BYTES of meta-state set words
                            resident, spilling cold ones to a temp file;
-                           per-state tables (>= 109 bytes a state) stay
+                           per-state tables (>= 93 bytes a state) stay
                            resident (k/m/g suffixes; default:
-                           MSC_MEMORY_BUDGET env, else never spill)
+                           MSC_MEMORY_BUDGET env, else never spill; an
+                           env value that is not a byte count is an error)
 
 RUN FLAGS:
   --pes N                  PEs to simulate (default 8, at least 1)
@@ -1377,10 +1378,12 @@ pub fn execute(cmd: &Command, obs: &Obs, inputs: &[(String, Vec<u8>)]) -> Result
     }
 }
 
-/// Full entry point: parse the arguments, read the files the command
-/// names (stdin for a `match` with none), and [`execute`].
+/// Full entry point: parse the arguments, refuse an `MSC_MEMORY_BUDGET`
+/// that is not a byte count, read the files the command names (stdin for
+/// a `match` with none), and [`execute`].
 pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
     let (cmd, obs) = parse_args(args)?;
+    msc_core::env_memory_budget().map_err(CliError)?;
     let read = |file: &String| {
         std::fs::read(file)
             .map(|bytes| (file.clone(), bytes))

@@ -532,8 +532,13 @@ mod tests {
     /// A hand-built automaton: `graph`'s states grouped into `sets`, meta
     /// state 0 branching to every other one.
     fn fan_automaton(graph: MimdGraph, sets: Vec<Vec<u32>>) -> MetaAutomaton {
-        let mut succs = vec![vec![]; sets.len()];
-        succs[0] = (1..sets.len() as u32).map(MetaId).collect();
+        let n = sets.len() as u32;
+        let succs = (0..n)
+            .map(|i| match i {
+                0 => (1..n).map(MetaId).collect(),
+                _ => vec![],
+            })
+            .collect();
         let set = |ids: Vec<u32>| StateSet::from_iter(ids.into_iter().map(StateId));
         MetaAutomaton {
             graph,

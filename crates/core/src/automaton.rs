@@ -1,6 +1,7 @@
 //! The meta-state automaton produced by conversion.
 
 use crate::stateset::StateSet;
+use msc_ir::util::FxHashMap;
 use msc_ir::{CostModel, MimdGraph};
 use std::fmt::Write as _;
 
@@ -21,6 +22,152 @@ impl std::fmt::Display for MetaId {
     }
 }
 
+/// The successor lists of an automaton's meta states, indexed by meta
+/// state: one array of edges and a `(start, len)` span into it per state,
+/// so a list costs its edges and eight bytes, and meta states with one
+/// list — those whose running core was expanded once (§2.3) — share one
+/// span, stored once. The span layout is private: `==`, `Debug`,
+/// [`iter`](Self::iter) and indexing read lists by content, exactly as a
+/// `Vec<Vec<MetaId>>` of the same lists would, and only
+/// [`stored_edges`](Self::stored_edges) shows what sharing saved.
+#[derive(Clone, Default)]
+pub struct SuccTable {
+    edges: Vec<MetaId>,
+    spans: Vec<(u32, u32)>,
+}
+
+/// An edge-array offset or length as a span field.
+fn span_field(n: usize) -> u32 {
+    u32::try_from(n).expect("successor table holds at most 2^32 edges")
+}
+
+impl SuccTable {
+    /// Number of meta states.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True when the table has no meta states.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Every meta state's successor list, in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[MetaId]> + '_ {
+        self.spans
+            .iter()
+            .map(|&(start, len)| &self.edges[start as usize..(start + len) as usize])
+    }
+
+    /// Exchange the successor lists of meta states `i` and `j`.
+    pub fn swap(&mut self, i: usize, j: usize) {
+        self.spans.swap(i, j);
+    }
+
+    /// Edges held in memory: a list that shares its span with others
+    /// counts once. (So does a list that a meta state expanded again no
+    /// longer uses, until a pruning or folding pass rebuilds the table.)
+    pub fn stored_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Append a meta state with no successors.
+    pub(crate) fn push_empty(&mut self) {
+        self.spans.push((0, 0));
+    }
+
+    /// Append one edge to the list being built (see [`end_list`](Self::end_list)).
+    pub(crate) fn push_edge(&mut self, to: MetaId) {
+        self.edges.push(to);
+    }
+
+    /// Make the edges pushed since `from` (a [`stored_edges`](Self::stored_edges)
+    /// reading) the list of meta state `i`.
+    pub(crate) fn end_list(&mut self, i: usize, from: usize) {
+        self.spans[i] = (span_field(from), span_field(self.edges.len() - from));
+    }
+
+    /// Give meta state `i` the list of `owner`, without copying it.
+    pub(crate) fn share(&mut self, i: usize, owner: usize) {
+        self.spans[i] = self.spans[owner];
+    }
+
+    /// Drop the edge array's spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.edges.shrink_to_fit();
+    }
+
+    /// The table of the meta states `keep` (indices into this one, in the
+    /// new order), each list rewritten by `map`, which appends the new list
+    /// for an old one. States that share a span here share one there: each
+    /// stored list is rewritten once.
+    pub(crate) fn rebuild(
+        &self,
+        keep: &[usize],
+        mut map: impl FnMut(&[MetaId], &mut Vec<MetaId>),
+    ) -> SuccTable {
+        let mut out = SuccTable {
+            edges: Vec::new(),
+            spans: Vec::with_capacity(keep.len()),
+        };
+        let mut moved: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
+        for &i in keep {
+            let old = self.spans[i];
+            if old.1 == 0 {
+                out.push_empty();
+                continue;
+            }
+            let span = *moved.entry(old).or_insert_with(|| {
+                let from = out.edges.len();
+                map(&self[i], &mut out.edges);
+                (span_field(from), span_field(out.edges.len() - from))
+            });
+            out.spans.push(span);
+        }
+        out.shrink_to_fit();
+        out
+    }
+}
+
+impl std::ops::Index<usize> for SuccTable {
+    type Output = [MetaId];
+
+    fn index(&self, i: usize) -> &[MetaId] {
+        let (start, len) = self.spans[i];
+        &self.edges[start as usize..(start + len) as usize]
+    }
+}
+
+impl FromIterator<Vec<MetaId>> for SuccTable {
+    fn from_iter<I: IntoIterator<Item = Vec<MetaId>>>(lists: I) -> Self {
+        let mut table = SuccTable::default();
+        for list in lists {
+            let from = table.edges.len();
+            table.edges.extend(list);
+            table
+                .spans
+                .push((span_field(from), span_field(table.edges.len() - from)));
+        }
+        table
+    }
+}
+
+/// Lists by content: shared and copied spans compare equal.
+impl PartialEq for SuccTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for SuccTable {}
+
+/// The lists as a `Vec<Vec<MetaId>>` prints them.
+impl std::fmt::Debug for SuccTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A MIMD program converted into a single finite automaton over meta states
 /// (§1.2: "Once a program has been converted into a single finite automaton
 /// based on Meta States, only a single program counter is needed").
@@ -38,7 +185,7 @@ pub struct MetaAutomaton {
     /// Deduplicated successor lists, indexed by meta state. An empty list
     /// means the meta state is terminal (§3.2.1: "a return to the
     /// operating system").
-    pub succs: Vec<Vec<MetaId>>,
+    pub succs: SuccTable,
 }
 
 impl MetaAutomaton {
@@ -148,20 +295,17 @@ impl MetaAutomaton {
                 kept.push(i);
             }
         }
-        let mut sets = Vec::with_capacity(kept.len());
-        let mut succs = Vec::with_capacity(kept.len());
-        for &i in &kept {
-            sets.push(std::mem::take(&mut self.sets[i]));
-            succs.push(
-                self.succs[i]
-                    .iter()
-                    .map(|s| new_id[s.idx()].expect("successors of reachable states are reachable"))
-                    .collect(),
-            );
-        }
+        let sets = kept
+            .iter()
+            .map(|&i| std::mem::take(&mut self.sets[i]))
+            .collect();
+        let remap =
+            |s: &MetaId| new_id[s.idx()].expect("successors of reachable states are reachable");
+        self.succs = self
+            .succs
+            .rebuild(&kept, |list, edges| edges.extend(list.iter().map(remap)));
         self.start = new_id[self.start.idx()].expect("start is always reachable");
         self.sets = sets;
-        self.succs = succs;
         n - kept.len()
     }
 
@@ -249,6 +393,25 @@ impl MetaAutomaton {
 }
 
 #[cfg(test)]
+impl SuccTable {
+    /// `lists`, then state `i` given the span of state `owner` for each
+    /// `(i, owner)` of `shared`, built as the converter builds a table.
+    pub(crate) fn shared(lists: &[&[u32]], shared: &[(usize, usize)]) -> SuccTable {
+        let mut t = SuccTable::default();
+        for (i, list) in lists.iter().enumerate() {
+            let from = t.stored_edges();
+            t.push_empty();
+            list.iter().for_each(|&s| t.push_edge(MetaId(s)));
+            t.end_list(i, from);
+        }
+        for &(i, owner) in shared {
+            t.share(i, owner);
+        }
+        t
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use msc_ir::{MimdState, StateId, Terminator};
@@ -263,8 +426,15 @@ mod tests {
             graph,
             sets: vec![StateSet::singleton(a), StateSet::singleton(b)],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![]],
+            succs: table(&[&[1], &[]]),
         }
+    }
+
+    fn table(lists: &[&[u32]]) -> SuccTable {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&t| MetaId(t)).collect())
+            .collect()
     }
 
     #[test]
@@ -287,7 +457,7 @@ mod tests {
     #[test]
     fn validate_catches_bad_successor() {
         let mut a = tiny();
-        a.succs[1].push(MetaId(9));
+        a.succs = table(&[&[1], &[9]]);
         assert!(a.validate().is_err());
     }
 
@@ -320,7 +490,7 @@ mod tests {
                 StateSet::singleton(b),
             ],
             start: MetaId(1),
-            succs: vec![vec![MetaId(2)], vec![MetaId(2)], vec![]],
+            succs: table(&[&[2], &[2], &[]]),
         };
         assert_eq!(auto.prune_unreachable(), 1);
         assert_eq!(auto.len(), 2);
@@ -329,8 +499,81 @@ mod tests {
             auto.sets,
             vec![StateSet::singleton(a), StateSet::singleton(b)]
         );
-        assert_eq!(auto.succs, vec![vec![MetaId(1)], vec![]]);
+        assert_eq!(auto.succs, table(&[&[1], &[]]));
         assert_eq!(auto.validate(), Ok(()));
         assert_eq!(auto.prune_unreachable(), 0, "idempotent on reachable-only");
+    }
+
+    #[test]
+    fn tables_compare_by_content_not_by_span() {
+        let copied = table(&[&[1, 2], &[2], &[1, 2], &[]]);
+        let shared = SuccTable::shared(&[&[1, 2], &[2], &[], &[]], &[(2, 0)]);
+        assert_eq!((copied.stored_edges(), shared.stored_edges()), (5, 3));
+        assert_eq!(copied, shared);
+        assert_eq!(shared, copied);
+        assert_ne!(copied, table(&[&[1, 2], &[2], &[2, 1], &[]]));
+        assert_ne!(copied, table(&[&[1, 2], &[2], &[1, 2]]));
+        assert_ne!(copied, table(&[&[1, 2], &[2], &[1, 2], &[], &[]]));
+        // Empty lists are equal wherever their span points.
+        assert_eq!(SuccTable::shared(&[&[], &[3]], &[]), table(&[&[], &[3]]));
+    }
+
+    #[test]
+    fn swap_exchanges_two_lists() {
+        let mut t = SuccTable::shared(&[&[1], &[0, 2], &[]], &[(2, 0)]);
+        t.swap(0, 1);
+        assert_eq!(t, table(&[&[0, 2], &[1], &[1]]));
+        assert_eq!(t.stored_edges(), 3);
+        t.swap(1, 1);
+        assert_eq!(t, table(&[&[0, 2], &[1], &[1]]));
+    }
+
+    #[test]
+    fn debug_prints_what_nested_vecs_print() {
+        let lists = vec![vec![MetaId(1), MetaId(2)], vec![], vec![MetaId(0)]];
+        let t: SuccTable = lists.iter().cloned().collect();
+        assert_eq!(format!("{t:?}"), format!("{lists:?}"));
+        assert_eq!(format!("{t:#?}"), format!("{lists:#?}"));
+        let shared = SuccTable::shared(&[&[1, 2], &[], &[]], &[(2, 0)]);
+        let lists = vec![
+            vec![MetaId(1), MetaId(2)],
+            vec![],
+            vec![MetaId(1), MetaId(2)],
+        ];
+        assert_eq!(format!("{shared:?}"), format!("{lists:?}"));
+        assert_eq!(format!("{:?}", SuccTable::default()), "[]");
+    }
+
+    #[test]
+    fn collect_round_trips() {
+        let lists = vec![vec![MetaId(3)], vec![], vec![MetaId(0), MetaId(1)], vec![]];
+        let t: SuccTable = lists.iter().cloned().collect();
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.stored_edges(), 3);
+        let back: Vec<Vec<MetaId>> = t.iter().map(<[MetaId]>::to_vec).collect();
+        assert_eq!(back, lists);
+        assert_eq!(&t[2], &[MetaId(0), MetaId(1)]);
+        assert_eq!(back.into_iter().collect::<SuccTable>(), t);
+    }
+
+    #[test]
+    fn prune_keeps_shared_spans_shared() {
+        let mut graph = MimdGraph::new();
+        for _ in 0..6 {
+            graph.add(MimdState::new(vec![], Terminator::Halt));
+        }
+        graph.start = StateId(0);
+        // 0 → 1, 2, 3; 1 and 3 share one list {4}, 2 holds a copy of it;
+        // 5 is unreachable and has a list of its own.
+        let mut auto = MetaAutomaton {
+            graph,
+            sets: (0..6).map(|s| StateSet::singleton(StateId(s))).collect(),
+            start: MetaId(0),
+            succs: SuccTable::shared(&[&[1, 2, 3], &[4], &[4], &[], &[], &[0, 1]], &[(3, 1)]),
+        };
+        assert_eq!(auto.succs.stored_edges(), 7);
+        assert_eq!(auto.prune_unreachable(), 1);
+        assert_eq!(auto.succs, table(&[&[1, 2, 3], &[4], &[4], &[4], &[]]));
+        assert_eq!(auto.succs.stored_edges(), 5, "1 and 3 still share one list");
     }
 }

@@ -22,7 +22,7 @@
 //!   are removed from a meta state unless every member has reached the
 //!   barrier.
 
-use crate::automaton::{MetaAutomaton, MetaId};
+use crate::automaton::{MetaAutomaton, MetaId, SuccTable};
 use crate::stateset::{fx_hash, SetArena, SetId, SetList, StateSet, Window};
 use msc_ir::graph::GraphError;
 use msc_ir::util::{FxHashMap, FxHashSet};
@@ -91,12 +91,13 @@ pub struct ConvertOptions {
     /// interned sets' member words: its resident suffix, the block cache
     /// over its spilled prefix and its reload buffers stay within it, and
     /// past it cold words spill to a temp file. Nothing else is in it.
-    /// Every meta state keeps at least 109 bytes resident whatever the
+    /// Every meta state keeps at least 93 bytes resident whatever the
     /// budget — the arena's count and span (4 + 16), its hash-index slots
-    /// (≥ 32), its latent set (32), its successor list's header (24) and
-    /// worklist flag (1) — beside the 4 bytes of each queued id, the
-    /// expansion owners' keys and the finished automaton's sets; that
-    /// part is O(meta states) and capped by `max_meta_states` above.
+    /// (≥ 32), its latent set (32), its successor span (8) and worklist
+    /// flag (1) — beside the 4 bytes of each stored successor edge and
+    /// each queued id, the expansion owners' keys and the finished
+    /// automaton's sets; that part is O(meta states) and capped by
+    /// `max_meta_states` above.
     /// `None` = never spill. Defaults to the process-wide
     /// `MSC_MEMORY_BUDGET` (bytes, `k`/`m`/`g` suffixes), when set.
     pub memory_budget: Option<usize>,
@@ -268,11 +269,11 @@ const ROUND_ENTRIES_PER_THREAD: usize = 64;
 ///
 /// A memory budget bounds the arena's word stream alone
 /// ([`ConvertOptions::memory_budget`]). Everything else here stays
-/// resident — at least 109 bytes a meta state and 4 a queued id — and is
-/// O(meta states), capped by `max_meta_states`.
+/// resident — at least 93 bytes a meta state, 4 a stored edge and 4 a
+/// queued id — and is O(meta states), capped by `max_meta_states`.
 struct Frontier {
     arena: SetArena,
-    succs: Vec<Vec<MetaId>>,
+    succs: SuccTable,
     /// Latent barrier states per meta state: barrier waits that may hold
     /// lingering processes while this meta state's visible members run.
     /// barrier_sync (§2.6) removes waits from the visible set; tracking
@@ -292,7 +293,7 @@ impl Frontier {
     fn new(memory_budget: Option<usize>) -> Self {
         Frontier {
             arena: SetArena::with_budget(memory_budget),
-            succs: Vec::new(),
+            succs: SuccTable::default(),
             latents: Vec::new(),
             worklist: VecDeque::new(),
             in_worklist: Vec::new(),
@@ -317,7 +318,7 @@ impl Frontier {
             }
             return m;
         }
-        self.succs.push(Vec::new());
+        self.succs.push_empty();
         self.latents.push(latent);
         self.in_worklist.push(true);
         self.worklist.push_back(m.0);
@@ -492,7 +493,7 @@ pub fn convert_rounds<E: From<ConvertError>>(
                         msc_obs::count("convert.expansion_reused", 1);
                     }
                     stats.successor_sets_enumerated += enumerated;
-                    f.succs[m.idx()] = f.succs[owner.idx()].clone();
+                    f.succs.share(m.idx(), owner.idx());
                     continue;
                 }
                 let expansion = match ahead[i].take() {
@@ -506,10 +507,11 @@ pub fn convert_rounds<E: From<ConvertError>>(
                 };
                 let (targets, enumerated) = expansion?;
                 stats.successor_sets_enumerated += enumerated;
-                let mut out: Vec<MetaId> = Vec::with_capacity(targets.visible.len());
+                let from = f.succs.stored_edges();
                 let mut latents = targets.latents.into_iter();
                 for (t, hash) in targets.visible.iter() {
-                    out.push(f.intern(t, hash, latents.next().unwrap_or_default()));
+                    let to = f.intern(t, hash, latents.next().unwrap_or_default());
+                    f.succs.push_edge(to);
                     if f.arena.len() > opts.max_meta_states {
                         return Err(ConvertError::TooManyMetaStates {
                             limit: opts.max_meta_states,
@@ -517,16 +519,16 @@ pub fn convert_rounds<E: From<ConvertError>>(
                         .into());
                     }
                 }
+                f.succs.end_list(m.idx(), from);
                 // Distinct visible sets intern to distinct meta states.
                 debug_assert!(
                     {
-                        let mut ids = out.clone();
+                        let mut ids = f.succs[m.idx()].to_vec();
                         ids.sort_unstable();
                         ids.windows(2).all(|w| w[0] != w[1])
                     },
                     "successor_sets returned a visible set twice"
                 );
-                f.succs[m.idx()] = out;
                 owners.insert(std::mem::take(&mut e.key), (m, enumerated));
             }
         }
@@ -534,6 +536,7 @@ pub fn convert_rounds<E: From<ConvertError>>(
         let sets = (0..f.arena.len() as u32)
             .map(|s| f.arena.get(SetId(s)))
             .collect();
+        f.succs.shrink_to_fit();
         let automaton = MetaAutomaton {
             graph: g,
             sets,

@@ -20,10 +20,10 @@ pub mod spill;
 pub mod stateset;
 pub mod subsume;
 
-pub use automaton::{MetaAutomaton, MetaId};
+pub use automaton::{MetaAutomaton, MetaId, SuccTable};
 pub use convert::{
     apply_barrier, barrier_sync, convert, convert_rounds, convert_threads, convert_with_stats,
     ConvertError, ConvertMode, ConvertOptions, ConvertStats, TimeSplitOptions,
 };
-pub use spill::{default_memory_budget, parse_bytes};
+pub use spill::{default_memory_budget, env_memory_budget, parse_bytes};
 pub use stateset::{fx_hash, SetArena, SetId, StateSet};

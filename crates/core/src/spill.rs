@@ -23,11 +23,11 @@
 //! the budget after every call (the arena splits it;
 //! `SetArena::resident_bytes`). Everything else a conversion holds is
 //! O(meta states), resident whatever the budget and capped by
-//! `max_meta_states`: at least 109 bytes a meta state — the arena's count
+//! `max_meta_states`: at least 93 bytes a meta state — the arena's count
 //! and span (4 + 16) and hash-index slots (≥ 32), the converter's latent
-//! set (32), successor-list header (24) and worklist flag (1) — beside 4
-//! bytes per queued id, the expansion owners' keys and the finished
-//! automaton's sets.
+//! set (32), successor span (8) and worklist flag (1) — beside 4 bytes
+//! per stored successor edge and per queued id, the expansion owners'
+//! keys and the finished automaton's sets.
 //!
 //! **Recovery semantics:** spill files are private to one conversion and
 //! carry no cross-run state — a crash leaves at worst an orphaned
@@ -66,15 +66,27 @@ pub fn parse_bytes(s: &str) -> Option<usize> {
     n.checked_mul(1 << shift)
 }
 
-/// The process-wide default memory budget: `MSC_MEMORY_BUDGET` parsed once
-/// via [`parse_bytes`], `None` when unset or unparsable.
+/// `MSC_MEMORY_BUDGET` as it reads now: `Ok(None)` when unset, the count
+/// when [`parse_bytes`] takes it, and an error naming the variable when
+/// it is set to anything else.
+pub fn env_memory_budget() -> Result<Option<usize>, String> {
+    match std::env::var("MSC_MEMORY_BUDGET") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Ok(v) => parse_bytes(&v)
+            .map(Some)
+            .ok_or_else(|| format!("bad MSC_MEMORY_BUDGET `{v}` (try 64m, 2g, 65536)")),
+        Err(e) => Err(format!("bad MSC_MEMORY_BUDGET: {e}")),
+    }
+}
+
+/// The process-wide default memory budget: [`env_memory_budget`], read
+/// once. A value that is not a byte count reads as no budget here — a
+/// default cannot fail — so a caller that must not run with it checks
+/// [`env_memory_budget`] first, as `mscc` does: it refuses such a value
+/// with that error before it runs any command.
 pub fn default_memory_budget() -> Option<usize> {
     static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MSC_MEMORY_BUDGET")
-            .ok()
-            .and_then(|v| parse_bytes(&v))
-    })
+    *CACHE.get_or_init(|| env_memory_budget().ok().flatten())
 }
 
 /// An append-only temp file of `u64` words with positioned reads.
@@ -398,11 +410,8 @@ mod tests {
         // `default_memory_budget` reads a value `parse_bytes` rejects as no
         // budget at all, so a typo in a run under `MSC_MEMORY_BUDGET` (CI's
         // spill leg) would quietly convert everything in RAM.
-        if let Ok(v) = std::env::var("MSC_MEMORY_BUDGET") {
-            assert!(
-                parse_bytes(&v).is_some(),
-                "MSC_MEMORY_BUDGET={v:?} is not a byte count"
-            );
+        if let Err(e) = env_memory_budget() {
+            panic!("{e}");
         }
     }
 

@@ -167,23 +167,14 @@ pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
     }
     let map = |i: MetaId| -> MetaId { new_id[resolve(&remap, i).idx()].unwrap() };
 
-    let mut sets = Vec::with_capacity(kept.len());
-    let mut succs = Vec::with_capacity(kept.len());
-    for &i in &kept {
-        sets.push(auto.sets[i].clone());
-        let mut out: Vec<MetaId> = Vec::new();
-        let mut seen: FxHashSet<MetaId> = FxHashSet::default();
-        for &s in &auto.succs[i] {
-            let t = map(s);
-            if seen.insert(t) {
-                out.push(t);
-            }
-        }
-        succs.push(out);
-    }
+    let sets = kept.iter().map(|&i| auto.sets[i].clone()).collect();
+    let mut seen: FxHashSet<MetaId> = FxHashSet::default();
+    auto.succs = auto.succs.rebuild(&kept, |list, edges| {
+        seen.clear();
+        edges.extend(list.iter().map(|&s| map(s)).filter(|&t| seen.insert(t)));
+    });
     auto.start = map(auto.start);
     auto.sets = sets;
-    auto.succs = succs;
 
     // Folding can strand meta states (only reachable through folded ones);
     // drop anything unreachable from start.
@@ -194,6 +185,7 @@ pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::SuccTable;
     use crate::stateset::StateSet;
     use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 
@@ -213,19 +205,26 @@ mod tests {
         StateSet::from_iter(v.iter().map(|&x| StateId(x)))
     }
 
+    fn table(lists: &[&[u32]]) -> SuccTable {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&t| MetaId(t)).collect())
+            .collect()
+    }
+
     #[test]
     fn folds_subset_into_superset() {
         let mut auto = MetaAutomaton {
             graph: graph(4, &[]),
             sets: vec![set(&[0]), set(&[1, 2]), set(&[1, 2, 3])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![MetaId(2)], vec![MetaId(2)]],
+            succs: table(&[&[1], &[2], &[2]]),
         };
         let removed = subsume(&mut auto);
         assert_eq!(removed, 1);
         assert_eq!(auto.len(), 2);
         assert_eq!(auto.sets, vec![set(&[0]), set(&[1, 2, 3])]);
-        assert_eq!(auto.succs, vec![vec![MetaId(1)], vec![MetaId(1)]]);
+        assert_eq!(auto.succs, table(&[&[1], &[1]]));
         assert_eq!(auto.validate(), Ok(()));
     }
 
@@ -235,7 +234,7 @@ mod tests {
             graph: graph(4, &[]),
             sets: vec![set(&[0]), set(&[1]), set(&[1, 2]), set(&[1, 2, 3])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![MetaId(2)], vec![MetaId(3)], vec![]],
+            succs: table(&[&[1], &[2], &[3], &[]]),
         };
         let removed = subsume(&mut auto);
         assert_eq!(removed, 2);
@@ -249,7 +248,7 @@ mod tests {
             graph: graph(4, &[3]),
             sets: vec![set(&[0]), set(&[3]), set(&[1, 2, 3])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1), MetaId(2)], vec![], vec![MetaId(2)]],
+            succs: table(&[&[1, 2], &[], &[2]]),
         };
         let removed = subsume(&mut auto);
         assert_eq!(removed, 0);
@@ -262,7 +261,7 @@ mod tests {
             graph: graph(3, &[]),
             sets: vec![set(&[0]), set(&[0, 1])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![]],
+            succs: table(&[&[1], &[]]),
         };
         subsume(&mut auto);
         assert_eq!(auto.len(), 1);
@@ -280,7 +279,7 @@ mod tests {
             graph: graph(10, &[]),
             sets: vec![set(&[5]), set(&[1]), set(&[1, 2]), set(&[9])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1)], vec![MetaId(3)], vec![], vec![]],
+            succs: table(&[&[1], &[3], &[], &[]]),
         };
         subsume(&mut auto);
         assert_eq!(auto.len(), 2);
@@ -294,9 +293,39 @@ mod tests {
             graph: graph(4, &[]),
             sets: vec![set(&[0]), set(&[1, 2]), set(&[2, 3])],
             start: MetaId(0),
-            succs: vec![vec![MetaId(1), MetaId(2)], vec![], vec![]],
+            succs: table(&[&[1, 2], &[], &[]]),
         };
         assert_eq!(subsume(&mut auto), 0);
         assert_eq!(auto.len(), 3);
+    }
+
+    #[test]
+    fn folding_keeps_shared_spans_shared() {
+        // {1,5} and {2,5} share one list {3}, {3,4}; {3} folds into
+        // {3,4}, so the shared list becomes {3,4} alone, still stored once.
+        let mut auto = MetaAutomaton {
+            graph: graph(6, &[]),
+            sets: vec![
+                set(&[0]),
+                set(&[1, 5]),
+                set(&[2, 5]),
+                set(&[3]),
+                set(&[3, 4]),
+            ],
+            start: MetaId(0),
+            succs: SuccTable::shared(&[&[1, 2], &[3, 4], &[], &[], &[]], &[(2, 1)]),
+        };
+        assert_eq!(auto.succs.stored_edges(), 4);
+        assert_eq!(subsume(&mut auto), 1);
+        assert_eq!(
+            auto.sets,
+            vec![set(&[0]), set(&[1, 5]), set(&[2, 5]), set(&[3, 4])]
+        );
+        assert_eq!(auto.succs, table(&[&[1, 2], &[3], &[3], &[]]));
+        assert_eq!(
+            auto.succs.stored_edges(),
+            3,
+            "{{1,5}} and {{2,5}} still share"
+        );
     }
 }

@@ -10,7 +10,7 @@
 use metastate::{convert_parallel, Engine, EngineOptions, Job, Pipeline, Provenance};
 use msc_core::{
     convert_rounds, convert_with_stats, ConvertError, ConvertMode, ConvertOptions, ConvertStats,
-    MetaAutomaton, MetaId, StateSet,
+    MetaAutomaton, MetaId, StateSet, SuccTable,
 };
 use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn arb_graph() -> impl Strategy<Value = MimdGraph> {
 
 /// One conversion's outcome, reduced to what must not depend on the thread
 /// count or the memory budget.
-type Outcome = Result<(Vec<StateSet>, Vec<Vec<MetaId>>, MetaId, ConvertStats), ConvertError>;
+type Outcome = Result<(Vec<StateSet>, SuccTable, MetaId, ConvertStats), ConvertError>;
 
 fn outcome(r: Result<(MetaAutomaton, ConvertStats), ConvertError>) -> Outcome {
     r.map(|(a, stats)| (a.sets, a.succs, a.start, stats))

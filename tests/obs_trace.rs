@@ -222,6 +222,14 @@ fn memory_budget_spills_at_two_threads() {
     let reused = snap.counter("convert.expansion_reused");
     assert_eq!(reused, 255);
     assert_eq!(fanout.count + reused, spilled.len() as u64);
+    // A reused list is the owner's span, not a copy: of the 13 885 edges
+    // the lists hold, the 255 reused lists' 6 815 are stored nowhere. The
+    // table holds the DP's 7 070: the 7 071 unions it kept, less the one
+    // empty union, which is no successor.
+    let edges: usize = spilled.succs.iter().map(<[_]>::len).sum();
+    assert_eq!(edges, 13_885);
+    assert_eq!(spilled.succs.stored_edges(), 13_885 - 6_815);
+    assert_eq!(plain.succs.stored_edges(), fanout.sum as usize - 1);
 
     // One barrier state anywhere in the graph and every expansion runs it.
     let mut g = fan_out_loops(3);
