@@ -304,18 +304,6 @@ impl StateSet {
         self.len() < other.len() && self.is_subset(other)
     }
 
-    /// Append this set's bit words in *absolute* form — word 0 first, so
-    /// `base` zero words and then the window — to `out`, returning how
-    /// many words were written. Slices from different sets then line up
-    /// word for word under the batched kernels (e.g.
-    /// [`setops::subset_of_many`]).
-    pub fn append_bit_words(&self, out: &mut Vec<u64>) -> usize {
-        let n = self.range().end as usize;
-        out.resize(out.len() + self.base as usize, 0);
-        out.extend_from_slice(&self.words);
-        n
-    }
-
     /// The set as a borrowed [`Window`].
     pub(crate) fn window(&self) -> Window<'_> {
         Window {
@@ -1199,15 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn append_bit_words_is_the_absolute_form() {
-        let mut out = vec![7];
-        assert_eq!(set(&[130, 200]).append_bit_words(&mut out), 4);
-        assert_eq!(out, [7, 0, 0, 1 << 2, 1 << 8]);
-        assert_eq!(StateSet::empty().append_bit_words(&mut out), 0);
-        assert_eq!(out.len(), 5);
-    }
-
-    #[test]
     fn arena_interns_once() {
         let mut arena = SetArena::new();
         let a = arena.intern(set(&[1, 2]));
@@ -1577,12 +1556,6 @@ mod proptests {
             prop_assert_eq!(a.iter().count(), ma.len());
             prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
             prop_assert_eq!(a == b, ma == mb);
-            let mut words = vec![u64::MAX];
-            prop_assert_eq!(a.append_bit_words(&mut words), words.len() - 1);
-            let bits: Vec<u32> = (0..64 * (words.len() as u32 - 1))
-                .filter(|i| words[1 + (i >> 6) as usize] >> (i & 63) & 1 == 1)
-                .collect();
-            prop_assert_eq!(bits, ma);
         }
 
         /// Interning is injective: same handle iff same set. A hit must

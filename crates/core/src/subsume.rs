@@ -14,7 +14,6 @@
 
 use crate::automaton::{MetaAutomaton, MetaId};
 use msc_ir::util::FxHashSet;
-use msc_simd::setops;
 
 /// Fold strict-subset meta states into supersets. Returns the number of
 /// meta states removed. The automaton is rebuilt with dense ids; the start
@@ -24,112 +23,17 @@ use msc_simd::setops;
 /// set contains it): any superset of meta `i` must appear on the
 /// occurrence list of *every* member of `i`, so it suffices to scan the
 /// shortest such list — the one of `i`'s rarest member — instead of all n
-/// metas. The surviving candidates are checked in one batched
-/// [`setops::subset_of_many`] call over an SoA snapshot of every set's bit
-/// words, taking the pass from O(n² · width) pointer-chasing to roughly
-/// O(n · rarest-occurrence · words) streamed through the SIMD kernels.
+/// metas. Each surviving candidate is tested on the automaton's own sets
+/// with [`StateSet::is_subset`](crate::StateSet::is_subset), which compares
+/// the two tight windows where they overlap: the pass holds no copy of the
+/// sets, only the index and O(n) tables, and costs roughly
+/// O(n · rarest-occurrence · window words).
 pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
     let n = auto.sets.len();
     if n == 0 {
         return 0;
     }
-    let barrier_only: Vec<bool> = auto
-        .sets
-        .iter()
-        .map(|s| !s.is_empty() && s.iter().all(|m| auto.graph.state(m).barrier))
-        .collect();
-
-    // Occurrence lists over fold-eligible metas only (barrier-only metas
-    // are neither folded nor folded into, so they stay out of the index).
-    let max_state = auto
-        .sets
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|s| s.idx())
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut containing: Vec<Vec<u32>> = vec![Vec::new(); max_state];
-    for (i, s) in auto.sets.iter().enumerate() {
-        if barrier_only[i] {
-            continue;
-        }
-        for m in s.iter() {
-            containing[m.idx()].push(i as u32);
-        }
-    }
-
-    // SoA snapshot of every fold-eligible set's bit words: one contiguous
-    // arena the batched subset kernel streams through, instead of chasing
-    // per-set allocations pair by pair.
-    let mut arena: Vec<u64> = Vec::new();
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
-    let mut set_len: Vec<usize> = vec![0; n];
-    for (i, s) in auto.sets.iter().enumerate() {
-        set_len[i] = s.len();
-        if barrier_only[i] {
-            continue;
-        }
-        let off = arena.len() as u32;
-        let nw = s.append_bit_words(&mut arena) as u32;
-        spans[i] = (off, nw);
-    }
-
-    // For determinism, fold each subset into the *largest* superset
-    // (ties broken by lowest id). The winner is a unique argmax over
-    // (len, Reverse(id)), so the candidate scan order is irrelevant.
-    let mut remap: Vec<MetaId> = (0..n as u32).map(MetaId).collect();
-    let mut candidate_scans = 0u64;
-    let mut cand_ids: Vec<u32> = Vec::new();
-    let mut cand_spans: Vec<(u32, u32)> = Vec::new();
-    let mut hits: Vec<u32> = Vec::new();
-
-    for i in 0..n {
-        if barrier_only[i] {
-            continue;
-        }
-        cand_ids.clear();
-        cand_spans.clear();
-        hits.clear();
-        // Strictness is a pure length check, so it prunes candidates
-        // before the word scan: only longer sets can strictly contain `i`.
-        let mut push_cand = |j: u32| {
-            if set_len[j as usize] > set_len[i] {
-                cand_ids.push(j);
-                cand_spans.push(spans[j as usize]);
-            }
-        };
-        let rarest = auto.sets[i]
-            .iter()
-            .min_by_key(|m| containing[m.idx()].len());
-        match rarest {
-            Some(m) => {
-                candidate_scans += containing[m.idx()].len() as u64;
-                for &j in &containing[m.idx()] {
-                    push_cand(j);
-                }
-            }
-            // The empty set is a strict subset of everything; fall back to
-            // a full scan.
-            None => {
-                candidate_scans += n as u64;
-                for j in 0..n as u32 {
-                    if !barrier_only[j as usize] {
-                        push_cand(j);
-                    }
-                }
-            }
-        }
-        let (off, nw) = spans[i];
-        let a = &arena[off as usize..(off + nw) as usize];
-        setops::subset_of_many(a, &arena, &cand_spans, &mut hits);
-        let best = hits
-            .iter()
-            .map(|&h| cand_ids[h as usize] as usize)
-            .max_by_key(|&j| (set_len[j], std::cmp::Reverse(j)));
-        if let Some(j) = best {
-            remap[i] = MetaId(j as u32);
-        }
-    }
+    let remap = fold_targets(auto);
 
     // Resolve chains (a ⊂ b ⊂ c): follow remap until fixpoint.
     fn resolve(remap: &[MetaId], mut i: MetaId) -> MetaId {
@@ -144,8 +48,6 @@ pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
         }
         i
     }
-
-    msc_obs::count("subsume.candidate_scans", candidate_scans);
 
     let removed = (0..n)
         .filter(|&i| resolve(&remap, MetaId(i as u32)).idx() != i)
@@ -167,7 +69,10 @@ pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
     }
     let map = |i: MetaId| -> MetaId { new_id[resolve(&remap, i).idx()].unwrap() };
 
-    let sets = kept.iter().map(|&i| auto.sets[i].clone()).collect();
+    let sets = kept
+        .iter()
+        .map(|&i| std::mem::take(&mut auto.sets[i]))
+        .collect();
     let mut seen: FxHashSet<MetaId> = FxHashSet::default();
     auto.succs = auto.succs.rebuild(&kept, |list, edges| {
         seen.clear();
@@ -180,6 +85,66 @@ pub fn subsume(auto: &mut MetaAutomaton) -> u32 {
     // drop anything unreachable from start.
     auto.prune_unreachable();
     removed
+}
+
+/// Each meta state's fold target: its largest strict superset (ties
+/// broken by lowest id) among the fold-eligible meta states, or itself.
+/// Chains are left to the caller.
+fn fold_targets(auto: &MetaAutomaton) -> Vec<MetaId> {
+    let sets = &auto.sets;
+    let n = sets.len();
+    let barrier_only: Vec<bool> = sets
+        .iter()
+        .map(|s| !s.is_empty() && s.iter().all(|m| auto.graph.state(m).barrier))
+        .collect();
+
+    // Occurrence lists over fold-eligible metas only (barrier-only metas
+    // are neither folded nor folded into, so they stay out of the index).
+    let max_state = sets
+        .iter()
+        .flat_map(|s| s.iter())
+        .map(|s| s.idx())
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut containing: Vec<Vec<u32>> = vec![Vec::new(); max_state];
+    let mut eligible: Vec<u32> = Vec::new();
+    for (i, s) in sets.iter().enumerate() {
+        if barrier_only[i] {
+            continue;
+        }
+        eligible.push(i as u32);
+        for m in s.iter() {
+            containing[m.idx()].push(i as u32);
+        }
+    }
+
+    // For determinism, fold each subset into the *largest* superset
+    // (ties broken by lowest id). The winner is a unique argmax over
+    // (len, Reverse(id)), so the candidate scan order is irrelevant.
+    let mut remap: Vec<MetaId> = (0..n as u32).map(MetaId).collect();
+    let mut candidate_scans = 0u64;
+    for &i in &eligible {
+        let a = &sets[i as usize];
+        let (cands, scanned) = match a.iter().min_by_key(|m| containing[m.idx()].len()) {
+            Some(m) => (&containing[m.idx()], containing[m.idx()].len()),
+            // The empty set is a strict subset of everything; fall back to
+            // a full scan.
+            None => (&eligible, n),
+        };
+        candidate_scans += scanned as u64;
+        // `is_strict_subset` compares lengths before any word: only
+        // longer sets can strictly contain `i`.
+        let best = cands
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| a.is_strict_subset(&sets[j]))
+            .max_by_key(|&j| (sets[j].len(), std::cmp::Reverse(j)));
+        if let Some(j) = best {
+            remap[i as usize] = MetaId(j as u32);
+        }
+    }
+    msc_obs::count("subsume.candidate_scans", candidate_scans);
+    remap
 }
 
 #[cfg(test)]
@@ -327,5 +292,135 @@ mod tests {
             3,
             "{{1,5}} and {{2,5}} still share"
         );
+    }
+
+    /// `n` pairs {3i, 3i+1} ⊂ {3i, 3i+1, 3i+2} chained by successor arcs.
+    fn subset_chain(n: u32) -> MetaAutomaton {
+        let sets: Vec<StateSet> = (0..n)
+            .flat_map(|i| {
+                [
+                    set(&[3 * i, 3 * i + 1]),
+                    set(&[3 * i, 3 * i + 1, 3 * i + 2]),
+                ]
+            })
+            .collect();
+        let last = sets.len() as u32 - 1;
+        MetaAutomaton {
+            graph: graph(3 * n, &[]),
+            succs: (0..=last)
+                .map(|i| (i < last).then_some(MetaId(i + 1)).into_iter().collect())
+                .collect(),
+            sets,
+            start: MetaId(0),
+        }
+    }
+
+    #[test]
+    fn folds_a_chain_across_window_bases() {
+        // Members 0..300: the sets sit in words 0 to 4, and some straddle
+        // a word boundary ({63, 64}, {126, 127, 128}).
+        let mut auto = subset_chain(100);
+        assert_eq!(subsume(&mut auto), 100);
+        assert_eq!(
+            auto.sets,
+            (0..100)
+                .map(|i| set(&[3 * i, 3 * i + 1, 3 * i + 2]))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(auto.start, MetaId(0));
+        assert_eq!(auto.validate(), Ok(()));
+        assert_eq!(subsume(&mut auto), 0);
+    }
+
+    #[test]
+    fn folds_into_a_superset_whose_window_is_wider_on_both_sides() {
+        // {70,130} spans words 1..=2; {5,70,130,200} spans words 0..=3.
+        // {6,71,131}, the subset's members plus one, contains neither.
+        let mut auto = MetaAutomaton {
+            graph: graph(201, &[]),
+            sets: vec![set(&[70, 130]), set(&[5, 70, 130, 200]), set(&[6, 71, 131])],
+            start: MetaId(0),
+            succs: table(&[&[1], &[0, 2], &[]]),
+        };
+        assert_eq!(subsume(&mut auto), 1);
+        assert_eq!(auto.sets, vec![set(&[5, 70, 130, 200]), set(&[6, 71, 131])]);
+        assert_eq!(auto.succs, table(&[&[0, 1], &[]]));
+        assert_eq!(auto.validate(), Ok(()));
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Twelve real states after `pad` unused ids, their second half
+        /// `gap` ids further on: windows start past word 0, cross word
+        /// boundaries and span up to four words. Each meta state's set is a
+        /// mask over the twelve, so subsets are common.
+        fn arb_automaton() -> impl Strategy<Value = MetaAutomaton> {
+            let pad = prop_oneof![Just(0u32), Just(60), Just(130), Just(1_000)];
+            let gap = prop_oneof![Just(0u32), Just(130)];
+            let metas = prop::collection::vec(
+                (0u32..1 << 12, prop::collection::vec(0u32..64, 0..4)),
+                1..24,
+            );
+            (pad, gap, 0u32..1 << 12, metas).prop_map(|(pad, gap, barriers, metas)| {
+                let id = |r: u32| pad + r + if r >= 6 { gap } else { 0 };
+                let of_mask = |mask: u32| (0..12).filter(move |r| mask >> r & 1 == 1);
+                let barrier_ids: Vec<u32> = of_mask(barriers).map(id).collect();
+                let mut sets: Vec<StateSet> = Vec::new();
+                let mut succs: Vec<Vec<u32>> = Vec::new();
+                for (mask, targets) in metas {
+                    let s = StateSet::from_iter(of_mask(mask).map(|r| StateId(id(r))));
+                    if !sets.contains(&s) {
+                        sets.push(s);
+                        succs.push(targets);
+                    }
+                }
+                let n = sets.len() as u32;
+                let lists: Vec<Vec<u32>> = succs
+                    .iter()
+                    .map(|t| t.iter().map(|&j| j % n).collect())
+                    .collect();
+                let lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+                MetaAutomaton {
+                    graph: graph(id(11) + 1, &barrier_ids),
+                    sets,
+                    start: MetaId(0),
+                    succs: table(&lists),
+                }
+            })
+        }
+
+        /// The fold target by definition: every pair tested, member by
+        /// member, so no window arithmetic is shared with `is_subset`.
+        fn all_pairs(auto: &MetaAutomaton) -> Vec<MetaId> {
+            let sets = &auto.sets;
+            let eligible = |i: usize| {
+                sets[i].is_empty() || !sets[i].iter().all(|m| auto.graph.state(m).barrier)
+            };
+            (0..sets.len())
+                .map(|i| {
+                    let best = (0..sets.len())
+                        .filter(|&j| eligible(i) && eligible(j))
+                        .filter(|&j| sets[i].len() < sets[j].len())
+                        .filter(|&j| sets[i].iter().all(|m| sets[j].contains(m)))
+                        .max_by_key(|&j| (sets[j].len(), std::cmp::Reverse(j)));
+                    MetaId(best.unwrap_or(i) as u32)
+                })
+                .collect()
+        }
+
+        proptest! {
+            /// The occurrence-list search picks the all-pairs target, and
+            /// after one pass nothing is left to fold.
+            #[test]
+            fn one_pass_folds_everything_the_all_pairs_scan_would(auto in arb_automaton()) {
+                prop_assert_eq!(fold_targets(&auto), all_pairs(&auto));
+                let mut auto = auto;
+                subsume(&mut auto);
+                prop_assert_eq!(auto.validate(), Ok(()));
+                prop_assert_eq!(subsume(&mut auto), 0);
+            }
+        }
     }
 }

@@ -9,6 +9,8 @@
 //! test can observe or perturb it.
 
 use metastate::{convert_parallel, ConvertOptions, Engine, EngineError, EngineOptions, Job};
+use msc_core::subsume::subsume;
+use msc_core::{MetaAutomaton, MetaId, StateSet};
 use msc_ir::{MimdGraph, MimdState, StateId, Terminator};
 use msc_obs::jsonl::{parse_line, TraceLine};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -242,6 +244,49 @@ fn memory_budget_spills_at_two_threads() {
     let expansions = snap.hist("convert.fanout").expect("fan-outs").count;
     assert_eq!(snap.counter("convert.barrier_pass_run"), expansions);
     assert_eq!(snap.counter("convert.barrier_pass_skipped"), 0);
+}
+
+/// `n` pairs {3i, 3i+1} ⊂ {3i, 3i+1, 3i+2} chained by successor arcs:
+/// every pair folds exactly once under subsumption.
+fn subset_chain(n: u32) -> MetaAutomaton {
+    let mut graph = MimdGraph::new();
+    for _ in 0..3 * n {
+        graph.add(MimdState::new(vec![], Terminator::Halt));
+    }
+    graph.start = StateId(0);
+    let sets: Vec<StateSet> = (0..n)
+        .flat_map(|i| {
+            let pair = StateSet::from_iter([StateId(3 * i), StateId(3 * i + 1)]);
+            let triple = pair.union(&StateSet::singleton(StateId(3 * i + 2)));
+            [pair, triple]
+        })
+        .collect();
+    let last = sets.len() as u32 - 1;
+    MetaAutomaton {
+        graph,
+        succs: (0..=last)
+            .map(|i| (i < last).then_some(MetaId(i + 1)).into_iter().collect())
+            .collect(),
+        sets,
+        start: MetaId(0),
+    }
+}
+
+#[test]
+fn subsume_work_on_the_subset_chain() {
+    // A pair's rarest member is on two occurrence lists and a triple's on
+    // one: three candidates scanned per pair, whatever the set encoding.
+    for n in [100, 4096] {
+        let mut auto = subset_chain(n);
+        let registry = Arc::new(msc_obs::Registry::new());
+        let guard = msc_obs::install(registry.clone());
+        let folded = subsume(&mut auto);
+        drop(guard);
+        let snap = registry.snapshot();
+        assert_eq!((folded, auto.len()), (n, n as usize));
+        assert_eq!(snap.counter("subsume.folded"), u64::from(n));
+        assert_eq!(snap.counter("subsume.candidate_scans"), 3 * u64::from(n));
+    }
 }
 
 /// Threads that ran [`PanicOnSpawnedExpansion`]'s panic path and have not
