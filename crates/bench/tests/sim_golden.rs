@@ -12,7 +12,9 @@ use metastate::{Built, ConvertMode, Pipeline};
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
 use msc_ir::{Addr, CostModel};
 use msc_mimd::{InterpInstr, InterpMachine, InterpProgram};
-use msc_simd::{MachineConfig, SimdMachine};
+use msc_simd::{
+    BlockId, Dispatch, GuardedInstr, MachineConfig, MetaBlock, SimdInstr, SimdMachine, SimdProgram,
+};
 use std::fmt::Write as _;
 
 const WIDTHS: [usize; 5] = [1, 7, 64, 65, 1024];
@@ -160,13 +162,26 @@ fn row(src: &str, pools: &[(usize, usize)], word: impl Fn(&Built) -> Addr) -> [S
 
 /// Interpreter runs that fault, as (label, digest over `FAULT_WIDTHS`):
 /// `{:?}` of the result and `InterpMetrics`, then every poly word of
-/// every PE. Captured on the code of commit 6898ae5, where the interpreter
-/// stepped every PE on its own.
+/// every PE. The first three captured on the code of commit 6898ae5, where
+/// the interpreter stepped every PE on its own; `fault:shared_underflow`
+/// on 6d5ca85, before ops went to PEs at one operand depth a stack level
+/// at a time.
 #[rustfmt::skip]
 const FAULT_GOLDEN: &[(&str, &str)] = &[
     ("fault:stack_underflow", "40318ad20cf733e5f589894b5b9fbc19"),
     ("fault:bad_selector", "dae90e81f6b9fb12d78026fe7400eb65"),
     ("fault:bad_address", "461860951c3b1682d3e7935c9f165cf6"),
+    ("fault:shared_underflow", "407a29c3ac12b49fd54a666b7d1c5438"),
+];
+
+/// Machine runs of hand-built programs whose ops the one-depth lane path
+/// declines — return-stack ops, and an underflow at a depth every enabled
+/// PE shares — as (label, digest over `FAULT_WIDTHS` of what
+/// `machine_run` records, every poly word instead of one). Captured on
+/// 6d5ca85, where every op went PE by PE.
+#[rustfmt::skip]
+const MACHINE_FAULT_GOLDEN: &[(&str, &str)] = &[
+    ("machine:shared_underflow", "9e4ac71c85e51bbd6893a05665c28673"),
 ];
 
 const FAULT_WIDTHS: [usize; 3] = [7, 65, 1024];
@@ -251,11 +266,116 @@ fn fault_images() -> Vec<(&'static str, InterpProgram)> {
         op(Op::St(Addr::poly(1))),
         Halt,
     ];
+    // Every PE adds its parity to its number through the return stack;
+    // then PEs from 3 up pop an empty stack, all at depth 0.
+    let shared_underflow = vec![
+        op(Op::PeId),
+        op(Op::Push(1)),
+        op(Op::Bin(BinOp::And)),
+        op(Op::PushRet),
+        op(Op::PeId),
+        op(Op::PopRet),
+        op(Op::Bin(BinOp::Add)),
+        op(Op::St(Addr::poly(0))),
+        op(Op::PeId),
+        op(Op::Push(3)),
+        op(Op::Bin(BinOp::Lt)),
+        JumpF { t: 12, f: 15 },
+        op(Op::Push(5)),
+        op(Op::St(Addr::poly(1))),
+        Halt,
+        op(Op::Pop(1)),
+        Halt,
+    ];
     vec![
         ("fault:stack_underflow", image(stack_underflow, 2)),
         ("fault:bad_selector", image(bad_selector, 2)),
         ("fault:bad_address", image(bad_address, 2)),
+        ("fault:shared_underflow", image(shared_underflow, 2)),
     ]
+}
+
+/// `fault:shared_underflow` as a two-block SIMD program: block 0 runs the
+/// return-stack part on every PE and splits them at 3, block 1 stores on
+/// the PEs below and pops an empty stack on the rest.
+fn machine_fault_programs() -> Vec<(&'static str, SimdProgram)> {
+    use msc_ir::{BinOp, Op, StateId};
+    let (s0, low, high) = (StateId(0), StateId(1), StateId(2));
+    let on = |guard: &[StateId], instr| GuardedInstr {
+        guard: guard.into(),
+        instr,
+    };
+    let op = |guard: &[StateId], op| on(guard, SimdInstr::Op(op));
+    let split = MetaBlock {
+        members: vec![s0],
+        name: "ms_0".into(),
+        body: vec![
+            op(&[s0], Op::PeId),
+            op(&[s0], Op::Push(1)),
+            op(&[s0], Op::Bin(BinOp::And)),
+            op(&[s0], Op::PushRet),
+            op(&[s0], Op::PeId),
+            op(&[s0], Op::PopRet),
+            op(&[s0], Op::Bin(BinOp::Add)),
+            op(&[s0], Op::St(Addr::poly(0))),
+            op(&[s0], Op::PeId),
+            op(&[s0], Op::Push(3)),
+            op(&[s0], Op::Bin(BinOp::Lt)),
+            on(&[s0], SimdInstr::JumpF { t: low, f: high }),
+        ],
+        dispatch: Dispatch::Direct(BlockId(1)),
+    };
+    let tail = MetaBlock {
+        members: vec![low, high],
+        name: "ms_1_2".into(),
+        body: vec![
+            op(&[low], Op::Push(5)),
+            op(&[low], Op::St(Addr::poly(1))),
+            op(&[high], Op::Pop(1)),
+            on(&[low, high], SimdInstr::Halt),
+        ],
+        dispatch: Dispatch::End,
+    };
+    let program = SimdProgram {
+        blocks: vec![split, tail],
+        start: BlockId(0),
+        start_state: s0,
+        poly_words: 2,
+        mono_words: 0,
+        costs: CostModel::default(),
+    };
+    vec![("machine:shared_underflow", program)]
+}
+
+#[test]
+fn machine_faults_match_the_committed_digests() {
+    let mut table = String::new();
+    let mut matches = true;
+    let programs = machine_fault_programs();
+    for ((label, program), (want_label, want)) in programs.into_iter().zip(MACHINE_FAULT_GOLDEN) {
+        let mut text = String::new();
+        for n_pe in FAULT_WIDTHS {
+            let config = MachineConfig::spmd(n_pe).with_trace();
+            let mut machine = SimdMachine::new(&program, &config);
+            let result = machine.run(&program, &config);
+            let words: Vec<i64> = (0..n_pe)
+                .flat_map(|pe| (0..program.poly_words).map(move |w| (pe, w)))
+                .map(|(pe, w)| machine.poly_at(pe, Addr::poly(w)))
+                .collect();
+            let _ = writeln!(
+                text,
+                "{n_pe}: {result:?} {:?} {:?} {:?} {words:?}",
+                machine.metrics, machine.visits, machine.trace
+            );
+        }
+        let got = digest(&text);
+        matches &= label == *want_label && got == *want;
+        let _ = writeln!(table, "    (\"{label}\", \"{got}\"),");
+    }
+    assert!(
+        matches,
+        "machine faults drifted from MACHINE_FAULT_GOLDEN; this commit produces:\n{table}"
+    );
 }
 
 #[test]

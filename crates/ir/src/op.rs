@@ -129,12 +129,14 @@ impl BinOp {
     /// Apply the operator to two words. Integer division by zero yields 0
     /// (the simulated machine traps to a benign value rather than aborting
     /// the whole SIMD array).
+    ///
+    /// Inlined, so a loop over one operator compiles to that operator's
+    /// arm; the four float arithmetic operators stay in one out-of-line
+    /// copy, `float_arith`.
+    #[inline]
     pub fn apply(self, a: i64, b: i64) -> i64 {
         fn fb(x: i64) -> f64 {
             f64::from_bits(x as u64)
-        }
-        fn bf(x: f64) -> i64 {
-            x.to_bits() as i64
         }
         match self {
             BinOp::Add => a.wrapping_add(b),
@@ -165,10 +167,7 @@ impl BinOp {
             BinOp::Le => (a <= b) as i64,
             BinOp::Gt => (a > b) as i64,
             BinOp::Ge => (a >= b) as i64,
-            BinOp::FAdd => bf(fb(a) + fb(b)),
-            BinOp::FSub => bf(fb(a) - fb(b)),
-            BinOp::FMul => bf(fb(a) * fb(b)),
-            BinOp::FDiv => bf(fb(a) / fb(b)),
+            BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => self.float_arith(a, b),
             BinOp::FLt => (fb(a) < fb(b)) as i64,
             BinOp::FLe => (fb(a) <= fb(b)) as i64,
             BinOp::FGt => (fb(a) > fb(b)) as i64,
@@ -176,6 +175,23 @@ impl BinOp {
             BinOp::FEq => (fb(a) == fb(b)) as i64,
             BinOp::FNe => (fb(a) != fb(b)) as i64,
         }
+    }
+
+    /// `FAdd`, `FSub`, `FMul` and `FDiv` on f64 bit patterns. Which NaN
+    /// such an op returns is up to code generation (an operand may be
+    /// commuted), so every caller shares this one compiled copy: the SIMD
+    /// machine, the interpreter and the MIMD reference agree on NaN bits.
+    #[inline(never)]
+    fn float_arith(self, a: i64, b: i64) -> i64 {
+        let (a, b) = (f64::from_bits(a as u64), f64::from_bits(b as u64));
+        let r = match self {
+            BinOp::FAdd => a + b,
+            BinOp::FSub => a - b,
+            BinOp::FMul => a * b,
+            BinOp::FDiv => a / b,
+            _ => unreachable!("{self} is not float arithmetic"),
+        };
+        r.to_bits() as i64
     }
 }
 

@@ -10,7 +10,7 @@ use msc_ir::{CostModel, MimdGraph, Op, Space, StateId, Terminator};
 use std::fmt;
 
 /// Per-processor execution state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Proc {
     /// Executing op `op_idx` of `state`, with `remaining` cycles to go on
     /// it (0 remaining = about to apply its effect).
@@ -168,6 +168,15 @@ impl MimdReference {
     }
 
     /// Run `graph` to completion.
+    ///
+    /// Each cycle visits the running and waiting processors only, in
+    /// ascending order — a halted or idle one does nothing — so they are
+    /// kept as a list, from which a halted processor drops at the end of
+    /// the cycle. The idle processors are always a suffix of the array (the
+    /// pool past `active_at_start`, less the recruits taken from its
+    /// bottom), so a recruit lies above every listed processor: it joins at
+    /// the end of the list and still runs in the cycle it was spawned in,
+    /// as a walk over every processor would have it.
     pub fn run(
         &mut self,
         graph: &MimdGraph,
@@ -177,13 +186,18 @@ impl MimdReference {
         for p in 0..config.active_at_start.min(self.n_proc) {
             self.procs[p] = self.enter_state(graph, graph.start);
         }
+        let mut live: Vec<usize> = (0..self.n_proc)
+            .filter(|&p| matches!(self.procs[p], Proc::Running { .. } | Proc::AtBarrier { .. }))
+            .collect();
+        let mut waiting = live
+            .iter()
+            .filter(|&&p| matches!(self.procs[p], Proc::AtBarrier { .. }))
+            .count();
+        // Idle processors are only ever consumed, so the lowest moves up.
+        let mut next_idle = 0;
         loop {
             // Termination: nobody running or waiting.
-            let any_active = self
-                .procs
-                .iter()
-                .any(|p| matches!(p, Proc::Running { .. } | Proc::AtBarrier { .. }));
-            if !any_active {
+            if live.is_empty() {
                 return Ok(self.metrics);
             }
             if self.metrics.cycles > config.max_cycles {
@@ -193,23 +207,23 @@ impl MimdReference {
             }
 
             // Barrier release: every non-halted, non-idle processor waiting.
-            let all_at_barrier = self
-                .procs
-                .iter()
-                .filter(|p| matches!(p, Proc::Running { .. } | Proc::AtBarrier { .. }))
-                .all(|p| matches!(p, Proc::AtBarrier { .. }));
-            if all_at_barrier {
-                for i in 0..self.n_proc {
-                    if let Proc::AtBarrier { state } = self.procs[i] {
-                        self.procs[i] = self.resume_barrier(graph, state);
+            if waiting == live.len() {
+                for &p in &live {
+                    if let Proc::AtBarrier { state } = self.procs[p] {
+                        self.procs[p] = self.resume_barrier(graph, state);
                     }
                 }
+                waiting = 0;
                 continue;
             }
 
             // One lock-step cycle.
             self.metrics.cycles += 1;
-            for p in 0..self.n_proc {
+            waiting = 0;
+            let mut halted = false;
+            let mut i = 0;
+            while i < live.len() {
+                let p = live[i];
                 match &mut self.procs[p] {
                     Proc::Idle | Proc::Halted => {}
                     Proc::AtBarrier { .. } => {
@@ -219,11 +233,21 @@ impl MimdReference {
                         self.metrics.busy_cycles += 1;
                         if *remaining > 1 {
                             *remaining -= 1;
-                        } else {
-                            self.complete_op(graph, p, costs)?;
+                        } else if let Some(q) = self.complete_op(graph, p, costs, &mut next_idle)? {
+                            debug_assert!(live.last() < Some(&q));
+                            live.push(q);
                         }
                     }
                 }
+                match self.procs[p] {
+                    Proc::AtBarrier { .. } => waiting += 1,
+                    Proc::Halted => halted = true,
+                    _ => {}
+                }
+                i += 1;
+            }
+            if halted {
+                live.retain(|&p| self.procs[p] != Proc::Halted);
             }
         }
     }
@@ -248,18 +272,21 @@ impl MimdReference {
     }
 
     /// The current op of processor `p` finished its cycles: apply its
-    /// effect and advance (possibly through the terminator).
+    /// effect and advance (possibly through the terminator). A spawn
+    /// returns the processor it recruited, the lowest idle one at or above
+    /// `next_idle`.
     fn complete_op(
         &mut self,
         graph: &MimdGraph,
         p: usize,
         costs: &CostModel,
-    ) -> Result<(), MimdError> {
+        next_idle: &mut usize,
+    ) -> Result<Option<usize>, MimdError> {
         let Proc::Running {
             state,
             op_idx,
             remaining,
-        } = self.procs[p].clone()
+        } = self.procs[p]
         else {
             unreachable!()
         };
@@ -274,23 +301,23 @@ impl MimdReference {
                         op_idx,
                         remaining: cost - 1,
                     };
-                    return Ok(());
+                    return Ok(None);
                 }
             }
             // cost 1 (or terminator): fall through to apply now.
         }
         if op_idx < st.ops.len() {
-            self.apply_op(&st.ops[op_idx].clone(), p)?;
+            self.apply_op(&st.ops[op_idx], p)?;
             self.procs[p] = Proc::Running {
                 state,
                 op_idx: op_idx + 1,
                 remaining: 0,
             };
             // If that was the last op, the terminator runs next cycle.
-            return Ok(());
+            return Ok(None);
         }
         // Terminator.
-        match st.term.clone() {
+        match st.term {
             Terminator::Halt => {
                 self.procs[p] = Proc::Halted;
                 self.stack[p].clear();
@@ -303,7 +330,7 @@ impl MimdReference {
                 let c = self.pop(p)?;
                 self.procs[p] = self.enter_state(graph, if c != 0 { t } else { f });
             }
-            Terminator::Multi(targets) => {
+            Terminator::Multi(ref targets) => {
                 let sel = self.pop(p)?;
                 let t = *targets.get(sel as usize).ok_or(MimdError::BadSelector {
                     proc: p,
@@ -312,17 +339,22 @@ impl MimdReference {
                 self.procs[p] = self.enter_state(graph, t);
             }
             Terminator::Spawn { child, next } => {
-                let idle = (0..self.n_proc)
-                    .find(|&q| matches!(self.procs[q], Proc::Idle))
-                    .ok_or(MimdError::SpawnOverflow { proc: p })?;
+                while *next_idle < self.n_proc && self.procs[*next_idle] != Proc::Idle {
+                    *next_idle += 1;
+                }
+                let idle = *next_idle;
+                if idle == self.n_proc {
+                    return Err(MimdError::SpawnOverflow { proc: p });
+                }
                 self.poly[idle] = self.poly[p].clone();
                 self.stack[idle].clear();
                 self.ret_stack[idle].clear();
                 self.procs[idle] = self.enter_state(graph, child);
                 self.procs[p] = self.enter_state(graph, next);
+                return Ok(Some(idle));
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     fn pop(&mut self, p: usize) -> Result<i64, MimdError> {
@@ -401,7 +433,280 @@ impl MimdReference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msc_ir::{Addr, BinOp, MimdState, UnOp};
     use msc_lang::compile;
+
+    /// The loop [`MimdReference::run`] replaced, kept as its oracle: every
+    /// cycle visits every processor, a spawn scans for the lowest idle one.
+    fn run_literal(
+        m: &mut MimdReference,
+        graph: &MimdGraph,
+        config: &MimdConfig,
+    ) -> Result<MimdMetrics, MimdError> {
+        let costs = &config.costs;
+        for p in 0..config.active_at_start.min(m.n_proc) {
+            m.procs[p] = m.enter_state(graph, graph.start);
+        }
+        loop {
+            let any_active = m
+                .procs
+                .iter()
+                .any(|p| matches!(p, Proc::Running { .. } | Proc::AtBarrier { .. }));
+            if !any_active {
+                return Ok(m.metrics);
+            }
+            if m.metrics.cycles > config.max_cycles {
+                return Err(MimdError::Watchdog {
+                    max_cycles: config.max_cycles,
+                });
+            }
+            let all_at_barrier = m
+                .procs
+                .iter()
+                .filter(|p| matches!(p, Proc::Running { .. } | Proc::AtBarrier { .. }))
+                .all(|p| matches!(p, Proc::AtBarrier { .. }));
+            if all_at_barrier {
+                for i in 0..m.n_proc {
+                    if let Proc::AtBarrier { state } = m.procs[i] {
+                        m.procs[i] = m.resume_barrier(graph, state);
+                    }
+                }
+                continue;
+            }
+            m.metrics.cycles += 1;
+            for p in 0..m.n_proc {
+                match &mut m.procs[p] {
+                    Proc::Idle | Proc::Halted => {}
+                    Proc::AtBarrier { .. } => {
+                        m.metrics.barrier_wait_cycles += 1;
+                    }
+                    Proc::Running { remaining, .. } => {
+                        m.metrics.busy_cycles += 1;
+                        if *remaining > 1 {
+                            *remaining -= 1;
+                        } else {
+                            complete_literal(m, graph, p, costs)?;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn complete_literal(
+        m: &mut MimdReference,
+        graph: &MimdGraph,
+        p: usize,
+        costs: &CostModel,
+    ) -> Result<(), MimdError> {
+        let Proc::Running {
+            state,
+            op_idx,
+            remaining,
+        } = m.procs[p]
+        else {
+            unreachable!()
+        };
+        let st = graph.state(state);
+        if remaining == 0 && op_idx < st.ops.len() {
+            let cost = costs.op_cost(&st.ops[op_idx]).max(1);
+            if cost > 1 {
+                m.procs[p] = Proc::Running {
+                    state,
+                    op_idx,
+                    remaining: cost - 1,
+                };
+                return Ok(());
+            }
+        }
+        if op_idx < st.ops.len() {
+            m.apply_op(&st.ops[op_idx].clone(), p)?;
+            m.procs[p] = Proc::Running {
+                state,
+                op_idx: op_idx + 1,
+                remaining: 0,
+            };
+            return Ok(());
+        }
+        match st.term.clone() {
+            Terminator::Halt => {
+                m.procs[p] = Proc::Halted;
+                m.stack[p].clear();
+                m.ret_stack[p].clear();
+            }
+            Terminator::Jump(next) => m.procs[p] = m.enter_state(graph, next),
+            Terminator::Branch { t, f } => {
+                let c = m.pop(p)?;
+                m.procs[p] = m.enter_state(graph, if c != 0 { t } else { f });
+            }
+            Terminator::Multi(targets) => {
+                let sel = m.pop(p)?;
+                let t = *targets.get(sel as usize).ok_or(MimdError::BadSelector {
+                    proc: p,
+                    selector: sel,
+                })?;
+                m.procs[p] = m.enter_state(graph, t);
+            }
+            Terminator::Spawn { child, next } => {
+                let idle = (0..m.n_proc)
+                    .find(|&q| matches!(m.procs[q], Proc::Idle))
+                    .ok_or(MimdError::SpawnOverflow { proc: p })?;
+                m.poly[idle] = m.poly[p].clone();
+                m.stack[idle].clear();
+                m.ret_stack[idle].clear();
+                m.procs[idle] = m.enter_state(graph, child);
+                m.procs[p] = m.enter_state(graph, next);
+            }
+        }
+        Ok(())
+    }
+
+    /// splitmix64, to draw a whole graph from one proptest seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn state(&mut self, states: u64) -> StateId {
+            StateId(self.below(states) as u32)
+        }
+
+        /// Ops that push one value.
+        fn expr(&mut self, out: &mut Vec<Op>, depth: u32) {
+            let op = match self.below(if depth == 0 { 5 } else { 8 }) {
+                0 => Op::PeId,
+                1 => Op::Push(self.below(7) as i64 - 2),
+                2 => Op::Ld(Addr::poly(self.below(3) as u32)),
+                3 => Op::Ld(Addr::mono(self.below(2) as u32)),
+                4 => Op::NProc,
+                5 => {
+                    self.expr(out, depth - 1);
+                    Op::LdRemote(Addr::poly(self.below(3) as u32))
+                }
+                6 => {
+                    self.expr(out, depth - 1);
+                    Op::Un(UnOp::Neg)
+                }
+                _ => {
+                    self.expr(out, depth - 1);
+                    self.expr(out, depth - 1);
+                    Op::Bin([BinOp::Add, BinOp::Mul, BinOp::Rem, BinOp::Lt][self.below(4) as usize])
+                }
+            };
+            out.push(op);
+        }
+
+        /// Ops that leave the stacks as they found them or, one time in
+        /// 16, one that may find them too short.
+        fn statement(&mut self, out: &mut Vec<Op>) {
+            let op = match self.below(16) {
+                0 => Op::Bin(BinOp::Add),
+                1..=5 => {
+                    self.expr(out, 2);
+                    Op::St(Addr::poly(self.below(3) as u32))
+                }
+                6..=9 => {
+                    self.expr(out, 2);
+                    Op::St(Addr::mono(self.below(2) as u32))
+                }
+                10..=12 => {
+                    self.expr(out, 2);
+                    self.expr(out, 1);
+                    Op::StRemote(Addr::poly(self.below(3) as u32))
+                }
+                _ => {
+                    self.expr(out, 1);
+                    out.push(Op::PushRet);
+                    out.push(Op::PopRet);
+                    Op::Pop(1)
+                }
+            };
+            out.push(op);
+        }
+    }
+
+    /// Two to seven states of up to four statements, one in four a
+    /// barrier, ending in any terminator (a selector one time in 16 past
+    /// its targets).
+    fn random_graph(seed: u64) -> MimdGraph {
+        let mut g = Gen(seed);
+        let states = 2 + g.below(6);
+        let mut graph = MimdGraph::new();
+        for _ in 0..states {
+            let mut ops = Vec::new();
+            for _ in 0..g.below(5) {
+                g.statement(&mut ops);
+            }
+            let term = match g.below(8) {
+                0 | 1 => {
+                    g.expr(&mut ops, 2);
+                    Terminator::Branch {
+                        t: g.state(states),
+                        f: g.state(states),
+                    }
+                }
+                2 => Terminator::Jump(g.state(states)),
+                3 => {
+                    let n = 1 + g.below(3);
+                    ops.extend([
+                        Op::PeId,
+                        Op::Push((n + (g.below(16) == 0) as u64) as i64),
+                        Op::Bin(BinOp::Rem),
+                    ]);
+                    Terminator::Multi((0..n).map(|_| g.state(states)).collect())
+                }
+                4 | 5 => Terminator::Spawn {
+                    child: g.state(states),
+                    next: g.state(states),
+                },
+                _ => Terminator::Halt,
+            };
+            let state = MimdState::new(ops, term);
+            graph.add(if g.below(4) == 0 {
+                state.with_barrier()
+            } else {
+                state
+            });
+        }
+        graph
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 512,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        /// The live-list walk is the literal loop: the same result, and the
+        /// same machine after it — metrics, memories, stacks, processors.
+        #[test]
+        fn live_walk_matches_the_literal_loop(
+            seed in proptest::prelude::any::<u64>(),
+            width in 0usize..5,
+            active in proptest::prelude::any::<u64>(),
+            max_cycles in 0u64..3000,
+        ) {
+            let graph = random_graph(seed);
+            let n = [1, 7, 64, 65, 130][width];
+            let config = MimdConfig {
+                n_proc: n,
+                active_at_start: (active % (n as u64 + 1)) as usize,
+                max_cycles,
+                costs: CostModel::default(),
+            };
+            let mut walk = MimdReference::new(3, 2, &config);
+            let mut literal = walk.clone();
+            let got = walk.run(&graph, &config);
+            let want = run_literal(&mut literal, &graph, &config);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(format!("{walk:?}"), format!("{literal:?}"));
+        }
+    }
 
     fn run_src(src: &str, n: usize) -> (MimdReference, msc_lang::Program) {
         let p = compile(src).unwrap();

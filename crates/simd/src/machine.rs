@@ -18,7 +18,7 @@
 
 use crate::lanes::PeArray;
 use crate::program::{BlockId, Dispatch, SimdInstr, SimdProgram};
-use msc_ir::{Addr, StateId};
+use msc_ir::{Addr, Op, StateId};
 use std::fmt;
 
 /// Run-time failures. All of these indicate either a malformed program
@@ -233,6 +233,32 @@ impl Metrics {
     }
 }
 
+/// What the issue loop knows of the enabled PEs' operand depths since the
+/// last guard switch or control instruction.
+#[derive(Debug, Clone, Copy)]
+enum Depth {
+    /// Not looked at: the array's per-PE depths are current.
+    Unchecked,
+    /// The enabled PEs sit at different depths. Every op moves each one's
+    /// depth alike, so ops go PE by PE until the guard switches or a
+    /// control instruction runs.
+    Mixed,
+    /// Every enabled PE sits at this depth, held here rather than in the
+    /// array while ops go through the lane path.
+    Shared(u32),
+}
+
+impl Depth {
+    /// Give a held depth back to the array, before anything that reads the
+    /// per-PE depths or changes the enabled PEs.
+    fn write_back(&mut self, pes: &mut PeArray, enabled: &[usize]) {
+        if let Depth::Shared(d) = *self {
+            pes.set_depth(enabled, d);
+        }
+        *self = Depth::Unchecked;
+    }
+}
+
 /// The SIMD machine state.
 #[derive(Debug, Clone)]
 pub struct SimdMachine {
@@ -415,6 +441,7 @@ impl SimdMachine {
             let mut dirty = std::mem::take(&mut self.dirty);
             let mut enabled = std::mem::take(&mut self.enabled);
             let mut last_guard: Option<&[StateId]> = None;
+            let mut depth = Depth::Unchecked;
 
             for gi in &block.body {
                 // `pc` is constant for the whole body, so the enabled PEs
@@ -422,6 +449,7 @@ impl SimdMachine {
                 // machine charges a guard switch for.
                 let switched = last_guard != Some(gi.guard.as_slice());
                 if switched {
+                    depth.write_back(&mut self.pes, &enabled);
                     self.enable(&gi.guard, &mut enabled);
                     last_guard = Some(gi.guard.as_slice());
                 }
@@ -444,8 +472,15 @@ impl SimdMachine {
                 }
                 self.metrics.enabled_pe_cycles += enabled.len() as u64 * cost;
                 self.metrics.live_pe_cycles += live as u64 * cost;
-                self.exec(&gi.instr, &enabled, &mut next_pc, &mut dirty, cur)?;
+                match &gi.instr {
+                    SimdInstr::Op(op) => self.issue(op, &enabled, &mut depth)?,
+                    control => {
+                        depth.write_back(&mut self.pes, &enabled);
+                        self.exec(control, &enabled, &mut next_pc, &mut dirty, cur)?;
+                    }
+                }
             }
+            depth.write_back(&mut self.pes, &enabled);
 
             // Commit the shadow pcs, updating the live count, the state
             // occupancy and the state masks only for PEs whose pc actually
@@ -576,9 +611,43 @@ impl SimdMachine {
             .map(|(s, _)| StateId(s as u32))
     }
 
-    // Out of line on measurement: folded into `run`, the sixteen PE loops of
+    /// Issue `op` to the enabled PEs: at one shared depth through the lane
+    /// path, which keeps the depth in `depth` instead of the array, else PE
+    /// by PE.
+    // Out of line on measurement: folded into `run`, the PE loops of
     // `PeArray::apply` compete with the issue loop's state for registers
     // and the benchmark's machine runs take about a tenth longer.
+    #[inline(never)]
+    fn issue(&mut self, op: &Op, enabled: &[usize], depth: &mut Depth) -> Result<(), RunError> {
+        // A disabled instruction touches no memory and faults nowhere.
+        let Some(&first) = enabled.first() else {
+            return Ok(());
+        };
+        // One range check per issue, before either path.
+        if let Some(index) = self.pes.check_addr(op) {
+            depth.write_back(&mut self.pes, enabled);
+            return Err(RunError::BadAddress { pe: first, index });
+        }
+        if let Depth::Unchecked = depth {
+            *depth = self
+                .pes
+                .common_depth(enabled)
+                .map_or(Depth::Mixed, Depth::Shared);
+        }
+        if let Depth::Shared(d) = *depth {
+            if let Some(d) = self.pes.apply_at_depth(op, enabled, d) {
+                *depth = Depth::Shared(d);
+                return Ok(());
+            }
+            // A return-stack op, or a fault for `apply` to report.
+            depth.write_back(&mut self.pes, enabled);
+        }
+        msc_obs::count("simd.depth_fallback", 1);
+        self.pes.apply(op, enabled.iter().copied())
+    }
+
+    /// Execute a control instruction on the enabled PEs, whose depths are
+    /// in the array. Out of line, as `issue` is.
     #[inline(never)]
     fn exec(
         &mut self,
@@ -589,14 +658,7 @@ impl SimdMachine {
         block: BlockId,
     ) -> Result<(), RunError> {
         match instr {
-            SimdInstr::Op(op) => {
-                // One range check per issue; a disabled instruction touches
-                // no memory and faults nowhere.
-                if let (Some(index), Some(&pe)) = (self.pes.check_addr(op), enabled.first()) {
-                    return Err(RunError::BadAddress { pe, index });
-                }
-                self.pes.apply(op, enabled.iter().copied())?;
-            }
+            SimdInstr::Op(_) => unreachable!("`run` sends ops to `issue`"),
             SimdInstr::JumpF { t, f } => {
                 for &pe in enabled {
                     let c = self.pes.pop(pe)?;

@@ -365,3 +365,84 @@ fn expansion_thread_panic_reaches_the_batch_with_its_message() {
         "the panicking expansion thread was not joined"
     );
 }
+
+/// `simd.depth_fallback` counts the op issues the machine sends PE by PE
+/// — mixed depths under one guard, a return-stack op, an underflow at a
+/// shared depth — and none of those the one-depth lane path takes.
+#[test]
+fn simd_depth_fallback_counts_the_issues_that_go_pe_by_pe() {
+    use msc_ir::{Addr, BinOp, CostModel, Op};
+    use msc_simd::{
+        BlockId, Dispatch, GuardedInstr, MachineConfig, MetaBlock, RunError, SimdInstr,
+        SimdMachine, SimdProgram,
+    };
+    let (s0, odd, even) = (StateId(0), StateId(1), StateId(2));
+    let on = |guard: &[StateId], instr| GuardedInstr {
+        guard: guard.into(),
+        instr,
+    };
+    let op = |guard: &[StateId], op| on(guard, SimdInstr::Op(op));
+    let program = |blocks| SimdProgram {
+        blocks,
+        start: BlockId(0),
+        start_state: s0,
+        poly_words: 1,
+        mono_words: 0,
+        costs: CostModel::default(),
+    };
+    let split = MetaBlock {
+        members: vec![s0],
+        name: "ms_0".into(),
+        body: vec![
+            op(&[s0], Op::PeId),
+            op(&[s0], Op::Push(1)),
+            op(&[s0], Op::Bin(BinOp::And)),
+            on(&[s0], SimdInstr::JumpF { t: odd, f: even }),
+        ],
+        dispatch: Dispatch::Direct(BlockId(1)),
+    };
+    let both = [odd, even];
+    let tail = MetaBlock {
+        members: both.to_vec(),
+        name: "ms_1_2".into(),
+        body: vec![
+            op(&[odd], Op::Push(7)),
+            // Odd PEs at depth 1, even ones at 0: two issues PE by PE.
+            op(&both, Op::Push(1)),
+            op(&both, Op::Pop(1)),
+            // Return-stack ops: two more.
+            op(&[odd], Op::PushRet),
+            op(&[odd], Op::PopRet),
+            op(&[odd], Op::St(Addr::poly(0))),
+            on(&both, SimdInstr::Halt),
+        ],
+        dispatch: Dispatch::End,
+    };
+    let underflow = MetaBlock {
+        members: vec![s0],
+        name: "ms_0".into(),
+        body: vec![op(&[s0], Op::Pop(1))],
+        dispatch: Dispatch::End,
+    };
+    let config = MachineConfig::spmd(8);
+    for (blocks, result, fallbacks) in [
+        (vec![split, tail], Ok(()), 4),
+        (vec![underflow], Err(RunError::StackUnderflow { pe: 0 }), 1),
+    ] {
+        let program = program(blocks);
+        let registry = Arc::new(msc_obs::Registry::new());
+        let guard = msc_obs::install(registry.clone());
+        let mut machine = SimdMachine::new(&program, &config);
+        let got = machine.run(&program, &config).map(|_| ());
+        drop(guard);
+        assert_eq!(got, result);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("simd.depth_fallback"), fallbacks);
+        if got.is_ok() {
+            for pe in 0..8 {
+                let want = if pe % 2 == 1 { 7 } else { 0 };
+                assert_eq!(machine.poly_at(pe, Addr::poly(0)), want, "PE {pe}");
+            }
+        }
+    }
+}
