@@ -1,17 +1,18 @@
-//! Cross-commit golden for the two simulators. `codegen_golden` pins the
+//! Cross-commit golden for the three executors. `codegen_golden` pins the
 //! generated program; this pins what running it *observes* — `{:?}` of the
 //! run result, `Metrics`, the per-block `visits`, the `with_trace()` event
 //! stream and every PE's return word — and the same for the §1.1
-//! interpreter (`InterpMetrics` + results), as one SipHash-2-4-128 digest
-//! per (workload, column) folded over the PE counts in `WIDTHS` (1, a
-//! ragged 7, and both sides of the 64-PE mask-word boundary, then the
-//! benchmark's 1 024). A digest may only change in a PR that says the
-//! machine's accounting or semantics changed, and why.
+//! interpreter (`InterpMetrics` + results) and for `MimdReference`
+//! (`MimdMetrics` + results), as one SipHash-2-4-128 digest per (workload,
+//! column) folded over the PE counts in `WIDTHS` (1, a ragged 7, and both
+//! sides of the 64-PE mask-word boundary, then the benchmark's 1 024). A
+//! digest may only change in a PR that says the machine's accounting or
+//! semantics changed, and why.
 
 use metastate::{Built, ConvertMode, Pipeline};
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
 use msc_ir::{Addr, CostModel};
-use msc_mimd::{InterpInstr, InterpMachine, InterpProgram};
+use msc_mimd::{InterpInstr, InterpMachine, InterpProgram, MimdConfig, MimdReference};
 use msc_simd::{
     BlockId, Dispatch, GuardedInstr, MachineConfig, MetaBlock, SimdInstr, SimdMachine, SimdProgram,
 };
@@ -19,37 +20,42 @@ use std::fmt::Write as _;
 
 const WIDTHS: [usize; 5] = [1, 7, 64, 65, 1024];
 
-/// (label, base machine, compressed machine, interpreter), captured at
-/// commit 7a4373b (PR 19), before PR 20 touched either simulator.
+/// (label, base machine, compressed machine, interpreter, reference). The
+/// first three columns captured at commit 7a4373b (PR 19), before PR 20
+/// touched either simulator; the reference column, the `spawn:after-halt`
+/// row and the `(8, 4)` pool (which moved the other spawn rows' first
+/// three digests) on fa626da, before the executors shared one spawn pool.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, &str, &str)] = &[
-    ("branchy(2)", "9b3f154cf9134d2402dd1ce5bd0a5b66", "e7a1ac57d68e38b0d33b86df356de6e8", "7e4a61e1a07bdee6263de72545e846fd"),
-    ("branchy(3)", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9"),
-    ("branchy(4)", "fd0176a44bcd408310db89023195c7a1", "e30b4e53a19575bc5bc5b4e1f292a8fe", "3141f87a35e79d825993e20b85003f3c"),
-    ("branchy(5)", "3d52b7b629898c7b09aefef087ccbf3c", "3e9b2c7ae08079b33c72b3ed265c0b49", "d7b50a096cc58781886a59ac17a7c2ae"),
-    ("branchy(6)", "da4a2eb9a7e96a65eabde9ccd76308b0", "075aab9a48ed51100599066b62dcbca2", "ea01b19acb515d364e7fa9ea3f22972a"),
-    ("imbalanced(5,40)", "962c9d44f747e5e0fcc44f1cd40a996b", "8aa4f0f4d965992a390fa0ea1d669ab1", "33b1bcce65bc19e61f4e0855d3e662a0"),
-    ("imbalanced(5,200)", "090f1198d582e8fadf893371841b0623", "daa1b55bcb0766444275033206d504d0", "d51e731c1319dc8682fe8dc9bf0f63e1"),
-    ("imbalanced(5,399)", "030d3b261ca3f42739611e889d19bc6b", "3512518c92faa1c860a6a8ed65ef1159", "b037ca801f14103562470fce107a6d81"),
-    ("barrier_phases(1)", "e5702d8e62030d78fee99538a0b1f7fd", "e5702d8e62030d78fee99538a0b1f7fd", "5537c45a4d6a44ce6ce784e00b49740a"),
-    ("barrier_phases(2)", "9779db97cc51c408e48fbc46a4b6763d", "d68d9add209938be1d8d9610f027513c", "b2e1a69c39523436bcf229bb60ef646d"),
-    ("barrier_phases(3)", "36b8197a3f5ed43abfc44be22c52baae", "992a164b627f4b345267c4e98cb9d6ba", "7593a03b3d590ca424f1732c14dc6c10"),
-    ("barrier_phases(4)", "8cb0515f5209effbc69efef48bf75007", "945c12bc4bf35b346921c1e01c54bb79", "83c081c32b6cbf676c7bb857f995e50a"),
-    ("barrier_phases(5)", "e256784a4bf773842a88ea40fc7ff83d", "4a6e28964cecefef3d543bbdbe0a494d", "26ea46fbca92df6f7492b14b3c9e6f1a"),
-    ("dispatch_heavy.mimdc", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9"),
-    ("spawn:workers", "8fdc4a0b30bf25c25dfa9f3db32508fa", "8fdc4a0b30bf25c25dfa9f3db32508fa", "721d218465d0153092be9c4d8cddf263"),
-    ("spawn:recycle", "8f5bdc6ff9e2dbc0f6dae7c66647ee25", "64b5e118f718923e3af590e698329bf8", "719306473088fbccadec748035fb7c16"),
-    ("spawn:inherit", "7350af66b88313a6ddc7de0767e5e1c4", "7350af66b88313a6ddc7de0767e5e1c4", "828ddefce0cbdf9bb1a9f1b9e7c422cf"),
+const GOLDEN: &[(&str, &str, &str, &str, &str)] = &[
+    ("branchy(2)", "9b3f154cf9134d2402dd1ce5bd0a5b66", "e7a1ac57d68e38b0d33b86df356de6e8", "7e4a61e1a07bdee6263de72545e846fd", "8a915c37a809d34cbd5bf623cbb83377"),
+    ("branchy(3)", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9", "a689b676862dd41c39b06051e9ba92e7"),
+    ("branchy(4)", "fd0176a44bcd408310db89023195c7a1", "e30b4e53a19575bc5bc5b4e1f292a8fe", "3141f87a35e79d825993e20b85003f3c", "f790e61f3b3f1f988716e7f9d21915e9"),
+    ("branchy(5)", "3d52b7b629898c7b09aefef087ccbf3c", "3e9b2c7ae08079b33c72b3ed265c0b49", "d7b50a096cc58781886a59ac17a7c2ae", "6548b39bdbb708ce7e2b67f172a77f68"),
+    ("branchy(6)", "da4a2eb9a7e96a65eabde9ccd76308b0", "075aab9a48ed51100599066b62dcbca2", "ea01b19acb515d364e7fa9ea3f22972a", "742978d918b3babc70897e7f4fe96521"),
+    ("imbalanced(5,40)", "962c9d44f747e5e0fcc44f1cd40a996b", "8aa4f0f4d965992a390fa0ea1d669ab1", "33b1bcce65bc19e61f4e0855d3e662a0", "aef42cdd407af09e5642e68dcc901c4f"),
+    ("imbalanced(5,200)", "090f1198d582e8fadf893371841b0623", "daa1b55bcb0766444275033206d504d0", "d51e731c1319dc8682fe8dc9bf0f63e1", "3d4456f5e5d7cc829be5f6debd645b40"),
+    ("imbalanced(5,399)", "030d3b261ca3f42739611e889d19bc6b", "3512518c92faa1c860a6a8ed65ef1159", "b037ca801f14103562470fce107a6d81", "e7e37a332c8243f6fdc24f9353135bb6"),
+    ("barrier_phases(1)", "e5702d8e62030d78fee99538a0b1f7fd", "e5702d8e62030d78fee99538a0b1f7fd", "5537c45a4d6a44ce6ce784e00b49740a", "44e2b3b53986348a66a95e8be21c7e78"),
+    ("barrier_phases(2)", "9779db97cc51c408e48fbc46a4b6763d", "d68d9add209938be1d8d9610f027513c", "b2e1a69c39523436bcf229bb60ef646d", "1a16ca2a405b9f3dc88044cc7213233f"),
+    ("barrier_phases(3)", "36b8197a3f5ed43abfc44be22c52baae", "992a164b627f4b345267c4e98cb9d6ba", "7593a03b3d590ca424f1732c14dc6c10", "309d2c68d6d8ea9bc22e0218c8c799b9"),
+    ("barrier_phases(4)", "8cb0515f5209effbc69efef48bf75007", "945c12bc4bf35b346921c1e01c54bb79", "83c081c32b6cbf676c7bb857f995e50a", "79510e99a4c8b6015619cc83352f35ec"),
+    ("barrier_phases(5)", "e256784a4bf773842a88ea40fc7ff83d", "4a6e28964cecefef3d543bbdbe0a494d", "26ea46fbca92df6f7492b14b3c9e6f1a", "79f584db06c78091a4204e4d826cb742"),
+    ("dispatch_heavy.mimdc", "5a8c8880953f8baec493bc36e2fb73d4", "ba5edd65f925fa7f36719405fb15c6fb", "2d8c8c147824557bdf9fabdcb15747b9", "a689b676862dd41c39b06051e9ba92e7"),
+    ("spawn:workers", "55c70c1ff77355472207437f7c302142", "55c70c1ff77355472207437f7c302142", "9e576373bda3c0e394570af7f2ebb078", "f5409639ab3364b2f210965c3e533b16"),
+    ("spawn:recycle", "f9048eec558b019b8c8775dd0f9696e5", "8a210accc410ae843ab83f60a19725be", "487bc30b13a36ab7305825cae7c342e4", "0f0bf41d02e66f168a89cbb068e6eb6a"),
+    ("spawn:inherit", "fdaaf172ea5aad9a07b5249c7e5b3ba6", "fdaaf172ea5aad9a07b5249c7e5b3ba6", "9e31f7d25656438325fb65eaf0b2d8fe", "12156ebd37d0d08fccc4c3be071f99e2"),
+    ("spawn:after-halt", "46e08cb3ea00b3fb410ecdd81537ee4e", "d6bbeba04eed1c55d787ca01e6049f99", "dcb047a934894bb358ff9af72ca7e205", "fed2dd9961619cff054b527a9c078687"),
 ];
 
-/// The `tests/spawn_and_pool.rs` programs: (label, source, variable whose
-/// per-PE word is the result).
-const SPAWN: &[(&str, &str, &str)] = &[
+/// The `tests/spawn_and_pool.rs` programs and the DESIGN.md §8 program
+/// that spawns after some process has halted: (label, source, variable
+/// whose per-PE word is the result, or `None` for `main`'s return word).
+const SPAWN: &[(&str, &str, Option<&str>)] = &[
     (
         "spawn:workers",
         "void worker(int seed) { poly int r; r = seed * seed + 1; }
          main() { spawn worker(pe_id() + 2); }",
-        "r",
+        Some("r"),
     ),
     (
         "spawn:recycle",
@@ -60,19 +66,32 @@ const SPAWN: &[(&str, &str, &str)] = &[
              wait;
              if (me == 1) { spawn quick(20); }
          }",
-        "r",
+        Some("r"),
     ),
     (
         "spawn:inherit",
         "void worker(int unused) { poly int out, inherited; out = inherited + 5; }
          main() { poly int inherited_src; spawn worker(0); }",
-        "out",
+        Some("out"),
+    ),
+    (
+        "spawn:after-halt",
+        "void w(int n) { poly int wr; wr = n + 100; }
+         main() {
+             poly int x;
+             x = pe_id();
+             while (x > 0) { x = x - 1; }
+             spawn w(pe_id());
+             return(pe_id() + 1);
+         }",
+        None,
     ),
 ];
 
 /// `(n_pe, active)` pools for the spawn programs: the tests' own, both
-/// sides of a mask-word boundary, a wide pool, and two that overflow.
-const POOLS: [(usize, usize); 8] = [
+/// sides of a mask-word boundary, a wide pool, two that overflow, and the
+/// after-halt program's own.
+const POOLS: [(usize, usize); 9] = [
     (8, 3),
     (3, 2),
     (4, 1),
@@ -81,6 +100,7 @@ const POOLS: [(usize, usize); 8] = [
     (65, 33),
     (1024, 500),
     (1024, 600),
+    (8, 4),
 ];
 
 fn corpus() -> Vec<(String, String)> {
@@ -142,20 +162,42 @@ fn interp_run(out: &mut String, built: &Built, n_pe: usize, active: usize, word:
     );
 }
 
+/// The same for one `MimdReference` run of the compiled graph.
+fn reference_run(out: &mut String, built: &Built, n_pe: usize, active: usize, word: Addr) {
+    let program = &built.compiled;
+    let config = MimdConfig {
+        active_at_start: active,
+        ..MimdConfig::spmd(n_pe)
+    };
+    let mut machine = MimdReference::new(
+        program.layout.poly_words,
+        program.layout.mono_words,
+        &config,
+    );
+    let result = machine.run(&program.graph, &config);
+    let words: Vec<i64> = (0..n_pe).map(|pe| machine.poly_at(pe, word)).collect();
+    let _ = writeln!(
+        out,
+        "{n_pe}/{active}: {result:?} {:?} {words:?}",
+        machine.metrics
+    );
+}
+
 fn digest(text: &str) -> String {
     msc_cache::content_key("sim-golden", &[text.as_bytes()]).hex()
 }
 
-/// One GOLDEN row: the three digests of `src` over `pools`.
-fn row(src: &str, pools: &[(usize, usize)], word: impl Fn(&Built) -> Addr) -> [String; 3] {
+/// One GOLDEN row: the four digests of `src` over `pools`.
+fn row(src: &str, pools: &[(usize, usize)], word: impl Fn(&Built) -> Addr) -> [String; 4] {
     let base = build(src, ConvertMode::Base);
     let compressed = build(src, ConvertMode::Compressed);
-    let mut text = [String::new(), String::new(), String::new()];
+    let mut text = [String::new(), String::new(), String::new(), String::new()];
     for &(n_pe, active) in pools {
         let config = MachineConfig::with_pool(n_pe, active);
         machine_run(&mut text[0], &base, &config, word(&base));
         machine_run(&mut text[1], &compressed, &config, word(&compressed));
         interp_run(&mut text[2], &base, n_pe, active, word(&base));
+        reference_run(&mut text[3], &base, n_pe, active, word(&base));
     }
     text.map(|t| digest(&t))
 }
@@ -406,7 +448,7 @@ fn interpreter_faults_match_the_committed_digests() {
 #[test]
 fn simulator_runs_match_the_committed_digests() {
     let spmd = WIDTHS.map(|n| (n, n));
-    let mut actual: Vec<(String, [String; 3])> = corpus()
+    let mut actual: Vec<(String, [String; 4])> = corpus()
         .into_iter()
         .map(|(label, src)| {
             let digests = row(&src, &spmd, |b| b.ret_addr().expect("main returns a value"));
@@ -414,24 +456,26 @@ fn simulator_runs_match_the_committed_digests() {
         })
         .collect();
     for &(label, src, var) in SPAWN {
-        let digests = row(src, &POOLS, |b| {
-            b.compiled
-                .layout
-                .var(var)
-                .expect("the variable exists")
-                .addr
+        let digests = row(src, &POOLS, |b| match var {
+            Some(var) => {
+                b.compiled
+                    .layout
+                    .var(var)
+                    .expect("the variable exists")
+                    .addr
+            }
+            None => b.ret_addr().expect("main returns a value"),
         });
         actual.push((label.to_string(), digests));
     }
     let table: String = actual
         .iter()
-        .map(|(l, [b, c, i])| format!("    (\"{l}\", \"{b}\", \"{c}\", \"{i}\"),\n"))
+        .map(|(l, [b, c, i, r])| format!("    (\"{l}\", \"{b}\", \"{c}\", \"{i}\", \"{r}\"),\n"))
         .collect();
     let matches = actual.len() == GOLDEN.len()
-        && actual
-            .iter()
-            .zip(GOLDEN)
-            .all(|((l, [b, c, i]), g)| (l.as_str(), b.as_str(), c.as_str(), i.as_str()) == *g);
+        && actual.iter().zip(GOLDEN).all(|((l, [b, c, i, r]), g)| {
+            (l.as_str(), b.as_str(), c.as_str(), i.as_str(), r.as_str()) == *g
+        });
     assert!(
         matches,
         "simulator output drifted from GOLDEN; this commit produces:\n{table}"
