@@ -18,6 +18,8 @@
 //!   also records barrier-wait states (§2.6) and spawn states (§3.2.5).
 //!   Includes the normalization passes the paper applies before
 //!   conversion: code straightening and empty-node removal.
+//! * [`pool`] — [`pool::PePool`]: the idle PEs `spawn` recruits from
+//!   (§3.2.5), shared by every executor.
 //! * [`render`] — human-readable and Graphviz renderings of state graphs,
 //!   used by the figure-regeneration binaries.
 //! * [`util`] — a fast integer hasher (Fx-style) and interning helpers
@@ -30,8 +32,10 @@
 pub mod graph;
 pub mod op;
 pub mod opt;
+pub mod pool;
 pub mod render;
 pub mod util;
 
 pub use graph::{MimdGraph, MimdState, StateId, Terminator};
 pub use op::{Addr, BinOp, CostModel, Op, OpClass, Space, UnOp};
+pub use pool::PePool;

@@ -39,7 +39,7 @@
 //! in ascending PE order across them, and a group that faults reports its
 //! lowest faulting PE.
 
-use msc_ir::{CostModel, MimdGraph, Op, Terminator};
+use msc_ir::{CostModel, MimdGraph, Op, PePool, Terminator};
 use msc_simd::{PeArray, RunError};
 use std::fmt;
 
@@ -250,6 +250,7 @@ enum Status {
     Running,
     Waiting,
     Halted,
+    /// Never started, and not yet recruited by a `spawn`.
     Idle,
 }
 
@@ -473,8 +474,8 @@ impl InterpMachine {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); TYPE_KEYS];
         // A group's PEs in ascending order, as `(pe, pc)`.
         let mut order = Vec::new();
-        // Idle PEs are only ever consumed, so the lowest one moves up.
-        let mut next_idle = 0;
+        // A halted PE never rejoins the pool.
+        let mut pool = PePool::new(self.n_pe, |pe| self.status[pe] == Status::Idle);
         loop {
             if self.metrics.cycles > max_cycles {
                 return Err(RunError::Watchdog { max_cycles });
@@ -606,20 +607,17 @@ impl InterpMachine {
                             let InterpInstr::Spawn { child, .. } = image[pc] else {
                                 unreachable!("grouped by instruction type")
                             };
-                            while next_idle < self.n_pe && self.status[next_idle] != Status::Idle {
-                                next_idle += 1;
-                            }
-                            if next_idle == self.n_pe {
+                            let Some(recruit) = pool.recruit() else {
                                 return Err(RunError::SpawnOverflow {
                                     block: msc_simd::BlockId(0),
                                     requested: 1,
                                     available: 0,
                                 });
-                            }
-                            self.pes.copy_poly(pe, next_idle);
-                            self.pes.reset(next_idle);
-                            self.status[next_idle] = Status::Running;
-                            cohorts.route(from, child, next_idle, order.len());
+                            };
+                            self.pes.copy_poly(pe, recruit);
+                            self.pes.reset(recruit);
+                            self.status[recruit] = Status::Running;
+                            cohorts.route(from, child, recruit, order.len());
                         }
                         for &i in &group {
                             let c = cohorts.take(i);

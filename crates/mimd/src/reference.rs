@@ -6,7 +6,7 @@
 //! preserves the relative timing properties of MIMD execution"), and the
 //! idealized-MIMD timing baseline for the experiments.
 
-use msc_ir::{CostModel, MimdGraph, Op, Space, StateId, Terminator};
+use msc_ir::{CostModel, MimdGraph, Op, PePool, Space, StateId, Terminator};
 use std::fmt;
 
 /// Per-processor execution state.
@@ -21,9 +21,10 @@ enum Proc {
     },
     /// Reached a barrier-entry state; waiting for everyone (§2.6).
     AtBarrier { state: StateId },
-    /// Process ended.
+    /// Process ended. The processor stays halted: the reference never
+    /// returns one to the spawn pool.
     Halted,
-    /// Never started / returned to the pool.
+    /// Never started, and not yet recruited by a `spawn`.
     Idle,
 }
 
@@ -173,10 +174,11 @@ impl MimdReference {
     /// ascending order — a halted or idle one does nothing — so they are
     /// kept as a list, from which a halted processor drops at the end of
     /// the cycle. The idle processors are always a suffix of the array (the
-    /// pool past `active_at_start`, less the recruits taken from its
-    /// bottom), so a recruit lies above every listed processor: it joins at
-    /// the end of the list and still runs in the cycle it was spawned in,
-    /// as a walk over every processor would have it.
+    /// pool past `active_at_start`, less the recruits taken from its bottom;
+    /// a halted processor never rejoins it), so a recruit lies above every
+    /// listed processor: it joins at the end of the list and still runs in
+    /// the cycle it was spawned in, as a walk over every processor would
+    /// have it.
     pub fn run(
         &mut self,
         graph: &MimdGraph,
@@ -193,8 +195,7 @@ impl MimdReference {
             .iter()
             .filter(|&&p| matches!(self.procs[p], Proc::AtBarrier { .. }))
             .count();
-        // Idle processors are only ever consumed, so the lowest moves up.
-        let mut next_idle = 0;
+        let mut pool = PePool::new(self.n_proc, |p| self.procs[p] == Proc::Idle);
         loop {
             // Termination: nobody running or waiting.
             if live.is_empty() {
@@ -233,7 +234,7 @@ impl MimdReference {
                         self.metrics.busy_cycles += 1;
                         if *remaining > 1 {
                             *remaining -= 1;
-                        } else if let Some(q) = self.complete_op(graph, p, costs, &mut next_idle)? {
+                        } else if let Some(q) = self.complete_op(graph, p, costs, &mut pool)? {
                             debug_assert!(live.last() < Some(&q));
                             live.push(q);
                         }
@@ -273,14 +274,14 @@ impl MimdReference {
 
     /// The current op of processor `p` finished its cycles: apply its
     /// effect and advance (possibly through the terminator). A spawn
-    /// returns the processor it recruited, the lowest idle one at or above
-    /// `next_idle`.
+    /// returns the processor it recruited from `pool`, the lowest idle one;
+    /// a halt returns nothing to it.
     fn complete_op(
         &mut self,
         graph: &MimdGraph,
         p: usize,
         costs: &CostModel,
-        next_idle: &mut usize,
+        pool: &mut PePool,
     ) -> Result<Option<usize>, MimdError> {
         let Proc::Running {
             state,
@@ -339,13 +340,7 @@ impl MimdReference {
                 self.procs[p] = self.enter_state(graph, t);
             }
             Terminator::Spawn { child, next } => {
-                while *next_idle < self.n_proc && self.procs[*next_idle] != Proc::Idle {
-                    *next_idle += 1;
-                }
-                let idle = *next_idle;
-                if idle == self.n_proc {
-                    return Err(MimdError::SpawnOverflow { proc: p });
-                }
+                let idle = pool.recruit().ok_or(MimdError::SpawnOverflow { proc: p })?;
                 self.poly[idle] = self.poly[p].clone();
                 self.stack[idle].clear();
                 self.ret_stack[idle].clear();

@@ -18,7 +18,7 @@
 
 use crate::lanes::PeArray;
 use crate::program::{BlockId, Dispatch, SimdInstr, SimdProgram};
-use msc_ir::{Addr, Op, StateId};
+use msc_ir::{Addr, Op, PePool, StateId};
 use std::fmt;
 
 /// Run-time failures. All of these indicate either a malformed program
@@ -266,7 +266,8 @@ pub struct SimdMachine {
     pub n_pe: usize,
     /// Every PE's `poly` memory and stacks, and the `mono` replica.
     pes: PeArray,
-    /// Per-PE current MIMD state; `None` = idle pool.
+    /// Per-PE current MIMD state; `None` = no process, never started or
+    /// halted.
     pub pc: Vec<Option<StateId>>,
     /// Execution metrics.
     pub metrics: Metrics,
@@ -297,9 +298,9 @@ pub struct SimdMachine {
     /// The current guard's enabled PEs, ascending; rebuilt on a guard
     /// switch, reused by every instruction that keeps the guard.
     enabled: Vec<usize>,
-    /// Idle PEs recruited by a `Spawn` earlier in the current block: idle
-    /// by `pc` until the commit, but no longer available.
-    recruited: usize,
+    /// The PEs a `Spawn` may recruit: no `pc`, and not recruited earlier
+    /// in this block. A PE whose `pc` the commit clears rejoins it.
+    pool: PePool,
 }
 
 impl SimdMachine {
@@ -324,7 +325,7 @@ impl SimdMachine {
             shadow_pc: Vec::new(),
             dirty: Vec::new(),
             enabled: Vec::new(),
-            recruited: 0,
+            pool: PePool::default(),
         };
         machine.rebuild_counters();
         machine
@@ -343,7 +344,7 @@ impl SimdMachine {
         }
         self.shadow_pc.clone_from(&self.pc);
         self.dirty.clear();
-        self.recruited = 0;
+        self.pool = PePool::new(self.n_pe, |pe| self.pc[pe].is_none());
     }
 
     /// PE `pe` becomes a live process in state `s`.
@@ -493,8 +494,12 @@ impl SimdMachine {
                 if let Some(s) = old {
                     self.leave(s, pe);
                 }
-                if let Some(s) = new {
-                    self.enter(s, pe);
+                match new {
+                    Some(s) => self.enter(s, pe),
+                    // A halted PE goes back to the pool. The reference and
+                    // the interpreter never release one: this call is the
+                    // open spawn-after-halt defect, ROADMAP item 2(a).
+                    None => self.pool.release(pe),
                 }
                 self.pc[pe] = new;
             }
@@ -504,7 +509,6 @@ impl SimdMachine {
             self.shadow_pc = next_pc;
             self.dirty = dirty;
             self.enabled = enabled;
-            self.recruited = 0;
 
             // Dispatch (§3.2): a single exit arc is a plain goto
             // (§3.2.2, one cheap cycle); multiway exits pay the
@@ -690,10 +694,8 @@ impl SimdMachine {
                 }
             }
             SimdInstr::Spawn { child, next } => {
-                // Recruit one idle PE per spawner; idle = no pc now and not
-                // recruited earlier in this block. `live` is constant
-                // during a body, so the pool size needs no scan.
-                let available = self.n_pe - self.live - self.recruited;
+                // One idle PE per spawner, or none at all.
+                let available = self.pool.idle();
                 if available < enabled.len() {
                     return Err(RunError::SpawnOverflow {
                         block,
@@ -701,15 +703,9 @@ impl SimdMachine {
                         available,
                     });
                 }
-                // One ascending cursor hands the lowest idle PE to the
-                // lowest spawner; its own recruits lie behind it.
-                let mut cursor = 0;
+                // The lowest idle PE goes to the lowest spawner.
                 for &pe in enabled {
-                    while self.pc[cursor].is_some() || next_pc[cursor].is_some() {
-                        cursor += 1;
-                    }
-                    let recruit = cursor;
-                    cursor += 1;
+                    let recruit = self.pool.recruit().expect("checked above");
                     // The child starts with a copy of the parent's poly
                     // memory (parameters were stored there by the parent).
                     self.pes.copy_poly(pe, recruit);
@@ -719,7 +715,6 @@ impl SimdMachine {
                     dirty.push(recruit);
                     dirty.push(pe);
                 }
-                self.recruited += enabled.len();
             }
         }
         Ok(())
@@ -1083,13 +1078,14 @@ mod tests {
     #[test]
     fn incremental_counters_match_rescan() {
         // After a run with divergence and halts, the incrementally
-        // maintained live count and occupancy table must agree with a
-        // from-scratch rescan of `pc`.
+        // maintained live count, spawn pool and occupancy table must agree
+        // with a from-scratch rescan of `pc`.
         let p = trivial_program();
         let cfg = MachineConfig::spmd(8);
         let mut m = SimdMachine::new(&p, &cfg);
         m.run(&p, &cfg).unwrap();
         assert_eq!(m.live, m.pc.iter().filter(|x| x.is_some()).count());
+        assert_eq!(m.pool.idle(), m.idle_count());
         let mut occ = vec![0u32; m.occupancy.len()];
         for s in m.pc.iter().flatten() {
             occ[s.idx()] += 1;
@@ -1102,6 +1098,7 @@ mod tests {
         }
         m.run(&p, &cfg).unwrap();
         assert_eq!(m.live, 0);
+        assert_eq!(m.pool.idle(), 8);
         assert!(m.occupancy.iter().all(|&c| c == 0));
     }
 

@@ -1,5 +1,6 @@
 //! End-to-end tests of §3.2.5 restricted dynamic process creation: spawn
-//! recruits idle PEs, halt returns them to the pool, overflow is an error.
+//! recruits idle PEs, overflow is an error, and on the SIMD machine halt
+//! returns a PE to the pool (the reference and the interpreter never do).
 
 use metastate::{ConvertMode, Pipeline};
 use msc_simd::{MachineConfig, RunError};
