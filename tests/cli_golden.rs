@@ -10,8 +10,9 @@
 //!
 //! Masked before digesting: the `timings:` line of `--stats` (wall
 //! clock) and the scratch directory that holds the broken batch input.
-//! Paths are relative to this crate's directory, where `cargo test` runs
-//! the test.
+//! Paths are relative to `crates/cli`, which the test makes its working
+//! directory, so the rows and the paths they print read as they were
+//! captured there.
 
 use msc_cli::main_with_args;
 
@@ -95,8 +96,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ("match a( EX/listing3.mimdc", "5a022d88ed656f8273901d5a8a60537c"),
 ];
 
-/// Where the rows' `EX` and `TMP` point.
+/// Where the rows' `EX` and `TMP` point. Moves the process into
+/// `crates/cli`, which `EX` and `../../profiles` are relative to.
 fn dirs() -> (String, std::path::PathBuf) {
+    std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/crates/cli"))
+        .expect("crates/cli is a directory");
     let tmp = std::env::temp_dir().join(format!("mscc-cli-golden-{}", std::process::id()));
     ("../../examples".to_string(), tmp)
 }

@@ -76,10 +76,7 @@ fn corpus() -> Vec<(String, String, CostModel)> {
     for n in 1..=5 {
         v.push((format!("barrier_phases({n})"), barrier_phases_source(n)));
     }
-    let example = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/dispatch_heavy.mimdc"
-    );
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/dispatch_heavy.mimdc");
     let dispatch_heavy = std::fs::read_to_string(example).expect("the bundled example is readable");
     v.push(("dispatch_heavy.mimdc".to_string(), dispatch_heavy.clone()));
     v.push(("branchy(7)".to_string(), branchy_source(7)));

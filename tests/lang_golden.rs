@@ -190,7 +190,7 @@ fn lowering_source(row: &str) -> String {
 /// Every source file under `examples/`: a `.mimdc` file whole, a Rust
 /// example's one raw-string MIMDC literal.
 fn examples() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .expect("the examples directory is readable")
         .map(|e| {

@@ -114,10 +114,7 @@ fn corpus() -> Vec<(String, String)> {
     for n in 1..=5 {
         v.push((format!("barrier_phases({n})"), barrier_phases_source(n)));
     }
-    let example = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/dispatch_heavy.mimdc"
-    );
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/dispatch_heavy.mimdc");
     v.push((
         "dispatch_heavy.mimdc".to_string(),
         std::fs::read_to_string(example).expect("the bundled example is readable"),
