@@ -5,11 +5,10 @@
 #
 #   ./ci.sh               the full gate (tier-1 plus the spill-path leg,
 #                         which also fails on a leaked spill file, the
-#                         scalar-fallback test leg, the aarch64 and
-#                         non-Linux cross-checks, and formatting,
-#                         linting, building + self-testing the perf/
-#                         benchmark package against this tree: perf/ is
-#                         its own workspace, which the --workspace fmt
+#                         aarch64 and non-Linux cross-checks, and
+#                         formatting, linting, building + self-testing the
+#                         perf/ benchmark package against this tree: perf/
+#                         is its own workspace, which the --workspace fmt
 #                         and clippy runs above never reach)
 #   ./ci.sh bench-smoke   additionally run `mscc sweep` over every
 #                         bundled machine profile in profiles/ on the
@@ -26,10 +25,10 @@
 #                         ratios (speedups, thread ratios, spilled vs
 #                         in-RAM, disabled-instrumentation overhead) and
 #                         each bench's one catastrophe floor fail only on
-#                         the machine whose env (nproc, cpu, simd_lanes)
-#                         the file carries and print report-only
-#                         elsewhere. No gate judges a wall-clock number:
-#                         that is perf/'s job
+#                         the machine whose env (nproc, cpu) the file
+#                         carries and print report-only elsewhere. No
+#                         gate judges a wall-clock number: that is
+#                         perf/'s job
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
@@ -97,12 +96,6 @@ if [ -n "$LEAKED" ]; then
     exit 1
 fi
 rm -rf "$SPILL_TMP"
-
-echo "== tier-1: test again with SIMD kernels disabled (scalar path) =="
-# MSC_NO_SIMD forces the portable scalar fallbacks everywhere the SIMD
-# crate dispatches, so the suite proves the scalar kernels are not just
-# dead code behind a feature probe.
-MSC_NO_SIMD=1 cargo test -q --workspace
 
 # Two cfg splits only another target can type-check. The reactor's
 # epoll shim carries an arch-conditional epoll_event layout (packed on

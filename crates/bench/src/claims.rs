@@ -515,9 +515,9 @@ mod tests {
     use super::*;
     use crate::gate::{check, BENCHES};
 
-    // Exact on any machine, so every tier-1 leg re-checks the paper's
-    // numbers: in RAM, spilled (`MSC_MEMORY_BUDGET`) and scalar
-    // (`MSC_NO_SIMD`). The bundled matrix is bit-equal to `profiles/`.
+    // Exact on any machine, so both tier-1 legs re-check the paper's
+    // numbers: in RAM and spilled (`MSC_MEMORY_BUDGET`). The bundled
+    // matrix is bit-equal to `profiles/`.
     #[test]
     fn the_committed_claims_are_what_the_code_measures() {
         let committed = msc_obs::json::parse(include_str!("../../../BENCH_claims.json")).unwrap();

@@ -57,7 +57,7 @@ impl Rule {
 }
 
 /// The `env` keys a timing row needs equal on both sides.
-const SAME_MACHINE: [&str; 3] = ["nproc", "cpu", "simd_lanes"];
+const SAME_MACHINE: [&str; 2] = ["nproc", "cpu"];
 
 /// Why the timing rows of `baseline` cannot bite on the machine `measured`
 /// was taken on: the first [`SAME_MACHINE`] key the two `env` blocks
@@ -464,7 +464,6 @@ fn env() -> Json {
             Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
         ),
         ("cpu", Json::from(cpu)),
-        ("simd_lanes", Json::from(msc_simd::setops::lanes().name())),
         ("reactor", Json::from(msc_serve::reactor_available())),
     ])
 }
@@ -672,7 +671,7 @@ mod tests {
                 "{}",
                 bench.file()
             );
-            for key in ["nproc", "cpu", "simd_lanes", "reactor"] {
+            for key in ["nproc", "cpu", "reactor"] {
                 let path = format!("env.{key}");
                 assert!(lookup(&file, &path).is_some(), "{}: {path}", bench.file());
             }
@@ -752,8 +751,8 @@ mod tests {
             line.contains("REPORT-ONLY") && line.contains("baseline absent"),
             "{line}"
         );
-        // `cpu` and `simd_lanes` count as the machine; `reactor` does not.
-        for (key, differs) in [("cpu", true), ("simd_lanes", true), ("reactor", false)] {
+        // `cpu` counts as the machine; `reactor` does not.
+        for (key, differs) in [("cpu", true), ("reactor", false)] {
             let mut m = bad.clone();
             edit(&mut m, &format!("env.{key}"), Some(Json::from("other")));
             assert_eq!(timing.eval(&baseline, &m).is_ok(), differs, "{key}");
@@ -873,7 +872,7 @@ mod tests {
         let back = parse(&(file.render() + "\n")).unwrap();
         assert_eq!(back, file);
         assert!(num(&back, "meta_states") > 0.0);
-        for key in ["nproc", "cpu", "simd_lanes", "reactor"] {
+        for key in ["nproc", "cpu", "reactor"] {
             assert!(lookup(&back, &format!("env.{key}")).is_some(), "{key}");
         }
         // A body that breaks its own invariant is not a baseline.

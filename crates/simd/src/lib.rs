@@ -16,8 +16,8 @@
 //! * [`lanes`] — [`PeArray`]: the PEs' memories and stacks in flat
 //!   lane-major storage and the one implementation of the stack-op
 //!   semantics, shared with the §1.1 interpreter in `msc-mimd`.
-//! * [`setops`] — runtime-dispatched SIMD set algebra kernels (AVX2 /
-//!   NEON / scalar) the converter's hybrid bitsets run on.
+//! * [`setops`] — the scalar word-slice subset test the converter's
+//!   hybrid bitsets run on.
 //! * [`profile`] — [`MachineProfile`]: the whole cost structure as strict
 //!   JSON config, so one binary evaluates many architectures (`mscc sweep`).
 
