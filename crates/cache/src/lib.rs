@@ -10,7 +10,10 @@
 //!   processes sharing the directory) never observe a torn artifact.
 //!
 //! [`TieredCache`] composes them into the lookup path memory → disk,
-//! with disk hits promoted into memory.
+//! with disk hits promoted into memory. That lookup
+//! ([`TieredCache::probe`], or [`TieredCache::probe_memory`] for a thread
+//! that must not wait) is the only way to read the cache, and every hit
+//! it returns is counted.
 //! The crate is generic over the artifact type `A`, which names its own
 //! interchange format by implementing [`Cacheable`]; the engine's
 //! artifact (and its `CostModel`-dependent decoder) stays in the engine
@@ -177,15 +180,11 @@ pub struct CacheStats {
 /// An artifact the disk tier can hold: the type names its own
 /// interchange text (the format the disk tier persists).
 pub trait Cacheable: Sized {
-    /// The first line of every encoding. The disk tier's raw export
-    /// checks it, so a corrupt file is a miss rather than garbage.
-    const MAGIC: &'static str;
     /// What decoding needs besides the text. The engine's artifact
     /// reparses assembly against the request's `CostModel`; the cache key
     /// already pins it, so the caller lends it per lookup.
     type Context;
-    /// Serialize to the interchange text, starting with the
-    /// [`MAGIC`](Self::MAGIC) line.
+    /// Serialize to the interchange text.
     fn encode(&self, key: CacheKey) -> String;
     /// Parse the interchange text; any malformation yields `None`
     /// (treated as a miss — the artifact is simply rebuilt).
@@ -291,16 +290,6 @@ impl<A: Cacheable> TieredCache<A> {
         }
     }
 
-    /// Serialize a cached artifact to its interchange text: memory
-    /// first (encoded on the fly), else the raw disk file text. Counts
-    /// nothing — an export is not a lookup.
-    pub fn export(&self, key: CacheKey) -> Option<String> {
-        if let Some(artifact) = self.memory.peek(key) {
-            return Some(artifact.encode(key));
-        }
-        self.disk.as_ref()?.read_raw(key)
-    }
-
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -334,15 +323,14 @@ impl<A: Cacheable> TieredCache<A> {
 /// Minimal artifact for tier tests: the payload is a `String`, framed
 /// with the same `mscache v1` magic the engine's format uses.
 impl Cacheable for String {
-    const MAGIC: &'static str = "mscache v1";
     type Context = ();
 
     fn encode(&self, key: CacheKey) -> String {
-        format!("{}\nkey {}\n{self}", Self::MAGIC, key.hex())
+        format!("mscache v1\nkey {}\n{self}", key.hex())
     }
 
     fn decode(text: &str, _: &()) -> Option<String> {
-        let rest = text.strip_prefix(Self::MAGIC)?.strip_prefix('\n')?;
+        let rest = text.strip_prefix("mscache v1\n")?;
         let (key_line, body) = rest.split_once('\n')?;
         key_line.strip_prefix("key ")?;
         Some(body.to_string())
@@ -436,28 +424,6 @@ mod tests {
         }
         assert_eq!(tier.evictions(), 2);
         assert_eq!(registry.snapshot().counter("cache.evict"), 2);
-    }
-
-    #[test]
-    fn export_prefers_memory_then_raw_disk_and_never_counts() {
-        let dir = std::env::temp_dir().join(format!("msc-cache-export-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = content_key("export", &[b"a"]);
-        let cache: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
-        assert_eq!(cache.export(key), None, "cold cache has nothing");
-        cache.insert(key, Arc::new("body".to_string()));
-        let from_memory = cache.export(key).expect("memory export");
-        assert!(from_memory.starts_with("mscache v1\n"));
-        // Cold memory, warm disk: the raw file text is served verbatim.
-        let cold: TieredCache<String> = TieredCache::new(4, Some(dir.clone()));
-        assert_eq!(cold.export(key).as_deref(), Some(from_memory.as_str()));
-        let s = cold.stats();
-        assert_eq!(
-            (s.hits, s.disk_hits, s.misses),
-            (0, 0, 0),
-            "exports are not lookups"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

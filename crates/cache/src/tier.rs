@@ -64,16 +64,6 @@ impl<A> MemoryTier<A> {
         Some(Arc::clone(&entry.artifact))
     }
 
-    /// Read without touching recency and without counting anything —
-    /// used by the export path, which must not reshuffle the LRU order.
-    pub fn peek(&self, key: CacheKey) -> Option<Arc<A>> {
-        self.inner
-            .lock()
-            .map
-            .get(&key)
-            .map(|e| Arc::clone(&e.artifact))
-    }
-
     /// File `artifact` under `key` as most recently used, evicting the
     /// least recently used entries past the capacity. Returns how many
     /// were evicted; counting them is the caller's, which knows what the
@@ -145,17 +135,6 @@ impl<A: Cacheable> DiskTier<A> {
         self.dir.join(format!("{}.mscache", key.hex()))
     }
 
-    /// Raw file text for `key`, for the export path — the bytes on disk
-    /// are already in interchange format, so serving them verbatim
-    /// skips a decode/encode round-trip. The [`Cacheable::MAGIC`] line
-    /// is checked so a corrupt file exports as a miss rather than as
-    /// garbage.
-    pub fn read_raw(&self, key: CacheKey) -> Option<String> {
-        let text = std::fs::read_to_string(self.path(key)).ok()?;
-        let first = text.split_once('\n')?.0;
-        (first == A::MAGIC).then_some(text)
-    }
-
     /// Read and decode `key`'s file; `None` is a miss (absent, unreadable
     /// or undecodable).
     pub fn fetch(&self, key: CacheKey, cx: &A::Context) -> Option<Arc<A>> {
@@ -224,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_round_trips_and_rejects_corrupt_raw_reads() {
+    fn disk_tier_round_trips_and_rejects_corrupt_files() {
         let dir = std::env::temp_dir().join(format!("msc-cache-disk-tier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tier: DiskTier<String> = DiskTier::new(dir.clone());
@@ -235,10 +214,8 @@ mod tests {
             tier.fetch(key, &()).as_deref(),
             Some(&"payload".to_string())
         );
-        assert!(tier.read_raw(key).expect("raw").starts_with("mscache v1\n"));
-        // A file that lost its magic is not exportable.
+        // A file that lost its magic line is a miss.
         std::fs::write(tier.path(key), "garbage").unwrap();
-        assert!(tier.read_raw(key).is_none());
         assert!(tier.fetch(key, &()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -707,7 +707,7 @@ fn compile_source(
 /// [`metastate::engine::compile_stages`] on the command's `--jobs`.
 fn draw_ir(emit: &Emit, file: &str, opts: &CommonOpts, src: &str) -> Result<String, CliError> {
     let job = build_pipeline(src, opts).into_job(file);
-    let s = metastate::engine::compile_stages(&job, opts.jobs, None)
+    let (s, _) = metastate::engine::compile_stages(&job, opts.jobs, None)
         .map_err(|e| CliError(e.to_string()))?;
     Ok(match emit {
         Emit::Dot => s.automaton.dot(),

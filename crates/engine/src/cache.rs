@@ -11,8 +11,10 @@ use msc_core::ConvertStats;
 use msc_ir::{Addr, CostModel};
 use std::time::Duration;
 
+/// The first line of every encoding: a file without it is a miss.
+const MAGIC: &str = "mscache v1";
+
 impl Cacheable for Artifact {
-    const MAGIC: &'static str = "mscache v1";
     /// Decoding reparses the assembly, which needs the request's cost
     /// model.
     type Context = CostModel;
@@ -21,7 +23,7 @@ impl Cacheable for Artifact {
         use std::fmt::Write as _;
         let asm = msc_simd::asm::serialize(&self.simd);
         let mut out = String::new();
-        let _ = writeln!(out, "{}", Self::MAGIC);
+        let _ = writeln!(out, "{MAGIC}");
         let _ = writeln!(out, "key {}", key.hex());
         let _ = writeln!(out, "meta_states {}", self.meta_states);
         let s = &self.stats;
@@ -58,7 +60,7 @@ impl Cacheable for Artifact {
 
     fn decode(text: &str, costs: &CostModel) -> Option<Artifact> {
         let mut lines = text.lines();
-        if lines.next()? != Self::MAGIC {
+        if lines.next()? != MAGIC {
             return None;
         }
         let _key = lines.next()?.strip_prefix("key ")?;

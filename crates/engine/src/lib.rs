@@ -45,7 +45,7 @@ pub use parallel::convert_parallel;
 use msc_codegen::{generate_with_stats, GenError, GenOptions};
 use msc_core::{convert_threads, ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
 use msc_lang::{compile, CompileError, Program};
-use msc_simd::SimdProgram;
+use msc_simd::{MachineConfig, Metrics, RunError, SimdMachine, SimdProgram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -65,29 +65,66 @@ pub struct PhaseTimings {
 
 /// The output of every pipeline stage of one [`compile_stages`] run.
 #[derive(Debug, Clone)]
-pub struct Stages {
+pub struct Built {
     /// Front-end output: normalized MIMD state graph + memory layout.
     pub compiled: Program,
     /// The meta-state automaton.
     pub automaton: MetaAutomaton,
-    /// Conversion statistics.
+    /// Conversion statistics (restarts, splits, subsumptions).
     pub stats: ConvertStats,
     /// The executable SIMD program.
     pub simd: SimdProgram,
-    /// Wall-clock cost of each phase.
-    pub timings: PhaseTimings,
+}
+
+/// A finished SIMD run.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// Machine state after the run (memory inspection).
+    pub machine: SimdMachine,
+    /// Execution metrics.
+    pub metrics: Metrics,
+}
+
+impl Built {
+    /// Execute on `n_pe` PEs, all live (SPMD).
+    pub fn run(&self, n_pe: usize) -> Result<RunOutput, RunError> {
+        self.run_with(MachineConfig::spmd(n_pe))
+    }
+
+    /// Execute under an explicit machine configuration.
+    pub fn run_with(&self, config: MachineConfig) -> Result<RunOutput, RunError> {
+        let mut machine = SimdMachine::new(&self.simd, &config);
+        let metrics = machine.run(&self.simd, &config)?;
+        Ok(RunOutput { machine, metrics })
+    }
+
+    /// Where `main`'s return value lands (per PE).
+    pub fn ret_addr(&self) -> Option<msc_ir::Addr> {
+        self.compiled.layout.main_ret
+    }
+
+    /// MPL-like rendering of the generated program (Listing 5 style).
+    pub fn mpl(&self) -> String {
+        msc_codegen::render::render_mpl(&self.simd)
+    }
+
+    /// Text rendering of the meta-state automaton.
+    pub fn automaton_text(&self) -> String {
+        self.automaton.text()
+    }
 }
 
 /// Run every pipeline stage of `job` — front end, the optional IR passes,
 /// meta-state conversion on `threads` threads (0 = all cores), code
 /// generation — with no cache and no coalescing. `timeout` is the
 /// cooperative deadline, checked at phase boundaries and once per round of
-/// the conversion worklist. The result does not depend on `threads`.
+/// the conversion worklist. The result does not depend on `threads`; the
+/// wall-clock cost of each phase comes beside it.
 pub fn compile_stages(
     job: &Job,
     threads: usize,
     timeout: Option<Duration>,
-) -> Result<Stages, EngineError> {
+) -> Result<(Built, PhaseTimings), EngineError> {
     let deadline = timeout.map(|t| Instant::now() + t);
     let check = |now: Instant| match deadline {
         Some(d) if now > d => Err(EngineError::TimedOut {
@@ -140,17 +177,18 @@ pub fn compile_stages(
     }
     check(t3)?;
 
-    Ok(Stages {
+    let built = Built {
         compiled,
         automaton,
         stats,
         simd,
-        timings: PhaseTimings {
-            compile: t1 - t0,
-            convert: t2 - t1,
-            codegen: t3 - t2,
-        },
-    })
+    };
+    let timings = PhaseTimings {
+        compile: t1 - t0,
+        convert: t2 - t1,
+        codegen: t3 - t2,
+    };
+    Ok((built, timings))
 }
 
 /// What the cache stores of one compilation: the executable program and
@@ -323,13 +361,12 @@ impl From<GenError> for EngineError {
     }
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
+/// Engine configuration. The default is all cores, no disk layer and no
+/// timeout.
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Worker threads for conversion and batches (0 = all available).
     pub threads: usize,
-    /// In-memory cache capacity in artifacts (0 disables it).
-    pub cache_capacity: usize,
     /// On-disk cache directory (None disables the disk layer).
     pub cache_dir: Option<PathBuf>,
     /// Per-job cooperative timeout, checked at phase boundaries and
@@ -337,16 +374,8 @@ pub struct EngineOptions {
     pub job_timeout: Option<Duration>,
 }
 
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            threads: 0,
-            cache_capacity: 128,
-            cache_dir: None,
-            job_timeout: None,
-        }
-    }
-}
+/// Artifacts the engine's memory tier holds before it evicts.
+const CACHE_CAPACITY: usize = 128;
 
 /// The compilation service: parallel conversion + cache + batch driver.
 pub struct Engine {
@@ -363,7 +392,7 @@ pub struct Engine {
 impl Engine {
     /// Build an engine from options.
     pub fn new(opts: EngineOptions) -> Self {
-        let cache = CompileCache::new(opts.cache_capacity, opts.cache_dir.clone());
+        let cache = CompileCache::new(CACHE_CAPACITY, opts.cache_dir.clone());
         Engine {
             opts,
             cache,
@@ -392,12 +421,6 @@ impl Engine {
     /// instead of compiling or hitting the cache themselves.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Serialize a cached artifact to its `mscache v1` text. `None` when
-    /// neither memory nor disk has it — an export never compiles.
-    pub fn export_artifact(&self, key: CacheKey) -> Option<String> {
-        self.cache.export(key)
     }
 
     /// Status of every configured cache tier, fastest first (for
@@ -564,14 +587,14 @@ impl Engine {
             std::thread::sleep(Duration::from_millis(150));
             panic!("injected in-flight test panic");
         }
-        let s = compile_stages(job, threads, self.opts.job_timeout)?;
+        let (s, timings) = compile_stages(job, threads, self.opts.job_timeout)?;
         let artifact = Arc::new(Artifact {
+            ret_addr: s.ret_addr(),
+            automaton_text: s.automaton_text(),
+            meta_states: s.automaton.len(),
             simd: s.simd,
             stats: s.stats,
-            meta_states: s.automaton.len(),
-            timings: s.timings,
-            ret_addr: s.compiled.layout.main_ret,
-            automaton_text: s.automaton.text(),
+            timings,
         });
         self.jobs_compiled.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(key, Arc::clone(&artifact));

@@ -18,7 +18,7 @@
 //! reference did not produce is a finding, like a result mismatch.
 
 use crate::grammar::Program;
-use metastate::{Pipeline, PipelineError, TimeSplitOptions};
+use metastate::{EngineError, Pipeline, TimeSplitOptions};
 use msc_core::ConvertError;
 use msc_engine::{Engine, EngineOptions, Job, Provenance};
 use msc_ir::{Addr, CostModel};
@@ -244,13 +244,12 @@ fn base_opts(cfg: &OracleConfig) -> msc_core::ConvertOptions {
 
 /// A failed compile: the meta-state bound skips the oracle, any other
 /// error is a finding.
-fn compile_failure<E: std::fmt::Display + Into<PipelineError>>(what: &str, e: E) -> OracleError {
-    let msg = format!("{what}: {e}");
-    match e.into() {
-        PipelineError::Convert(ConvertError::TooManyMetaStates { .. }) => {
+fn compile_failure(what: &str, e: EngineError) -> OracleError {
+    match e {
+        EngineError::Convert(ConvertError::TooManyMetaStates { .. }) => {
             OracleError::Skip("meta-state bound".into())
         }
-        _ => OracleError::Fail(msg),
+        _ => OracleError::Fail(format!("{what}: {e}")),
     }
 }
 

@@ -227,7 +227,6 @@ impl Server {
                 threads: opts.engine_threads.max(1),
                 cache_dir: opts.cache_dir.clone(),
                 job_timeout: opts.job_timeout,
-                ..EngineOptions::default()
             }),
             regex: msc_regex::RegexEngine::with_limits(
                 msc_regex::engine::DEFAULT_PATTERN_CAPACITY,

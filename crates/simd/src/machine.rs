@@ -192,7 +192,8 @@ pub enum TraceEvent {
         from: BlockId,
         /// Chosen successor (`None` = execution ended).
         to: Option<BlockId>,
-        /// The aggregate key used (0 for direct dispatches).
+        /// Always 0: the run does not record the dispatch key, for
+        /// hashed dispatches neither.
         aggregate: u64,
     },
 }

@@ -42,8 +42,8 @@ pub use msc_codegen::render::render_mpl;
 pub use msc_codegen::{generate, GenOptions};
 pub use msc_core::{convert, ConvertMode, ConvertOptions, MetaAutomaton, MetaId, TimeSplitOptions};
 pub use msc_engine::{
-    convert_parallel, Artifact, CacheStats, Compiled, Engine, EngineError, EngineOptions, Job,
-    Provenance,
+    convert_parallel, Artifact, Built, CacheStats, Compiled, Engine, EngineError, EngineOptions,
+    Job, Provenance, RunOutput,
 };
 pub use msc_ir::{CostModel, MimdGraph};
 pub use msc_lang::compile as compile_mimdc;
@@ -51,4 +51,4 @@ pub use msc_mimd::{interpret_on_simd, MimdReference};
 pub use msc_simd::{MachineProfile, ProfileError, SimdMachine, SimdProgram};
 
 mod pipeline;
-pub use pipeline::{Built, Pipeline, PipelineError, RunOutput};
+pub use pipeline::Pipeline;

@@ -1,18 +1,19 @@
 //! Cross-commit golden for the cache's artifact format. `codegen_golden`
 //! pins the generated program; this pins the `mscache v1` text an
-//! artifact is filed under on disk as: the bytes
-//! `Engine::export_artifact` returns after a fresh compile, as one
+//! artifact is filed under on disk as: the bytes `Cacheable::encode`
+//! gives a fresh compile's artifact (what the disk tier writes), as one
 //! SipHash-2-4-128 digest per (workload, mode) over `codegen_golden`'s
 //! corpus. Two lines are masked before digesting: `key` (checked against
 //! `job_key` instead, since `MSC_MEMORY_BUDGET` is part of the key) and
-//! `timings_ns` (wall clock). Each export must also decode: a cold engine
+//! `timings_ns` (wall clock). Each text must also decode: a cold engine
 //! over a disk tier holding only that text serves the compile from disk,
-//! and exports the same bytes again. A digest may only change in a PR
-//! that says the format changed, and why: a disk cache written by an
-//! older daemon then reads as misses.
+//! and its artifact encodes to the same bytes again. A digest may only
+//! change in a PR that says the format changed, and why: a disk cache
+//! written by an older daemon then reads as misses.
 
 use metastate::engine::{job_key, Engine, EngineOptions, Job, Provenance};
 use msc_bench::workloads::{barrier_phases_source, branchy_source, imbalanced_source};
+use msc_cache::Cacheable;
 use msc_core::ConvertOptions;
 
 /// (label, base digest, compressed digest), captured at commit c7ca156,
@@ -62,7 +63,7 @@ fn engine(cache_dir: Option<std::path::PathBuf>) -> Engine {
     })
 }
 
-/// Export `job`'s artifact after a fresh compile, check that it reads
+/// Encode `job`'s artifact after a fresh compile, check that it reads
 /// back from a disk tier, and digest it with the two volatile lines
 /// masked.
 fn digest(job: &Job, scratch: &std::path::Path) -> String {
@@ -70,9 +71,7 @@ fn digest(job: &Job, scratch: &std::path::Path) -> String {
     let warm = engine(None);
     let compiled = warm.compile(job).expect("the corpus compiles");
     assert_eq!(compiled.provenance, Provenance::Fresh);
-    let text = warm
-        .export_artifact(key)
-        .expect("a fresh compile is resident");
+    let text = compiled.artifact.encode(key);
 
     let _ = std::fs::remove_dir_all(scratch);
     std::fs::create_dir_all(scratch).expect("scratch directory");
@@ -82,8 +81,8 @@ fn digest(job: &Job, scratch: &std::path::Path) -> String {
     let reloaded = cold.compile(job).expect("a disk hit");
     assert_eq!(reloaded.provenance, Provenance::Disk, "{}", job.name);
     assert_eq!(
-        cold.export_artifact(key).as_deref(),
-        Some(text.as_str()),
+        reloaded.artifact.encode(key),
+        text,
         "{}: the decoded artifact encodes to the same bytes",
         job.name
     );

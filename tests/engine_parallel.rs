@@ -217,13 +217,11 @@ fn disk_cache_survives_engine_restart() {
 }
 
 #[test]
-fn pipeline_build_with_routes_through_engine() {
+fn pipeline_job_compiles_through_engine() {
     let engine = Engine::new(EngineOptions::default());
     let built = Pipeline::new(PROG).build().unwrap();
-    let compiled = Pipeline::new(PROG)
-        .mode(ConvertMode::Base)
-        .build_with(&engine, "prog")
-        .unwrap();
+    let p = Pipeline::new(PROG).mode(ConvertMode::Base);
+    let compiled = engine.compile(&p.into_job("prog")).unwrap();
     assert_eq!(compiled.provenance, Provenance::Fresh);
     assert_eq!(compiled.artifact.automaton_text, built.automaton_text());
 }

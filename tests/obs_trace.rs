@@ -38,7 +38,6 @@ fn jsonl_trace_totals_match_cache_stats() {
 
     let engine = Engine::new(EngineOptions {
         threads: 2,
-        cache_capacity: 8,
         ..EngineOptions::default()
     });
     // a and c share a source: one miss then one memory hit; b is a
